@@ -213,6 +213,19 @@ class _Run:
         except GridConfigError as e:
             raise ConfigError(f"bad grid: {e}") from None
 
+    def csv_function(self, block: dict, grid: Grid, what: str) -> GridFunction:
+        """Read block["path"] anchored at grid.x0; it must lie on grid."""
+        if "path" not in block:
+            raise ConfigError(f"{what} of kind csv needs a path")
+        try:
+            gf = read_csv(_resolve(block["path"], self.config_dir), x0=grid.x0)
+        except (OSError, ValueError) as e:
+            # ValueError covers GridConfigError and malformed rows
+            raise ConfigError(f"cannot read {what} CSV: {e}") from None
+        if gf.grid != grid:
+            raise ConfigError(f"{what} CSV grid does not match the config grid")
+        return gf
+
     def q_function(self, grid: Grid) -> GridFunction:
         block = self.cfg.get("q")
         if block is None:
@@ -221,10 +234,7 @@ class _Run:
             if "value" not in block:
                 raise ConfigError("q of kind constant needs a value")
             return GridFunction(grid, np.full(grid.n_nodes, float(block["value"])))
-        gf = read_csv(_resolve(block["path"], self.config_dir), x0=grid.x0)
-        if gf.grid != grid:
-            raise ConfigError("q CSV grid does not match the config grid")
-        return gf
+        return self.csv_function(block, grid, "q")
 
     def seed_function(self, grid: Grid) -> GridFunction:
         block = self.cfg.get("seed")
@@ -240,10 +250,7 @@ class _Run:
                 raise ConfigError(str(e)) from None
             return sample(seed.func, grid)
         if kind == "csv":
-            gf = read_csv(_resolve(block["path"], self.config_dir), x0=grid.x0)
-            if gf.grid != grid:
-                raise ConfigError("seed CSV grid does not match the config grid")
-            return gf
+            return self.csv_function(block, grid, "seed")
         return build_seed(self.q_function(grid))
 
     def family(self, grid: Grid):
@@ -426,9 +433,7 @@ def _cmd_approx(run: _Run) -> None:
         fn = _target_fn(target["name"], target.get("parameters", {}))
         h = sample(fn, grid)
     else:
-        h = read_csv(_resolve(target["path"], run.config_dir), x0=grid.x0)
-        if h.grid != grid:
-            raise ConfigError("target CSV grid does not match the config grid")
+        h = run.csv_function(target, grid, "target")
     which = block.get("which", "full")
     rows = []
     for N in block["orders"]:

@@ -18,6 +18,8 @@ second independent solution family.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .grid import Grid, GridFunction, cumulative_integral
@@ -50,15 +52,17 @@ class RecursiveFamily:
         self.Xt = Xt
         self.N = N
         self.grid = f.grid
-        self._f_prime = None
 
-    @property
+    @cached_property
     def f_prime(self) -> GridFunction:
         """Derivative of the seed (grid stencil, computed once)."""
-        if self._f_prime is None:
-            from .grid import derivative
-            self._f_prime = derivative(self.f)
-        return self._f_prime
+        from .grid import derivative
+        return derivative(self.f)
+
+    @cached_property
+    def _sup_norms(self) -> tuple[list[float], list[float]]:
+        """Sup-norms of X(n) and X~(n) per order, for choose_truncation."""
+        return [g.sup_norm for g in self.X], [g.sup_norm for g in self.Xt]
 
     def _check_order(self, k: int) -> int:
         k = int(k)
@@ -94,15 +98,14 @@ def build_family(f: GridFunction, N: int = 60) -> RecursiveFamily:
         raise SeedError(
             f"seed modulus {fmin:.3g} at node {i} (x={f.grid.nodes[i]}) "
             f"is below {MIN_SEED_ABS:g}")
-    phi = f * f
-    phi_inv = 1.0 / phi
     one = GridFunction(f.grid, np.ones(f.grid.n_nodes))
-    X = [one]
-    Xt = [one]
+    family = RecursiveFamily(f, [one], [one], N)
+    X, Xt, phi = family.X, family.Xt, family.phi
+    phi_inv = 1.0 / phi
     for n in range(1, N + 1):
         # weight parity swaps between the families at every order
         w_X = phi_inv if n % 2 else phi
         w_Xt = phi if n % 2 else phi_inv
         X.append(n * cumulative_integral(X[n - 1] * w_X))
         Xt.append(n * cumulative_integral(Xt[n - 1] * w_Xt))
-    return RecursiveFamily(f, X, Xt, N)
+    return family

@@ -12,9 +12,16 @@ term-wise differentiated series
     u1' = (f'/f) u1 + (1/f) * sum_{k>=1} lambda^k X~(2k-1) / (2k-1)!,
     u2' = (f'/f) u2 + (1/f) * sum_{k>=0} lambda^k X(2k) / (2k)!,
 
-never by grid differentiation, so the eigenvalue search downstream does
-not inherit stencil error.  All sums run Horner-style in lambda over the
-cached basis.
+not by differentiating u1 and u2 on the grid.  The seed derivative f'
+is still the 5-point stencil RecursiveFamily.f_prime, so u1', u2' and
+the characteristic function built on them carry its error.
+
+Every sum above runs in Horner form in lambda through one evaluator,
+over the whole grid or at the right endpoint, with one accumulator and
+no scaled copies of the family rows.  The exception is the running sum
+inside choose_truncation: its rule needs the sup-norm of every partial
+sum, which Horner, starting from the highest term, would only give with
+O(M^2) work.
 """
 
 from __future__ import annotations
@@ -49,57 +56,70 @@ def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
     return n_terms
 
 
-def _horner(parts: list[np.ndarray], lam: complex) -> np.ndarray:
-    # accumulate in complex even for real bases: lam may be complex
-    acc = parts[-1].astype(complex)
-    for p in parts[-2::-1]:
+def _horner(Y: list[GridFunction], s: int, lam: complex, M: int, at=...):
+    """sum_{k<M} lam^k Y[2k+s][at] / (2k+s)!, highest term first.
+
+    at=... sums whole rows into one complex accumulator updated in place;
+    an integer node index sums numpy scalars.
+    """
+    inv = _inv_factorials(len(Y) - 1)
+    top = 2 * M - 2 + s
+    # complex even for real rows: lam may be complex
+    acc = (Y[top].values[at] * inv[top]).astype(complex, copy=False)
+    for k in range(M - 2, -1, -1):
         acc *= lam
-        acc += p
+        acc += Y[2 * k + s].values[at] * inv[2 * k + s]
     return acc
+
+
+def _u1_prime_sum(family: RecursiveFamily, lam: complex, M: int, at=...):
+    """sum_{k>=1} lam^k X~(2k-1) / (2k-1)!, empty for M = 1."""
+    return lam * _horner(family.Xt, 1, lam, M - 1, at) if M > 1 else 0.0
+
+
+def _prime(family: RecursiveFamily, S, Sp, at=...):
+    """u' = f' S + S'/f from a series S and its term-wise derivative S'."""
+    return family.f_prime.values[at] * S + Sp / family.f.values[at]
 
 
 def u1_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
     """u1 on the whole grid."""
     M = _check_truncation(family, n_terms)
-    inv = _inv_factorials(2 * M)
-    parts = [family.Xt[2 * k].values * inv[2 * k] for k in range(M)]
-    return GridFunction(family.grid, family.f.values * _horner(parts, lam))
+    return GridFunction(family.grid,
+                        family.f.values * _horner(family.Xt, 0, lam, M))
 
 
 def u2_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
     """u2 on the whole grid."""
     M = _check_truncation(family, n_terms)
-    inv = _inv_factorials(2 * M)
-    parts = [family.X[2 * k + 1].values * inv[2 * k + 1] for k in range(M)]
-    return GridFunction(family.grid, family.f.values * _horner(parts, lam))
+    return GridFunction(family.grid,
+                        family.f.values * _horner(family.X, 1, lam, M))
 
 
 def u1_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
     """u1' on the whole grid (term-wise differentiated series)."""
     M = _check_truncation(family, n_terms)
-    inv = _inv_factorials(2 * M)
-    parts = [family.Xt[2 * k].values * inv[2 * k] for k in range(M)]
-    S1 = _horner(parts, lam)
-    if M > 1:
-        dparts = [family.Xt[2 * k - 1].values * inv[2 * k - 1]
-                  for k in range(1, M)]
-        S1p = lam * _horner(dparts, lam)
-    else:
-        S1p = np.zeros(family.grid.n_nodes)
-    fp = family.f_prime.values
-    return GridFunction(family.grid, fp * S1 + S1p / family.f.values)
+    S1 = _horner(family.Xt, 0, lam, M)
+    return GridFunction(family.grid,
+                        _prime(family, S1, _u1_prime_sum(family, lam, M)))
 
 
 def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
     """u2' on the whole grid (term-wise differentiated series)."""
     M = _check_truncation(family, n_terms)
-    inv = _inv_factorials(2 * M)
-    parts = [family.X[2 * k + 1].values * inv[2 * k + 1] for k in range(M)]
-    S2 = _horner(parts, lam)
-    dparts = [family.X[2 * k].values * inv[2 * k] for k in range(M)]
-    S2p = _horner(dparts, lam)
-    fp = family.f_prime.values
-    return GridFunction(family.grid, fp * S2 + S2p / family.f.values)
+    S2 = _horner(family.X, 1, lam, M)
+    return GridFunction(family.grid,
+                        _prime(family, S2, _horner(family.X, 0, lam, M)))
+
+
+def _right_end(family: RecursiveFamily, lam: complex, n_terms: int):
+    """u1, u1', u2, u2' at the right endpoint; each sum is formed once."""
+    M = _check_truncation(family, n_terms)
+    S1 = _horner(family.Xt, 0, lam, M, -1)
+    S2 = _horner(family.X, 1, lam, M, -1)
+    fb = family.f.values[-1]
+    return (fb * S1, _prime(family, S1, _u1_prime_sum(family, lam, M, -1), -1),
+            fb * S2, _prime(family, S2, _horner(family.X, 0, lam, M, -1), -1))
 
 
 def eval_u1(family, lam, x, n_terms):
@@ -155,14 +175,15 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
     if not tol > 0:
         raise OrderError(f"tol must be positive, got {tol}")
     M_max = (family.N + 1) // 2
-    inv = _inv_factorials(family.N + 1)
+    inv = _inv_factorials(family.N)
     alam = abs(lam)
+    norms_X, norms_Xt = family._sup_norms
 
     def term1(k):  # sup-norm of the k-th term of the u1 series
-        return alam ** k * family.Xt[2 * k].sup_norm * inv[2 * k]
+        return alam ** k * norms_Xt[2 * k] * inv[2 * k]
 
     def term2(k):
-        return alam ** k * family.X[2 * k + 1].sup_norm * inv[2 * k + 1]
+        return alam ** k * norms_X[2 * k + 1] * inv[2 * k + 1]
 
     S1 = np.zeros(family.grid.n_nodes, dtype=complex)
     S2 = np.zeros(family.grid.n_nodes, dtype=complex)

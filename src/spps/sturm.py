@@ -27,7 +27,7 @@ from scipy.interpolate import CubicSpline
 from .errors import AccuracyWarning, GridConfigError, SeedError
 from .grid import GridFunction
 from .recint import MIN_SEED_ABS, RecursiveFamily
-from .series import _check_truncation, _inv_factorials, choose_truncation
+from .series import _right_end, choose_truncation
 
 
 @dataclass
@@ -109,28 +109,6 @@ def _left_betas(problem: SlProblem, family: RecursiveFamily):
     return beta1, beta2
 
 
-def _endpoint_series(family: RecursiveFamily, lam: complex, M: int):
-    """S1, S1', S2, S2' of the four series at the right endpoint."""
-    inv = _inv_factorials(2 * M)
-    xt = [family.Xt[k].values[-1] for k in range(2 * M)]
-    xx = [family.X[k].values[-1] for k in range(2 * M)]
-
-    def horner(vals):
-        acc = vals[-1]
-        for v in vals[-2::-1]:
-            acc = acc * lam + v
-        return acc
-
-    S1 = horner([xt[2 * k] * inv[2 * k] for k in range(M)])
-    S2 = horner([xx[2 * k + 1] * inv[2 * k + 1] for k in range(M)])
-    S2p = horner([xx[2 * k] * inv[2 * k] for k in range(M)])
-    if M > 1:
-        S1p = lam * horner([xt[2 * k - 1] * inv[2 * k - 1] for k in range(1, M)])
-    else:
-        S1p = 0.0
-    return S1, S1p, S2, S2p
-
-
 def characteristic(problem: SlProblem, family: RecursiveFamily, lam: complex,
                    n_terms: int) -> complex:
     """Phi(lambda) = c3 u(b) + c4 u'(b) for the left-pinned solution."""
@@ -139,14 +117,8 @@ def characteristic(problem: SlProblem, family: RecursiveFamily, lam: complex,
                               "(x0 = left endpoint)")
     if problem.q.grid != family.grid:
         raise GridConfigError("potential and family live on different grids")
-    M = _check_truncation(family, n_terms)
+    u1b, u1pb, u2b, u2pb = _right_end(family, lam, n_terms)
     beta1, beta2 = _left_betas(problem, family)
-    S1, S1p, S2, S2p = _endpoint_series(family, lam, M)
-    fb = family.f.values[-1]
-    fpb = family.f_prime.values[-1]
-    u1b, u2b = fb * S1, fb * S2
-    u1pb = fpb * S1 + S1p / fb
-    u2pb = fpb * S2 + S2p / fb
     c3, c4 = problem.bc_right
     ub = beta1 * u1b + beta2 * u2b
     upb = beta1 * u1pb + beta2 * u2pb

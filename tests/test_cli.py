@@ -285,6 +285,36 @@ def test_vanishing_csv_seed_is_numerical_failure(tmp_path):
     assert code == 3
 
 
+def _csv_config(what):
+    cfg = {"schema_version": 1, "grid": {"a": 0.0, "b": 1.0, "n_nodes": 101}}
+    block = {"kind": "csv", "path": f"{what}.csv"}
+    if what == "q":
+        cfg.update(command="eigs", q=block, eigs={
+            "bc_left": [1.0, 0.0], "bc_right": [1.0, 0.0], "range": [-12.0, -1.0]})
+    elif what == "seed":
+        cfg.update(command="basis", seed=block)
+    else:
+        cfg.update(command="approx", seed={"kind": "builtin", "name": "constant"},
+                   approx={"target": block, "orders": [2]})
+    return cfg, block
+
+
+@pytest.mark.parametrize("what", ["q", "seed", "target"])
+@pytest.mark.parametrize("fault", ["missing", "ragged", "no path"])
+def test_unreadable_csv_is_config_error(tmp_path, capsys, what, fault):
+    cfg, block = _csv_config(what)
+    if fault == "ragged":
+        with open(os.path.join(tmp_path, block["path"]), "w") as fh:
+            fh.write("x,re,im\n0,1\n0.5,1,0\n")
+    elif fault == "no path":
+        del block["path"]
+    code, _ = _run(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error")
+    assert "Traceback" not in err
+
+
 def test_wrong_schema_version(tmp_path):
     cfg = _taylor_config()
     cfg["schema_version"] = 99
@@ -320,8 +350,12 @@ def test_output_dir_from_config(tmp_path):
 def test_module_entry_point(tmp_path):
     path = _write_config(tmp_path, _taylor_config(n=3))
     out_dir = os.path.join(tmp_path, "out")
+    # the child process must import the same spps as this test
+    src = os.path.dirname(os.path.dirname(spps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "spps.cli", "--config", path, "--out", out_dir],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(os.path.join(out_dir, "matrix.csv"))

@@ -90,3 +90,10 @@ def test_order_out_of_range(interior_family):
 def test_family_caches_f_prime(exp_family):
     fp = exp_family.f_prime
     assert np.max(np.abs(fp.values - exp_family.f.values)) < 1e-8
+
+
+def test_family_caches_sup_norms(exp_family, q_zero_family):
+    for fam in (exp_family, q_zero_family):
+        norms_X, norms_Xt = fam._sup_norms
+        assert norms_X == [g.sup_norm for g in fam.X]
+        assert norms_Xt == [g.sup_norm for g in fam.Xt]

@@ -141,3 +141,24 @@ def test_truncation_must_fit_family(exp_family):
         u1_grid(exp_family, 1.0, (exp_family.N + 1) // 2 + 1)
     with pytest.raises(OrderError):
         eval_u2_prime(exp_family, 1.0, 0.5, exp_family.N)
+
+
+# -- shared evaluator ------------------------------------------------------------
+
+@pytest.mark.parametrize("name, q_value", [("exp_family", -1.0),
+                                           ("q_zero_family", 0.0)])
+def test_evaluators_leave_family_rows_untouched(request, name, q_value):
+    # the Horner accumulator is updated in place: it must never alias a row
+    fam = request.getfixturevalue(name)
+    before = [g.values.copy() for g in fam.X + fam.Xt]
+    q = sample(lambda x: np.full_like(x, q_value), fam.grid)
+    problem = spps.SlProblem(q, (1.0, 0.0), (1.0, 0.0))
+    for lam in (-30.0, 5.0 + 20.0j):
+        M = choose_truncation(fam, lam).n_terms
+        for u in (u1_grid, u1_prime_grid, u2_grid, u2_prime_grid):
+            u(fam, lam, M)
+        for u in (eval_u1, eval_u1_prime, eval_u2, eval_u2_prime):
+            u(fam, lam, 0.37, M)
+        spps.characteristic(problem, fam, lam, M)
+    after = [g.values for g in fam.X + fam.Xt]
+    assert all(np.array_equal(b, a) for b, a in zip(before, after))

@@ -91,6 +91,33 @@ def test_characteristic_at_lambda_zero(q_zero, q_zero_family):
     assert abs(phi - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("name, q_value", [("exp_family", -1.0),
+                                           ("q_zero_family", 0.0)])
+@pytest.mark.parametrize("bc_left, bc_right", [
+    ((1.0, 0.0), (1.0, 0.0)),   # Dirichlet
+    ((0.0, 1.0), (0.0, 1.0)),   # Neumann
+    ((1.0, 0.0), (0.0, 1.0)),   # mixed
+    ((0.3, 1.0), (2.0, 0.5)),   # Robin at both ends
+])
+@pytest.mark.parametrize("lam", [-30.0, 5.0 + 20.0j])
+def test_characteristic_matches_grid_solutions(request, name, q_value,
+                                               bc_left, bc_right, lam):
+    fam = request.getfixturevalue(name)
+    q = sample(lambda x: np.full_like(x, q_value), fam.grid)
+    M = spps.choose_truncation(fam, lam).n_terms
+    c1, c2 = bc_left
+    c3, c4 = bc_right
+    fa, fpa = fam.f.values[0], fam.f_prime.values[0]
+    beta1, beta2 = -c2 / fa, c1 * fa + c2 * fpa
+    ub = (beta1 * spps.u1_grid(fam, lam, M).values[-1]
+          + beta2 * spps.u2_grid(fam, lam, M).values[-1])
+    upb = (beta1 * spps.u1_prime_grid(fam, lam, M).values[-1]
+           + beta2 * spps.u2_prime_grid(fam, lam, M).values[-1])
+    expected = c3 * ub + c4 * upb
+    phi = characteristic(SlProblem(q, bc_left, bc_right), fam, lam, M)
+    assert abs(phi - expected) <= 1e-13 * abs(expected)
+
+
 def test_characteristic_requires_left_anchor(q_zero):
     g = Grid(0.0, 1.0, 101, x0=0.5)
     fam = build_family(sample(lambda x: np.ones_like(x), g), 10)
