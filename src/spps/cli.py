@@ -196,6 +196,8 @@ class _Run:
             print(msg)
 
     def path(self, name: str) -> str:
+        # made at the first write, so a failing command leaves no empty directory
+        os.makedirs(self.out_dir, exist_ok=True)
         self.files.append(name)
         return os.path.join(self.out_dir, name)
 
@@ -333,9 +335,9 @@ def _cmd_eigs(run: _Run) -> None:
     block = _block(run.cfg)
     grid = run.grid(force_x0_left=True)
     q = run.q_function(grid)
-    if run.cfg.get("seed") is None:
-        f = build_seed(q)
-        family = build_family(f, run.cfg.get("family_order", 60))
+    seed = run.cfg.get("seed")
+    if seed is None or seed["kind"] == "from_q":
+        family = build_family(build_seed(q), run.cfg.get("family_order", 60))
     else:
         family = run.family(grid)
     try:
@@ -476,7 +478,6 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    os.makedirs(out_dir, exist_ok=True)
     run = _Run(cfg, config_dir, out_dir, args.verbose)
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -502,6 +503,7 @@ def main(argv=None) -> int:
         "files": sorted(run.files),
         "warnings": notes,
     }
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

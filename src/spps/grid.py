@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy.interpolate import CubicSpline, make_interp_spline
 
 from .errors import DomainError, GridConfigError, SamplingError
 
@@ -23,6 +22,18 @@ from .errors import DomainError, GridConfigError, SamplingError
 _NODE_SNAP = 1e-9
 # Slack allowed past the interval ends before raising, relative to b-a.
 _EDGE_SLACK = 1e-12
+
+
+def CubicSpline(*args, **kwargs):
+    # scipy.interpolate is most of the package's import time and only
+    # off-node evaluation needs it, so it is imported on first use
+    from scipy.interpolate import CubicSpline
+    return CubicSpline(*args, **kwargs)
+
+
+def make_interp_spline(*args, **kwargs):
+    from scipy.interpolate import make_interp_spline
+    return make_interp_spline(*args, **kwargs)
 
 
 class Grid:

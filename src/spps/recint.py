@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, GridFunction, cumulative_integral
+from .grid import GridFunction, cumulative_integral, derivative
 from .errors import OrderError, SeedError
 
 # Seeds whose modulus falls below this are rejected: every second
@@ -56,7 +56,6 @@ class RecursiveFamily:
     @cached_property
     def f_prime(self) -> GridFunction:
         """Derivative of the seed (grid stencil, computed once)."""
-        from .grid import derivative
         return derivative(self.f)
 
     @cached_property
@@ -98,14 +97,21 @@ def build_family(f: GridFunction, N: int = 60) -> RecursiveFamily:
         raise SeedError(
             f"seed modulus {fmin:.3g} at node {i} (x={f.grid.nodes[i]}) "
             f"is below {MIN_SEED_ABS:g}")
+    return _families(f, N)
+
+
+def _families(f: GridFunction, N: int, r: GridFunction | None = None) -> RecursiveFamily:
+    """build_family's recursion, unchecked.  A weight r multiplies each
+    phi step (X~ odd, X even orders); the series solve u'' + qu = lambda r u."""
     one = GridFunction(f.grid, np.ones(f.grid.n_nodes))
     family = RecursiveFamily(f, [one], [one], N)
     X, Xt, phi = family.X, family.Xt, family.phi
     phi_inv = 1.0 / phi
+    phi_r = phi if r is None else phi * r
     for n in range(1, N + 1):
         # weight parity swaps between the families at every order
-        w_X = phi_inv if n % 2 else phi
-        w_Xt = phi if n % 2 else phi_inv
+        w_X = phi_inv if n % 2 else phi_r
+        w_Xt = phi_r if n % 2 else phi_inv
         X.append(n * cumulative_integral(X[n - 1] * w_X))
         Xt.append(n * cumulative_integral(Xt[n - 1] * w_Xt))
     return family

@@ -22,12 +22,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import AccuracyWarning, GridConfigError, SeedError
-from .grid import GridFunction
-from .recint import MIN_SEED_ABS, RecursiveFamily
-from .series import _right_end, choose_truncation
+from .grid import Grid, GridFunction
+from .recint import MIN_SEED_ABS, RecursiveFamily, _families
+from .series import _right_end, choose_truncation, u1_grid, u2_grid
+
+_SEED_TERMS = 11  # series terms per seed piece, see build_seed
 
 
 @dataclass
@@ -47,52 +48,40 @@ class SlProblem:
 
 
 def build_seed(q: GridFunction) -> GridFunction:
-    """Nonvanishing complex solution of f'' + qf = 0.
+    """Nonvanishing complex solution of f'' + qf = 0 on a grid of >= 5 nodes.
 
-    Integrates the homogeneous equation twice with a fixed-step 4th
-    order Runge-Kutta scheme (initial values (1,0) and (0,1) at a) and
-    returns v1 + i*v2.  Midpoint potential values come from a cubic
-    spline, keeping the overall order.  Only real q is meaningful here:
-    with complex q the two integrations no longer give a pinned-modulus
-    combination, so callers must supply their own seed.
+    Returns v1 + i*v2 with (v1, v1') = (1, 0) and (v2, v2') = (0, 1) at a,
+    the series u1, u2 at lambda = 1 of the family with seed 1 and weight
+    -q.  One series over [a, b] loses every digit to cancellation among
+    its terms (sqrt(max|q|) L)^k / k! when q L^2 is large, so it is summed
+    on pieces of >= 4 cells with max|q| L^2 <= 1, each started from the
+    value and derivative the last one ends with; there _SEED_TERMS terms
+    reach rounding.  Complex q raises SeedError: callers must supply a seed.
     """
     if not q.is_real:
         raise SeedError("complex q requires a user-supplied seed")
     g = q.grid
-    h = g.h
-    qv = q.values.real.astype(float)
-    qm = CubicSpline(g.nodes, qv)(g.nodes[:-1] + h / 2)
-
-    v1 = np.empty(g.n_nodes)
-    d1 = np.empty(g.n_nodes)
-    v2 = np.empty(g.n_nodes)
-    d2 = np.empty(g.n_nodes)
-    v1[0], d1[0] = 1.0, 0.0
-    v2[0], d2[0] = 0.0, 1.0
-    y = np.array([1.0, 0.0, 0.0, 1.0])  # (v1, v1', v2, v2') packed
-    for i in range(g.n_nodes - 1):
-        qa, qb, qc = qv[i], qm[i], qv[i + 1]
-        u, v = y[0::2], y[1::2]
-        k1u, k1v = v, -qa * u
-        k2u = v + (h / 2) * k1v
-        k2v = -qb * (u + (h / 2) * k1u)
-        k3u = v + (h / 2) * k2v
-        k3v = -qb * (u + (h / 2) * k2u)
-        k4u = v + h * k3v
-        k4v = -qc * (u + h * k3u)
-        u = u + (h / 6) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        y = np.empty(4)
-        y[0::2], y[1::2] = u, v
-        v1[i + 1], v2[i + 1] = u
-        d1[i + 1], d2[i + 1] = v
-    f = v1 + 1j * v2
-    m = float(np.min(np.abs(f)))
-    if m < MIN_SEED_ABS:
-        i = int(np.argmin(np.abs(f)))
+    n = g.n_nodes
+    if n < 5:
+        raise GridConfigError(f"seed construction needs 5 nodes, got {n}")
+    qmax = float(np.max(np.abs(q.values)))
+    w = max(4, int(1.0 / (np.sqrt(qmax) * g.h))) if qmax > 0 else n - 1
+    # piece ends every w cells; a tail shorter than 4 cells joins the last piece
+    bounds = list(range(0, n - 4, w)) + [n - 1]
+    f, fp = np.ones(n, dtype=complex), 1j
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        piece = Grid(g.nodes[i], g.nodes[j], j - i + 1)
+        fam = _families(GridFunction(piece, np.ones(j - i + 1)), 2 * _SEED_TERMS - 1,
+                        GridFunction(piece, -q.values.real[i:j + 1]))
+        c = u1_grid(fam, 1.0, _SEED_TERMS).values
+        s = u2_grid(fam, 1.0, _SEED_TERMS).values
+        _, cp, _, sp = _right_end(fam, 1.0, _SEED_TERMS)
+        f[i:j + 1], fp = f[i] * c + fp * s, f[i] * cp + fp * sp
+    i = int(np.argmin(np.abs(f)))
+    if abs(f[i]) < MIN_SEED_ABS:
         raise SeedError(
-            f"generated seed modulus {m:.3g} at x={g.nodes[i]}: numerical "
-            f"drift; try a finer grid")
+            f"generated seed modulus {abs(f[i]):.3g} at x={g.nodes[i]}: "
+            f"numerical drift; try a finer grid")
     return GridFunction(g, f)
 
 
@@ -147,12 +136,12 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     Phi is sampled on scan_points equispaced lambdas, rotated by the
     phase of its largest sample so the working function is real, and
     each sign change is refined by bisection plus a short secant polish.
-    Truncation is chosen per lambda by choose_truncation(series_tol);
-    within a bracket the larger endpoint choice is kept fixed so the
-    refined function is a fixed polynomial in lambda.  Roots whose
-    characteristic residual stays above tol (relative to the scan peak)
-    are dropped with a warning; roots closer than one scan cell trigger
-    a densification warning.
+    Truncation is chosen per lambda by choose_truncation(series_tol),
+    with one warning counting its cap hits; within a bracket the larger
+    endpoint choice is kept fixed so the refined function is a fixed
+    polynomial in lambda.  Roots whose characteristic residual stays
+    above tol (relative to the scan peak) are dropped with a warning;
+    roots closer than one scan cell trigger a densification warning.
     """
     lo, hi = float(lam_range[0]), float(lam_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -164,11 +153,16 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
         raise ValueError("scan needs at least 2 points")
 
     lams = np.linspace(lo, hi, scan_points)
-    Ms = np.empty(scan_points, dtype=int)
-    phis = np.empty(scan_points, dtype=complex)
-    for i, lam in enumerate(lams):
-        Ms[i] = choose_truncation(family, lam, series_tol).n_terms
-        phis[i] = characteristic(problem, family, lam, Ms[i])
+    with warnings.catch_warnings():  # one cap warning for the whole scan
+        warnings.filterwarnings("ignore", "truncation cap", AccuracyWarning)
+        Ms, capped = np.array([choose_truncation(family, lam, series_tol)
+                               for lam in lams], dtype=int).T
+    phis = np.array([characteristic(problem, family, lam, M)
+                     for lam, M in zip(lams, Ms)])
+    if capped.any():
+        warnings.warn(f"truncation cap {Ms.max()} reached at {capped.sum()} of "
+                      f"{scan_points} scan points without meeting "
+                      f"series_tol={series_tol:g}", AccuracyWarning, stacklevel=2)
 
     scale = float(np.max(np.abs(phis)))
     if scale == 0.0:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spps
+from spps import cli
 from spps.cli import main
 
 
@@ -180,6 +181,34 @@ def test_eigs_dirichlet(tmp_path):
     assert os.path.exists(os.path.join(out, "scan.csv"))
 
 
+def test_eigs_from_q_seed_matches_default_seed(tmp_path, monkeypatch):
+    reads = []
+    monkeypatch.setattr(cli, "read_csv",
+                        lambda *a, **k: reads.append(a) or spps.read_csv(*a, **k))
+    g = spps.Grid(0.0, 1.0, 1001)
+    spps.write_csv(spps.sample(lambda x: 5.0 * np.cos(3 * x), g),
+                   os.path.join(tmp_path, "q.csv"))
+    cfg = {
+        "schema_version": 1,
+        "command": "eigs",
+        "grid": {"a": 0.0, "b": 1.0, "n_nodes": 1001},
+        "q": {"kind": "csv", "path": "q.csv"},
+        "family_order": 80,
+        "eigs": {"bc_left": [1.0, 0.0], "bc_right": [0.0, 1.0],
+                 "range": [-120.0, -1.0]},
+    }
+    blobs = []
+    for seed in (None, {"kind": "from_q"}):
+        if seed is not None:
+            cfg["seed"] = seed
+        code, out = _run(tmp_path, cfg, out=f"out{len(blobs)}")
+        assert code == 0
+        with open(os.path.join(out, "eigenvalues.json"), "rb") as fh:
+            blobs.append(fh.read())
+    assert blobs[0] == blobs[1]
+    assert len(reads) == 2  # q is read once per run
+
+
 def test_eigs_rejects_interior_anchor(tmp_path):
     cfg = {
         "schema_version": 1,
@@ -315,6 +344,14 @@ def test_unreadable_csv_is_config_error(tmp_path, capsys, what, fault):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("what", ["q", "seed", "target"])
+def test_config_error_leaves_no_output_dir(tmp_path, what):
+    cfg, _ = _csv_config(what)
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    assert not os.path.exists(out)
+
+
 def test_wrong_schema_version(tmp_path):
     cfg = _taylor_config()
     cfg["schema_version"] = 99
@@ -345,6 +382,18 @@ def test_output_dir_from_config(tmp_path):
     path = _write_config(tmp_path, cfg)
     assert main(["--config", path]) == 0
     assert os.path.exists(os.path.join(tmp_path, "results", "matrix.csv"))
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(spps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, spps.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point(tmp_path):

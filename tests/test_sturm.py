@@ -55,6 +55,38 @@ def test_seed_wronskian():
     assert np.max(np.abs(w.values - 1.0)) < 1e-6
 
 
+@pytest.mark.parametrize("c, bound", [(400.0, 1e-9), (-400.0, 1e-9),
+                                      (2500.0, 1e-7)])
+def test_seed_closed_form_on_several_pieces(c, bound):
+    # one series over [0, 1] would lose every digit to cancellation here
+    g = Grid(0.0, 1.0, 5001)
+    q = sample(lambda x: np.full_like(x, c), g)
+    f = build_seed(q)
+    k, x = np.sqrt(abs(c)), g.nodes
+    if c > 0:
+        exact = np.cos(k * x) + 1j * np.sin(k * x) / k
+    else:
+        exact = np.cosh(k * x) + 1j * np.sinh(k * x) / k
+    assert np.max(np.abs(f.values - exact)) / np.max(np.abs(exact)) < bound
+
+
+def test_seed_wronskian_across_pieces():
+    g = Grid(0.0, 1.0, 5001)
+    q = sample(lambda x: 300.0 + 200.0 * np.cos(7 * x), g)
+    f = build_seed(q)
+    v1 = spps.GridFunction(g, f.values.real)
+    v2 = spps.GridFunction(g, f.values.imag)
+    w = v1 * derivative(v2) - derivative(v1) * v2
+    assert np.max(np.abs(w.values - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_seed_needs_five_nodes(n):
+    q = sample(lambda x: np.ones_like(x), Grid(0.0, 1.0, n))
+    with pytest.raises(GridConfigError):
+        build_seed(q)
+
+
 def test_seed_rejects_complex_potential():
     g = Grid(0.0, 1.0, 101)
     q = sample(lambda x: 1j * x, g)
@@ -196,6 +228,14 @@ def test_cluster_warning_on_coarse_scan(q_zero, q_zero_family):
     with pytest.warns(AccuracyWarning, match="scan"):
         res = find_eigenvalues(prob, q_zero_family, (-19.0, 1.0), scan_points=3)
     assert len(res) == 2
+
+
+def test_one_cap_warning_per_search(q_zero, q_zero_family):
+    with pytest.warns(AccuracyWarning) as caught:
+        find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-2000.0, -1.0))
+    capped = [w for w in caught if str(w.message).startswith("truncation cap")]
+    assert len(capped) == 1
+    assert "of 256 scan points" in str(capped[0].message)
 
 
 def test_empty_window(q_zero, q_zero_family):
