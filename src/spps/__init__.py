@@ -11,7 +11,7 @@ through exact jet arithmetic, and solves regular Sturm-Liouville
 eigenproblems through the resulting characteristic function.
 """
 
-from .errors import (AccuracyWarning, AnchorError, DomainError,
+from .errors import (AccuracyWarning, AnchorError, DomainError, EigenError,
                      GridConfigError, JetDivisionError, OrderError,
                      RankCollapseError, SamplingError, SeedError, SppsError)
 from .grid import (Grid, GridFunction, cumulative_integral, derivative,
@@ -35,7 +35,8 @@ from .sturm import (EigenResult, SlProblem, build_seed, characteristic,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyWarning", "AnchorError", "DomainError", "GridConfigError",
+    "AccuracyWarning", "AnchorError", "DomainError", "EigenError",
+    "GridConfigError",
     "JetDivisionError", "OrderError", "RankCollapseError", "SamplingError",
     "SeedError", "SppsError",
     "Grid", "GridFunction", "cumulative_integral", "derivative",

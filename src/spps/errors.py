@@ -43,6 +43,12 @@ class RankCollapseError(SppsError, ValueError):
     determined."""
 
 
+class EigenError(SppsError, RuntimeError):
+    """Eigenvalue search cannot proceed: the left boundary data pin no
+    solution, or the characteristic function vanished on the whole
+    scan."""
+
+
 class AccuracyWarning(UserWarning):
     """Result still returned, but a documented accuracy limit was
     crossed (deep repeated numerical differentiation, truncation cap,

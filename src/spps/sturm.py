@@ -10,7 +10,8 @@ x0 = a, and eigenvalues are the zeros of the characteristic function
 
     Phi(lambda) = c3 u(b) + c4 u'(b),
 
-which at fixed truncation is a polynomial in lambda.  The betas are
+which at fixed truncation M is a polynomial of degree M - 1 in lambda;
+the search refines one such polynomial per window.  The betas are
 normalized so that u(a) = -c2 and u'(a) = c1; for real q, lambda and
 real boundary coefficients this makes u and Phi real regardless of the
 complex seed.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyWarning, GridConfigError, SeedError
+from .errors import AccuracyWarning, EigenError, GridConfigError, SeedError
 from .grid import Grid, GridFunction
 from .recint import MIN_SEED_ABS, RecursiveFamily, _families
 from .series import _right_end, choose_truncation, u1_grid, u2_grid
@@ -93,14 +94,14 @@ def _left_betas(problem: SlProblem, family: RecursiveFamily):
     beta1 = -c2 / fa
     beta2 = c1 * fa + c2 * fpa
     if beta1 == 0 and beta2 == 0:
-        raise RuntimeError("both solution coefficients vanished despite "
-                           "non-degenerate boundary data")
+        raise EigenError("both solution coefficients vanished despite "
+                         "non-degenerate boundary data")
     return beta1, beta2
 
 
-def characteristic(problem: SlProblem, family: RecursiveFamily, lam: complex,
-                   n_terms: int) -> complex:
-    """Phi(lambda) = c3 u(b) + c4 u'(b) for the left-pinned solution."""
+def characteristic(problem: SlProblem, family: RecursiveFamily, lam,
+                   n_terms: int):
+    """Phi(lam) = c3 u(b) + c4 u'(b) of the left-pinned u; lam may be an array."""
     if family.grid.x0_index != 0:
         raise GridConfigError("eigenproblem families must be anchored at a "
                               "(x0 = left endpoint)")
@@ -111,7 +112,7 @@ def characteristic(problem: SlProblem, family: RecursiveFamily, lam: complex,
     c3, c4 = problem.bc_right
     ub = beta1 * u1b + beta2 * u2b
     upb = beta1 * u1pb + beta2 * u2pb
-    return complex(c3 * ub + c4 * upb)
+    return c3 * ub + c4 * upb
 
 
 @dataclass
@@ -133,15 +134,15 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
                      series_tol: float = 1e-12) -> EigenResult:
     """Real-line eigenvalue search by scan, bracket, and refine.
 
-    Phi is sampled on scan_points equispaced lambdas, rotated by the
-    phase of its largest sample so the working function is real, and
-    each sign change is refined by bisection plus a short secant polish.
-    Truncation is chosen per lambda by choose_truncation(series_tol),
-    with one warning counting its cap hits; within a bracket the larger
-    endpoint choice is kept fixed so the refined function is a fixed
-    polynomial in lambda.  Roots whose characteristic residual stays
-    above tol (relative to the scan peak) are dropped with a warning;
-    roots closer than one scan cell trigger a densification warning.
+    The truncation M is the larger of choose_truncation(series_tol) at
+    the two window ends, with one warning if either hits the cap, so Phi
+    is one polynomial in lambda over the whole window.  It is sampled on
+    scan_points equispaced lambdas in one array call of characteristic,
+    rotated by the phase of its largest sample so the working function
+    is real, and each sign change is refined by bisection plus a short
+    secant polish.  Roots whose characteristic residual stays above tol
+    (relative to the scan peak) are dropped with a warning; roots closer
+    than one scan cell trigger a densification warning.
     """
     lo, hi = float(lam_range[0]), float(lam_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -153,25 +154,25 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
         raise ValueError("scan needs at least 2 points")
 
     lams = np.linspace(lo, hi, scan_points)
-    with warnings.catch_warnings():  # one cap warning for the whole scan
+    with warnings.catch_warnings():  # one cap warning for the whole window
         warnings.filterwarnings("ignore", "truncation cap", AccuracyWarning)
-        Ms, capped = np.array([choose_truncation(family, lam, series_tol)
-                               for lam in lams], dtype=int).T
-    phis = np.array([characteristic(problem, family, lam, M)
-                     for lam, M in zip(lams, Ms)])
-    if capped.any():
-        warnings.warn(f"truncation cap {Ms.max()} reached at {capped.sum()} of "
-                      f"{scan_points} scan points without meeting "
+        ends = [choose_truncation(family, lam, series_tol) for lam in (lo, hi)]
+    M = max(c.n_terms for c in ends)
+    if any(c.capped for c in ends):
+        warnings.warn(f"truncation cap {M} reached at a window end, used for "
+                      f"each of {scan_points} scan points without meeting "
                       f"series_tol={series_tol:g}", AccuracyWarning, stacklevel=2)
+    # np.full also spreads the scalar, constant Phi that M = 1 gives
+    phis = np.full(scan_points, characteristic(problem, family, lams, M))
 
     scale = float(np.max(np.abs(phis)))
     if scale == 0.0:
-        raise RuntimeError("characteristic function vanished identically "
-                           "on the scan grid")
+        raise EigenError("characteristic function vanished identically "
+                         "on the scan grid")
     theta = np.angle(phis[int(np.argmax(np.abs(phis)))])
     rot = np.exp(-1j * theta)
 
-    def rho(lam: float, M: int) -> float:
+    def rho(lam: float) -> float:
         return (rot * characteristic(problem, family, lam, M)).real
 
     rhos = (rot * phis).real
@@ -180,16 +181,15 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     for i in range(scan_points - 1):
         ra, rb = rhos[i], rhos[i + 1]
         if ra == 0.0:
-            ra = rho(lams[i] + 1e-3 * cell, Ms[i])
+            ra = rho(lams[i] + 1e-3 * cell)
         if ra * rb >= 0.0:
             continue
-        M = int(max(Ms[i], Ms[i + 1]))
         xa, xb, fa_, fb_ = lams[i], lams[i + 1], ra, rb
         for _ in range(200):
             if xb - xa <= 1e-15 * max(1.0, abs(xa), abs(xb)):
                 break
             xm = 0.5 * (xa + xb)
-            fm = rho(xm, M)
+            fm = rho(xm)
             if fm == 0.0:
                 xa = xb = xm
                 break
@@ -208,8 +208,8 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
             if not (lams[i] - cell <= p2 <= lams[i + 1] + cell):
                 break
             p0, f0 = p1, f1
-            p1, f1 = p2, rho(p2, M)
-        if abs(rho(p1, M)) <= abs(rho(root, M)):
+            p1, f1 = p2, rho(p2)
+        if abs(rho(p1)) <= abs(rho(root)):
             root = p1
         res = abs(characteristic(problem, family, root, M)) / scale
         if res > tol:

@@ -209,6 +209,24 @@ def test_eigs_from_q_seed_matches_default_seed(tmp_path, monkeypatch):
     assert len(reads) == 2  # q is read once per run
 
 
+def test_eigs_vanishing_characteristic_is_numerical_failure(tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.setattr(spps.sturm, "characteristic",
+                        lambda problem, family, lam, M: np.zeros_like(lam, complex))
+    cfg = {
+        "schema_version": 1,
+        "command": "eigs",
+        "grid": {"a": 0.0, "b": 1.0, "n_nodes": 101},
+        "q": {"kind": "constant", "value": 0.0},
+        "eigs": {"bc_left": [1.0, 0.0], "bc_right": [1.0, 0.0],
+                 "range": [-12.0, -1.0]},
+    }
+    code, out = _run(tmp_path, cfg)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 def test_eigs_rejects_interior_anchor(tmp_path):
     cfg = {
         "schema_version": 1,

@@ -146,8 +146,15 @@ def test_characteristic_matches_grid_solutions(request, name, q_value,
     upb = (beta1 * spps.u1_prime_grid(fam, lam, M).values[-1]
            + beta2 * spps.u2_prime_grid(fam, lam, M).values[-1])
     expected = c3 * ub + c4 * upb
-    phi = characteristic(SlProblem(q, bc_left, bc_right), fam, lam, M)
+    prob = SlProblem(q, bc_left, bc_right)
+    phi = characteristic(prob, fam, lam, M)
     assert abs(phi - expected) <= 1e-13 * abs(expected)
+    # one array call agrees with the scalar calls at the same truncation
+    lams = lam + np.linspace(-20.0, 20.0, 9)
+    scalar = np.array([characteristic(prob, fam, l, M) for l in lams])
+    phis = characteristic(prob, fam, lams, M)
+    assert phis.shape == lams.shape
+    assert np.max(np.abs(phis - scalar)) <= 1e-15 * np.max(np.abs(scalar))
 
 
 def test_characteristic_requires_left_anchor(q_zero):
@@ -236,6 +243,32 @@ def test_one_cap_warning_per_search(q_zero, q_zero_family):
     capped = [w for w in caught if str(w.message).startswith("truncation cap")]
     assert len(capped) == 1
     assert "of 256 scan points" in str(capped[0].message)
+
+
+@pytest.mark.parametrize("potential", [
+    lambda x: np.zeros_like(x),
+    lambda x: 50.0 * np.cos(3 * np.pi * x),
+    lambda x: 3.0 + 8.0 * np.cos(2 * np.pi * x),
+], ids=["zero", "50cos3pix", "3+8cos2pix"])
+def test_window_truncation_bounds_scan(monkeypatch, potential):
+    # one truncation per window: the larger end choice covers every scan point
+    g = Grid(0.0, 1.0, 5001)
+    q = sample(potential, g)
+    fam = build_family(build_seed(q), 80)
+    prob = SlProblem(q, (0.0, 1.0), (0.0, 1.0))
+    choose = spps.sturm.choose_truncation
+    seen = []
+    monkeypatch.setattr(spps.sturm, "choose_truncation",
+                        lambda *a: seen.append(choose(*a)) or seen[-1])
+    # the last window is so narrow that M = 1 makes Phi a constant
+    for window in [(-60.0, -20.0), (-12.0, 10.0), (1.0, 20.0), (-1e-14, 1e-14)]:
+        seen.clear()
+        res = find_eigenvalues(prob, fam, window)
+        assert len(seen) == 2
+        M = max(c.n_terms for c in seen)
+        assert np.all(res.truncations == M)
+        assert res.scan_phi.shape == res.scan_lams.shape
+        assert M >= max(choose(fam, lam).n_terms for lam in res.scan_lams)
 
 
 def test_empty_window(q_zero, q_zero_family):
