@@ -256,21 +256,32 @@ def cumulative_integral(g: GridFunction, x0_index: int | None = None) -> GridFun
     touching the boundary use the one-sided variant) and the increments
     are accumulated, so the result G satisfies G(x0) = 0 exactly and
     G(x) = integral from x0 to x of g with 4th-order global accuracy.
+
+    The rule's increments are formed in the output array with one
+    whole-grid temporary and summed in place, in g's dtype promoted to at
+    least float64 (complex128 for complex g); g is left unchanged.
     """
     grid = g.grid
-    y = g.values
     n = grid.n_nodes
     if n < 4:
         raise GridConfigError("cumulative integral needs at least 4 nodes")
     if x0_index is None:
         x0_index = grid.x0_index
-    inc = np.empty(n - 1, dtype=y.dtype if y.dtype.kind == "c" else np.float64)
-    inc[0] = (9 * y[0] + 19 * y[1] - 5 * y[2] + y[3]) / 24.0
-    inc[1:-1] = (-y[0:n - 3] + 13 * y[1:n - 2] + 13 * y[2:n - 1] - y[3:n]) / 24.0
-    inc[-1] = (y[n - 4] - 5 * y[n - 3] + 19 * y[n - 2] + 9 * y[n - 1]) / 24.0
-    G = np.concatenate(([0.0], np.cumsum(inc))) * grid.h
-    G = G - G[x0_index]
-    G[x0_index] = 0.0
+    y = g.values.astype(np.result_type(g.values, np.float64), copy=False)
+    G = np.zeros(n, dtype=y.dtype)
+    G[1] = (9 * y[0] + 19 * y[1] - 5 * y[2] + y[3]) / 24.0
+    # interior cells (-y[i-1] + 13 y[i] + 13 y[i+1] - y[i+2]) / 24, in order
+    mid, tmp = np.negative(y[0:n - 3], out=G[2:n - 1]), y[1:n - 2] * 13
+    mid += tmp
+    mid += np.multiply(y[2:n - 1], 13, out=tmp)
+    mid -= y[3:n]
+    mid /= 24.0
+    G[-1] = (y[n - 4] - 5 * y[n - 3] + 19 * y[n - 2] + 9 * y[n - 1]) / 24.0
+    np.add.accumulate(G[1:], out=G[1:])
+    G *= grid.h
+    if x0_index:
+        G -= G[x0_index]
+        G[x0_index] = 0.0
     return GridFunction(grid, G)
 
 

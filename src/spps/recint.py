@@ -18,7 +18,7 @@ second independent solution family.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,6 +28,14 @@ from .errors import OrderError, SeedError
 # Seeds whose modulus falls below this are rejected: every second
 # recursion step divides by phi = f^2.
 MIN_SEED_ABS = 1e-12
+
+
+@lru_cache(maxsize=None)
+def _inv_factorials(n: int) -> np.ndarray:
+    f = np.ones(n + 1)
+    for k in range(2, n + 1):
+        f[k] = f[k - 1] * k
+    return 1.0 / f
 
 
 class RecursiveFamily:
@@ -62,6 +70,13 @@ class RecursiveFamily:
     def _sup_norms(self) -> tuple[list[float], list[float]]:
         """Sup-norms of X(n) and X~(n) per order, for choose_truncation."""
         return [g.sup_norm for g in self.X], [g.sup_norm for g in self.Xt]
+
+    @cached_property
+    def _right_terms(self) -> tuple[list[complex], list[complex]]:
+        """X(n)(b)/n! and X~(n)(b)/n! per order as Python complex, for _right_end."""
+        inv = _inv_factorials(self.N)
+        return ([complex(g.values[-1] * inv[k]) for k, g in enumerate(self.X)],
+                [complex(g.values[-1] * inv[k]) for k, g in enumerate(self.Xt)])
 
     def _check_order(self, k: int) -> int:
         k = int(k)
@@ -110,8 +125,8 @@ def _families(f: GridFunction, N: int, r: GridFunction | None = None) -> Recursi
     phi_r = phi if r is None else phi * r
     for n in range(1, N + 1):
         # weight parity swaps between the families at every order
-        w_X = phi_inv if n % 2 else phi_r
-        w_Xt = phi_r if n % 2 else phi_inv
-        X.append(n * cumulative_integral(X[n - 1] * w_X))
-        Xt.append(n * cumulative_integral(Xt[n - 1] * w_Xt))
+        weights = (phi_inv, phi_r) if n % 2 else (phi_r, phi_inv)
+        for Y, w in zip((X, Xt), weights):
+            Y.append(cumulative_integral(Y[n - 1] * w))
+            Y[n].values *= n  # a fresh array: scaled in place
     return family

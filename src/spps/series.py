@@ -16,33 +16,26 @@ not by differentiating u1 and u2 on the grid.  The seed derivative f'
 is still the 5-point stencil RecursiveFamily.f_prime, so u1', u2' and
 the characteristic function built on them carry its error.
 
-Every sum above runs in Horner form in lambda through one evaluator,
-over the whole grid or at the right endpoint, with one accumulator and
-no scaled copies of the family rows.  The exception is the running sum
-inside choose_truncation: its rule needs the sup-norm of every partial
-sum, which Horner, starting from the highest term, would only give with
-O(M^2) work.
+Every sum above runs in Horner form in lambda.  _horner sums whole
+family rows into one accumulator.  _right_end runs the four sums at b
+in one loop over the family's cached endpoint terms X(n)(b)/n!,
+X~(n)(b)/n!: Python scalars, cheaper to combine than numpy's, in the
+same operations, so u(b), u'(b) and Phi keep their bits.  The exception
+is the running sum inside choose_truncation: its rule needs the
+sup-norm of every partial sum, which Horner, starting from the highest
+term, would only give with O(M^2) work.
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AccuracyWarning, OrderError
 from .grid import GridFunction
-from .recint import RecursiveFamily
-
-
-@lru_cache(maxsize=None)
-def _inv_factorials(n: int) -> np.ndarray:
-    f = np.ones(n + 1)
-    for k in range(2, n + 1):
-        f[k] = f[k - 1] * k
-    return 1.0 / f
+from .recint import RecursiveFamily, _inv_factorials
 
 
 def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
@@ -56,30 +49,23 @@ def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
     return n_terms
 
 
-def _horner(Y: list[GridFunction], s: int, lam: complex, M: int, at=...):
-    """sum_{k<M} lam^k Y[2k+s][at] / (2k+s)!, highest term first.
-
-    at=... sums whole rows into one complex accumulator updated in place;
-    an integer node index sums numpy scalars.
-    """
+def _horner(Y: list[GridFunction], s: int, lam: complex, M: int):
+    """sum_{k<M} lam^k Y[2k+s] / (2k+s)! on the whole grid, highest term
+    first, in one complex accumulator updated in place."""
     inv = _inv_factorials(len(Y) - 1)
     top = 2 * M - 2 + s
     # complex even for real rows: lam may be complex
-    acc = (Y[top].values[at] * inv[top]).astype(complex, copy=False)
+    acc = (Y[top].values * inv[top]).astype(complex, copy=False)
     for k in range(M - 2, -1, -1):
         acc *= lam
-        acc += Y[2 * k + s].values[at] * inv[2 * k + s]
+        acc += Y[2 * k + s].values * inv[2 * k + s]
     return acc
 
 
-def _u1_prime_sum(family: RecursiveFamily, lam: complex, M: int, at=...):
-    """sum_{k>=1} lam^k X~(2k-1) / (2k-1)!, empty for M = 1."""
-    return lam * _horner(family.Xt, 1, lam, M - 1, at) if M > 1 else 0.0
-
-
-def _prime(family: RecursiveFamily, S, Sp, at=...):
+def _prime(fp, f, S, Sp):
     """u' = f' S + S'/f from a series S and its term-wise derivative S'."""
-    return family.f_prime.values[at] * S + Sp / family.f.values[at]
+    # np.divide: Python's complex / float rounds differently from numpy's
+    return fp * S + np.divide(Sp, f)
 
 
 def u1_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
@@ -99,27 +85,33 @@ def u2_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction
 def u1_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
     """u1' on the whole grid (term-wise differentiated series)."""
     M = _check_truncation(family, n_terms)
-    S1 = _horner(family.Xt, 0, lam, M)
-    return GridFunction(family.grid,
-                        _prime(family, S1, _u1_prime_sum(family, lam, M)))
+    # sum_{k>=1} lam^k X~(2k-1) / (2k-1)!, empty for M = 1
+    T1 = lam * _horner(family.Xt, 1, lam, M - 1) if M > 1 else 0.0
+    return GridFunction(family.grid, _prime(family.f_prime.values, family.f.values,
+                                            _horner(family.Xt, 0, lam, M), T1))
 
 
 def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
     """u2' on the whole grid (term-wise differentiated series)."""
     M = _check_truncation(family, n_terms)
-    S2 = _horner(family.X, 1, lam, M)
-    return GridFunction(family.grid,
-                        _prime(family, S2, _horner(family.X, 0, lam, M)))
+    return GridFunction(family.grid, _prime(family.f_prime.values, family.f.values,
+                                            _horner(family.X, 1, lam, M),
+                                            _horner(family.X, 0, lam, M)))
 
 
-def _right_end(family: RecursiveFamily, lam: complex, n_terms: int):
-    """u1, u1', u2, u2' at the right endpoint; each sum is formed once."""
+def _right_end(family: RecursiveFamily, lam, n_terms: int):
+    """u1, u1', u2, u2' at b, lam a scalar or an array: the grid sums of
+    u1_grid .. u2_prime_grid, one Horner step each per loop pass."""
     M = _check_truncation(family, n_terms)
-    S1 = _horner(family.Xt, 0, lam, M, -1)
-    S2 = _horner(family.X, 1, lam, M, -1)
-    fb = family.f.values[-1]
-    return (fb * S1, _prime(family, S1, _u1_prime_sum(family, lam, M, -1), -1),
-            fb * S2, _prime(family, S2, _horner(family.X, 0, lam, M, -1), -1))
+    cX, cXt = family._right_terms
+    # T1 (u1') has M - 1 terms, so its start is unused for M = 1
+    S1, S2, T1, T2 = cXt[2 * M - 2], cX[2 * M - 1], cXt[2 * M - 3], cX[2 * M - 2]
+    for k in range(M - 2, -1, -1):
+        S1, S2, T2 = S1 * lam + cXt[2 * k], S2 * lam + cX[2 * k + 1], T2 * lam + cX[2 * k]
+        T1 = T1 * lam + cXt[2 * k - 1] if k else T1
+    T1 = lam * T1 if M > 1 else 0.0
+    fb, fpb = family.f.values[-1], family.f_prime.values[-1]
+    return fb * S1, _prime(fpb, fb, S1, T1), fb * S2, _prime(fpb, fb, S2, T2)
 
 
 def eval_u1(family, lam, x, n_terms):

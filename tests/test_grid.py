@@ -179,6 +179,51 @@ def test_quadrature_convergence_order():
     assert errs[1] / errs[2] > 14.0
 
 
+def _stencil_integral(y, h, x0_index):
+    # the 4-point rule as first written, one whole-grid temporary per operation
+    n = len(y)
+    inc = np.empty(n - 1, dtype=y.dtype if y.dtype.kind == "c" else np.float64)
+    inc[0] = (9 * y[0] + 19 * y[1] - 5 * y[2] + y[3]) / 24.0
+    inc[1:-1] = (-y[0:n - 3] + 13 * y[1:n - 2] + 13 * y[2:n - 1] - y[3:n]) / 24.0
+    inc[-1] = (y[n - 4] - 5 * y[n - 3] + 19 * y[n - 2] + 9 * y[n - 1]) / 24.0
+    G = np.concatenate(([0.0], np.cumsum(inc))) * h
+    G = G - G[x0_index]
+    G[x0_index] = 0.0
+    return G
+
+
+@pytest.mark.parametrize("n", [4, 5, 1001])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_cumulative_integral_matches_stencil_formula(n, dtype):
+    # the in-place evaluation must give the formula's bits, anchor anywhere
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(n).astype(dtype)
+    if dtype is np.complex128:
+        y += 1j * rng.standard_normal(n)
+    before = y.copy()
+    for i in (0, n // 2, n - 1):
+        g = Grid(-0.5, 1.5, n, x0=np.linspace(-0.5, 1.5, n)[i])
+        G = cumulative_integral(GridFunction(g, y)).values
+        expected = _stencil_integral(y, g.h, i)
+        assert G.dtype == expected.dtype == dtype
+        assert G.tobytes() == expected.tobytes()
+        assert np.array_equal(cumulative_integral(GridFunction(g, y), 0).values,
+                              _stencil_integral(y, g.h, 0))
+    assert y.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("dtype, out", [(np.float32, np.float64),
+                                        (np.complex64, np.complex128)])
+def test_cumulative_integral_output_dtype(dtype, out):
+    # single precision comes out in double: the rule runs on the promoted
+    # values, and in place, so no mixed-precision step is left
+    g = Grid(0.0, 1.0, 101, x0=0.5)
+    y = (np.exp(1j * g.nodes) if dtype is np.complex64 else np.cos(g.nodes)).astype(dtype)
+    G = cumulative_integral(GridFunction(g, y)).values
+    assert G.dtype == out
+    assert G.tobytes() == _stencil_integral(y.astype(out), g.h, 50).tobytes()
+
+
 # -- differentiation ---------------------------------------------------------
 
 def test_derivative_of_square():

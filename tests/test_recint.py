@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -97,3 +99,15 @@ def test_family_caches_sup_norms(exp_family, q_zero_family):
         norms_X, norms_Xt = fam._sup_norms
         assert norms_X == [g.sup_norm for g in fam.X]
         assert norms_Xt == [g.sup_norm for g in fam.Xt]
+
+
+def test_family_caches_right_terms(q_zero):
+    # built on first use, once: the endpoint sums of every Phi call read it
+    fam = build_family(spps.build_seed(q_zero), 20)
+    assert "_right_terms" not in vars(fam)
+    cX, cXt = fam._right_terms
+    assert fam._right_terms is fam._right_terms
+    for c, Y in ((cX, fam.X), (cXt, fam.Xt)):
+        assert all(type(t) is complex for t in c)
+        want = [Y[k].values[-1] / math.factorial(k) for k in range(fam.N + 1)]
+        assert np.allclose(c, want, rtol=1e-15, atol=0.0)

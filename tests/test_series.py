@@ -162,3 +162,17 @@ def test_evaluators_leave_family_rows_untouched(request, name, q_value):
         spps.characteristic(problem, fam, lam, M)
     after = [g.values for g in fam.X + fam.Xt]
     assert all(np.array_equal(b, a) for b, a in zip(before, after))
+
+
+@pytest.mark.parametrize("name", ["exp_family", "q_zero_family"])
+@pytest.mark.parametrize("lam", [-30.0, 5.0 + 20.0j,
+                                 np.linspace(-60.0, 40.0, 7)])
+def test_right_end_matches_grid_solutions(request, name, lam):
+    # the cached endpoint column gives the last node of the grid sums
+    fam = request.getfixturevalue(name)
+    M = max(choose_truncation(fam, l).n_terms for l in np.atleast_1d(lam))
+    ends = spps.series._right_end(fam, lam, M)
+    for u, end in zip((u1_grid, u1_prime_grid, u2_grid, u2_prime_grid), ends):
+        grid_end = np.array([u(fam, l, M).values[-1] for l in np.atleast_1d(lam)])
+        assert np.shape(end) == np.shape(lam)
+        assert np.all(np.abs(end - grid_end) <= 1e-14 * np.abs(grid_end))

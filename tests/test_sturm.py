@@ -296,3 +296,16 @@ def test_scan_artifacts_exposed(q_zero, q_zero_family):
     assert res.scan_lams.shape == (64,)
     assert res.scan_phi.shape == (64,)
     assert np.all(np.diff(res.scan_lams) > 0)
+
+
+def test_search_same_before_and_after_right_terms_cache(q_zero):
+    # the first search builds the endpoint column, the second reads it
+    fam = build_family(build_seed(q_zero), 80)
+    assert "_right_terms" not in vars(fam)
+    first = find_eigenvalues(_dirichlet(q_zero), fam, (-120.0, -1.0))
+    assert "_right_terms" in vars(fam)
+    second = find_eigenvalues(_dirichlet(q_zero), fam, (-120.0, -1.0))
+    assert len(first) == 3
+    for field in ("eigenvalues", "residuals", "truncations", "scan_lams", "scan_phi"):
+        a, b = getattr(first, field), getattr(second, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
