@@ -7,12 +7,17 @@ function type, and the three numerical primitives the rest of the
 package is built on: anchored cumulative integration, differentiation,
 and off-node evaluation.  Both the quadrature and the differentiation
 rules are 4th order so that repeated application through the recursions
-keeps enough accuracy at the default resolution.
+keeps enough accuracy at the default resolution.  Off-node evaluation is
+local Lagrange interpolation on _STENCIL nodes (5th order): a point reads
+only its stencil, so a caller that can produce values at any nodes (the
+series evaluators) computes them there alone.  numpy is the only
+dependency.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -22,18 +27,18 @@ from .errors import DomainError, GridConfigError, SamplingError
 _NODE_SNAP = 1e-9
 # Slack allowed past the interval ends before raising, relative to b-a.
 _EDGE_SLACK = 1e-12
+# Nodes per off-node interpolation stencil.
+_STENCIL = 6
 
 
+# Placeholders, never called: perfbench/tracer.py counts calls of these two
+# names (grid.spline_builds) and needs them to exist.  Off-node evaluation
+# builds no spline and needs no scipy; drop both with that counter.
 def CubicSpline(*args, **kwargs):
-    # scipy.interpolate is most of the package's import time and only
-    # off-node evaluation needs it, so it is imported on first use
-    from scipy.interpolate import CubicSpline
-    return CubicSpline(*args, **kwargs)
+    raise NotImplementedError("spps builds no splines; use GridFunction.at")
 
 
-def make_interp_spline(*args, **kwargs):
-    from scipy.interpolate import make_interp_spline
-    return make_interp_spline(*args, **kwargs)
+make_interp_spline = CubicSpline
 
 
 class Grid:
@@ -97,8 +102,8 @@ class GridFunction:
     """Function values on the nodes of a Grid.
 
     Supports pointwise arithmetic with scalars and with other functions
-    on the same grid, and cubic-spline evaluation between nodes.  Values
-    may be real or complex.
+    on the same grid, and evaluation between nodes by local Lagrange
+    interpolation (see at).  Values may be real or complex.
     """
 
     def __init__(self, grid: Grid, values):
@@ -113,7 +118,6 @@ class GridFunction:
             raise GridConfigError(f"unsupported dtype {values.dtype}")
         self.grid = grid
         self.values = values
-        self._spline = None
 
     # -- pointwise algebra ------------------------------------------------
 
@@ -188,37 +192,56 @@ class GridFunction:
     def at(self, x):
         """Evaluate at x (scalar or array) inside [a, b].
 
-        Node hits return the stored values exactly; points between nodes
-        go through a not-a-knot cubic spline, which reproduces cubic
-        polynomials and keeps 4th-order accuracy for smooth data.
+        Each point is interpolated by the degree-5 polynomial through the
+        _STENCIL = 6 nodes around it: three on each side of its cell,
+        shifted inward near the ends of the grid (all nodes when there are
+        fewer than 6).  That reproduces polynomials up to degree 5 and is
+        5th-order accurate for smooth data.  Points within _NODE_SNAP * h
+        of a node return the stored value exactly.  A scalar x gives a
+        scalar; points more than _EDGE_SLACK * (b - a) outside [a, b]
+        raise DomainError.
         """
-        g = self.grid
-        xa = np.asarray(x, dtype=float)
-        scalar = xa.ndim == 0
-        xa = np.atleast_1d(xa)
-        slack = _EDGE_SLACK * (g.b - g.a)
-        if np.any(xa < g.a - slack) or np.any(xa > g.b + slack):
-            bad = xa[(xa < g.a - slack) | (xa > g.b + slack)][0]
-            raise DomainError(f"x={bad} outside [{g.a}, {g.b}]")
-        xa = np.clip(xa, g.a, g.b)
-        if self._spline is None:
-            if g.n_nodes >= 4:
-                self._spline = CubicSpline(g.nodes, self.values)
-            else:
-                self._spline = make_interp_spline(
-                    g.nodes, self.values, k=g.n_nodes - 1)
-        out = self._spline(xa)
-        # stored values win on (near-)node hits
-        idx = np.rint((xa - g.a) / g.h).astype(int)
-        idx = np.clip(idx, 0, g.n_nodes - 1)
-        hit = np.abs(xa - g.nodes[idx]) <= _NODE_SNAP * g.h
-        if np.any(hit):
-            out = np.asarray(out, dtype=np.result_type(out, self.values))
-            out[hit] = self.values[idx[hit]]
-        return out[0] if scalar else out
+        idx, w, hit = _stencil(self.grid, x)
+        v = self.values[idx]
+        out = np.sum(w * v, axis=1)
+        out[hit] = v[hit, 0]
+        return out.reshape(np.shape(x))[()]
 
     def __repr__(self):
         return f"GridFunction({self.grid!r}, sup_norm={self.sup_norm:.3g})"
+
+
+def _stencil(grid: Grid, x):
+    """Interpolation stencils for the points x, flattened to m points.
+
+    Returns idx, the (m, w) node indices of each point's stencil, w its
+    (m, w) Lagrange weights, and hit, an (m,) mask of the points within
+    _NODE_SNAP * h of a node; a hit row lists that node in every column,
+    so v[hit, 0] of the gathered values v = values[idx] is the stored
+    value.  The stencil width is min(_STENCIL, n_nodes).
+    """
+    xa = np.asarray(x, dtype=float).ravel()
+    slack = _EDGE_SLACK * (grid.b - grid.a)
+    outside = (xa < grid.a - slack) | (xa > grid.b + slack)
+    if np.any(outside):
+        raise DomainError(f"x={xa[outside][0]} outside [{grid.a}, {grid.b}]")
+    xa = np.clip(xa, grid.a, grid.b)
+    s = (xa - grid.a) / grid.h
+    n, width = grid.n_nodes, min(_STENCIL, grid.n_nodes)
+    # first node: the cell centred in the stencil, shifted inward at the ends
+    lo = np.clip(s.astype(int) - (width // 2 - 1), 0, n - width)
+    idx = lo[:, None] + np.arange(width)
+    # w_j = prod_{k != j} (s - idx_k) / (j - k), from prefix and suffix products
+    d = s[:, None] - idx
+    left, right = np.ones_like(d), np.ones_like(d)
+    left[:, 1:] = np.cumprod(d[:, :-1], axis=1)
+    right[:, :-1] = np.cumprod(d[:, :0:-1], axis=1)[:, ::-1]
+    denom = [(-1) ** (width - 1 - j) * math.factorial(j) * math.factorial(width - 1 - j)
+             for j in range(width)]
+    node = np.clip(np.rint(s).astype(int), 0, n - 1)
+    hit = np.abs(xa - grid.nodes[node]) <= _NODE_SNAP * grid.h
+    idx[hit] = node[hit, None]
+    return idx, left * right / denom, hit
 
 
 def sample(fn, grid: Grid) -> GridFunction:

@@ -16,8 +16,12 @@ not by differentiating u1 and u2 on the grid.  The seed derivative f'
 is still the 5-point stencil RecursiveFamily.f_prime, so u1', u2' and
 the characteristic function built on them carry its error.
 
-Every sum above runs in Horner form in lambda.  _horner sums whole
-family rows into one accumulator.  _right_end runs the four sums at b
+Every sum above runs in Horner form in lambda.  _horner sums family
+rows into one accumulator: on the whole grid for u*_grid, and for
+eval_u* only at the nodes of the interpolation stencils of the points
+asked for (grid._stencil, 6 nodes a point), which then get the stencil's
+weights; so eval_u*(x) has the bits of u*_grid(...).at(x) at a fraction
+of the cost.  _right_end runs the four sums at b
 in one loop over the family's cached endpoint terms X(n)(b)/n!,
 X~(n)(b)/n!: Python scalars, cheaper to combine than numpy's, in the
 same operations, so u(b), u'(b) and Phi keep their bits.  The exception
@@ -34,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AccuracyWarning, OrderError
-from .grid import GridFunction
+from .grid import GridFunction, _stencil
 from .recint import RecursiveFamily, _inv_factorials
 
 
@@ -49,16 +53,17 @@ def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
     return n_terms
 
 
-def _horner(Y: list[GridFunction], s: int, lam: complex, M: int):
-    """sum_{k<M} lam^k Y[2k+s] / (2k+s)! on the whole grid, highest term
-    first, in one complex accumulator updated in place."""
+def _horner(Y: list[GridFunction], s: int, lam: complex, M: int, at):
+    """sum_{k<M} lam^k Y[2k+s] / (2k+s)! at the nodes `at` (an index array,
+    or slice(None) for the whole grid), highest term first, in one complex
+    accumulator updated in place."""
     inv = _inv_factorials(len(Y) - 1)
     top = 2 * M - 2 + s
     # complex even for real rows: lam may be complex
-    acc = (Y[top].values * inv[top]).astype(complex, copy=False)
+    acc = (Y[top].values[at] * inv[top]).astype(complex, copy=False)
     for k in range(M - 2, -1, -1):
         acc *= lam
-        acc += Y[2 * k + s].values * inv[2 * k + s]
+        acc += Y[2 * k + s].values[at] * inv[2 * k + s]
     return acc
 
 
@@ -68,35 +73,61 @@ def _prime(fp, f, S, Sp):
     return fp * S + np.divide(Sp, f)
 
 
+# u1, u1', u2, u2' at the nodes `at` for a checked truncation M
+def _u1(fam, lam, M, at):
+    return fam.f.values[at] * _horner(fam.Xt, 0, lam, M, at)
+
+
+def _u2(fam, lam, M, at):
+    return fam.f.values[at] * _horner(fam.X, 1, lam, M, at)
+
+
+def _u1_prime(fam, lam, M, at):
+    # sum_{k>=1} lam^k X~(2k-1) / (2k-1)!, empty for M = 1
+    T1 = lam * _horner(fam.Xt, 1, lam, M - 1, at) if M > 1 else 0.0
+    return _prime(fam.f_prime.values[at], fam.f.values[at],
+                  _horner(fam.Xt, 0, lam, M, at), T1)
+
+
+def _u2_prime(fam, lam, M, at):
+    return _prime(fam.f_prime.values[at], fam.f.values[at],
+                  _horner(fam.X, 1, lam, M, at), _horner(fam.X, 0, lam, M, at))
+
+
+def _on_grid(u, family, lam, n_terms) -> GridFunction:
+    M = _check_truncation(family, n_terms)
+    return GridFunction(family.grid, u(family, lam, M, slice(None)))
+
+
+def _off_node(u, family, lam, x, n_terms):
+    """GridFunction.at of the grid solution u, with u summed only at the
+    stencil nodes: the same weights on the same node values."""
+    M = _check_truncation(family, n_terms)
+    idx, w, hit = _stencil(family.grid, x)
+    v = u(family, lam, M, idx)
+    out = np.sum(w * v, axis=1)
+    out[hit] = v[hit, 0]
+    return out.reshape(np.shape(x))[()]
+
+
 def u1_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
     """u1 on the whole grid."""
-    M = _check_truncation(family, n_terms)
-    return GridFunction(family.grid,
-                        family.f.values * _horner(family.Xt, 0, lam, M))
+    return _on_grid(_u1, family, lam, n_terms)
 
 
 def u2_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
     """u2 on the whole grid."""
-    M = _check_truncation(family, n_terms)
-    return GridFunction(family.grid,
-                        family.f.values * _horner(family.X, 1, lam, M))
+    return _on_grid(_u2, family, lam, n_terms)
 
 
 def u1_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
     """u1' on the whole grid (term-wise differentiated series)."""
-    M = _check_truncation(family, n_terms)
-    # sum_{k>=1} lam^k X~(2k-1) / (2k-1)!, empty for M = 1
-    T1 = lam * _horner(family.Xt, 1, lam, M - 1) if M > 1 else 0.0
-    return GridFunction(family.grid, _prime(family.f_prime.values, family.f.values,
-                                            _horner(family.Xt, 0, lam, M), T1))
+    return _on_grid(_u1_prime, family, lam, n_terms)
 
 
 def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
     """u2' on the whole grid (term-wise differentiated series)."""
-    M = _check_truncation(family, n_terms)
-    return GridFunction(family.grid, _prime(family.f_prime.values, family.f.values,
-                                            _horner(family.X, 1, lam, M),
-                                            _horner(family.X, 0, lam, M)))
+    return _on_grid(_u2_prime, family, lam, n_terms)
 
 
 def _right_end(family: RecursiveFamily, lam, n_terms: int):
@@ -116,22 +147,22 @@ def _right_end(family: RecursiveFamily, lam, n_terms: int):
 
 def eval_u1(family, lam, x, n_terms):
     """u1(x); x may be a scalar or an array inside [a, b]."""
-    return u1_grid(family, lam, n_terms).at(x)
+    return _off_node(_u1, family, lam, x, n_terms)
 
 
 def eval_u2(family, lam, x, n_terms):
     """u2(x); x may be a scalar or an array inside [a, b]."""
-    return u2_grid(family, lam, n_terms).at(x)
+    return _off_node(_u2, family, lam, x, n_terms)
 
 
 def eval_u1_prime(family, lam, x, n_terms):
     """u1'(x)."""
-    return u1_prime_grid(family, lam, n_terms).at(x)
+    return _off_node(_u1_prime, family, lam, x, n_terms)
 
 
 def eval_u2_prime(family, lam, x, n_terms):
     """u2'(x)."""
-    return u2_prime_grid(family, lam, n_terms).at(x)
+    return _off_node(_u2_prime, family, lam, x, n_terms)
 
 
 def residual(family: RecursiveFamily, lam: complex, u_values: GridFunction,

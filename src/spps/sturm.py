@@ -173,9 +173,9 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     rot = np.exp(-1j * theta)
 
     def rho(lam: float) -> float:
-        return (rot * characteristic(problem, family, lam, M)).real
+        return float((rot * characteristic(problem, family, lam, M)).real)
 
-    rhos = (rot * phis).real
+    rhos = (rot * phis).real.tolist()
     roots, residuals, truncs = [], [], []
     cell = lams[1] - lams[0]
     for i in range(scan_points - 1):
@@ -184,7 +184,10 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
             ra = rho(lams[i] + 1e-3 * cell)
         if ra * rb >= 0.0:
             continue
-        xa, xb, fa_, fb_ = lams[i], lams[i + 1], ra, rb
+        # Python floats throughout (rhos and rho too): every midpoint,
+        # secant point and root is one, and characteristic is cheaper at
+        # a float lam than at an np.float64
+        xa, xb, fa_, fb_ = float(lams[i]), float(lams[i + 1]), ra, rb
         for _ in range(200):
             if xb - xa <= 1e-15 * max(1.0, abs(xa), abs(xb)):
                 break

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -272,6 +274,95 @@ def test_interpolation_outside_domain():
     gf = sample(np.exp, g)
     with pytest.raises(DomainError):
         gf.at(1.5)
+
+
+def _poly(coeffs, x):
+    return np.polynomial.polynomial.polyval(x, coeffs)
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_interpolation_reproduces_quintics_everywhere(degree):
+    # the 6-node stencil is exact for degree <= 5, in the end cells too,
+    # where it is shifted inward
+    g = Grid(-1.0, 1.0, 41)
+    coeffs = np.random.default_rng(degree).uniform(-1, 1, degree + 1)
+    gf = sample(lambda x: _poly(coeffs, x), g)
+    h = g.h
+    cells = [0, 1, 2, 17, 37, 38, 39]
+    x = np.array([g.nodes[c] + t * h for c in cells for t in (0.1, 0.5, 0.93)])
+    assert np.max(np.abs(gf.at(x) - _poly(coeffs, x))) < 1e-13
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_interpolation_small_grid_is_global_polynomial(n):
+    # with at most 6 nodes the stencil is the whole grid
+    g = Grid(0.5, 2.0, n)
+    values = np.random.default_rng(n).standard_normal(n)
+    gf = GridFunction(g, values)
+    p = np.polynomial.Polynomial.fit(g.nodes, values, n - 1)
+    x = np.linspace(0.5, 2.0, 53)
+    assert np.max(np.abs(gf.at(x) - p(x))) < 1e-12
+
+
+def test_interpolation_near_node_returns_stored_value():
+    from spps.grid import _NODE_SNAP
+    g = Grid(0.0, 1.0, 101)
+    gf = sample(lambda x: np.cos(7 * x), g)
+    i = np.array([0, 1, 50, 99, 100])
+    for shift in (-0.5, 0.0, 0.5):
+        x = np.clip(g.nodes[i] + shift * _NODE_SNAP * g.h, 0.0, 1.0)
+        assert np.array_equal(gf.at(x), gf.values[i])
+
+
+def test_interpolation_scalar_and_complex():
+    g = Grid(0.0, 1.0, 51)
+    coeffs = np.array([1 - 2j, 0.5j, 3.0, -1 + 1j])
+    gf = sample(lambda x: _poly(coeffs, x), g)
+    got = gf.at(0.123)
+    assert np.ndim(got) == 0 and np.iscomplexobj(got)
+    assert abs(got - _poly(coeffs, 0.123)) < 1e-14
+    x = np.array([[0.01, 0.5], [0.77, 0.999]])
+    assert gf.at(x).shape == (2, 2)
+    assert np.max(np.abs(gf.at(x) - _poly(coeffs, x))) < 1e-13
+
+
+def test_interpolation_edge_slack():
+    from spps.grid import _EDGE_SLACK
+    g = Grid(-1.0, 3.0, 41)
+    gf = sample(np.exp, g)
+    slack = _EDGE_SLACK * (g.b - g.a)
+    assert gf.at(g.b + 0.5 * slack) == gf.values[-1]
+    assert gf.at(g.a - 0.5 * slack) == gf.values[0]
+    for x in (g.b + 2 * slack, g.a - 2 * slack):
+        with pytest.raises(DomainError):
+            gf.at(x)
+        with pytest.raises(DomainError):
+            gf.at(np.array([0.0, x]))
+
+
+def test_library_loads_no_scipy():
+    # off-node evaluation, the series evaluators and the remainder check
+    # all run on numpy alone
+    src = os.path.dirname(os.path.dirname(spps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """
+import sys
+import numpy as np
+import spps
+g = spps.Grid(0.0, 1.0, 201, x0=0.5)
+fam = spps.build_family(spps.sample(np.exp, g), 10)
+x = np.linspace(0.5, 0.9, 7) + 1e-3
+spps.sample(np.cos, g).at(x)
+for u in (spps.eval_u1, spps.eval_u2, spps.eval_u1_prime, spps.eval_u2_prime):
+    u(fam, -3.0, x, 4)
+spps.remainder_check(spps.sample(np.cos, g), fam, 3, x[:-1])
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -- CSV round trip ----------------------------------------------------------

@@ -176,3 +176,23 @@ def test_right_end_matches_grid_solutions(request, name, lam):
         grid_end = np.array([u(fam, l, M).values[-1] for l in np.atleast_1d(lam)])
         assert np.shape(end) == np.shape(lam)
         assert np.all(np.abs(end - grid_end) <= 1e-14 * np.abs(grid_end))
+
+
+@pytest.mark.parametrize("name", ["exp_family", "q_zero_family"])
+@pytest.mark.parametrize("lam", [17.5, -30.0, -4.0 + 25.0j])
+def test_off_node_evaluators_are_interpolated_grid_solutions(request, name, lam):
+    # eval_u* sums the series at the stencil nodes only, with the same bits
+    fam = request.getfixturevalue(name)
+    g = fam.grid
+    M = choose_truncation(fam, lam).n_terms
+    rng = np.random.default_rng(5)
+    points = [0.4 * g.a + 0.6 * g.b, rng.uniform(g.a, g.b, 40), g.nodes[::77],
+              g.a, g.b, np.array([g.a, g.b])]
+    for ev, on_grid in ((eval_u1, u1_grid), (eval_u2, u2_grid),
+                        (eval_u1_prime, u1_prime_grid),
+                        (eval_u2_prime, u2_prime_grid)):
+        gf = on_grid(fam, lam, M)
+        for x in points:
+            got, want = ev(fam, lam, x, M), gf.at(x)
+            assert np.shape(got) == np.shape(x)
+            assert np.array_equal(got, want)
