@@ -7,6 +7,16 @@ config, the library version, the produced files, and any accuracy
 warnings raised along the way.  Outputs are deterministic for a fixed
 config: floats are printed with repr-faithful %.17g and JSON keys are
 sorted, so reruns are byte-identical.
+
+The config is checked against CONFIG_SCHEMA, a JSON Schema dict, by a
+small validator in this module (numpy is the package's only dependency).
+It handles exactly the keywords the schema uses -- type, properties,
+required, additionalProperties, enum, const, minimum, exclusiveMinimum,
+items, minItems, maxItems and anyOf -- with JSON Schema's rules: a bool
+is neither a number nor an integer, 4.0 is an integer, and const 1
+accepts 1.0 but not true.  Of several violations the outermost is
+reported.  An integer-typed key given as an integral float runs as the
+int; the manifest hashes the config as written.
 """
 
 from __future__ import annotations
@@ -18,7 +28,6 @@ import os
 import sys
 import warnings
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -152,8 +161,76 @@ class ConfigError(Exception):
     """Config failed validation; maps to exit code 2."""
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _same(a, b) -> bool:
+    """JSON equality: 1 equals 1.0, but a bool equals only a bool."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _errors(v, schema: dict, path: list):
+    """Yield (path, message) for each way the JSON value v breaks schema."""
+    if "type" in schema and not _TYPES[schema["type"]](v):
+        yield path, f"{v!r} is not of type {schema['type']!r}"
+        return
+    if "const" in schema and not _same(v, schema["const"]):
+        yield path, f"{schema['const']!r} was expected"
+    if "enum" in schema and not any(_same(v, e) for e in schema["enum"]):
+        yield path, f"{v!r} is not one of {schema['enum']!r}"
+    if _TYPES["number"](v):
+        if "minimum" in schema and v < schema["minimum"]:
+            yield path, f"{v!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and v <= schema["exclusiveMinimum"]:
+            yield path, (f"{v!r} is less than or equal to the minimum of "
+                         f"{schema['exclusiveMinimum']!r}")
+    if isinstance(v, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in v:
+                yield path, f"{key!r} is a required property"
+        extra = [k for k in v if k not in props]
+        if extra and schema.get("additionalProperties", True) is False:
+            were = "was" if len(extra) == 1 else "were"
+            yield path, ("Additional properties are not allowed ("
+                         f"{', '.join(map(repr, extra))} {were} unexpected)")
+        for key, sub in props.items():
+            if key in v:
+                yield from _errors(v[key], sub, path + [key])
+    if isinstance(v, list):
+        if len(v) < schema.get("minItems", 0):
+            yield path, f"{v!r} is too short"
+        if len(v) > schema.get("maxItems", len(v)):
+            yield path, f"{v!r} is too long"
+        for i, item in enumerate(v if "items" in schema else ()):
+            yield from _errors(item, schema["items"], path + [i])
+    if "anyOf" in schema:
+        tries = [list(_errors(v, sub, path)) for sub in schema["anyOf"]]
+        if all(tries):
+            # the deepest branch error, when one goes deeper than v itself
+            deepest = max((e for t in tries for e in t), key=lambda e: len(e[0]))
+            yield deepest if len(deepest[0]) > len(path) else (
+                path, f"{v!r} is not valid under any of the given schemas")
+
+
+def _as_ints(v, schema: dict):
+    """A copy of valid v with each integer-typed value made an int."""
+    if schema.get("type") == "integer":
+        return int(v)
+    if isinstance(v, dict):
+        props = schema.get("properties", {})
+        return {k: _as_ints(x, props[k]) if k in props else x for k, x in v.items()}
+    if isinstance(v, list) and "items" in schema:
+        return [_as_ints(x, schema["items"]) for x in v]
+    return v
 
 
 def _load_config(path: str) -> dict:
@@ -164,11 +241,12 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON in {path}: {e}") from None
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        where = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {e.message}") from None
+    errors = list(_errors(cfg, CONFIG_SCHEMA, []))
+    if errors:
+        # the outermost violation, as jsonschema's best_match picks it
+        path, message = min(errors, key=lambda e: len(e[0]))
+        where = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"config invalid at {where}: {message}")
     return cfg
 
 
@@ -266,11 +344,12 @@ class _Run:
             json.dump(obj, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    def write_rows(self, name: str, header: list[str], rows) -> None:
+    def write_rows(self, name: str, header: list[str], table) -> None:
+        """Write a 2-D real table under header, every value as %.17g."""
+        table = np.asarray(table, dtype=float)
+        rows = (",".join(["%.17g"] * table.shape[1]) + "\n") * len(table)
         with open(self.path(name), "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(header) + "\n" + rows % tuple(table.ravel().tolist()))
 
 
 def _block(cfg: dict) -> dict:
@@ -314,20 +393,15 @@ def _cmd_solve(run: _Run) -> None:
                 f"truncation capped at {choice.n_terms} terms without "
                 f"meeting tol; fail_on_cap is set")
         n_terms = choice.n_terms
-    cols = [
-        u1_grid(family, lam, n_terms), u1_prime_grid(family, lam, n_terms),
-        u2_grid(family, lam, n_terms), u2_prime_grid(family, lam, n_terms),
-    ]
-    rows = (
-        (x, c0.real, c0.imag, c1.real, c1.imag, c2.real, c2.imag, c3.real, c3.imag)
-        for x, c0, c1, c2, c3 in zip(
-            grid.nodes, *(np.asarray(c.values, dtype=complex) for c in cols))
-    )
+    cols = [grid.nodes]
+    for u in (u1_grid, u1_prime_grid, u2_grid, u2_prime_grid):
+        c = np.asarray(u(family, lam, n_terms).values, dtype=complex)
+        cols += [c.real, c.imag]
     run.write_rows(
         "solution.csv",
         ["x", "u1_re", "u1_im", "u1p_re", "u1p_im",
          "u2_re", "u2_im", "u2p_re", "u2p_im"],
-        rows)
+        np.column_stack(cols))
     run.say(f"solved at lambda={lam} with {n_terms} terms")
 
 
@@ -359,10 +433,9 @@ def _cmd_eigs(run: _Run) -> None:
         "truncations": [int(t) for t in result.truncations],
     })
     if block.get("dump_scan", False):
-        run.write_rows(
-            "scan.csv", ["lambda", "phi_re", "phi_im"],
-            ((l, p.real, p.imag)
-             for l, p in zip(result.scan_lams, result.scan_phi)))
+        phi = result.scan_phi
+        run.write_rows("scan.csv", ["lambda", "phi_re", "phi_im"],
+                       np.column_stack([result.scan_lams, phi.real, phi.imag]))
     run.say(f"found {len(result)} eigenvalues in {block['range']}")
 
 
@@ -392,17 +465,13 @@ def _cmd_taylor(run: _Run) -> None:
         f = run.seed_function(grid)
         phi_jet = Jet.from_grid(f * f, jet_order)
     A = build_A_recursive(phi_jet, n)
+    # both vectors before the first write: a failure here leaves no files
+    u1_vec, u2_vec = solution_taylor_vectors(A)
     header = []
     for m in range(n + 1):
         header += [f"a{m}_re", f"a{m}_im"]
-    rows = []
-    for k in range(n + 1):
-        row = []
-        for m in range(n + 1):
-            row += [A.entries[k, m].real, A.entries[k, m].imag]
-        rows.append(row)
-    run.write_rows("matrix.csv", header, rows)
-    u1_vec, u2_vec = solution_taylor_vectors(A)
+    run.write_rows("matrix.csv", header,
+                   np.stack([A.entries.real, A.entries.imag], axis=-1).reshape(n + 1, -1))
     run.write_json("taylor_vectors.json", {
         "u1_over_f": [[[c.real, c.imag] for c in p.coeffs] for p in u1_vec],
         "u2_over_f": [[[c.real, c.imag] for c in p.coeffs] for p in u2_vec],
@@ -478,7 +547,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    run = _Run(cfg, config_dir, out_dir, args.verbose)
+    run = _Run(_as_ints(cfg, CONFIG_SCHEMA), config_dir, out_dir, args.verbose)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

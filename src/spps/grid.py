@@ -16,7 +16,6 @@ dependency.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -329,13 +328,16 @@ def derivative(g: GridFunction) -> GridFunction:
 
 
 def write_csv(g: GridFunction, path) -> None:
-    """Write a grid function as CSV with columns x, re, im."""
+    """Write a grid function as CSV with columns x, re, im.
+
+    Values print as %.17g, so read_csv gets the same floats back; lines
+    end in \\r\\n.
+    """
+    v = g.values.astype(complex)
+    flat = np.column_stack([g.grid.nodes, v.real, v.imag]).ravel().tolist()
+    rows = "%.17g,%.17g,%.17g\r\n" * len(v)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "re", "im"])
-        v = g.values.astype(complex)
-        for x, z in zip(g.grid.nodes, v):
-            w.writerow([f"{x:.17g}", f"{z.real:.17g}", f"{z.imag:.17g}"])
+        fh.write("x,re,im\r\n" + rows % tuple(flat))
 
 
 def read_csv(path, x0: float | None = None) -> GridFunction:
@@ -352,7 +354,9 @@ def read_csv(path, x0: float | None = None) -> GridFunction:
     if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * abs(h):
         raise GridConfigError(f"{path}: nodes are not a uniform increasing mesh")
     grid = Grid(x[0], x[-1], len(x), x0=x0)
-    values = data[:, 1] + 1j * data[:, 2]
-    if not np.any(data[:, 2]):
-        values = data[:, 1].copy()
+    values = data[:, 1].copy()
+    if np.any(data[:, 2]):
+        # set the parts: re + 1j * im would turn an infinite im into a nan re
+        values = values.astype(complex)
+        values.imag = data[:, 2]
     return GridFunction(grid, values)

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -426,3 +427,252 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(os.path.join(out_dir, "matrix.csv"))
+
+
+def test_cli_import_loads_no_jsonschema(tmp_path):
+    # the config is checked by cli's own validator; numpy is the only
+    # dependency, at import and through a whole run
+    path = _write_config(tmp_path, _taylor_config())
+    src = os.path.dirname(os.path.dirname(spps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"""
+import sys, spps.cli
+def loaded():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema')
+print(loaded())
+assert spps.cli.main(["--config", {path!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+print(loaded())
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+# -- the config validator ------------------------------------------------------------
+
+def _valid_configs():
+    """One small valid config per command, every integer-typed key given."""
+    grid = {"a": 0.0, "b": 1.0, "n_nodes": 201}
+    const = {"kind": "builtin", "name": "constant", "parameters": {"value": 1.0}}
+    return {
+        "basis": {"schema_version": 1, "command": "basis", "grid": grid,
+                  "seed": const, "family_order": 6, "basis": {"max_order": 3}},
+        "solve": {"schema_version": 1, "command": "solve", "grid": grid,
+                  "seed": const, "family_order": 20,
+                  "solve": {"lambda": [-9.5, 1.0], "n_terms": 10, "tol": 1e-12,
+                            "fail_on_cap": False}},
+        "eigs": {"schema_version": 1, "command": "eigs", "grid": grid,
+                 "q": {"kind": "constant", "value": 0.0}, "family_order": 30,
+                 "eigs": {"bc_left": [1.0, 0.0], "bc_right": [1.0, 0.0],
+                          "range": [-12.0, -1.0], "scan_points": 64,
+                          "tol": 1e-10, "series_tol": 1e-12, "dump_scan": True}},
+        "taylor": {"schema_version": 1, "command": "taylor",
+                   "seed": {"kind": "builtin", "name": "exp", "parameters": {"c": 1.0}},
+                   "taylor": {"n": 4, "x0": 0.0, "jet_order": 5}},
+        "approx": {"schema_version": 1, "command": "approx",
+                   "grid": {"a": -1.0, "b": 1.0, "n_nodes": 201, "x0": 0.0},
+                   "seed": const, "family_order": 8,
+                   "approx": {"target": {"kind": "builtin", "name": "abs"},
+                              "which": "even", "orders": [2, 4]}},
+    }
+
+
+def _walk(value, schema, path=()):
+    """(path, value, schema) for the value and every value inside it."""
+    yield path, value, schema
+    props = schema.get("properties", {})
+    if isinstance(value, dict):
+        for key, v in value.items():
+            if key in props:
+                yield from _walk(v, props[key], path + (key,))
+    elif isinstance(value, list) and "items" in schema:
+        for i, v in enumerate(value):
+            yield from _walk(v, schema["items"], path + (i,))
+
+
+_DROP = object()
+
+
+def _with(cfg, path, value):
+    """A deep copy of cfg with the value at path replaced, or dropped."""
+    if not path:
+        return copy.deepcopy(value)
+    out = copy.deepcopy(cfg)
+    node = out
+    for p in path[:-1]:
+        node = node[p]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+def _mutations(cfg):
+    yield cfg
+    yield [cfg]
+    for bad in (1.0, True, 99, 2, "1", None):
+        yield _with(cfg, ("schema_version",), bad)
+    for path, value, schema in _walk(cfg, cli.CONFIG_SCHEMA):
+        for key in schema.get("required", ()):
+            yield _with(cfg, path + (key,), _DROP)
+        if isinstance(value, dict):
+            yield _with(cfg, path + ("surprise",), 1)
+        for bad in ("x", True, False, None, [], {}, 1.5, 7, float("nan"), float("inf")):
+            yield _with(cfg, path, bad)
+        if schema.get("type") == "integer":
+            for bad in (4.0, 4.5, -4.0, 1e300):
+                yield _with(cfg, path, bad)
+        if "minimum" in schema:
+            m = schema["minimum"]
+            for edge in (m - 1, m - 0.5, m, float(m), m + 0.5):
+                yield _with(cfg, path, edge)
+        if "exclusiveMinimum" in schema:
+            for edge in (0, 0.0, -0.0, 5e-324, -5e-324, -1):
+                yield _with(cfg, path, edge)
+        if schema.get("type") == "array" or "anyOf" in schema:
+            for bad in ([1.0], [1.0, 2.0, 3.0], [1.0, "x"], [True, 1.0], [2, 3]):
+                yield _with(cfg, path, bad)
+        if "enum" in schema:
+            yield _with(cfg, path, "nope")
+
+
+def _reported_path(tmp_path, cfg):
+    """None if _load_config accepts cfg, else the path its error names."""
+    path = _write_config(tmp_path, cfg, "mutant.json")
+    try:
+        cli._load_config(path)
+    except cli.ConfigError as e:
+        msg = str(e)
+        assert msg.startswith("config invalid at ")
+        return msg[len("config invalid at "):].split(": ", 1)[0]
+    return None
+
+
+@pytest.mark.parametrize("command", ["basis", "solve", "eigs", "taylor", "approx"])
+def test_validator_agrees_with_jsonschema(tmp_path, command):
+    jsonschema = pytest.importorskip("jsonschema")
+    checker = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)(cli.CONFIG_SCHEMA)
+    n_rejected = n_single = 0
+    for cfg in _mutations(_valid_configs()[command]):
+        # the mutant as the CLI reads it, after a JSON round trip
+        cfg = json.loads(json.dumps(cfg))
+        errors = list(checker.iter_errors(cfg))
+        got = _reported_path(tmp_path, cfg)
+        assert (got is None) == (not errors), (cfg, got, errors)
+        if len(errors) == 1:
+            where = jsonschema.exceptions.best_match(errors).absolute_path
+            assert got == ("/".join(map(str, where)) or "<root>"), cfg
+            n_single += 1
+        n_rejected += bool(errors)
+    assert n_rejected > 50 and n_single > 40
+
+
+def test_validator_type_rules():
+    schema = cli.CONFIG_SCHEMA
+    def ok(cfg):
+        return not list(cli._errors(cfg, schema, []))
+    base = _valid_configs()["taylor"]
+    assert ok(_with(base, ("taylor", "n"), 4.0))
+    assert not ok(_with(base, ("taylor", "n"), 4.5))
+    assert not ok(_with(base, ("taylor", "n"), True))
+    assert not ok(_with(base, ("taylor", "x0"), True))
+    assert ok(_with(base, ("schema_version",), 1.0))
+    assert not ok(_with(base, ("schema_version",), True))
+    assert not ok([base])
+
+
+# -- integer keys written as floats --------------------------------------------------
+
+def _integer_paths(schema, path=()):
+    """Schema paths of every integer-typed value; "*" stands for array items."""
+    if schema.get("type") == "integer":
+        yield path
+    for key, sub in schema.get("properties", {}).items():
+        yield from _integer_paths(sub, path + (key,))
+    if "items" in schema:
+        yield from _integer_paths(schema["items"], path + ("*",))
+
+
+def _outputs(out):
+    blobs = {}
+    for name in sorted(os.listdir(out)):
+        if name != "manifest.json":
+            with open(os.path.join(out, name), "rb") as fh:
+                blobs[name] = fh.read()
+    return blobs
+
+
+def test_integral_float_integer_keys_run_as_ints(tmp_path):
+    configs = _valid_configs()
+    swept = set()
+    for command, cfg in configs.items():
+        code, out = _run(tmp_path, cfg, out=f"{command}-int")
+        assert code == 0
+        want = _outputs(out)
+        assert want
+        for path, value, schema in _walk(cfg, cli.CONFIG_SCHEMA):
+            if schema.get("type") != "integer":
+                continue
+            swept.add(tuple("*" if isinstance(p, int) else p for p in path))
+            as_float = _with(cfg, path, float(value))
+            tag = "-".join(map(str, path))
+            code, out = _run(tmp_path, as_float, out=f"{command}-{tag}")
+            assert code == 0, (command, path)
+            assert _outputs(out) == want, (command, path)
+            with open(os.path.join(out, "manifest.json")) as fh:
+                manifest = json.load(fh)
+            # the hash is of the config as written, float and all
+            assert manifest["config_sha256"] == cli._config_hash(as_float)
+            assert manifest["config_sha256"] != cli._config_hash(cfg)
+    assert swept == set(_integer_paths(cli.CONFIG_SCHEMA))
+
+
+# -- nothing written before a failure ------------------------------------------------
+
+@pytest.mark.parametrize("c", [1e5, 1e20, 1e200])
+def test_taylor_numerical_failure_writes_nothing(tmp_path, capsys, c):
+    cfg = _taylor_config(n=16)
+    cfg["seed"]["parameters"]["c"] = c
+    cfg["taylor"]["x0"] = 0.3
+    code, out = _run(tmp_path, cfg)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not os.path.exists(out)
+
+
+# -- CSV bytes -------------------------------------------------------------------------
+
+def _rows_by_value(path, header, rows):
+    # write_rows' former per-value formula, kept as the byte reference
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+
+
+def test_write_rows_matches_value_formula(tmp_path):
+    rng = np.random.default_rng(5)
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf,
+            math.nan, 1.0 / 3.0, 0.1, 1e22]
+    tables = {
+        # an N column of Python ints beside np.float64 and float values
+        "decay": [(4, np.float64(0.25), -0.0, math.inf),
+                  (12, np.float64(5e-324), 1e308, math.nan),
+                  (2**53 + 1, -1e308, np.float64(-math.inf), 3)],
+        "edge": [tuple(np.roll(edge, k)) for k in range(len(edge))],
+        "wide": rng.standard_normal((2001, 9)) * 10.0 ** rng.integers(-300, 300, (2001, 9)),
+    }
+    run = cli._Run({}, str(tmp_path), str(tmp_path / "out"), False)
+    for name, rows in tables.items():
+        header = [f"c{j}" for j in range(len(rows[0]))]
+        run.write_rows(f"{name}.csv", header, rows)
+        want = str(tmp_path / f"{name}-want.csv")
+        _rows_by_value(want, header, rows)
+        with open(tmp_path / "out" / f"{name}.csv", "rb") as fh, open(want, "rb") as ref:
+            blob = fh.read()
+            assert blob == ref.read(), name
+        assert b"\r" not in blob
+        assert blob.count(b"\n") == len(rows) + 1

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -394,3 +395,68 @@ def test_csv_header(tmp_path):
     write_csv(sample(lambda x: x, g), path)
     with open(path) as fh:
         assert fh.readline().strip() == "x,re,im"
+
+
+def _csv_by_rows(g, path):
+    # write_csv's former per-row formula, kept as the byte reference
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "re", "im"])
+        for x, z in zip(g.grid.nodes, g.values.astype(complex)):
+            w.writerow([f"{x:.17g}", f"{z.real:.17g}", f"{z.imag:.17g}"])
+
+
+_EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf,
+                         -np.inf, np.nan, 1.0 / 3.0, 0.1, -2.5e-300, 1e22])
+
+
+def _complex(re, im):
+    # set the parts: re + 1j * im would turn an infinite im into a nan re
+    z = np.empty(len(re), complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _csv_grids():
+    n = len(_EDGE_VALUES)
+    rng = np.random.default_rng(11)
+    edge = Grid(-1.0, 2.0, n, x0=0.5)
+    wide = Grid(-3.0, 7.0, 1001)
+    return [
+        GridFunction(edge, _EDGE_VALUES),
+        GridFunction(edge, _complex(_EDGE_VALUES, 0.0)),
+        GridFunction(edge, _complex(_EDGE_VALUES, _EDGE_VALUES[::-1])),
+        GridFunction(edge, _complex(np.roll(_EDGE_VALUES, 3), _EDGE_VALUES)),
+        GridFunction(wide, rng.standard_normal(1001)),
+        GridFunction(wide, _complex(rng.standard_normal(1001) * 1e-200,
+                                    rng.standard_normal(1001) * 1e200)),
+        GridFunction(wide, np.cos(wide.nodes).astype(np.float32)),
+    ]
+
+
+@pytest.mark.parametrize("i", range(7))
+def test_write_csv_matches_row_formula(tmp_path, i):
+    gf = _csv_grids()[i]
+    got, want = os.path.join(tmp_path, "got.csv"), os.path.join(tmp_path, "want.csv")
+    write_csv(gf, got)
+    _csv_by_rows(gf, want)
+    with open(got, "rb") as fh, open(want, "rb") as ref:
+        blob = fh.read()
+        assert blob == ref.read()
+    assert blob.count(b"\r\n") == gf.grid.n_nodes + 1
+
+
+@pytest.mark.parametrize("i", range(7))
+def test_csv_round_trip_is_bitwise(tmp_path, i):
+    gf = _csv_grids()[i]
+    path = os.path.join(tmp_path, "gf.csv")
+    write_csv(gf, path)
+    back = read_csv(path, x0=gf.grid.x0)
+    assert back.grid == gf.grid
+    assert back.grid.nodes.tobytes() == gf.grid.nodes.tobytes()
+    # a complex grid with a zero imaginary part reads back real
+    want = gf.values.astype(complex)
+    if not np.any(want.imag):
+        want = want.real
+    assert back.values.dtype == want.dtype
+    assert back.values.tobytes() == want.tobytes()
