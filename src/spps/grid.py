@@ -279,8 +279,7 @@ def cumulative_integral(g: GridFunction, x0_index: int | None = None) -> GridFun
     are accumulated, so the result G satisfies G(x0) = 0 exactly and
     G(x) = integral from x0 to x of g with 4th-order global accuracy.
 
-    The rule's increments are formed in the output array with one
-    whole-grid temporary and summed in place, in g's dtype promoted to at
+    The work is _integrate_rows on one row, in g's dtype promoted to at
     least float64 (complex128 for complex g); g is left unchanged.
     """
     grid = g.grid
@@ -289,22 +288,45 @@ def cumulative_integral(g: GridFunction, x0_index: int | None = None) -> GridFun
         raise GridConfigError("cumulative integral needs at least 4 nodes")
     if x0_index is None:
         x0_index = grid.x0_index
-    y = g.values.astype(np.result_type(g.values, np.float64), copy=False)
-    G = np.zeros(n, dtype=y.dtype)
-    G[1] = (9 * y[0] + 19 * y[1] - 5 * y[2] + y[3]) / 24.0
-    # interior cells (-y[i-1] + 13 y[i] + 13 y[i+1] - y[i+2]) / 24, in order
-    mid, tmp = np.negative(y[0:n - 3], out=G[2:n - 1]), y[1:n - 2] * 13
-    mid += tmp
-    mid += np.multiply(y[2:n - 1], 13, out=tmp)
-    mid -= y[3:n]
-    mid /= 24.0
-    G[-1] = (y[n - 4] - 5 * y[n - 3] + 19 * y[n - 2] + 9 * y[n - 1]) / 24.0
-    np.add.accumulate(G[1:], out=G[1:])
-    G *= grid.h
-    if x0_index:
-        G -= G[x0_index]
-        G[x0_index] = 0.0
+    y = g.values.astype(np.result_type(g.values, np.float64), order="C", copy=False)
+    G = np.empty(n, dtype=y.dtype)
+    _integrate_rows(y, grid.h, G, x0_index)
     return GridFunction(grid, G)
+
+
+def _integrate_rows(y: np.ndarray, h, out: np.ndarray, x0_index: int = 0) -> None:
+    """cumulative_integral's rule along the last axis of y, (..., n) with
+    n >= 4, written into out (same shape and dtype, not y; both contiguous
+    along the last axis).  h is the spacing: a scalar, or an array that
+    broadcasts against out, one per row.
+
+    Every element takes the same operations in the same order whatever
+    the leading shape, so each row of out has the bits cumulative_integral
+    gives that row alone.  The increments are formed in out itself with
+    one temporary, 13 y, read twice at a shift of one node, and summed in
+    place.
+    """
+    n = y.shape[-1]
+    out[..., 0] = 0.0
+    out[..., 1] = (9 * y[..., 0] + 19 * y[..., 1] - 5 * y[..., 2] + y[..., 3]) / 24.0
+    # interior cells (-y[i-1] + 13 y[i] + 13 y[i+1] - y[i+2]) / 24, in order
+    mid = out[..., 2:n - 1]
+    if y.dtype.kind == "c":  # the same sign flips, vectorized on the float view
+        np.negative(y[..., 0:n - 3].view(np.float64), out=mid.view(np.float64))
+    else:
+        np.negative(y[..., 0:n - 3], out=mid)
+    y13 = y[..., 1:n - 1] * 13
+    mid += y13[..., 0:n - 3]
+    mid += y13[..., 1:n - 2]
+    mid -= y[..., 3:n]
+    mid /= 24.0
+    out[..., -1] = (y[..., n - 4] - 5 * y[..., n - 3] + 19 * y[..., n - 2]
+                    + 9 * y[..., n - 1]) / 24.0
+    np.add.accumulate(out[..., 1:], axis=-1, out=out[..., 1:])
+    out *= h
+    if x0_index:
+        out -= out[..., x0_index:x0_index + 1]
+        out[..., x0_index] = 0.0
 
 
 def derivative(g: GridFunction) -> GridFunction:

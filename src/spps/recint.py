@@ -14,6 +14,11 @@ is the polynomial-like basis behind the generalized Taylor calculus,
 and phi_k = f * psi_k is the solution basis: the even half solves
 u'' + q u = 0 for the potential q = f''/f and the odd half is the
 second independent solution family.
+
+Both families advance together: order n is one (2, n_nodes) array, row
+0 X(n) and row 1 X~(n), made by one integrand product into a reused
+buffer and one call of the grid's row integrator.  Orders are built on
+demand up to the family's cap N, and only as deep as they are read.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import GridFunction, cumulative_integral, derivative
-from .errors import OrderError, SeedError
+from .grid import GridFunction, _integrate_rows, derivative
+from .errors import GridConfigError, OrderError, SeedError
 
 # Seeds whose modulus falls below this are rejected: every second
 # recursion step divides by phi = f^2.
@@ -38,8 +43,49 @@ def _inv_factorials(n: int) -> np.ndarray:
     return 1.0 / f
 
 
+def _pair_weights(phi_inv, phi_r) -> tuple[tuple, tuple]:
+    """The integrands' weights as (X row, X~ row), indexed by the parity of
+    the order: the weights swap between the families at every order."""
+    return (phi_r, phi_inv), (phi_inv, phi_r)
+
+
+def _next_pair(prev: np.ndarray, w: tuple, h, x0_index: int, n: int,
+               buf: np.ndarray) -> np.ndarray:
+    """Order n of both families from order n - 1: prev * w row by row,
+    formed in buf, integrated along the last axis into a fresh array,
+    scaled by n."""
+    for row in range(2):
+        np.multiply(prev[row], w[row], out=buf[row])
+    pair = np.empty_like(buf)
+    _integrate_rows(buf, h, pair, x0_index)
+    pair *= n
+    return pair
+
+
+def _norms(pairs, start: int) -> tuple[list[float], list[float]]:
+    """Sup-norms of X(k) and X~(k) for the pairs of orders start, start + 1, ..."""
+    cols = [np.max(np.abs(p), axis=1).tolist() for p in pairs]
+    return [c[0] for c in cols], [c[1] for c in cols]
+
+
+def _end_terms(pairs, start: int) -> tuple[list[complex], list[complex]]:
+    """X(k)(b)/k! and X~(k)(b)/k! as Python complex for the pairs of
+    orders start, start + 1, ..."""
+    inv = _inv_factorials(start + len(pairs) - 1)
+    cols = [(p[:, -1] * inv[k]).astype(complex).tolist()
+            for k, p in enumerate(pairs, start)]
+    return [c[0] for c in cols], [c[1] for c in cols]
+
+
 class RecursiveFamily:
     """Both recursive integral families of a seed, up to order N.
+
+    Orders are built when first read, each as one (2, n_nodes) array
+    holding X(n) and X~(n); an order costs one integrand product and one
+    cumulative integration of the pair.  The eigen search
+    (choose_truncation, characteristic) reads only the orders its
+    truncation needs; X, Xt, psi and phi_k, and with them the series
+    evaluators on the grid and off it, complete the family to N first.
 
     Attributes
     ----------
@@ -48,18 +94,55 @@ class RecursiveFamily:
     phi : GridFunction
         f squared.
     N : int
-        Highest order built.
+        Highest order the family builds: a cap, not what is built.
     X, Xt : list[GridFunction]
-        The two families, indexed by order 0..N.
+        The two families, indexed by order 0..N; reading either builds
+        every order not yet built.
+
+    The constructor does not check f (build_family does).  A weight r
+    multiplies each phi step (X~ odd, X even orders); the series then
+    solve u'' + qu = lambda r u.
     """
 
-    def __init__(self, f: GridFunction, X, Xt, N: int):
+    def __init__(self, f: GridFunction, N: int, r: GridFunction | None = None):
         self.f = f
         self.phi = f * f
-        self.X = X
-        self.Xt = Xt
         self.N = N
         self.grid = f.grid
+        phi_inv = 1.0 / self.phi.values
+        phi_r = self.phi.values if r is None else self.phi.values * r.values
+        self._w = _pair_weights(phi_inv, phi_r)
+        # order 0 is 1 in both families: one row, read twice
+        one = np.broadcast_to(np.ones(self.grid.n_nodes), (2, self.grid.n_nodes))
+        self._buf = np.empty(one.shape, np.result_type(one, phi_inv, phi_r))
+        self._pairs = [one]
+
+    def _grow(self, k: int) -> list[np.ndarray]:
+        """Build every order up to min(k, N); returns the list of pairs.
+        The per-order caches already made grow with it, and the weights
+        and buffer go once order N is built."""
+        pairs = self._pairs
+        start = len(pairs)
+        if start > min(k, self.N):
+            return pairs
+        for n in range(start, min(k, self.N) + 1):
+            pairs.append(_next_pair(pairs[-1], self._w[n % 2], self.grid.h,
+                                    self.grid.x0_index, n, self._buf))
+        for name, per_order in (("_sup_norms", _norms), ("_right_terms", _end_terms)):
+            if name in vars(self):
+                for cache, new in zip(vars(self)[name], per_order(pairs[start:], start)):
+                    cache.extend(new)
+        if len(pairs) == self.N + 1:
+            self._w = self._buf = None
+        return pairs
+
+    @cached_property
+    def X(self) -> list[GridFunction]:
+        return [GridFunction(self.grid, p[0]) for p in self._grow(self.N)]
+
+    @cached_property
+    def Xt(self) -> list[GridFunction]:
+        return [GridFunction(self.grid, p[1]) for p in self._grow(self.N)]
 
     @cached_property
     def f_prime(self) -> GridFunction:
@@ -68,15 +151,15 @@ class RecursiveFamily:
 
     @cached_property
     def _sup_norms(self) -> tuple[list[float], list[float]]:
-        """Sup-norms of X(n) and X~(n) per order, for choose_truncation."""
-        return [g.sup_norm for g in self.X], [g.sup_norm for g in self.Xt]
+        """Sup-norms of X(n) and X~(n) per built order, for
+        choose_truncation; extended as orders are built."""
+        return _norms(self._pairs, 0)
 
     @cached_property
     def _right_terms(self) -> tuple[list[complex], list[complex]]:
-        """X(n)(b)/n! and X~(n)(b)/n! per order as Python complex, for _right_end."""
-        inv = _inv_factorials(self.N)
-        return ([complex(g.values[-1] * inv[k]) for k, g in enumerate(self.X)],
-                [complex(g.values[-1] * inv[k]) for k, g in enumerate(self.Xt)])
+        """X(n)(b)/n! and X~(n)(b)/n! per built order as Python complex,
+        for _right_end; extended as orders are built."""
+        return _end_terms(self._pairs, 0)
 
     def _check_order(self, k: int) -> int:
         k = int(k)
@@ -98,10 +181,14 @@ class RecursiveFamily:
 
 
 def build_family(f: GridFunction, N: int = 60) -> RecursiveFamily:
-    """Build both families up to order N.
+    """Both families of the seed f, with orders up to the cap N.
 
     Raises SeedError if |f| dips below MIN_SEED_ABS anywhere on the
-    grid.  Cost is 2N anchored cumulative integrals.
+    grid, and GridConfigError on a grid of fewer than 4 nodes, here
+    rather than at the first order built.  Building is deferred: order n
+    costs one product and one cumulative integral of a (2, n_nodes) pair
+    when it is first read (see RecursiveFamily), so the whole family is
+    N such steps.
     """
     N = int(N)
     if N < 1:
@@ -112,21 +199,6 @@ def build_family(f: GridFunction, N: int = 60) -> RecursiveFamily:
         raise SeedError(
             f"seed modulus {fmin:.3g} at node {i} (x={f.grid.nodes[i]}) "
             f"is below {MIN_SEED_ABS:g}")
-    return _families(f, N)
-
-
-def _families(f: GridFunction, N: int, r: GridFunction | None = None) -> RecursiveFamily:
-    """build_family's recursion, unchecked.  A weight r multiplies each
-    phi step (X~ odd, X even orders); the series solve u'' + qu = lambda r u."""
-    one = GridFunction(f.grid, np.ones(f.grid.n_nodes))
-    family = RecursiveFamily(f, [one], [one], N)
-    X, Xt, phi = family.X, family.Xt, family.phi
-    phi_inv = 1.0 / phi
-    phi_r = phi if r is None else phi * r
-    for n in range(1, N + 1):
-        # weight parity swaps between the families at every order
-        weights = (phi_inv, phi_r) if n % 2 else (phi_r, phi_inv)
-        for Y, w in zip((X, Xt), weights):
-            Y.append(cumulative_integral(Y[n - 1] * w))
-            Y[n].values *= n  # a fresh array: scaled in place
-    return family
+    if f.grid.n_nodes < 4:
+        raise GridConfigError("cumulative integral needs at least 4 nodes")
+    return RecursiveFamily(f, N)

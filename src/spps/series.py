@@ -22,12 +22,18 @@ eval_u* only at the nodes of the interpolation stencils of the points
 asked for (grid._stencil, 6 nodes a point), which then get the stencil's
 weights; so eval_u*(x) has the bits of u*_grid(...).at(x) at a fraction
 of the cost.  _right_end runs the four sums at b
-in one loop over the family's cached endpoint terms X(n)(b)/n!,
-X~(n)(b)/n!: Python scalars, cheaper to combine than numpy's, in the
-same operations, so u(b), u'(b) and Phi keep their bits.  The exception
-is the running sum inside choose_truncation: its rule needs the
-sup-norm of every partial sum, which Horner, starting from the highest
-term, would only give with O(M^2) work.
+in one loop (_end_sums) over the family's cached endpoint terms
+X(n)(b)/n!, X~(n)(b)/n!: Python scalars, cheaper to combine than
+numpy's, in the same operations, so u(b), u'(b) and Phi keep their bits.
+The exception is the running sum inside choose_truncation: its rule
+needs the sup-norm of every partial sum, which Horner, starting from the
+highest term, would only give with O(M^2) work.
+
+The eigen search's two readers, choose_truncation and _right_end, build
+the family only to the orders they read (2M + 3 and 2M - 1); the grid
+and off-node evaluators complete it to its cap N, as its X and Xt lists
+do.  sturm.build_seed runs _horner and _end_sums on the order pairs of
+many seed pieces at once.
 """
 
 from __future__ import annotations
@@ -53,17 +59,18 @@ def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
     return n_terms
 
 
-def _horner(Y: list[GridFunction], s: int, lam: complex, M: int, at):
-    """sum_{k<M} lam^k Y[2k+s] / (2k+s)! at the nodes `at` (an index array,
-    or slice(None) for the whole grid), highest term first, in one complex
+def _horner(pairs, row: int, s: int, lam: complex, M: int, at):
+    """sum_{k<M} lam^k Y[2k+s] / (2k+s)! for Y = row `row` of the order
+    pairs (0: X, 1: X~), at the nodes `at` of the last axis (an index
+    array, or slice(None) for all), highest term first, in one complex
     accumulator updated in place."""
-    inv = _inv_factorials(len(Y) - 1)
     top = 2 * M - 2 + s
+    inv = _inv_factorials(top)
     # complex even for real rows: lam may be complex
-    acc = (Y[top].values[at] * inv[top]).astype(complex, copy=False)
+    acc = (pairs[top][row][at] * inv[top]).astype(complex, copy=False)
     for k in range(M - 2, -1, -1):
         acc *= lam
-        acc += Y[2 * k + s].values[at] * inv[2 * k + s]
+        acc += pairs[2 * k + s][row][at] * inv[2 * k + s]
     return acc
 
 
@@ -73,36 +80,47 @@ def _prime(fp, f, S, Sp):
     return fp * S + np.divide(Sp, f)
 
 
-# u1, u1', u2, u2' at the nodes `at` for a checked truncation M
+# u1, u1', u2, u2' at the nodes `at` for a checked truncation M, on a
+# complete family
 def _u1(fam, lam, M, at):
-    return fam.f.values[at] * _horner(fam.Xt, 0, lam, M, at)
+    return fam.f.values[at] * _horner(fam._pairs, 1, 0, lam, M, at)
 
 
 def _u2(fam, lam, M, at):
-    return fam.f.values[at] * _horner(fam.X, 1, lam, M, at)
+    return fam.f.values[at] * _horner(fam._pairs, 0, 1, lam, M, at)
 
 
 def _u1_prime(fam, lam, M, at):
     # sum_{k>=1} lam^k X~(2k-1) / (2k-1)!, empty for M = 1
-    T1 = lam * _horner(fam.Xt, 1, lam, M - 1, at) if M > 1 else 0.0
+    T1 = lam * _horner(fam._pairs, 1, 1, lam, M - 1, at) if M > 1 else 0.0
     return _prime(fam.f_prime.values[at], fam.f.values[at],
-                  _horner(fam.Xt, 0, lam, M, at), T1)
+                  _horner(fam._pairs, 1, 0, lam, M, at), T1)
 
 
 def _u2_prime(fam, lam, M, at):
     return _prime(fam.f_prime.values[at], fam.f.values[at],
-                  _horner(fam.X, 1, lam, M, at), _horner(fam.X, 0, lam, M, at))
+                  _horner(fam._pairs, 0, 1, lam, M, at),
+                  _horner(fam._pairs, 0, 0, lam, M, at))
+
+
+def _complete(family, n_terms) -> int:
+    """The checked truncation, with the family built to N as its X and Xt
+    lists are: the evaluators cost the same on a fresh family as on one
+    an eigen search has grown."""
+    M = _check_truncation(family, n_terms)
+    family._grow(family.N)
+    return M
 
 
 def _on_grid(u, family, lam, n_terms) -> GridFunction:
-    M = _check_truncation(family, n_terms)
+    M = _complete(family, n_terms)
     return GridFunction(family.grid, u(family, lam, M, slice(None)))
 
 
 def _off_node(u, family, lam, x, n_terms):
     """GridFunction.at of the grid solution u, with u summed only at the
     stencil nodes: the same weights on the same node values."""
-    M = _check_truncation(family, n_terms)
+    M = _complete(family, n_terms)
     idx, w, hit = _stencil(family.grid, x)
     v = u(family, lam, M, idx)
     out = np.sum(w * v, axis=1)
@@ -132,16 +150,24 @@ def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFu
 
 def _right_end(family: RecursiveFamily, lam, n_terms: int):
     """u1, u1', u2, u2' at b, lam a scalar or an array: the grid sums of
-    u1_grid .. u2_prime_grid, one Horner step each per loop pass."""
+    u1_grid .. u2_prime_grid.  Builds the family only to order 2M - 1."""
     M = _check_truncation(family, n_terms)
+    family._grow(2 * M - 1)
     cX, cXt = family._right_terms
+    return _end_sums(cX, cXt, family.f.values[-1], family.f_prime.values[-1], lam, M)
+
+
+def _end_sums(cX, cXt, fb, fpb, lam, M: int):
+    """u1, u1', u2, u2' at b from the endpoint terms cX[k] = X(k)(b)/k!,
+    cXt[k] = X~(k)(b)/k! and the seed's f(b), f'(b), one Horner step each
+    per loop pass.  The terms may be Python scalars or equal-shape arrays
+    (the seed's pieces side by side)."""
     # T1 (u1') has M - 1 terms, so its start is unused for M = 1
     S1, S2, T1, T2 = cXt[2 * M - 2], cX[2 * M - 1], cXt[2 * M - 3], cX[2 * M - 2]
     for k in range(M - 2, -1, -1):
         S1, S2, T2 = S1 * lam + cXt[2 * k], S2 * lam + cX[2 * k + 1], T2 * lam + cX[2 * k]
         T1 = T1 * lam + cXt[2 * k - 1] if k else T1
     T1 = lam * T1 if M > 1 else 0.0
-    fb, fpb = family.f.values[-1], family.f_prime.values[-1]
     return fb * S1, _prime(fpb, fb, S1, T1), fb * S2, _prime(fpb, fb, S2, T2)
 
 
@@ -194,13 +220,15 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
     terms M and M+1 (the first two beyond the truncation) are below
     tol * sup-norm of the partial sum through M-1.  Capped at the family
     order; hitting the cap sets the flag and issues an AccuracyWarning.
+    The family is built only to order 2M + 3, the last one the rule reads.
     """
     if not tol > 0:
         raise OrderError(f"tol must be positive, got {tol}")
     M_max = (family.N + 1) // 2
     inv = _inv_factorials(family.N)
     alam = abs(lam)
-    norms_X, norms_Xt = family._sup_norms
+    norms_X, norms_Xt = family._sup_norms  # extended in place as orders are built
+    pairs = family._grow(1)
 
     def term1(k):  # sup-norm of the k-th term of the u1 series
         return alam ** k * norms_Xt[2 * k] * inv[2 * k]
@@ -213,12 +241,13 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
     lam_k = 1.0 + 0j
     for M in range(1, M_max + 1):
         k = M - 1
-        S1 += lam_k * family.Xt[2 * k].values * inv[2 * k]
-        S2 += lam_k * family.X[2 * k + 1].values * inv[2 * k + 1]
+        S1 += lam_k * pairs[2 * k][1] * inv[2 * k]
+        S2 += lam_k * pairs[2 * k + 1][0] * inv[2 * k + 1]
         lam_k *= lam
-        # the two dropped terms must exist inside the built family
+        # the two dropped terms must exist inside the family's cap
         if 2 * (M + 1) + 1 > family.N:
             break
+        family._grow(2 * M + 3)
         s1 = float(np.max(np.abs(S1)))
         s2 = float(np.max(np.abs(S2)))
         ok1 = term1(M) <= tol * s1 and term1(M + 1) <= tol * s1

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyWarning, EigenError, GridConfigError, SeedError
-from .grid import Grid, GridFunction
-from .recint import MIN_SEED_ABS, RecursiveFamily, _families
-from .series import _right_end, choose_truncation, u1_grid, u2_grid
+from .grid import GridFunction
+from .recint import (MIN_SEED_ABS, RecursiveFamily, _inv_factorials, _next_pair,
+                     _pair_weights)
+from .series import _end_sums, _horner, _right_end, choose_truncation
 
 _SEED_TERMS = 11  # series terms per seed piece, see build_seed
 
@@ -57,7 +58,10 @@ def build_seed(q: GridFunction) -> GridFunction:
     its terms (sqrt(max|q|) L)^k / k! when q L^2 is large, so it is summed
     on pieces of >= 4 cells with max|q| L^2 <= 1, each started from the
     value and derivative the last one ends with; there _SEED_TERMS terms
-    reach rounding.  Complex q raises SeedError: callers must supply a seed.
+    reach rounding.  The pieces of equal width are built side by side in
+    one batch (_seed_pieces), the last, wider piece in a second; each
+    costs 2 _SEED_TERMS - 1 integrations of the batch, whatever the number
+    of pieces.  Complex q raises SeedError: callers must supply a seed.
     """
     if not q.is_real:
         raise SeedError("complex q requires a user-supplied seed")
@@ -69,14 +73,12 @@ def build_seed(q: GridFunction) -> GridFunction:
     w = max(4, int(1.0 / (np.sqrt(qmax) * g.h))) if qmax > 0 else n - 1
     # piece ends every w cells; a tail shorter than 4 cells joins the last piece
     bounds = list(range(0, n - 4, w)) + [n - 1]
+    r = -q.values.real
+    batches = [_seed_pieces(r, g.nodes, bounds[:-2], w)] if len(bounds) > 2 else []
+    batches.append(_seed_pieces(r, g.nodes, bounds[-2:-1], bounds[-1] - bounds[-2]))
+    pieces = (piece for batch in batches for piece in zip(*batch))
     f, fp = np.ones(n, dtype=complex), 1j
-    for i, j in zip(bounds[:-1], bounds[1:]):
-        piece = Grid(g.nodes[i], g.nodes[j], j - i + 1)
-        fam = _families(GridFunction(piece, np.ones(j - i + 1)), 2 * _SEED_TERMS - 1,
-                        GridFunction(piece, -q.values.real[i:j + 1]))
-        c = u1_grid(fam, 1.0, _SEED_TERMS).values
-        s = u2_grid(fam, 1.0, _SEED_TERMS).values
-        _, cp, _, sp = _right_end(fam, 1.0, _SEED_TERMS)
+    for i, j, (c, s, cp, sp) in zip(bounds[:-1], bounds[1:], pieces):
         f[i:j + 1], fp = f[i] * c + fp * s, f[i] * cp + fp * sp
     i = int(np.argmin(np.abs(f)))
     if abs(f[i]) < MIN_SEED_ABS:
@@ -84,6 +86,34 @@ def build_seed(q: GridFunction) -> GridFunction:
             f"generated seed modulus {abs(f[i]):.3g} at x={g.nodes[i]}: "
             f"numerical drift; try a finer grid")
     return GridFunction(g, f)
+
+
+def _seed_pieces(r, nodes, starts, w: int):
+    """u1, u2 of the family with seed 1 and weight r at lambda = 1, with
+    _SEED_TERMS terms, on the pieces of w cells that begin at the node
+    indices `starts`: c, s of shape (P, w + 1) and u1'(b), u2'(b) of shape
+    (P,) per piece, with the bits of a RecursiveFamily on each piece's own grid.
+
+    The order pairs are (2, P, w + 1), integrated with each piece's own
+    spacing.  With seed 1, phi = 1/phi = 1 exactly and phi * r = r, the
+    seed is 1 (u1 = S1, u2 = S2 exactly) and its stencil derivative 0.
+    """
+    starts = np.asarray(starts)
+    idx = starts[:, None] + np.arange(w + 1)
+    r = r[idx]
+    h = ((nodes[starts + w] - nodes[starts]) / w)[:, None]
+    one = np.ones(r.shape)
+    weights = _pair_weights(one, r)
+    pairs, buf = [np.broadcast_to(one, (2,) + r.shape)], np.empty((2,) + r.shape)
+    for k in range(1, 2 * _SEED_TERMS):
+        pairs.append(_next_pair(pairs[-1], weights[k % 2], h, 0, k, buf))
+    c = _horner(pairs, 1, 0, 1.0, _SEED_TERMS, slice(None))
+    s = _horner(pairs, 0, 1, 1.0, _SEED_TERMS, slice(None))
+    inv = _inv_factorials(2 * _SEED_TERMS - 1)
+    ends = np.array([p[:, :, -1] * inv[k] for k, p in enumerate(pairs)]).astype(complex)
+    _, cp, _, sp = _end_sums(ends[:, 0], ends[:, 1], np.float64(1.0), np.float64(0.0),
+                             1.0, _SEED_TERMS)
+    return c, s, cp, sp
 
 
 def _left_betas(problem: SlProblem, family: RecursiveFamily):

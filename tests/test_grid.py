@@ -20,6 +20,7 @@ from spps import (
     sample,
     write_csv,
 )
+from spps.grid import _integrate_rows
 
 
 # -- Grid construction -------------------------------------------------------
@@ -213,6 +214,30 @@ def test_cumulative_integral_matches_stencil_formula(n, dtype):
         assert np.array_equal(cumulative_integral(GridFunction(g, y), 0).values,
                               _stencil_integral(y, g.h, 0))
     assert y.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 7, 1001])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_row_integrator_batch_matches_formula_row_by_row(n, dtype):
+    # a (3, 2, n) batch with one spacing per leading row, as the seed's
+    # pieces use it: every row has the bits of the formula on that row alone
+    rng = np.random.default_rng(n + 1)
+    y = rng.standard_normal((3, 2, n)).astype(dtype)
+    if dtype is np.complex128:
+        y += 1j * rng.standard_normal((3, 2, n))
+    h = np.array([0.1, 1 / 3, 2.5])[:, None, None]
+    for i in (0, n // 2):
+        out = np.empty_like(y)
+        _integrate_rows(y, h, out, i)
+        for p in range(3):
+            for row in range(2):
+                assert out[p, row].tobytes() == _stencil_integral(y[p, row], h[p, 0, 0], i).tobytes()
+    # a strided row (not contiguous) takes the same rule
+    g = Grid(0.0, 1.0, n)
+    strided = np.repeat(y[0, 1], 2)[::2]
+    assert not strided.flags.c_contiguous
+    assert (cumulative_integral(GridFunction(g, strided)).values.tobytes()
+            == _stencil_integral(y[0, 1], g.h, 0).tobytes())
 
 
 @pytest.mark.parametrize("dtype, out", [(np.float32, np.float64),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import spps
-from spps import Grid, OrderError, SeedError, build_family, derivative, sample
+from spps import (Grid, GridConfigError, GridFunction, OrderError, RecursiveFamily, SeedError,
+                  build_family, cumulative_integral, derivative, sample)
 
 
 def test_monomial_degeneration(unit_family):
@@ -111,3 +112,67 @@ def test_family_caches_right_terms(q_zero):
         assert all(type(t) is complex for t in c)
         want = [Y[k].values[-1] / math.factorial(k) for k in range(fam.N + 1)]
         assert np.allclose(c, want, rtol=1e-15, atol=0.0)
+
+
+def test_family_on_three_nodes_fails_at_build():
+    # orders are built when read, but a grid too small to integrate on is
+    # refused by build_family itself
+    f = sample(lambda x: np.ones_like(x), Grid(0.0, 1.0, 3))
+    with pytest.raises(GridConfigError, match="4 nodes"):
+        build_family(f, 4)
+
+
+def test_vanishing_seed_rejected_before_node_count():
+    f = sample(lambda x: x, Grid(0.0, 1.0, 3))
+    with pytest.raises(SeedError):
+        build_family(f, 4)
+
+
+def _rows_one_at_a_time(f, N, r=None):
+    """The recursion row by row: each order of each family one cumulative
+    integral of the previous order times its weight, then scaled by n."""
+    phi = f * f
+    phi_inv = 1.0 / phi
+    phi_r = phi if r is None else phi * r
+    one = GridFunction(f.grid, np.ones(f.grid.n_nodes))
+    X, Xt = [one], [one]
+    for n in range(1, N + 1):
+        weights = (phi_inv, phi_r) if n % 2 else (phi_r, phi_inv)
+        for Y, w in zip((X, Xt), weights):
+            Y.append(cumulative_integral(Y[n - 1] * w))
+            Y[n].values *= n
+    return X, Xt
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "interior", "weight", "complex-weight"])
+def test_family_rows_bitwise_equal_row_by_row_recursion(case):
+    x0 = 0.5 if case == "interior" else (1.0 if case == "complex-weight" else None)
+    g = Grid(0.0, 2.0, 401, x0=x0)
+    seed = {"real": np.exp, "interior": lambda x: np.exp(0.5 * x),
+            "weight": lambda x: 1 + x * x}.get(case, lambda x: np.exp(x) + 1j * np.cos(3 * x))
+    f = sample(seed, g)
+    r = sample(lambda x: 1 + np.sin(3 * x), g) if "weight" in case else None
+    N = 25
+    fam = RecursiveFamily(f, N, r) if r is not None else build_family(f, N)
+    X, Xt = _rows_one_at_a_time(f, N, r)
+    assert len(fam.X) == len(fam.Xt) == N + 1
+    for mine, ref in zip(fam.X + fam.Xt, X + Xt):
+        assert mine.values.dtype == ref.values.dtype
+        assert np.array_equal(mine.values, ref.values)
+    assert fam._sup_norms == ([g.sup_norm for g in X], [g.sup_norm for g in Xt])
+
+
+def test_family_grows_on_demand_with_its_caches():
+    g = Grid(0.0, 1.0, 201)
+    fam = build_family(sample(lambda x: np.exp(x) + 0.5j, g), 30)
+    assert len(fam._pairs) == 1
+    norms, terms = fam._sup_norms, fam._right_terms
+    fam._grow(7)
+    assert len(fam._pairs) == 8 and fam._pairs[3].shape == (2, 201)
+    assert len(norms[0]) == len(terms[1]) == 8
+    fam._grow(100)  # capped at N; the weights and the buffer go
+    assert len(fam._pairs) == 31 and fam._w is None and fam._buf is None
+    assert len(norms[1]) == len(terms[0]) == 31
+    # the public rows are views of the pairs
+    assert all(np.shares_memory(p, x.values) and np.shares_memory(p, xt.values)
+               for p, x, xt in zip(fam._pairs, fam.X, fam.Xt))

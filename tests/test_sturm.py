@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from spps import (
     AccuracyWarning,
     Grid,
     GridConfigError,
+    GridFunction,
+    RecursiveFamily,
     SeedError,
     SlProblem,
     build_family,
@@ -14,9 +18,13 @@ from spps import (
     derivative,
     find_eigenvalues,
     residual,
+    choose_truncation,
     sample,
+    u1_grid,
     u2_grid,
 )
+from spps.series import _right_end
+from spps.sturm import _SEED_TERMS
 
 PI2 = np.pi**2
 
@@ -309,3 +317,70 @@ def test_search_same_before_and_after_right_terms_cache(q_zero):
     for field in ("eigenvalues", "residuals", "truncations", "scan_lams", "scan_phi"):
         a, b = getattr(first, field), getattr(second, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# -- batched seed pieces and on-demand family growth ---------------------------
+
+def _seed_piece_by_piece(q):
+    """build_seed's sum one piece at a time: each piece its own family with
+    seed 1 and weight -q, summed by u1_grid, u2_grid and _right_end."""
+    g, n = q.grid, q.grid.n_nodes
+    qmax = float(np.max(np.abs(q.values)))
+    w = max(4, int(1.0 / (np.sqrt(qmax) * g.h))) if qmax > 0 else n - 1
+    bounds = list(range(0, n - 4, w)) + [n - 1]
+    f, fp = np.ones(n, dtype=complex), 1j
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        piece = Grid(g.nodes[i], g.nodes[j], j - i + 1)
+        fam = RecursiveFamily(GridFunction(piece, np.ones(j - i + 1)), 2 * _SEED_TERMS - 1,
+                        GridFunction(piece, -q.values.real[i:j + 1]))
+        c = u1_grid(fam, 1.0, _SEED_TERMS).values
+        s = u2_grid(fam, 1.0, _SEED_TERMS).values
+        _, cp, _, sp = _right_end(fam, 1.0, _SEED_TERMS)
+        f[i:j + 1], fp = f[i] * c + fp * s, f[i] * cp + fp * sp
+    return f, w, bounds[-1] - bounds[-2]
+
+
+@pytest.mark.parametrize("potential, n, last", [
+    ("0", 5, None), ("0", 1001, None),
+    ("50cos", 5, None), ("50cos", 9, None), ("50cos", 501, None), ("50cos", 5001, None),
+    ("400", 245, 4), ("400", 256, "w+3"), ("400", 5001, None),
+    ("-400", 245, 4), ("-400", 501, None),
+    ("2500", 295, 4), ("2500", 299, "w+3"), ("2500", 501, None), ("2500", 5001, None),
+])
+def test_batched_seed_bitwise_equal_piece_by_piece(potential, n, last):
+    g = Grid(0.0, 1.0, n)
+    q = sample(lambda x: 50 * np.cos(3 * np.pi * x) if potential == "50cos"
+               else np.full_like(x, float(potential)), g)
+    want, w, width = _seed_piece_by_piece(q)
+    if last is not None:
+        assert width == (w + 3 if last == "w+3" else last)
+    assert np.array_equal(build_seed(q).values, want)
+
+
+def test_search_grows_family_only_as_deep_as_it_reads():
+    g = Grid(0.0, 1.0, 2001)
+    q = sample(lambda x: 50 * np.cos(3 * np.pi * x), g)
+    f = build_seed(q)
+    for window, capped in (((-120.0, -1.0), False), ((-2000.0, -1.0), True)):
+        fam = build_family(f, 80)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            first = find_eigenvalues(SlProblem(q, (1.0, 0.0), (1.0, 0.0)), fam, window)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            M = max(choose_truncation(build_family(f, 80), lam).n_terms for lam in window)
+        built = len(fam._pairs) - 1
+        # choose_truncation reads to order 2M + 3; at the cap, M = (N + 1) // 2
+        # and only characteristic's 2M - 1 = 79 of the N = 80 orders are read
+        if capped:
+            assert (M, built) == (40, 79)
+        else:
+            assert built <= 2 * M + 3 < 80
+        assert capped == any("truncation cap" in str(w.message) for w in caught)
+        assert len(fam.X) == len(fam.Xt) == 81 and len(fam._pairs) == 81
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            second = find_eigenvalues(SlProblem(q, (1.0, 0.0), (1.0, 0.0)), fam, window)
+        for field in ("eigenvalues", "residuals", "truncations", "scan_lams", "scan_phi"):
+            a, b = getattr(first, field), getattr(second, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
