@@ -311,8 +311,9 @@ def _integrate_rows(y: np.ndarray, h, out: np.ndarray, x0_index: int = 0) -> Non
     out[..., 1] = (9 * y[..., 0] + 19 * y[..., 1] - 5 * y[..., 2] + y[..., 3]) / 24.0
     # interior cells (-y[i-1] + 13 y[i] + 13 y[i+1] - y[i+2]) / 24, in order
     mid = out[..., 2:n - 1]
-    if y.dtype.kind == "c":  # the same sign flips, vectorized on the float view
-        np.negative(y[..., 0:n - 3].view(np.float64), out=mid.view(np.float64))
+    if y.dtype.kind == "c":  # the same sign flips, vectorized on the parts
+        part = y.real.dtype
+        np.negative(y[..., 0:n - 3].view(part), out=mid.view(part))
     else:
         np.negative(y[..., 0:n - 3], out=mid)
     y13 = y[..., 1:n - 1] * 13

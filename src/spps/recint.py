@@ -49,32 +49,44 @@ def _pair_weights(phi_inv, phi_r) -> tuple[tuple, tuple]:
     return (phi_r, phi_inv), (phi_inv, phi_r)
 
 
-def _next_pair(prev: np.ndarray, w: tuple, h, x0_index: int, n: int,
-               buf: np.ndarray) -> np.ndarray:
-    """Order n of both families from order n - 1: prev * w row by row,
-    formed in buf, integrated along the last axis into a fresh array,
-    scaled by n."""
-    for row in range(2):
-        np.multiply(prev[row], w[row], out=buf[row])
-    pair = np.empty_like(buf)
-    _integrate_rows(buf, h, pair, x0_index)
-    pair *= n
-    return pair
+def _extend_pairs(pairs: list, weights: tuple, h, x0_index: int, stop: int,
+                  buf: np.ndarray) -> None:
+    """Append orders len(pairs) .. stop of both families to pairs.  Order n
+    is order n - 1 times weights[n % 2] row by row, formed in buf,
+    integrated along the last axis into a fresh array and scaled by n;
+    the rows may carry leading axes (side-by-side pieces)."""
+    for n in range(len(pairs), stop + 1):
+        prev, w = pairs[-1], weights[n % 2]
+        for row in range(2):
+            np.multiply(prev[row], w[row], out=buf[row])
+        pair = np.empty_like(buf)
+        _integrate_rows(buf, h, pair, x0_index)
+        pair *= n
+        pairs.append(pair)
 
 
-def _norms(pairs, start: int) -> tuple[list[float], list[float]]:
-    """Sup-norms of X(k) and X~(k) for the pairs of orders start, start + 1, ..."""
-    cols = [np.max(np.abs(p), axis=1).tolist() for p in pairs]
+def _end_terms(pairs, start: int) -> list[np.ndarray]:
+    """Y(k)(b)/k! of both rows, one array per pair of orders start,
+    start + 1, ..."""
+    inv = _inv_factorials(start + len(pairs) - 1)
+    return [p[..., -1] * inv[k] for k, p in enumerate(pairs, start)]
+
+
+def _columns(per_order) -> tuple[list, list]:
+    """Per-order (X, X~) values as two lists of Python scalars."""
+    cols = [c.tolist() for c in per_order]
     return [c[0] for c in cols], [c[1] for c in cols]
 
 
-def _end_terms(pairs, start: int) -> tuple[list[complex], list[complex]]:
+def _norms(pairs) -> tuple[list[float], list[float]]:
+    """Sup-norms of X(k) and X~(k) per pair of orders."""
+    return _columns(np.max(np.abs(p), axis=1) for p in pairs)
+
+
+def _end_values(pairs, start: int) -> tuple[list[complex], list[complex]]:
     """X(k)(b)/k! and X~(k)(b)/k! as Python complex for the pairs of
     orders start, start + 1, ..."""
-    inv = _inv_factorials(start + len(pairs) - 1)
-    cols = [(p[:, -1] * inv[k]).astype(complex).tolist()
-            for k, p in enumerate(pairs, start)]
-    return [c[0] for c in cols], [c[1] for c in cols]
+    return _columns(t.astype(complex) for t in _end_terms(pairs, start))
 
 
 class RecursiveFamily:
@@ -82,10 +94,9 @@ class RecursiveFamily:
 
     Orders are built when first read, each as one (2, n_nodes) array
     holding X(n) and X~(n); an order costs one integrand product and one
-    cumulative integration of the pair.  The eigen search
-    (choose_truncation, characteristic) reads only the orders its
-    truncation needs; X, Xt, psi and phi_k, and with them the series
-    evaluators on the grid and off it, complete the family to N first.
+    cumulative integration of the pair.  The eigen search and the series
+    evaluators read only the orders their truncation needs; X, Xt, psi
+    and phi_k complete the family to N first.
 
     Attributes
     ----------
@@ -99,22 +110,32 @@ class RecursiveFamily:
         The two families, indexed by order 0..N; reading either builds
         every order not yet built.
 
-    The constructor does not check f (build_family does).  A weight r
-    multiplies each phi step (X~ odd, X even orders); the series then
-    solve u'' + qu = lambda r u.
+    Raises OrderError for N < 1, SeedError if |f| dips below
+    MIN_SEED_ABS anywhere on the grid, and GridConfigError on a grid of
+    fewer than 4 nodes, here rather than at the first order built.
     """
 
-    def __init__(self, f: GridFunction, N: int, r: GridFunction | None = None):
+    def __init__(self, f: GridFunction, N: int):
+        N = int(N)
+        if N < 1:
+            raise OrderError(f"family order must be >= 1, got {N}")
+        fmin = float(np.min(np.abs(f.values)))
+        if fmin < MIN_SEED_ABS:
+            i = int(np.argmin(np.abs(f.values)))
+            raise SeedError(
+                f"seed modulus {fmin:.3g} at node {i} (x={f.grid.nodes[i]}) "
+                f"is below {MIN_SEED_ABS:g}")
+        if f.grid.n_nodes < 4:
+            raise GridConfigError("cumulative integral needs at least 4 nodes")
         self.f = f
         self.phi = f * f
         self.N = N
         self.grid = f.grid
         phi_inv = 1.0 / self.phi.values
-        phi_r = self.phi.values if r is None else self.phi.values * r.values
-        self._w = _pair_weights(phi_inv, phi_r)
+        self._w = _pair_weights(phi_inv, self.phi.values)
         # order 0 is 1 in both families: one row, read twice
         one = np.broadcast_to(np.ones(self.grid.n_nodes), (2, self.grid.n_nodes))
-        self._buf = np.empty(one.shape, np.result_type(one, phi_inv, phi_r))
+        self._buf = np.empty(one.shape, np.result_type(one, phi_inv))
         self._pairs = [one]
 
     def _grow(self, k: int) -> list[np.ndarray]:
@@ -125,13 +146,15 @@ class RecursiveFamily:
         start = len(pairs)
         if start > min(k, self.N):
             return pairs
-        for n in range(start, min(k, self.N) + 1):
-            pairs.append(_next_pair(pairs[-1], self._w[n % 2], self.grid.h,
-                                    self.grid.x0_index, n, self._buf))
-        for name, per_order in (("_sup_norms", _norms), ("_right_terms", _end_terms)):
-            if name in vars(self):
-                for cache, new in zip(vars(self)[name], per_order(pairs[start:], start)):
-                    cache.extend(new)
+        _extend_pairs(pairs, self._w, self.grid.h, self.grid.x0_index,
+                      min(k, self.N), self._buf)
+        new = pairs[start:]
+        if "_sup_norms" in vars(self):
+            for cache, col in zip(self._sup_norms, _norms(new)):
+                cache.extend(col)
+        if "_right_terms" in vars(self):
+            for cache, col in zip(self._right_terms, _end_values(new, start)):
+                cache.extend(col)
         if len(pairs) == self.N + 1:
             self._w = self._buf = None
         return pairs
@@ -153,13 +176,13 @@ class RecursiveFamily:
     def _sup_norms(self) -> tuple[list[float], list[float]]:
         """Sup-norms of X(n) and X~(n) per built order, for
         choose_truncation; extended as orders are built."""
-        return _norms(self._pairs, 0)
+        return _norms(self._pairs)
 
     @cached_property
     def _right_terms(self) -> tuple[list[complex], list[complex]]:
         """X(n)(b)/n! and X~(n)(b)/n! per built order as Python complex,
         for _right_end; extended as orders are built."""
-        return _end_terms(self._pairs, 0)
+        return _end_values(self._pairs, 0)
 
     def _check_order(self, k: int) -> int:
         k = int(k)
@@ -183,22 +206,9 @@ class RecursiveFamily:
 def build_family(f: GridFunction, N: int = 60) -> RecursiveFamily:
     """Both families of the seed f, with orders up to the cap N.
 
-    Raises SeedError if |f| dips below MIN_SEED_ABS anywhere on the
-    grid, and GridConfigError on a grid of fewer than 4 nodes, here
-    rather than at the first order built.  Building is deferred: order n
-    costs one product and one cumulative integral of a (2, n_nodes) pair
-    when it is first read (see RecursiveFamily), so the whole family is
-    N such steps.
+    Raises what RecursiveFamily raises, at once.  Building is deferred:
+    order n costs one product and one cumulative integral of a
+    (2, n_nodes) pair when it is first read, so the whole family is N
+    such steps.
     """
-    N = int(N)
-    if N < 1:
-        raise OrderError(f"family order must be >= 1, got {N}")
-    fmin = float(np.min(np.abs(f.values)))
-    if fmin < MIN_SEED_ABS:
-        i = int(np.argmin(np.abs(f.values)))
-        raise SeedError(
-            f"seed modulus {fmin:.3g} at node {i} (x={f.grid.nodes[i]}) "
-            f"is below {MIN_SEED_ABS:g}")
-    if f.grid.n_nodes < 4:
-        raise GridConfigError("cumulative integral needs at least 4 nodes")
     return RecursiveFamily(f, N)

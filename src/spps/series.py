@@ -29,11 +29,10 @@ The exception is the running sum inside choose_truncation: its rule
 needs the sup-norm of every partial sum, which Horner, starting from the
 highest term, would only give with O(M^2) work.
 
-The eigen search's two readers, choose_truncation and _right_end, build
-the family only to the orders they read (2M + 3 and 2M - 1); the grid
-and off-node evaluators complete it to its cap N, as its X and Xt lists
-do.  sturm.build_seed runs _horner and _end_sums on the order pairs of
-many seed pieces at once.
+Every reader builds the family only to the orders it reads:
+choose_truncation to 2M + 3, the evaluators and _right_end (through
+_check_truncation) to 2M - 1.  sturm.build_seed runs _horner and
+_end_sums on the order pairs of many seed pieces at once.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
         raise OrderError(
             f"n_terms={n_terms} needs basis order {2 * n_terms - 1}, "
             f"family has N={family.N}")
+    family._grow(2 * n_terms - 1)
     return n_terms
 
 
@@ -80,8 +80,7 @@ def _prime(fp, f, S, Sp):
     return fp * S + np.divide(Sp, f)
 
 
-# u1, u1', u2, u2' at the nodes `at` for a checked truncation M, on a
-# complete family
+# u1, u1', u2, u2' at the nodes `at` for a checked truncation M
 def _u1(fam, lam, M, at):
     return fam.f.values[at] * _horner(fam._pairs, 1, 0, lam, M, at)
 
@@ -103,24 +102,15 @@ def _u2_prime(fam, lam, M, at):
                   _horner(fam._pairs, 0, 0, lam, M, at))
 
 
-def _complete(family, n_terms) -> int:
-    """The checked truncation, with the family built to N as its X and Xt
-    lists are: the evaluators cost the same on a fresh family as on one
-    an eigen search has grown."""
-    M = _check_truncation(family, n_terms)
-    family._grow(family.N)
-    return M
-
-
 def _on_grid(u, family, lam, n_terms) -> GridFunction:
-    M = _complete(family, n_terms)
+    M = _check_truncation(family, n_terms)
     return GridFunction(family.grid, u(family, lam, M, slice(None)))
 
 
 def _off_node(u, family, lam, x, n_terms):
     """GridFunction.at of the grid solution u, with u summed only at the
     stencil nodes: the same weights on the same node values."""
-    M = _complete(family, n_terms)
+    M = _check_truncation(family, n_terms)
     idx, w, hit = _stencil(family.grid, x)
     v = u(family, lam, M, idx)
     out = np.sum(w * v, axis=1)
@@ -150,9 +140,8 @@ def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFu
 
 def _right_end(family: RecursiveFamily, lam, n_terms: int):
     """u1, u1', u2, u2' at b, lam a scalar or an array: the grid sums of
-    u1_grid .. u2_prime_grid.  Builds the family only to order 2M - 1."""
+    u1_grid .. u2_prime_grid."""
     M = _check_truncation(family, n_terms)
-    family._grow(2 * M - 1)
     cX, cXt = family._right_terms
     return _end_sums(cX, cXt, family.f.values[-1], family.f_prime.values[-1], lam, M)
 

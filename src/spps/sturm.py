@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AccuracyWarning, EigenError, GridConfigError, SeedError
 from .grid import GridFunction
-from .recint import (MIN_SEED_ABS, RecursiveFamily, _inv_factorials, _next_pair,
+from .recint import (MIN_SEED_ABS, RecursiveFamily, _end_terms, _extend_pairs,
                      _pair_weights)
 from .series import _end_sums, _horner, _right_end, choose_truncation
 
@@ -89,28 +89,26 @@ def build_seed(q: GridFunction) -> GridFunction:
 
 
 def _seed_pieces(r, nodes, starts, w: int):
-    """u1, u2 of the family with seed 1 and weight r at lambda = 1, with
-    _SEED_TERMS terms, on the pieces of w cells that begin at the node
-    indices `starts`: c, s of shape (P, w + 1) and u1'(b), u2'(b) of shape
-    (P,) per piece, with the bits of a RecursiveFamily on each piece's own grid.
+    """u1, u2 of the recursion with seed 1 and weight r at lambda = 1 (it
+    solves u'' = r u), with _SEED_TERMS terms, on the pieces of w cells
+    that begin at the node indices `starts`: c, s of shape (P, w + 1) and
+    u1'(b), u2'(b) of shape (P,), summed as the series evaluators sum a
+    family's rows.
 
-    The order pairs are (2, P, w + 1), integrated with each piece's own
-    spacing.  With seed 1, phi = 1/phi = 1 exactly and phi * r = r, the
-    seed is 1 (u1 = S1, u2 = S2 exactly) and its stencil derivative 0.
+    The order pairs are (2, P, w + 1), built by recint's order loop with
+    each piece's own spacing.  With seed 1, 1/phi = 1 exactly and the
+    weight r takes the place of phi; the seed's derivative is 0.
     """
     starts = np.asarray(starts)
     idx = starts[:, None] + np.arange(w + 1)
     r = r[idx]
     h = ((nodes[starts + w] - nodes[starts]) / w)[:, None]
     one = np.ones(r.shape)
-    weights = _pair_weights(one, r)
     pairs, buf = [np.broadcast_to(one, (2,) + r.shape)], np.empty((2,) + r.shape)
-    for k in range(1, 2 * _SEED_TERMS):
-        pairs.append(_next_pair(pairs[-1], weights[k % 2], h, 0, k, buf))
+    _extend_pairs(pairs, _pair_weights(one, r), h, 0, 2 * _SEED_TERMS - 1, buf)
     c = _horner(pairs, 1, 0, 1.0, _SEED_TERMS, slice(None))
     s = _horner(pairs, 0, 1, 1.0, _SEED_TERMS, slice(None))
-    inv = _inv_factorials(2 * _SEED_TERMS - 1)
-    ends = np.array([p[:, :, -1] * inv[k] for k, p in enumerate(pairs)]).astype(complex)
+    ends = np.array(_end_terms(pairs, 0)).astype(complex)
     _, cp, _, sp = _end_sums(ends[:, 0], ends[:, 1], np.float64(1.0), np.float64(0.0),
                              1.0, _SEED_TERMS)
     return c, s, cp, sp

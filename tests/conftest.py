@@ -42,3 +42,26 @@ def q_zero():
 @pytest.fixture(scope="session")
 def q_zero_family(q_zero):
     return spps.build_family(spps.build_seed(q_zero), 80)
+
+
+def _rows_one_at_a_time(f, N, r=None):
+    """The recursion row by row: each order of each family one cumulative
+    integral of the previous order times its weight (phi r in place of
+    phi for a weight r), then scaled by n."""
+    phi = f * f
+    phi_inv = 1.0 / phi
+    phi_r = phi if r is None else phi * r
+    one = spps.GridFunction(f.grid, np.ones(f.grid.n_nodes))
+    X, Xt = [one], [one]
+    for n in range(1, N + 1):
+        weights = (phi_inv, phi_r) if n % 2 else (phi_r, phi_inv)
+        for Y, w in zip((X, Xt), weights):
+            Y.append(spps.cumulative_integral(Y[n - 1] * w))
+            Y[n].values *= n
+    return X, Xt
+
+
+@pytest.fixture
+def row_by_row():
+    """Reference for family rows: X, Xt = row_by_row(f, N, r=None)."""
+    return _rows_one_at_a_time

@@ -252,6 +252,23 @@ def test_cumulative_integral_output_dtype(dtype, out):
     assert G.tobytes() == _stencil_integral(y.astype(out), g.h, 50).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
+def test_cumulative_integral_keeps_long_double(dtype):
+    # long double stays long double, and complex rows flip the sign of each
+    # part whatever the parts' width (array_equal: the dtypes carry padding)
+    g = Grid(0.0, 1.0, 101, x0=0.5)
+    y = (np.exp(1j * g.nodes) if dtype is np.clongdouble else np.cos(g.nodes)).astype(dtype)
+    G = cumulative_integral(GridFunction(g, y)).values
+    assert G.dtype == dtype
+    double = cumulative_integral(GridFunction(g, y.astype(complex))).values
+    assert np.max(np.abs(G - double)) < 1e-15
+    if dtype is np.clongdouble:  # the formula rounds real rows to double
+        assert np.array_equal(G, _stencil_integral(y, g.h, 50))
+        out = np.empty((2, 101), dtype)
+        _integrate_rows(np.stack([y, -y]), g.h, out)
+        assert np.array_equal(out[1], _stencil_integral(-y, g.h, 0))
+
+
 # -- differentiation ---------------------------------------------------------
 
 def test_derivative_of_square():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import spps
-from spps import (Grid, GridConfigError, GridFunction, OrderError, RecursiveFamily, SeedError,
-                  build_family, cumulative_integral, derivative, sample)
+from spps import (Grid, GridConfigError, OrderError, RecursiveFamily, SeedError, build_family,
+                  derivative, sample)
+from spps.recint import _extend_pairs, _pair_weights
 
 
 def test_monomial_degeneration(unit_family):
@@ -128,38 +129,53 @@ def test_vanishing_seed_rejected_before_node_count():
         build_family(f, 4)
 
 
-def _rows_one_at_a_time(f, N, r=None):
-    """The recursion row by row: each order of each family one cumulative
-    integral of the previous order times its weight, then scaled by n."""
-    phi = f * f
-    phi_inv = 1.0 / phi
-    phi_r = phi if r is None else phi * r
-    one = GridFunction(f.grid, np.ones(f.grid.n_nodes))
-    X, Xt = [one], [one]
-    for n in range(1, N + 1):
-        weights = (phi_inv, phi_r) if n % 2 else (phi_r, phi_inv)
-        for Y, w in zip((X, Xt), weights):
-            Y.append(cumulative_integral(Y[n - 1] * w))
-            Y[n].values *= n
-    return X, Xt
-
-
-@pytest.mark.parametrize("case", ["real", "complex", "interior", "weight", "complex-weight"])
-def test_family_rows_bitwise_equal_row_by_row_recursion(case):
-    x0 = 0.5 if case == "interior" else (1.0 if case == "complex-weight" else None)
-    g = Grid(0.0, 2.0, 401, x0=x0)
-    seed = {"real": np.exp, "interior": lambda x: np.exp(0.5 * x),
-            "weight": lambda x: 1 + x * x}.get(case, lambda x: np.exp(x) + 1j * np.cos(3 * x))
+@pytest.mark.parametrize("case", ["real", "complex", "interior"])
+def test_family_rows_bitwise_equal_row_by_row_recursion(case, row_by_row):
+    g = Grid(0.0, 2.0, 401, x0=0.5 if case == "interior" else None)
+    seed = {"real": np.exp, "interior": lambda x: np.exp(0.5 * x)}.get(
+        case, lambda x: np.exp(x) + 1j * np.cos(3 * x))
     f = sample(seed, g)
-    r = sample(lambda x: 1 + np.sin(3 * x), g) if "weight" in case else None
     N = 25
-    fam = RecursiveFamily(f, N, r) if r is not None else build_family(f, N)
-    X, Xt = _rows_one_at_a_time(f, N, r)
+    fam = build_family(f, N)
+    X, Xt = row_by_row(f, N)
     assert len(fam.X) == len(fam.Xt) == N + 1
     for mine, ref in zip(fam.X + fam.Xt, X + Xt):
         assert mine.values.dtype == ref.values.dtype
         assert np.array_equal(mine.values, ref.values)
     assert fam._sup_norms == ([g.sup_norm for g in X], [g.sup_norm for g in Xt])
+
+
+@pytest.mark.parametrize("case", ["weight", "complex-weight", "side-by-side"])
+def test_order_loop_with_weight_bitwise_equal_row_by_row_recursion(case, row_by_row):
+    # the weighted recursion (phi r in place of phi) that build_seed runs on
+    # its pieces, through the order loop RecursiveFamily uses
+    g = Grid(0.0, 2.0, 401, x0=1.0 if case == "complex-weight" else None)
+    f = sample(lambda x: np.exp(x) + 1j * np.cos(3 * x) if case == "complex-weight"
+               else 1 + x * x, g)
+    r = sample(lambda x: 1 + np.sin(3 * x), g)
+    N = 25
+    X, Xt = row_by_row(f, N, r)
+    phi = (f * f).values
+    weights = _pair_weights(1.0 / phi, phi * r.values)
+    shape = (2, g.n_nodes)
+    if case == "side-by-side":  # two pieces at once: the rows gain an axis
+        weights = tuple(tuple(np.stack([v, v]) for v in w) for w in weights)
+        shape = (2, 2, g.n_nodes)
+    pairs = [np.ones(shape)]
+    _extend_pairs(pairs, weights, g.h, g.x0_index, N, np.empty(shape, X[1].values.dtype))
+    for n, p in enumerate(pairs):
+        for row, ref in enumerate((X[n], Xt[n])):
+            assert p[row].dtype == ref.values.dtype
+            assert np.array_equal(p[row], np.broadcast_to(ref.values, p[row].shape))
+
+
+def test_direct_construction_checks_as_build_family():
+    with pytest.raises(GridConfigError, match="4 nodes"):
+        RecursiveFamily(sample(lambda x: np.ones_like(x), Grid(0.0, 1.0, 3)), 4)
+    with pytest.raises(SeedError):
+        RecursiveFamily(sample(lambda x: x, Grid(0.0, 1.0, 11)), 4)
+    with pytest.raises(OrderError):
+        RecursiveFamily(sample(np.exp, Grid(0.0, 1.0, 11)), 0)
 
 
 def test_family_grows_on_demand_with_its_caches():

@@ -196,3 +196,19 @@ def test_off_node_evaluators_are_interpolated_grid_solutions(request, name, lam)
             got, want = ev(fam, lam, x, M), gf.at(x)
             assert np.shape(got) == np.shape(x)
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda fam, M: u1_grid(fam, 2.0, M), lambda fam, M: u2_prime_grid(fam, 2.0, M),
+    lambda fam, M: eval_u2(fam, 2.0, 0.3, M)])
+def test_evaluators_build_only_the_orders_they_read(evaluate):
+    # a truncation M reads orders up to 2M - 1; the cap N is not built
+    g = spps.Grid(0.0, 1.0, 201)
+    fam = spps.build_family(sample(lambda x: np.exp(x) + 0.5j, g), 40)
+    first = evaluate(fam, 6)
+    assert len(fam._pairs) == 12
+    fam.X  # completes the family to N = 40
+    assert len(fam._pairs) == 41
+    again = evaluate(fam, 6)
+    first, again = getattr(first, "values", first), getattr(again, "values", again)
+    assert np.array_equal(first, again)

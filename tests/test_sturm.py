@@ -9,7 +9,6 @@ from spps import (
     Grid,
     GridConfigError,
     GridFunction,
-    RecursiveFamily,
     SeedError,
     SlProblem,
     build_family,
@@ -20,10 +19,10 @@ from spps import (
     residual,
     choose_truncation,
     sample,
-    u1_grid,
     u2_grid,
 )
-from spps.series import _right_end
+from spps.recint import _inv_factorials
+from spps.series import _end_sums, _horner
 from spps.sturm import _SEED_TERMS
 
 PI2 = np.pi**2
@@ -321,21 +320,27 @@ def test_search_same_before_and_after_right_terms_cache(q_zero):
 
 # -- batched seed pieces and on-demand family growth ---------------------------
 
-def _seed_piece_by_piece(q):
-    """build_seed's sum one piece at a time: each piece its own family with
-    seed 1 and weight -q, summed by u1_grid, u2_grid and _right_end."""
+def _seed_piece_by_piece(q, row_by_row):
+    """build_seed's sum one piece at a time: on each piece the recursion
+    with seed 1 and weight -q row by row, its rows summed as u1_grid,
+    u2_grid and _right_end sum a family's (seed 1: f = 1, f' = 0)."""
     g, n = q.grid, q.grid.n_nodes
     qmax = float(np.max(np.abs(q.values)))
     w = max(4, int(1.0 / (np.sqrt(qmax) * g.h))) if qmax > 0 else n - 1
     bounds = list(range(0, n - 4, w)) + [n - 1]
+    top = 2 * _SEED_TERMS - 1
+    inv = _inv_factorials(top)
     f, fp = np.ones(n, dtype=complex), 1j
     for i, j in zip(bounds[:-1], bounds[1:]):
         piece = Grid(g.nodes[i], g.nodes[j], j - i + 1)
-        fam = RecursiveFamily(GridFunction(piece, np.ones(j - i + 1)), 2 * _SEED_TERMS - 1,
-                        GridFunction(piece, -q.values.real[i:j + 1]))
-        c = u1_grid(fam, 1.0, _SEED_TERMS).values
-        s = u2_grid(fam, 1.0, _SEED_TERMS).values
-        _, cp, _, sp = _right_end(fam, 1.0, _SEED_TERMS)
+        X, Xt = row_by_row(GridFunction(piece, np.ones(j - i + 1)), top,
+                           GridFunction(piece, -q.values.real[i:j + 1]))
+        pairs = [np.array([x.values, xt.values]) for x, xt in zip(X, Xt)]
+        c = _horner(pairs, 1, 0, 1.0, _SEED_TERMS, slice(None))
+        s = _horner(pairs, 0, 1, 1.0, _SEED_TERMS, slice(None))
+        cX = [complex(x.values[-1] * inv[k]) for k, x in enumerate(X)]
+        cXt = [complex(x.values[-1] * inv[k]) for k, x in enumerate(Xt)]
+        _, cp, _, sp = _end_sums(cX, cXt, np.float64(1.0), np.float64(0.0), 1.0, _SEED_TERMS)
         f[i:j + 1], fp = f[i] * c + fp * s, f[i] * cp + fp * sp
     return f, w, bounds[-1] - bounds[-2]
 
@@ -347,11 +352,11 @@ def _seed_piece_by_piece(q):
     ("-400", 245, 4), ("-400", 501, None),
     ("2500", 295, 4), ("2500", 299, "w+3"), ("2500", 501, None), ("2500", 5001, None),
 ])
-def test_batched_seed_bitwise_equal_piece_by_piece(potential, n, last):
+def test_batched_seed_bitwise_equal_piece_by_piece(potential, n, last, row_by_row):
     g = Grid(0.0, 1.0, n)
     q = sample(lambda x: 50 * np.cos(3 * np.pi * x) if potential == "50cos"
                else np.full_like(x, float(potential)), g)
-    want, w, width = _seed_piece_by_piece(q)
+    want, w, width = _seed_piece_by_piece(q, row_by_row)
     if last is not None:
         assert width == (w + 3 if last == "w+3" else last)
     assert np.array_equal(build_seed(q).values, want)
