@@ -10,8 +10,11 @@ x0 = a, and eigenvalues are the zeros of the characteristic function
 
     Phi(lambda) = c3 u(b) + c4 u'(b),
 
-which at fixed truncation M is a polynomial of degree M - 1 in lambda;
-the search refines one such polynomial per window.  The betas are
+which at fixed truncation M is a polynomial of degree M - 1 in lambda.
+find_eigenvalues fixes one M per window, samples Phi at the window's M
+Chebyshev points, and takes the eigenvalues as the real roots of that
+interpolant (the colleague matrix of its Chebyshev coefficients); an
+equispaced scan of Phi is kept as a diagnostic.  The betas are
 normalized so that u(a) = -c2 and u'(a) = c1; for real q, lambda and
 real boundary coefficients this makes u and Phi real regardless of the
 complex seed.
@@ -160,17 +163,29 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
                      lam_range, scan_points: int = 256,
                      tol: float = 1e-10,
                      series_tol: float = 1e-12) -> EigenResult:
-    """Real-line eigenvalue search by scan, bracket, and refine.
+    """Real-line eigenvalues as the real roots of one polynomial per window.
 
     The truncation M is the larger of choose_truncation(series_tol) at
     the two window ends, with one warning if either hits the cap, so Phi
-    is one polynomial in lambda over the whole window.  It is sampled on
-    scan_points equispaced lambdas in one array call of characteristic,
-    rotated by the phase of its largest sample so the working function
-    is real, and each sign change is refined by bisection plus a short
-    secant polish.  Roots whose characteristic residual stays above tol
-    (relative to the scan peak) are dropped with a warning; roots closer
-    than one scan cell trigger a densification warning.
+    is one polynomial of degree M - 1 in lambda over the whole window.
+    Three array calls of characteristic do the search:
+
+    - the scan: scan_points equispaced lambdas, a diagnostic kept as
+      scan_lams, scan_phi, whose largest sample gives the phase rot and
+      the scale max|Phi|;
+    - the fit: Re(rot Phi) at the M Chebyshev points of the window,
+      which determine it; chebfit gives its Chebyshev coefficients in
+      the window's variable t in [-1, 1], and the eigenvalues of their
+      real colleague matrix (chebroots) are its roots.  A simple real
+      root comes back with imaginary part exactly 0;
+    - the residuals |Phi(root)| / scale of the real roots kept.
+
+    tol is the relative |Phi| at which Phi counts as zero.  A real root
+    outside the window is kept while |Phi| at the window's end, to first
+    order, stays within it: the computed root of an eigenvalue on the
+    end falls either side.  A root whose residual exceeds tol is kept,
+    with a warning.  Roots closer than one scan cell trigger a
+    densification warning.
     """
     lo, hi = float(lam_range[0]), float(lam_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -200,71 +215,31 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     theta = np.angle(phis[int(np.argmax(np.abs(phis)))])
     rot = np.exp(-1j * theta)
 
-    def rho(lam: float) -> float:
-        return float((rot * characteristic(problem, family, lam, M)).real)
-
-    rhos = (rot * phis).real.tolist()
-    roots, residuals, truncs = [], [], []
-    cell = lams[1] - lams[0]
-    for i in range(scan_points - 1):
-        ra, rb = rhos[i], rhos[i + 1]
-        if ra == 0.0:
-            ra = rho(lams[i] + 1e-3 * cell)
-        if ra * rb >= 0.0:
-            continue
-        # Python floats throughout (rhos and rho too): every midpoint,
-        # secant point and root is one, and characteristic is cheaper at
-        # a float lam than at an np.float64
-        xa, xb, fa_, fb_ = float(lams[i]), float(lams[i + 1]), ra, rb
-        for _ in range(200):
-            if xb - xa <= 1e-15 * max(1.0, abs(xa), abs(xb)):
-                break
-            xm = 0.5 * (xa + xb)
-            fm = rho(xm)
-            if fm == 0.0:
-                xa = xb = xm
-                break
-            if fa_ * fm < 0:
-                xb, fb_ = xm, fm
-            else:
-                xa, fa_ = xm, fm
-        root = 0.5 * (xa + xb)
-        # secant polish from the bracket endpoints
-        p0, p1 = xa, xb
-        f0, f1 = fa_, fb_
-        for _ in range(3):
-            if f1 == f0:
-                break
-            p2 = p1 - f1 * (p1 - p0) / (f1 - f0)
-            if not (lams[i] - cell <= p2 <= lams[i + 1] + cell):
-                break
-            p0, f0 = p1, f1
-            p1, f1 = p2, rho(p2)
-        if abs(rho(p1)) <= abs(rho(root)):
-            root = p1
-        res = abs(characteristic(problem, family, root, M)) / scale
+    cheb = np.polynomial.chebyshev  # reached here: importing spps.cli skips it
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    t = cheb.chebpts1(M)
+    p = (rot * np.full(M, characteristic(problem, family, mid + half * t, M))).real
+    c = cheb.chebfit(t, p, M - 1)
+    t = cheb.chebroots(c)
+    t = t.real[t.imag == 0]
+    t = t[(np.abs(t) - 1.0) * np.abs(cheb.chebval(t, cheb.chebder(c))) <= tol * scale]
+    roots = np.sort(mid + half * t)
+    residuals = np.abs(np.full(roots.shape, characteristic(problem, family, roots, M))) / scale
+    for root, res in zip(roots, residuals):
         if res > tol:
-            warnings.warn(
-                f"bracket near lambda={root:.6g} refined only to relative "
-                f"residual {res:.3g} > tol={tol:g}; dropped",
-                AccuracyWarning, stacklevel=2)
-            continue
-        roots.append(root)
-        residuals.append(res)
-        truncs.append(M)
+            warnings.warn(f"eigenvalue {root:.6g} has relative residual {res:.3g} "
+                          f"> tol={tol:g}", AccuracyWarning, stacklevel=2)
 
-    roots_a = np.asarray(roots)
-    order = np.argsort(roots_a)
-    roots_a = roots_a[order]
-    if len(roots_a) > 1 and np.any(np.diff(roots_a) < cell):
+    cell = lams[1] - lams[0]
+    if len(roots) > 1 and np.any(np.diff(roots) < cell):
         warnings.warn(
             f"eigenvalues closer than one scan cell ({cell:.3g}); "
             f"increase scan_points for reliable separation",
             AccuracyWarning, stacklevel=2)
     return EigenResult(
-        eigenvalues=roots_a,
-        residuals=np.asarray(residuals)[order],
-        truncations=np.asarray(truncs, dtype=int)[order],
+        eigenvalues=roots,
+        residuals=residuals,
+        truncations=np.full(roots.shape, M),
         scan_lams=lams,
         scan_phi=phis,
     )

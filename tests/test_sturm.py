@@ -389,3 +389,83 @@ def test_search_grows_family_only_as_deep_as_it_reads():
         for field in ("eigenvalues", "residuals", "truncations", "scan_lams", "scan_phi"):
             a, b = getattr(first, field), getattr(second, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# -- roots of the Chebyshev interpolant ----------------------------------------
+
+_BC = {"D": (1.0, 0.0), "N": (0.0, 1.0)}
+
+
+def _constant_spectrum(c, L, bc, count):
+    """The `count` largest eigenvalues of u'' + c u = lambda u on [0, L],
+    descending: c - k^2 with k = j pi / L (DD: j >= 1, NN: j >= 0) or
+    (j + 1/2) pi / L (DN, ND: j >= 0)."""
+    j = np.arange(count, dtype=float)
+    return c - ({"DD": j + 1, "NN": j}.get(bc, j + 0.5) * np.pi / L) ** 2
+
+
+def _rel_err(found, expect):
+    return np.max(np.abs(found - expect) / np.maximum(1.0, np.abs(expect)))
+
+
+@pytest.mark.parametrize("c, bc, window, count", [
+    (3.0, "NN", (-47.0, 3.0), 3),             # the end root comes back as 3 + 5e-12
+    (0.0, "NN", (-50.0, 0.0), 3),
+    (-7.0, "NN", (-57.0, -7.0), 3),
+    (0.0, "DD", (-PI2 - 100.0, -PI2), 3),
+    (0.0, "DD", (-400.0, -1.0), 6),           # -355.3 has residual ~8e-10 > tol
+])
+def test_roots_at_window_ends_and_above_tol_kept(c, bc, window, count):
+    spec = _constant_spectrum(c, 1.0, bc, 32)
+    expect = np.sort(spec[(spec >= window[0]) & (spec <= window[1])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        q = sample(lambda x: np.full_like(x, c), Grid(0.0, 1.0, 5001))
+        res = find_eigenvalues(SlProblem(q, _BC[bc[0]], _BC[bc[1]]),
+                               build_family(build_seed(q), 80), window)
+    # a root need not lie inside the closed window, only close to its value
+    assert len(res) == len(expect) == count
+    assert _rel_err(res.eigenvalues, expect) <= 1e-8
+
+
+def test_tol_warns_and_keeps_roots(q_zero, q_zero_family):
+    with pytest.warns(AccuracyWarning, match="residual") as caught:
+        res = find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-120.0, -1.0), tol=1e-30)
+    assert len(res) == 3
+    assert sum("residual" in str(w.message) for w in caught) == 3
+    assert np.all(res.residuals > 1e-30)
+
+
+@pytest.mark.parametrize("n", [1001, 5001])
+@pytest.mark.parametrize("L", [0.6, 1.0, 1.9])
+@pytest.mark.parametrize("c", [-7.0, 0.0, 5.0])
+def test_closed_form_sweep(c, L, n):
+    # windows of 5 roots from the first, ends halfway between reference
+    # eigenvalues (the top end mirrors the first gap)
+    q = sample(lambda x: np.full_like(x, c), Grid(0.0, L, n))
+    fam = build_family(build_seed(q), 80)
+    for bc in ("DD", "NN", "DN", "ND"):
+        spec = _constant_spectrum(c, L, bc, 6)
+        window = (0.5 * (spec[4] + spec[5]), spec[0] + 0.5 * (spec[0] - spec[1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            res = find_eigenvalues(SlProblem(q, _BC[bc[0]], _BC[bc[1]]), fam, window)
+        assert len(res) == 5, bc
+        assert _rel_err(res.eigenvalues[::-1], spec[:5]) <= 1e-8, bc
+
+
+def test_search_calls_characteristic_three_times(monkeypatch, q_zero, q_zero_family):
+    # the scan, the Chebyshev samples and the residuals: one array call
+    # each, however many roots the window holds
+    calls = []
+    char = spps.sturm.characteristic
+    monkeypatch.setattr(spps.sturm, "characteristic",
+                        lambda prob, fam, lam, M: calls.append(np.ndim(lam)) or
+                        char(prob, fam, lam, M))
+    for window, count in (((-8.0, -1.0), 0), ((-120.0, -1.0), 3), ((-400.0, -1.0), 6)):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            res = find_eigenvalues(_dirichlet(q_zero), q_zero_family, window)
+        assert len(res) == count
+        assert calls == [1, 1, 1]
