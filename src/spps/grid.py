@@ -280,7 +280,9 @@ def cumulative_integral(g: GridFunction, x0_index: int | None = None) -> GridFun
     G(x) = integral from x0 to x of g with 4th-order global accuracy.
 
     The work is _integrate_rows on one row, in g's dtype promoted to at
-    least float64 (complex128 for complex g); g is left unchanged.
+    least float64 (complex128 for complex g); g is left unchanged.  An
+    x0_index other than an integer in 0..n_nodes - 1 raises
+    GridConfigError.
     """
     grid = g.grid
     n = grid.n_nodes
@@ -288,6 +290,9 @@ def cumulative_integral(g: GridFunction, x0_index: int | None = None) -> GridFun
         raise GridConfigError("cumulative integral needs at least 4 nodes")
     if x0_index is None:
         x0_index = grid.x0_index
+    elif not (isinstance(x0_index, (int, np.integer)) and 0 <= x0_index < n):
+        raise GridConfigError(
+            f"x0_index must be an integer in 0..{n - 1}, got {x0_index!r}")
     y = g.values.astype(np.result_type(g.values, np.float64), order="C", copy=False)
     G = np.empty(n, dtype=y.dtype)
     _integrate_rows(y, grid.h, G, x0_index)
@@ -304,23 +309,31 @@ def _integrate_rows(y: np.ndarray, h, out: np.ndarray, x0_index: int = 0) -> Non
     the leading shape, so each row of out has the bits cumulative_integral
     gives that row alone.  The increments are formed in out itself with
     one temporary, 13 y, read twice at a shift of one node, and summed in
-    place.
+    place.  Each starts as 13 y[i] - y[i-1], which has the bits of
+    -y[i-1] + 13 y[i] (IEEE subtraction adds the negation) in one pass.
+
+    Complex rows are divided by 24 on the view of their parts, which numpy
+    vectorizes; its complex division runs element by element.  Dividing
+    by a real b, numpy multiplies both parts by 1 / b, formed in the
+    parts' own precision, so the view is multiplied by that reciprocal of
+    the parts' dtype: a Python float 1 / 24 would round the long double
+    parts of clongdouble rows to double.  Each part keeps its bits, up to
+    the sign of a part that is exactly zero.  Real rows keep the division.
     """
     n = y.shape[-1]
     out[..., 0] = 0.0
     out[..., 1] = (9 * y[..., 0] + 19 * y[..., 1] - 5 * y[..., 2] + y[..., 3]) / 24.0
     # interior cells (-y[i-1] + 13 y[i] + 13 y[i+1] - y[i+2]) / 24, in order
     mid = out[..., 2:n - 1]
-    if y.dtype.kind == "c":  # the same sign flips, vectorized on the parts
-        part = y.real.dtype
-        np.negative(y[..., 0:n - 3].view(part), out=mid.view(part))
-    else:
-        np.negative(y[..., 0:n - 3], out=mid)
     y13 = y[..., 1:n - 1] * 13
-    mid += y13[..., 0:n - 3]
+    np.subtract(y13[..., 0:n - 3], y[..., 0:n - 3], out=mid)
     mid += y13[..., 1:n - 2]
     mid -= y[..., 3:n]
-    mid /= 24.0
+    if y.dtype.kind == "c":
+        parts = mid.view(y.real.dtype)
+        np.multiply(parts, parts.dtype.type(1) / parts.dtype.type(24), out=parts)
+    else:
+        mid /= 24.0
     out[..., -1] = (y[..., n - 4] - 5 * y[..., n - 3] + 19 * y[..., n - 2]
                     + 9 * y[..., n - 1]) / 24.0
     np.add.accumulate(out[..., 1:], axis=-1, out=out[..., 1:])

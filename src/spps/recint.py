@@ -72,21 +72,17 @@ def _end_terms(pairs, start: int) -> list[np.ndarray]:
     return [p[..., -1] * inv[k] for k, p in enumerate(pairs, start)]
 
 
-def _columns(per_order) -> tuple[list, list]:
-    """Per-order (X, X~) values as two lists of Python scalars."""
-    cols = [c.tolist() for c in per_order]
-    return [c[0] for c in cols], [c[1] for c in cols]
-
-
-def _norms(pairs) -> tuple[list[float], list[float]]:
-    """Sup-norms of X(k) and X~(k) per pair of orders."""
-    return _columns(np.max(np.abs(p), axis=1) for p in pairs)
+def _psi_norms(pairs, start: int) -> list[float]:
+    """Sup-norms of psi_k (X~(k) for even k, X(k) for odd k) for the pairs
+    of orders start, start + 1, ..."""
+    return [np.max(np.abs(p[1 - k % 2])).item() for k, p in enumerate(pairs, start)]
 
 
 def _end_values(pairs, start: int) -> tuple[list[complex], list[complex]]:
     """X(k)(b)/k! and X~(k)(b)/k! as Python complex for the pairs of
     orders start, start + 1, ..."""
-    return _columns(t.astype(complex) for t in _end_terms(pairs, start))
+    cols = [t.astype(complex).tolist() for t in _end_terms(pairs, start)]
+    return [c[0] for c in cols], [c[1] for c in cols]
 
 
 class RecursiveFamily:
@@ -150,8 +146,7 @@ class RecursiveFamily:
                       min(k, self.N), self._buf)
         new = pairs[start:]
         if "_sup_norms" in vars(self):
-            for cache, col in zip(self._sup_norms, _norms(new)):
-                cache.extend(col)
+            self._sup_norms.extend(_psi_norms(new, start))
         if "_right_terms" in vars(self):
             for cache, col in zip(self._right_terms, _end_values(new, start)):
                 cache.extend(col)
@@ -173,10 +168,10 @@ class RecursiveFamily:
         return derivative(self.f)
 
     @cached_property
-    def _sup_norms(self) -> tuple[list[float], list[float]]:
-        """Sup-norms of X(n) and X~(n) per built order, for
-        choose_truncation; extended as orders are built."""
-        return _norms(self._pairs)
+    def _sup_norms(self) -> list[float]:
+        """Sup-norm of psi_n per built order, the one norm per order that
+        choose_truncation reads; extended as orders are built."""
+        return _psi_norms(self._pairs, 0)
 
     @cached_property
     def _right_terms(self) -> tuple[list[complex], list[complex]]:

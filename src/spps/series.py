@@ -26,8 +26,8 @@ in one loop (_end_sums) over the family's cached endpoint terms
 X(n)(b)/n!, X~(n)(b)/n!: Python scalars, cheaper to combine than
 numpy's, in the same operations, so u(b), u'(b) and Phi keep their bits.
 The exception is the running sum inside choose_truncation: its rule
-needs the sup-norm of every partial sum, which Horner, starting from the
-highest term, would only give with O(M^2) work.
+needs the sup-norms of the partial sums in turn, which Horner, starting
+from the highest term, would only give with O(M^2) work.
 
 Every reader builds the family only to the orders it reads:
 choose_truncation to 2M + 3, the evaluators and _right_end (through
@@ -201,6 +201,11 @@ class TruncationChoice(NamedTuple):
     capped: bool
 
 
+# Relative slack on the bound sup|S| <= B below: it covers the rounding of
+# S, of |lam|^k against lam^k and of B itself, about 10 M eps.
+_BOUND_SLACK = 1.0 + 1e-9
+
+
 def choose_truncation(family: RecursiveFamily, lam: complex,
                       tol: float = 1e-12) -> TruncationChoice:
     """Smallest truncation whose first two omitted terms are negligible.
@@ -210,38 +215,51 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
     tol * sup-norm of the partial sum through M-1.  Capped at the family
     order; hitting the cap sets the flag and issues an AccuracyWarning.
     The family is built only to order 2M + 3, the last one the rule reads.
+
+    The partial sums' sup-norms are taken only where the rule can hold:
+    the sum B of the kept terms' sup-norms bounds sup|S|, so a dropped
+    term above tol * B fails the rule whatever sup|S| is.  The sums still
+    run term by term, so the choice is the rule's.  Raises OrderError for
+    tol <= 0 and for a non-finite lam.
     """
     if not tol > 0:
         raise OrderError(f"tol must be positive, got {tol}")
+    if not np.isfinite(lam):
+        raise OrderError(f"lam must be finite, got {lam}")
     M_max = (family.N + 1) // 2
     inv = _inv_factorials(family.N)
     alam = abs(lam)
-    norms_X, norms_Xt = family._sup_norms  # extended in place as orders are built
+    norms = family._sup_norms  # psi_k's, extended in place as orders are built
     pairs = family._grow(1)
 
     def term1(k):  # sup-norm of the k-th term of the u1 series
-        return alam ** k * norms_Xt[2 * k] * inv[2 * k]
+        return alam ** k * norms[2 * k] * inv[2 * k]
 
     def term2(k):
-        return alam ** k * norms_X[2 * k + 1] * inv[2 * k + 1]
+        return alam ** k * norms[2 * k + 1] * inv[2 * k + 1]
 
     S1 = np.zeros(family.grid.n_nodes, dtype=complex)
     S2 = np.zeros(family.grid.n_nodes, dtype=complex)
+    B1 = B2 = 0.0
     lam_k = 1.0 + 0j
     for M in range(1, M_max + 1):
         k = M - 1
         S1 += lam_k * pairs[2 * k][1] * inv[2 * k]
         S2 += lam_k * pairs[2 * k + 1][0] * inv[2 * k + 1]
+        B1 += term1(k)
+        B2 += term2(k)
         lam_k *= lam
         # the two dropped terms must exist inside the family's cap
         if 2 * (M + 1) + 1 > family.N:
             break
         family._grow(2 * M + 3)
+        dropped1, dropped2 = (term1(M), term1(M + 1)), (term2(M), term2(M + 1))
+        if (any(t > tol * B1 * _BOUND_SLACK for t in dropped1)
+                or any(t > tol * B2 * _BOUND_SLACK for t in dropped2)):
+            continue
         s1 = float(np.max(np.abs(S1)))
         s2 = float(np.max(np.abs(S2)))
-        ok1 = term1(M) <= tol * s1 and term1(M + 1) <= tol * s1
-        ok2 = term2(M) <= tol * s2 and term2(M + 1) <= tol * s2
-        if ok1 and ok2:
+        if all(t <= tol * s1 for t in dropped1) and all(t <= tol * s2 for t in dropped2):
             return TruncationChoice(M, False)
     warnings.warn(
         f"truncation cap {M_max} reached without meeting tol={tol:g}",

@@ -180,10 +180,10 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
       root comes back with imaginary part exactly 0;
     - the residuals |Phi(root)| / scale of the real roots kept.
 
-    tol is the relative |Phi| at which Phi counts as zero.  A real root
-    outside the window is kept while |Phi| at the window's end, to first
-    order, stays within it: the computed root of an eigenvalue on the
-    end falls either side.  A root whose residual exceeds tol is kept,
+    tol (> 0, else ValueError) is the relative |Phi| at which Phi counts
+    as zero.  A real root outside the window is kept while |Phi| at the
+    window's end, to first order, stays within it: the computed root of
+    an eigenvalue on the end falls either side.  A root whose residual exceeds tol is kept,
     with a warning.  Roots closer than one scan cell trigger a
     densification warning.
     """
@@ -195,6 +195,8 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     scan_points = int(scan_points)
     if scan_points < 2:
         raise ValueError("scan needs at least 2 points")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
 
     lams = np.linspace(lo, hi, scan_points)
     with warnings.catch_warnings():  # one cap warning for the whole window

@@ -97,10 +97,9 @@ def test_family_caches_f_prime(exp_family):
 
 
 def test_family_caches_sup_norms(exp_family, q_zero_family):
+    # one norm per order, psi_k's: X~(k) for even k, X(k) for odd k
     for fam in (exp_family, q_zero_family):
-        norms_X, norms_Xt = fam._sup_norms
-        assert norms_X == [g.sup_norm for g in fam.X]
-        assert norms_Xt == [g.sup_norm for g in fam.Xt]
+        assert fam._sup_norms == [fam.psi(k).sup_norm for k in range(fam.N + 1)]
 
 
 def test_family_caches_right_terms(q_zero):
@@ -142,7 +141,7 @@ def test_family_rows_bitwise_equal_row_by_row_recursion(case, row_by_row):
     for mine, ref in zip(fam.X + fam.Xt, X + Xt):
         assert mine.values.dtype == ref.values.dtype
         assert np.array_equal(mine.values, ref.values)
-    assert fam._sup_norms == ([g.sup_norm for g in X], [g.sup_norm for g in Xt])
+    assert fam._sup_norms == [fam.psi(k).sup_norm for k in range(N + 1)]
 
 
 @pytest.mark.parametrize("case", ["weight", "complex-weight", "side-by-side"])
@@ -185,10 +184,12 @@ def test_family_grows_on_demand_with_its_caches():
     norms, terms = fam._sup_norms, fam._right_terms
     fam._grow(7)
     assert len(fam._pairs) == 8 and fam._pairs[3].shape == (2, 201)
-    assert len(norms[0]) == len(terms[1]) == 8
+    assert len(norms) == len(terms[1]) == 8
     fam._grow(100)  # capped at N; the weights and the buffer go
     assert len(fam._pairs) == 31 and fam._w is None and fam._buf is None
-    assert len(norms[1]) == len(terms[0]) == 31
+    assert len(terms[0]) == 31
+    assert fam._sup_norms is norms
+    assert norms == [fam.psi(k).sup_norm for k in range(31)]
     # the public rows are views of the pairs
     assert all(np.shares_memory(p, x.values) and np.shares_memory(p, xt.values)
                for p, x, xt in zip(fam._pairs, fam.X, fam.Xt))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from spps import (
     u2_grid,
     u2_prime_grid,
 )
+from spps.recint import _inv_factorials
+from spps.series import TruncationChoice
 
 
 def _kappa_solution(c, lam, x):
@@ -132,6 +136,75 @@ def test_truncation_unattainable_tolerance(exp_family):
     with pytest.warns(AccuracyWarning):
         choice = choose_truncation(exp_family, 100.0, tol=1e-30)
     assert choice.capped
+
+
+@pytest.mark.parametrize("lam, tol", [(np.nan, 1e-12), (np.inf, 1e-12), (-np.inf, 1e-12),
+                                      (complex(1.0, np.inf), 1e-12),
+                                      (complex(np.nan, 1.0), 1e-12),
+                                      (-10.0, 0.0), (-10.0, -1.0), (-10.0, np.nan)])
+def test_truncation_rejects_non_finite_lambda_and_bad_tol(exp_family, lam, tol):
+    # refused up front: a non-finite lambda would run to the cap and warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OrderError):
+            choose_truncation(exp_family, lam, tol)
+
+
+def _truncation_by_the_rule(fam, lam, tol):
+    """choose_truncation's rule as written, in the same arithmetic: the
+    sup-norm of every partial sum, for every M up to the cap."""
+    M_max = (fam.N + 1) // 2
+    inv = _inv_factorials(fam.N)
+    norms = [fam.psi(k).sup_norm for k in range(fam.N + 1)]
+
+    def term(j, s):  # sup-norm of the j-th term of u1 (s = 0) or u2 (s = 1)
+        return abs(lam) ** j * norms[2 * j + s] * inv[2 * j + s]
+
+    S = [np.zeros(fam.grid.n_nodes, dtype=complex) for _ in range(2)]
+    lam_k = 1.0 + 0j
+    for M in range(1, M_max + 1):
+        k = M - 1
+        S[0] += lam_k * fam.Xt[2 * k].values * inv[2 * k]
+        S[1] += lam_k * fam.X[2 * k + 1].values * inv[2 * k + 1]
+        lam_k *= lam
+        if 2 * M + 3 > fam.N:
+            break
+        sups = [float(np.max(np.abs(v))) for v in S]
+        if all(term(j, s) <= tol * sups[s] for s in (0, 1) for j in (M, M + 1)):
+            return TruncationChoice(M, False)
+    return TruncationChoice(M_max, True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_truncation_matches_the_rule_as_written(seed):
+    # choose_truncation skips the sup-norms of partial sums where a bound
+    # shows the rule fails; the choice must be the rule's, capped or not
+    rng = np.random.default_rng(seed)
+    n = (201, 1001)[seed % 2]
+    L = rng.uniform(0.5, 2.0)
+    g = spps.Grid(0.0, L, n, x0=None if seed < 2 else L * (n // 2) / (n - 1))
+    c0, c1 = rng.uniform(-10, 10, 2)
+    seeds = [
+        sample(lambda x: np.exp(rng.uniform(-1, 1) * x), g),
+        spps.build_seed(sample(lambda x: c0 + c1 * np.cos(3 * x), g)),
+        sample(lambda x: np.exp(x) + 1j * np.cos(2 * x), g),
+    ]
+    kinds = {False: 0, True: 0}
+    for f in seeds:
+        for N in (40, 13):
+            fam = spps.build_family(f, N)
+            mags = 10.0 ** rng.uniform(-2, 3, 6)
+            lams = [-mags[0], -mags[1], mags[2], mags[3],
+                    mags[4] * np.exp(1j * rng.uniform(0, np.pi)),
+                    mags[5] * np.exp(-1j * rng.uniform(0, np.pi))]
+            for lam in lams:
+                for tol in (1e-8, 1e-12, 1e-14):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", AccuracyWarning)
+                        got = choose_truncation(fam, lam, tol)
+                    assert got == _truncation_by_the_rule(fam, lam, tol), (lam, tol, N)
+                    kinds[got.capped] += 1
+    assert kinds[False] and kinds[True]
 
 
 def test_truncation_must_fit_family(exp_family):

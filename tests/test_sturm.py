@@ -297,6 +297,13 @@ def test_search_input_validation(q_zero, q_zero_family):
         find_eigenvalues(prob_c, q_zero_family, (-5.0, -1.0))
 
 
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+def test_search_rejects_non_positive_tol(q_zero, q_zero_family, tol):
+    # refused up front: such a tol would drop every root in silence
+    with pytest.raises(ValueError, match="tol"):
+        find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-50.0, -1.0), tol=tol)
+
+
 def test_scan_artifacts_exposed(q_zero, q_zero_family):
     res = find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-50.0, -1.0),
                            scan_points=64)
