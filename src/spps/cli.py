@@ -374,16 +374,17 @@ def _cmd_basis(run: _Run) -> None:
 
 
 def _parse_lambda(raw) -> complex:
-    if isinstance(raw, list):
-        return complex(raw[0], raw[1])
-    return complex(raw)
+    lam = complex(raw[0], raw[1]) if isinstance(raw, list) else complex(raw)
+    if not np.isfinite(lam):
+        raise ConfigError(f"lambda must be finite, got {lam}")
+    return lam
 
 
 def _cmd_solve(run: _Run) -> None:
     block = _block(run.cfg)
+    lam = _parse_lambda(block["lambda"])
     grid = run.grid()
     family = run.family(grid)
-    lam = _parse_lambda(block["lambda"])
     if "n_terms" in block:
         n_terms = block["n_terms"]
     else:

@@ -77,7 +77,10 @@ class Grid:
 
     def index_of(self, x: float) -> int:
         """Index of the node at x; raises if x is not (numerically) a node."""
-        i = int(round((float(x) - self.a) / self.h))
+        x = float(x)
+        if not math.isfinite(x):
+            raise GridConfigError(f"x={x} is not a node of this grid")
+        i = int(round((x - self.a) / self.h))
         if i < 0 or i >= self.n_nodes or abs(self.nodes[i] - x) > _NODE_SNAP * self.h:
             raise GridConfigError(f"x={x} is not a node of this grid")
         return i
@@ -197,17 +200,24 @@ class GridFunction:
         fewer than 6).  That reproduces polynomials up to degree 5 and is
         5th-order accurate for smooth data.  Points within _NODE_SNAP * h
         of a node return the stored value exactly.  A scalar x gives a
-        scalar; points more than _EDGE_SLACK * (b - a) outside [a, b]
-        raise DomainError.
+        scalar; nan points and points more than _EDGE_SLACK * (b - a)
+        outside [a, b] raise DomainError.
         """
-        idx, w, hit = _stencil(self.grid, x)
-        v = self.values[idx]
-        out = np.sum(w * v, axis=1)
-        out[hit] = v[hit, 0]
-        return out.reshape(np.shape(x))[()]
+        return _interpolate(self.grid, x, self.values.__getitem__)
 
     def __repr__(self):
         return f"GridFunction({self.grid!r}, sup_norm={self.sup_norm:.3g})"
+
+
+def _interpolate(grid: Grid, x, values_at):
+    """GridFunction.at of the values that values_at(idx) gives at the
+    nodes idx: the stencils' values weighted, or the node's own value for
+    a point on a node."""
+    idx, w, hit = _stencil(grid, x)
+    v = values_at(idx)
+    out = np.sum(w * v, axis=1)
+    out[hit] = v[hit, 0]
+    return out.reshape(np.shape(x))[()]
 
 
 def _stencil(grid: Grid, x):
@@ -221,7 +231,8 @@ def _stencil(grid: Grid, x):
     """
     xa = np.asarray(x, dtype=float).ravel()
     slack = _EDGE_SLACK * (grid.b - grid.a)
-    outside = (xa < grid.a - slack) | (xa > grid.b + slack)
+    # a nan compares false both ways, so it counts as outside too
+    outside = ~((xa >= grid.a - slack) & (xa <= grid.b + slack))
     if np.any(outside):
         raise DomainError(f"x={xa[outside][0]} outside [{grid.a}, {grid.b}]")
     xa = np.clip(xa, grid.a, grid.b)

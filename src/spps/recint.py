@@ -23,7 +23,7 @@ demand up to the family's cap N, and only as deep as they are read.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -33,14 +33,6 @@ from .errors import GridConfigError, OrderError, SeedError
 # Seeds whose modulus falls below this are rejected: every second
 # recursion step divides by phi = f^2.
 MIN_SEED_ABS = 1e-12
-
-
-@lru_cache(maxsize=None)
-def _inv_factorials(n: int) -> np.ndarray:
-    f = np.ones(n + 1)
-    for k in range(2, n + 1):
-        f[k] = f[k - 1] * k
-    return 1.0 / f
 
 
 def _pair_weights(phi_inv, phi_r) -> tuple[tuple, tuple]:
@@ -63,26 +55,6 @@ def _extend_pairs(pairs: list, weights: tuple, h, x0_index: int, stop: int,
         _integrate_rows(buf, h, pair, x0_index)
         pair *= n
         pairs.append(pair)
-
-
-def _end_terms(pairs, start: int) -> list[np.ndarray]:
-    """Y(k)(b)/k! of both rows, one array per pair of orders start,
-    start + 1, ..."""
-    inv = _inv_factorials(start + len(pairs) - 1)
-    return [p[..., -1] * inv[k] for k, p in enumerate(pairs, start)]
-
-
-def _psi_norms(pairs, start: int) -> list[float]:
-    """Sup-norms of psi_k (X~(k) for even k, X(k) for odd k) for the pairs
-    of orders start, start + 1, ..."""
-    return [np.max(np.abs(p[1 - k % 2])).item() for k, p in enumerate(pairs, start)]
-
-
-def _end_values(pairs, start: int) -> tuple[list[complex], list[complex]]:
-    """X(k)(b)/k! and X~(k)(b)/k! as Python complex for the pairs of
-    orders start, start + 1, ..."""
-    cols = [t.astype(complex).tolist() for t in _end_terms(pairs, start)]
-    return [c[0] for c in cols], [c[1] for c in cols]
 
 
 class RecursiveFamily:
@@ -133,23 +105,20 @@ class RecursiveFamily:
         one = np.broadcast_to(np.ones(self.grid.n_nodes), (2, self.grid.n_nodes))
         self._buf = np.empty(one.shape, np.result_type(one, phi_inv))
         self._pairs = [one]
+        # sup-norm of psi_n per built order, read by choose_truncation
+        self._sup_norms = [1.0]
 
     def _grow(self, k: int) -> list[np.ndarray]:
-        """Build every order up to min(k, N); returns the list of pairs.
-        The per-order caches already made grow with it, and the weights
-        and buffer go once order N is built."""
+        """Build every order up to min(k, N) with its psi sup-norm; returns
+        the list of pairs.  The weights and buffer go once order N is built."""
         pairs = self._pairs
         start = len(pairs)
         if start > min(k, self.N):
             return pairs
         _extend_pairs(pairs, self._w, self.grid.h, self.grid.x0_index,
                       min(k, self.N), self._buf)
-        new = pairs[start:]
-        if "_sup_norms" in vars(self):
-            self._sup_norms.extend(_psi_norms(new, start))
-        if "_right_terms" in vars(self):
-            for cache, col in zip(self._right_terms, _end_values(new, start)):
-                cache.extend(col)
+        self._sup_norms.extend(np.max(np.abs(p[1 - n % 2])).item()
+                               for n, p in enumerate(pairs[start:], start))
         if len(pairs) == self.N + 1:
             self._w = self._buf = None
         return pairs
@@ -166,18 +135,6 @@ class RecursiveFamily:
     def f_prime(self) -> GridFunction:
         """Derivative of the seed (grid stencil, computed once)."""
         return derivative(self.f)
-
-    @cached_property
-    def _sup_norms(self) -> list[float]:
-        """Sup-norm of psi_n per built order, the one norm per order that
-        choose_truncation reads; extended as orders are built."""
-        return _psi_norms(self._pairs, 0)
-
-    @cached_property
-    def _right_terms(self) -> tuple[list[complex], list[complex]]:
-        """X(n)(b)/n! and X~(n)(b)/n! per built order as Python complex,
-        for _right_end; extended as orders are built."""
-        return _end_values(self._pairs, 0)
 
     def _check_order(self, k: int) -> int:
         k = int(k)

@@ -21,10 +21,9 @@ rows into one accumulator: on the whole grid for u*_grid, and for
 eval_u* only at the nodes of the interpolation stencils of the points
 asked for (grid._stencil, 6 nodes a point), which then get the stencil's
 weights; so eval_u*(x) has the bits of u*_grid(...).at(x) at a fraction
-of the cost.  _right_end runs the four sums at b
-in one loop (_end_sums) over the family's cached endpoint terms
-X(n)(b)/n!, X~(n)(b)/n!: Python scalars, cheaper to combine than
-numpy's, in the same operations, so u(b), u'(b) and Phi keep their bits.
+of the cost.  _right_end is the same sums at the last node alone
+(_at_nodes with at = -1), with lambda a scalar or an array, so u(b),
+u'(b) and Phi have the bits of the grid solutions' last node.
 The exception is the running sum inside choose_truncation: its rule
 needs the sup-norms of the partial sums in turn, which Horner, starting
 from the highest term, would only give with O(M^2) work.
@@ -32,19 +31,28 @@ from the highest term, would only give with O(M^2) work.
 Every reader builds the family only to the orders it reads:
 choose_truncation to 2M + 3, the evaluators and _right_end (through
 _check_truncation) to 2M - 1.  sturm.build_seed runs _horner and
-_end_sums on the order pairs of many seed pieces at once.
+_at_nodes on the order pairs of many seed pieces at once.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AccuracyWarning, OrderError
-from .grid import GridFunction, _stencil
-from .recint import RecursiveFamily, _inv_factorials
+from .grid import GridFunction, _interpolate, derivative
+from .recint import RecursiveFamily
+
+
+@lru_cache(maxsize=None)
+def _inv_factorials(n: int) -> np.ndarray:
+    f = np.ones(n + 1)
+    for k in range(2, n + 1):
+        f[k] = f[k - 1] * k
+    return 1.0 / f
 
 
 def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
@@ -61,9 +69,9 @@ def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
 
 def _horner(pairs, row: int, s: int, lam: complex, M: int, at):
     """sum_{k<M} lam^k Y[2k+s] / (2k+s)! for Y = row `row` of the order
-    pairs (0: X, 1: X~), at the nodes `at` of the last axis (an index
-    array, or slice(None) for all), highest term first, in one complex
-    accumulator updated in place."""
+    pairs (0: X, 1: X~), at the nodes `at` of the last axis (an index,
+    an index array, or slice(None) for all), highest term first, in one
+    complex accumulator updated in place."""
     top = 2 * M - 2 + s
     inv = _inv_factorials(top)
     # complex even for real rows: lam may be complex
@@ -76,8 +84,7 @@ def _horner(pairs, row: int, s: int, lam: complex, M: int, at):
 
 def _prime(fp, f, S, Sp):
     """u' = f' S + S'/f from a series S and its term-wise derivative S'."""
-    # np.divide: Python's complex / float rounds differently from numpy's
-    return fp * S + np.divide(Sp, f)
+    return fp * S + Sp / f
 
 
 # u1, u1', u2, u2' at the nodes `at` for a checked truncation M
@@ -111,11 +118,7 @@ def _off_node(u, family, lam, x, n_terms):
     """GridFunction.at of the grid solution u, with u summed only at the
     stencil nodes: the same weights on the same node values."""
     M = _check_truncation(family, n_terms)
-    idx, w, hit = _stencil(family.grid, x)
-    v = u(family, lam, M, idx)
-    out = np.sum(w * v, axis=1)
-    out[hit] = v[hit, 0]
-    return out.reshape(np.shape(x))[()]
+    return _interpolate(family.grid, x, lambda idx: u(family, lam, M, idx))
 
 
 def u1_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
@@ -138,26 +141,22 @@ def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFu
     return _on_grid(_u2_prime, family, lam, n_terms)
 
 
+def _at_nodes(pairs, f, fp, lam, M: int, at):
+    """u1, u1', u2, u2' at the nodes `at` of the order pairs, given the
+    seed's f and f' there: each of the four series summed once."""
+    S1, S2 = _horner(pairs, 1, 0, lam, M, at), _horner(pairs, 0, 1, lam, M, at)
+    # sum_{k>=1} lam^k X~(2k-1) / (2k-1)!, empty for M = 1
+    T1 = lam * _horner(pairs, 1, 1, lam, M - 1, at) if M > 1 else 0.0
+    T2 = _horner(pairs, 0, 0, lam, M, at)
+    return f * S1, _prime(fp, f, S1, T1), f * S2, _prime(fp, f, S2, T2)
+
+
 def _right_end(family: RecursiveFamily, lam, n_terms: int):
-    """u1, u1', u2, u2' at b, lam a scalar or an array: the grid sums of
+    """u1, u1', u2, u2' at b, lam a scalar or an array: the last node of
     u1_grid .. u2_prime_grid."""
     M = _check_truncation(family, n_terms)
-    cX, cXt = family._right_terms
-    return _end_sums(cX, cXt, family.f.values[-1], family.f_prime.values[-1], lam, M)
-
-
-def _end_sums(cX, cXt, fb, fpb, lam, M: int):
-    """u1, u1', u2, u2' at b from the endpoint terms cX[k] = X(k)(b)/k!,
-    cXt[k] = X~(k)(b)/k! and the seed's f(b), f'(b), one Horner step each
-    per loop pass.  The terms may be Python scalars or equal-shape arrays
-    (the seed's pieces side by side)."""
-    # T1 (u1') has M - 1 terms, so its start is unused for M = 1
-    S1, S2, T1, T2 = cXt[2 * M - 2], cX[2 * M - 1], cXt[2 * M - 3], cX[2 * M - 2]
-    for k in range(M - 2, -1, -1):
-        S1, S2, T2 = S1 * lam + cXt[2 * k], S2 * lam + cX[2 * k + 1], T2 * lam + cX[2 * k]
-        T1 = T1 * lam + cXt[2 * k - 1] if k else T1
-    T1 = lam * T1 if M > 1 else 0.0
-    return fb * S1, _prime(fpb, fb, S1, T1), fb * S2, _prime(fpb, fb, S2, T2)
+    return _at_nodes(family._pairs, family.f.values[-1], family.f_prime.values[-1],
+                     lam, M, -1)
 
 
 def eval_u1(family, lam, x, n_terms):
@@ -189,7 +188,6 @@ def residual(family: RecursiveFamily, lam: complex, u_values: GridFunction,
     stencils near the ends, so the two outermost nodes on each side are
     excluded.
     """
-    from .grid import derivative
     upp = derivative(derivative(u_values))
     r = upp.values + (q.values - lam) * u_values.values
     denom = 1.0 + abs(lam) * u_values.sup_norm

@@ -29,9 +29,8 @@ import numpy as np
 
 from .errors import AccuracyWarning, EigenError, GridConfigError, SeedError
 from .grid import GridFunction
-from .recint import (MIN_SEED_ABS, RecursiveFamily, _end_terms, _extend_pairs,
-                     _pair_weights)
-from .series import _end_sums, _horner, _right_end, choose_truncation
+from .recint import MIN_SEED_ABS, RecursiveFamily, _extend_pairs, _pair_weights
+from .series import _at_nodes, _horner, _right_end, choose_truncation
 
 _SEED_TERMS = 11  # series terms per seed piece, see build_seed
 
@@ -111,9 +110,8 @@ def _seed_pieces(r, nodes, starts, w: int):
     _extend_pairs(pairs, _pair_weights(one, r), h, 0, 2 * _SEED_TERMS - 1, buf)
     c = _horner(pairs, 1, 0, 1.0, _SEED_TERMS, slice(None))
     s = _horner(pairs, 0, 1, 1.0, _SEED_TERMS, slice(None))
-    ends = np.array(_end_terms(pairs, 0)).astype(complex)
-    _, cp, _, sp = _end_sums(ends[:, 0], ends[:, 1], np.float64(1.0), np.float64(0.0),
-                             1.0, _SEED_TERMS)
+    _, cp, _, sp = _at_nodes(pairs, np.float64(1.0), np.float64(0.0), 1.0, _SEED_TERMS,
+                             (..., -1))
     return c, s, cp, sp
 
 

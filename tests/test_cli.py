@@ -154,6 +154,37 @@ def test_solve_fail_on_cap(tmp_path):
     assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
+@pytest.mark.parametrize("n_terms", [None, 5])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, [-1.0, math.nan]])
+def test_solve_rejects_non_finite_lambda(tmp_path, lam, n_terms):
+    # json reads NaN and Infinity; such a lambda is a config error
+    solve = {"lambda": lam} if n_terms is None else {"lambda": lam, "n_terms": n_terms}
+    cfg = {
+        "schema_version": 1,
+        "command": "solve",
+        "grid": {"a": 0.0, "b": 1.0, "n_nodes": 101},
+        "seed": {"kind": "builtin", "name": "constant", "parameters": {"value": 1.0}},
+        "solve": solve,
+    }
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_non_finite_anchor_is_config_error(tmp_path, x0):
+    cfg = {
+        "schema_version": 1,
+        "command": "solve",
+        "grid": {"a": 0.0, "b": 1.0, "n_nodes": 101, "x0": x0},
+        "seed": {"kind": "builtin", "name": "constant", "parameters": {"value": 1.0}},
+        "solve": {"lambda": -1.0},
+    }
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    assert not os.path.exists(out)
+
+
 # -- eigs ------------------------------------------------------------------------
 
 def test_eigs_dirichlet(tmp_path):

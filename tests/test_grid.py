@@ -51,6 +51,15 @@ def test_grid_rejects_bad_intervals():
         Grid(0.0, 1.0, 11, x0=2.0)
 
 
+@pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+def test_grid_rejects_non_finite_anchor(x0):
+    # a config error, not the ValueError or OverflowError of int(round(x))
+    with pytest.raises(GridConfigError, match="not a node"):
+        Grid(0.0, 1.0, 11, x0=x0)
+    with pytest.raises(GridConfigError, match="not a node"):
+        Grid(0.0, 1.0, 11).index_of(x0)
+
+
 def test_operations_enforce_stencil_width():
     tiny = sample(lambda x: x, Grid(0.0, 1.0, 3))
     with pytest.raises(GridConfigError):
@@ -331,6 +340,14 @@ def test_interpolation_outside_domain():
     gf = sample(np.exp, g)
     with pytest.raises(DomainError):
         gf.at(1.5)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.array([0.5, np.nan]), np.array([[np.nan]])])
+def test_interpolation_rejects_nan(x):
+    # nan lies in no cell: it counts as outside [a, b]
+    gf = sample(np.exp, Grid(0.0, 1.0, 11))
+    with pytest.raises(DomainError, match="nan"):
+        gf.at(x)
 
 
 def _poly(coeffs, x):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -102,18 +100,6 @@ def test_family_caches_sup_norms(exp_family, q_zero_family):
         assert fam._sup_norms == [fam.psi(k).sup_norm for k in range(fam.N + 1)]
 
 
-def test_family_caches_right_terms(q_zero):
-    # built on first use, once: the endpoint sums of every Phi call read it
-    fam = build_family(spps.build_seed(q_zero), 20)
-    assert "_right_terms" not in vars(fam)
-    cX, cXt = fam._right_terms
-    assert fam._right_terms is fam._right_terms
-    for c, Y in ((cX, fam.X), (cXt, fam.Xt)):
-        assert all(type(t) is complex for t in c)
-        want = [Y[k].values[-1] / math.factorial(k) for k in range(fam.N + 1)]
-        assert np.allclose(c, want, rtol=1e-15, atol=0.0)
-
-
 def test_family_on_three_nodes_fails_at_build():
     # orders are built when read, but a grid too small to integrate on is
     # refused by build_family itself
@@ -181,13 +167,12 @@ def test_family_grows_on_demand_with_its_caches():
     g = Grid(0.0, 1.0, 201)
     fam = build_family(sample(lambda x: np.exp(x) + 0.5j, g), 30)
     assert len(fam._pairs) == 1
-    norms, terms = fam._sup_norms, fam._right_terms
+    norms = fam._sup_norms
     fam._grow(7)
     assert len(fam._pairs) == 8 and fam._pairs[3].shape == (2, 201)
-    assert len(norms) == len(terms[1]) == 8
+    assert len(norms) == 8
     fam._grow(100)  # capped at N; the weights and the buffer go
     assert len(fam._pairs) == 31 and fam._w is None and fam._buf is None
-    assert len(terms[0]) == 31
     assert fam._sup_norms is norms
     assert norms == [fam.psi(k).sup_norm for k in range(31)]
     # the public rows are views of the pairs

@@ -6,6 +6,7 @@ import pytest
 import spps
 from spps import (
     AccuracyWarning,
+    DomainError,
     OrderError,
     choose_truncation,
     eval_u1,
@@ -19,8 +20,7 @@ from spps import (
     u2_grid,
     u2_prime_grid,
 )
-from spps.recint import _inv_factorials
-from spps.series import TruncationChoice
+from spps.series import TruncationChoice, _inv_factorials
 
 
 def _kappa_solution(c, lam, x):
@@ -269,6 +269,14 @@ def test_off_node_evaluators_are_interpolated_grid_solutions(request, name, lam)
             got, want = ev(fam, lam, x, M), gf.at(x)
             assert np.shape(got) == np.shape(x)
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.array([0.3, np.nan])])
+def test_off_node_evaluators_reject_nan(exp_family, x):
+    # as GridFunction.at does: nan lies outside [a, b]
+    for ev in (eval_u1, eval_u2, eval_u1_prime, eval_u2_prime):
+        with pytest.raises(DomainError):
+            ev(exp_family, -3.0, x, 5)
 
 
 @pytest.mark.parametrize("evaluate", [

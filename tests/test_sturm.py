@@ -21,8 +21,7 @@ from spps import (
     sample,
     u2_grid,
 )
-from spps.recint import _inv_factorials
-from spps.series import _end_sums, _horner
+from spps.series import _at_nodes, _horner
 from spps.sturm import _SEED_TERMS
 
 PI2 = np.pi**2
@@ -312,12 +311,10 @@ def test_scan_artifacts_exposed(q_zero, q_zero_family):
     assert np.all(np.diff(res.scan_lams) > 0)
 
 
-def test_search_same_before_and_after_right_terms_cache(q_zero):
-    # the first search builds the endpoint column, the second reads it
+def test_search_same_on_a_fresh_and_a_grown_family(q_zero):
+    # the first search builds the orders it reads, the second reuses them
     fam = build_family(build_seed(q_zero), 80)
-    assert "_right_terms" not in vars(fam)
     first = find_eigenvalues(_dirichlet(q_zero), fam, (-120.0, -1.0))
-    assert "_right_terms" in vars(fam)
     second = find_eigenvalues(_dirichlet(q_zero), fam, (-120.0, -1.0))
     assert len(first) == 3
     for field in ("eigenvalues", "residuals", "truncations", "scan_lams", "scan_phi"):
@@ -336,7 +333,6 @@ def _seed_piece_by_piece(q, row_by_row):
     w = max(4, int(1.0 / (np.sqrt(qmax) * g.h))) if qmax > 0 else n - 1
     bounds = list(range(0, n - 4, w)) + [n - 1]
     top = 2 * _SEED_TERMS - 1
-    inv = _inv_factorials(top)
     f, fp = np.ones(n, dtype=complex), 1j
     for i, j in zip(bounds[:-1], bounds[1:]):
         piece = Grid(g.nodes[i], g.nodes[j], j - i + 1)
@@ -345,9 +341,8 @@ def _seed_piece_by_piece(q, row_by_row):
         pairs = [np.array([x.values, xt.values]) for x, xt in zip(X, Xt)]
         c = _horner(pairs, 1, 0, 1.0, _SEED_TERMS, slice(None))
         s = _horner(pairs, 0, 1, 1.0, _SEED_TERMS, slice(None))
-        cX = [complex(x.values[-1] * inv[k]) for k, x in enumerate(X)]
-        cXt = [complex(x.values[-1] * inv[k]) for k, x in enumerate(Xt)]
-        _, cp, _, sp = _end_sums(cX, cXt, np.float64(1.0), np.float64(0.0), 1.0, _SEED_TERMS)
+        _, cp, _, sp = _at_nodes(pairs, np.float64(1.0), np.float64(0.0), 1.0,
+                                 _SEED_TERMS, -1)
         f[i:j + 1], fp = f[i] * c + fp * s, f[i] * cp + fp * sp
     return f, w, bounds[-1] - bounds[-2]
 
