@@ -259,6 +259,16 @@ def _resolve(path: str, base: str) -> str:
     return path if os.path.isabs(path) else os.path.join(base, path)
 
 
+def _builtin_seed(block: dict):
+    """The builtin seed a seed block names; anything wrong is a ConfigError."""
+    if "name" not in block:
+        raise ConfigError("builtin seed needs a name")
+    try:
+        return get_seed(block["name"], **block.get("parameters", {}))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 class _Run:
     """Shared state for one command execution."""
 
@@ -322,13 +332,7 @@ class _Run:
             raise ConfigError("this configuration needs a seed block")
         kind = block["kind"]
         if kind == "builtin":
-            if "name" not in block:
-                raise ConfigError("builtin seed needs a name")
-            try:
-                seed = get_seed(block["name"], **block.get("parameters", {}))
-            except ValueError as e:
-                raise ConfigError(str(e)) from None
-            return sample(seed.func, grid)
+            return sample(_builtin_seed(block).func, grid)
         if kind == "csv":
             return self.csv_function(block, grid, "seed")
         return build_seed(self.q_function(grid))
@@ -398,6 +402,9 @@ def _cmd_solve(run: _Run) -> None:
     for u in (u1_grid, u1_prime_grid, u2_grid, u2_prime_grid):
         c = np.asarray(u(family, lam, n_terms).values, dtype=complex)
         cols += [c.real, c.imag]
+    if not np.all(np.isfinite(cols[1:])):
+        raise SppsError(f"solution at lambda={lam} with {n_terms} terms "
+                        f"is not finite on the grid")
     run.write_rows(
         "solution.csv",
         ["x", "u1_re", "u1_im", "u1p_re", "u1p_im",
@@ -453,8 +460,8 @@ def _cmd_taylor(run: _Run) -> None:
     if seed_block["kind"] == "builtin":
         if "x0" not in block:
             raise ConfigError("taylor with a builtin seed needs an x0")
+        seed = _builtin_seed(seed_block)
         try:
-            seed = get_seed(seed_block["name"], **seed_block.get("parameters", {}))
             phi_jet = seed.phi_jet(block["x0"], jet_order)
         except ValueError as e:
             raise ConfigError(str(e)) from None

@@ -148,21 +148,22 @@ def remainder_check(h: GridFunction, family: RecursiveFamily, n: int,
     if pts.size and (pts[0] < g.x0 or pts[-1] > g.b):
         raise DomainError(
             f"sample points must lie in [x0, b] = [{g.x0}, {g.b}]")
-    if n + 1 > family.N:
-        raise OrderError(
-            f"remainder at order {n} needs psi_{n + 1}; family has N={family.N}")
-    p = gen_taylor_coeffs(h, family, n)
-    gam_top = np.abs(_gamma_chain(h, family, n + 1)[-1])
-    psi_top = family.psi(n + 1)
-    fact = float(np.prod(np.arange(1.0, n + 2)))
+    if not 0 <= n < family.N:
+        raise OrderError(f"remainder at order {n} needs n >= 0 and psi_{n + 1}; "
+                         f"family has N={family.N}")
     i0 = g.x0_index
+    chain = _gamma_chain(h, family, n + 1)
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, n + 2))))
+    p = GenPolynomial(np.array([c[i0] for c in chain[:-1]]) / fact[:-1], family)
+    gam_top = np.abs(chain[-1])
+    psi_top = family.psi(n + 1)
 
     err = np.abs(h.at(pts) - eval_gen_polynomial(p, pts))
     # conservative grid max of |gamma_{n+1}| over [x0, x]
     hi = np.minimum(np.searchsorted(g.nodes, pts, side="right") + 1, g.n_nodes)
     gmax = np.array([np.max(gam_top[i0:j]) if j > i0 else gam_top[i0]
                      for j in hi])
-    bound = gmax * np.abs(psi_top.at(pts)) / fact
+    bound = gmax * np.abs(psi_top.at(pts)) / fact[-1]
     slacks = bound - err
     # err and bound both pass through repeated grid differentiation, so a
     # negative slack only counts when it exceeds that noise floor; when h is

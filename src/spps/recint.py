@@ -63,8 +63,8 @@ class RecursiveFamily:
     Orders are built when first read, each as one (2, n_nodes) array
     holding X(n) and X~(n); an order costs one integrand product and one
     cumulative integration of the pair.  The eigen search and the series
-    evaluators read only the orders their truncation needs; X, Xt, psi
-    and phi_k complete the family to N first.
+    evaluators read only the orders their truncation needs, and psi(k)
+    and phi_k(k) only orders up to k; X and Xt complete the family to N.
 
     Attributes
     ----------
@@ -143,9 +143,10 @@ class RecursiveFamily:
         return k
 
     def psi(self, k: int) -> GridFunction:
-        """Mixed basis element: X(k) for odd k, X~(k) for even k."""
+        """Mixed basis element: X(k) for odd k, X~(k) for even k; builds
+        orders only up to k."""
         k = self._check_order(k)
-        return self.X[k] if k % 2 else self.Xt[k]
+        return GridFunction(self.grid, self._grow(k)[k][1 - k % 2])
 
     def phi_k(self, k: int) -> GridFunction:
         """Solution basis element f * psi_k."""

@@ -22,7 +22,6 @@ class BuiltinSeed:
     name: str
     params: dict
     func: Callable = field(repr=False)
-    dfunc: Callable = field(repr=False)
     jet_builder: Callable = field(repr=False)
 
     def jet(self, x0: float, order: int) -> Jet:
@@ -45,7 +44,6 @@ def constant_seed(value: complex = 1.0) -> BuiltinSeed:
         name="constant",
         params={"value": value},
         func=lambda x: np.full_like(np.asarray(x, dtype=float), value, dtype=complex),
-        dfunc=lambda x: np.zeros_like(np.asarray(x, dtype=float), dtype=complex),
         jet_builder=lambda x0, order: Jet.constant(value, x0, order),
     )
 
@@ -63,7 +61,6 @@ def exp_seed(c: complex = 1.0) -> BuiltinSeed:
         name="exp",
         params={"c": c},
         func=lambda x: np.exp(c * np.asarray(x, dtype=float)),
-        dfunc=lambda x: c * np.exp(c * np.asarray(x, dtype=float)),
         jet_builder=jet_builder,
     )
 
@@ -79,10 +76,6 @@ def x_exp_a_over_x_seed(a: complex = 1.0) -> BuiltinSeed:
         x = np.asarray(x, dtype=float)
         return a * x * np.exp(a / x)
 
-    def dfunc(x):
-        x = np.asarray(x, dtype=float)
-        return a * np.exp(a / x) * (1.0 - a / x)
-
     def jet_builder(x0, order):
         if x0 == 0:
             raise ValueError("this seed has an essential singularity at 0")
@@ -93,7 +86,6 @@ def x_exp_a_over_x_seed(a: complex = 1.0) -> BuiltinSeed:
         name="x_exp_a_over_x",
         params={"a": a},
         func=func,
-        dfunc=dfunc,
         jet_builder=jet_builder,
     )
 

@@ -2,18 +2,15 @@
 
 The lower-triangular matrix A_n maps the generalized derivative vector
 (gamma_0(h), ..., gamma_n(h)) at x0 to the ordinary derivative vector
-(h(x0), h'(x0), ..., h^(n)(x0)).  Its entries obey
+(h(x0), h'(x0), ..., h^(n)(x0)).  Applying gamma_j to the basis element
+psi_m walks down its own family, so gamma_j(psi_m)(x0) = m! delta_jm and
+column m of A_n is the ordinary derivative vector of psi_m at x0 over m!.
+The production builder therefore runs the recursive integrals of both
+families on jets of phi at x0, from the constant jet 1, and reads each
+column off one jet; it is exact up to rounding.
 
-    a_{k,m} = (a_{k-1,m})' + phi^((-1)^m) * a_{k-1,m-1},
-
-seeded by a_{1,1} = 1/phi, with row 0 = (1, 0, ...) and zeros above the
-diagonal and below row 0 in column 0.  Entries are functions of x; only
-their values at x0 enter the matrix, so the whole construction runs on
-jets of phi at x0 and is exact up to rounding.
-
-Two independent builders are provided: the production recursion above,
-and a slow closed-form evaluation through nested alternating binomial
-sums, kept as a cross-validation oracle.
+A slow closed-form evaluation through nested alternating binomial sums
+is kept as an independent cross-validation oracle.
 
 Applied to the u1/u2 series, the matrix gives the ordinary Taylor
 coefficients of u1/f and u2/f as polynomials in the spectral parameter:
@@ -25,7 +22,7 @@ lambda-power vectors (1, 0, lambda, 0, lambda^2, ...) and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -57,33 +54,32 @@ def _check_budget(phi_jet: Jet, n: int) -> int:
     return n
 
 
-def build_A_recursive(phi_jet: Jet, n: int) -> TransformMatrix:
-    """Build A_n by the entry recursion, carrying entries as jets.
+def _integral(jet: Jet) -> Jet:
+    """Jet of the integral from x0: each coefficient moves up one order."""
+    c = jet.coeffs / np.arange(1.0, jet.order + 2)
+    return Jet(jet.x0, np.concatenate(([0.0], c)))
 
-    Row k-1 entries keep enough coefficients that one more derivative
-    and one more product still determine the row-k values, so a phi jet
-    of order n-1 suffices for A_n.
+
+def build_A_recursive(phi_jet: Jet, n: int) -> TransformMatrix:
+    """Build A_n column by column from the jets of psi_1..psi_n.
+
+    Both families run X(m) = m * integral of X(m-1) times 1/phi (odd m)
+    or phi (even m), X~(m) with the other weight, on jets of order n;
+    column m is psi_m's derivative vector over m!.  Only the phi jet's
+    first n coefficients are read, so a phi jet of order n-1 suffices.
     """
     n = _check_budget(phi_jet, n)
     A = np.zeros((n + 1, n + 1), dtype=complex)
     A[0, 0] = 1.0
     if n == 0:
         return TransformMatrix(0, A)
-    inv = phi_jet.reciprocal()
-    row = {1: inv}
-    A[1, 1] = inv.coeffs[0]
-    for k in range(2, n + 1):
-        new = {}
-        for m in range(1, k + 1):
-            w = phi_jet if m % 2 == 0 else inv
-            if m == k:
-                new[m] = w * row[m - 1]
-            elif m == 1:
-                new[m] = row[1].derive()
-            else:
-                new[m] = row[m].derive() + w * row[m - 1]
-            A[k, m] = new[m].coeffs[0]
-        row = new
+    phi = phi_jet.truncate(n - 1)
+    weights = (phi, phi.reciprocal())
+    X = Xt = Jet.constant(1.0, phi.x0, n)
+    for m in range(1, n + 1):
+        X, Xt = (m * _integral(X * weights[m % 2]),
+                 m * _integral(Xt * weights[1 - m % 2]))
+        A[:, m] = (X if m % 2 else Xt).derivatives() / factorial(m)
     return TransformMatrix(n, A)
 
 

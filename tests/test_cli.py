@@ -171,6 +171,22 @@ def test_solve_rejects_non_finite_lambda(tmp_path, lam, n_terms):
     assert not os.path.exists(out)
 
 
+def test_solve_overflow_is_numerical_failure(tmp_path, capsys):
+    # lambda^k overflows in the series: nothing is written
+    cfg = {
+        "schema_version": 1,
+        "command": "solve",
+        "grid": {"a": 0.0, "b": 1.0, "n_nodes": 101},
+        "seed": {"kind": "builtin", "name": "constant", "parameters": {"value": 1.0}},
+        "solve": {"lambda": 1e300, "n_terms": 5},
+    }
+    code, out = _run(tmp_path, cfg)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "lambda=" in err and "5 terms" in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
 def test_non_finite_anchor_is_config_error(tmp_path, x0):
     cfg = {
@@ -615,6 +631,29 @@ def test_validator_type_rules():
     assert ok(_with(base, ("schema_version",), 1.0))
     assert not ok(_with(base, ("schema_version",), True))
     assert not ok([base])
+
+
+@pytest.mark.parametrize("command", ["basis", "solve", "eigs", "taylor", "approx"])
+def test_dropping_any_key_keeps_the_exit_codes(tmp_path, capsys, command):
+    # an exception out of main is the traceback a CLI user would see
+    cfg = _valid_configs()[command]
+    paths = [path + (key,) for path, value, _ in _walk(cfg, cli.CONFIG_SCHEMA)
+             if isinstance(value, dict) for key in value]
+    assert len(paths) > 8
+    for i, path in enumerate(paths):
+        code, out = _run(tmp_path, _with(cfg, path, _DROP), out=f"out{i}")
+        assert code in (0, 2, 3), path
+        assert code == 0 or not os.path.exists(out), path
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_builtin_seed_without_name_is_config_error(tmp_path, capsys):
+    cfg = {"schema_version": 1, "command": "taylor", "seed": {"kind": "builtin"},
+           "taylor": {"n": 4, "x0": 0.0}}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    assert capsys.readouterr().err == "config error: builtin seed needs a name\n"
+    assert not os.path.exists(out)
 
 
 # -- integer keys written as floats --------------------------------------------------

@@ -134,6 +134,24 @@ def test_remainder_for_series_ratio(interior_family):
     assert rep.passed
 
 
+def test_remainder_differentiates_once_per_level(interior_family, monkeypatch):
+    calls = []
+    real = spps.gentaylor.derivative
+    monkeypatch.setattr(spps.gentaylor, "derivative",
+                        lambda g: calls.append(1) or real(g))
+    h = sample(np.exp, interior_family.grid)
+    for n in (0, 3, 5):
+        calls.clear()
+        remainder_check(h, interior_family, n, [0.6, 0.9])
+        assert len(calls) == n + 1
+
+
+def test_remainder_rejects_negative_order(interior_family):
+    h = sample(np.exp, interior_family.grid)
+    with pytest.raises(OrderError):
+        remainder_check(h, interior_family, -1, [0.8])
+
+
 def test_remainder_rejects_points_left_of_anchor(interior_family):
     h = sample(np.exp, interior_family.grid)
     with pytest.raises(DomainError):

@@ -178,3 +178,16 @@ def test_family_grows_on_demand_with_its_caches():
     # the public rows are views of the pairs
     assert all(np.shares_memory(p, x.values) and np.shares_memory(p, xt.values)
                for p, x, xt in zip(fam._pairs, fam.X, fam.Xt))
+
+
+def test_psi_builds_only_the_order_it_reads():
+    g = Grid(0.0, 1.0, 201)
+    fam = build_family(sample(np.exp, g), 40)
+    psi3 = fam.psi(3)
+    assert len(fam._pairs) == 4
+    assert np.shares_memory(psi3.values, fam._pairs[3])
+    fam.phi_k(5)
+    assert len(fam._pairs) == 6
+    # the same rows the completed family holds
+    assert np.array_equal(psi3.values, fam.X[3].values)
+    assert np.array_equal(fam.psi(4).values, fam.Xt[4].values)

