@@ -304,7 +304,7 @@ class _Run:
             raise ConfigError(f"bad grid: {e}") from None
 
     def csv_function(self, block: dict, grid: Grid, what: str) -> GridFunction:
-        """Read block["path"] anchored at grid.x0; it must lie on grid."""
+        """Read block["path"] anchored at grid.x0; it must lie on grid, finite."""
         if "path" not in block:
             raise ConfigError(f"{what} of kind csv needs a path")
         try:
@@ -314,6 +314,10 @@ class _Run:
             raise ConfigError(f"cannot read {what} CSV: {e}") from None
         if gf.grid != grid:
             raise ConfigError(f"{what} CSV grid does not match the config grid")
+        bad = np.flatnonzero(~np.isfinite(gf.values))
+        if bad.size:
+            raise ConfigError(f"{what} CSV value {gf.values[bad[0]]} at node {bad[0]} "
+                              f"(x={grid.nodes[bad[0]]}) is not finite")
         return gf
 
     def q_function(self, grid: Grid) -> GridFunction:
@@ -326,8 +330,9 @@ class _Run:
             return GridFunction(grid, np.full(grid.n_nodes, float(block["value"])))
         return self.csv_function(block, grid, "q")
 
-    def seed_function(self, grid: Grid) -> GridFunction:
-        block = self.cfg.get("seed")
+    def seed_function(self, grid: Grid, q: GridFunction | None = None) -> GridFunction:
+        """The seed block's seed; a given q is reused, with from_q the default."""
+        block = self.cfg.get("seed", None if q is None else {"kind": "from_q"})
         if block is None:
             raise ConfigError("this configuration needs a seed block")
         kind = block["kind"]
@@ -335,10 +340,10 @@ class _Run:
             return sample(_builtin_seed(block).func, grid)
         if kind == "csv":
             return self.csv_function(block, grid, "seed")
-        return build_seed(self.q_function(grid))
+        return build_seed(self.q_function(grid) if q is None else q)
 
-    def family(self, grid: Grid):
-        f = self.seed_function(grid)
+    def family(self, grid: Grid, q: GridFunction | None = None):
+        f = self.seed_function(grid, q)
         return build_family(f, self.cfg.get("family_order", 60))
 
     # -- output helpers -----------------------------------------------------
@@ -417,11 +422,7 @@ def _cmd_eigs(run: _Run) -> None:
     block = _block(run.cfg)
     grid = run.grid(force_x0_left=True)
     q = run.q_function(grid)
-    seed = run.cfg.get("seed")
-    if seed is None or seed["kind"] == "from_q":
-        family = build_family(build_seed(q), run.cfg.get("family_order", 60))
-    else:
-        family = run.family(grid)
+    family = run.family(grid, q)
     try:
         problem = SlProblem(q, tuple(block["bc_left"]), tuple(block["bc_right"]))
         result = find_eigenvalues(

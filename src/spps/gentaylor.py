@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DomainError, GridConfigError, OrderError, RankCollapseError
 from .grid import GridFunction, derivative
+from .jets import _factorials
 from .recint import RecursiveFamily
 
 SAFE_DEPTH = 6
@@ -115,8 +116,7 @@ def gen_taylor_coeffs(h: GridFunction, family: RecursiveFamily,
                       n: int) -> GenPolynomial:
     """Generalized Taylor coefficients alpha_k = gamma_k(h)(x0)/k!."""
     seq = gamma_seq(h, family, n)
-    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, n + 1))))
-    return GenPolynomial(seq.values / fact, family)
+    return GenPolynomial(seq.values / _factorials(n), family)
 
 
 def eval_gen_polynomial(p: GenPolynomial, x):
@@ -153,7 +153,7 @@ def remainder_check(h: GridFunction, family: RecursiveFamily, n: int,
                          f"family has N={family.N}")
     i0 = g.x0_index
     chain = _gamma_chain(h, family, n + 1)
-    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, n + 2))))
+    fact = _factorials(n + 1)
     p = GenPolynomial(np.array([c[i0] for c in chain[:-1]]) / fact[:-1], family)
     gam_top = np.abs(chain[-1])
     psi_top = family.psi(n + 1)

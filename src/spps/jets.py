@@ -11,6 +11,7 @@ floating point whenever the input jet is.
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,12 @@ from .errors import AccuracyWarning, AnchorError, JetDivisionError, OrderError
 _RECIP_EPS = 1e-14
 # Jets extracted from sampled data degrade fast with depth; see from_grid.
 _GRID_SAFE_ORDER = 4
+
+
+@lru_cache(maxsize=None)
+def _factorials(n: int) -> np.ndarray:
+    """0!, 1!, ..., n! as floats, each the last times its index; shared, read only."""
+    return np.cumprod(np.concatenate(([1.0], np.arange(1.0, n + 1))))
 
 
 class Jet:
@@ -60,8 +67,7 @@ class Jet:
     def from_derivatives(cls, derivs, x0: float) -> "Jet":
         """Build from raw derivative values h(x0), h'(x0), h''(x0), ..."""
         d = np.asarray(derivs, dtype=np.complex128)
-        fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, len(d)))))
-        return cls(x0, d / fact)
+        return cls(x0, d / _factorials(len(d) - 1))
 
     @classmethod
     def from_grid(cls, g, order: int, x0_index: int | None = None) -> "Jet":
@@ -171,9 +177,7 @@ class Jet:
 
     def derivatives(self) -> np.ndarray:
         """Raw derivative values h(x0), h'(x0), ... recovered from coeffs."""
-        fact = np.cumprod(
-            np.concatenate(([1.0], np.arange(1.0, len(self.coeffs)))))
-        return self.coeffs * fact
+        return self.coeffs * _factorials(self.order)
 
     def eval(self, x) -> complex:
         """Evaluate the truncated expansion at x."""

@@ -78,7 +78,7 @@ class RecursiveFamily:
         The two families, indexed by order 0..N; reading either builds
         every order not yet built.
 
-    Raises OrderError for N < 1, SeedError if |f| dips below
+    Raises OrderError for N < 1, SeedError if |f| is NaN or below
     MIN_SEED_ABS anywhere on the grid, and GridConfigError on a grid of
     fewer than 4 nodes, here rather than at the first order built.
     """
@@ -88,7 +88,7 @@ class RecursiveFamily:
         if N < 1:
             raise OrderError(f"family order must be >= 1, got {N}")
         fmin = float(np.min(np.abs(f.values)))
-        if fmin < MIN_SEED_ABS:
+        if not fmin >= MIN_SEED_ABS:  # NaN fails too
             i = int(np.argmin(np.abs(f.values)))
             raise SeedError(
                 f"seed modulus {fmin:.3g} at node {i} (x={f.grid.nodes[i]}) "

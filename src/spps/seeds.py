@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import Jet
+from .jets import Jet, _factorials
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ def exp_seed(c: complex = 1.0) -> BuiltinSeed:
 
     def jet_builder(x0, order):
         j = np.arange(order + 1)
-        fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, order + 1))))
-        return Jet(x0, np.exp(c * x0) * c ** j / fact)
+        return Jet(x0, np.exp(c * x0) * c ** j / _factorials(order))
 
     return BuiltinSeed(
         name="exp",

@@ -24,9 +24,8 @@ weights; so eval_u*(x) has the bits of u*_grid(...).at(x) at a fraction
 of the cost.  _right_end is the same sums at the last node alone
 (_at_nodes with at = -1), with lambda a scalar or an array, so u(b),
 u'(b) and Phi have the bits of the grid solutions' last node.
-The exception is the running sum inside choose_truncation: its rule
-needs the sup-norms of the partial sums in turn, which Horner, starting
-from the highest term, would only give with O(M^2) work.
+choose_truncation sums u1's and u2's series once, on the whole grid, at
+the first truncation its bound lets through.
 
 Every reader builds the family only to the orders it reads:
 choose_truncation to 2M + 3, the evaluators and _right_end (through
@@ -44,15 +43,13 @@ import numpy as np
 
 from .errors import AccuracyWarning, OrderError
 from .grid import GridFunction, _interpolate, derivative
+from .jets import _factorials
 from .recint import RecursiveFamily
 
 
 @lru_cache(maxsize=None)
 def _inv_factorials(n: int) -> np.ndarray:
-    f = np.ones(n + 1)
-    for k in range(2, n + 1):
-        f[k] = f[k - 1] * k
-    return 1.0 / f
+    return 1.0 / _factorials(n)
 
 
 def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
@@ -82,9 +79,16 @@ def _horner(pairs, row: int, s: int, lam: complex, M: int, at):
     return acc
 
 
-def _prime(fp, f, S, Sp):
-    """u' = f' S + S'/f from a series S and its term-wise derivative S'."""
-    return fp * S + Sp / f
+def _sum_and_prime(pairs, u: int, f, fp, lam, M: int, at):
+    """The series S of u1 or u2 (u = 1, 2) at the nodes `at`, and u' =
+    f' S + T/f from its term-wise derivative T, given f and f' there."""
+    if u == 1:
+        S = _horner(pairs, 1, 0, lam, M, at)
+        # T = sum_{k>=1} lam^k X~(2k-1) / (2k-1)!, empty for M = 1
+        T = lam * _horner(pairs, 1, 1, lam, M - 1, at) if M > 1 else 0.0
+    else:
+        S, T = _horner(pairs, 0, 1, lam, M, at), _horner(pairs, 0, 0, lam, M, at)
+    return S, fp * S + T / f
 
 
 # u1, u1', u2, u2' at the nodes `at` for a checked truncation M
@@ -97,16 +101,13 @@ def _u2(fam, lam, M, at):
 
 
 def _u1_prime(fam, lam, M, at):
-    # sum_{k>=1} lam^k X~(2k-1) / (2k-1)!, empty for M = 1
-    T1 = lam * _horner(fam._pairs, 1, 1, lam, M - 1, at) if M > 1 else 0.0
-    return _prime(fam.f_prime.values[at], fam.f.values[at],
-                  _horner(fam._pairs, 1, 0, lam, M, at), T1)
+    return _sum_and_prime(fam._pairs, 1, fam.f.values[at], fam.f_prime.values[at],
+                          lam, M, at)[1]
 
 
 def _u2_prime(fam, lam, M, at):
-    return _prime(fam.f_prime.values[at], fam.f.values[at],
-                  _horner(fam._pairs, 0, 1, lam, M, at),
-                  _horner(fam._pairs, 0, 0, lam, M, at))
+    return _sum_and_prime(fam._pairs, 2, fam.f.values[at], fam.f_prime.values[at],
+                          lam, M, at)[1]
 
 
 def _on_grid(u, family, lam, n_terms) -> GridFunction:
@@ -144,11 +145,8 @@ def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFu
 def _at_nodes(pairs, f, fp, lam, M: int, at):
     """u1, u1', u2, u2' at the nodes `at` of the order pairs, given the
     seed's f and f' there: each of the four series summed once."""
-    S1, S2 = _horner(pairs, 1, 0, lam, M, at), _horner(pairs, 0, 1, lam, M, at)
-    # sum_{k>=1} lam^k X~(2k-1) / (2k-1)!, empty for M = 1
-    T1 = lam * _horner(pairs, 1, 1, lam, M - 1, at) if M > 1 else 0.0
-    T2 = _horner(pairs, 0, 0, lam, M, at)
-    return f * S1, _prime(fp, f, S1, T1), f * S2, _prime(fp, f, S2, T2)
+    (S1, u1p), (S2, u2p) = (_sum_and_prime(pairs, u, f, fp, lam, M, at) for u in (1, 2))
+    return f * S1, u1p, f * S2, u2p
 
 
 def _right_end(family: RecursiveFamily, lam, n_terms: int):
@@ -210,15 +208,17 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
 
     Picks the smallest M such that, for both series, the sup-norms of
     terms M and M+1 (the first two beyond the truncation) are below
-    tol * sup-norm of the partial sum through M-1.  Capped at the family
-    order; hitting the cap sets the flag and issues an AccuracyWarning.
-    The family is built only to order 2M + 3, the last one the rule reads.
+    tol * s, s the sup-norm of a partial sum (below).  Capped at the
+    family order; hitting the cap sets the flag and issues an
+    AccuracyWarning.  The family is built only to order 2M + 3, the last
+    one the rule reads.
 
-    The partial sums' sup-norms are taken only where the rule can hold:
-    the sum B of the kept terms' sup-norms bounds sup|S|, so a dropped
-    term above tol * B fails the rule whatever sup|S| is.  The sums still
-    run term by term, so the choice is the rule's.  Raises OrderError for
-    tol <= 0 and for a non-finite lam.
+    The sum B of the kept terms' sup-norms bounds sup|S|, so a dropped
+    term above tol * B fails the rule whatever S is.  s is taken once, at
+    the first M that passes this bound, by summing both series (_horner);
+    later M reuse it, as later partial sums differ from it by no more
+    than the terms past that M, which the bound holds under about 2 tol B.
+    Raises OrderError for tol <= 0 and for a non-finite lam.
     """
     if not tol > 0:
         raise OrderError(f"tol must be positive, got {tol}")
@@ -236,17 +236,11 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
     def term2(k):
         return alam ** k * norms[2 * k + 1] * inv[2 * k + 1]
 
-    S1 = np.zeros(family.grid.n_nodes, dtype=complex)
-    S2 = np.zeros(family.grid.n_nodes, dtype=complex)
     B1 = B2 = 0.0
-    lam_k = 1.0 + 0j
+    s1 = s2 = None
     for M in range(1, M_max + 1):
-        k = M - 1
-        S1 += lam_k * pairs[2 * k][1] * inv[2 * k]
-        S2 += lam_k * pairs[2 * k + 1][0] * inv[2 * k + 1]
-        B1 += term1(k)
-        B2 += term2(k)
-        lam_k *= lam
+        B1 += term1(M - 1)
+        B2 += term2(M - 1)
         # the two dropped terms must exist inside the family's cap
         if 2 * (M + 1) + 1 > family.N:
             break
@@ -255,8 +249,9 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
         if (any(t > tol * B1 * _BOUND_SLACK for t in dropped1)
                 or any(t > tol * B2 * _BOUND_SLACK for t in dropped2)):
             continue
-        s1 = float(np.max(np.abs(S1)))
-        s2 = float(np.max(np.abs(S2)))
+        if s1 is None:
+            s1 = float(np.max(np.abs(_horner(pairs, 1, 0, lam, M, slice(None)))))
+            s2 = float(np.max(np.abs(_horner(pairs, 0, 1, lam, M, slice(None)))))
         if all(t <= tol * s1 for t in dropped1) and all(t <= tol * s2 for t in dropped2):
             return TruncationChoice(M, False)
     warnings.warn(

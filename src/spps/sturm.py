@@ -63,7 +63,7 @@ def build_seed(q: GridFunction) -> GridFunction:
     reach rounding.  The pieces of equal width are built side by side in
     one batch (_seed_pieces), the last, wider piece in a second; each
     costs 2 _SEED_TERMS - 1 integrations of the batch, whatever the number
-    of pieces.  Complex q raises SeedError: callers must supply a seed.
+    of pieces.  Complex q, a NaN or a vanishing seed raise SeedError.
     """
     if not q.is_real:
         raise SeedError("complex q requires a user-supplied seed")
@@ -83,7 +83,7 @@ def build_seed(q: GridFunction) -> GridFunction:
     for i, j, (c, s, cp, sp) in zip(bounds[:-1], bounds[1:], pieces):
         f[i:j + 1], fp = f[i] * c + fp * s, f[i] * cp + fp * sp
     i = int(np.argmin(np.abs(f)))
-    if abs(f[i]) < MIN_SEED_ABS:
+    if not abs(f[i]) >= MIN_SEED_ABS:  # NaN fails too
         raise SeedError(
             f"generated seed modulus {abs(f[i]):.3g} at x={g.nodes[i]}: "
             f"numerical drift; try a finer grid")

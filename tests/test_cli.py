@@ -418,6 +418,22 @@ def test_config_error_leaves_no_output_dir(tmp_path, what):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("what", ["q", "seed", "target"])
+def test_non_finite_csv_is_config_error(tmp_path, capsys, what):
+    # a NaN row used to run through to NaN output files with exit 0
+    cfg, block = _csv_config(what)
+    g = spps.Grid(0.0, 1.0, 101)
+    gf = spps.sample(lambda x: 1.0 + 0.5 * np.sin(x), g)
+    gf.values[40] = np.nan
+    spps.write_csv(gf, os.path.join(tmp_path, block["path"]))
+    code, out = _run(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error")
+    assert f"{what} CSV value nan at node 40" in err
+    assert not os.path.exists(out)
+
+
 def test_wrong_schema_version(tmp_path):
     cfg = _taylor_config()
     cfg["schema_version"] = 99

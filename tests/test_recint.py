@@ -82,6 +82,15 @@ def test_vanishing_seed_rejected():
         build_family(f, 4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, complex(1.0, np.nan)])
+def test_nan_seed_rejected(bad):
+    # NaN compares False with the modulus floor; it must still fail it
+    f = sample(lambda x: np.exp(x) + 0.5j, Grid(0.0, 1.0, 101))
+    f.values[40] = bad
+    with pytest.raises(SeedError, match="node 40"):
+        build_family(f, 4)
+
+
 def test_order_out_of_range(interior_family):
     with pytest.raises(OrderError):
         interior_family.psi(interior_family.N + 1)

@@ -207,6 +207,31 @@ def test_truncation_matches_the_rule_as_written(seed):
     assert kinds[False] and kinds[True]
 
 
+def test_truncation_sums_each_series_once(exp_family, monkeypatch):
+    # the partial sums' sup-norms come from one whole-grid Horner sum per
+    # series, at the first M whose dropped terms pass the bound; a call
+    # whose bound never passes sums nothing
+    calls = []
+    horner = spps.series._horner
+
+    def counting(pairs, row, s, lam, M, at):
+        if isinstance(at, slice):
+            calls.append((row, s, M))
+        return horner(pairs, row, s, lam, M, at)
+
+    monkeypatch.setattr(spps.series, "_horner", counting)
+    for lam in (0.0, -30.0, 5.0 + 20.0j, 300.0):
+        calls.clear()
+        choice = choose_truncation(exp_family, lam)
+        assert not choice.capped
+        assert [c[:2] for c in calls] == [(1, 0), (0, 1)]
+        assert calls[0][2] == calls[1][2] <= choice.n_terms
+    calls.clear()
+    with pytest.warns(AccuracyWarning):
+        assert choose_truncation(exp_family, 100.0, tol=1e-30).capped
+    assert calls == []
+
+
 def test_truncation_must_fit_family(exp_family):
     with pytest.raises(OrderError):
         u1_grid(exp_family, 1.0, 0)

@@ -100,6 +100,15 @@ def test_seed_rejects_complex_potential():
         build_seed(q)
 
 
+def test_seed_rejects_nan_potential():
+    # a NaN in q makes the generated seed NaN, which fails the modulus floor
+    g = Grid(0.0, 1.0, 101)
+    q = sample(lambda x: np.full_like(x, 3.0), g)
+    q.values[40] = np.nan
+    with pytest.raises(SeedError):
+        build_seed(q)
+
+
 # -- problem construction --------------------------------------------------------
 
 def test_degenerate_boundary_conditions(q_zero):
