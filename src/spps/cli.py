@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import GridConfigError, OrderError, SppsError
-from .grid import Grid, GridFunction, read_csv, sample, write_csv
+from .grid import Grid, GridFunction, _check_finite, read_csv, sample, write_csv
 from .jets import Jet
 from .recint import build_family
 from .seeds import get_seed
@@ -127,7 +127,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "n": {"type": "integer", "minimum": 0},
                 "x0": {"type": "number"},
-                "jet_order": {"type": "integer", "minimum": 0},
             },
             "additionalProperties": False,
         },
@@ -259,6 +258,13 @@ def _resolve(path: str, base: str) -> str:
     return path if os.path.isabs(path) else os.path.join(base, path)
 
 
+def _given(block: dict, *keys: str, **renamed: str) -> dict:
+    """The keyword arguments a block sets, as key or parameter=key; an unset
+    key keeps the default written in the library signature."""
+    params = dict(zip(keys, keys)) | renamed
+    return {p: block[k] for p, k in params.items() if k in block}
+
+
 def _builtin_seed(block: dict):
     """The builtin seed a seed block names; anything wrong is a ConfigError."""
     if "name" not in block:
@@ -295,13 +301,13 @@ class _Run:
         block = self.cfg.get("grid")
         if block is None:
             raise ConfigError(f"command {self.cfg['command']!r} needs a grid block")
-        x0 = block.get("x0", block["a"])
-        if force_x0_left and x0 != block["a"]:
-            raise ConfigError("eigenproblems require x0 = a")
         try:
-            return Grid(block["a"], block["b"], block.get("n_nodes", 5001), x0=x0)
+            grid = Grid(block["a"], block["b"], **_given(block, "n_nodes", "x0"))
         except GridConfigError as e:
             raise ConfigError(f"bad grid: {e}") from None
+        if force_x0_left and grid.x0_index != 0:
+            raise ConfigError("eigenproblems require x0 = a")
+        return grid
 
     def csv_function(self, block: dict, grid: Grid, what: str) -> GridFunction:
         """Read block["path"] anchored at grid.x0; it must lie on grid, finite."""
@@ -314,11 +320,7 @@ class _Run:
             raise ConfigError(f"cannot read {what} CSV: {e}") from None
         if gf.grid != grid:
             raise ConfigError(f"{what} CSV grid does not match the config grid")
-        bad = np.flatnonzero(~np.isfinite(gf.values))
-        if bad.size:
-            raise ConfigError(f"{what} CSV value {gf.values[bad[0]]} at node {bad[0]} "
-                              f"(x={grid.nodes[bad[0]]}) is not finite")
-        return gf
+        return _check_finite(gf, ConfigError, f"{what} CSV value")
 
     def q_function(self, grid: Grid) -> GridFunction:
         block = self.cfg.get("q")
@@ -327,6 +329,8 @@ class _Run:
         if block["kind"] == "constant":
             if "value" not in block:
                 raise ConfigError("q of kind constant needs a value")
+            if not np.isfinite(block["value"]):
+                raise ConfigError(f"q/value must be finite, got {block['value']}")
             return GridFunction(grid, np.full(grid.n_nodes, float(block["value"])))
         return self.csv_function(block, grid, "q")
 
@@ -344,7 +348,7 @@ class _Run:
 
     def family(self, grid: Grid, q: GridFunction | None = None):
         f = self.seed_function(grid, q)
-        return build_family(f, self.cfg.get("family_order", 60))
+        return build_family(f, **_given(self.cfg, N="family_order"))
 
     # -- output helpers -----------------------------------------------------
 
@@ -396,8 +400,11 @@ def _cmd_solve(run: _Run) -> None:
     family = run.family(grid)
     if "n_terms" in block:
         n_terms = block["n_terms"]
+        if 2 * n_terms - 1 > family.N:
+            raise ConfigError(f"solve n_terms {n_terms} needs family_order "
+                              f"{2 * n_terms - 1}, got {family.N}")
     else:
-        choice = choose_truncation(family, lam, block.get("tol", 1e-12))
+        choice = choose_truncation(family, lam, **_given(block, "tol"))
         if choice.capped and block.get("fail_on_cap", False):
             raise OrderError(
                 f"truncation capped at {choice.n_terms} terms without "
@@ -425,11 +432,8 @@ def _cmd_eigs(run: _Run) -> None:
     family = run.family(grid, q)
     try:
         problem = SlProblem(q, tuple(block["bc_left"]), tuple(block["bc_right"]))
-        result = find_eigenvalues(
-            problem, family, block["range"],
-            scan_points=block.get("scan_points", 256),
-            tol=block.get("tol", 1e-10),
-            series_tol=block.get("series_tol", 1e-12))
+        result = find_eigenvalues(problem, family, block["range"],
+                                  **_given(block, "scan_points", "tol", "series_tol"))
     except SppsError:
         raise
     except ValueError as e:
@@ -452,9 +456,7 @@ def _cmd_taylor(run: _Run) -> None:
     cfg = run.cfg
     block = _block(cfg)
     n = block["n"]
-    jet_order = block.get("jet_order", max(n - 1, 0))
-    if jet_order < n - 1:
-        raise ConfigError(f"jet_order {jet_order} cannot build a matrix of order {n}")
+    jet_order = max(n - 1, 0)  # all of the phi jet that A_n reads
     seed_block = cfg.get("seed")
     if seed_block is None:
         raise ConfigError("taylor needs a seed block")
@@ -514,16 +516,15 @@ def _cmd_approx(run: _Run) -> None:
         h = sample(fn, grid)
     else:
         h = run.csv_function(target, grid, "target")
-    which = block.get("which", "full")
     rows = []
     for N in block["orders"]:
         if N > family.N:
             raise ConfigError(f"approx order {N} exceeds family_order {family.N}")
-        r = least_squares_project(h, family, N, which)
+        r = least_squares_project(h, family, N, **_given(block, "which"))
         rows.append((N, r.l2_error, r.max_error, r.condition_estimate))
     run.write_rows(
         "decay.csv", ["N", "l2_error", "max_error", "condition_estimate"], rows)
-    run.say(f"projected target onto {which} basis at {len(rows)} orders")
+    run.say(f"projected target at {len(rows)} orders")
 
 
 _COMMANDS = {

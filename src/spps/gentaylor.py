@@ -62,11 +62,10 @@ class GenDerivativeSequence:
         return len(self.values)
 
 
-def gamma_seq(h: GridFunction, family: RecursiveFamily, n: int,
-              safe_depth: int = SAFE_DEPTH) -> GenDerivativeSequence:
+def gamma_seq(h: GridFunction, family: RecursiveFamily, n: int) -> GenDerivativeSequence:
     """Generalized derivatives of h at the anchor, orders 0..n.
 
-    Sequences deeper than safe_depth are still returned with
+    Sequences deeper than SAFE_DEPTH are still returned with
     degraded=True; at the default grid resolution each level costs
     roughly two digits.  Past order 4 an anchor at a grid endpoint is
     much worse than an interior one: the one-sided boundary stencils
@@ -80,7 +79,7 @@ def gamma_seq(h: GridFunction, family: RecursiveFamily, n: int,
     i0 = family.grid.x0_index
     chain = _gamma_chain(h, family, n)
     values = np.array([c[i0] for c in chain])
-    return GenDerivativeSequence(values, family.grid.x0, n, n > safe_depth)
+    return GenDerivativeSequence(values, family.grid.x0, n, n > SAFE_DEPTH)
 
 
 @dataclass
@@ -88,7 +87,7 @@ class GenPolynomial:
     """Finite expansion sum alpha_k * psi_k over a family's basis."""
     alpha: np.ndarray
     family: RecursiveFamily
-    _grid_values: GridFunction | None = field(default=None, repr=False)
+    _grid_values: GridFunction | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=complex)

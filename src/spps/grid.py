@@ -272,17 +272,20 @@ def sample(fn, grid: Grid) -> GridFunction:
             values = values.astype(np.float64)
         except (TypeError, ValueError):
             values = values.astype(np.complex128)
-    bad = ~np.isfinite(values)
-    if values.dtype.kind == "c":
-        bad = ~(np.isfinite(values.real) & np.isfinite(values.imag))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise SamplingError(
-            f"non-finite sample {values[i]} at node {i} (x={grid.nodes[i]})")
-    return GridFunction(grid, values)
+    return _check_finite(GridFunction(grid, values), SamplingError, "sample")
 
 
-def cumulative_integral(g: GridFunction, x0_index: int | None = None) -> GridFunction:
+def _check_finite(g: GridFunction, error, what: str) -> GridFunction:
+    """g, if every value is finite; else error naming the first node that is not."""
+    bad = np.flatnonzero(~np.isfinite(g.values))
+    if bad.size:
+        i = bad[0]
+        raise error(f"{what} {g.values[i]} at node {i} (x={g.grid.nodes[i]}) "
+                    f"is not finite")
+    return g
+
+
+def cumulative_integral(g: GridFunction) -> GridFunction:
     """Signed primitive of g anchored at the grid's x0 node.
 
     Each cell is integrated with the 4-point cubic rule (the two cells
@@ -291,22 +294,15 @@ def cumulative_integral(g: GridFunction, x0_index: int | None = None) -> GridFun
     G(x) = integral from x0 to x of g with 4th-order global accuracy.
 
     The work is _integrate_rows on one row, in g's dtype promoted to at
-    least float64 (complex128 for complex g); g is left unchanged.  An
-    x0_index other than an integer in 0..n_nodes - 1 raises
-    GridConfigError.
+    least float64 (complex128 for complex g); g is left unchanged.
     """
     grid = g.grid
     n = grid.n_nodes
     if n < 4:
         raise GridConfigError("cumulative integral needs at least 4 nodes")
-    if x0_index is None:
-        x0_index = grid.x0_index
-    elif not (isinstance(x0_index, (int, np.integer)) and 0 <= x0_index < n):
-        raise GridConfigError(
-            f"x0_index must be an integer in 0..{n - 1}, got {x0_index!r}")
     y = g.values.astype(np.result_type(g.values, np.float64), order="C", copy=False)
     G = np.empty(n, dtype=y.dtype)
-    _integrate_rows(y, grid.h, G, x0_index)
+    _integrate_rows(y, grid.h, G, grid.x0_index)
     return GridFunction(grid, G)
 
 

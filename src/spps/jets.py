@@ -70,27 +70,26 @@ class Jet:
         return cls(x0, d / _factorials(len(d) - 1))
 
     @classmethod
-    def from_grid(cls, g, order: int, x0_index: int | None = None) -> "Jet":
-        """Extract a jet from sampled data by repeated stencil differentiation.
+    def from_grid(cls, g, order: int) -> "Jet":
+        """Extract a jet at the grid's anchor by repeated stencil differentiation.
 
         Each level multiplies the rounding noise by O(1/h), so this is a
         last resort for seeds with no closed form; an AccuracyWarning is
         issued past order 4.  Prefer exact jets whenever available.
         """
-        if x0_index is None:
-            x0_index = g.grid.x0_index
+        i0 = g.grid.x0_index
         if order > _GRID_SAFE_ORDER:
             warnings.warn(
                 f"jet of order {order} from grid data: repeated numerical "
                 f"differentiation beyond order {_GRID_SAFE_ORDER} loses "
                 f"accuracy", AccuracyWarning, stacklevel=2)
         from .grid import derivative
-        derivs = [g.values[x0_index]]
+        derivs = [g.values[i0]]
         cur = g
         for _ in range(order):
             cur = derivative(cur)
-            derivs.append(cur.values[x0_index])
-        return cls.from_derivatives(derivs, g.grid.nodes[x0_index])
+            derivs.append(cur.values[i0])
+        return cls.from_derivatives(derivs, g.grid.x0)
 
     # -- algebra -----------------------------------------------------------
 

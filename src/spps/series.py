@@ -177,8 +177,7 @@ def eval_u2_prime(family, lam, x, n_terms):
     return _off_node(_u2_prime, family, lam, x, n_terms)
 
 
-def residual(family: RecursiveFamily, lam: complex, u_values: GridFunction,
-             q: GridFunction) -> float:
+def residual(lam: complex, u_values: GridFunction, q: GridFunction) -> float:
     """Normalized defect of u'' + q u = lambda u.
 
     Returns max over interior nodes of |u'' + q u - lambda u| divided by
@@ -200,10 +199,12 @@ class TruncationChoice(NamedTuple):
 # Relative slack on the bound sup|S| <= B below: it covers the rounding of
 # S, of |lam|^k against lam^k and of B itself, about 10 M eps.
 _BOUND_SLACK = 1.0 + 1e-9
+# Default tol of choose_truncation, and so series_tol of the eigen search.
+SERIES_TOL = 1e-12
 
 
 def choose_truncation(family: RecursiveFamily, lam: complex,
-                      tol: float = 1e-12) -> TruncationChoice:
+                      tol: float = SERIES_TOL) -> TruncationChoice:
     """Smallest truncation whose first two omitted terms are negligible.
 
     Picks the smallest M such that, for both series, the sup-norms of

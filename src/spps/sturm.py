@@ -28,16 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyWarning, EigenError, GridConfigError, SeedError
-from .grid import GridFunction
+from .grid import GridFunction, _check_finite
 from .recint import MIN_SEED_ABS, RecursiveFamily, _extend_pairs, _pair_weights
-from .series import _at_nodes, _horner, _right_end, choose_truncation
+from .series import SERIES_TOL, _at_nodes, _horner, _right_end, choose_truncation
 
 _SEED_TERMS = 11  # series terms per seed piece, see build_seed
 
 
 @dataclass
 class SlProblem:
-    """Potential plus boundary-condition coefficient pairs."""
+    """Potential plus boundary-condition pairs, each finite and not (0, 0)."""
     q: GridFunction
     bc_left: tuple
     bc_right: tuple
@@ -45,10 +45,11 @@ class SlProblem:
     def __post_init__(self):
         self.bc_left = (complex(self.bc_left[0]), complex(self.bc_left[1]))
         self.bc_right = (complex(self.bc_right[0]), complex(self.bc_right[1]))
-        for label, (ca, cb) in (("left", self.bc_left), ("right", self.bc_right)):
-            if ca * ca + cb * cb == 0:
-                raise ValueError(
-                    f"degenerate {label} boundary condition {ca, cb}")
+        for label, pair in (("left", self.bc_left), ("right", self.bc_right)):
+            if not np.all(np.isfinite(pair)):
+                raise ValueError(f"non-finite {label} boundary condition {pair}")
+            if pair == (0, 0):
+                raise ValueError(f"degenerate {label} boundary condition {pair}")
 
 
 def build_seed(q: GridFunction) -> GridFunction:
@@ -63,11 +64,11 @@ def build_seed(q: GridFunction) -> GridFunction:
     reach rounding.  The pieces of equal width are built side by side in
     one batch (_seed_pieces), the last, wider piece in a second; each
     costs 2 _SEED_TERMS - 1 integrations of the batch, whatever the number
-    of pieces.  Complex q, a NaN or a vanishing seed raise SeedError.
+    of pieces.  Complex q, a non-finite q or a vanishing seed raise SeedError.
     """
     if not q.is_real:
         raise SeedError("complex q requires a user-supplied seed")
-    g = q.grid
+    g = _check_finite(q, SeedError, "q value").grid
     n = g.n_nodes
     if n < 5:
         raise GridConfigError(f"seed construction needs 5 nodes, got {n}")
@@ -130,7 +131,7 @@ def _left_betas(problem: SlProblem, family: RecursiveFamily):
 
 def characteristic(problem: SlProblem, family: RecursiveFamily, lam,
                    n_terms: int):
-    """Phi(lam) = c3 u(b) + c4 u'(b) of the left-pinned u; lam may be an array."""
+    """Phi(lam) = c3 u(b) + c4 u'(b) of the left-pinned u, in lam's shape."""
     if family.grid.x0_index != 0:
         raise GridConfigError("eigenproblem families must be anchored at a "
                               "(x0 = left endpoint)")
@@ -141,7 +142,9 @@ def characteristic(problem: SlProblem, family: RecursiveFamily, lam,
     c3, c4 = problem.bc_right
     ub = beta1 * u1b + beta2 * u2b
     upb = beta1 * u1pb + beta2 * u2pb
-    return c3 * ub + c4 * upb
+    phi = c3 * ub + c4 * upb
+    # at M = 1 no power of lam enters, and phi is one value
+    return np.full(np.shape(lam), phi) if np.ndim(phi) < np.ndim(lam) else phi
 
 
 @dataclass
@@ -160,7 +163,7 @@ class EigenResult:
 def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
                      lam_range, scan_points: int = 256,
                      tol: float = 1e-10,
-                     series_tol: float = 1e-12) -> EigenResult:
+                     series_tol: float = SERIES_TOL) -> EigenResult:
     """Real-line eigenvalues as the real roots of one polynomial per window.
 
     The truncation M is the larger of choose_truncation(series_tol) at
@@ -178,12 +181,12 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
       root comes back with imaginary part exactly 0;
     - the residuals |Phi(root)| / scale of the real roots kept.
 
-    tol (> 0, else ValueError) is the relative |Phi| at which Phi counts
-    as zero.  A real root outside the window is kept while |Phi| at the
-    window's end, to first order, stays within it: the computed root of
-    an eigenvalue on the end falls either side.  A root whose residual exceeds tol is kept,
-    with a warning.  Roots closer than one scan cell trigger a
-    densification warning.
+    tol and series_tol must be > 0, else ValueError.  tol is the
+    relative |Phi| at which Phi counts as zero.  A real root outside the
+    window is kept while |Phi| at the window's end, to first order, stays
+    within it: the computed root of an eigenvalue on the end falls either
+    side.  A root whose residual exceeds tol is kept, with a warning.
+    Roots closer than one scan cell trigger a densification warning.
     """
     lo, hi = float(lam_range[0]), float(lam_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -193,8 +196,9 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     scan_points = int(scan_points)
     if scan_points < 2:
         raise ValueError("scan needs at least 2 points")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    for name, value in (("tol", tol), ("series_tol", series_tol)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
     lams = np.linspace(lo, hi, scan_points)
     with warnings.catch_warnings():  # one cap warning for the whole window
@@ -205,8 +209,7 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
         warnings.warn(f"truncation cap {M} reached at a window end, used for "
                       f"each of {scan_points} scan points without meeting "
                       f"series_tol={series_tol:g}", AccuracyWarning, stacklevel=2)
-    # np.full also spreads the scalar, constant Phi that M = 1 gives
-    phis = np.full(scan_points, characteristic(problem, family, lams, M))
+    phis = characteristic(problem, family, lams, M)
 
     scale = float(np.max(np.abs(phis)))
     if scale == 0.0:
@@ -218,13 +221,13 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     cheb = np.polynomial.chebyshev  # reached here: importing spps.cli skips it
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     t = cheb.chebpts1(M)
-    p = (rot * np.full(M, characteristic(problem, family, mid + half * t, M))).real
+    p = (rot * characteristic(problem, family, mid + half * t, M)).real
     c = cheb.chebfit(t, p, M - 1)
     t = cheb.chebroots(c)
     t = t.real[t.imag == 0]
     t = t[(np.abs(t) - 1.0) * np.abs(cheb.chebval(t, cheb.chebder(c))) <= tol * scale]
     roots = np.sort(mid + half * t)
-    residuals = np.abs(np.full(roots.shape, characteristic(problem, family, roots, M))) / scale
+    residuals = np.abs(characteristic(problem, family, roots, M)) / scale
     for root, res in zip(roots, residuals):
         if res > tol:
             warnings.warn(f"eigenvalue {root:.6g} has relative residual {res:.3g} "

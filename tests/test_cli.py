@@ -1,5 +1,6 @@
 import copy
 import csv
+import inspect
 import json
 import math
 import os
@@ -171,6 +172,25 @@ def test_solve_rejects_non_finite_lambda(tmp_path, lam, n_terms):
     assert not os.path.exists(out)
 
 
+def test_solve_n_terms_past_family_order_is_config_error(tmp_path, capsys):
+    # checked against family_order, as basis max_order is: 20 terms need order 39
+    cfg = {
+        "schema_version": 1,
+        "command": "solve",
+        "grid": {"a": 0.0, "b": 1.0, "n_nodes": 101},
+        "seed": {"kind": "builtin", "name": "constant", "parameters": {"value": 1.0}},
+        "family_order": 38,
+        "solve": {"lambda": -1.0, "n_terms": 20},
+    }
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: solve n_terms 20 needs family_order 39, got 38\n")
+    assert not os.path.exists(out)
+    cfg["family_order"] = 39
+    assert _run(tmp_path, cfg, out="out39")[0] == 0
+
+
 def test_solve_overflow_is_numerical_failure(tmp_path, capsys):
     # lambda^k overflows in the series: nothing is written
     cfg = {
@@ -286,6 +306,43 @@ def test_eigs_rejects_interior_anchor(tmp_path):
     }
     code, _ = _run(tmp_path, cfg)
     assert code == 2
+
+
+def _eigs_config(**eigs):
+    return {
+        "schema_version": 1,
+        "command": "eigs",
+        "grid": {"a": 0.0, "b": 1.0, "n_nodes": 101},
+        "q": {"kind": "constant", "value": 0.0},
+        "eigs": {"bc_left": [1.0, 0.0], "bc_right": [1.0, 0.0],
+                 "range": [-12.0, -1.0], **eigs},
+    }
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_eigs_non_finite_constant_q_is_config_error(tmp_path, capsys, value):
+    # like a non-finite q CSV value: exit 2, where build_seed's SeedError gave 3
+    cfg = _eigs_config()
+    cfg["q"]["value"] = value
+    code, out = _run(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: q/value must be finite")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("eigs, message", [
+    ({"series_tol": math.nan}, "series_tol must be positive"),
+    ({"tol": math.nan}, "tol must be positive"),
+    ({"bc_left": [math.nan, 1.0]}, "non-finite left boundary condition"),
+    ({"bc_right": [1.0, math.inf]}, "non-finite right boundary condition"),
+], ids=["series_tol", "tol", "bc_left", "bc_right"])
+def test_eigs_non_finite_setting_is_config_error(tmp_path, capsys, eigs, message):
+    # JSON's NaN and Infinity pass the schema; the library's ValueError is exit 2
+    code, out = _run(tmp_path, _eigs_config(**eigs))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not os.path.exists(out)
 
 
 def test_eigs_degenerate_bc_is_config_error(tmp_path):
@@ -535,7 +592,7 @@ def _valid_configs():
                           "tol": 1e-10, "series_tol": 1e-12, "dump_scan": True}},
         "taylor": {"schema_version": 1, "command": "taylor",
                    "seed": {"kind": "builtin", "name": "exp", "parameters": {"c": 1.0}},
-                   "taylor": {"n": 4, "x0": 0.0, "jet_order": 5}},
+                   "taylor": {"n": 4, "x0": 0.0}},
         "approx": {"schema_version": 1, "command": "approx",
                    "grid": {"a": -1.0, "b": 1.0, "n_nodes": 201, "x0": 0.0},
                    "seed": const, "family_order": 8,
@@ -716,6 +773,40 @@ def test_integral_float_integer_keys_run_as_ints(tmp_path):
             assert manifest["config_sha256"] == cli._config_hash(as_float)
             assert manifest["config_sha256"] != cli._config_hash(cfg)
     assert swept == set(_integer_paths(cli.CONFIG_SCHEMA))
+
+
+# -- library defaults -----------------------------------------------------------------
+
+# (command, config key, library function, its parameter, keys dropped first
+# so that the output reads the value)
+_DEFAULTS = [
+    ("basis", ("grid", "n_nodes"), spps.Grid, "n_nodes", []),
+    ("basis", ("family_order",), spps.build_family, "N", [("basis", "max_order")]),
+    ("solve", ("solve", "tol"), spps.choose_truncation, "tol", [("solve", "n_terms")]),
+    ("eigs", ("eigs", "scan_points"), spps.find_eigenvalues, "scan_points", []),
+    ("eigs", ("eigs", "tol"), spps.find_eigenvalues, "tol", []),
+    ("eigs", ("eigs", "series_tol"), spps.find_eigenvalues, "series_tol", []),
+    ("approx", ("approx", "which"), spps.least_squares_project, "which", []),
+]
+
+
+@pytest.mark.parametrize("command, key, fn, param, drop", _DEFAULTS,
+                         ids=["/".join(d[1]) for d in _DEFAULTS])
+def test_unset_key_is_the_library_default(tmp_path, command, key, fn, param, drop):
+    # the CLI writes no default of its own: an unset key and the value in
+    # the library signature give the same bytes
+    cfg = _valid_configs()[command]
+    for path in drop:
+        cfg = _with(cfg, path, _DROP)
+    default = inspect.signature(fn).parameters[param].default
+    assert default is not inspect.Parameter.empty
+    runs = []
+    for value in (_DROP, default):
+        code, out = _run(tmp_path, _with(cfg, key, value), out=f"out{len(runs)}")
+        assert code == 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            runs.append((_outputs(out), json.load(fh)["warnings"]))
+    assert runs[0] == runs[1]
 
 
 # -- nothing written before a failure ------------------------------------------------

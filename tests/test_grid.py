@@ -69,20 +69,6 @@ def test_operations_enforce_stencil_width():
         derivative(small)
 
 
-@pytest.mark.parametrize("index", [-1, 11, 5.0, "3"])
-def test_cumulative_integral_rejects_bad_anchor_index(index):
-    # refused up front, not left to numpy's own ValueError or TypeError
-    g = sample(lambda x: x, Grid(0.0, 1.0, 11))
-    with pytest.raises(GridConfigError, match="x0_index"):
-        cumulative_integral(g, index)
-
-
-def test_cumulative_integral_takes_numpy_integer_index():
-    g = sample(lambda x: x, Grid(0.0, 1.0, 11))
-    assert np.array_equal(cumulative_integral(g, np.int64(3)).values,
-                          cumulative_integral(g, 3).values)
-
-
 def test_grid_nodes_read_only():
     g = Grid(0.0, 1.0, 11)
     with pytest.raises(ValueError):
@@ -234,8 +220,6 @@ def test_cumulative_integral_matches_stencil_formula(n, dtype):
         expected = _stencil_integral(y, g.h, i)
         assert G.dtype == expected.dtype == dtype
         assert G.tobytes() == expected.tobytes()
-        assert np.array_equal(cumulative_integral(GridFunction(g, y), 0).values,
-                              _stencil_integral(y, g.h, 0))
     assert y.tobytes() == before.tobytes()
 
 

@@ -92,19 +92,19 @@ def test_wronskian_is_one(exp_family):
 def test_residual_of_solution(exp_family):
     q = sample(lambda x: np.full_like(x, -1.0), exp_family.grid)
     u = u1_grid(exp_family, 2.0, 25)
-    assert residual(exp_family, 2.0, u, q) < 1e-5
+    assert residual(2.0, u, q) < 1e-5
 
 
 def test_residual_of_seed(exp_family):
     q = sample(lambda x: np.full_like(x, -1.0), exp_family.grid)
-    assert residual(exp_family, 0.0, exp_family.f, q) < 1e-5
+    assert residual(0.0, exp_family.f, q) < 1e-5
 
 
 def test_residual_grows_when_truncated(exp_family):
     q = sample(lambda x: np.full_like(x, -1.0), exp_family.grid)
     lam = 40.0
-    good = residual(exp_family, lam, u1_grid(exp_family, lam, 25), q)
-    bad = residual(exp_family, lam, u1_grid(exp_family, lam, 2), q)
+    good = residual(lam, u1_grid(exp_family, lam, 25), q)
+    bad = residual(lam, u1_grid(exp_family, lam, 2), q)
     assert bad > 100 * good
 
 
@@ -112,8 +112,8 @@ def test_residual_bounded_over_lambda(exp_family):
     q = sample(lambda x: np.full_like(x, -1.0), exp_family.grid)
     for lam in (-100.0, -25.0, 50.0, 100.0):
         n = choose_truncation(exp_family, lam).n_terms
-        assert residual(exp_family, lam, u1_grid(exp_family, lam, n), q) < 1e-5
-        assert residual(exp_family, lam, u2_grid(exp_family, lam, n), q) < 1e-5
+        assert residual(lam, u1_grid(exp_family, lam, n), q) < 1e-5
+        assert residual(lam, u2_grid(exp_family, lam, n), q) < 1e-5
 
 
 # -- truncation choice ---------------------------------------------------------

@@ -101,12 +101,16 @@ def test_seed_rejects_complex_potential():
 
 
 def test_seed_rejects_nan_potential():
-    # a NaN in q makes the generated seed NaN, which fails the modulus floor
+    # a non-finite q is named at its first such node before anything is
+    # integrated: no numpy warning (an error under the test settings) and
+    # no advice to refine the grid
     g = Grid(0.0, 1.0, 101)
-    q = sample(lambda x: np.full_like(x, 3.0), g)
-    q.values[40] = np.nan
-    with pytest.raises(SeedError):
-        build_seed(q)
+    for value in (np.nan, np.inf, -np.inf):
+        q = sample(lambda x: np.full_like(x, 3.0), g)
+        q.values[[40, 70]] = value
+        with pytest.raises(SeedError,
+                           match=rf"^q value {value} at node 40 \(x=0\.4\) is not finite$"):
+            build_seed(q)
 
 
 # -- problem construction --------------------------------------------------------
@@ -116,8 +120,18 @@ def test_degenerate_boundary_conditions(q_zero):
         SlProblem(q_zero, (0.0, 0.0), (1.0, 0.0))
     with pytest.raises(ValueError):
         SlProblem(q_zero, (1.0, 0.0), (0.0, 0.0))
-    with pytest.raises(ValueError):
-        SlProblem(q_zero, (1.0, 1.0j), (1.0, 0.0))
+    # only both coefficients 0 is degenerate: u(a) + i u'(a) = 0 is a condition
+    SlProblem(q_zero, (1.0, 1.0j), (1.0, 0.0))
+    SlProblem(q_zero, (1.0, 0.0), (1j, -1.0))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_boundary_conditions(q_zero, value):
+    # refused up front, not left to the eigen search's Chebyshev fit
+    with pytest.raises(ValueError, match="non-finite left"):
+        SlProblem(q_zero, (value, 1.0), (1.0, 0.0))
+    with pytest.raises(ValueError, match="non-finite right"):
+        SlProblem(q_zero, (1.0, 0.0), (0.0, value))
 
 
 # -- characteristic function -----------------------------------------------------
@@ -170,6 +184,19 @@ def test_characteristic_matches_grid_solutions(request, name, q_value,
     phis = characteristic(prob, fam, lams, M)
     assert phis.shape == lams.shape
     assert np.max(np.abs(phis - scalar)) <= 1e-15 * np.max(np.abs(scalar))
+
+
+def test_characteristic_keeps_lambda_shape(q_zero, q_zero_family):
+    # Phi has lam's shape at every truncation; at M = 1 no power of lam enters
+    prob = SlProblem(q_zero, (1.0, 2.0), (0.5, 1.0))
+    lams = np.linspace(-30.0, 5.0, 6).reshape(2, 3)
+    for M in (1, 2, 12):
+        phi = characteristic(prob, q_zero_family, lams, M)
+        assert phi.shape == lams.shape
+        one = np.array([characteristic(prob, q_zero_family, lam, M) for lam in lams.ravel()])
+        assert np.max(np.abs(phi.ravel() - one)) <= 1e-15 * np.max(np.abs(one))
+        assert characteristic(prob, q_zero_family, lams[:, :0], M).shape == (2, 0)
+        assert np.ndim(characteristic(prob, q_zero_family, -3.0, M)) == 0
 
 
 def test_characteristic_requires_left_anchor(q_zero):
@@ -242,7 +269,7 @@ def test_eigenfunction_residuals(q_zero, q_zero_family):
     for lam, n_terms in zip(res.eigenvalues.real, res.truncations):
         # Dirichlet left data makes the eigenfunction proportional to u2
         u = u2_grid(q_zero_family, lam, int(n_terms))
-        assert residual(q_zero_family, lam, u, q_zero) < 1e-4
+        assert residual(lam, u, q_zero) < 1e-4
 
 
 def test_cluster_warning_on_coarse_scan(q_zero, q_zero_family):
@@ -310,6 +337,16 @@ def test_search_rejects_non_positive_tol(q_zero, q_zero_family, tol):
     # refused up front: such a tol would drop every root in silence
     with pytest.raises(ValueError, match="tol"):
         find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-50.0, -1.0), tol=tol)
+
+
+@pytest.mark.parametrize("series_tol", [np.nan, 0.0, -1.0])
+def test_search_rejects_non_positive_series_tol(q_zero, q_zero_family, series_tol):
+    # the search's own ValueError, like tol's, and not choose_truncation's
+    # OrderError (a numerical failure to the CLI)
+    with pytest.raises(ValueError, match="^series_tol must be positive") as info:
+        find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-50.0, -1.0),
+                         series_tol=series_tol)
+    assert not isinstance(info.value, spps.SppsError)
 
 
 def test_scan_artifacts_exposed(q_zero, q_zero_family):
