@@ -140,7 +140,8 @@ CONFIG_SCHEMA = {
                     "properties": {
                         "kind": {"enum": ["builtin", "csv"]},
                         "name": {"enum": ["identity", "abs", "constant", "exp"]},
-                        "parameters": {"type": "object"},
+                        "parameters": {"type": "object", "properties": {
+                            "value": {"type": "number"}, "c": {"type": "number"}}},
                         "path": {"type": "string"},
                     },
                     "additionalProperties": False,
@@ -220,16 +221,18 @@ def _errors(v, schema: dict, path: list):
                 path, f"{v!r} is not valid under any of the given schemas")
 
 
-def _as_ints(v, schema: dict):
-    """A copy of valid v with each integer-typed value made an int."""
-    if schema.get("type") == "integer":
-        return int(v)
+def _as_ints(v, schema: dict, path: tuple = ()):
+    """A copy of valid v with each integer-typed value made an int.  Raises
+    ConfigError for an integer anywhere in v too large for a float."""
     if isinstance(v, dict):
         props = schema.get("properties", {})
-        return {k: _as_ints(x, props[k]) if k in props else x for k, x in v.items()}
-    if isinstance(v, list) and "items" in schema:
-        return [_as_ints(x, schema["items"]) for x in v]
-    return v
+        return {k: _as_ints(x, props.get(k, {}), path + (k,)) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_as_ints(x, schema.get("items", {}), path + (i,)) for i, x in enumerate(v)]
+    if isinstance(v, int) and abs(v) > sys.float_info.max:
+        where = "/".join(map(str, path))
+        raise ConfigError(f"{where} is an integer too large for a float")
+    return int(v) if schema.get("type") == "integer" else v
 
 
 def _load_config(path: str) -> dict:
@@ -238,7 +241,8 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError, bad UTF-8, or an integer literal past Python's digit limit
         raise ConfigError(f"malformed JSON in {path}: {e}") from None
     errors = list(_errors(cfg, CONFIG_SCHEMA, []))
     if errors:
@@ -404,7 +408,11 @@ def _cmd_solve(run: _Run) -> None:
             raise ConfigError(f"solve n_terms {n_terms} needs family_order "
                               f"{2 * n_terms - 1}, got {family.N}")
     else:
-        choice = choose_truncation(family, lam, **_given(block, "tol"))
+        try:
+            choice = choose_truncation(family, lam, **_given(block, "tol"))
+        except OrderError as e:
+            # a tol that is NaN passes the schema; lam was checked above
+            raise ConfigError(str(e)) from None
         if choice.capped and block.get("fail_on_cap", False):
             raise OrderError(
                 f"truncation capped at {choice.n_terms} terms without "
@@ -548,6 +556,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
+        ints = _as_ints(cfg, CONFIG_SCHEMA)
         config_dir = os.path.dirname(os.path.abspath(args.config))
         out_dir = args.out or cfg.get("output_dir")
         if not out_dir:
@@ -557,7 +566,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    run = _Run(_as_ints(cfg, CONFIG_SCHEMA), config_dir, out_dir, args.verbose)
+    run = _Run(ints, config_dir, out_dir, args.verbose)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

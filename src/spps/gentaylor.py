@@ -158,10 +158,10 @@ def remainder_check(h: GridFunction, family: RecursiveFamily, n: int,
     psi_top = family.psi(n + 1)
 
     err = np.abs(h.at(pts) - eval_gen_polynomial(p, pts))
-    # conservative grid max of |gamma_{n+1}| over [x0, x]
+    # conservative grid max of |gamma_{n+1}| over [x0, x]: nodes i0 .. hi - 1,
+    # read off the running maximum from x0 (every x >= x0, so hi > i0)
     hi = np.minimum(np.searchsorted(g.nodes, pts, side="right") + 1, g.n_nodes)
-    gmax = np.array([np.max(gam_top[i0:j]) if j > i0 else gam_top[i0]
-                     for j in hi])
+    gmax = np.maximum.accumulate(gam_top[i0:])[hi - 1 - i0]
     bound = gmax * np.abs(psi_top.at(pts)) / fact[-1]
     slacks = bound - err
     # err and bound both pass through repeated grid differentiation, so a

@@ -1,24 +1,23 @@
 """Recursive integral families generated by a nonvanishing seed.
 
-Given a seed f with f(x)f(x0) != 0 on the interval and phi = f^2, two
-interleaved families are built from X~(0) = X(0) = 1 by
+Given a seed f with f(x)f(x0) != 0 on the interval and phi = f^2, the
+basis psi_n and its dual chi_n are built from psi_0 = chi_0 = 1 by
 
-    X~(n) = n * integral from x0 of X~(n-1) * phi^(+1 if n odd else -1),
-    X(n)  = n * integral from x0 of X(n-1)  * phi^(-1 if n odd else +1).
+    psi_n = n * integral from x0 of chi_(n-1) / phi,
+    chi_n = n * integral from x0 of psi_(n-1) * phi.
 
-For f = 1 both collapse to (x - x0)^n.  The mixed sequence
+For f = 1 both collapse to (x - x0)^n.  psi_k is the polynomial-like
+basis behind the generalized Taylor calculus, and phi_k = f * psi_k is
+the solution basis: the even half solves u'' + q u = 0 for the
+potential q = f''/f and the odd half is the second independent solution
+family.  The paper's two families are X(n) = psi_n, X~(n) = chi_n for
+odd n, and the other way round for even n.
 
-    psi_k = X(k) for odd k, X~(k) for even k
-
-is the polynomial-like basis behind the generalized Taylor calculus,
-and phi_k = f * psi_k is the solution basis: the even half solves
-u'' + q u = 0 for the potential q = f''/f and the odd half is the
-second independent solution family.
-
-Both families advance together: order n is one (2, n_nodes) array, row
-0 X(n) and row 1 X~(n), made by one integrand product into a reused
-buffer and one call of the grid's row integrator.  Orders are built on
-demand up to the family's cap N, and only as deep as they are read.
+Order n is one (2, n_nodes) array, row 0 psi_n and row 1 chi_n, made
+by one product of order n - 1, rows swapped, with the fixed weights
+(1/phi, phi) into a reused buffer, and one call of the grid's row
+integrator.  Orders are built on demand up to the family's cap N, and
+only as deep as they are read.
 """
 
 from __future__ import annotations
@@ -35,22 +34,14 @@ from .errors import GridConfigError, OrderError, SeedError
 MIN_SEED_ABS = 1e-12
 
 
-def _pair_weights(phi_inv, phi_r) -> tuple[tuple, tuple]:
-    """The integrands' weights as (X row, X~ row), indexed by the parity of
-    the order: the weights swap between the families at every order."""
-    return (phi_r, phi_inv), (phi_inv, phi_r)
-
-
-def _extend_pairs(pairs: list, weights: tuple, h, x0_index: int, stop: int,
+def _extend_pairs(pairs: list, weights: np.ndarray, h, x0_index: int, stop: int,
                   buf: np.ndarray) -> None:
-    """Append orders len(pairs) .. stop of both families to pairs.  Order n
-    is order n - 1 times weights[n % 2] row by row, formed in buf,
-    integrated along the last axis into a fresh array and scaled by n;
-    the rows may carry leading axes (side-by-side pieces)."""
+    """Append orders len(pairs) .. stop to pairs.  Order n is order n - 1,
+    rows swapped, times weights (for a family 1/phi and phi), formed in
+    buf, integrated along the last axis into a fresh array and scaled by
+    n; the rows may carry leading axes (side-by-side pieces)."""
     for n in range(len(pairs), stop + 1):
-        prev, w = pairs[-1], weights[n % 2]
-        for row in range(2):
-            np.multiply(prev[row], w[row], out=buf[row])
+        np.multiply(pairs[-1][::-1], weights, out=buf)
         pair = np.empty_like(buf)
         _integrate_rows(buf, h, pair, x0_index)
         pair *= n
@@ -61,7 +52,7 @@ class RecursiveFamily:
     """Both recursive integral families of a seed, up to order N.
 
     Orders are built when first read, each as one (2, n_nodes) array
-    holding X(n) and X~(n); an order costs one integrand product and one
+    holding psi_n and chi_n; an order costs one integrand product and one
     cumulative integration of the pair.  The eigen search and the series
     evaluators read only the orders their truncation needs, and psi(k)
     and phi_k(k) only orders up to k; X and Xt complete the family to N.
@@ -75,7 +66,8 @@ class RecursiveFamily:
     N : int
         Highest order the family builds: a cap, not what is built.
     X, Xt : list[GridFunction]
-        The two families, indexed by order 0..N; reading either builds
+        The paper's two families, indexed by order 0..N: views of the
+        rows, psi_n or chi_n by the parity of n.  Reading either builds
         every order not yet built.
 
     Raises OrderError for N < 1, SeedError if |f| is NaN or below
@@ -99,11 +91,10 @@ class RecursiveFamily:
         self.phi = f * f
         self.N = N
         self.grid = f.grid
-        phi_inv = 1.0 / self.phi.values
-        self._w = _pair_weights(phi_inv, self.phi.values)
-        # order 0 is 1 in both families: one row, read twice
+        self._w = np.stack((1.0 / self.phi.values, self.phi.values))
+        # order 0 is 1 in both rows: one row, read twice
         one = np.broadcast_to(np.ones(self.grid.n_nodes), (2, self.grid.n_nodes))
-        self._buf = np.empty(one.shape, np.result_type(one, phi_inv))
+        self._buf = np.empty(one.shape, np.result_type(one, self._w))
         self._pairs = [one]
         # sup-norm of psi_n per built order, read by choose_truncation
         self._sup_norms = [1.0]
@@ -117,36 +108,32 @@ class RecursiveFamily:
             return pairs
         _extend_pairs(pairs, self._w, self.grid.h, self.grid.x0_index,
                       min(k, self.N), self._buf)
-        self._sup_norms.extend(np.max(np.abs(p[1 - n % 2])).item()
-                               for n, p in enumerate(pairs[start:], start))
+        self._sup_norms.extend(np.max(np.abs(p[0])).item() for p in pairs[start:])
         if len(pairs) == self.N + 1:
             self._w = self._buf = None
         return pairs
 
     @cached_property
     def X(self) -> list[GridFunction]:
-        return [GridFunction(self.grid, p[0]) for p in self._grow(self.N)]
+        return [GridFunction(self.grid, p[1 - n % 2])
+                for n, p in enumerate(self._grow(self.N))]
 
     @cached_property
     def Xt(self) -> list[GridFunction]:
-        return [GridFunction(self.grid, p[1]) for p in self._grow(self.N)]
+        return [GridFunction(self.grid, p[n % 2])
+                for n, p in enumerate(self._grow(self.N))]
 
     @cached_property
     def f_prime(self) -> GridFunction:
         """Derivative of the seed (grid stencil, computed once)."""
         return derivative(self.f)
 
-    def _check_order(self, k: int) -> int:
+    def psi(self, k: int) -> GridFunction:
+        """Basis element psi_k; builds orders only up to k."""
         k = int(k)
         if k < 0 or k > self.N:
             raise OrderError(f"order {k} outside built range 0..{self.N}")
-        return k
-
-    def psi(self, k: int) -> GridFunction:
-        """Mixed basis element: X(k) for odd k, X~(k) for even k; builds
-        orders only up to k."""
-        k = self._check_order(k)
-        return GridFunction(self.grid, self._grow(k)[k][1 - k % 2])
+        return GridFunction(self.grid, self._grow(k)[k][0])
 
     def phi_k(self, k: int) -> GridFunction:
         """Solution basis element f * psi_k."""

@@ -2,15 +2,15 @@
 
 For u'' + qu = lambda*u with q = f''/f, the two solutions
 
-    u1 = f * sum_k lambda^k X~(2k) / (2k)!,
-    u2 = f * sum_k lambda^k X(2k+1) / (2k+1)!
+    u1 = f * sum_k lambda^k psi_2k / (2k)!,
+    u2 = f * sum_k lambda^k psi_(2k+1) / (2k+1)!
 
 satisfy u1(x0) = f(x0), u1'(x0) = f'(x0), u2(x0) = 0, u2'(x0) = 1/f(x0),
 so their Wronskian is identically 1.  Derivatives are evaluated from the
 term-wise differentiated series
 
-    u1' = (f'/f) u1 + (1/f) * sum_{k>=1} lambda^k X~(2k-1) / (2k-1)!,
-    u2' = (f'/f) u2 + (1/f) * sum_{k>=0} lambda^k X(2k) / (2k)!,
+    u1' = (f'/f) u1 + (1/f) * sum_{k>=1} lambda^k chi_(2k-1) / (2k-1)!,
+    u2' = (f'/f) u2 + (1/f) * sum_{k>=0} lambda^k chi_2k / (2k)!,
 
 not by differentiating u1 and u2 on the grid.  The seed derivative f'
 is still the 5-point stencil RecursiveFamily.f_prime, so u1', u2' and
@@ -66,7 +66,7 @@ def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
 
 def _horner(pairs, row: int, s: int, lam: complex, M: int, at):
     """sum_{k<M} lam^k Y[2k+s] / (2k+s)! for Y = row `row` of the order
-    pairs (0: X, 1: X~), at the nodes `at` of the last axis (an index,
+    pairs (0: psi, 1: chi), at the nodes `at` of the last axis (an index,
     an index array, or slice(None) for all), highest term first, in one
     complex accumulator updated in place."""
     top = 2 * M - 2 + s
@@ -83,17 +83,17 @@ def _sum_and_prime(pairs, u: int, f, fp, lam, M: int, at):
     """The series S of u1 or u2 (u = 1, 2) at the nodes `at`, and u' =
     f' S + T/f from its term-wise derivative T, given f and f' there."""
     if u == 1:
-        S = _horner(pairs, 1, 0, lam, M, at)
-        # T = sum_{k>=1} lam^k X~(2k-1) / (2k-1)!, empty for M = 1
+        S = _horner(pairs, 0, 0, lam, M, at)
+        # T = sum_{k>=1} lam^k chi_(2k-1) / (2k-1)!, empty for M = 1
         T = lam * _horner(pairs, 1, 1, lam, M - 1, at) if M > 1 else 0.0
     else:
-        S, T = _horner(pairs, 0, 1, lam, M, at), _horner(pairs, 0, 0, lam, M, at)
+        S, T = _horner(pairs, 0, 1, lam, M, at), _horner(pairs, 1, 0, lam, M, at)
     return S, fp * S + T / f
 
 
 # u1, u1', u2, u2' at the nodes `at` for a checked truncation M
 def _u1(fam, lam, M, at):
-    return fam.f.values[at] * _horner(fam._pairs, 1, 0, lam, M, at)
+    return fam.f.values[at] * _horner(fam._pairs, 0, 0, lam, M, at)
 
 
 def _u2(fam, lam, M, at):
@@ -251,7 +251,7 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
                 or any(t > tol * B2 * _BOUND_SLACK for t in dropped2)):
             continue
         if s1 is None:
-            s1 = float(np.max(np.abs(_horner(pairs, 1, 0, lam, M, slice(None)))))
+            s1 = float(np.max(np.abs(_horner(pairs, 0, 0, lam, M, slice(None)))))
             s2 = float(np.max(np.abs(_horner(pairs, 0, 1, lam, M, slice(None)))))
         if all(t <= tol * s1 for t in dropped1) and all(t <= tol * s2 for t in dropped2):
             return TruncationChoice(M, False)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import AccuracyWarning, EigenError, GridConfigError, SeedError
 from .grid import GridFunction, _check_finite
-from .recint import MIN_SEED_ABS, RecursiveFamily, _extend_pairs, _pair_weights
+from .recint import MIN_SEED_ABS, RecursiveFamily, _extend_pairs
 from .series import SERIES_TOL, _at_nodes, _horner, _right_end, choose_truncation
 
 _SEED_TERMS = 11  # series terms per seed piece, see build_seed
@@ -99,17 +99,17 @@ def _seed_pieces(r, nodes, starts, w: int):
     family's rows.
 
     The order pairs are (2, P, w + 1), built by recint's order loop with
-    each piece's own spacing.  With seed 1, 1/phi = 1 exactly and the
-    weight r takes the place of phi; the seed's derivative is 0.
+    each piece's own spacing and the weights (1, r): with seed 1, 1/phi =
+    1 exactly and r takes the place of phi; the seed's derivative is 0.
     """
     starts = np.asarray(starts)
     idx = starts[:, None] + np.arange(w + 1)
     r = r[idx]
     h = ((nodes[starts + w] - nodes[starts]) / w)[:, None]
-    one = np.ones(r.shape)
-    pairs, buf = [np.broadcast_to(one, (2,) + r.shape)], np.empty((2,) + r.shape)
-    _extend_pairs(pairs, _pair_weights(one, r), h, 0, 2 * _SEED_TERMS - 1, buf)
-    c = _horner(pairs, 1, 0, 1.0, _SEED_TERMS, slice(None))
+    weights = np.stack((np.ones(r.shape), r))
+    pairs, buf = [np.broadcast_to(weights[0], weights.shape)], np.empty(weights.shape)
+    _extend_pairs(pairs, weights, h, 0, 2 * _SEED_TERMS - 1, buf)
+    c = _horner(pairs, 0, 0, 1.0, _SEED_TERMS, slice(None))
     s = _horner(pairs, 0, 1, 1.0, _SEED_TERMS, slice(None))
     _, cp, _, sp = _at_nodes(pairs, np.float64(1.0), np.float64(0.0), 1.0, _SEED_TERMS,
                              (..., -1))
@@ -186,7 +186,9 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     window is kept while |Phi| at the window's end, to first order, stays
     within it: the computed root of an eigenvalue on the end falls either
     side.  A root whose residual exceeds tol is kept, with a warning.
-    Roots closer than one scan cell trigger a densification warning.
+    Roots closer than one scan cell draw a warning that the diagnostic
+    scan does not resolve them: the fit reads the scan only for rot and
+    the scale, so scan_points moves no root of a real Phi in the window.
     """
     lo, hi = float(lam_range[0]), float(lam_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -237,7 +239,7 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     if len(roots) > 1 and np.any(np.diff(roots) < cell):
         warnings.warn(
             f"eigenvalues closer than one scan cell ({cell:.3g}); "
-            f"increase scan_points for reliable separation",
+            f"the diagnostic scan does not resolve them",
             AccuracyWarning, stacklevel=2)
     return EigenResult(
         eigenvalues=roots,

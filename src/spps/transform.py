@@ -5,9 +5,9 @@ The lower-triangular matrix A_n maps the generalized derivative vector
 (h(x0), h'(x0), ..., h^(n)(x0)).  Applying gamma_j to the basis element
 psi_m walks down its own family, so gamma_j(psi_m)(x0) = m! delta_jm and
 column m of A_n is the ordinary derivative vector of psi_m at x0 over m!.
-The production builder therefore runs the recursive integrals of both
-families on jets of phi at x0, from the constant jet 1, and reads each
-column off one jet; it is exact up to rounding.
+The production builder therefore runs recint's recursion for psi_m and
+chi_m on jets of phi at x0, from the constant jet 1, and reads column m
+off the jet of psi_m; it is exact up to rounding.
 
 A slow closed-form evaluation through nested alternating binomial sums
 is kept as an independent cross-validation oracle.
@@ -63,10 +63,10 @@ def _integral(jet: Jet) -> Jet:
 def build_A_recursive(phi_jet: Jet, n: int) -> TransformMatrix:
     """Build A_n column by column from the jets of psi_1..psi_n.
 
-    Both families run X(m) = m * integral of X(m-1) times 1/phi (odd m)
-    or phi (even m), X~(m) with the other weight, on jets of order n;
-    column m is psi_m's derivative vector over m!.  Only the phi jet's
-    first n coefficients are read, so a phi jet of order n-1 suffices.
+    psi_m = m * integral of chi_(m-1) / phi and chi_m = m * integral of
+    psi_(m-1) * phi run on jets of order n; column m is psi_m's derivative
+    vector over m!.  Only the phi jet's first n coefficients are read, so
+    a phi jet of order n-1 suffices.
     """
     n = _check_budget(phi_jet, n)
     A = np.zeros((n + 1, n + 1), dtype=complex)
@@ -74,12 +74,11 @@ def build_A_recursive(phi_jet: Jet, n: int) -> TransformMatrix:
     if n == 0:
         return TransformMatrix(0, A)
     phi = phi_jet.truncate(n - 1)
-    weights = (phi, phi.reciprocal())
-    X = Xt = Jet.constant(1.0, phi.x0, n)
+    inv = phi.reciprocal()
+    psi = chi = Jet.constant(1.0, phi.x0, n)
     for m in range(1, n + 1):
-        X, Xt = (m * _integral(X * weights[m % 2]),
-                 m * _integral(Xt * weights[1 - m % 2]))
-        A[:, m] = (X if m % 2 else Xt).derivatives() / factorial(m)
+        psi, chi = m * _integral(chi * inv), m * _integral(psi * phi)
+        A[:, m] = psi.derivatives() / factorial(m)
     return TransformMatrix(n, A)
 
 

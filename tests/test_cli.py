@@ -172,6 +172,16 @@ def test_solve_rejects_non_finite_lambda(tmp_path, lam, n_terms):
     assert not os.path.exists(out)
 
 
+def test_solve_nan_tol_is_config_error(tmp_path, capsys):
+    # NaN passes the schema's exclusiveMinimum; as eigs tol, it exits 2
+    cfg = _with(_valid_configs()["solve"], ("solve", "n_terms"), _DROP)
+    cfg["solve"]["tol"] = math.nan
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: tol must be positive")
+    assert not os.path.exists(out)
+
+
 def test_solve_n_terms_past_family_order_is_config_error(tmp_path, capsys):
     # checked against family_order, as basis max_order is: 20 terms need order 39
     cfg = {
@@ -383,6 +393,21 @@ def test_approx_stall_table(tmp_path):
     assert np.max(np.abs(l2 - stall)) < 1e-2
 
 
+@pytest.mark.parametrize("name, parameters", [
+    ("constant", {"value": "x"}), ("constant", {"value": True}),
+    ("exp", {"c": [1]}), ("exp", {"c": None}),
+])
+def test_non_numeric_target_parameter_is_config_error(tmp_path, capsys, name, parameters):
+    cfg = _valid_configs()["approx"]
+    cfg["approx"]["target"] = {"kind": "builtin", "name": name, "parameters": parameters}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    (key, value), = parameters.items()
+    assert capsys.readouterr().err.startswith(
+        f"config error: config invalid at approx/target/parameters/{key}: ")
+    assert not os.path.exists(out)
+
+
 # -- failure modes ----------------------------------------------------------------
 
 def test_malformed_json(tmp_path):
@@ -392,6 +417,40 @@ def test_malformed_json(tmp_path):
     out_dir = os.path.join(tmp_path, "out")
     assert main(["--config", path, "--out", out_dir]) == 2
     assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize("command, path", [
+    ("basis", ("grid", "b")), ("basis", ("grid", "n_nodes")),
+    ("solve", ("solve", "lambda")), ("solve", ("solve", "lambda", 1)),
+    ("taylor", ("taylor", "x0")), ("eigs", ("q", "value")),
+    ("solve", ("seed", "parameters", "value")),
+], ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_integer_too_large_for_a_float_is_config_error(tmp_path, capsys, command, path):
+    # JSON integers have no size limit; past ~1.8e308 float() overflows
+    cfg = _valid_configs()[command]
+    if path == ("solve", "lambda", 1):
+        cfg["solve"]["lambda"] = [1.0, "BIG"]
+    else:
+        cfg = _with(cfg, path, "BIG")
+    config = os.path.join(tmp_path, "config.json")
+    with open(config, "w") as fh:
+        fh.write(json.dumps(cfg).replace('"BIG"', "1" + "0" * 400))
+    out = os.path.join(tmp_path, "out")
+    assert main(["--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {'/'.join(map(str, path))} is an integer too large for a float\n")
+    assert not os.path.exists(out)
+
+
+def test_integer_past_the_digit_limit_is_malformed_json(tmp_path, capsys):
+    # json.load's int() refuses a literal past sys.get_int_max_str_digits()
+    config = os.path.join(tmp_path, "config.json")
+    with open(config, "w") as fh:
+        fh.write(json.dumps(_valid_configs()["basis"]).replace("201", "1" * 5000))
+    out = os.path.join(tmp_path, "out")
+    assert main(["--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: malformed JSON")
+    assert not os.path.exists(out)
 
 
 def test_schema_rejects_unknown_command(tmp_path):

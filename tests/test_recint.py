@@ -4,7 +4,7 @@ import pytest
 import spps
 from spps import (Grid, GridConfigError, OrderError, RecursiveFamily, SeedError, build_family,
                   derivative, sample)
-from spps.recint import _extend_pairs, _pair_weights
+from spps.recint import _extend_pairs
 
 
 def test_monomial_degeneration(unit_family):
@@ -150,15 +150,15 @@ def test_order_loop_with_weight_bitwise_equal_row_by_row_recursion(case, row_by_
     N = 25
     X, Xt = row_by_row(f, N, r)
     phi = (f * f).values
-    weights = _pair_weights(1.0 / phi, phi * r.values)
-    shape = (2, g.n_nodes)
+    weights = np.stack((1.0 / phi, phi * r.values))
     if case == "side-by-side":  # two pieces at once: the rows gain an axis
-        weights = tuple(tuple(np.stack([v, v]) for v in w) for w in weights)
-        shape = (2, 2, g.n_nodes)
-    pairs = [np.ones(shape)]
-    _extend_pairs(pairs, weights, g.h, g.x0_index, N, np.empty(shape, X[1].values.dtype))
+        weights = np.stack([weights, weights], axis=1)
+    pairs = [np.ones(weights.shape)]
+    _extend_pairs(pairs, weights, g.h, g.x0_index, N,
+                  np.empty(weights.shape, X[1].values.dtype))
     for n, p in enumerate(pairs):
-        for row, ref in enumerate((X[n], Xt[n])):
+        # rows psi_n, chi_n: X(n), X~(n) for odd n, the other way round for even n
+        for row, ref in enumerate((X[n], Xt[n]) if n % 2 else (Xt[n], X[n])):
             assert p[row].dtype == ref.values.dtype
             assert np.array_equal(p[row], np.broadcast_to(ref.values, p[row].shape))
 

@@ -224,7 +224,7 @@ def test_truncation_sums_each_series_once(exp_family, monkeypatch):
         calls.clear()
         choice = choose_truncation(exp_family, lam)
         assert not choice.capped
-        assert [c[:2] for c in calls] == [(1, 0), (0, 1)]
+        assert [c[:2] for c in calls] == [(0, 0), (0, 1)]
         assert calls[0][2] == calls[1][2] <= choice.n_terms
     calls.clear()
     with pytest.warns(AccuracyWarning):

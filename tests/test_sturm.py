@@ -279,6 +279,27 @@ def test_cluster_warning_on_coarse_scan(q_zero, q_zero_family):
     assert len(res) == 2
 
 
+@pytest.mark.parametrize("bcs", [((1.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), (1.0, 0.0)),
+                                 ((1.0, 2.0), (0.5, -1.0))], ids=["DD", "ND", "mixed"])
+@pytest.mark.filterwarnings("ignore::spps.errors.AccuracyWarning")
+def test_scan_points_move_no_root_of_a_real_characteristic(bcs):
+    # with a real seed Phi is real, and the fit reads the scan only for its
+    # phase and scale: the roots inside the window keep their bits (a coarse
+    # scan moves only the scale, and with it the residual and spacing warnings)
+    g = Grid(0.0, 1.0, 1001)
+    tp = 2 * np.pi
+    f = sample(lambda x: np.exp(np.sin(tp * x)), g)  # q = f''/f
+    q = sample(lambda x: tp ** 2 * (np.cos(tp * x) ** 2 - np.sin(tp * x)), g)
+    fam = build_family(f, 80)
+    window = (-300.0, 5.0)
+    found = []
+    for scan_points in (2, 3, 16, 256, 2048):
+        roots = find_eigenvalues(SlProblem(q, *bcs), fam, window, scan_points).eigenvalues
+        found.append(roots[(roots >= window[0]) & (roots <= window[1])])
+    assert len(found[0]) >= 4
+    assert all(r.tobytes() == found[0].tobytes() for r in found)
+
+
 def test_one_cap_warning_per_search(q_zero, q_zero_family):
     with pytest.warns(AccuracyWarning) as caught:
         find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-2000.0, -1.0))
@@ -384,8 +405,10 @@ def _seed_piece_by_piece(q, row_by_row):
         piece = Grid(g.nodes[i], g.nodes[j], j - i + 1)
         X, Xt = row_by_row(GridFunction(piece, np.ones(j - i + 1)), top,
                            GridFunction(piece, -q.values.real[i:j + 1]))
-        pairs = [np.array([x.values, xt.values]) for x, xt in zip(X, Xt)]
-        c = _horner(pairs, 1, 0, 1.0, _SEED_TERMS, slice(None))
+        # rows psi_n, chi_n: X(n), X~(n) for odd n, the other way round for even n
+        pairs = [np.array([x.values, xt.values] if n % 2 else [xt.values, x.values])
+                 for n, (x, xt) in enumerate(zip(X, Xt))]
+        c = _horner(pairs, 0, 0, 1.0, _SEED_TERMS, slice(None))
         s = _horner(pairs, 0, 1, 1.0, _SEED_TERMS, slice(None))
         _, cp, _, sp = _at_nodes(pairs, np.float64(1.0), np.float64(0.0), 1.0,
                                  _SEED_TERMS, -1)
