@@ -16,7 +16,9 @@ items, minItems, maxItems and anyOf -- with JSON Schema's rules: a bool
 is neither a number nor an integer, 4.0 is an integer, and const 1
 accepts 1.0 but not true.  Of several violations the outermost is
 reported.  An integer-typed key given as an integral float runs as the
-int; the manifest hashes the config as written.
+int; the manifest hashes the config as written.  JSON's NaN and Infinity
+are numbers to the schema, so the same walk then refuses every float
+that is not finite, wherever it sits, naming its key path.
 """
 
 from __future__ import annotations
@@ -114,7 +116,6 @@ CONFIG_SCHEMA = {
                              "minItems": 2, "maxItems": 2},
                 "range": {"type": "array", "items": {"type": "number"},
                           "minItems": 2, "maxItems": 2},
-                "scan_points": {"type": "integer", "minimum": 2},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "series_tol": {"type": "number", "exclusiveMinimum": 0},
                 "dump_scan": {"type": "boolean"},
@@ -223,14 +224,17 @@ def _errors(v, schema: dict, path: list):
 
 def _as_ints(v, schema: dict, path: tuple = ()):
     """A copy of valid v with each integer-typed value made an int.  Raises
-    ConfigError for an integer anywhere in v too large for a float."""
+    ConfigError for a float anywhere in v that is not finite and for an
+    integer too large for a float."""
     if isinstance(v, dict):
         props = schema.get("properties", {})
         return {k: _as_ints(x, props.get(k, {}), path + (k,)) for k, x in v.items()}
     if isinstance(v, list):
         return [_as_ints(x, schema.get("items", {}), path + (i,)) for i, x in enumerate(v)]
+    where = "/".join(map(str, path))
+    if isinstance(v, float) and not np.isfinite(v):
+        raise ConfigError(f"{where} must be finite, got {v}")
     if isinstance(v, int) and abs(v) > sys.float_info.max:
-        where = "/".join(map(str, path))
         raise ConfigError(f"{where} is an integer too large for a float")
     return int(v) if schema.get("type") == "integer" else v
 
@@ -333,8 +337,6 @@ class _Run:
         if block["kind"] == "constant":
             if "value" not in block:
                 raise ConfigError("q of kind constant needs a value")
-            if not np.isfinite(block["value"]):
-                raise ConfigError(f"q/value must be finite, got {block['value']}")
             return GridFunction(grid, np.full(grid.n_nodes, float(block["value"])))
         return self.csv_function(block, grid, "q")
 
@@ -390,16 +392,10 @@ def _cmd_basis(run: _Run) -> None:
     run.say(f"wrote psi_0..psi_{kmax} on {grid!r}")
 
 
-def _parse_lambda(raw) -> complex:
-    lam = complex(raw[0], raw[1]) if isinstance(raw, list) else complex(raw)
-    if not np.isfinite(lam):
-        raise ConfigError(f"lambda must be finite, got {lam}")
-    return lam
-
-
 def _cmd_solve(run: _Run) -> None:
     block = _block(run.cfg)
-    lam = _parse_lambda(block["lambda"])
+    raw = block["lambda"]
+    lam = complex(*raw) if isinstance(raw, list) else complex(raw)
     grid = run.grid()
     family = run.family(grid)
     if "n_terms" in block:
@@ -408,11 +404,7 @@ def _cmd_solve(run: _Run) -> None:
             raise ConfigError(f"solve n_terms {n_terms} needs family_order "
                               f"{2 * n_terms - 1}, got {family.N}")
     else:
-        try:
-            choice = choose_truncation(family, lam, **_given(block, "tol"))
-        except OrderError as e:
-            # a tol that is NaN passes the schema; lam was checked above
-            raise ConfigError(str(e)) from None
+        choice = choose_truncation(family, lam, **_given(block, "tol"))
         if choice.capped and block.get("fail_on_cap", False):
             raise OrderError(
                 f"truncation capped at {choice.n_terms} terms without "
@@ -441,7 +433,7 @@ def _cmd_eigs(run: _Run) -> None:
     try:
         problem = SlProblem(q, tuple(block["bc_left"]), tuple(block["bc_right"]))
         result = find_eigenvalues(problem, family, block["range"],
-                                  **_given(block, "scan_points", "tol", "series_tol"))
+                                  **_given(block, "tol", "series_tol"))
     except SppsError:
         raise
     except ValueError as e:

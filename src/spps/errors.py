@@ -45,11 +45,11 @@ class RankCollapseError(SppsError, ValueError):
 
 class EigenError(SppsError, RuntimeError):
     """Eigenvalue search cannot proceed: the left boundary data pin no
-    solution, or the characteristic function vanished on the whole
-    scan."""
+    solution, or the characteristic function vanished at every
+    Chebyshev point of the window."""
 
 
 class AccuracyWarning(UserWarning):
     """Result still returned, but a documented accuracy limit was
     crossed (deep repeated numerical differentiation, truncation cap,
-    clustered roots near the scan resolution)."""
+    an eigenvalue's residual above tol)."""

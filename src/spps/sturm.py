@@ -12,9 +12,9 @@ x0 = a, and eigenvalues are the zeros of the characteristic function
 
 which at fixed truncation M is a polynomial of degree M - 1 in lambda.
 find_eigenvalues fixes one M per window, samples Phi at the window's M
-Chebyshev points, and takes the eigenvalues as the real roots of that
-interpolant (the colleague matrix of its Chebyshev coefficients); an
-equispaced scan of Phi is kept as a diagnostic.  The betas are
+Chebyshev points, which determine it, and takes the eigenvalues as the
+real roots of that interpolant (the colleague matrix of its Chebyshev
+coefficients).  The betas are
 normalized so that u(a) = -c2 and u'(a) = c1; for real q, lambda and
 real boundary coefficients this makes u and Phi real regardless of the
 complex seed.
@@ -149,7 +149,8 @@ def characteristic(problem: SlProblem, family: RecursiveFamily, lam,
 
 @dataclass
 class EigenResult:
-    """Eigenvalues sorted by real part with per-root diagnostics."""
+    """Eigenvalues sorted by real part with per-root diagnostics, and the
+    samples of Phi the fit read: scan_phi at the Chebyshev points scan_lams."""
     eigenvalues: np.ndarray
     residuals: np.ndarray
     truncations: np.ndarray
@@ -161,70 +162,60 @@ class EigenResult:
 
 
 def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
-                     lam_range, scan_points: int = 256,
-                     tol: float = 1e-10,
+                     lam_range, *, tol: float = 1e-10,
                      series_tol: float = SERIES_TOL) -> EigenResult:
     """Real-line eigenvalues as the real roots of one polynomial per window.
 
     The truncation M is the larger of choose_truncation(series_tol) at
     the two window ends, with one warning if either hits the cap, so Phi
-    is one polynomial of degree M - 1 in lambda over the whole window.
-    Three array calls of characteristic do the search:
+    is one polynomial of degree M - 1 in lambda over the whole window,
+    and its values at the window's M Chebyshev points determine it.  Two
+    array calls of characteristic do the search:
 
-    - the scan: scan_points equispaced lambdas, a diagnostic kept as
-      scan_lams, scan_phi, whose largest sample gives the phase rot and
-      the scale max|Phi|;
-    - the fit: Re(rot Phi) at the M Chebyshev points of the window,
-      which determine it; chebfit gives its Chebyshev coefficients in
-      the window's variable t in [-1, 1], and the eigenvalues of their
-      real colleague matrix (chebroots) are its roots.  A simple real
-      root comes back with imaginary part exactly 0;
+    - the samples, returned as scan_lams, scan_phi: the largest gives
+      the phase rot and the scale max|Phi|, and chebfit gives the
+      Chebyshev coefficients of Re(rot Phi) in the window's variable
+      t in [-1, 1].  The eigenvalues of their real colleague matrix
+      (chebroots) are its roots; a simple real root comes back with
+      imaginary part exactly 0;
     - the residuals |Phi(root)| / scale of the real roots kept.
 
-    tol and series_tol must be > 0, else ValueError.  tol is the
-    relative |Phi| at which Phi counts as zero.  A real root outside the
-    window is kept while |Phi| at the window's end, to first order, stays
-    within it: the computed root of an eigenvalue on the end falls either
-    side.  A root whose residual exceeds tol is kept, with a warning.
-    Roots closer than one scan cell draw a warning that the diagnostic
-    scan does not resolve them: the fit reads the scan only for rot and
-    the scale, so scan_points moves no root of a real Phi in the window.
+    tol and series_tol are keyword-only and must be > 0, else
+    ValueError.  tol is the relative |Phi| at which Phi counts as zero.
+    A real root outside the window is kept while |Phi| at the window's
+    end, to first order, stays within it: the computed root of an
+    eigenvalue on the end falls either side.  A root whose residual
+    exceeds tol is kept, with a warning.
     """
     lo, hi = float(lam_range[0]), float(lam_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"need a finite range with min < max, got {lam_range}")
     if not problem.q.is_real:
         raise ValueError("default search handles the real-q path only")
-    scan_points = int(scan_points)
-    if scan_points < 2:
-        raise ValueError("scan needs at least 2 points")
     for name, value in (("tol", tol), ("series_tol", series_tol)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
 
-    lams = np.linspace(lo, hi, scan_points)
     with warnings.catch_warnings():  # one cap warning for the whole window
         warnings.filterwarnings("ignore", "truncation cap", AccuracyWarning)
         ends = [choose_truncation(family, lam, series_tol) for lam in (lo, hi)]
     M = max(c.n_terms for c in ends)
     if any(c.capped for c in ends):
-        warnings.warn(f"truncation cap {M} reached at a window end, used for "
-                      f"each of {scan_points} scan points without meeting "
+        warnings.warn(f"truncation cap {M} reached at a window end, used at the "
+                      f"window's {M} Chebyshev points without meeting "
                       f"series_tol={series_tol:g}", AccuracyWarning, stacklevel=2)
+    cheb = np.polynomial.chebyshev  # reached here: importing spps.cli skips it
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    t = cheb.chebpts1(M)
+    lams = mid + half * t
     phis = characteristic(problem, family, lams, M)
 
     scale = float(np.max(np.abs(phis)))
     if scale == 0.0:
-        raise EigenError("characteristic function vanished identically "
-                         "on the scan grid")
-    theta = np.angle(phis[int(np.argmax(np.abs(phis)))])
-    rot = np.exp(-1j * theta)
-
-    cheb = np.polynomial.chebyshev  # reached here: importing spps.cli skips it
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t = cheb.chebpts1(M)
-    p = (rot * characteristic(problem, family, mid + half * t, M)).real
-    c = cheb.chebfit(t, p, M - 1)
+        raise EigenError(f"characteristic function vanished identically: "
+                         f"zero at the window's {M} Chebyshev points")
+    rot = np.exp(-1j * np.angle(phis[int(np.argmax(np.abs(phis)))]))
+    c = cheb.chebfit(t, (rot * phis).real, M - 1)
     t = cheb.chebroots(c)
     t = t.real[t.imag == 0]
     t = t[(np.abs(t) - 1.0) * np.abs(cheb.chebval(t, cheb.chebder(c))) <= tol * scale]
@@ -234,13 +225,6 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
         if res > tol:
             warnings.warn(f"eigenvalue {root:.6g} has relative residual {res:.3g} "
                           f"> tol={tol:g}", AccuracyWarning, stacklevel=2)
-
-    cell = lams[1] - lams[0]
-    if len(roots) > 1 and np.any(np.diff(roots) < cell):
-        warnings.warn(
-            f"eigenvalues closer than one scan cell ({cell:.3g}); "
-            f"the diagnostic scan does not resolve them",
-            AccuracyWarning, stacklevel=2)
     return EigenResult(
         eigenvalues=roots,
         residuals=residuals,

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -178,7 +179,7 @@ def test_solve_nan_tol_is_config_error(tmp_path, capsys):
     cfg["solve"]["tol"] = math.nan
     code, out = _run(tmp_path, cfg)
     assert code == 2
-    assert capsys.readouterr().err.startswith("config error: tol must be positive")
+    assert capsys.readouterr().err == "config error: solve/tol must be finite, got nan\n"
     assert not os.path.exists(out)
 
 
@@ -342,16 +343,50 @@ def test_eigs_non_finite_constant_q_is_config_error(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("eigs, message", [
-    ({"series_tol": math.nan}, "series_tol must be positive"),
-    ({"tol": math.nan}, "tol must be positive"),
-    ({"bc_left": [math.nan, 1.0]}, "non-finite left boundary condition"),
-    ({"bc_right": [1.0, math.inf]}, "non-finite right boundary condition"),
+    ({"series_tol": math.nan}, "eigs/series_tol must be finite, got nan"),
+    ({"tol": math.nan}, "eigs/tol must be finite, got nan"),
+    ({"bc_left": [math.nan, 1.0]}, "eigs/bc_left/0 must be finite, got nan"),
+    ({"bc_right": [1.0, math.inf]}, "eigs/bc_right/1 must be finite, got inf"),
 ], ids=["series_tol", "tol", "bc_left", "bc_right"])
 def test_eigs_non_finite_setting_is_config_error(tmp_path, capsys, eigs, message):
-    # JSON's NaN and Infinity pass the schema; the library's ValueError is exit 2
+    # JSON's NaN and Infinity pass the schema; the config walk refuses them
     code, out = _run(tmp_path, _eigs_config(**eigs))
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not os.path.exists(out)
+
+
+def test_eigs_scan_points_is_an_unknown_key(tmp_path, capsys):
+    # the eigen search samples Phi at the window's Chebyshev points only
+    code, out = _run(tmp_path, _eigs_config(scan_points=64))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: config invalid at eigs: "
+                                              "Additional properties")
+    assert not os.path.exists(out)
+
+
+_EXP = {"kind": "builtin", "name": "exp", "parameters": {"c": 1.0}}
+_CONSTANT = {"kind": "builtin", "name": "constant", "parameters": {"value": 1.0}}
+
+
+@pytest.mark.parametrize("command, at, block, path, value", [
+    ("basis", ("seed",), _EXP, ("seed", "parameters", "c"), math.nan),
+    ("approx", ("approx", "target"), _EXP, ("approx", "target", "parameters", "c"),
+     math.inf),
+    ("approx", ("approx", "target"), _CONSTANT,
+     ("approx", "target", "parameters", "value"), math.nan),
+    ("taylor", ("taylor", "x0"), 0.0, ("taylor", "x0"), math.nan),
+], ids=["seed-c", "target-c", "target-value", "taylor-x0"])
+def test_non_finite_number_is_config_error(tmp_path, capsys, command, at, block,
+                                           path, value):
+    # NaN and Infinity anywhere in the config exit 2 with the key path named,
+    # also where no library check sees them before they turn into a sample
+    cfg = _with(_valid_configs()[command], at, block)
+    assert _run(tmp_path, cfg, out="finite")[0] == 0
+    code, out = _run(tmp_path, _with(cfg, path, value))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: {'/'.join(path)} must be finite, got {value}\n")
     assert not os.path.exists(out)
 
 
@@ -647,8 +682,8 @@ def _valid_configs():
         "eigs": {"schema_version": 1, "command": "eigs", "grid": grid,
                  "q": {"kind": "constant", "value": 0.0}, "family_order": 30,
                  "eigs": {"bc_left": [1.0, 0.0], "bc_right": [1.0, 0.0],
-                          "range": [-12.0, -1.0], "scan_points": 64,
-                          "tol": 1e-10, "series_tol": 1e-12, "dump_scan": True}},
+                          "range": [-12.0, -1.0], "tol": 1e-10,
+                          "series_tol": 1e-12, "dump_scan": True}},
         "taylor": {"schema_version": 1, "command": "taylor",
                    "seed": {"kind": "builtin", "name": "exp", "parameters": {"c": 1.0}},
                    "taylor": {"n": 4, "x0": 0.0}},
@@ -765,6 +800,29 @@ def test_validator_type_rules():
     assert not ok([base])
 
 
+def _schema_keywords(schema):
+    """Every keyword that schema and its subschemas use."""
+    for key, sub in schema.items():
+        yield key
+        if key == "properties":
+            for s in sub.values():
+                yield from _schema_keywords(s)
+        elif key == "items":
+            yield from _schema_keywords(sub)
+        elif key == "anyOf":
+            for s in sub:
+                yield from _schema_keywords(s)
+
+
+def test_schema_uses_only_keywords_the_validator_handles():
+    # _errors skips a keyword it does not know, so one added to the schema
+    # alone would be ignored in silence
+    used = set(_schema_keywords(cli.CONFIG_SCHEMA))
+    handled = set(re.findall(r'"(\w+)"', inspect.getsource(cli._errors)))
+    assert used <= handled
+    assert all(re.search(rf"\b{k}\b", cli.__doc__) for k in used)
+
+
 @pytest.mark.parametrize("command", ["basis", "solve", "eigs", "taylor", "approx"])
 def test_dropping_any_key_keeps_the_exit_codes(tmp_path, capsys, command):
     # an exception out of main is the traceback a CLI user would see
@@ -842,7 +900,6 @@ _DEFAULTS = [
     ("basis", ("grid", "n_nodes"), spps.Grid, "n_nodes", []),
     ("basis", ("family_order",), spps.build_family, "N", [("basis", "max_order")]),
     ("solve", ("solve", "tol"), spps.choose_truncation, "tol", [("solve", "n_terms")]),
-    ("eigs", ("eigs", "scan_points"), spps.find_eigenvalues, "scan_points", []),
     ("eigs", ("eigs", "tol"), spps.find_eigenvalues, "tol", []),
     ("eigs", ("eigs", "series_tol"), spps.find_eigenvalues, "series_tol", []),
     ("approx", ("approx", "which"), spps.least_squares_project, "which", []),

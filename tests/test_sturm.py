@@ -246,8 +246,7 @@ def test_neumann_spectrum(q_zero, q_zero_family):
 def test_eigenvalue_count_in_window(q_zero, q_zero_family):
     for K in (2, 5):
         lo = -((K + 0.5) ** 2) * PI2
-        res = find_eigenvalues(_dirichlet(q_zero), q_zero_family, (lo, 0.0),
-                               scan_points=160, tol=1e-8)
+        res = find_eigenvalues(_dirichlet(q_zero), q_zero_family, (lo, 0.0), tol=1e-8)
         assert len(res) == K
 
 
@@ -272,32 +271,37 @@ def test_eigenfunction_residuals(q_zero, q_zero_family):
         assert residual(lam, u, q_zero) < 1e-4
 
 
-def test_cluster_warning_on_coarse_scan(q_zero, q_zero_family):
-    prob = SlProblem(q_zero, (0.0, 1.0), (0.0, 1.0))
-    with pytest.warns(AccuracyWarning, match="scan"):
-        res = find_eigenvalues(prob, q_zero_family, (-19.0, 1.0), scan_points=3)
-    assert len(res) == 2
-
-
 @pytest.mark.parametrize("bcs", [((1.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), (1.0, 0.0)),
-                                 ((1.0, 2.0), (0.5, -1.0))], ids=["DD", "ND", "mixed"])
+                                 ((0.0, 1.0), (0.0, 1.0)), ((1.0, 2.0), (0.5, -1.0)),
+                                 ((1.0, 1j), (1.0, 0.0))],
+                         ids=["DD", "ND", "NN", "mixed", "complex"])
 @pytest.mark.filterwarnings("ignore::spps.errors.AccuracyWarning")
-def test_scan_points_move_no_root_of_a_real_characteristic(bcs):
-    # with a real seed Phi is real, and the fit reads the scan only for its
-    # phase and scale: the roots inside the window keep their bits (a coarse
-    # scan moves only the scale, and with it the residual and spacing warnings)
-    g = Grid(0.0, 1.0, 1001)
-    tp = 2 * np.pi
-    f = sample(lambda x: np.exp(np.sin(tp * x)), g)  # q = f''/f
-    q = sample(lambda x: tp ** 2 * (np.cos(tp * x) ** 2 - np.sin(tp * x)), g)
-    fam = build_family(f, 80)
-    window = (-300.0, 5.0)
-    found = []
-    for scan_points in (2, 3, 16, 256, 2048):
-        roots = find_eigenvalues(SlProblem(q, *bcs), fam, window, scan_points).eigenvalues
-        found.append(roots[(roots >= window[0]) & (roots <= window[1])])
-    assert len(found[0]) >= 4
-    assert all(r.tobytes() == found[0].tobytes() for r in found)
+def test_search_reads_only_the_samples_it_returns(bcs):
+    # build_seed's seed gives a complex Phi (its f' is a stencil's), and the
+    # pair (1, 1j) a far from real one; the phase and scale, like the fit,
+    # come from the window's M Chebyshev samples that the result holds
+    cheb = np.polynomial.chebyshev
+    g = Grid(0.0, 1.0, 501)
+    q = sample(lambda x: 50 * np.cos(3 * np.pi * x), g)
+    fam = build_family(build_seed(q), 80)
+    prob = SlProblem(q, *bcs)
+    n_roots = 0
+    for lo, hi in ((-300.0, 5.0), (-120.0, -1.0), (-50.0, 0.0)):
+        res = find_eigenvalues(prob, fam, (lo, hi))
+        M = max(choose_truncation(fam, lam).n_terms for lam in (lo, hi))
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        t = cheb.chebpts1(M)
+        assert res.scan_lams.tobytes() == (mid + half * t).tobytes()
+        phi = characteristic(prob, fam, res.scan_lams, M)
+        assert res.scan_phi.tobytes() == phi.tobytes()
+        rot = np.exp(-1j * np.angle(phi[np.argmax(np.abs(phi))]))
+        r = cheb.chebroots(cheb.chebfit(t, (rot * phi).real, M - 1))
+        real = mid + half * r.real[r.imag == 0]
+        # the kept roots are real roots of that fit, and take every one inside
+        assert np.all(np.isin(res.eigenvalues, real))
+        assert np.all(np.isin(real[(real >= lo) & (real <= hi)], res.eigenvalues))
+        n_roots += len(res)
+    assert n_roots >= 4
 
 
 def test_one_cap_warning_per_search(q_zero, q_zero_family):
@@ -305,7 +309,7 @@ def test_one_cap_warning_per_search(q_zero, q_zero_family):
         find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-2000.0, -1.0))
     capped = [w for w in caught if str(w.message).startswith("truncation cap")]
     assert len(capped) == 1
-    assert "of 256 scan points" in str(capped[0].message)
+    assert "used at the window's 40 Chebyshev points" in str(capped[0].message)
 
 
 @pytest.mark.parametrize("potential", [
@@ -344,8 +348,6 @@ def test_search_input_validation(q_zero, q_zero_family):
     prob = _dirichlet(q_zero)
     with pytest.raises(ValueError):
         find_eigenvalues(prob, q_zero_family, (-1.0, -5.0))
-    with pytest.raises(ValueError):
-        find_eigenvalues(prob, q_zero_family, (-5.0, -1.0), scan_points=1)
     g = q_zero.grid
     qc = sample(lambda x: 1j * np.ones_like(x), g)
     prob_c = SlProblem(qc, (1.0, 0.0), (1.0, 0.0))
@@ -370,12 +372,19 @@ def test_search_rejects_non_positive_series_tol(q_zero, q_zero_family, series_to
     assert not isinstance(info.value, spps.SppsError)
 
 
+def test_tolerances_are_keyword_only(q_zero, q_zero_family):
+    # a fourth positional argument is refused, not read as tol
+    with pytest.raises(TypeError):
+        find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-50.0, -1.0), 64)
+
+
 def test_scan_artifacts_exposed(q_zero, q_zero_family):
-    res = find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-50.0, -1.0),
-                           scan_points=64)
-    assert res.scan_lams.shape == (64,)
-    assert res.scan_phi.shape == (64,)
+    # the samples the fit read: one per Chebyshev point, inside the window
+    res = find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-50.0, -1.0))
+    M = res.truncations[0]
+    assert res.scan_lams.shape == res.scan_phi.shape == (M,)
     assert np.all(np.diff(res.scan_lams) > 0)
+    assert -50.0 < res.scan_lams[0] and res.scan_lams[-1] < -1.0
 
 
 def test_search_same_on_a_fresh_and_a_grown_family(q_zero):
@@ -525,9 +534,9 @@ def test_closed_form_sweep(c, L, n):
         assert _rel_err(res.eigenvalues[::-1], spec[:5]) <= 1e-8, bc
 
 
-def test_search_calls_characteristic_three_times(monkeypatch, q_zero, q_zero_family):
-    # the scan, the Chebyshev samples and the residuals: one array call
-    # each, however many roots the window holds
+def test_search_calls_characteristic_twice(monkeypatch, q_zero, q_zero_family):
+    # the Chebyshev samples and the residuals: one array call each, however
+    # many roots the window holds
     calls = []
     char = spps.sturm.characteristic
     monkeypatch.setattr(spps.sturm, "characteristic",
@@ -539,4 +548,4 @@ def test_search_calls_characteristic_three_times(monkeypatch, q_zero, q_zero_fam
             warnings.simplefilter("ignore", AccuracyWarning)
             res = find_eigenvalues(_dirichlet(q_zero), q_zero_family, window)
         assert len(res) == count
-        assert calls == [1, 1, 1]
+        assert calls == [1, 1]
