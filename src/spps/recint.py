@@ -56,6 +56,8 @@ class RecursiveFamily:
     cumulative integration of the pair.  The eigen search and the series
     evaluators read only the orders their truncation needs, and psi(k)
     and phi_k(k) only orders up to k; X and Xt complete the family to N.
+    The family also holds the series module's latest whole-grid sum of
+    each of its four series: at most four complex arrays of n_nodes.
 
     Attributes
     ----------
@@ -98,6 +100,9 @@ class RecursiveFamily:
         self._pairs = [one]
         # sup-norm of psi_n per built order, read by choose_truncation
         self._sup_norms = [1.0]
+        # the series module's latest whole-grid sum of each series, by
+        # (row, s): ((lambda's bits, M), sum), reused in place (series._sum)
+        self._sums = {}
 
     def _grow(self, k: int) -> list[np.ndarray]:
         """Build every order up to min(k, N) with its psi sup-norm; returns

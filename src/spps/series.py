@@ -21,9 +21,16 @@ rows into one accumulator: on the whole grid for u*_grid, and for
 eval_u* only at the nodes of the interpolation stencils of the points
 asked for (grid._stencil, 6 nodes a point), which then get the stencil's
 weights; so eval_u*(x) has the bits of u*_grid(...).at(x) at a fraction
-of the cost.  _right_end is the same sums at the last node alone
-(_at_nodes with at = -1), with lambda a scalar or an array, so u(b),
-u'(b) and Phi have the bits of the grid solutions' last node.
+of the cost.  Each product is np.multiply(factor, sum), which numpy
+never runs in place with its operands swapped, so those bits hold
+whatever the array's size.  A family keeps the latest whole-grid sum of
+each series with the bits of its lambda and its M, so at most four
+arrays (RecursiveFamily._sums): choose_truncation, u*_grid and eval_u*
+at one lambda share them, eval_u* by one gather at its stencil nodes,
+and the next whole-grid sum of a series is made in place of its last.
+_right_end is the same sums at the last node alone (_at_nodes with
+at = -1), with lambda a scalar or an array, summed anew: u(b), u'(b)
+and Phi are the grid solutions' last node to rounding.
 choose_truncation sums u1's and u2's series once, on the whole grid, at
 the first truncation its bound lets through.
 
@@ -64,50 +71,81 @@ def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
     return n_terms
 
 
-def _horner(pairs, row: int, s: int, lam: complex, M: int, at):
+def _horner(pairs, row: int, s: int, lam: complex, M: int, at, out=None):
     """sum_{k<M} lam^k Y[2k+s] / (2k+s)! for Y = row `row` of the order
     pairs (0: psi, 1: chi), at the nodes `at` of the last axis (an index,
     an index array, or slice(None) for all), highest term first, in one
-    complex accumulator updated in place."""
+    complex accumulator updated in place: out if given, else a new one."""
     top = 2 * M - 2 + s
     inv = _inv_factorials(top)
     # complex even for real rows: lam may be complex
-    acc = (pairs[top][row][at] * inv[top]).astype(complex, copy=False)
+    if out is None:
+        acc = (pairs[top][row][at] * inv[top]).astype(complex, copy=False)
+    else:
+        acc = np.multiply(pairs[top][row][at], inv[top], out=out)
     for k in range(M - 2, -1, -1):
         acc *= lam
         acc += pairs[2 * k + s][row][at] * inv[2 * k + s]
     return acc
 
 
-def _sum_and_prime(pairs, u: int, f, fp, lam, M: int, at):
+def _sum(pairs, kept, row: int, s: int, lam, M: int, at):
+    """_horner of the series (row, s) at the nodes `at`, through kept, the
+    family's latest whole-grid sum of each series (None bypasses it).  A
+    kept sum of lam's bits and this M is read, at the nodes `at` by one
+    gather.  Otherwise a whole-grid sum is made in the buffer of the
+    series' last one and kept, and a sum at other nodes is kept nowhere."""
+    if kept is None:
+        return _horner(pairs, row, s, lam, M, at)
+    key = np.complex128(lam).tobytes(), M
+    last = kept.get((row, s))
+    if last is not None and last[0] == key:
+        return last[1][at]
+    if not isinstance(at, slice):
+        return _horner(pairs, row, s, lam, M, at)
+    kept[row, s] = None  # nothing stale is left if the sum is cut short
+    S = _horner(pairs, row, s, lam, M, at, out=None if last is None else last[1])
+    kept[row, s] = key, S
+    return S
+
+
+def _sum_and_prime(pairs, kept, u: int, f, fp, lam, M: int, at):
     """The series S of u1 or u2 (u = 1, 2) at the nodes `at`, and u' =
-    f' S + T/f from its term-wise derivative T, given f and f' there."""
+    f' S + T/f from its term-wise derivative T, given f and f' there.
+
+    Each product is the ufunc np.multiply(factor, sum).  The * operator
+    runs as sum *= factor, operands swapped, where numpy may reuse a
+    temporary (from 256 KiB on), and a complex product's bits depend on
+    its operands' order, so they would depend on the array's size and on
+    whether the sum was kept."""
     if u == 1:
-        S = _horner(pairs, 0, 0, lam, M, at)
+        S = _sum(pairs, kept, 0, 0, lam, M, at)
         # T = sum_{k>=1} lam^k chi_(2k-1) / (2k-1)!, empty for M = 1
-        T = lam * _horner(pairs, 1, 1, lam, M - 1, at) if M > 1 else 0.0
+        T = np.multiply(lam, _sum(pairs, kept, 1, 1, lam, M - 1, at)) if M > 1 else 0.0
     else:
-        S, T = _horner(pairs, 0, 1, lam, M, at), _horner(pairs, 1, 0, lam, M, at)
-    return S, fp * S + T / f
+        S, T = _sum(pairs, kept, 0, 1, lam, M, at), _sum(pairs, kept, 1, 0, lam, M, at)
+    return S, np.multiply(fp, S) + T / f
 
 
 # u1, u1', u2, u2' at the nodes `at` for a checked truncation M
 def _u1(fam, lam, M, at):
-    return fam.f.values[at] * _horner(fam._pairs, 0, 0, lam, M, at)
+    S = _sum(fam._pairs, fam._sums, 0, 0, lam, M, at)
+    return np.multiply(fam.f.values[at], S)
 
 
 def _u2(fam, lam, M, at):
-    return fam.f.values[at] * _horner(fam._pairs, 0, 1, lam, M, at)
+    S = _sum(fam._pairs, fam._sums, 0, 1, lam, M, at)
+    return np.multiply(fam.f.values[at], S)
 
 
 def _u1_prime(fam, lam, M, at):
-    return _sum_and_prime(fam._pairs, 1, fam.f.values[at], fam.f_prime.values[at],
-                          lam, M, at)[1]
+    return _sum_and_prime(fam._pairs, fam._sums, 1, fam.f.values[at],
+                          fam.f_prime.values[at], lam, M, at)[1]
 
 
 def _u2_prime(fam, lam, M, at):
-    return _sum_and_prime(fam._pairs, 2, fam.f.values[at], fam.f_prime.values[at],
-                          lam, M, at)[1]
+    return _sum_and_prime(fam._pairs, fam._sums, 2, fam.f.values[at],
+                          fam.f_prime.values[at], lam, M, at)[1]
 
 
 def _on_grid(u, family, lam, n_terms) -> GridFunction:
@@ -145,8 +183,9 @@ def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFu
 def _at_nodes(pairs, f, fp, lam, M: int, at):
     """u1, u1', u2, u2' at the nodes `at` of the order pairs, given the
     seed's f and f' there: each of the four series summed once."""
-    (S1, u1p), (S2, u2p) = (_sum_and_prime(pairs, u, f, fp, lam, M, at) for u in (1, 2))
-    return f * S1, u1p, f * S2, u2p
+    (S1, u1p), (S2, u2p) = (_sum_and_prime(pairs, None, u, f, fp, lam, M, at)
+                            for u in (1, 2))
+    return np.multiply(f, S1), u1p, np.multiply(f, S2), u2p
 
 
 def _right_end(family: RecursiveFamily, lam, n_terms: int):
@@ -216,9 +255,10 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
 
     The sum B of the kept terms' sup-norms bounds sup|S|, so a dropped
     term above tol * B fails the rule whatever S is.  s is taken once, at
-    the first M that passes this bound, by summing both series (_horner);
-    later M reuse it, as later partial sums differ from it by no more
-    than the terms past that M, which the bound holds under about 2 tol B.
+    the first M that passes this bound, by summing both series, sums the
+    family keeps for the evaluators at this lam (_sum); later M reuse it,
+    as later partial sums differ from it by no more than the terms past
+    that M, which the bound holds under about 2 tol B.
     Raises OrderError for tol <= 0 and for a non-finite lam.
     """
     if not tol > 0:
@@ -251,8 +291,8 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
                 or any(t > tol * B2 * _BOUND_SLACK for t in dropped2)):
             continue
         if s1 is None:
-            s1 = float(np.max(np.abs(_horner(pairs, 0, 0, lam, M, slice(None)))))
-            s2 = float(np.max(np.abs(_horner(pairs, 0, 1, lam, M, slice(None)))))
+            s1, s2 = (float(np.max(np.abs(_sum(pairs, family._sums, 0, s, lam, M,
+                                                slice(None))))) for s in (0, 1))
         if all(t <= tol * s1 for t in dropped1) and all(t <= tol * s2 for t in dropped2):
             return TruncationChoice(M, False)
     warnings.warn(

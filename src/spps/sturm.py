@@ -33,6 +33,9 @@ from .recint import MIN_SEED_ABS, RecursiveFamily, _extend_pairs
 from .series import SERIES_TOL, _at_nodes, _horner, _right_end, choose_truncation
 
 _SEED_TERMS = 11  # series terms per seed piece, see build_seed
+# Relative |Im(c1 conj(c2))| of a pair that is e^(i theta) times a real
+# pair, from rounding alone: a few eps.
+_PHASE_SLACK = 1e-14
 
 
 @dataclass
@@ -186,12 +189,20 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     end, to first order, stays within it: the computed root of an
     eigenvalue on the end falls either side.  A root whose residual
     exceeds tol is kept, with a warning.
+
+    Each boundary pair must be a complex multiple of a real pair, such
+    as (1j, 2j), else ValueError: only then is Phi of real q one phase
+    times a real function, whose real roots Re(rot Phi) has.
     """
     lo, hi = float(lam_range[0]), float(lam_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"need a finite range with min < max, got {lam_range}")
     if not problem.q.is_real:
         raise ValueError("default search handles the real-q path only")
+    for label, (c1, c2) in (("left", problem.bc_left), ("right", problem.bc_right)):
+        if abs((c1 * c2.conjugate()).imag) > _PHASE_SLACK * abs(c1) * abs(c2):
+            raise ValueError(f"{label} boundary pair {(c1, c2)} is not a complex "
+                             f"multiple of a real pair; the real-line search needs one")
     for name, value in (("tol", tol), ("series_tol", series_tol)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")

@@ -183,6 +183,24 @@ def test_solve_nan_tol_is_config_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("n_terms", [None, 10])
+def test_solve_sums_each_series_once(tmp_path, monkeypatch, n_terms):
+    # the truncation choice and the four grid solutions share the family's
+    # kept sums: 4 whole-grid sums, and 2 more where the choice summed
+    # u1's and u2's series at another M
+    calls = []
+    horner = spps.series._horner
+    monkeypatch.setattr(spps.series, "_horner", lambda pairs, row, s, lam, M, at, **out:
+                        calls.append(isinstance(at, slice))
+                        or horner(pairs, row, s, lam, M, at, **out))
+    cfg = _valid_configs()["solve"]
+    if n_terms is None:
+        del cfg["solve"]["n_terms"]
+        cfg["family_order"] = 40  # the choice meets tol below the cap, and sums
+    assert _run(tmp_path, cfg)[0] == 0
+    assert all(calls) and (len(calls) == 4 if n_terms else 4 <= len(calls) <= 6)
+
+
 def test_solve_n_terms_past_family_order_is_config_error(tmp_path, capsys):
     # checked against family_order, as basis max_order is: 20 terms need order 39
     cfg = {
@@ -286,6 +304,22 @@ def test_eigs_from_q_seed_matches_default_seed(tmp_path, monkeypatch):
             blobs.append(fh.read())
     assert blobs[0] == blobs[1]
     assert len(reads) == 2  # q is read once per run
+
+
+def test_eigs_pair_the_search_refuses_is_config_error(tmp_path, monkeypatch, capsys):
+    # the schema takes real pairs only, so the complex pair (1, 1j) is made
+    # from [1, 1] here: find_eigenvalues' ValueError exits 2
+    problem = cli.SlProblem
+    monkeypatch.setattr(cli, "SlProblem", lambda q, left, right:
+                        problem(q, (left[0], 1j * left[1]), right))
+    cfg = _valid_configs()["eigs"]
+    cfg["eigs"]["bc_left"] = [1.0, 1.0]
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: left boundary pair ((1+0j), 1j) is not a complex multiple "
+        "of a real pair; the real-line search needs one\n")
+    assert not os.path.exists(out)
 
 
 def test_eigs_vanishing_characteristic_is_numerical_failure(tmp_path, monkeypatch,

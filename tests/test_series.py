@@ -210,14 +210,16 @@ def test_truncation_matches_the_rule_as_written(seed):
 def test_truncation_sums_each_series_once(exp_family, monkeypatch):
     # the partial sums' sup-norms come from one whole-grid Horner sum per
     # series, at the first M whose dropped terms pass the bound; a call
-    # whose bound never passes sums nothing
+    # whose bound never passes sums nothing.  A fresh family: the shared
+    # one keeps the sums of earlier tests' last lambda
+    exp_family = spps.build_family(exp_family.f, exp_family.N)
     calls = []
     horner = spps.series._horner
 
-    def counting(pairs, row, s, lam, M, at):
+    def counting(pairs, row, s, lam, M, at, **out):
         if isinstance(at, slice):
             calls.append((row, s, M))
-        return horner(pairs, row, s, lam, M, at)
+        return horner(pairs, row, s, lam, M, at, **out)
 
     monkeypatch.setattr(spps.series, "_horner", counting)
     for lam in (0.0, -30.0, 5.0 + 20.0j, 300.0):
@@ -266,7 +268,7 @@ def test_evaluators_leave_family_rows_untouched(request, name, q_value):
 @pytest.mark.parametrize("lam", [-30.0, 5.0 + 20.0j,
                                  np.linspace(-60.0, 40.0, 7)])
 def test_right_end_matches_grid_solutions(request, name, lam):
-    # the cached endpoint column gives the last node of the grid sums
+    # the endpoint sums give the last node of the grid sums, to rounding
     fam = request.getfixturevalue(name)
     M = max(choose_truncation(fam, l).n_terms for l in np.atleast_1d(lam))
     ends = spps.series._right_end(fam, lam, M)
@@ -276,24 +278,145 @@ def test_right_end_matches_grid_solutions(request, name, lam):
         assert np.all(np.abs(end - grid_end) <= 1e-14 * np.abs(grid_end))
 
 
-@pytest.mark.parametrize("name", ["exp_family", "q_zero_family"])
+@pytest.fixture(scope="module")
+def seed_family_20001():
+    # past 16384 nodes a complex temporary reaches 256 KiB, where numpy
+    # runs x * tmp as tmp *= x: the products' order must not depend on it
+    g = spps.Grid(0.0, 1.0, 20001)
+    q = sample(lambda x: 50.0 * np.cos(3 * np.pi * x), g)
+    return spps.build_family(spps.build_seed(q), 80)
+
+
+@pytest.mark.parametrize("name", ["exp_family", "q_zero_family", "seed_family_20001"])
 @pytest.mark.parametrize("lam", [17.5, -30.0, -4.0 + 25.0j])
 def test_off_node_evaluators_are_interpolated_grid_solutions(request, name, lam):
-    # eval_u* sums the series at the stencil nodes only, with the same bits
+    # eval_u* reads the kept whole-grid sums at the stencil nodes, or sums
+    # the series there alone (on a fresh family), with the same bits
     fam = request.getfixturevalue(name)
+    fresh = spps.build_family(fam.f, fam.N)
     g = fam.grid
     M = choose_truncation(fam, lam).n_terms
     rng = np.random.default_rng(5)
+    # 3000 points make 18000 stencil nodes, past 256 KiB as well
     points = [0.4 * g.a + 0.6 * g.b, rng.uniform(g.a, g.b, 40), g.nodes[::77],
-              g.a, g.b, np.array([g.a, g.b])]
+              g.a, g.b, np.array([g.a, g.b]), rng.uniform(g.a, g.b, 3000)]
     for ev, on_grid in ((eval_u1, u1_grid), (eval_u2, u2_grid),
                         (eval_u1_prime, u1_prime_grid),
                         (eval_u2_prime, u2_prime_grid)):
         gf = on_grid(fam, lam, M)
         for x in points:
-            got, want = ev(fam, lam, x, M), gf.at(x)
-            assert np.shape(got) == np.shape(x)
+            got, alone, want = ev(fam, lam, x, M), ev(fresh, lam, x, M), gf.at(x)
+            assert np.shape(got) == np.shape(alone) == np.shape(x)
             assert np.array_equal(got, want)
+            assert np.array_equal(alone, want)
+    assert not fresh._sums  # a stencil sum is kept nowhere
+
+
+# -- sums kept for the latest lambda -------------------------------------------
+
+_READERS = (u1_grid, u1_prime_grid, u2_grid, u2_prime_grid,
+            eval_u1, eval_u1_prime, eval_u2, eval_u2_prime)
+
+
+def _read(reader, fam, lam, M, x=np.linspace(0.05, 0.95, 9)):
+    if reader.__name__.startswith("eval"):
+        return reader(fam, lam, x, M)
+    return reader(fam, lam, M).values
+
+
+def _count_sums(monkeypatch):
+    """(row, s, M, whole grid?) of every _horner call from now on."""
+    calls = []
+    horner = spps.series._horner
+
+    def counting(pairs, row, s, lam, M, at, **out):
+        calls.append((row, s, M, isinstance(at, slice)))
+        return horner(pairs, row, s, lam, M, at, **out)
+
+    monkeypatch.setattr(spps.series, "_horner", counting)
+    return calls
+
+
+# lam, and whether choose_truncation sums at the M it returns (at -30 it
+# sums at the first M the bound lets through, 15, and returns 16)
+@pytest.mark.parametrize("lam, sums_at_choice", [(-30.0, False), (5.0 + 20.0j, True),
+                                                 (300.0, True)])
+@pytest.mark.parametrize("extra", [0, 2], ids=["chosen_M", "larger_M"])
+def test_one_lambda_sums_each_series_once_for_every_reader(exp_family, monkeypatch,
+                                                           lam, sums_at_choice, extra):
+    # choose_truncation, the four u*_grid and the four eval_u* at one lam:
+    # 4 whole-grid sums when choose_truncation summed at the M used, 6 when
+    # not (u1's and u2's series again at that M), and eval_u* none at all
+    fam = spps.build_family(exp_family.f, exp_family.N)
+    calls = _count_sums(monkeypatch)
+    M = choose_truncation(fam, lam).n_terms + extra
+    at_M = calls[0][2] == M
+    assert at_M == (sums_at_choice and not extra)
+    got = [_read(r, fam, lam, M) for r in _READERS[:4]]
+    assert len(calls) == sum(c[3] for c in calls) == (4 if at_M else 6)
+    calls.clear()
+    got += [_read(r, fam, lam, M) for r in _READERS[4:]]
+    assert calls == []
+    assert len(fam._sums) == 4  # one sum per series, of n_nodes each
+    # the bits of each reader on a fresh family, which keeps nothing yet
+    for r, values in zip(_READERS, got):
+        assert np.array_equal(values, _read(r, spps.build_family(fam.f, fam.N), lam, M))
+    # no result shares memory with a kept sum, so changing one changes nothing
+    kept = [S for _, S in fam._sums.values()]
+    assert not any(np.shares_memory(v, S) for v in got for S in kept)
+    want = [v.copy() for v in got]
+    for v in got:
+        v[:] = np.nan
+    again = [_read(r, fam, lam, M) for r in _READERS]
+    assert all(np.array_equal(a, w) for a, w in zip(again, want))
+
+
+def test_a_new_lambda_sums_again_and_an_array_lambda_bypasses(exp_family, monkeypatch):
+    fam = spps.build_family(exp_family.f, exp_family.N)
+    calls = _count_sums(monkeypatch)
+
+    def whole_sums(read):
+        calls.clear()
+        read()
+        return sum(c[3] for c in calls)
+
+    assert whole_sums(lambda: u1_grid(fam, -30.0, 8)) == 1
+    assert whole_sums(lambda: u1_grid(fam, -30.0, 8)) == 0
+    # an int or a complex lam of the same value has the same bits
+    assert whole_sums(lambda: u1_grid(fam, -30, 8)) == 0
+    assert whole_sums(lambda: u1_grid(fam, complex(-30), 8)) == 0
+    # an array lam sums its own series (4 at the last node) and keeps none
+    calls.clear()
+    spps.series._right_end(fam, np.array([-30.0, 2.0]), 8)
+    assert len(calls) == 4 and not any(c[3] for c in calls)
+    assert whole_sums(lambda: u1_grid(fam, -30.0, 8)) == 0
+    # a new lam sums again, and then the one before it too
+    assert whole_sums(lambda: u1_grid(fam, 2.0, 8)) == 1
+    assert whole_sums(lambda: u1_grid(fam, -30.0, 8)) == 1
+    # a stencil sum keeps nothing, and a series keeps one M
+    assert whole_sums(lambda: eval_u1(fam, 7.0, 0.3, 8)) == 0 and calls
+    assert whole_sums(lambda: u1_grid(fam, 7.0, 8)) == 1
+    assert whole_sums(lambda: u1_grid(fam, 7.0, 9)) == 1
+    assert whole_sums(lambda: u1_grid(fam, 7.0, 8)) == 1
+    assert len(fam._sums) == 1
+    # made in the buffer of the sums before it, with a fresh family's bits
+    fresh = spps.build_family(fam.f, fam.N)
+    assert np.array_equal(u1_grid(fam, 7.0, 8).values, u1_grid(fresh, 7.0, 8).values)
+
+
+def test_a_sum_cut_short_leaves_no_stale_sum(exp_family, monkeypatch):
+    fam = spps.build_family(exp_family.f, exp_family.N)
+    want = u1_grid(fam, 2.0, 8).values
+
+    def cut_short(pairs, row, s, lam, M, at, out=None):
+        out[:] = np.nan  # the buffer of lam = 2.0's sum, half rewritten
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(spps.series, "_horner", cut_short)
+        with pytest.raises(KeyboardInterrupt):
+            u1_grid(fam, -30.0, 8)
+    assert np.array_equal(u1_grid(fam, 2.0, 8).values, want)
 
 
 @pytest.mark.parametrize("x", [np.nan, np.array([0.3, np.nan])])

@@ -273,12 +273,12 @@ def test_eigenfunction_residuals(q_zero, q_zero_family):
 
 @pytest.mark.parametrize("bcs", [((1.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), (1.0, 0.0)),
                                  ((0.0, 1.0), (0.0, 1.0)), ((1.0, 2.0), (0.5, -1.0)),
-                                 ((1.0, 1j), (1.0, 0.0))],
+                                 ((1j, 2j), (1.0, 0.0))],
                          ids=["DD", "ND", "NN", "mixed", "complex"])
 @pytest.mark.filterwarnings("ignore::spps.errors.AccuracyWarning")
 def test_search_reads_only_the_samples_it_returns(bcs):
     # build_seed's seed gives a complex Phi (its f' is a stencil's), and the
-    # pair (1, 1j) a far from real one; the phase and scale, like the fit,
+    # pair (1j, 2j) one rotated by i; the phase and scale, like the fit,
     # come from the window's M Chebyshev samples that the result holds
     cheb = np.polynomial.chebyshev
     g = Grid(0.0, 1.0, 501)
@@ -302,6 +302,37 @@ def test_search_reads_only_the_samples_it_returns(bcs):
         assert np.all(np.isin(real[(real >= lo) & (real <= hi)], res.eigenvalues))
         n_roots += len(res)
     assert n_roots >= 4
+
+
+@pytest.fixture(scope="module")
+def cos_problem():
+    # q = 50 cos(3 pi x) on 501 nodes and its family, N = 80
+    q = sample(lambda x: 50 * np.cos(3 * np.pi * x), Grid(0.0, 1.0, 501))
+    return q, build_family(build_seed(q), 80)
+
+
+@pytest.mark.parametrize("bcs", [((1.0, 1j), (1.0, 0.0)), ((1.0, 0.0), (1.0 + 1j, 1.0)),
+                                 ((1.0, 1e-3j), (1.0, 0.0))])
+def test_search_refuses_a_pair_that_is_no_complex_multiple_of_a_real_one(cos_problem,
+                                                                         bcs):
+    # Phi is then no phase times a real function: the real roots of
+    # Re(rot Phi) were returned as eigenvalues, 1e-2 off in residual
+    q, fam = cos_problem
+    side = "left" if bcs[0][1] != 0 else "right"
+    with pytest.raises(ValueError, match=f"{side} boundary pair .* not a complex multiple"):
+        find_eigenvalues(SlProblem(q, *bcs), fam, (-300.0, 5.0))
+    characteristic(SlProblem(q, *bcs), fam, -30.0, 10)  # Phi itself is defined
+
+
+@pytest.mark.filterwarnings("ignore::spps.errors.AccuracyWarning")
+def test_complex_multiple_of_a_real_pair_gives_its_roots(cos_problem):
+    q, fam = cos_problem
+    phase = np.exp(0.3j)
+    real = find_eigenvalues(SlProblem(q, (1.0, 2.0), (2.0, -1.0)), fam, (-300.0, 5.0))
+    for bcs in (((1j, 2j), (2.0, -1.0)), ((phase, 2 * phase), (-2j, 1j))):
+        got = find_eigenvalues(SlProblem(q, *bcs), fam, (-300.0, 5.0))
+        assert len(got) == len(real) >= 3
+        assert np.allclose(got.eigenvalues, real.eigenvalues, rtol=1e-12, atol=0)
 
 
 def test_one_cap_warning_per_search(q_zero, q_zero_family):
