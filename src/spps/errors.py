@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that an
+order argument is an integer."""
+
+import operator
 
 
 class SppsError(Exception):
@@ -27,6 +30,18 @@ class OrderError(SppsError, ValueError):
     """Requested order outside what was built: basis index past the
     family order, truncation level exceeding the cached basis, a jet
     operation that needs more coefficients than are carried."""
+
+
+def _as_order(value, name: str) -> int:
+    """value, an order argument called name, as an int.  Python and numpy
+    integers pass; a float, even 4.0, or a bool raises OrderError rather
+    than being truncated to an order nobody asked for."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise OrderError(f"{name} must be an integer, got {value!r}")
 
 
 class AnchorError(SppsError, ValueError):

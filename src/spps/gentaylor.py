@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GridConfigError, OrderError, RankCollapseError
+from .errors import DomainError, GridConfigError, OrderError, RankCollapseError, _as_order
 from .grid import GridFunction, derivative
 from .jets import _factorials
 from .recint import RecursiveFamily
@@ -73,7 +73,7 @@ def gamma_seq(h: GridFunction, family: RecursiveFamily, n: int) -> GenDerivative
     1/h, so deep chains should anchor in the interior.
     """
     _check_same_grid(h, family)
-    n = int(n)
+    n = _as_order(n, "n")
     if n < 0:
         raise OrderError(f"n must be >= 0, got {n}")
     i0 = family.grid.x0_index
@@ -199,7 +199,7 @@ def least_squares_project(h: GridFunction, family: RecursiveFamily, N: int,
     matrix loses rank.
     """
     _check_same_grid(h, family)
-    N = int(N)
+    N = _as_order(N, "N")
     if N < 0 or N > family.N:
         raise OrderError(f"N={N} outside family order 0..{family.N}")
     starts = {"even": 0, "odd": 1}

@@ -13,11 +13,17 @@ potential q = f''/f and the odd half is the second independent solution
 family.  The paper's two families are X(n) = psi_n, X~(n) = chi_n for
 odd n, and the other way round for even n.
 
-Order n is one (2, n_nodes) array, row 0 psi_n and row 1 chi_n, made
-by one product of order n - 1, rows swapped, with the fixed weights
-(1/phi, phi) into a reused buffer, and one call of the grid's row
-integrator.  Orders are built on demand up to the family's cap N, and
-only as deep as they are read.
+Order n is kept as psi_n on the whole grid and chi_n at the last node
+alone, where the eigen search reads it.  The order loop carries chi_n
+whole in a reused row: order n is the product of chi_(n-1) and psi_(n-1)
+with the fixed weights (1/phi, phi), formed in a reused (2, n_nodes)
+buffer, one call of the grid's row integrator on that pair into a second
+reused pair, and the scaling by n; psi_n is the one fresh array.  A
+whole chi_k row is built only when read (the u*' series, X, Xt), as
+k * integral of psi_(k-1) * phi: the loop's product, integration and
+scaling, so it has the bits the loop gave chi_k, and it is kept.  Orders
+are built on demand up to the family's cap N, and only as deep as they
+are read.
 """
 
 from __future__ import annotations
@@ -27,37 +33,74 @@ from functools import cached_property
 import numpy as np
 
 from .grid import GridFunction, _integrate_rows, derivative
-from .errors import GridConfigError, OrderError, SeedError
+from .errors import GridConfigError, OrderError, SeedError, _as_order
 
 # Seeds whose modulus falls below this are rejected: every second
 # recursion step divides by phi = f^2.
 MIN_SEED_ABS = 1e-12
 
 
-def _extend_pairs(pairs: list, weights: np.ndarray, h, x0_index: int, stop: int,
-                  buf: np.ndarray) -> None:
-    """Append orders len(pairs) .. stop to pairs.  Order n is order n - 1,
-    rows swapped, times weights (for a family 1/phi and phi), formed in
-    buf, integrated along the last axis into a fresh array and scaled by
-    n; the rows may carry leading axes (side-by-side pieces)."""
-    for n in range(len(pairs), stop + 1):
-        np.multiply(pairs[-1][::-1], weights, out=buf)
-        pair = np.empty_like(buf)
+def _order_zero(shape: tuple, dtype):
+    """psi rows, chi ends and scratch of a recursion at order 0, where
+    psi_0 = chi_0 = 1, for rows of the given shape and dtype: the state
+    _extend_orders continues."""
+    one = np.ones(shape)
+    scratch = np.empty((2, 2) + shape, dtype)
+    scratch[1, 1] = 1.0
+    return [one], [one[..., -1:]], scratch
+
+
+def _extend_orders(psi: list, ends: list, weights, h, x0_index: int, stop: int,
+                   scratch: np.ndarray) -> None:
+    """Append orders len(psi) .. stop: psi_n to psi, and to ends chi_n at
+    the last node as a (..., 1) slice.  scratch is (2, 2, ...): the pair
+    of integrands, then the integrated pair, whose row 1 holds chi_(n-1)
+    on entry and chi_n on return.  Order n integrates chi_(n-1) and
+    psi_(n-1) times weights (for a family 1/phi and phi) along the last
+    axis and scales by n; the rows may carry leading axes (side-by-side
+    pieces)."""
+    buf, pair = scratch
+    for n in range(len(psi), stop + 1):
+        np.multiply(pair[1], weights[0], out=buf[0])
+        np.multiply(psi[-1], weights[1], out=buf[1])
         _integrate_rows(buf, h, pair, x0_index)
-        pair *= n
-        pairs.append(pair)
+        psi.append(np.multiply(pair[0], n))
+        pair[1] *= n
+        ends.append(pair[1][..., -1:].copy())
+
+
+class _ChiRows(dict):
+    """Whole chi_k rows by order k, each built on first read from psi_(k-1)
+    by the order loop's product with phi, integration and scaling by k,
+    so with the bits the loop gave chi_k."""
+
+    def __init__(self, psi: list, phi: np.ndarray, h, x0_index: int):
+        super().__init__({0: psi[0]})
+        self._psi, self._phi, self._h, self._x0_index = psi, phi, h, x0_index
+
+    def __missing__(self, k: int) -> np.ndarray:
+        y = np.multiply(self._psi[k - 1], self._phi)
+        row = np.empty_like(y)
+        _integrate_rows(y, self._h, row, self._x0_index)
+        row *= k
+        self[k] = row
+        return row
 
 
 class RecursiveFamily:
     """Both recursive integral families of a seed, up to order N.
 
-    Orders are built when first read, each as one (2, n_nodes) array
-    holding psi_n and chi_n; an order costs one integrand product and one
-    cumulative integration of the pair.  The eigen search and the series
-    evaluators read only the orders their truncation needs, and psi(k)
-    and phi_k(k) only orders up to k; X and Xt complete the family to N.
-    The family also holds the series module's latest whole-grid sum of
-    each of its four series: at most four complex arrays of n_nodes.
+    Orders are built when first read.  Order n holds psi_n whole and
+    chi_n at the last node: one complex or real row of n_nodes, the cost
+    of one integrand product and one cumulative integration of the
+    (psi, chi) pair.  The eigen search and the series evaluators read
+    only the orders their truncation needs, and psi(k) and phi_k(k) only
+    orders up to k; X and Xt complete the family to N.  The first read of
+    a whole chi_k row (u1_prime_grid, u2_prime_grid, eval_u*_prime, X,
+    Xt) builds it with one more product and integration of one row, and
+    keeps it: a family read whole holds two rows per order.  The family
+    also holds the series module's latest whole-grid sum of each of its
+    four series: at most four complex arrays of n_nodes.
 
     Attributes
     ----------
@@ -68,9 +111,9 @@ class RecursiveFamily:
     N : int
         Highest order the family builds: a cap, not what is built.
     X, Xt : list[GridFunction]
-        The paper's two families, indexed by order 0..N: views of the
-        rows, psi_n or chi_n by the parity of n.  Reading either builds
-        every order not yet built.
+        The paper's two families, indexed by order 0..N: the rows psi_n
+        or chi_n by the parity of n.  Reading either builds every order
+        and every whole chi row not yet built.
 
     Raises OrderError for N < 1, SeedError if |f| is NaN or below
     MIN_SEED_ABS anywhere on the grid, and GridConfigError on a grid of
@@ -78,7 +121,7 @@ class RecursiveFamily:
     """
 
     def __init__(self, f: GridFunction, N: int):
-        N = int(N)
+        N = _as_order(N, "N")
         if N < 1:
             raise OrderError(f"family order must be >= 1, got {N}")
         fmin = float(np.min(np.abs(f.values)))
@@ -93,11 +136,10 @@ class RecursiveFamily:
         self.phi = f * f
         self.N = N
         self.grid = f.grid
-        self._w = np.stack((1.0 / self.phi.values, self.phi.values))
-        # order 0 is 1 in both rows: one row, read twice
-        one = np.broadcast_to(np.ones(self.grid.n_nodes), (2, self.grid.n_nodes))
-        self._buf = np.empty(one.shape, np.result_type(one, self._w))
-        self._pairs = [one]
+        self._w = (1.0 / self.phi.values, self.phi.values)
+        self._psi, self._chi_ends, self._scratch = _order_zero(
+            (self.grid.n_nodes,), np.result_type(np.float64, *self._w))
+        self._chi = _ChiRows(self._psi, self.phi.values, self.grid.h, self.grid.x0_index)
         # sup-norm of psi_n per built order, read by choose_truncation
         self._sup_norms = [1.0]
         # the series module's latest whole-grid sum of each series, by
@@ -106,26 +148,27 @@ class RecursiveFamily:
 
     def _grow(self, k: int) -> list[np.ndarray]:
         """Build every order up to min(k, N) with its psi sup-norm; returns
-        the list of pairs.  The weights and buffer go once order N is built."""
-        pairs = self._pairs
-        start = len(pairs)
+        the list of psi rows.  The weights and scratch go once order N is
+        built."""
+        psi = self._psi
+        start = len(psi)
         if start > min(k, self.N):
-            return pairs
-        _extend_pairs(pairs, self._w, self.grid.h, self.grid.x0_index,
-                      min(k, self.N), self._buf)
-        self._sup_norms.extend(np.max(np.abs(p[0])).item() for p in pairs[start:])
-        if len(pairs) == self.N + 1:
-            self._w = self._buf = None
-        return pairs
+            return psi
+        _extend_orders(psi, self._chi_ends, self._w, self.grid.h, self.grid.x0_index,
+                       min(k, self.N), self._scratch)
+        self._sup_norms.extend(np.max(np.abs(p)).item() for p in psi[start:])
+        if len(psi) == self.N + 1:
+            self._w = self._scratch = None
+        return psi
 
     @cached_property
     def X(self) -> list[GridFunction]:
-        return [GridFunction(self.grid, p[1 - n % 2])
+        return [GridFunction(self.grid, p if n % 2 else self._chi[n])
                 for n, p in enumerate(self._grow(self.N))]
 
     @cached_property
     def Xt(self) -> list[GridFunction]:
-        return [GridFunction(self.grid, p[n % 2])
+        return [GridFunction(self.grid, self._chi[n] if n % 2 else p)
                 for n, p in enumerate(self._grow(self.N))]
 
     @cached_property
@@ -135,10 +178,10 @@ class RecursiveFamily:
 
     def psi(self, k: int) -> GridFunction:
         """Basis element psi_k; builds orders only up to k."""
-        k = int(k)
+        k = _as_order(k, "k")
         if k < 0 or k > self.N:
             raise OrderError(f"order {k} outside built range 0..{self.N}")
-        return GridFunction(self.grid, self._grow(k)[k][0])
+        return GridFunction(self.grid, self._grow(k)[k])
 
     def phi_k(self, k: int) -> GridFunction:
         """Solution basis element f * psi_k."""
@@ -153,7 +196,8 @@ def build_family(f: GridFunction, N: int = 60) -> RecursiveFamily:
 
     Raises what RecursiveFamily raises, at once.  Building is deferred:
     order n costs one product and one cumulative integral of a
-    (2, n_nodes) pair when it is first read, so the whole family is N
-    such steps.
+    (2, n_nodes) pair when it is first read, and keeps one row of
+    n_nodes; a whole chi row costs one more product and integral of a
+    row, when first read.
     """
     return RecursiveFamily(f, N)

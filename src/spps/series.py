@@ -16,28 +16,32 @@ not by differentiating u1 and u2 on the grid.  The seed derivative f'
 is still the 5-point stencil RecursiveFamily.f_prime, so u1', u2' and
 the characteristic function built on them carry its error.
 
-Every sum above runs in Horner form in lambda.  _horner sums family
-rows into one accumulator: on the whole grid for u*_grid, and for
-eval_u* only at the nodes of the interpolation stencils of the points
-asked for (grid._stencil, 6 nodes a point), which then get the stencil's
-weights; so eval_u*(x) has the bits of u*_grid(...).at(x) at a fraction
-of the cost.  Each product is np.multiply(factor, sum), which numpy
-never runs in place with its operands swapped, so those bits hold
-whatever the array's size.  A family keeps the latest whole-grid sum of
-each series with the bits of its lambda and its M, so at most four
-arrays (RecursiveFamily._sums): choose_truncation, u*_grid and eval_u*
-at one lambda share them, eval_u* by one gather at its stencil nodes,
-and the next whole-grid sum of a series is made in place of its last.
-_right_end is the same sums at the last node alone (_at_nodes with
-at = -1), with lambda a scalar or an array, summed anew: u(b), u'(b)
-and Phi are the grid solutions' last node to rounding.
-choose_truncation sums u1's and u2's series once, on the whole grid, at
-the first truncation its bound lets through.
+Every sum above runs in Horner form in lambda.  _horner sums a list of
+family rows, by order, into one accumulator: on the whole grid for
+u*_grid, and for eval_u* only at the nodes of the interpolation stencils
+of the points asked for (grid._stencil, 6 nodes a point), which then get
+the stencil's weights; so eval_u*(x) has the bits of u*_grid(...).at(x)
+at a fraction of the cost.  Each product is np.multiply(factor, sum),
+which numpy never runs in place with its operands swapped, so those bits
+hold whatever the array's size.  A family keeps the latest whole-grid
+sum of each series with the bits of its lambda and its M, so at most
+four arrays (RecursiveFamily._sums): choose_truncation, u*_grid and
+eval_u* at one lambda share them, eval_u* by one gather at its stencil
+nodes, and the next whole-grid sum of a series is made in place of its
+last.  _right_end is the same sums at the last node alone (_at_nodes with
+at = -1), with lambda a scalar or an array, summed anew from the psi
+rows and the chi ends the family keeps at b: u(b), u'(b) and Phi are the
+grid solutions' last node to rounding, and the eigen search builds no
+whole chi row.  The u*' readers build the chi rows they read on their
+first whole-row read (recint._ChiRows), on the grid or at the stencil
+nodes alike, and the family keeps them.  choose_truncation sums u1's and
+u2's series once, on the whole grid, at the first truncation its bound
+lets through.
 
 Every reader builds the family only to the orders it reads:
 choose_truncation to 2M + 3, the evaluators and _right_end (through
 _check_truncation) to 2M - 1.  sturm.build_seed runs _horner and
-_at_nodes on the order pairs of many seed pieces at once.
+_at_nodes on the psi rows and chi ends of many seed pieces at once.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyWarning, OrderError
+from .errors import AccuracyWarning, OrderError, _as_order
 from .grid import GridFunction, _interpolate, derivative
 from .jets import _factorials
 from .recint import RecursiveFamily
@@ -60,7 +64,7 @@ def _inv_factorials(n: int) -> np.ndarray:
 
 
 def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
-    n_terms = int(n_terms)
+    n_terms = _as_order(n_terms, "n_terms")
     if n_terms < 1:
         raise OrderError(f"n_terms must be >= 1, got {n_terms}")
     if 2 * n_terms - 1 > family.N:
@@ -71,47 +75,50 @@ def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
     return n_terms
 
 
-def _horner(pairs, row: int, s: int, lam: complex, M: int, at, out=None):
-    """sum_{k<M} lam^k Y[2k+s] / (2k+s)! for Y = row `row` of the order
-    pairs (0: psi, 1: chi), at the nodes `at` of the last axis (an index,
-    an index array, or slice(None) for all), highest term first, in one
-    complex accumulator updated in place: out if given, else a new one."""
+def _horner(rows, s: int, lam: complex, M: int, at, out=None):
+    """sum_{k<M} lam^k Y[2k+s] / (2k+s)! for Y = rows, family rows by order
+    (psi, chi or chi's ends), at the nodes `at` of the last axis (an
+    index, an index array, or slice(None) for all), highest term first,
+    in one complex accumulator updated in place: out if given, else a new
+    one."""
     top = 2 * M - 2 + s
     inv = _inv_factorials(top)
     # complex even for real rows: lam may be complex
     if out is None:
-        acc = (pairs[top][row][at] * inv[top]).astype(complex, copy=False)
+        acc = (rows[top][at] * inv[top]).astype(complex, copy=False)
     else:
-        acc = np.multiply(pairs[top][row][at], inv[top], out=out)
+        acc = np.multiply(rows[top][at], inv[top], out=out)
     for k in range(M - 2, -1, -1):
         acc *= lam
-        acc += pairs[2 * k + s][row][at] * inv[2 * k + s]
+        acc += rows[2 * k + s][at] * inv[2 * k + s]
     return acc
 
 
-def _sum(pairs, kept, row: int, s: int, lam, M: int, at):
-    """_horner of the series (row, s) at the nodes `at`, through kept, the
-    family's latest whole-grid sum of each series (None bypasses it).  A
-    kept sum of lam's bits and this M is read, at the nodes `at` by one
-    gather.  Otherwise a whole-grid sum is made in the buffer of the
-    series' last one and kept, and a sum at other nodes is kept nowhere."""
+def _sum(rows, kept, row: int, s: int, lam, M: int, at):
+    """_horner of the series (row, s) at the nodes `at`, row 0 for psi
+    rows and 1 for chi rows, through kept, the family's latest whole-grid
+    sum of each series (None bypasses it).  A kept sum of lam's bits and
+    this M is read, at the nodes `at` by one gather, and no row is read.
+    Otherwise a whole-grid sum is made in the buffer of the series' last
+    one and kept, and a sum at other nodes is kept nowhere."""
     if kept is None:
-        return _horner(pairs, row, s, lam, M, at)
+        return _horner(rows, s, lam, M, at)
     key = np.complex128(lam).tobytes(), M
     last = kept.get((row, s))
     if last is not None and last[0] == key:
         return last[1][at]
     if not isinstance(at, slice):
-        return _horner(pairs, row, s, lam, M, at)
+        return _horner(rows, s, lam, M, at)
     kept[row, s] = None  # nothing stale is left if the sum is cut short
-    S = _horner(pairs, row, s, lam, M, at, out=None if last is None else last[1])
+    S = _horner(rows, s, lam, M, at, out=None if last is None else last[1])
     kept[row, s] = key, S
     return S
 
 
-def _sum_and_prime(pairs, kept, u: int, f, fp, lam, M: int, at):
+def _sum_and_prime(psi, chi, kept, u: int, f, fp, lam, M: int, at):
     """The series S of u1 or u2 (u = 1, 2) at the nodes `at`, and u' =
-    f' S + T/f from its term-wise derivative T, given f and f' there.
+    f' S + T/f from its term-wise derivative T, given f and f' there and
+    the psi and chi rows (or chi's ends, for the last node).
 
     Each product is the ufunc np.multiply(factor, sum).  The * operator
     runs as sum *= factor, operands swapped, where numpy may reuse a
@@ -119,32 +126,32 @@ def _sum_and_prime(pairs, kept, u: int, f, fp, lam, M: int, at):
     its operands' order, so they would depend on the array's size and on
     whether the sum was kept."""
     if u == 1:
-        S = _sum(pairs, kept, 0, 0, lam, M, at)
+        S = _sum(psi, kept, 0, 0, lam, M, at)
         # T = sum_{k>=1} lam^k chi_(2k-1) / (2k-1)!, empty for M = 1
-        T = np.multiply(lam, _sum(pairs, kept, 1, 1, lam, M - 1, at)) if M > 1 else 0.0
+        T = np.multiply(lam, _sum(chi, kept, 1, 1, lam, M - 1, at)) if M > 1 else 0.0
     else:
-        S, T = _sum(pairs, kept, 0, 1, lam, M, at), _sum(pairs, kept, 1, 0, lam, M, at)
+        S, T = _sum(psi, kept, 0, 1, lam, M, at), _sum(chi, kept, 1, 0, lam, M, at)
     return S, np.multiply(fp, S) + T / f
 
 
 # u1, u1', u2, u2' at the nodes `at` for a checked truncation M
 def _u1(fam, lam, M, at):
-    S = _sum(fam._pairs, fam._sums, 0, 0, lam, M, at)
+    S = _sum(fam._psi, fam._sums, 0, 0, lam, M, at)
     return np.multiply(fam.f.values[at], S)
 
 
 def _u2(fam, lam, M, at):
-    S = _sum(fam._pairs, fam._sums, 0, 1, lam, M, at)
+    S = _sum(fam._psi, fam._sums, 0, 1, lam, M, at)
     return np.multiply(fam.f.values[at], S)
 
 
 def _u1_prime(fam, lam, M, at):
-    return _sum_and_prime(fam._pairs, fam._sums, 1, fam.f.values[at],
+    return _sum_and_prime(fam._psi, fam._chi, fam._sums, 1, fam.f.values[at],
                           fam.f_prime.values[at], lam, M, at)[1]
 
 
 def _u2_prime(fam, lam, M, at):
-    return _sum_and_prime(fam._pairs, fam._sums, 2, fam.f.values[at],
+    return _sum_and_prime(fam._psi, fam._chi, fam._sums, 2, fam.f.values[at],
                           fam.f_prime.values[at], lam, M, at)[1]
 
 
@@ -180,20 +187,21 @@ def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFu
     return _on_grid(_u2_prime, family, lam, n_terms)
 
 
-def _at_nodes(pairs, f, fp, lam, M: int, at):
-    """u1, u1', u2, u2' at the nodes `at` of the order pairs, given the
-    seed's f and f' there: each of the four series summed once."""
-    (S1, u1p), (S2, u2p) = (_sum_and_prime(pairs, None, u, f, fp, lam, M, at)
+def _at_nodes(psi, chi, f, fp, lam, M: int, at):
+    """u1, u1', u2, u2' at the nodes `at` of the psi and chi rows (or
+    chi's ends, (..., 1) slices, at the last node), given the seed's f
+    and f' there: each of the four series summed once."""
+    (S1, u1p), (S2, u2p) = (_sum_and_prime(psi, chi, None, u, f, fp, lam, M, at)
                             for u in (1, 2))
     return np.multiply(f, S1), u1p, np.multiply(f, S2), u2p
 
 
 def _right_end(family: RecursiveFamily, lam, n_terms: int):
     """u1, u1', u2, u2' at b, lam a scalar or an array: the last node of
-    u1_grid .. u2_prime_grid."""
+    u1_grid .. u2_prime_grid, from the chi ends the family keeps."""
     M = _check_truncation(family, n_terms)
-    return _at_nodes(family._pairs, family.f.values[-1], family.f_prime.values[-1],
-                     lam, M, -1)
+    return _at_nodes(family._psi, family._chi_ends, family.f.values[-1],
+                     family.f_prime.values[-1], lam, M, -1)
 
 
 def eval_u1(family, lam, x, n_terms):
@@ -269,7 +277,7 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
     inv = _inv_factorials(family.N)
     alam = abs(lam)
     norms = family._sup_norms  # psi_k's, extended in place as orders are built
-    pairs = family._grow(1)
+    psi = family._grow(1)
 
     def term1(k):  # sup-norm of the k-th term of the u1 series
         return alam ** k * norms[2 * k] * inv[2 * k]
@@ -291,7 +299,7 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
                 or any(t > tol * B2 * _BOUND_SLACK for t in dropped2)):
             continue
         if s1 is None:
-            s1, s2 = (float(np.max(np.abs(_sum(pairs, family._sums, 0, s, lam, M,
+            s1, s2 = (float(np.max(np.abs(_sum(psi, family._sums, 0, s, lam, M,
                                                 slice(None))))) for s in (0, 1))
         if all(t <= tol * s1 for t in dropped1) and all(t <= tol * s2 for t in dropped2):
             return TruncationChoice(M, False)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import AccuracyWarning, EigenError, GridConfigError, SeedError
 from .grid import GridFunction, _check_finite
-from .recint import MIN_SEED_ABS, RecursiveFamily, _extend_pairs
+from .recint import MIN_SEED_ABS, RecursiveFamily, _extend_orders, _order_zero
 from .series import SERIES_TOL, _at_nodes, _horner, _right_end, choose_truncation
 
 _SEED_TERMS = 11  # series terms per seed piece, see build_seed
@@ -101,20 +101,20 @@ def _seed_pieces(r, nodes, starts, w: int):
     u1'(b), u2'(b) of shape (P,), summed as the series evaluators sum a
     family's rows.
 
-    The order pairs are (2, P, w + 1), built by recint's order loop with
-    each piece's own spacing and the weights (1, r): with seed 1, 1/phi =
-    1 exactly and r takes the place of phi; the seed's derivative is 0.
+    The psi rows are (P, w + 1) and the chi ends (P, 1), built by
+    recint's order loop with each piece's own spacing and the weights
+    (1, r): with seed 1, 1/phi = 1 exactly and r takes the place of phi;
+    the seed's derivative is 0.  Only the ends of the chi rows are read.
     """
     starts = np.asarray(starts)
     idx = starts[:, None] + np.arange(w + 1)
     r = r[idx]
     h = ((nodes[starts + w] - nodes[starts]) / w)[:, None]
-    weights = np.stack((np.ones(r.shape), r))
-    pairs, buf = [np.broadcast_to(weights[0], weights.shape)], np.empty(weights.shape)
-    _extend_pairs(pairs, weights, h, 0, 2 * _SEED_TERMS - 1, buf)
-    c = _horner(pairs, 0, 0, 1.0, _SEED_TERMS, slice(None))
-    s = _horner(pairs, 0, 1, 1.0, _SEED_TERMS, slice(None))
-    _, cp, _, sp = _at_nodes(pairs, np.float64(1.0), np.float64(0.0), 1.0, _SEED_TERMS,
+    psi, ends, scratch = _order_zero(r.shape, r.dtype)
+    _extend_orders(psi, ends, (1.0, r), h, 0, 2 * _SEED_TERMS - 1, scratch)
+    c = _horner(psi, 0, 1.0, _SEED_TERMS, slice(None))
+    s = _horner(psi, 1, 1.0, _SEED_TERMS, slice(None))
+    _, cp, _, sp = _at_nodes(psi, ends, np.float64(1.0), np.float64(0.0), 1.0, _SEED_TERMS,
                              (..., -1))
     return c, s, cp, sp
 

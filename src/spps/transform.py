@@ -26,7 +26,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .errors import OrderError
+from .errors import OrderError, _as_order
 from .jets import Jet
 
 
@@ -44,7 +44,7 @@ class TransformMatrix:
 
 
 def _check_budget(phi_jet: Jet, n: int) -> int:
-    n = int(n)
+    n = _as_order(n, "n")
     if n < 0:
         raise OrderError(f"matrix order must be >= 0, got {n}")
     if phi_jet.order < n - 1:

@@ -190,9 +190,9 @@ def test_solve_sums_each_series_once(tmp_path, monkeypatch, n_terms):
     # u1's and u2's series at another M
     calls = []
     horner = spps.series._horner
-    monkeypatch.setattr(spps.series, "_horner", lambda pairs, row, s, lam, M, at, **out:
+    monkeypatch.setattr(spps.series, "_horner", lambda rows, s, lam, M, at, **out:
                         calls.append(isinstance(at, slice))
-                        or horner(pairs, row, s, lam, M, at, **out))
+                        or horner(rows, s, lam, M, at, **out))
     cfg = _valid_configs()["solve"]
     if n_terms is None:
         del cfg["solve"]["n_terms"]

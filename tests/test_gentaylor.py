@@ -220,6 +220,20 @@ def test_rank_collapse_detected():
         least_squares_project(h, fam, 25, "full")
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+def test_gamma_order_must_be_an_integer(interior_family, bad):
+    h = sample(np.exp, interior_family.grid)
+    with pytest.raises(OrderError, match="n must be an integer"):
+        gamma_seq(h, interior_family, bad)
+
+
+@pytest.mark.parametrize("bad", [4.5, 4.0, True])
+def test_projection_order_must_be_an_integer(interior_family, bad):
+    h = sample(np.exp, interior_family.grid)
+    with pytest.raises(OrderError, match="N must be an integer"):
+        least_squares_project(h, interior_family, bad, "full")
+
+
 def test_projection_validates_selector(interior_family):
     h = sample(np.exp, interior_family.grid)
     with pytest.raises(ValueError):

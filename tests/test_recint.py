@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import spps
-from spps import (Grid, GridConfigError, OrderError, RecursiveFamily, SeedError, build_family,
-                  derivative, sample)
-from spps.recint import _extend_pairs
+from spps import (AccuracyWarning, Grid, GridConfigError, OrderError, RecursiveFamily,
+                  SeedError, SlProblem, build_family, derivative, sample)
+from spps.recint import _extend_orders, _order_zero
 
 
 def test_monomial_degeneration(unit_family):
@@ -98,6 +100,24 @@ def test_order_out_of_range(interior_family):
         interior_family.phi_k(-1)
 
 
+@pytest.mark.parametrize("bad", [2.9, 4.0, True])
+def test_family_order_must_be_an_integer(bad):
+    # a float is not truncated to an order, and a bool is not one
+    f = sample(np.exp, Grid(0.0, 1.0, 11))
+    with pytest.raises(OrderError, match="N must be an integer"):
+        build_family(f, bad)
+    assert build_family(f, np.int64(4)).N == 4
+
+
+@pytest.mark.parametrize("bad", [3.9, 3.0, np.float64(3.0), False])
+def test_psi_order_must_be_an_integer(interior_family, bad):
+    with pytest.raises(OrderError, match="k must be an integer"):
+        interior_family.psi(bad)
+    with pytest.raises(OrderError, match="k must be an integer"):
+        interior_family.phi_k(bad)
+    assert interior_family.psi(np.int32(3)).values is interior_family.psi(3).values
+
+
 def test_family_caches_f_prime(exp_family):
     fp = exp_family.f_prime
     assert np.max(np.abs(fp.values - exp_family.f.values)) < 1e-8
@@ -153,14 +173,56 @@ def test_order_loop_with_weight_bitwise_equal_row_by_row_recursion(case, row_by_
     weights = np.stack((1.0 / phi, phi * r.values))
     if case == "side-by-side":  # two pieces at once: the rows gain an axis
         weights = np.stack([weights, weights], axis=1)
-    pairs = [np.ones(weights.shape)]
-    _extend_pairs(pairs, weights, g.h, g.x0_index, N,
-                  np.empty(weights.shape, X[1].values.dtype))
-    for n, p in enumerate(pairs):
-        # rows psi_n, chi_n: X(n), X~(n) for odd n, the other way round for even n
-        for row, ref in enumerate((X[n], Xt[n]) if n % 2 else (Xt[n], X[n])):
-            assert p[row].dtype == ref.values.dtype
-            assert np.array_equal(p[row], np.broadcast_to(ref.values, p[row].shape))
+    psi, ends, scratch = _order_zero(weights.shape[1:], X[1].values.dtype)
+    _extend_orders(psi, ends, weights, g.h, g.x0_index, N, scratch)
+    assert len(psi) == len(ends) == N + 1
+    for n, (p, end) in enumerate(zip(psi, ends)):
+        # psi_n, chi_n: X(n), X~(n) for odd n, the other way round for even n
+        ref_psi, ref_chi = (X[n], Xt[n]) if n % 2 else (Xt[n], X[n])
+        assert p.dtype == end.dtype == ref_psi.values.dtype
+        assert np.array_equal(p, np.broadcast_to(ref_psi.values, p.shape))
+        assert np.array_equal(end, np.broadcast_to(ref_chi.values[-1:], end.shape))
+    # the loop carries chi_N whole
+    assert np.array_equal(scratch[1, 1], np.broadcast_to(ref_chi.values, p.shape))
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "interior"])
+def test_chi_rows_built_on_read_bitwise_equal_row_by_row_recursion(case, row_by_row):
+    # a family keeps chi_n at b alone until a whole row is read; the row
+    # then built from psi_(n-1) has the recursion's bits, on a fresh family
+    # and on one the eigen search grew (for the interior anchor, which the
+    # search refuses, the reads it makes: the truncation and the ends at b)
+    g = Grid(0.0, 2.0, 401, x0=0.5 if case == "interior" else None)
+    seed = {"real": np.exp, "interior": lambda x: np.exp(0.5 * x)}.get(
+        case, lambda x: np.exp(x) + 1j * np.cos(3 * x))
+    f = sample(seed, g)
+    N = 25
+    X, Xt = row_by_row(f, N)
+    # chi_n: X~(n) for odd n, X(n) for even n
+    want = [(Xt[n] if n % 2 else X[n]).values for n in range(N + 1)]
+    q = sample(lambda x: 1 + np.sin(3 * x), g)
+    for grown in (False, True):
+        fam = build_family(f, N)
+        if grown:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AccuracyWarning)
+                if case == "interior":
+                    M = spps.choose_truncation(fam, -20.0).n_terms
+                    spps.series._right_end(fam, np.array([-20.0, -1.0]), M)
+                else:
+                    spps.find_eigenvalues(SlProblem(q, (1.0, 0.0), (1.0, 0.0)), fam,
+                                          (-20.0, -1.0))
+            assert len(fam._psi) > 1 and list(fam._chi) == [0]
+        # u1' reads the odd chi rows, u2' the even ones, X all of them
+        spps.u1_prime_grid(fam, -3.0, 6)
+        assert sorted(fam._chi) == [0, 1, 3, 5, 7, 9]
+        spps.eval_u2_prime(fam, -3.0, 0.7, 6)
+        assert sorted(fam._chi) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+        fam.X
+        for n, ref in enumerate(want):
+            assert fam._chi[n].dtype == ref.dtype
+            assert np.array_equal(fam._chi[n], ref)
+            assert np.array_equal(fam._chi_ends[n], ref[-1:])
 
 
 def test_direct_construction_checks_as_build_family():
@@ -175,28 +237,32 @@ def test_direct_construction_checks_as_build_family():
 def test_family_grows_on_demand_with_its_caches():
     g = Grid(0.0, 1.0, 201)
     fam = build_family(sample(lambda x: np.exp(x) + 0.5j, g), 30)
-    assert len(fam._pairs) == 1
+    assert len(fam._psi) == 1
     norms = fam._sup_norms
     fam._grow(7)
-    assert len(fam._pairs) == 8 and fam._pairs[3].shape == (2, 201)
+    assert len(fam._psi) == len(fam._chi_ends) == 8
+    assert fam._psi[3].shape == (201,) and fam._chi_ends[3].shape == (1,)
     assert len(norms) == 8
-    fam._grow(100)  # capped at N; the weights and the buffer go
-    assert len(fam._pairs) == 31 and fam._w is None and fam._buf is None
+    fam._grow(100)  # capped at N; the weights and the scratch go
+    assert len(fam._psi) == 31 and fam._w is None and fam._scratch is None
     assert fam._sup_norms is norms
     assert norms == [fam.psi(k).sup_norm for k in range(31)]
-    # the public rows are views of the pairs
-    assert all(np.shares_memory(p, x.values) and np.shares_memory(p, xt.values)
-               for p, x, xt in zip(fam._pairs, fam.X, fam.Xt))
+    # the public rows are the psi rows and the chi rows, built as X is read
+    assert list(fam._chi) == [0]
+    assert all(x.values is (p if n % 2 else fam._chi[n])
+               and xt.values is (fam._chi[n] if n % 2 else p)
+               for n, (p, x, xt) in enumerate(zip(fam._psi, fam.X, fam.Xt)))
+    assert sorted(fam._chi) == list(range(31))
 
 
 def test_psi_builds_only_the_order_it_reads():
     g = Grid(0.0, 1.0, 201)
     fam = build_family(sample(np.exp, g), 40)
     psi3 = fam.psi(3)
-    assert len(fam._pairs) == 4
-    assert np.shares_memory(psi3.values, fam._pairs[3])
+    assert len(fam._psi) == 4
+    assert psi3.values is fam._psi[3]
     fam.phi_k(5)
-    assert len(fam._pairs) == 6
+    assert len(fam._psi) == 6
     # the same rows the completed family holds
     assert np.array_equal(psi3.values, fam.X[3].values)
     assert np.array_equal(fam.psi(4).values, fam.Xt[4].values)

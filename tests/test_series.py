@@ -216,10 +216,10 @@ def test_truncation_sums_each_series_once(exp_family, monkeypatch):
     calls = []
     horner = spps.series._horner
 
-    def counting(pairs, row, s, lam, M, at, **out):
+    def counting(rows, s, lam, M, at, **out):
         if isinstance(at, slice):
-            calls.append((row, s, M))
-        return horner(pairs, row, s, lam, M, at, **out)
+            calls.append((0 if rows is exp_family._psi else 1, s, M))
+        return horner(rows, s, lam, M, at, **out)
 
     monkeypatch.setattr(spps.series, "_horner", counting)
     for lam in (0.0, -30.0, 5.0 + 20.0j, 300.0):
@@ -232,6 +232,20 @@ def test_truncation_sums_each_series_once(exp_family, monkeypatch):
     with pytest.warns(AccuracyWarning):
         assert choose_truncation(exp_family, 100.0, tol=1e-30).capped
     assert calls == []
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True])
+def test_n_terms_must_be_an_integer(exp_family, bad):
+    # 2.5 terms are not 2: every evaluator refuses a float or a bool
+    for ev in (lambda M: u1_grid(exp_family, -3.0, M),
+               lambda M: eval_u2_prime(exp_family, -3.0, 0.5, M),
+               lambda M: spps.characteristic(
+                   spps.SlProblem(sample(np.zeros_like, exp_family.grid), (1.0, 0.0),
+                                  (1.0, 0.0)), exp_family, -3.0, M)):
+        with pytest.raises(OrderError, match="n_terms must be an integer"):
+            ev(bad)
+    assert np.array_equal(u1_grid(exp_family, -3.0, np.int64(3)).values,
+                          u1_grid(exp_family, -3.0, 3).values)
 
 
 def test_truncation_must_fit_family(exp_family):
@@ -324,14 +338,15 @@ def _read(reader, fam, lam, M, x=np.linspace(0.05, 0.95, 9)):
     return reader(fam, lam, M).values
 
 
-def _count_sums(monkeypatch):
-    """(row, s, M, whole grid?) of every _horner call from now on."""
+def _count_sums(monkeypatch, fam):
+    """(row, s, M, whole grid?) of every _horner call on fam's rows from
+    now on, row 0 for psi and 1 for chi."""
     calls = []
     horner = spps.series._horner
 
-    def counting(pairs, row, s, lam, M, at, **out):
-        calls.append((row, s, M, isinstance(at, slice)))
-        return horner(pairs, row, s, lam, M, at, **out)
+    def counting(rows, s, lam, M, at, **out):
+        calls.append((0 if rows is fam._psi else 1, s, M, isinstance(at, slice)))
+        return horner(rows, s, lam, M, at, **out)
 
     monkeypatch.setattr(spps.series, "_horner", counting)
     return calls
@@ -348,7 +363,7 @@ def test_one_lambda_sums_each_series_once_for_every_reader(exp_family, monkeypat
     # 4 whole-grid sums when choose_truncation summed at the M used, 6 when
     # not (u1's and u2's series again at that M), and eval_u* none at all
     fam = spps.build_family(exp_family.f, exp_family.N)
-    calls = _count_sums(monkeypatch)
+    calls = _count_sums(monkeypatch, fam)
     M = choose_truncation(fam, lam).n_terms + extra
     at_M = calls[0][2] == M
     assert at_M == (sums_at_choice and not extra)
@@ -373,7 +388,7 @@ def test_one_lambda_sums_each_series_once_for_every_reader(exp_family, monkeypat
 
 def test_a_new_lambda_sums_again_and_an_array_lambda_bypasses(exp_family, monkeypatch):
     fam = spps.build_family(exp_family.f, exp_family.N)
-    calls = _count_sums(monkeypatch)
+    calls = _count_sums(monkeypatch, fam)
 
     def whole_sums(read):
         calls.clear()
@@ -408,7 +423,7 @@ def test_a_sum_cut_short_leaves_no_stale_sum(exp_family, monkeypatch):
     fam = spps.build_family(exp_family.f, exp_family.N)
     want = u1_grid(fam, 2.0, 8).values
 
-    def cut_short(pairs, row, s, lam, M, at, out=None):
+    def cut_short(rows, s, lam, M, at, out=None):
         out[:] = np.nan  # the buffer of lam = 2.0's sum, half rewritten
         raise KeyboardInterrupt
 
@@ -435,9 +450,9 @@ def test_evaluators_build_only_the_orders_they_read(evaluate):
     g = spps.Grid(0.0, 1.0, 201)
     fam = spps.build_family(sample(lambda x: np.exp(x) + 0.5j, g), 40)
     first = evaluate(fam, 6)
-    assert len(fam._pairs) == 12
+    assert len(fam._psi) == 12
     fam.X  # completes the family to N = 40
-    assert len(fam._pairs) == 41
+    assert len(fam._psi) == 41
     again = evaluate(fam, 6)
     first, again = getattr(first, "values", first), getattr(again, "values", again)
     assert np.array_equal(first, again)

@@ -445,12 +445,12 @@ def _seed_piece_by_piece(q, row_by_row):
         piece = Grid(g.nodes[i], g.nodes[j], j - i + 1)
         X, Xt = row_by_row(GridFunction(piece, np.ones(j - i + 1)), top,
                            GridFunction(piece, -q.values.real[i:j + 1]))
-        # rows psi_n, chi_n: X(n), X~(n) for odd n, the other way round for even n
-        pairs = [np.array([x.values, xt.values] if n % 2 else [xt.values, x.values])
-                 for n, (x, xt) in enumerate(zip(X, Xt))]
-        c = _horner(pairs, 0, 0, 1.0, _SEED_TERMS, slice(None))
-        s = _horner(pairs, 0, 1, 1.0, _SEED_TERMS, slice(None))
-        _, cp, _, sp = _at_nodes(pairs, np.float64(1.0), np.float64(0.0), 1.0,
+        # psi_n, chi_n: X(n), X~(n) for odd n, the other way round for even n
+        psi = [(x if n % 2 else xt).values for n, (x, xt) in enumerate(zip(X, Xt))]
+        chi = [(xt if n % 2 else x).values for n, (x, xt) in enumerate(zip(X, Xt))]
+        c = _horner(psi, 0, 1.0, _SEED_TERMS, slice(None))
+        s = _horner(psi, 1, 1.0, _SEED_TERMS, slice(None))
+        _, cp, _, sp = _at_nodes(psi, chi, np.float64(1.0), np.float64(0.0), 1.0,
                                  _SEED_TERMS, -1)
         f[i:j + 1], fp = f[i] * c + fp * s, f[i] * cp + fp * sp
     return f, w, bounds[-1] - bounds[-2]
@@ -485,7 +485,7 @@ def test_search_grows_family_only_as_deep_as_it_reads():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             M = max(choose_truncation(build_family(f, 80), lam).n_terms for lam in window)
-        built = len(fam._pairs) - 1
+        built = len(fam._psi) - 1
         # choose_truncation reads to order 2M + 3; at the cap, M = (N + 1) // 2
         # and only characteristic's 2M - 1 = 79 of the N = 80 orders are read
         if capped:
@@ -493,13 +493,32 @@ def test_search_grows_family_only_as_deep_as_it_reads():
         else:
             assert built <= 2 * M + 3 < 80
         assert capped == any("truncation cap" in str(w.message) for w in caught)
-        assert len(fam.X) == len(fam.Xt) == 81 and len(fam._pairs) == 81
+        assert len(fam.X) == len(fam.Xt) == 81 and len(fam._psi) == 81
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             second = find_eigenvalues(SlProblem(q, (1.0, 0.0), (1.0, 0.0)), fam, window)
         for field in ("eigenvalues", "residuals", "truncations", "scan_lams", "scan_phi"):
             a, b = getattr(first, field), getattr(second, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_search_keeps_psi_rows_and_chi_ends_only():
+    # the search reads chi only at b: the family it grew holds no whole chi
+    # row, only its psi rows, chi_n's last node per order and the two sums
+    # choose_truncation kept
+    g = Grid(0.0, 1.0, 2001)
+    q = sample(lambda x: 50 * np.cos(3 * np.pi * x), g)
+    fam = build_family(build_seed(q), 80)
+    find_eigenvalues(SlProblem(q, (1.0, 0.0), (0.0, 1.0)), fam, (-120.0, -1.0))
+    built = len(fam._psi)
+    assert 1 < built < 81
+    assert list(fam._chi) == [0] and fam._chi[0] is fam._psi[0]
+    assert len(fam._chi_ends) == built
+    assert all(e.shape == (1,) and e.base is None for e in fam._chi_ends[1:])
+    assert sorted(fam._sums) == [(0, 0), (0, 1)]
+    # one row of n_nodes per order: psi_0 real, the rest complex
+    held = sum(p.nbytes for p in fam._psi) + sum(S.nbytes for _, S in fam._sums.values())
+    assert held == (8 + 16 * (built - 1) + 2 * 16) * g.n_nodes
 
 
 # -- roots of the Chebyshev interpolant ----------------------------------------

@@ -142,6 +142,14 @@ def test_order_budget_enforced():
         build_A_closed_form(phi_jet, 5)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True])
+def test_matrix_order_must_be_an_integer(bad):
+    phi_jet = Jet.constant(2.0, 0.0, 3)
+    for build in BUILDERS:
+        with pytest.raises(OrderError, match="n must be an integer"):
+            build(phi_jet, bad)
+
+
 def test_matrix_shape_validated():
     with pytest.raises(ValueError):
         TransformMatrix(3, np.eye(2, dtype=complex))
