@@ -286,16 +286,11 @@ def _builtin_seed(block: dict):
 class _Run:
     """Shared state for one command execution."""
 
-    def __init__(self, cfg: dict, config_dir: str, out_dir: str, verbose: bool):
+    def __init__(self, cfg: dict, config_dir: str, out_dir: str):
         self.cfg = cfg
         self.config_dir = config_dir
         self.out_dir = out_dir
-        self.verbose = verbose
         self.files: list[str] = []
-
-    def say(self, msg: str) -> None:
-        if self.verbose:
-            print(msg)
 
     def path(self, name: str) -> str:
         # made at the first write, so a failing command leaves no empty directory
@@ -341,11 +336,15 @@ class _Run:
         return self.csv_function(block, grid, "q")
 
     def seed_function(self, grid: Grid, q: GridFunction | None = None) -> GridFunction:
-        """The seed block's seed; a given q is reused, with from_q the default."""
+        """The seed block's seed; a given q must be solved by it, so it is
+        reused and from_q is the only kind allowed."""
         block = self.cfg.get("seed", None if q is None else {"kind": "from_q"})
         if block is None:
             raise ConfigError("this configuration needs a seed block")
         kind = block["kind"]
+        if q is not None and kind != "from_q":
+            raise ConfigError(f"a seed of kind {kind!r} need not solve f'' + qf = 0 "
+                              f"for this q; eigs takes only kind 'from_q'")
         if kind == "builtin":
             return sample(_builtin_seed(block).func, grid)
         if kind == "csv":
@@ -389,7 +388,6 @@ def _cmd_basis(run: _Run) -> None:
         raise ConfigError(f"basis max_order {kmax} exceeds family_order {family.N}")
     for k in range(kmax + 1):
         write_csv(family.psi(k), run.path(f"psi_{k:03d}.csv"))
-    run.say(f"wrote psi_0..psi_{kmax} on {grid!r}")
 
 
 def _cmd_solve(run: _Run) -> None:
@@ -422,7 +420,6 @@ def _cmd_solve(run: _Run) -> None:
         ["x", "u1_re", "u1_im", "u1p_re", "u1p_im",
          "u2_re", "u2_im", "u2p_re", "u2p_im"],
         np.column_stack(cols))
-    run.say(f"solved at lambda={lam} with {n_terms} terms")
 
 
 def _cmd_eigs(run: _Run) -> None:
@@ -443,13 +440,12 @@ def _cmd_eigs(run: _Run) -> None:
         "eigenvalues": [[float(np.real(v)), float(np.imag(v))]
                         for v in result.eigenvalues],
         "residuals": [float(r) for r in result.residuals],
-        "truncations": [int(t) for t in result.truncations],
+        "n_terms": result.n_terms,
     })
     if block.get("dump_scan", False):
         phi = result.scan_phi
         run.write_rows("scan.csv", ["lambda", "phi_re", "phi_im"],
                        np.column_stack([result.scan_lams, phi.real, phi.imag]))
-    run.say(f"found {len(result)} eigenvalues in {block['range']}")
 
 
 def _cmd_taylor(run: _Run) -> None:
@@ -487,7 +483,6 @@ def _cmd_taylor(run: _Run) -> None:
         "u1_over_f": [[[c.real, c.imag] for c in p.coeffs] for p in u1_vec],
         "u2_over_f": [[[c.real, c.imag] for c in p.coeffs] for p in u2_vec],
     })
-    run.say(f"built transformation matrix of order {n}")
 
 
 def _target_fn(name: str, p: dict):
@@ -524,7 +519,6 @@ def _cmd_approx(run: _Run) -> None:
         rows.append((N, r.l2_error, r.max_error, r.condition_estimate))
     run.write_rows(
         "decay.csv", ["N", "l2_error", "max_error", "condition_estimate"], rows)
-    run.say(f"projected target at {len(rows)} orders")
 
 
 _COMMANDS = {
@@ -543,7 +537,6 @@ def main(argv=None) -> int:
                     "Sturm-Liouville eigenvalues, driven by a JSON config.")
     parser.add_argument("--config", required=True, help="path to JSON config")
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
     try:
@@ -558,7 +551,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    run = _Run(ints, config_dir, out_dir, args.verbose)
+    run = _Run(ints, config_dir, out_dir)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -587,7 +580,6 @@ def main(argv=None) -> int:
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    run.say(f"manifest written to {out_dir}")
     return 0
 
 

@@ -19,7 +19,7 @@ depth are still returned but flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class GenPolynomial:
     """Finite expansion sum alpha_k * psi_k over a family's basis."""
     alpha: np.ndarray
     family: RecursiveFamily
-    _grid_values: GridFunction | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=complex)
@@ -102,13 +101,11 @@ class GenPolynomial:
         return len(self.alpha) - 1
 
     def on_grid(self) -> GridFunction:
-        if self._grid_values is None:
-            acc = np.zeros(self.family.grid.n_nodes, dtype=complex)
-            for k, a in enumerate(self.alpha):
-                if a != 0:
-                    acc += a * self.family.psi(k).values
-            self._grid_values = GridFunction(self.family.grid, acc)
-        return self._grid_values
+        acc = np.zeros(self.family.grid.n_nodes, dtype=complex)
+        for k, a in enumerate(self.alpha):
+            if a != 0:
+                acc += a * self.family.psi(k).values
+        return GridFunction(self.family.grid, acc)
 
 
 def gen_taylor_coeffs(h: GridFunction, family: RecursiveFamily,

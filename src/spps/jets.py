@@ -2,10 +2,9 @@
 
 A Jet carries the normalized coefficients c_j = h^(j)(x0) / j! of a
 function at an anchor point.  Sums and products truncate to the shorter
-operand, differentiation shifts and drops one order, and reciprocals
-use the standard power-series recurrence.  The transformation-matrix
-builders run entirely on this algebra, so their entries are exact up to
-floating point whenever the input jet is.
+operand, and reciprocals use the standard power-series recurrence.  The
+transformation-matrix builders run entirely on this algebra, so their
+entries are exact up to floating point whenever the input jet is.
 """
 
 from __future__ import annotations
@@ -98,26 +97,11 @@ class Jet:
             raise AnchorError(f"anchors differ: {self.x0} vs {other.x0}")
 
     def __add__(self, other):
-        if isinstance(other, Jet):
-            self._match(other)
-            m = min(self.order, other.order)
-            return Jet(self.x0, self.coeffs[:m + 1] + other.coeffs[:m + 1])
-        if np.isscalar(other):
-            c = self.coeffs.copy()
-            c[0] += other
-            return Jet(self.x0, c)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(self.x0, -self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        if not isinstance(other, Jet):
+            return NotImplemented
+        self._match(other)
+        m = min(self.order, other.order)
+        return Jet(self.x0, self.coeffs[:m + 1] + other.coeffs[:m + 1])
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -142,20 +126,6 @@ class Jet:
         for j in range(1, len(a)):
             b[j] = -np.dot(a[1:j + 1], b[j - 1::-1]) / a[0]
         return Jet(self.x0, b)
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        if np.isscalar(other):
-            return Jet(self.x0, self.coeffs / other)
-        return NotImplemented
-
-    def derive(self) -> "Jet":
-        """Jet of h'; drops one order."""
-        if self.order == 0:
-            raise OrderError("cannot differentiate an order-0 jet")
-        j = np.arange(1.0, len(self.coeffs))
-        return Jet(self.x0, self.coeffs[1:] * j)
 
     def exp(self) -> "Jet":
         """Jet of exp(h)."""

@@ -134,7 +134,9 @@ def _left_betas(problem: SlProblem, family: RecursiveFamily):
 
 def characteristic(problem: SlProblem, family: RecursiveFamily, lam,
                    n_terms: int):
-    """Phi(lam) = c3 u(b) + c4 u'(b) of the left-pinned u, in lam's shape."""
+    """Phi(lam) = c3 u(b) + c4 u'(b) of the left-pinned u, in lam's shape;
+    it is problem's only if the family's seed solves f'' + qf = 0 for
+    problem.q, which nothing checks."""
     if family.grid.x0_index != 0:
         raise GridConfigError("eigenproblem families must be anchored at a "
                               "(x0 = left endpoint)")
@@ -152,11 +154,12 @@ def characteristic(problem: SlProblem, family: RecursiveFamily, lam,
 
 @dataclass
 class EigenResult:
-    """Eigenvalues sorted by real part with per-root diagnostics, and the
-    samples of Phi the fit read: scan_phi at the Chebyshev points scan_lams."""
+    """Eigenvalues sorted by real part with their residuals, the window's
+    one truncation n_terms, and the samples of Phi the fit read: scan_phi
+    at the Chebyshev points scan_lams."""
     eigenvalues: np.ndarray
     residuals: np.ndarray
-    truncations: np.ndarray
+    n_terms: int
     scan_lams: np.ndarray
     scan_phi: np.ndarray
 
@@ -193,6 +196,10 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     Each boundary pair must be a complex multiple of a real pair, such
     as (1j, 2j), else ValueError: only then is Phi of real q one phase
     times a real function, whose real roots Re(rot Phi) has.
+
+    The roots are those of problem.q only when the family's seed solves
+    f'' + qf = 0 for problem.q (build_seed(problem.q) does); nothing
+    checks that, and another seed gives another potential's eigenvalues.
     """
     lo, hi = float(lam_range[0]), float(lam_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -239,7 +246,7 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     return EigenResult(
         eigenvalues=roots,
         residuals=residuals,
-        truncations=np.full(roots.shape, M),
+        n_terms=M,
         scan_lams=lams,
         scan_phi=phis,
     )

@@ -274,8 +274,9 @@ def test_eigs_dirichlet(tmp_path):
     expect = -np.array([9.0, 4.0, 1.0]) * math.pi**2
     assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-6
     assert len(data["residuals"]) == 3
-    assert len(data["truncations"]) == 3
-    assert os.path.exists(os.path.join(out, "scan.csv"))
+    # the window's one M, at whose M Chebyshev points the scan sampled Phi
+    with open(os.path.join(out, "scan.csv")) as fh:
+        assert data["n_terms"] == len(fh.readlines()) - 1 == 25
 
 
 def test_eigs_from_q_seed_matches_default_seed(tmp_path, monkeypatch):
@@ -304,6 +305,33 @@ def test_eigs_from_q_seed_matches_default_seed(tmp_path, monkeypatch):
             blobs.append(fh.read())
     assert blobs[0] == blobs[1]
     assert len(reads) == 2  # q is read once per run
+
+
+@pytest.mark.parametrize("seed", [
+    {"kind": "builtin", "name": "exp", "parameters": {"c": 1.0}},
+    {"kind": "csv", "path": "seed.csv"},
+], ids=["builtin", "csv"])
+def test_eigs_refuses_a_seed_that_need_not_solve_its_q(tmp_path, capsys, seed):
+    # e^x solves f'' + qf = 0 for q = -1: the search would return
+    # -(k pi)^2 - 1, the eigenvalues of that q, and not those of q = 0
+    spps.write_csv(spps.sample(np.exp, spps.Grid(0.0, 1.0, 1001)),
+                   os.path.join(tmp_path, "seed.csv"))
+    cfg = {
+        "schema_version": 1,
+        "command": "eigs",
+        "grid": {"a": 0.0, "b": 1.0, "n_nodes": 1001},
+        "q": {"kind": "constant", "value": 0.0},
+        "seed": seed,
+        "family_order": 80,
+        "eigs": {"bc_left": [1.0, 0.0], "bc_right": [1.0, 0.0],
+                 "range": [-120.0, -1.0]},
+    }
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: a seed of kind {seed['kind']!r} need not solve "
+        f"f'' + qf = 0 for this q; eigs takes only kind 'from_q'\n")
+    assert not os.path.exists(out)
 
 
 def test_eigs_pair_the_search_refuses_is_config_error(tmp_path, monkeypatch, capsys):
@@ -601,6 +629,73 @@ def test_config_error_leaves_no_output_dir(tmp_path, what):
     code, out = _run(tmp_path, cfg)
     assert code == 2
     assert not os.path.exists(out)
+
+
+def _tree(root):
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, files in os.walk(root) for f in files)
+
+
+def _fault_argv(tmp_path, command, *edits, out=True):
+    """main's arguments for _valid_configs()[command] with each (path, value) set."""
+    cfg = _valid_configs()[command]
+    for path, value in edits:
+        cfg = _with(cfg, path, value)
+    argv = ["--config", _write_config(tmp_path, cfg)]
+    return argv + ["--out", os.path.join(tmp_path, "out")] if out else argv
+
+
+def _off_grid_csv(tmp_path):
+    spps.write_csv(spps.sample(np.zeros_like, spps.Grid(0.0, 1.0, 101)),
+                   os.path.join(tmp_path, "q.csv"))
+    return _fault_argv(tmp_path, "eigs", (("q",), {"kind": "csv", "path": "q.csv"}))
+
+
+_FAULTS = {
+    "unreadable config": (
+        lambda t: ["--config", os.path.join(t, "absent.json"), "--out", os.path.join(t, "out")],
+        "cannot read config: [Errno 2] No such file or directory: '{tmp}/absent.json'"),
+    "b below a": (
+        lambda t: _fault_argv(t, "basis", (("grid", "b"), -1.0)),
+        "bad grid: need finite a < b, got a=0.0, b=-1.0"),
+    "x0 off the mesh": (
+        lambda t: _fault_argv(t, "basis", (("grid", "x0"), 0.0025)),
+        "bad grid: x=0.0025 is not a node of this grid"),
+    "csv on another grid": (
+        _off_grid_csv, "q CSV grid does not match the config grid"),
+    "max_order above family_order": (
+        lambda t: _fault_argv(t, "basis", (("basis", "max_order"), 7)),
+        "basis max_order 7 exceeds family_order 6"),
+    "essential singularity": (
+        lambda t: _fault_argv(t, "taylor", (("seed",), {"kind": "builtin",
+                                                        "name": "x_exp_a_over_x"})),
+        "this seed has an essential singularity at 0"),
+    "x0 off a sampled seed's anchor": (
+        lambda t: _fault_argv(t, "taylor", (("grid",), {"a": 0.0, "b": 1.0, "n_nodes": 201}),
+                              (("q",), {"kind": "constant", "value": 0.0}),
+                              (("seed",), {"kind": "from_q"}), (("taylor", "x0"), 0.5)),
+        "taylor x0 must equal the grid anchor for sampled seeds"),
+    "constant target without value": (
+        lambda t: _fault_argv(t, "approx", (("approx", "target"),
+                                            {"kind": "builtin", "name": "constant"})),
+        "constant target needs parameters.value"),
+    "approx order above family_order": (
+        lambda t: _fault_argv(t, "approx", (("approx", "orders"), [2, 9])),
+        "approx order 9 exceeds family_order 8"),
+    "no output directory": (
+        lambda t: _fault_argv(t, "basis", out=False),
+        "no output directory (config output_dir or --out)"),
+}
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_config_fault_exits_2_and_writes_nothing(tmp_path, capsys, fault):
+    make_argv, message = _FAULTS[fault]
+    argv = make_argv(str(tmp_path))
+    before = _tree(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(tmp=tmp_path)}\n"
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("what", ["q", "seed", "target"])
@@ -994,7 +1089,7 @@ def test_write_rows_matches_value_formula(tmp_path):
         "edge": [tuple(np.roll(edge, k)) for k in range(len(edge))],
         "wide": rng.standard_normal((2001, 9)) * 10.0 ** rng.integers(-300, 300, (2001, 9)),
     }
-    run = cli._Run({}, str(tmp_path), str(tmp_path / "out"), False)
+    run = cli._Run({}, str(tmp_path), str(tmp_path / "out"))
     for name, rows in tables.items():
         header = [f"c{j}" for j in range(len(rows[0]))]
         run.write_rows(f"{name}.csv", header, rows)

@@ -100,6 +100,21 @@ def test_sample_pointwise():
     assert gf.values[1] == pytest.approx(math.exp(0.5), abs=1e-15)
 
 
+@pytest.mark.parametrize("fn, want", [
+    (math.sin, [math.sin(x) for x in np.linspace(0.0, 1.0, 5)]),  # scalars only
+    (lambda x: 1.0, [1.0] * 5),                                   # wrong shape
+    (lambda x: np.arange(5), [0.0, 1.0, 2.0, 3.0, 4.0]),          # integers
+    (lambda x: np.array([complex(1.0, v) for v in x], dtype=object),
+     1.0 + 1j * np.linspace(0.0, 1.0, 5)),                        # complex objects
+], ids=["scalar-only", "shape", "int", "complex-object"])
+def test_sample_falls_back_and_casts(fn, want):
+    # per-node calls when the vectorized call fails or gives another shape,
+    # and float64 (else complex128) values from any other dtype
+    gf = sample(fn, Grid(0.0, 1.0, 5))
+    want = np.asarray(want)
+    assert gf.values.dtype == want.dtype and np.array_equal(gf.values, want)
+
+
 def test_sample_nonfinite_names_node():
     g = Grid(0.0, 1.0, 5)
     with pytest.raises(SamplingError, match="node 2"):
@@ -444,6 +459,18 @@ def test_csv_round_trip_real_stays_real(tmp_path):
     back = read_csv(path)
     assert back.is_real
     assert np.array_equal(back.values, gf.values)
+
+
+@pytest.mark.parametrize("x, message", [
+    ([0.0, 0.25, 0.5, 0.75], "expected >= 5 rows of x,re,im"),
+    ([0.0, 0.25, 0.5, 0.8, 1.0], "nodes are not a uniform increasing mesh"),
+], ids=["four rows", "non-uniform"])
+def test_read_csv_refuses_a_malformed_file(tmp_path, x, message):
+    path = os.path.join(tmp_path, "gf.csv")
+    with open(path, "w") as fh:
+        fh.write("x,re,im\n" + "".join(f"{v},1.0,0.0\n" for v in x))
+    with pytest.raises(GridConfigError, match=message):
+        read_csv(path)
 
 
 def test_csv_header(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spps
-from spps import AccuracyWarning, AnchorError, Grid, JetDivisionError, OrderError, sample
+from spps import AccuracyWarning, AnchorError, Grid, JetDivisionError, sample
 from spps.jets import Jet
 
 
@@ -82,42 +82,6 @@ def test_reciprocal_defining_identity():
 def test_reciprocal_of_near_zero():
     with pytest.raises(JetDivisionError):
         Jet(0.0, [1e-16, 1.0]).reciprocal()
-
-
-# -- differentiation ---------------------------------------------------------
-
-def test_derive_square():
-    a = Jet(0.0, [0.0, 0.0, 1.0, 0.0])
-    d = a.derive()
-    assert d.order == 2
-    assert np.allclose(d.coeffs, [0.0, 2.0, 0.0], atol=1e-15)
-
-
-def test_derive_constant_is_zero():
-    d = Jet(0.0, [5.0, 0.0]).derive()
-    assert np.max(np.abs(d.coeffs)) == 0.0
-
-
-def test_derive_exponential():
-    a = _exp_jet(2.0, 0.0, 8)
-    lhs = a.derive().coeffs
-    rhs = 2.0 * a.truncate(7).coeffs
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_derive_order_zero():
-    with pytest.raises(OrderError):
-        Jet(0.0, [1.0]).derive()
-
-
-def test_leibniz_rule():
-    rng = np.random.default_rng(33)
-    for _ in range(20):
-        a = _random_jet(rng, 9)
-        b = _random_jet(rng, 9)
-        lhs = (a * b).derive().coeffs
-        rhs = (a.derive() * b.truncate(8) + a.truncate(8) * b.derive()).coeffs
-        assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
 def test_ring_axioms():

@@ -265,9 +265,9 @@ def test_characteristic_is_polynomial_in_lambda(q_zero, q_zero_family):
 
 def test_eigenfunction_residuals(q_zero, q_zero_family):
     res = find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-120.0, -1.0))
-    for lam, n_terms in zip(res.eigenvalues.real, res.truncations):
+    for lam in res.eigenvalues.real:
         # Dirichlet left data makes the eigenfunction proportional to u2
-        u = u2_grid(q_zero_family, lam, int(n_terms))
+        u = u2_grid(q_zero_family, lam, res.n_terms)
         assert residual(lam, u, q_zero) < 1e-4
 
 
@@ -364,7 +364,7 @@ def test_window_truncation_bounds_scan(monkeypatch, potential):
         res = find_eigenvalues(prob, fam, window)
         assert len(seen) == 2
         M = max(c.n_terms for c in seen)
-        assert np.all(res.truncations == M)
+        assert res.n_terms == M
         assert res.scan_phi.shape == res.scan_lams.shape
         assert M >= max(choose(fam, lam).n_terms for lam in res.scan_lams)
 
@@ -373,6 +373,8 @@ def test_empty_window(q_zero, q_zero_family):
     res = find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-8.0, -1.0))
     assert len(res) == 0
     assert res.eigenvalues.shape == (0,)
+    # the window's M is reported with no root to carry it
+    assert res.n_terms == len(res.scan_lams) >= 1
 
 
 def test_search_input_validation(q_zero, q_zero_family):
@@ -412,7 +414,7 @@ def test_tolerances_are_keyword_only(q_zero, q_zero_family):
 def test_scan_artifacts_exposed(q_zero, q_zero_family):
     # the samples the fit read: one per Chebyshev point, inside the window
     res = find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-50.0, -1.0))
-    M = res.truncations[0]
+    M = res.n_terms
     assert res.scan_lams.shape == res.scan_phi.shape == (M,)
     assert np.all(np.diff(res.scan_lams) > 0)
     assert -50.0 < res.scan_lams[0] and res.scan_lams[-1] < -1.0
@@ -424,7 +426,8 @@ def test_search_same_on_a_fresh_and_a_grown_family(q_zero):
     first = find_eigenvalues(_dirichlet(q_zero), fam, (-120.0, -1.0))
     second = find_eigenvalues(_dirichlet(q_zero), fam, (-120.0, -1.0))
     assert len(first) == 3
-    for field in ("eigenvalues", "residuals", "truncations", "scan_lams", "scan_phi"):
+    assert first.n_terms == second.n_terms
+    for field in ("eigenvalues", "residuals", "scan_lams", "scan_phi"):
         a, b = getattr(first, field), getattr(second, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -497,7 +500,8 @@ def test_search_grows_family_only_as_deep_as_it_reads():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             second = find_eigenvalues(SlProblem(q, (1.0, 0.0), (1.0, 0.0)), fam, window)
-        for field in ("eigenvalues", "residuals", "truncations", "scan_lams", "scan_phi"):
+        assert first.n_terms == second.n_terms == M
+        for field in ("eigenvalues", "residuals", "scan_lams", "scan_phi"):
             a, b = getattr(first, field), getattr(second, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
