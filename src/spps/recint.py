@@ -19,9 +19,11 @@ whole in a reused row: order n is the product of chi_(n-1) and psi_(n-1)
 with the fixed weights (1/phi, phi), formed in a reused (2, n_nodes)
 buffer, one call of the grid's row integrator on that pair into a second
 reused pair, and the scaling by n; psi_n is the one fresh array.  A
-whole chi_k row is built only when read (the u*' series, X, Xt), as
-k * integral of psi_(k-1) * phi: the loop's product, integration and
-scaling, so it has the bits the loop gave chi_k, and it is kept.  Orders
+whole chi_k row is built only when X or Xt is read, as k * integral of
+psi_(k-1) * phi: the loop's product, integration and scaling, so it has
+the bits the loop gave chi_k, and it is kept.  The series readers build
+none: the rule is linear, so the u*' series of chi rows is one integral
+of the value series of psi rows times phi (series._prime_sum).  Orders
 are built on demand up to the family's cap N, and only as deep as they
 are read.
 """
@@ -72,7 +74,7 @@ def _extend_orders(psi: list, ends: list, weights, h, x0_index: int, stop: int,
 class _ChiRows(dict):
     """Whole chi_k rows by order k, each built on first read from psi_(k-1)
     by the order loop's product with phi, integration and scaling by k,
-    so with the bits the loop gave chi_k."""
+    so with the bits the loop gave chi_k; X and Xt read them."""
 
     def __init__(self, psi: list, phi: np.ndarray, h, x0_index: int):
         super().__init__({0: psi[0]})
@@ -95,12 +97,13 @@ class RecursiveFamily:
     of one integrand product and one cumulative integration of the
     (psi, chi) pair.  The eigen search and the series evaluators read
     only the orders their truncation needs, and psi(k) and phi_k(k) only
-    orders up to k; X and Xt complete the family to N.  The first read of
-    a whole chi_k row (u1_prime_grid, u2_prime_grid, eval_u*_prime, X,
-    Xt) builds it with one more product and integration of one row, and
-    keeps it: a family read whole holds two rows per order.  The family
-    also holds the series module's latest whole-grid sum of each of its
-    four series: at most four complex arrays of n_nodes.
+    orders up to k; X and Xt complete the family to N.  Reading X or Xt
+    also builds every whole chi_k row, with one more product and
+    integration of one row each, and keeps them: a family read whole
+    holds two rows per order.  No series reader builds a chi row.  The
+    family also holds the series module's latest whole-grid sums: S and
+    T of u' = f' S + T/f for u1 and for u2, at most four complex arrays
+    of n_nodes.
 
     Attributes
     ----------
@@ -142,8 +145,9 @@ class RecursiveFamily:
         self._chi = _ChiRows(self._psi, self.phi.values, self.grid.h, self.grid.x0_index)
         # sup-norm of psi_n per built order, read by choose_truncation
         self._sup_norms = [1.0]
-        # the series module's latest whole-grid sum of each series, by
-        # (row, s): ((lambda's bits, M), sum), reused in place (series._sum)
+        # the series module's latest whole-grid S (key (0, s)) and T (key
+        # (1, s)) of u1 (s = 0) and u2 (s = 1): ((lambda's bits, M), array),
+        # each rewritten in place (series._sum, series._prime_sum)
         self._sums = {}
 
     def _grow(self, k: int) -> list[np.ndarray]:
@@ -198,6 +202,6 @@ def build_family(f: GridFunction, N: int = 60) -> RecursiveFamily:
     order n costs one product and one cumulative integral of a
     (2, n_nodes) pair when it is first read, and keeps one row of
     n_nodes; a whole chi row costs one more product and integral of a
-    row, when first read.
+    row, when X or Xt is first read.
     """
     return RecursiveFamily(f, N)

@@ -6,37 +6,44 @@ For u'' + qu = lambda*u with q = f''/f, the two solutions
     u2 = f * sum_k lambda^k psi_(2k+1) / (2k+1)!
 
 satisfy u1(x0) = f(x0), u1'(x0) = f'(x0), u2(x0) = 0, u2'(x0) = 1/f(x0),
-so their Wronskian is identically 1.  Derivatives are evaluated from the
-term-wise differentiated series
+so their Wronskian is identically 1.  Write u = f S.  Derivatives are
+evaluated from the term-wise differentiated series, u' = f' S + T/f with
 
-    u1' = (f'/f) u1 + (1/f) * sum_{k>=1} lambda^k chi_(2k-1) / (2k-1)!,
-    u2' = (f'/f) u2 + (1/f) * sum_{k>=0} lambda^k chi_2k / (2k)!,
+    T1 = sum_{k>=1} lambda^k chi_(2k-1) / (2k-1)!,
+    T2 = sum_{k>=0} lambda^k chi_2k / (2k)!,
 
-not by differentiating u1 and u2 on the grid.  The seed derivative f'
-is still the 5-point stencil RecursiveFamily.f_prime, so u1', u2' and
-the characteristic function built on them carry its error.
+not by differentiating u1 and u2 on the grid.  As chi_n = n * integral
+of psi_(n-1) phi and the quadrature rule is linear, T1 = lambda *
+integral of phi S1^(M-1) and T2 = 1 + lambda * integral of phi S2^(M-1),
+S^(M-1) the value series to M - 1 terms: the derivative form of
+Kravchenko and Porter's SPPS.  On the grid T is that one integral
+(_prime_sum), so no series reader builds a whole chi row; at b it is
+the sum of the chi ends the family keeps.  The seed derivative f' is
+still the 5-point stencil RecursiveFamily.f_prime, so u1', u2' and the
+characteristic function built on them carry its error.
 
-Every sum above runs in Horner form in lambda.  _horner sums a list of
-family rows, by order, into one accumulator: on the whole grid for
-u*_grid, and for eval_u* only at the nodes of the interpolation stencils
-of the points asked for (grid._stencil, 6 nodes a point), which then get
-the stencil's weights; so eval_u*(x) has the bits of u*_grid(...).at(x)
-at a fraction of the cost.  Each product is np.multiply(factor, sum),
-which numpy never runs in place with its operands swapped, so those bits
-hold whatever the array's size.  A family keeps the latest whole-grid
-sum of each series with the bits of its lambda and its M, so at most
-four arrays (RecursiveFamily._sums): choose_truncation, u*_grid and
-eval_u* at one lambda share them, eval_u* by one gather at its stencil
-nodes, and the next whole-grid sum of a series is made in place of its
-last.  _right_end is the same sums at the last node alone (_at_nodes with
-at = -1), with lambda a scalar or an array, summed anew from the psi
-rows and the chi ends the family keeps at b: u(b), u'(b) and Phi are the
-grid solutions' last node to rounding, and the eigen search builds no
-whole chi row.  The u*' readers build the chi rows they read on their
-first whole-row read (recint._ChiRows), on the grid or at the stencil
-nodes alike, and the family keeps them.  choose_truncation sums u1's and
-u2's series once, on the whole grid, at the first truncation its bound
-lets through.
+Every sum runs in Horner form in lambda.  _horner sums a list of family
+rows, by order, into one accumulator: on the whole grid for u*_grid,
+and for eval_u1 and eval_u2 only at the nodes of the interpolation
+stencils of the points asked for (grid._stencil, 6 nodes a point),
+which then get the stencil's weights; so eval_u*(x) has the bits of
+u*_grid(...).at(x) at a fraction of the cost.  Each product is
+np.multiply(factor, sum), which numpy never runs in place with its
+operands swapped, so those bits hold whatever the array's size.  A
+family keeps the latest whole-grid S and T of u1 and u2 with the bits
+of their lambda and M, so at most four arrays (RecursiveFamily._sums):
+choose_truncation, u*_grid and eval_u* at one lambda share them, eval_u*
+by one gather at its stencil nodes, and the next whole-grid S or T is
+made in place of its last.  Together they make two whole-grid Horner
+sums (four if choose_truncation summed at another M) and two integrals.
+T is not local, so eval_u*_prime at a lambda and M with no kept T makes
+S and T on the whole grid, as u*_prime_grid does.  _right_end is the
+sums at the last node alone (_at_nodes with at = -1), with lambda a
+scalar or an array, summed anew from the psi rows and the chi ends the
+family keeps at b: u(b), u'(b) and Phi are the grid solutions' last node
+to rounding, and the eigen search builds no whole chi row.
+choose_truncation sums u1's and u2's series once, on the whole grid, at
+the first truncation its bound lets through.
 
 Every reader builds the family only to the orders it reads:
 choose_truncation to 2M + 3, the evaluators and _right_end (through
@@ -53,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AccuracyWarning, OrderError, _as_order
-from .grid import GridFunction, _interpolate, derivative
+from .grid import GridFunction, _integrate_rows, _interpolate, derivative
 from .jets import _factorials
 from .recint import RecursiveFamily
 
@@ -94,104 +101,119 @@ def _horner(rows, s: int, lam: complex, M: int, at, out=None):
     return acc
 
 
-def _sum(rows, kept, row: int, s: int, lam, M: int, at):
-    """_horner of the series (row, s) at the nodes `at`, row 0 for psi
-    rows and 1 for chi rows, through kept, the family's latest whole-grid
-    sum of each series (None bypasses it).  A kept sum of lam's bits and
-    this M is read, at the nodes `at` by one gather, and no row is read.
-    Otherwise a whole-grid sum is made in the buffer of the series' last
-    one and kept, and a sum at other nodes is kept nowhere."""
-    if kept is None:
-        return _horner(rows, s, lam, M, at)
-    key = np.complex128(lam).tobytes(), M
-    last = kept.get((row, s))
+def _sum(family: RecursiveFamily, s: int, lam, M: int, at):
+    """_horner of the psi series of u1 (s = 0) or u2 (s = 1) at the nodes
+    `at`, through the family's latest whole-grid sum of it,
+    family._sums[0, s].  A kept sum of lam's bits and this M is read, at
+    the nodes `at` by one gather, and no row is read.  Otherwise a
+    whole-grid sum is made in the buffer of the series' last one and
+    kept, and a sum at other nodes is kept nowhere."""
+    kept, key = family._sums, (np.complex128(lam).tobytes(), M)
+    last = kept.get((0, s))
     if last is not None and last[0] == key:
         return last[1][at]
     if not isinstance(at, slice):
-        return _horner(rows, s, lam, M, at)
-    kept[row, s] = None  # nothing stale is left if the sum is cut short
-    S = _horner(rows, s, lam, M, at, out=None if last is None else last[1])
-    kept[row, s] = key, S
+        return _horner(family._psi, s, lam, M, at)
+    kept[0, s] = None  # nothing stale is left if the sum is cut short
+    S = _horner(family._psi, s, lam, M, at, out=None if last is None else last[1])
+    kept[0, s] = key, S
     return S
 
 
-def _sum_and_prime(psi, chi, kept, u: int, f, fp, lam, M: int, at):
+def _prime_sum(family: RecursiveFamily, s: int, lam, M: int, at):
+    """T of u' = f' S + T/f for u1 (s = 0) or u2 (s = 1) at the nodes `at`:
+    lam * integral of phi S^(M-1), plus 1 for u2.  S^(M-1), the series to
+    M - 1 terms, is the whole-grid S that _sum keeps less its top term
+    lam^(M-1) psi_top / top!, so no second Horner sum is made.  An
+    integral is not local, so T is always made on the whole grid; it is
+    kept as family._sums[1, s], as _sum keeps S, and `at` reads it by one
+    gather."""
+    kept, key = family._sums, (np.complex128(lam).tobytes(), M)
+    last = kept.get((1, s))
+    if last is not None and last[0] == key:
+        return last[1][at]
+    S = _sum(family, s, lam, M, slice(None))
+    kept[1, s] = None  # nothing stale is left if the sum is cut short
+    top = 2 * M - 2 + s
+    y = np.multiply(complex(lam) ** (M - 1) * _inv_factorials(top)[top], family._psi[top])
+    np.subtract(S, y, out=y)
+    np.multiply(family.phi.values, y, out=y)
+    T = np.empty_like(y) if last is None else last[1]
+    _integrate_rows(y, family.grid.h, T, family.grid.x0_index)
+    np.multiply(lam, T, out=T)
+    if s:
+        T += 1.0
+    kept[1, s] = key, T
+    return T[at]
+
+
+def _sum_and_prime(psi, chi, u: int, f, fp, lam, M: int, at):
     """The series S of u1 or u2 (u = 1, 2) at the nodes `at`, and u' =
-    f' S + T/f from its term-wise derivative T, given f and f' there and
-    the psi and chi rows (or chi's ends, for the last node).
+    f' S + T/f from its term-wise derivative T, given f and f' there,
+    summed from the psi rows and chi's ends: the sums _at_nodes makes.
 
     Each product is the ufunc np.multiply(factor, sum).  The * operator
     runs as sum *= factor, operands swapped, where numpy may reuse a
     temporary (from 256 KiB on), and a complex product's bits depend on
-    its operands' order, so they would depend on the array's size and on
-    whether the sum was kept."""
+    its operands' order, so they would depend on the array's size."""
     if u == 1:
-        S = _sum(psi, kept, 0, 0, lam, M, at)
+        S = _horner(psi, 0, lam, M, at)
         # T = sum_{k>=1} lam^k chi_(2k-1) / (2k-1)!, empty for M = 1
-        T = np.multiply(lam, _sum(chi, kept, 1, 1, lam, M - 1, at)) if M > 1 else 0.0
+        T = np.multiply(lam, _horner(chi, 1, lam, M - 1, at)) if M > 1 else 0.0
     else:
-        S, T = _sum(psi, kept, 0, 1, lam, M, at), _sum(chi, kept, 1, 0, lam, M, at)
+        S, T = _horner(psi, 1, lam, M, at), _horner(chi, 0, lam, M, at)
     return S, np.multiply(fp, S) + T / f
 
 
-# u1, u1', u2, u2' at the nodes `at` for a checked truncation M
-def _u1(fam, lam, M, at):
-    S = _sum(fam._psi, fam._sums, 0, 0, lam, M, at)
-    return np.multiply(fam.f.values[at], S)
+# u (u1 for s = 0, u2 for s = 1) and u' at the nodes `at` for a checked
+# truncation M
+def _u(fam, s, lam, M, at):
+    return np.multiply(fam.f.values[at], _sum(fam, s, lam, M, at))
 
 
-def _u2(fam, lam, M, at):
-    S = _sum(fam._psi, fam._sums, 0, 1, lam, M, at)
-    return np.multiply(fam.f.values[at], S)
+def _u_prime(fam, s, lam, M, at):
+    T = _prime_sum(fam, s, lam, M, at)  # keeps S on the whole grid too
+    S = _sum(fam, s, lam, M, at)
+    return np.multiply(fam.f_prime.values[at], S) + T / fam.f.values[at]
 
 
-def _u1_prime(fam, lam, M, at):
-    return _sum_and_prime(fam._psi, fam._chi, fam._sums, 1, fam.f.values[at],
-                          fam.f_prime.values[at], lam, M, at)[1]
-
-
-def _u2_prime(fam, lam, M, at):
-    return _sum_and_prime(fam._psi, fam._chi, fam._sums, 2, fam.f.values[at],
-                          fam.f_prime.values[at], lam, M, at)[1]
-
-
-def _on_grid(u, family, lam, n_terms) -> GridFunction:
+def _on_grid(u, s, family, lam, n_terms) -> GridFunction:
     M = _check_truncation(family, n_terms)
-    return GridFunction(family.grid, u(family, lam, M, slice(None)))
+    return GridFunction(family.grid, u(family, s, lam, M, slice(None)))
 
 
-def _off_node(u, family, lam, x, n_terms):
-    """GridFunction.at of the grid solution u, with u summed only at the
+def _off_node(u, s, family, lam, x, n_terms):
+    """GridFunction.at of the grid solution u, with u computed only at the
     stencil nodes: the same weights on the same node values."""
     M = _check_truncation(family, n_terms)
-    return _interpolate(family.grid, x, lambda idx: u(family, lam, M, idx))
+    return _interpolate(family.grid, x, lambda idx: u(family, s, lam, M, idx))
 
 
 def u1_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
     """u1 on the whole grid."""
-    return _on_grid(_u1, family, lam, n_terms)
+    return _on_grid(_u, 0, family, lam, n_terms)
 
 
 def u2_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
     """u2 on the whole grid."""
-    return _on_grid(_u2, family, lam, n_terms)
+    return _on_grid(_u, 1, family, lam, n_terms)
 
 
 def u1_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
     """u1' on the whole grid (term-wise differentiated series)."""
-    return _on_grid(_u1_prime, family, lam, n_terms)
+    return _on_grid(_u_prime, 0, family, lam, n_terms)
 
 
 def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFunction:
     """u2' on the whole grid (term-wise differentiated series)."""
-    return _on_grid(_u2_prime, family, lam, n_terms)
+    return _on_grid(_u_prime, 1, family, lam, n_terms)
 
 
 def _at_nodes(psi, chi, f, fp, lam, M: int, at):
-    """u1, u1', u2, u2' at the nodes `at` of the psi and chi rows (or
-    chi's ends, (..., 1) slices, at the last node), given the seed's f
-    and f' there: each of the four series summed once."""
-    (S1, u1p), (S2, u2p) = (_sum_and_prime(psi, chi, None, u, f, fp, lam, M, at)
+    """u1, u1', u2, u2' at the nodes `at` of the psi rows and chi's ends
+    ((..., 1) slices, at the last node), given the seed's f and f' there:
+    each of the four series summed once."""
+    (S1, u1p), (S2, u2p) = (_sum_and_prime(psi, chi, u, f, fp, lam, M, at)
                             for u in (1, 2))
     return np.multiply(f, S1), u1p, np.multiply(f, S2), u2p
 
@@ -206,22 +228,22 @@ def _right_end(family: RecursiveFamily, lam, n_terms: int):
 
 def eval_u1(family, lam, x, n_terms):
     """u1(x); x may be a scalar or an array inside [a, b]."""
-    return _off_node(_u1, family, lam, x, n_terms)
+    return _off_node(_u, 0, family, lam, x, n_terms)
 
 
 def eval_u2(family, lam, x, n_terms):
     """u2(x); x may be a scalar or an array inside [a, b]."""
-    return _off_node(_u2, family, lam, x, n_terms)
+    return _off_node(_u, 1, family, lam, x, n_terms)
 
 
 def eval_u1_prime(family, lam, x, n_terms):
     """u1'(x)."""
-    return _off_node(_u1_prime, family, lam, x, n_terms)
+    return _off_node(_u_prime, 0, family, lam, x, n_terms)
 
 
 def eval_u2_prime(family, lam, x, n_terms):
     """u2'(x)."""
-    return _off_node(_u2_prime, family, lam, x, n_terms)
+    return _off_node(_u_prime, 1, family, lam, x, n_terms)
 
 
 def residual(lam: complex, u_values: GridFunction, q: GridFunction) -> float:
@@ -277,7 +299,7 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
     inv = _inv_factorials(family.N)
     alam = abs(lam)
     norms = family._sup_norms  # psi_k's, extended in place as orders are built
-    psi = family._grow(1)
+    family._grow(1)
 
     def term1(k):  # sup-norm of the k-th term of the u1 series
         return alam ** k * norms[2 * k] * inv[2 * k]
@@ -299,8 +321,8 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
                 or any(t > tol * B2 * _BOUND_SLACK for t in dropped2)):
             continue
         if s1 is None:
-            s1, s2 = (float(np.max(np.abs(_sum(psi, family._sums, 0, s, lam, M,
-                                                slice(None))))) for s in (0, 1))
+            s1, s2 = (float(np.max(np.abs(_sum(family, s, lam, M, slice(None)))))
+                      for s in (0, 1))
         if all(t <= tol * s1 for t in dropped1) and all(t <= tol * s2 for t in dropped2):
             return TruncationChoice(M, False)
     warnings.warn(

@@ -186,19 +186,23 @@ def test_solve_nan_tol_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("n_terms", [None, 10])
 def test_solve_sums_each_series_once(tmp_path, monkeypatch, n_terms):
     # the truncation choice and the four grid solutions share the family's
-    # kept sums: 4 whole-grid sums, and 2 more where the choice summed
-    # u1's and u2's series at another M
-    calls = []
-    horner = spps.series._horner
+    # kept sums: 2 whole-grid Horner sums (u1's and u2's psi series) and 2
+    # integrals (their derivatives'), and 2 more sums where the choice
+    # summed u1's and u2's series at another M
+    calls, integrals = [], []
+    horner, integrate = spps.series._horner, spps.series._integrate_rows
     monkeypatch.setattr(spps.series, "_horner", lambda rows, s, lam, M, at, **out:
                         calls.append(isinstance(at, slice))
                         or horner(rows, s, lam, M, at, **out))
+    monkeypatch.setattr(spps.series, "_integrate_rows", lambda y, *args:
+                        integrals.append(y.shape) or integrate(y, *args))
     cfg = _valid_configs()["solve"]
     if n_terms is None:
         del cfg["solve"]["n_terms"]
         cfg["family_order"] = 40  # the choice meets tol below the cap, and sums
     assert _run(tmp_path, cfg)[0] == 0
-    assert all(calls) and (len(calls) == 4 if n_terms else 4 <= len(calls) <= 6)
+    assert all(calls) and (len(calls) == 2 if n_terms else 2 <= len(calls) <= 4)
+    assert len(integrals) == 2
 
 
 def test_solve_n_terms_past_family_order_is_config_error(tmp_path, capsys):

@@ -188,9 +188,9 @@ def test_order_loop_with_weight_bitwise_equal_row_by_row_recursion(case, row_by_
 
 @pytest.mark.parametrize("case", ["real", "complex", "interior"])
 def test_chi_rows_built_on_read_bitwise_equal_row_by_row_recursion(case, row_by_row):
-    # a family keeps chi_n at b alone until a whole row is read; the row
-    # then built from psi_(n-1) has the recursion's bits, on a fresh family
-    # and on one the eigen search grew (for the interior anchor, which the
+    # a family keeps chi_n at b alone until X or Xt is read; the rows then
+    # built from psi_(n-1) have the recursion's bits, on a fresh family and
+    # on one the eigen search grew (for the interior anchor, which the
     # search refuses, the reads it makes: the truncation and the ends at b)
     g = Grid(0.0, 2.0, 401, x0=0.5 if case == "interior" else None)
     seed = {"real": np.exp, "interior": lambda x: np.exp(0.5 * x)}.get(
@@ -213,15 +213,16 @@ def test_chi_rows_built_on_read_bitwise_equal_row_by_row_recursion(case, row_by_
                     spps.find_eigenvalues(SlProblem(q, (1.0, 0.0), (1.0, 0.0)), fam,
                                           (-20.0, -1.0))
             assert len(fam._psi) > 1 and list(fam._chi) == [0]
-        # u1' reads the odd chi rows, u2' the even ones, X all of them
+        # u1' and u2' integrate their value series and read no chi row
         spps.u1_prime_grid(fam, -3.0, 6)
-        assert sorted(fam._chi) == [0, 1, 3, 5, 7, 9]
         spps.eval_u2_prime(fam, -3.0, 0.7, 6)
-        assert sorted(fam._chi) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-        fam.X
+        assert list(fam._chi) == [0]
+        # X builds every chi row: the even orders of X, the odd ones of Xt
+        chi = [(fam.Xt[n] if n % 2 else fam.X[n]).values for n in range(N + 1)]
+        assert sorted(fam._chi) == list(range(N + 1))
         for n, ref in enumerate(want):
-            assert fam._chi[n].dtype == ref.dtype
-            assert np.array_equal(fam._chi[n], ref)
+            assert chi[n].dtype == ref.dtype
+            assert np.array_equal(chi[n], ref)
             assert np.array_equal(fam._chi_ends[n], ref[-1:])
 
 

@@ -80,6 +80,24 @@ def test_derivatives_match_numerical(exp_family):
     assert np.max(np.abs(u1p.values - num.values)) < 1e-6
 
 
+@pytest.mark.parametrize("lam, bound", [(-100.0, 8.2e-12), (-400.0, 6.4e-8),
+                                        (-200.0 + 50.0j, 1.2e-10)])
+def test_derivatives_against_closed_form(exp_family, lam, bound):
+    # u' = f' S + T/f with T = lam * integral of phi S^(M-1), where the
+    # series cancels (|lam| large, u' small against its terms); each bound
+    # is the error of the term-wise chi sum.  N = 80 lets lam = -400 meet tol
+    fam = spps.build_family(exp_family.f, 80)
+    choice = choose_truncation(fam, lam)
+    assert not choice.capped
+    x = fam.grid.nodes
+    kappa = np.sqrt(1.0 + lam + 0j)  # q = -1: u'' = (1 + lam) u
+    exact = (((1 + kappa) * np.exp(kappa * x) - (kappa - 1) * np.exp(-kappa * x)) / 2,
+             np.cosh(kappa * x))
+    for u, e in zip((u1_prime_grid, u2_prime_grid), exact):
+        err = np.max(np.abs(u(fam, lam, choice.n_terms).values - e)) / np.max(np.abs(e))
+        assert err <= bound
+
+
 def test_wronskian_is_one(exp_family):
     rng = np.random.default_rng(202)
     for lam in 50 * (rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)):
@@ -282,14 +300,36 @@ def test_evaluators_leave_family_rows_untouched(request, name, q_value):
 @pytest.mark.parametrize("lam", [-30.0, 5.0 + 20.0j,
                                  np.linspace(-60.0, 40.0, 7)])
 def test_right_end_matches_grid_solutions(request, name, lam):
-    # the endpoint sums give the last node of the grid sums, to rounding
+    # the endpoint sums give the last node of the grid sums, to rounding.
+    # u1 and u2 sum the same psi values; u1' and u2' sum the chi ends at b
+    # where the grid integrates phi S^(M-1), so they differ by rounding of
+    # the size of the derivative series' terms, eps * sum_k |term_k(b)|
     fam = request.getfixturevalue(name)
     M = max(choose_truncation(fam, l).n_terms for l in np.atleast_1d(lam))
     ends = spps.series._right_end(fam, lam, M)
+    term_sums = np.array([_prime_term_sums(fam, l, M) for l in np.atleast_1d(lam)]).T
     for u, end in zip((u1_grid, u1_prime_grid, u2_grid, u2_prime_grid), ends):
         grid_end = np.array([u(fam, l, M).values[-1] for l in np.atleast_1d(lam)])
         assert np.shape(end) == np.shape(lam)
-        assert np.all(np.abs(end - grid_end) <= 1e-14 * np.abs(grid_end))
+        if u in (u1_grid, u2_grid):
+            bound = 1e-14 * np.abs(grid_end)
+        else:
+            bound = 32 * np.finfo(float).eps * term_sums[u is u2_prime_grid]
+        assert np.all(np.abs(end - grid_end) <= bound)
+
+
+def _prime_term_sums(fam, lam, M):
+    """sum_k |term_k(b)| of u1' and of u2', f' S + T/f with T the sum of
+    the chi terms, from the psi rows and chi ends at b."""
+    psi = [p[-1] for p in fam._psi[:2 * M]]
+    chi = [c[0] for c in fam._chi_ends[:2 * M]]
+    inv = _inv_factorials(2 * M - 1)
+    f, fp, a = fam.f.values[-1], fam.f_prime.values[-1], abs(lam)
+    u1p = sum(a ** k * abs(fp * psi[2 * k]) * inv[2 * k] for k in range(M)) + sum(
+        a ** k * abs(chi[2 * k - 1] / f) * inv[2 * k - 1] for k in range(1, M))
+    u2p = sum(a ** k * (abs(fp * psi[2 * k + 1]) * inv[2 * k + 1]
+                        + abs(chi[2 * k] / f) * inv[2 * k]) for k in range(M))
+    return u1p, u2p
 
 
 @pytest.fixture(scope="module")
@@ -304,8 +344,9 @@ def seed_family_20001():
 @pytest.mark.parametrize("name", ["exp_family", "q_zero_family", "seed_family_20001"])
 @pytest.mark.parametrize("lam", [17.5, -30.0, -4.0 + 25.0j])
 def test_off_node_evaluators_are_interpolated_grid_solutions(request, name, lam):
-    # eval_u* reads the kept whole-grid sums at the stencil nodes, or sums
-    # the series there alone (on a fresh family), with the same bits
+    # eval_u* reads the kept whole-grid sums at the stencil nodes, or
+    # (eval_u1, eval_u2 on a fresh family) sums the series there alone,
+    # with the same bits
     fam = request.getfixturevalue(name)
     fresh = spps.build_family(fam.f, fam.N)
     g = fam.grid
@@ -323,7 +364,10 @@ def test_off_node_evaluators_are_interpolated_grid_solutions(request, name, lam)
             assert np.shape(got) == np.shape(alone) == np.shape(x)
             assert np.array_equal(got, want)
             assert np.array_equal(alone, want)
-    assert not fresh._sums  # a stencil sum is kept nowhere
+        if ev in (eval_u1, eval_u2):
+            assert not fresh._sums  # a stencil sum is kept nowhere
+    # u' needs T on the whole grid: eval_u*_prime made and kept S and T
+    assert sorted(fresh._sums) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 # -- sums kept for the latest lambda -------------------------------------------
@@ -338,17 +382,24 @@ def _read(reader, fam, lam, M, x=np.linspace(0.05, 0.95, 9)):
     return reader(fam, lam, M).values
 
 
-def _count_sums(monkeypatch, fam):
+def _count_sums(monkeypatch, fam, integrals=None):
     """(row, s, M, whole grid?) of every _horner call on fam's rows from
-    now on, row 0 for psi and 1 for chi."""
+    now on, row 0 for psi and 1 for chi; and the shape of every row the
+    series module integrates, appended to integrals if given."""
     calls = []
-    horner = spps.series._horner
+    horner, integrate = spps.series._horner, spps.series._integrate_rows
 
     def counting(rows, s, lam, M, at, **out):
         calls.append((0 if rows is fam._psi else 1, s, M, isinstance(at, slice)))
         return horner(rows, s, lam, M, at, **out)
 
+    def counting_integrals(y, *args):
+        integrals.append(y.shape)
+        return integrate(y, *args)
+
     monkeypatch.setattr(spps.series, "_horner", counting)
+    if integrals is not None:
+        monkeypatch.setattr(spps.series, "_integrate_rows", counting_integrals)
     return calls
 
 
@@ -360,19 +411,24 @@ def _count_sums(monkeypatch, fam):
 def test_one_lambda_sums_each_series_once_for_every_reader(exp_family, monkeypatch,
                                                            lam, sums_at_choice, extra):
     # choose_truncation, the four u*_grid and the four eval_u* at one lam:
-    # 4 whole-grid sums when choose_truncation summed at the M used, 6 when
-    # not (u1's and u2's series again at that M), and eval_u* none at all
+    # 2 whole-grid Horner sums of the psi rows when choose_truncation summed
+    # at the M used, 4 when not (u1's and u2's series again at that M), and
+    # 2 integrals, one for each derivative; eval_u* none at all
     fam = spps.build_family(exp_family.f, exp_family.N)
-    calls = _count_sums(monkeypatch, fam)
+    integrals = []
+    calls = _count_sums(monkeypatch, fam, integrals)
     M = choose_truncation(fam, lam).n_terms + extra
     at_M = calls[0][2] == M
     assert at_M == (sums_at_choice and not extra)
     got = [_read(r, fam, lam, M) for r in _READERS[:4]]
-    assert len(calls) == sum(c[3] for c in calls) == (4 if at_M else 6)
+    assert len(calls) == sum(c[3] for c in calls) == (2 if at_M else 4)
+    assert all(c[0] == 0 for c in calls)  # no chi row is summed
+    assert integrals == [(fam.grid.n_nodes,)] * 2
     calls.clear()
+    integrals.clear()
     got += [_read(r, fam, lam, M) for r in _READERS[4:]]
-    assert calls == []
-    assert len(fam._sums) == 4  # one sum per series, of n_nodes each
+    assert calls == [] and integrals == []
+    assert len(fam._sums) == 4  # S and T of u1 and u2, of n_nodes each
     # the bits of each reader on a fresh family, which keeps nothing yet
     for r, values in zip(_READERS, got):
         assert np.array_equal(values, _read(r, spps.build_family(fam.f, fam.N), lam, M))
@@ -432,6 +488,40 @@ def test_a_sum_cut_short_leaves_no_stale_sum(exp_family, monkeypatch):
         with pytest.raises(KeyboardInterrupt):
             u1_grid(fam, -30.0, 8)
     assert np.array_equal(u1_grid(fam, 2.0, 8).values, want)
+    # so for the derivative series' integral
+    want = u1_prime_grid(fam, 2.0, 8).values
+
+    def integral_cut_short(y, h, out, x0_index):
+        out[:] = np.nan
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(spps.series, "_integrate_rows", integral_cut_short)
+        with pytest.raises(KeyboardInterrupt):
+            u1_prime_grid(fam, -30.0, 8)
+    assert np.array_equal(u1_prime_grid(fam, 2.0, 8).values, want)
+
+
+def test_readers_keep_psi_rows_and_four_sums_only():
+    # the series readers build no whole chi row: after choose_truncation,
+    # the four u*_grid and the four eval_u* at one lam the family holds its
+    # psi rows, chi_n's last node per order, and S and T of u1 and u2
+    g = spps.Grid(0.0, 1.0, 2001)
+    q = sample(lambda x: 50 * np.cos(3 * np.pi * x), g)
+    fam = spps.build_family(spps.build_seed(q), 80)
+    lam = -40.0
+    M = choose_truncation(fam, lam).n_terms
+    for r in _READERS:
+        _read(r, fam, lam, M)
+    built = len(fam._psi)
+    assert 1 < built < 81
+    assert list(fam._chi) == [0] and fam._chi[0] is fam._psi[0]
+    assert len(fam._chi_ends) == built
+    assert all(e.shape == (1,) and e.base is None for e in fam._chi_ends[1:])
+    assert sorted(fam._sums) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # one row of n_nodes per order (psi_0 real, the rest complex) and four sums
+    held = sum(p.nbytes for p in fam._psi) + sum(S.nbytes for _, S in fam._sums.values())
+    assert held == (8 + 16 * (built - 1) + 4 * 16) * g.n_nodes
 
 
 @pytest.mark.parametrize("x", [np.nan, np.array([0.3, np.nan])])

@@ -134,6 +134,16 @@ def test_non_finite_boundary_conditions(q_zero, value):
         SlProblem(q_zero, (1.0, 0.0), (0.0, value))
 
 
+def test_left_pair_whose_betas_underflow(q_zero):
+    # (0, 5e-324) is not (0, 0), but with f = 4 and f'(a) = 0 both betas
+    # vanish: beta1 = -5e-324 / 4 underflows and beta2 = 5e-324 * 0
+    f = sample(lambda x: np.full_like(x, 4.0), q_zero.grid)
+    fam = build_family(f, 80)  # the truncation stays below the cap
+    assert fam.f_prime.values[0] == 0
+    with pytest.raises(spps.EigenError, match="both solution coefficients vanished"):
+        find_eigenvalues(SlProblem(q_zero, (0.0, 5e-324), (1.0, 0.0)), fam, (-50.0, -1.0))
+
+
 # -- characteristic function -----------------------------------------------------
 
 def test_characteristic_vanishes_at_eigenvalue(q_zero, q_zero_family):
