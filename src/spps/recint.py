@@ -93,22 +93,24 @@ class RecursiveFamily:
     """Both recursive integral families of a seed, up to order N.
 
     Orders are built when first read.  Order n holds psi_n whole and
-    chi_n at the last node: one complex or real row of n_nodes, the cost
-    of one integrand product and one cumulative integration of the
-    (psi, chi) pair.  The eigen search and the series evaluators read
+    chi_n at the last node: one row of n_nodes, the cost of one integrand
+    product and one cumulative integration of the (psi, chi) pair.  A
+    seed with no imaginary part is held in float64, whatever its dtype,
+    so f, phi and every row are real, 8 bytes a value against a complex
+    seed's 16.  The eigen search and the series evaluators read
     only the orders their truncation needs, and psi(k) and phi_k(k) only
     orders up to k; X and Xt complete the family to N.  Reading X or Xt
     also builds every whole chi_k row, with one more product and
     integration of one row each, and keeps them: a family read whole
     holds two rows per order.  No series reader builds a chi row.  The
     family also holds the series module's latest whole-grid sums: S and
-    T of u' = f' S + T/f for u1 and for u2, at most four complex arrays
-    of n_nodes.
+    T of u' = f' S + T/f for u1 and for u2, at most four arrays of
+    n_nodes in the type of the rows and lambda they were summed from.
 
     Attributes
     ----------
     f : GridFunction
-        The seed.
+        The seed, in float64 if it has no imaginary part.
     phi : GridFunction
         f squared.
     N : int
@@ -135,6 +137,8 @@ class RecursiveFamily:
                 f"is below {MIN_SEED_ABS:g}")
         if f.grid.n_nodes < 4:
             raise GridConfigError("cumulative integral needs at least 4 nodes")
+        if f.is_real:  # real rows, sums and kept arrays: 8 bytes a value
+            f = GridFunction(f.grid, np.ascontiguousarray(f.values.real))
         self.f = f
         self.phi = f * f
         self.N = N

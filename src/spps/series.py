@@ -23,7 +23,9 @@ still the 5-point stencil RecursiveFamily.f_prime, so u1', u2' and the
 characteristic function built on them carry its error.
 
 Every sum runs in Horner form in lambda.  _horner sums a list of family
-rows, by order, into one accumulator: on the whole grid for u*_grid,
+rows, by order, into one accumulator of the rows' and lambda's type:
+float64 for the rows of a real seed at a lambda with no imaginary part,
+complex otherwise.  It sums on the whole grid for u*_grid,
 and for eval_u1 and eval_u2 only at the nodes of the interpolation
 stencils of the points asked for (grid._stencil, 6 nodes a point),
 which then get the stencil's weights; so eval_u*(x) has the bits of
@@ -34,7 +36,7 @@ family keeps the latest whole-grid S and T of u1 and u2 with the bits
 of their lambda and M, so at most four arrays (RecursiveFamily._sums):
 choose_truncation, u*_grid and eval_u* at one lambda share them, eval_u*
 by one gather at its stencil nodes, and the next whole-grid S or T is
-made in place of its last.  Together they make two whole-grid Horner
+made in place of its last if it has that one's type.  Together they make two whole-grid Horner
 sums (four if choose_truncation summed at another M) and two integrals.
 T is not local, so eval_u*_prime at a lambda and M with no kept T makes
 S and T on the whole grid, as u*_prime_grid does.  _right_end is the
@@ -82,19 +84,30 @@ def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
     return n_terms
 
 
+def _real_if_real(lam):
+    """lam, or its real part if it has no imaginary part (lam a scalar or
+    an array), so that sums of real rows at a real lam stay real."""
+    return np.real(lam) if np.iscomplexobj(lam) and not np.any(np.imag(lam)) else lam
+
+
 def _horner(rows, s: int, lam: complex, M: int, at, out=None):
     """sum_{k<M} lam^k Y[2k+s] / (2k+s)! for Y = rows, family rows by order
     (psi, chi or chi's ends), at the nodes `at` of the last axis (an
     index, an index array, or slice(None) for all), highest term first,
-    in one complex accumulator updated in place: out if given, else a new
-    one."""
+    in one accumulator of the operands' type, result_type(rows, lam),
+    updated in place: out if it has that type, else a new one.  A lam
+    with no imaginary part counts as real, so real rows make a real sum;
+    a complex accumulator of the same operands has that sum as its real
+    part, bit for bit, as the real part of (x + 0j)(lam + 0j) is
+    x lam - 0 * 0."""
     top = 2 * M - 2 + s
     inv = _inv_factorials(top)
-    # complex even for real rows: lam may be complex
-    if out is None:
-        acc = (rows[top][at] * inv[top]).astype(complex, copy=False)
-    else:
+    lam = _real_if_real(lam)
+    dtype = np.result_type(rows[top], lam)
+    if out is not None and out.dtype == dtype:
         acc = np.multiply(rows[top][at], inv[top], out=out)
+    else:
+        acc = (rows[top][at] * inv[top]).astype(dtype, copy=False)
     for k in range(M - 2, -1, -1):
         acc *= lam
         acc += rows[2 * k + s][at] * inv[2 * k + s]
@@ -106,8 +119,9 @@ def _sum(family: RecursiveFamily, s: int, lam, M: int, at):
     `at`, through the family's latest whole-grid sum of it,
     family._sums[0, s].  A kept sum of lam's bits and this M is read, at
     the nodes `at` by one gather, and no row is read.  Otherwise a
-    whole-grid sum is made in the buffer of the series' last one and
-    kept, and a sum at other nodes is kept nowhere."""
+    whole-grid sum is made in the buffer of the series' last one, if
+    that has the sum's type (a real lam after a complex one needs a new
+    one), and kept; a sum at other nodes is kept nowhere."""
     kept, key = family._sums, (np.complex128(lam).tobytes(), M)
     last = kept.get((0, s))
     if last is not None and last[0] == key:
@@ -127,18 +141,25 @@ def _prime_sum(family: RecursiveFamily, s: int, lam, M: int, at):
     lam^(M-1) psi_top / top!, so no second Horner sum is made.  An
     integral is not local, so T is always made on the whole grid; it is
     kept as family._sums[1, s], as _sum keeps S, and `at` reads it by one
-    gather."""
+    gather.  T has S's type, and reuses the kept buffer only if that has
+    it too."""
     kept, key = family._sums, (np.complex128(lam).tobytes(), M)
     last = kept.get((1, s))
     if last is not None and last[0] == key:
         return last[1][at]
     S = _sum(family, s, lam, M, slice(None))
     kept[1, s] = None  # nothing stale is left if the sum is cut short
+    lam = _real_if_real(lam)
     top = 2 * M - 2 + s
-    y = np.multiply(complex(lam) ** (M - 1) * _inv_factorials(top)[top], family._psi[top])
+    # complex ** int, not float ** int: its bits, and nan where the other
+    # raises OverflowError
+    power = complex(lam) ** (M - 1)
+    if not np.iscomplexobj(lam):
+        power = power.real
+    y = np.multiply(power * _inv_factorials(top)[top], family._psi[top])
     np.subtract(S, y, out=y)
     np.multiply(family.phi.values, y, out=y)
-    T = np.empty_like(y) if last is None else last[1]
+    T = last[1] if last is not None and last[1].dtype == y.dtype else np.empty_like(y)
     _integrate_rows(y, family.grid.h, T, family.grid.x0_index)
     np.multiply(lam, T, out=T)
     if s:
@@ -213,6 +234,7 @@ def _at_nodes(psi, chi, f, fp, lam, M: int, at):
     """u1, u1', u2, u2' at the nodes `at` of the psi rows and chi's ends
     ((..., 1) slices, at the last node), given the seed's f and f' there:
     each of the four series summed once."""
+    lam = _real_if_real(lam)
     (S1, u1p), (S2, u2p) = (_sum_and_prime(psi, chi, u, f, fp, lam, M, at)
                             for u in (1, 2))
     return np.multiply(f, S1), u1p, np.multiply(f, S2), u2p

@@ -67,7 +67,8 @@ def build_seed(q: GridFunction) -> GridFunction:
     reach rounding.  The pieces of equal width are built side by side in
     one batch (_seed_pieces), the last, wider piece in a second; each
     costs 2 _SEED_TERMS - 1 integrations of the batch, whatever the number
-    of pieces.  Complex q, a non-finite q or a vanishing seed raise SeedError.
+    of pieces.  Complex q, a non-finite q, a seed that overflows (q L^2
+    far below zero) or a vanishing seed raise SeedError.
     """
     if not q.is_real:
         raise SeedError("complex q requires a user-supplied seed")
@@ -84,8 +85,13 @@ def build_seed(q: GridFunction) -> GridFunction:
     batches.append(_seed_pieces(r, g.nodes, bounds[-2:-1], bounds[-1] - bounds[-2]))
     pieces = (piece for batch in batches for piece in zip(*batch))
     f, fp = np.ones(n, dtype=complex), 1j
-    for i, j, (c, s, cp, sp) in zip(bounds[:-1], bounds[1:], pieces):
-        f[i:j + 1], fp = f[i] * c + fp * s, f[i] * cp + fp * sp
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for i, j, (c, s, cp, sp) in zip(bounds[:-1], bounds[1:], pieces):
+            f[i:j + 1], fp = f[i] * c + fp * s, f[i] * cp + fp * sp
+    bad = np.flatnonzero(~np.isfinite(f))
+    if bad.size:
+        raise SeedError(f"generated seed overflows at x={g.nodes[bad[0]]}: the "
+                        f"solutions of f'' + qf = 0 outgrow the float range")
     i = int(np.argmin(np.abs(f)))
     if not abs(f[i]) >= MIN_SEED_ABS:  # NaN fails too
         raise SeedError(
@@ -105,6 +111,7 @@ def _seed_pieces(r, nodes, starts, w: int):
     recint's order loop with each piece's own spacing and the weights
     (1, r): with seed 1, 1/phi = 1 exactly and r takes the place of phi;
     the seed's derivative is 0.  Only the ends of the chi rows are read.
+    Rows and sums are real, in float64.
     """
     starts = np.asarray(starts)
     idx = starts[:, None] + np.arange(w + 1)

@@ -267,3 +267,37 @@ def test_psi_builds_only_the_order_it_reads():
     # the same rows the completed family holds
     assert np.array_equal(psi3.values, fam.X[3].values)
     assert np.array_equal(fam.psi(4).values, fam.Xt[4].values)
+
+
+def test_a_seed_with_no_imaginary_part_makes_a_real_family(row_by_row):
+    # a complex-typed seed whose imaginary parts are all zero is held in
+    # float64, and with it phi, the psi rows, the chi ends and the chi rows:
+    # 8 bytes a value.  Its rows are the complex family's real parts to a
+    # few ulps of each row's sup-norm, not bit for bit: the row kernel
+    # divides a real increment by 24, but multiplies the parts of a complex
+    # one by 1/24 (grid._integrate_rows), and 1/24 is not exact.
+    g = Grid(0.0, 2.0, 401)
+    f = sample(lambda x: np.exp(0.5 * x) + 0j, g)
+    assert f.values.dtype == complex
+    N = 25
+    fam = build_family(f, N)
+    X, Xt = row_by_row(f, N)  # the recursion in complex arithmetic
+    assert fam.f.values.dtype == fam.phi.values.dtype == np.float64
+    assert np.array_equal(fam.f.values, f.values.real)
+    ulps = 16 * np.finfo(float).eps  # 7.9 at most, measured
+    for n in range(N + 1):
+        # psi_n, chi_n: X(n), X~(n) for odd n, the other way round for even n
+        ref_psi, ref_chi = (X[n], Xt[n]) if n % 2 else (Xt[n], X[n])
+        for mine, ref, size in ((fam.psi(n).values, ref_psi.values, ref_psi.sup_norm),
+                                (fam._chi_ends[n], ref_chi.values[-1:], ref_chi.sup_norm),
+                                ((fam.Xt if n % 2 else fam.X)[n].values, ref_chi.values,
+                                 ref_chi.sup_norm)):
+            assert mine.dtype == np.float64
+            assert not np.any(ref.imag)
+            assert np.max(np.abs(mine - ref.real)) <= ulps * size
+    assert spps.gamma_seq(sample(np.sin, g), fam, 3).values.dtype == np.float64
+    # any nonzero imaginary part keeps the family complex
+    f.values[7] += 1e-300j
+    fam = build_family(f, N)
+    assert fam.f.values is f.values
+    assert fam.psi(1).values.dtype == fam._chi_ends[1].dtype == complex

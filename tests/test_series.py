@@ -20,7 +20,7 @@ from spps import (
     u2_grid,
     u2_prime_grid,
 )
-from spps.series import TruncationChoice, _inv_factorials
+from spps.series import TruncationChoice, _horner, _inv_factorials
 
 
 def _kappa_solution(c, lam, x):
@@ -546,3 +546,60 @@ def test_evaluators_build_only_the_orders_they_read(evaluate):
     again = evaluate(fam, 6)
     first, again = getattr(first, "values", first), getattr(again, "values", again)
     assert np.array_equal(first, again)
+
+
+# -- real rows at a real lambda ---------------------------------------------------
+
+def _complex_horner(rows, s, lam, M, at):
+    """The reference for _horner: one complex accumulator whatever the
+    type of the rows and lam."""
+    top = 2 * M - 2 + s
+    inv = _inv_factorials(top)
+    acc = (rows[top][at] * inv[top]).astype(complex)
+    for k in range(M - 2, -1, -1):
+        acc *= lam
+        acc += rows[2 * k + s][at] * inv[2 * k + s]
+    return acc
+
+
+def test_real_rows_at_a_real_lambda_sum_in_float64():
+    # x * lam - 0 * 0 is x * lam: a complex accumulator of real rows at a
+    # real lam has the real sum as its real part, bit for bit
+    fam = spps.build_family(sample(np.exp, spps.Grid(0.0, 1.0, 2001)), 60)
+    fam._grow(60)
+    M = 25
+    for rows, at in ((fam._psi, slice(None)), (fam._psi, np.array([0, 17, 2000])),
+                     (fam._psi, -1), (fam._chi_ends, -1)):
+        # an array lam at one node, as the eigen search sums
+        lams = [complex(-37.0), -37.0]
+        if isinstance(at, int):
+            lams.append(np.array([-37.0, 2.0 + 0j]))
+        for s in (0, 1):
+            for lam in lams:
+                got, want = _horner(rows, s, lam, M, at), _complex_horner(rows, s, lam, M, at)
+                assert got.dtype == np.float64 and not np.any(want.imag)
+                assert np.array_equal(got, want.real)
+            lam = complex(-37.0, 5.0)  # a complex lam sums as it did
+            got, want = _horner(rows, s, lam, M, at), _complex_horner(rows, s, lam, M, at)
+            assert got.dtype == complex and np.array_equal(got, want)
+
+
+def test_kept_sums_follow_lambda_from_real_to_complex_and_back():
+    # each kept S and T is remade in its last buffer only if that has the
+    # new sum's type: a complex lam after a real one, and a real lam after a
+    # complex one, get the bits and the type of a fresh family's sums
+    g = spps.Grid(0.0, 1.0, 2001)
+    fam = spps.build_family(sample(np.exp, g), 60)
+    readers = (u1_grid, u2_grid, u1_prime_grid, u2_prime_grid, eval_u1_prime, eval_u2_prime)
+    for lam in (-30.0, complex(-30.0, 4.0), complex(-30.0), 12.0, 12.0 + 1e-3j):
+        fresh = spps.build_family(fam.f, fam.N)
+        choice = choose_truncation(fam, lam)
+        assert choice == choose_truncation(fresh, lam)
+        dtype = complex if np.imag(lam) else np.float64
+        for r in readers:
+            got = _read(r, fam, lam, choice.n_terms)
+            want = _read(r, fresh, lam, choice.n_terms)
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+        assert sorted(fam._sums) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert all(S.dtype == dtype for _, S in fam._sums.values())

@@ -113,6 +113,18 @@ def test_seed_rejects_nan_potential():
             build_seed(q)
 
 
+def test_seed_that_overflows_is_refused_without_warnings():
+    # q = -1e6 on [0, 1]: the solutions grow like e^(1000 x), far past the
+    # float range.  The SeedError names the overflow at the first node that
+    # is not finite, with no numpy warning (an error under the test
+    # settings) and no advice to refine the grid
+    g = Grid(0.0, 1.0, 201)
+    with pytest.raises(SeedError, match=r"^generated seed overflows at x=0\.51: "
+                                        r"the solutions of f'' \+ qf = 0 outgrow the "
+                                        r"float range$"):
+        build_seed(GridFunction(g, np.full(201, -1e6)))
+
+
 # -- problem construction --------------------------------------------------------
 
 def test_degenerate_boundary_conditions(q_zero):
