@@ -89,7 +89,8 @@ class GenPolynomial:
     family: RecursiveFamily
 
     def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=complex)
+        alpha = np.asarray(self.alpha)  # its own type, ints as float64
+        self.alpha = alpha if alpha.dtype.kind in "fc" else alpha.astype(np.float64)
         if not np.all(np.isfinite(self.alpha)):
             raise OrderError("generalized polynomial coefficients must be finite")
         if len(self.alpha) - 1 > self.family.N:
@@ -101,7 +102,10 @@ class GenPolynomial:
         return len(self.alpha) - 1
 
     def on_grid(self) -> GridFunction:
-        acc = np.zeros(self.family.grid.n_nodes, dtype=complex)
+        """sum alpha_k psi_k on the grid, in the type of alpha and the
+        family's rows."""
+        acc = np.zeros(self.family.grid.n_nodes,
+                       dtype=np.result_type(self.alpha, self.family.f.values))
         for k, a in enumerate(self.alpha):
             if a != 0:
                 acc += a * self.family.psi(k).values

@@ -9,8 +9,8 @@ and off-node evaluation.  Both the quadrature and the differentiation
 rules are 4th order so that repeated application through the recursions
 keeps enough accuracy at the default resolution.  Off-node evaluation is
 local Lagrange interpolation on _STENCIL nodes (5th order): a point reads
-only its stencil, so a caller that can produce values at any nodes (the
-series evaluators) computes them there alone.  numpy is the only
+only its stencil, so a caller that holds values on the whole grid (the
+series evaluators) gathers them there alone.  numpy is the only
 dependency.
 """
 
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, GridConfigError, SamplingError
+from .errors import DomainError, GridConfigError, OrderError, SamplingError, _as_order
 
 # Snap tolerance for "x is a node", as a fraction of the spacing.
 _NODE_SNAP = 1e-9
@@ -48,7 +48,8 @@ class Grid:
     a, b : float
         Interval endpoints, a < b.
     n_nodes : int
-        Number of nodes, at least 2.  Quadrature needs 4 and the
+        Number of nodes, at least 2: a Python or numpy integer; a float
+        or a bool raises GridConfigError.  Quadrature needs 4 and the
         derivative stencils need 5; those operations enforce their own
         minimums.
     x0 : float, optional
@@ -61,7 +62,10 @@ class Grid:
         b = float(b)
         if not (np.isfinite(a) and np.isfinite(b)) or not b > a:
             raise GridConfigError(f"need finite a < b, got a={a}, b={b}")
-        n_nodes = int(n_nodes)
+        try:
+            n_nodes = _as_order(n_nodes, "n_nodes")  # a float or a bool is refused
+        except OrderError as e:
+            raise GridConfigError(str(e)) from None
         if n_nodes < 2:
             raise GridConfigError(f"need at least 2 nodes, got {n_nodes}")
         self.a = a

@@ -25,32 +25,31 @@ characteristic function built on them carry its error.
 Every sum runs in Horner form in lambda.  _horner sums a list of family
 rows, by order, into one accumulator of the rows' and lambda's type:
 float64 for the rows of a real seed at a lambda with no imaginary part,
-complex otherwise.  It sums on the whole grid for u*_grid,
-and for eval_u1 and eval_u2 only at the nodes of the interpolation
-stencils of the points asked for (grid._stencil, 6 nodes a point),
-which then get the stencil's weights; so eval_u*(x) has the bits of
-u*_grid(...).at(x) at a fraction of the cost.  Each product is
+complex otherwise.  The series are read one way: a family keeps the
+latest whole-grid S and T of u1 and u2 (RecursiveFamily._sums, at most
+four arrays), each tagged with the bits of its lambda and M by _kept,
+which makes a missing one in the buffer of its last.  u*_grid and
+choose_truncation read S and T whole, and eval_u* gathers them at the
+nodes of the interpolation stencils of the points asked for
+(grid._stencil, 6 nodes a point), which then get the stencil's weights;
+so eval_u*(x) has the bits of u*_grid(...).at(x).  Each product is
 np.multiply(factor, sum), which numpy never runs in place with its
-operands swapped, so those bits hold whatever the array's size.  A
-family keeps the latest whole-grid S and T of u1 and u2 with the bits
-of their lambda and M, so at most four arrays (RecursiveFamily._sums):
-choose_truncation, u*_grid and eval_u* at one lambda share them, eval_u*
-by one gather at its stencil nodes, and the next whole-grid S or T is
-made in place of its last if it has that one's type.  Together they make two whole-grid Horner
-sums (four if choose_truncation summed at another M) and two integrals.
-T is not local, so eval_u*_prime at a lambda and M with no kept T makes
-S and T on the whole grid, as u*_prime_grid does.  _right_end is the
-sums at the last node alone (_at_nodes with at = -1), with lambda a
-scalar or an array, summed anew from the psi rows and the chi ends the
-family keeps at b: u(b), u'(b) and Phi are the grid solutions' last node
-to rounding, and the eigen search builds no whole chi row.
-choose_truncation sums u1's and u2's series once, on the whole grid, at
-the first truncation its bound lets through.
+operands swapped, so those bits hold whatever the array's size.  At one
+lambda every reader together makes two whole-grid Horner sums (four if
+choose_truncation summed at another M) and two integrals; a first
+eval_u1 at a new lambda makes S on the whole grid, as u1_grid does.
+_right_end is the sums at the last node alone (_at_nodes with at = -1),
+with lambda a scalar or an array, summed anew from the psi rows and the
+chi ends the family keeps at b: u(b), u'(b) and Phi are the grid
+solutions' last node to rounding, and the eigen search builds no whole
+chi row.  choose_truncation sums u1's and u2's series once, on the
+whole grid, at the first truncation its bound lets through.
 
 Every reader builds the family only to the orders it reads:
 choose_truncation to 2M + 3, the evaluators and _right_end (through
-_check_truncation) to 2M - 1.  sturm.build_seed runs _horner and
-_at_nodes on the psi rows and chi ends of many seed pieces at once.
+_check_truncation, which also refuses a non-finite lambda) to 2M - 1.
+sturm.build_seed runs _horner and _at_nodes on the psi rows and chi
+ends of many seed pieces at once.
 """
 
 from __future__ import annotations
@@ -72,7 +71,13 @@ def _inv_factorials(n: int) -> np.ndarray:
     return 1.0 / _factorials(n)
 
 
-def _check_truncation(family: RecursiveFamily, n_terms: int) -> int:
+def _check_lam(lam) -> None:
+    if not np.all(np.isfinite(lam)):
+        raise OrderError(f"lam must be finite, got {lam}")
+
+
+def _check_truncation(family: RecursiveFamily, lam, n_terms: int) -> int:
+    _check_lam(lam)
     n_terms = _as_order(n_terms, "n_terms")
     if n_terms < 1:
         raise OrderError(f"n_terms must be >= 1, got {n_terms}")
@@ -92,14 +97,13 @@ def _real_if_real(lam):
 
 def _horner(rows, s: int, lam: complex, M: int, at, out=None):
     """sum_{k<M} lam^k Y[2k+s] / (2k+s)! for Y = rows, family rows by order
-    (psi, chi or chi's ends), at the nodes `at` of the last axis (an
-    index, an index array, or slice(None) for all), highest term first,
-    in one accumulator of the operands' type, result_type(rows, lam),
-    updated in place: out if it has that type, else a new one.  A lam
-    with no imaginary part counts as real, so real rows make a real sum;
-    a complex accumulator of the same operands has that sum as its real
-    part, bit for bit, as the real part of (x + 0j)(lam + 0j) is
-    x lam - 0 * 0."""
+    (psi, chi or chi's ends), on the whole grid (at = slice(None)) or at
+    the last node, highest term first, in one accumulator of the
+    operands' type, result_type(rows, lam), updated in place: out if it
+    has that type, else a new one.  A lam with no imaginary part counts
+    as real, so real rows make a real sum; a complex accumulator of the
+    same operands has that sum as its real part, bit for bit, as the
+    real part of (x + 0j)(lam + 0j) is x lam - 0 * 0."""
     top = 2 * M - 2 + s
     inv = _inv_factorials(top)
     lam = _real_if_real(lam)
@@ -114,76 +118,63 @@ def _horner(rows, s: int, lam: complex, M: int, at, out=None):
     return acc
 
 
+def _kept(family: RecursiveFamily, key, lam, M: int, make):
+    """The family's whole-grid sum family._sums[key], tagged with the bits
+    of lam and M: the kept one if it has this tag, else make(buffer), the
+    slot's last array handed on for reuse, kept in its place."""
+    kept, tag = family._sums, (np.complex128(lam).tobytes(), M)
+    last = kept.get(key)
+    if last is not None and last[0] == tag:
+        return last[1]
+    kept[key] = None  # nothing stale is left if the sum is cut short
+    made = make(None if last is None else last[1])
+    kept[key] = tag, made
+    return made
+
+
 def _sum(family: RecursiveFamily, s: int, lam, M: int, at):
-    """_horner of the psi series of u1 (s = 0) or u2 (s = 1) at the nodes
-    `at`, through the family's latest whole-grid sum of it,
-    family._sums[0, s].  A kept sum of lam's bits and this M is read, at
-    the nodes `at` by one gather, and no row is read.  Otherwise a
-    whole-grid sum is made in the buffer of the series' last one, if
-    that has the sum's type (a real lam after a complex one needs a new
-    one), and kept; a sum at other nodes is kept nowhere."""
-    kept, key = family._sums, (np.complex128(lam).tobytes(), M)
-    last = kept.get((0, s))
-    if last is not None and last[0] == key:
-        return last[1][at]
-    if not isinstance(at, slice):
-        return _horner(family._psi, s, lam, M, at)
-    kept[0, s] = None  # nothing stale is left if the sum is cut short
-    S = _horner(family._psi, s, lam, M, at, out=None if last is None else last[1])
-    kept[0, s] = key, S
-    return S
+    """The psi series S of u1 (s = 0) or u2 (s = 1) at the nodes `at`,
+    gathered from its whole-grid sum kept as family._sums[0, s]; _horner
+    reuses the buffer only if it has the sum's type."""
+    return _kept(family, (0, s), lam, M, lambda out: _horner(
+        family._psi, s, lam, M, slice(None), out=out))[at]
 
 
 def _prime_sum(family: RecursiveFamily, s: int, lam, M: int, at):
     """T of u' = f' S + T/f for u1 (s = 0) or u2 (s = 1) at the nodes `at`:
-    lam * integral of phi S^(M-1), plus 1 for u2.  S^(M-1), the series to
+    lam * integral of phi S^(M-1), plus 1 for u2, gathered from its
+    whole-grid sum kept as family._sums[1, s].  S^(M-1), the series to
     M - 1 terms, is the whole-grid S that _sum keeps less its top term
-    lam^(M-1) psi_top / top!, so no second Horner sum is made.  An
-    integral is not local, so T is always made on the whole grid; it is
-    kept as family._sums[1, s], as _sum keeps S, and `at` reads it by one
-    gather.  T has S's type, and reuses the kept buffer only if that has
-    it too."""
-    kept, key = family._sums, (np.complex128(lam).tobytes(), M)
-    last = kept.get((1, s))
-    if last is not None and last[0] == key:
-        return last[1][at]
-    S = _sum(family, s, lam, M, slice(None))
-    kept[1, s] = None  # nothing stale is left if the sum is cut short
-    lam = _real_if_real(lam)
-    top = 2 * M - 2 + s
-    # complex ** int, not float ** int: its bits, and nan where the other
-    # raises OverflowError
-    power = complex(lam) ** (M - 1)
-    if not np.iscomplexobj(lam):
-        power = power.real
-    y = np.multiply(power * _inv_factorials(top)[top], family._psi[top])
-    np.subtract(S, y, out=y)
-    np.multiply(family.phi.values, y, out=y)
-    T = last[1] if last is not None and last[1].dtype == y.dtype else np.empty_like(y)
-    _integrate_rows(y, family.grid.h, T, family.grid.x0_index)
-    np.multiply(lam, T, out=T)
-    if s:
-        T += 1.0
-    kept[1, s] = key, T
-    return T[at]
+    lam^(M-1) psi_top / top!, so no second Horner sum is made.  T has
+    S's type, and reuses the buffer only if that has it too."""
+    def make(out):
+        S = _sum(family, s, lam, M, slice(None))
+        lam_r = _real_if_real(lam)
+        top = 2 * M - 2 + s
+        # complex ** int, not float ** int: its bits, and nan where the
+        # other raises OverflowError
+        power = complex(lam_r) ** (M - 1)
+        if not np.iscomplexobj(lam_r):
+            power = power.real
+        y = np.multiply(power * _inv_factorials(top)[top], family._psi[top])
+        np.subtract(S, y, out=y)
+        np.multiply(family.phi.values, y, out=y)
+        T = out if out is not None and out.dtype == y.dtype else np.empty_like(y)
+        _integrate_rows(y, family.grid.h, T, family.grid.x0_index)
+        np.multiply(lam_r, T, out=T)
+        if s:
+            T += 1.0
+        return T
+    return _kept(family, (1, s), lam, M, make)[at]
 
 
-def _sum_and_prime(psi, chi, u: int, f, fp, lam, M: int, at):
-    """The series S of u1 or u2 (u = 1, 2) at the nodes `at`, and u' =
-    f' S + T/f from its term-wise derivative T, given f and f' there,
-    summed from the psi rows and chi's ends: the sums _at_nodes makes.
-
-    Each product is the ufunc np.multiply(factor, sum).  The * operator
-    runs as sum *= factor, operands swapped, where numpy may reuse a
-    temporary (from 256 KiB on), and a complex product's bits depend on
-    its operands' order, so they would depend on the array's size."""
-    if u == 1:
-        S = _horner(psi, 0, lam, M, at)
-        # T = sum_{k>=1} lam^k chi_(2k-1) / (2k-1)!, empty for M = 1
-        T = np.multiply(lam, _horner(chi, 1, lam, M - 1, at)) if M > 1 else 0.0
-    else:
-        S, T = _horner(psi, 1, lam, M, at), _horner(chi, 0, lam, M, at)
-    return S, np.multiply(fp, S) + T / f
+def _prime(fp, S, T, f):
+    """u' = f' S + T/f.  Each product is the ufunc np.multiply(factor,
+    sum): the * operator runs as sum *= factor, operands swapped, where
+    numpy may reuse a temporary (from 256 KiB on), and a complex
+    product's bits depend on its operands' order, so they would depend
+    on the array's size."""
+    return np.multiply(fp, S) + T / f
 
 
 # u (u1 for s = 0, u2 for s = 1) and u' at the nodes `at` for a checked
@@ -194,19 +185,18 @@ def _u(fam, s, lam, M, at):
 
 def _u_prime(fam, s, lam, M, at):
     T = _prime_sum(fam, s, lam, M, at)  # keeps S on the whole grid too
-    S = _sum(fam, s, lam, M, at)
-    return np.multiply(fam.f_prime.values[at], S) + T / fam.f.values[at]
+    return _prime(fam.f_prime.values[at], _sum(fam, s, lam, M, at), T, fam.f.values[at])
 
 
 def _on_grid(u, s, family, lam, n_terms) -> GridFunction:
-    M = _check_truncation(family, n_terms)
+    M = _check_truncation(family, lam, n_terms)
     return GridFunction(family.grid, u(family, s, lam, M, slice(None)))
 
 
 def _off_node(u, s, family, lam, x, n_terms):
-    """GridFunction.at of the grid solution u, with u computed only at the
-    stencil nodes: the same weights on the same node values."""
-    M = _check_truncation(family, n_terms)
+    """GridFunction.at of the grid solution u, gathered at the stencil
+    nodes alone: the same weights on the same node values."""
+    M = _check_truncation(family, lam, n_terms)
     return _interpolate(family.grid, x, lambda idx: u(family, s, lam, M, idx))
 
 
@@ -233,17 +223,21 @@ def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFu
 def _at_nodes(psi, chi, f, fp, lam, M: int, at):
     """u1, u1', u2, u2' at the nodes `at` of the psi rows and chi's ends
     ((..., 1) slices, at the last node), given the seed's f and f' there:
-    each of the four series summed once."""
+    each of the four series summed once, with T1 = sum_{k>=1} lam^k
+    chi_(2k-1) / (2k-1)! (empty for M = 1) and T2 = sum_k lam^k chi_2k /
+    (2k)!."""
     lam = _real_if_real(lam)
-    (S1, u1p), (S2, u2p) = (_sum_and_prime(psi, chi, u, f, fp, lam, M, at)
-                            for u in (1, 2))
-    return np.multiply(f, S1), u1p, np.multiply(f, S2), u2p
+    S1 = _horner(psi, 0, lam, M, at)
+    T1 = np.multiply(lam, _horner(chi, 1, lam, M - 1, at)) if M > 1 else 0.0
+    S2, T2 = _horner(psi, 1, lam, M, at), _horner(chi, 0, lam, M, at)
+    return (np.multiply(f, S1), _prime(fp, S1, T1, f),
+            np.multiply(f, S2), _prime(fp, S2, T2, f))
 
 
 def _right_end(family: RecursiveFamily, lam, n_terms: int):
     """u1, u1', u2, u2' at b, lam a scalar or an array: the last node of
     u1_grid .. u2_prime_grid, from the chi ends the family keeps."""
-    M = _check_truncation(family, n_terms)
+    M = _check_truncation(family, lam, n_terms)
     return _at_nodes(family._psi, family._chi_ends, family.f.values[-1],
                      family.f_prime.values[-1], lam, M, -1)
 
@@ -315,30 +309,26 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
     """
     if not tol > 0:
         raise OrderError(f"tol must be positive, got {tol}")
-    if not np.isfinite(lam):
-        raise OrderError(f"lam must be finite, got {lam}")
+    _check_lam(lam)
     M_max = (family.N + 1) // 2
     inv = _inv_factorials(family.N)
     alam = abs(lam)
     norms = family._sup_norms  # psi_k's, extended in place as orders are built
     family._grow(1)
 
-    def term1(k):  # sup-norm of the k-th term of the u1 series
-        return alam ** k * norms[2 * k] * inv[2 * k]
-
-    def term2(k):
-        return alam ** k * norms[2 * k + 1] * inv[2 * k + 1]
+    def term(k, s):  # sup-norm of the k-th term of u1's (s = 0) or u2's series
+        return alam ** k * norms[2 * k + s] * inv[2 * k + s]
 
     B1 = B2 = 0.0
     s1 = s2 = None
     for M in range(1, M_max + 1):
-        B1 += term1(M - 1)
-        B2 += term2(M - 1)
+        B1 += term(M - 1, 0)
+        B2 += term(M - 1, 1)
         # the two dropped terms must exist inside the family's cap
         if 2 * (M + 1) + 1 > family.N:
             break
         family._grow(2 * M + 3)
-        dropped1, dropped2 = (term1(M), term1(M + 1)), (term2(M), term2(M + 1))
+        dropped1, dropped2 = ((term(M, s), term(M + 1, s)) for s in (0, 1))
         if (any(t > tol * B1 * _BOUND_SLACK for t in dropped1)
                 or any(t > tol * B2 * _BOUND_SLACK for t in dropped2)):
             continue

@@ -234,6 +234,59 @@ def test_projection_order_must_be_an_integer(interior_family, bad):
         least_squares_project(h, interior_family, bad, "full")
 
 
+@pytest.mark.parametrize("call", [lambda h, fam: gamma_seq(h, fam, 2),
+                                  lambda h, fam: remainder_check(h, fam, 2, [0.6]),
+                                  lambda h, fam: least_squares_project(h, fam, 2)])
+def test_h_must_live_on_the_family_grid(interior_family, call):
+    h = sample(np.exp, spps.Grid(0.0, 1.0, 51, x0=0.5))
+    with pytest.raises(spps.GridConfigError, match="family's grid"):
+        call(h, interior_family)
+
+
+def test_gamma_order_must_not_be_negative(interior_family):
+    with pytest.raises(OrderError, match="n must be >= 0"):
+        gamma_seq(sample(np.exp, interior_family.grid), interior_family, -1)
+
+
+def test_projection_needs_an_order(interior_family):
+    # the odd half has no order <= 0
+    with pytest.raises(OrderError, match="no basis orders"):
+        least_squares_project(sample(np.exp, interior_family.grid), interior_family, 0, "odd")
+
+
+def test_real_family_polynomials_stay_real(interior_family):
+    # a real family and real h: alpha, on_grid and the point values are
+    # float64; on_grid is the real part of the complex sum bit for bit, and
+    # the point values are GridFunction.at of it, whose real weighted sum
+    # numpy adds in another order than a complex one
+    fam = interior_family
+    assert fam.f.is_real
+    p = gen_taylor_coeffs(sample(np.exp, fam.grid), fam, 5)
+    assert p.alpha.dtype == np.float64
+    values = p.on_grid().values
+    assert values.dtype == np.float64
+    as_complex = GenPolynomial(p.alpha.astype(complex), fam).on_grid().values
+    assert as_complex.dtype == np.complex128
+    assert np.array_equal(values, as_complex.real)
+    x = np.linspace(0.0, 1.0, 7)
+    at = eval_gen_polynomial(p, x)
+    assert at.dtype == np.float64
+    assert np.array_equal(at, p.on_grid().at(x))
+    want = eval_gen_polynomial(GenPolynomial(p.alpha + 0j, fam), x).real
+    assert np.max(np.abs(at - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(values))
+    # ints are taken as float64
+    assert GenPolynomial([1, 0, 2], fam).alpha.dtype == np.float64
+
+
+def test_complex_family_polynomials_stay_complex(interior_family):
+    g = interior_family.grid
+    fam = spps.build_family(sample(lambda x: np.exp((0.5 + 0.2j) * x), g), 6)
+    p = GenPolynomial(np.array([1.0, 0.5, -0.25]), fam)
+    assert p.alpha.dtype == np.float64
+    assert p.on_grid().values.dtype == np.complex128
+    assert eval_gen_polynomial(p, 0.3).dtype == np.complex128
+
+
 def test_projection_validates_selector(interior_family):
     h = sample(np.exp, interior_family.grid)
     with pytest.raises(ValueError):

@@ -51,6 +51,19 @@ def test_grid_rejects_bad_intervals():
         Grid(0.0, 1.0, 11, x0=2.0)
 
 
+@pytest.mark.parametrize("n", [1000.9, 1001.0, np.float64(11.0), True, "11", None])
+def test_grid_node_count_must_be_an_integer(n):
+    # not truncated to a node count nobody asked for
+    with pytest.raises(GridConfigError, match="n_nodes must be an integer"):
+        Grid(0.0, 1.0, n)
+
+
+@pytest.mark.parametrize("n", [11, np.int64(11), np.uint16(11)])
+def test_grid_takes_any_integer_node_count(n):
+    g = Grid(0.0, 1.0, n)
+    assert type(g.n_nodes) is int and g.n_nodes == 11
+
+
 @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
 def test_grid_rejects_non_finite_anchor(x0):
     # a config error, not the ValueError or OverflowError of int(round(x))
@@ -141,6 +154,21 @@ def test_gridfunction_grid_mismatch():
     b = sample(np.exp, Grid(0.0, 1.0, 31))
     with pytest.raises(GridConfigError):
         a + b
+
+
+@pytest.mark.parametrize("values", [np.zeros(20), np.zeros((21, 1)), np.zeros(()),
+                                    np.array(["a"] * 21), np.full(21, None)])
+def test_gridfunction_refuses_a_wrong_shape_or_dtype(values):
+    with pytest.raises(GridConfigError):
+        GridFunction(Grid(0.0, 1.0, 21), values)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint32, bool])
+def test_gridfunction_casts_integers_to_float64(dtype):
+    values = np.arange(21).astype(dtype)
+    gf = GridFunction(Grid(0.0, 1.0, 21), values)
+    assert gf.values.dtype == np.float64
+    assert np.array_equal(gf.values, values.astype(np.float64))
 
 
 def test_gridfunction_complex_support():

@@ -105,6 +105,15 @@ def test_from_derivatives_round_trip():
     assert np.allclose(j.coeffs, derivs / [1.0, 1.0, 2.0, 6.0], atol=1e-15)
 
 
+@pytest.mark.parametrize("make", [lambda: Jet(0.0, []), lambda: Jet(0.0, np.ones((2, 2))),
+                                  lambda: Jet.identity(0.5, 0),
+                                  lambda: Jet(0.0, [1.0, 2.0]).truncate(2),
+                                  lambda: Jet(0.0, [1.0, 2.0]).truncate(-1)])
+def test_jet_refuses_an_order_it_cannot_carry(make):
+    with pytest.raises(spps.OrderError):
+        make()
+
+
 def test_identity_jet():
     j = Jet.identity(0.25, 3)
     assert np.allclose(j.coeffs, [0.25, 1.0, 0.0, 0.0], atol=1e-15)

@@ -344,9 +344,8 @@ def seed_family_20001():
 @pytest.mark.parametrize("name", ["exp_family", "q_zero_family", "seed_family_20001"])
 @pytest.mark.parametrize("lam", [17.5, -30.0, -4.0 + 25.0j])
 def test_off_node_evaluators_are_interpolated_grid_solutions(request, name, lam):
-    # eval_u* reads the kept whole-grid sums at the stencil nodes, or
-    # (eval_u1, eval_u2 on a fresh family) sums the series there alone,
-    # with the same bits
+    # eval_u* reads the kept whole-grid sums at the stencil nodes, and on a
+    # fresh family makes and keeps them first, with the same bits
     fam = request.getfixturevalue(name)
     fresh = spps.build_family(fam.f, fam.N)
     g = fam.grid
@@ -365,7 +364,8 @@ def test_off_node_evaluators_are_interpolated_grid_solutions(request, name, lam)
             assert np.array_equal(got, want)
             assert np.array_equal(alone, want)
         if ev in (eval_u1, eval_u2):
-            assert not fresh._sums  # a stencil sum is kept nowhere
+            # eval_u1, eval_u2 made and kept S on the whole grid, and no T
+            assert sorted(fresh._sums) == [(0, 0), (0, 1)][:1 + (ev is eval_u2)]
     # u' needs T on the whole grid: eval_u*_prime made and kept S and T
     assert sorted(fresh._sums) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -464,9 +464,9 @@ def test_a_new_lambda_sums_again_and_an_array_lambda_bypasses(exp_family, monkey
     # a new lam sums again, and then the one before it too
     assert whole_sums(lambda: u1_grid(fam, 2.0, 8)) == 1
     assert whole_sums(lambda: u1_grid(fam, -30.0, 8)) == 1
-    # a stencil sum keeps nothing, and a series keeps one M
-    assert whole_sums(lambda: eval_u1(fam, 7.0, 0.3, 8)) == 0 and calls
-    assert whole_sums(lambda: u1_grid(fam, 7.0, 8)) == 1
+    # eval_u1 makes and keeps the whole-grid sum, and a series keeps one M
+    assert whole_sums(lambda: eval_u1(fam, 7.0, 0.3, 8)) == 1
+    assert whole_sums(lambda: u1_grid(fam, 7.0, 8)) == 0
     assert whole_sums(lambda: u1_grid(fam, 7.0, 9)) == 1
     assert whole_sums(lambda: u1_grid(fam, 7.0, 8)) == 1
     assert len(fam._sums) == 1
@@ -522,6 +522,19 @@ def test_readers_keep_psi_rows_and_four_sums_only():
     # one row of n_nodes per order (psi_0 real, the rest complex) and four sums
     held = sum(p.nbytes for p in fam._psi) + sum(S.nbytes for _, S in fam._sums.values())
     assert held == (8 + 16 * (built - 1) + 4 * 16) * g.n_nodes
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])
+def test_every_reader_refuses_a_non_finite_lambda(exp_family, lam):
+    # as choose_truncation does, up front: no nan result, no numpy warning
+    # (any warning fails the test), and no sum kept
+    fam = spps.build_family(exp_family.f, exp_family.N)
+    for reader in _READERS:
+        with pytest.raises(OrderError, match="lam must be finite"):
+            _read(reader, fam, lam, 8)
+    with pytest.raises(OrderError, match="lam must be finite"):
+        spps.series._right_end(fam, np.array([-30.0, lam]), 8)
+    assert not fam._sums
 
 
 @pytest.mark.parametrize("x", [np.nan, np.array([0.3, np.nan])])

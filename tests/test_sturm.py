@@ -168,6 +168,13 @@ def test_characteristic_away_from_spectrum(q_zero, q_zero_family):
     assert abs(phi) > 0.1
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0),
+                                 np.array([-PI2, np.inf])])
+def test_characteristic_refuses_a_non_finite_lambda(q_zero, q_zero_family, lam):
+    with pytest.raises(spps.OrderError, match="lam must be finite"):
+        characteristic(_dirichlet(q_zero), q_zero_family, lam, 20)
+
+
 def test_characteristic_at_lambda_zero(q_zero, q_zero_family):
     # u reduces to the second basis solution; for q = 0 it is x - a
     phi = characteristic(_dirichlet(q_zero), q_zero_family, 0.0, 5)

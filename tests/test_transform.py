@@ -142,6 +142,12 @@ def test_order_budget_enforced():
         build_A_closed_form(phi_jet, 5)
 
 
+@pytest.mark.parametrize("build", BUILDERS)
+def test_negative_matrix_order_refused(build):
+    with pytest.raises(OrderError, match="must be >= 0"):
+        build(Jet.constant(2.0, 0.0, 3), -1)
+
+
 @pytest.mark.parametrize("bad", [2.5, 3.0, True])
 def test_matrix_order_must_be_an_integer(bad):
     phi_jet = Jet.constant(2.0, 0.0, 3)
