@@ -6,7 +6,9 @@ writes a manifest.json recording the command, a sha256 of the canonical
 config, the library version, the produced files, and any accuracy
 warnings raised along the way.  Outputs are deterministic for a fixed
 config: floats are printed with repr-faithful %.17g and JSON keys are
-sorted, so reruns are byte-identical.
+sorted, so reruns at the same BLAS thread count are byte-identical (the
+whole-grid series sums are BLAS products, whose last bits depend on how
+the library splits them across threads).
 
 The config is checked against CONFIG_SCHEMA, a JSON Schema dict, by a
 small validator in this module (numpy is the package's only dependency).
@@ -402,7 +404,10 @@ def _cmd_solve(run: _Run) -> None:
             raise ConfigError(f"solve n_terms {n_terms} needs family_order "
                               f"{2 * n_terms - 1}, got {family.N}")
     else:
-        choice = choose_truncation(family, lam, **_given(block, "tol"))
+        try:
+            choice = choose_truncation(family, lam, **_given(block, "tol"))
+        except OrderError as e:  # |lambda|^k overflows in the rule
+            raise ConfigError(f"solve/lambda: {e}") from None
         if choice.capped and block.get("fail_on_cap", False):
             raise OrderError(
                 f"truncation capped at {choice.n_terms} terms without "
@@ -431,6 +436,8 @@ def _cmd_eigs(run: _Run) -> None:
         problem = SlProblem(q, tuple(block["bc_left"]), tuple(block["bc_right"]))
         result = find_eigenvalues(problem, family, block["range"],
                                   **_given(block, "tol", "series_tol"))
+    except OrderError as e:  # |lambda|^k overflows at a window end
+        raise ConfigError(f"eigs/range: {e}") from None
     except SppsError:
         raise
     except ValueError as e:

@@ -14,18 +14,25 @@ family.  The paper's two families are X(n) = psi_n, X~(n) = chi_n for
 odd n, and the other way round for even n.
 
 Order n is kept as psi_n on the whole grid and chi_n at the last node
-alone, where the eigen search reads it.  The order loop carries chi_n
-whole in a reused row: order n is the product of chi_(n-1) and psi_(n-1)
-with the fixed weights (1/phi, phi), formed in a reused (2, n_nodes)
-buffer, one call of the grid's row integrator on that pair into a second
-reused pair, and the scaling by n; psi_n is the one fresh array.  A
-whole chi_k row is built only when X or Xt is read, as k * integral of
-psi_(k-1) * phi: the loop's product, integration and scaling, so it has
-the bits the loop gave chi_k, and it is kept.  The series readers build
-none: the rule is linear, so the u*' series of chi rows is one integral
-of the value series of psi rows times phi (series._prime_sum).  Orders
-are built on demand up to the family's cap N, and only as deep as they
-are read.
+alone, where the eigen search reads it.  The psi rows of orders 1..N are
+the rows of one (N + 1, n_nodes) block, allocated once with np.empty:
+the operating system backs a page of it only when the order on that page
+is built, so a family that is read to order k holds k rows, not N.
+psi_0 = 1 is the float64 ones row outside the block (row 0 is never
+written), and the family's psi list holds that row and views of the
+block's rows.  The block lets series._grid_sum read the rows a series
+sums, block[s:top+1:2], as one strided matrix.  The order loop carries
+chi_n whole in a reused row: order n is the product of chi_(n-1) and
+psi_(n-1) with the fixed weights (1/phi, phi), formed in a reused
+(2, n_nodes) buffer, one call of the grid's row integrator on that pair
+into a second reused pair, and the scaling by n written into row n of
+the block.  A whole chi_k row is built only when X or Xt is read, as
+k * integral of psi_(k-1) * phi: the loop's product, integration and
+scaling, so it has the bits the loop gave chi_k, and it is kept.  The
+series readers build none: the rule is linear, so the u*' series of chi
+rows is one integral of the value series of psi rows times phi
+(series._prime_sum).  Orders are built on demand up to the family's cap
+N, and only as deep as they are read.
 """
 
 from __future__ import annotations
@@ -42,31 +49,34 @@ from .errors import GridConfigError, OrderError, SeedError, _as_order
 MIN_SEED_ABS = 1e-12
 
 
-def _order_zero(shape: tuple, dtype):
-    """psi rows, chi ends and scratch of a recursion at order 0, where
-    psi_0 = chi_0 = 1, for rows of the given shape and dtype: the state
-    _extend_orders continues."""
+def _order_zero(shape: tuple, dtype, top: int):
+    """psi rows, chi ends, scratch and row block of a recursion at order
+    0, where psi_0 = chi_0 = 1, for rows of the given shape and dtype up
+    to order top: the state _extend_orders continues.  The block is
+    (top + 1,) + shape, from np.empty, so none of its pages is backed
+    until an order on it is built; psi_0 is a float64 ones row outside
+    it."""
     one = np.ones(shape)
     scratch = np.empty((2, 2) + shape, dtype)
     scratch[1, 1] = 1.0
-    return [one], [one[..., -1:]], scratch
+    return [one], [one[..., -1:]], scratch, np.empty((top + 1,) + shape, dtype)
 
 
 def _extend_orders(psi: list, ends: list, weights, h, x0_index: int, stop: int,
-                   scratch: np.ndarray) -> None:
-    """Append orders len(psi) .. stop: psi_n to psi, and to ends chi_n at
-    the last node as a (..., 1) slice.  scratch is (2, 2, ...): the pair
-    of integrands, then the integrated pair, whose row 1 holds chi_(n-1)
-    on entry and chi_n on return.  Order n integrates chi_(n-1) and
-    psi_(n-1) times weights (for a family 1/phi and phi) along the last
-    axis and scales by n; the rows may carry leading axes (side-by-side
-    pieces)."""
+                   scratch: np.ndarray, block: np.ndarray) -> None:
+    """Append orders len(psi) .. stop: psi_n, written into block[n], to
+    psi as that row, and to ends chi_n at the last node as a (..., 1)
+    slice.  scratch is (2, 2, ...): the pair of integrands, then the
+    integrated pair, whose row 1 holds chi_(n-1) on entry and chi_n on
+    return.  Order n integrates chi_(n-1) and psi_(n-1) times weights
+    (for a family 1/phi and phi) along the last axis and scales by n; the
+    rows may carry leading axes (side-by-side pieces)."""
     buf, pair = scratch
     for n in range(len(psi), stop + 1):
         np.multiply(pair[1], weights[0], out=buf[0])
         np.multiply(psi[-1], weights[1], out=buf[1])
         _integrate_rows(buf, h, pair, x0_index)
-        psi.append(np.multiply(pair[0], n))
+        psi.append(np.multiply(pair[0], n, out=block[n]))
         pair[1] *= n
         ends.append(pair[1][..., -1:].copy())
 
@@ -94,7 +104,15 @@ class RecursiveFamily:
 
     Orders are built when first read.  Order n holds psi_n whole and
     chi_n at the last node: one row of n_nodes, the cost of one integrand
-    product and one cumulative integration of the (psi, chi) pair.  A
+    product and one cumulative integration of the (psi, chi) pair.  The
+    psi rows of orders 1..N are rows 1..N of one (N + 1, n_nodes) block,
+    taken with np.empty when the family is made; the operating system
+    backs its pages as orders are written, so the family's memory grows
+    with the orders read, not with N, and the block is freed as one
+    array with the family.  Pages are backed whole, and numpy asks for
+    transparent huge pages on an array of 4 MiB or more, so the orders
+    built may hold up to one such page (2 MiB on x86-64) more than their
+    rows.  A
     seed with no imaginary part is held in float64, whatever its dtype,
     so f, phi and every row are real, 8 bytes a value against a complex
     seed's 16.  The eigen search and the series evaluators read
@@ -144,8 +162,10 @@ class RecursiveFamily:
         self.N = N
         self.grid = f.grid
         self._w = (1.0 / self.phi.values, self.phi.values)
-        self._psi, self._chi_ends, self._scratch = _order_zero(
-            (self.grid.n_nodes,), np.result_type(np.float64, *self._w))
+        # psi_n of orders 1..N in row n of one block, a page backed only
+        # when an order on it is built; self._psi holds psi_0 and its views
+        self._psi, self._chi_ends, self._scratch, self._block = _order_zero(
+            (self.grid.n_nodes,), np.result_type(np.float64, *self._w), N)
         self._chi = _ChiRows(self._psi, self.phi.values, self.grid.h, self.grid.x0_index)
         # sup-norm of psi_n per built order, read by choose_truncation
         self._sup_norms = [1.0]
@@ -163,7 +183,7 @@ class RecursiveFamily:
         if start > min(k, self.N):
             return psi
         _extend_orders(psi, self._chi_ends, self._w, self.grid.h, self.grid.x0_index,
-                       min(k, self.N), self._scratch)
+                       min(k, self.N), self._scratch, self._block)
         self._sup_norms.extend(np.max(np.abs(p)).item() for p in psi[start:])
         if len(psi) == self.N + 1:
             self._w = self._scratch = None
@@ -204,8 +224,8 @@ def build_family(f: GridFunction, N: int = 60) -> RecursiveFamily:
 
     Raises what RecursiveFamily raises, at once.  Building is deferred:
     order n costs one product and one cumulative integral of a
-    (2, n_nodes) pair when it is first read, and keeps one row of
-    n_nodes; a whole chi row costs one more product and integral of a
-    row, when X or Xt is first read.
+    (2, n_nodes) pair when it is first read, and writes one row of
+    n_nodes in the family's row block; a whole chi row costs one more
+    product and integral of a row, when X or Xt is first read.
     """
     return RecursiveFamily(f, N)

@@ -22,28 +22,43 @@ the sum of the chi ends the family keeps.  The seed derivative f' is
 still the 5-point stencil RecursiveFamily.f_prime, so u1', u2' and the
 characteristic function built on them carry its error.
 
-Every sum runs in Horner form in lambda.  _horner sums a list of family
-rows, by order, into one accumulator of the rows' and lambda's type:
-float64 for the rows of a real seed at a lambda with no imaginary part,
-complex otherwise.  The series are read one way: a family keeps the
-latest whole-grid S and T of u1 and u2 (RecursiveFamily._sums, at most
-four arrays), each tagged with the bits of its lambda and M by _kept,
-which makes a missing one in the buffer of its last.  u*_grid and
-choose_truncation read S and T whole, and eval_u* gathers them at the
-nodes of the interpolation stencils of the points asked for
-(grid._stencil, 6 nodes a point), which then get the stencil's weights;
-so eval_u*(x) has the bits of u*_grid(...).at(x).  Each product is
-np.multiply(factor, sum), which numpy never runs in place with its
-operands swapped, so those bits hold whatever the array's size.  At one
-lambda every reader together makes two whole-grid Horner sums (four if
-choose_truncation summed at another M) and two integrals; a first
-eval_u1 at a new lambda makes S on the whole grid, as u1_grid does.
-_right_end is the sums at the last node alone (_at_nodes with at = -1),
-with lambda a scalar or an array, summed anew from the psi rows and the
-chi ends the family keeps at b: u(b), u'(b) and Phi are the grid
-solutions' last node to rounding, and the eigen search builds no whole
-chi row.  choose_truncation sums u1's and u2's series once, on the
-whole grid, at the first truncation its bound lets through.
+A series is summed one of two ways, by what it sums over.  Many nodes
+at one lambda -- S on the whole grid -- are one matrix product,
+_grid_sum: the coefficients lam^k / (2k+s)! times the family's strided
+psi rows block[s:top+1:2], read in place, in one BLAS call that passes
+over the rows once, where Horner form makes three whole-grid passes a
+term.  One node at many lambda -- the eigen search's _right_end at an
+array of lambda, and the seed pieces' ends in sturm.build_seed -- run
+in Horner form, _horner, on arrays of lambda's or the nodes' size,
+where a product gains nothing.  The seed pieces' whole rows stay in
+Horner form too: summed as a product, the seed of q = -1 on 5001 nodes
+had a second-difference residual of 1.5e-8 against Horner's 7.6e-9.
+Both sum in the rows' and lambda's type: float64 for the rows of a real
+seed at a lambda with no imaginary part, complex otherwise, and neither
+upcasts the rows.  The product's bits depend on how the BLAS library
+splits it: with OpenBLAS, measured, a sum at 1 and at 2 threads differs
+at a few nodes by rounding, so a result repeats bit for bit at a fixed
+BLAS thread count.
+
+The series are read one way: a family keeps the latest whole-grid S and
+T of u1 and u2 (RecursiveFamily._sums, at most four arrays), each
+tagged with the bits of its lambda and M by _kept, which makes a
+missing one in the buffer of its last.  u*_grid and choose_truncation
+read S and T whole, and eval_u* gathers them at the nodes of the
+interpolation stencils of the points asked for (grid._stencil, 6 nodes
+a point), which then get the stencil's weights; so eval_u*(x) has the
+bits of u*_grid(...).at(x).  Each product is np.multiply(factor, sum),
+which numpy never runs in place with its operands swapped, so those
+bits hold whatever the array's size.  At one lambda every reader
+together makes two whole-grid sums (four if choose_truncation summed at
+another M) and two integrals; a first eval_u1 at a new lambda makes S
+on the whole grid, as u1_grid does.  _right_end is the sums at the last
+node alone (_at_nodes with at = -1), with lambda a scalar or an array,
+summed anew from the psi rows and the chi ends the family keeps at b:
+u(b), u'(b) and Phi are the grid solutions' last node to rounding, and
+the eigen search builds no whole chi row.  choose_truncation sums u1's
+and u2's series once, on the whole grid, at the first truncation its
+bound lets through.
 
 Every reader builds the family only to the orders it reads:
 choose_truncation to 2M + 3, the evaluators and _right_end (through
@@ -95,27 +110,63 @@ def _real_if_real(lam):
     return np.real(lam) if np.iscomplexobj(lam) and not np.any(np.imag(lam)) else lam
 
 
-def _horner(rows, s: int, lam: complex, M: int, at, out=None):
+def _horner(rows, s: int, lam: complex, M: int, at):
     """sum_{k<M} lam^k Y[2k+s] / (2k+s)! for Y = rows, family rows by order
-    (psi, chi or chi's ends), on the whole grid (at = slice(None)) or at
-    the last node, highest term first, in one accumulator of the
-    operands' type, result_type(rows, lam), updated in place: out if it
-    has that type, else a new one.  A lam with no imaginary part counts
-    as real, so real rows make a real sum; a complex accumulator of the
-    same operands has that sum as its real part, bit for bit, as the
-    real part of (x + 0j)(lam + 0j) is x lam - 0 * 0."""
+    (psi, chi or chi's ends), at the nodes `at`, highest term first, in
+    one new accumulator of the operands' type, result_type(rows, lam).
+    A lam with no imaginary part counts as real, so real rows make a real
+    sum; a complex accumulator of the same operands has that sum as its
+    real part, bit for bit, as the real part of (x + 0j)(lam + 0j) is
+    x lam - 0 * 0.  This is the sum of one node at many lambda (lam an
+    array, the eigen search's) or of a few nodes (_right_end, the seed
+    pieces' ends), where its M passes over arrays of that size cost
+    little, and of the seed pieces' whole rows, where a product's
+    rounding shows in the seed's second differences; a family's whole
+    grid at one lambda is _grid_sum's product."""
     top = 2 * M - 2 + s
     inv = _inv_factorials(top)
     lam = _real_if_real(lam)
-    dtype = np.result_type(rows[top], lam)
-    if out is not None and out.dtype == dtype:
-        acc = np.multiply(rows[top][at], inv[top], out=out)
-    else:
-        acc = (rows[top][at] * inv[top]).astype(dtype, copy=False)
+    acc = (rows[top][at] * inv[top]).astype(np.result_type(rows[top], lam), copy=False)
     for k in range(M - 2, -1, -1):
         acc *= lam
         acc += rows[2 * k + s][at] * inv[2 * k + s]
     return acc
+
+
+def _grid_sum(family: RecursiveFamily, s: int, lam, M: int, out=None):
+    """sum_{k<M} c_k psi_(2k+s) on the whole grid, c_k = lam^k / (2k+s)!,
+    as one matrix product of the coefficients with the K rows
+    family._block[s:top+1:2], top = 2M - 2 + s, strided rows of the
+    family's block read in place: one pass over the rows it sums, where
+    Horner form makes three whole-grid passes a term.  psi_0 = 1 lies
+    outside the block, so u1's product starts at row 2 and its c_0 = 1 is
+    added as a scalar.  The sum has the type result_type(psi_top, lam),
+    lam real if it has no imaginary part, and is written into out if that
+    has it, else into a new array.  The product stays in the rows' type:
+    real rows at a complex lam are one real product with the (K, 2) pair
+    (Re c, Im c) into the sum's float view, and complex rows at a real
+    lam one real product of c with the rows' float view.  The BLAS
+    routine orders each node's K terms its own way, so the result is the
+    Horner sum's to rounding, not bit for bit."""
+    top = 2 * M - 2 + s
+    lam = _real_if_real(np.complex128(lam))  # an int lam powers in floats
+    dtype = np.result_type(family._psi[top], lam)
+    S = out if out is not None and out.dtype == dtype else np.empty(family.grid.n_nodes, dtype)
+    # power, not a product of factors: each c_k rounds twice
+    c = np.power(lam, np.arange(1 - s, M)) * _inv_factorials(top)[2 - s::2]
+    rows = family._block[2 - s:top + 1:2]
+    if not c.size:  # u1 at M = 1: psi_0 alone
+        S[...] = 0.0
+    elif rows.dtype == c.dtype:
+        np.matmul(c, rows, out=S)
+    elif c.dtype.kind == "c":  # real rows at a complex lam
+        np.matmul(rows.T, np.stack((c.real, c.imag), axis=1),
+                  out=S.view(np.float64).reshape(-1, 2))
+    else:  # complex rows at a real lam
+        np.matmul(c, rows.view(np.float64), out=S.view(np.float64))
+    if not s:
+        S.real += 1.0
+    return S
 
 
 def _kept(family: RecursiveFamily, key, lam, M: int, make):
@@ -134,10 +185,10 @@ def _kept(family: RecursiveFamily, key, lam, M: int, make):
 
 def _sum(family: RecursiveFamily, s: int, lam, M: int, at):
     """The psi series S of u1 (s = 0) or u2 (s = 1) at the nodes `at`,
-    gathered from its whole-grid sum kept as family._sums[0, s]; _horner
-    reuses the buffer only if it has the sum's type."""
-    return _kept(family, (0, s), lam, M, lambda out: _horner(
-        family._psi, s, lam, M, slice(None), out=out))[at]
+    gathered from its whole-grid sum kept as family._sums[0, s];
+    _grid_sum reuses the buffer only if it has the sum's type."""
+    return _kept(family, (0, s), lam, M,
+                 lambda out: _grid_sum(family, s, lam, M, out))[at]
 
 
 def _prime_sum(family: RecursiveFamily, s: int, lam, M: int, at):
@@ -145,7 +196,7 @@ def _prime_sum(family: RecursiveFamily, s: int, lam, M: int, at):
     lam * integral of phi S^(M-1), plus 1 for u2, gathered from its
     whole-grid sum kept as family._sums[1, s].  S^(M-1), the series to
     M - 1 terms, is the whole-grid S that _sum keeps less its top term
-    lam^(M-1) psi_top / top!, so no second Horner sum is made.  T has
+    lam^(M-1) psi_top / top!, so no second sum is made.  T has
     S's type, and reuses the buffer only if that has it too."""
     def make(out):
         S = _sum(family, s, lam, M, slice(None))
@@ -305,7 +356,8 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
     family keeps for the evaluators at this lam (_sum); later M reuse it,
     as later partial sums differ from it by no more than the terms past
     that M, which the bound holds under about 2 tol B.
-    Raises OrderError for tol <= 0 and for a non-finite lam.
+    Raises OrderError for tol <= 0, for a non-finite lam and for a lam so
+    large that a power |lam|^k the rule reads overflows.
     """
     if not tol > 0:
         raise OrderError(f"tol must be positive, got {tol}")
@@ -317,7 +369,12 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
     family._grow(1)
 
     def term(k, s):  # sup-norm of the k-th term of u1's (s = 0) or u2's series
-        return alam ** k * norms[2 * k + s] * inv[2 * k + s]
+        try:
+            power = alam ** k
+        except OverflowError:  # float ** int raises where it overflows
+            raise OrderError(f"lam={lam} is too large: |lam|^{k} overflows in the "
+                             f"truncation rule") from None
+        return power * norms[2 * k + s] * inv[2 * k + s]
 
     B1 = B2 = 0.0
     s1 = s2 = None

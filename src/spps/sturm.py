@@ -117,8 +117,9 @@ def _seed_pieces(r, nodes, starts, w: int):
     idx = starts[:, None] + np.arange(w + 1)
     r = r[idx]
     h = ((nodes[starts + w] - nodes[starts]) / w)[:, None]
-    psi, ends, scratch = _order_zero(r.shape, r.dtype)
-    _extend_orders(psi, ends, (1.0, r), h, 0, 2 * _SEED_TERMS - 1, scratch)
+    top = 2 * _SEED_TERMS - 1
+    psi, ends, scratch, block = _order_zero(r.shape, r.dtype, top)
+    _extend_orders(psi, ends, (1.0, r), h, 0, top, scratch, block)
     c = _horner(psi, 0, 1.0, _SEED_TERMS, slice(None))
     s = _horner(psi, 1, 1.0, _SEED_TERMS, slice(None))
     _, cp, _, sp = _at_nodes(psi, ends, np.float64(1.0), np.float64(0.0), 1.0, _SEED_TERMS,

@@ -186,14 +186,17 @@ def test_solve_nan_tol_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("n_terms", [None, 10])
 def test_solve_sums_each_series_once(tmp_path, monkeypatch, n_terms):
     # the truncation choice and the four grid solutions share the family's
-    # kept sums: 2 whole-grid Horner sums (u1's and u2's psi series) and 2
+    # kept sums: 2 whole-grid sums (u1's and u2's psi series) and 2
     # integrals (their derivatives'), and 2 more sums where the choice
-    # summed u1's and u2's series at another M
+    # summed u1's and u2's series at another M; no sum at chosen nodes
     calls, integrals = [], []
-    horner, integrate = spps.series._horner, spps.series._integrate_rows
-    monkeypatch.setattr(spps.series, "_horner", lambda rows, s, lam, M, at, **out:
+    horner, grid_sum = spps.series._horner, spps.series._grid_sum
+    integrate = spps.series._integrate_rows
+    monkeypatch.setattr(spps.series, "_horner", lambda rows, s, lam, M, at:
                         calls.append(isinstance(at, slice))
-                        or horner(rows, s, lam, M, at, **out))
+                        or horner(rows, s, lam, M, at))
+    monkeypatch.setattr(spps.series, "_grid_sum", lambda family, s, lam, M, out=None:
+                        calls.append(True) or grid_sum(family, s, lam, M, out))
     monkeypatch.setattr(spps.series, "_integrate_rows", lambda y, *args:
                         integrals.append(y.shape) or integrate(y, *args))
     cfg = _valid_configs()["solve"]
@@ -222,6 +225,48 @@ def test_solve_n_terms_past_family_order_is_config_error(tmp_path, capsys):
     assert not os.path.exists(out)
     cfg["family_order"] = 39
     assert _run(tmp_path, cfg, out="out39")[0] == 0
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("solve", "lambda", [1e160, 0.0]), ("solve", "lambda", -1e200),
+    ("eigs", "range", [-1e200, -1.0])])
+def test_lambda_whose_powers_overflow_is_config_error(tmp_path, capsys, command, key,
+                                                      value):
+    # |lambda|^k overflows in the truncation rule: exit 2 naming lambda, no
+    # traceback and nothing written
+    cfg = _valid_configs()[command]
+    if command == "solve":
+        del cfg["solve"]["n_terms"]
+    cfg[command][key] = value
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {command}/{key}: lam=") and "too large" in err
+    assert not os.path.exists(out)
+
+
+def test_two_solve_processes_write_identical_files(tmp_path):
+    # whole-grid sums are BLAS products: two processes at the same BLAS
+    # thread count write the same bytes, at a size where the library may
+    # split a product across threads
+    cfg = _valid_configs()["solve"]
+    cfg["grid"] = {"a": 0.0, "b": 1.0, "n_nodes": 20001}
+    cfg["family_order"] = 60
+    cfg["solve"] = {"lambda": [-30.0, 4.0]}
+    path = _write_config(tmp_path, cfg)
+    src = os.path.dirname(os.path.dirname(spps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    written = []
+    for out in ("one", "two"):
+        out_dir = os.path.join(tmp_path, out)
+        proc = subprocess.run(
+            [sys.executable, "-m", "spps.cli", "--config", path, "--out", out_dir],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        with open(os.path.join(out_dir, "solution.csv"), "rb") as fh:
+            written.append(fh.read())
+    assert written[0] == written[1]
 
 
 def test_solve_overflow_is_numerical_failure(tmp_path, capsys):

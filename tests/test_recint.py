@@ -173,8 +173,8 @@ def test_order_loop_with_weight_bitwise_equal_row_by_row_recursion(case, row_by_
     weights = np.stack((1.0 / phi, phi * r.values))
     if case == "side-by-side":  # two pieces at once: the rows gain an axis
         weights = np.stack([weights, weights], axis=1)
-    psi, ends, scratch = _order_zero(weights.shape[1:], X[1].values.dtype)
-    _extend_orders(psi, ends, weights, g.h, g.x0_index, N, scratch)
+    psi, ends, scratch, block = _order_zero(weights.shape[1:], X[1].values.dtype, N)
+    _extend_orders(psi, ends, weights, g.h, g.x0_index, N, scratch, block)
     assert len(psi) == len(ends) == N + 1
     for n, (p, end) in enumerate(zip(psi, ends)):
         # psi_n, chi_n: X(n), X~(n) for odd n, the other way round for even n

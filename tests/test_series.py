@@ -226,20 +226,19 @@ def test_truncation_matches_the_rule_as_written(seed):
 
 
 def test_truncation_sums_each_series_once(exp_family, monkeypatch):
-    # the partial sums' sup-norms come from one whole-grid Horner sum per
-    # series, at the first M whose dropped terms pass the bound; a call
-    # whose bound never passes sums nothing.  A fresh family: the shared
-    # one keeps the sums of earlier tests' last lambda
+    # the partial sums' sup-norms come from one whole-grid sum per series,
+    # at the first M whose dropped terms pass the bound; a call whose bound
+    # never passes sums nothing.  A fresh family: the shared one keeps the
+    # sums of earlier tests' last lambda
     exp_family = spps.build_family(exp_family.f, exp_family.N)
     calls = []
-    horner = spps.series._horner
+    grid_sum = spps.series._grid_sum
 
-    def counting(rows, s, lam, M, at, **out):
-        if isinstance(at, slice):
-            calls.append((0 if rows is exp_family._psi else 1, s, M))
-        return horner(rows, s, lam, M, at, **out)
+    def counting(family, s, lam, M, out=None):
+        calls.append((0 if family is exp_family else 1, s, M))
+        return grid_sum(family, s, lam, M, out)
 
-    monkeypatch.setattr(spps.series, "_horner", counting)
+    monkeypatch.setattr(spps.series, "_grid_sum", counting)
     for lam in (0.0, -30.0, 5.0 + 20.0j, 300.0):
         calls.clear()
         choice = choose_truncation(exp_family, lam)
@@ -250,6 +249,15 @@ def test_truncation_sums_each_series_once(exp_family, monkeypatch):
     with pytest.warns(AccuracyWarning):
         assert choose_truncation(exp_family, 100.0, tol=1e-30).capped
     assert calls == []
+
+
+@pytest.mark.parametrize("lam", [1e160, 1e200, -1e200, 1e200j])
+def test_truncation_refuses_a_lambda_whose_powers_overflow(exp_family, lam):
+    # |lam|^k past the float range: an OrderError naming lam, as a
+    # non-finite lam gets, not a bare OverflowError
+    with pytest.raises(OrderError, match="too large") as info:
+        choose_truncation(exp_family, lam)
+    assert f"lam={lam} " in str(info.value)
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, True])
@@ -301,35 +309,35 @@ def test_evaluators_leave_family_rows_untouched(request, name, q_value):
                                  np.linspace(-60.0, 40.0, 7)])
 def test_right_end_matches_grid_solutions(request, name, lam):
     # the endpoint sums give the last node of the grid sums, to rounding.
-    # u1 and u2 sum the same psi values; u1' and u2' sum the chi ends at b
-    # where the grid integrates phi S^(M-1), so they differ by rounding of
-    # the size of the derivative series' terms, eps * sum_k |term_k(b)|
+    # u1 and u2 sum the same psi values, in Horner form at b and as one
+    # matrix product on the grid; u1' and u2' sum the chi ends at b where
+    # the grid integrates phi S^(M-1).  So each pair differs by rounding of
+    # the size of its series' terms, eps * sum_k |term_k(b)|
     fam = request.getfixturevalue(name)
     M = max(choose_truncation(fam, l).n_terms for l in np.atleast_1d(lam))
     ends = spps.series._right_end(fam, lam, M)
-    term_sums = np.array([_prime_term_sums(fam, l, M) for l in np.atleast_1d(lam)]).T
-    for u, end in zip((u1_grid, u1_prime_grid, u2_grid, u2_prime_grid), ends):
+    term_sums = np.array([_term_sums(fam, l, M) for l in np.atleast_1d(lam)]).T
+    for u, end, sums in zip((u1_grid, u1_prime_grid, u2_grid, u2_prime_grid), ends,
+                            term_sums):
         grid_end = np.array([u(fam, l, M).values[-1] for l in np.atleast_1d(lam)])
         assert np.shape(end) == np.shape(lam)
-        if u in (u1_grid, u2_grid):
-            bound = 1e-14 * np.abs(grid_end)
-        else:
-            bound = 32 * np.finfo(float).eps * term_sums[u is u2_prime_grid]
-        assert np.all(np.abs(end - grid_end) <= bound)
+        assert np.all(np.abs(end - grid_end) <= 32 * np.finfo(float).eps * sums)
 
 
-def _prime_term_sums(fam, lam, M):
-    """sum_k |term_k(b)| of u1' and of u2', f' S + T/f with T the sum of
-    the chi terms, from the psi rows and chi ends at b."""
+def _term_sums(fam, lam, M):
+    """sum_k |term_k(b)| of u1, u1', u2 and u2', f S and f' S + T/f with T
+    the sum of the chi terms, from the psi rows and chi ends at b."""
     psi = [p[-1] for p in fam._psi[:2 * M]]
     chi = [c[0] for c in fam._chi_ends[:2 * M]]
     inv = _inv_factorials(2 * M - 1)
     f, fp, a = fam.f.values[-1], fam.f_prime.values[-1], abs(lam)
+    u1 = sum(a ** k * abs(f * psi[2 * k]) * inv[2 * k] for k in range(M))
+    u2 = sum(a ** k * abs(f * psi[2 * k + 1]) * inv[2 * k + 1] for k in range(M))
     u1p = sum(a ** k * abs(fp * psi[2 * k]) * inv[2 * k] for k in range(M)) + sum(
         a ** k * abs(chi[2 * k - 1] / f) * inv[2 * k - 1] for k in range(1, M))
     u2p = sum(a ** k * (abs(fp * psi[2 * k + 1]) * inv[2 * k + 1]
                         + abs(chi[2 * k] / f) * inv[2 * k]) for k in range(M))
-    return u1p, u2p
+    return u1, u1p, u2, u2p
 
 
 @pytest.fixture(scope="module")
@@ -383,21 +391,30 @@ def _read(reader, fam, lam, M, x=np.linspace(0.05, 0.95, 9)):
 
 
 def _count_sums(monkeypatch, fam, integrals=None):
-    """(row, s, M, whole grid?) of every _horner call on fam's rows from
-    now on, row 0 for psi and 1 for chi; and the shape of every row the
-    series module integrates, appended to integrals if given."""
+    """(row, s, M, whole grid?) of every sum of fam's rows from now on, row
+    0 for psi and 1 for chi: a _grid_sum call sums the psi rows on the
+    whole grid, a _horner call the rows it is given at its nodes; and the
+    shape of every row the series module integrates, appended to
+    integrals if given."""
     calls = []
-    horner, integrate = spps.series._horner, spps.series._integrate_rows
+    horner, grid_sum = spps.series._horner, spps.series._grid_sum
+    integrate = spps.series._integrate_rows
 
-    def counting(rows, s, lam, M, at, **out):
+    def counting(rows, s, lam, M, at):
         calls.append((0 if rows is fam._psi else 1, s, M, isinstance(at, slice)))
-        return horner(rows, s, lam, M, at, **out)
+        return horner(rows, s, lam, M, at)
+
+    def counting_grid(family, s, lam, M, out=None):
+        if family is fam:
+            calls.append((0, s, M, True))
+        return grid_sum(family, s, lam, M, out)
 
     def counting_integrals(y, *args):
         integrals.append(y.shape)
         return integrate(y, *args)
 
     monkeypatch.setattr(spps.series, "_horner", counting)
+    monkeypatch.setattr(spps.series, "_grid_sum", counting_grid)
     if integrals is not None:
         monkeypatch.setattr(spps.series, "_integrate_rows", counting_integrals)
     return calls
@@ -411,7 +428,7 @@ def _count_sums(monkeypatch, fam, integrals=None):
 def test_one_lambda_sums_each_series_once_for_every_reader(exp_family, monkeypatch,
                                                            lam, sums_at_choice, extra):
     # choose_truncation, the four u*_grid and the four eval_u* at one lam:
-    # 2 whole-grid Horner sums of the psi rows when choose_truncation summed
+    # 2 whole-grid sums of the psi rows when choose_truncation summed
     # at the M used, 4 when not (u1's and u2's series again at that M), and
     # 2 integrals, one for each derivative; eval_u* none at all
     fam = spps.build_family(exp_family.f, exp_family.N)
@@ -479,12 +496,12 @@ def test_a_sum_cut_short_leaves_no_stale_sum(exp_family, monkeypatch):
     fam = spps.build_family(exp_family.f, exp_family.N)
     want = u1_grid(fam, 2.0, 8).values
 
-    def cut_short(rows, s, lam, M, at, out=None):
+    def cut_short(family, s, lam, M, out=None):
         out[:] = np.nan  # the buffer of lam = 2.0's sum, half rewritten
         raise KeyboardInterrupt
 
     with monkeypatch.context() as m:
-        m.setattr(spps.series, "_horner", cut_short)
+        m.setattr(spps.series, "_grid_sum", cut_short)
         with pytest.raises(KeyboardInterrupt):
             u1_grid(fam, -30.0, 8)
     assert np.array_equal(u1_grid(fam, 2.0, 8).values, want)
@@ -519,9 +536,66 @@ def test_readers_keep_psi_rows_and_four_sums_only():
     assert len(fam._chi_ends) == built
     assert all(e.shape == (1,) and e.base is None for e in fam._chi_ends[1:])
     assert sorted(fam._sums) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    # one row of n_nodes per order (psi_0 real, the rest complex) and four sums
+    # psi_0 is a real row of its own; psi_1.. are rows 1.. of the family's
+    # one complex block, of which only the built orders' rows are written
+    block = fam._block
+    assert block.shape == (81, g.n_nodes) and block.dtype == complex
+    assert fam._psi[0].dtype == np.float64 and fam._psi[0].base is None
+    assert all(p.base is block and p.ctypes.data == block[n].ctypes.data
+               for n, p in enumerate(fam._psi[1:], 1))
+    # one row of n_nodes per order built (psi_0 real, the rest complex)
+    # and four sums
     held = sum(p.nbytes for p in fam._psi) + sum(S.nbytes for _, S in fam._sums.values())
     assert held == (8 + 16 * (built - 1) + 4 * 16) * g.n_nodes
+
+
+def test_a_second_lambda_reuses_the_kept_buffers(exp_family):
+    # S and T at a new lam of the same type are made in the arrays of the
+    # last ones, with a fresh family's bits
+    fam = spps.build_family(exp_family.f, exp_family.N)
+    u1_prime_grid(fam, -30.0, 8)
+    S, T = fam._sums[0, 0][1], fam._sums[1, 0][1]
+    for lam in (2.0, 17.5):
+        got = u1_prime_grid(fam, lam, 8).values
+        assert fam._sums[0, 0][1] is S and fam._sums[1, 0][1] is T
+        assert np.array_equal(got, u1_prime_grid(spps.build_family(fam.f, fam.N), lam, 8).values)
+    assert spps.series._grid_sum(fam, 0, 3.0, 8, out=S) is S
+
+
+def _long_double_sum(rows, s, lam, M):
+    """sum_{k<M} lam^k rows[2k+s] / (2k+s)! in Horner form, in long double
+    throughout: the reference for _grid_sum."""
+    wide = np.clongdouble if np.iscomplexobj(rows[1]) or np.iscomplexobj(lam) else np.longdouble
+    lam = wide(lam)
+    fact = [wide(1)]
+    for k in range(1, 2 * M):
+        fact.append(fact[-1] * k)
+    acc = np.zeros(rows[0].shape, wide)
+    for k in range(M - 1, -1, -1):
+        acc = acc * lam + rows[2 * k + s].astype(wide) / fact[2 * k + s]
+    return acc
+
+
+@pytest.mark.parametrize("seed", [np.exp, lambda x: np.exp(x) + 0.5j * np.cos(3 * x)],
+                         ids=["real_rows", "complex_rows"])
+@pytest.mark.parametrize("lam", [-37.0, 410.0, complex(-37.0, 5.0), 300j])
+@pytest.mark.parametrize("M", [1, 2, 13, 30])
+def test_grid_sum_matches_a_long_double_reference(seed, lam, M):
+    # one product of the coefficients with the strided rows, in the rows'
+    # type, within 4 M eps of the sum of the terms' sizes at each node
+    fam = spps.build_family(sample(seed, spps.Grid(0.0, 1.0, 2001)), 60)
+    fam._grow(2 * M)
+    for s in (0, 1):
+        got = spps.series._grid_sum(fam, s, lam, M)
+        # the type of the rows summed (u1 at M = 1 sums the real psi_0) and lam
+        complex_rows = np.iscomplexobj(seed(0.5)) and (s or M > 1)
+        assert got.dtype == (complex if complex_rows or np.imag(lam) else np.float64)
+        want = _long_double_sum(fam._psi, s, lam, M)
+        inv = _inv_factorials(2 * M - 1)
+        sizes = sum(abs(lam) ** k * inv[2 * k + s] * np.abs(fam._psi[2 * k + s])
+                    for k in range(M))
+        err = np.abs(got - want).astype(float)
+        assert np.all(err <= 4 * M * np.finfo(float).eps * sizes)
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])

@@ -398,6 +398,13 @@ def test_window_truncation_bounds_scan(monkeypatch, potential):
         assert M >= max(choose(fam, lam).n_terms for lam in res.scan_lams)
 
 
+def test_search_refuses_a_window_whose_powers_overflow(q_zero, q_zero_family):
+    # the truncation rule's |lam|^k overflows at the window's end: the
+    # OrderError choose_truncation raises, naming that end
+    with pytest.raises(spps.OrderError, match=r"lam=-1e\+200 is too large"):
+        find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-1e200, -1.0))
+
+
 def test_empty_window(q_zero, q_zero_family):
     res = find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-8.0, -1.0))
     assert len(res) == 0
@@ -549,7 +556,12 @@ def test_search_keeps_psi_rows_and_chi_ends_only():
     assert len(fam._chi_ends) == built
     assert all(e.shape == (1,) and e.base is None for e in fam._chi_ends[1:])
     assert sorted(fam._sums) == [(0, 0), (0, 1)]
-    # one row of n_nodes per order: psi_0 real, the rest complex
+    # psi_1.. are the first rows of the family's one complex block
+    block = fam._block
+    assert block.shape == (81, g.n_nodes) and block.dtype == complex
+    assert all(p.base is block and p.ctypes.data == block[n].ctypes.data
+               for n, p in enumerate(fam._psi[1:], 1))
+    # one row of n_nodes per order built: psi_0 real, the rest complex
     held = sum(p.nbytes for p in fam._psi) + sum(S.nbytes for _, S in fam._sums.values())
     assert held == (8 + 16 * (built - 1) + 2 * 16) * g.n_nodes
 
