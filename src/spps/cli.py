@@ -414,9 +414,12 @@ def _cmd_solve(run: _Run) -> None:
                 f"meeting tol; fail_on_cap is set")
         n_terms = choice.n_terms
     cols = [grid.nodes]
-    for u in (u1_grid, u1_prime_grid, u2_grid, u2_prime_grid):
-        c = np.asarray(u(family, lam, n_terms).values, dtype=complex)
-        cols += [c.real, c.imag]
+    try:
+        for u in (u1_grid, u1_prime_grid, u2_grid, u2_prime_grid):
+            c = np.asarray(u(family, lam, n_terms).values, dtype=complex)
+            cols += [c.real, c.imag]
+    except OrderError as e:  # |lambda|^(n_terms - 1) overflows
+        raise SppsError(f"solution at lambda={lam} with {n_terms} terms: {e}") from None
     if not np.all(np.isfinite(cols[1:])):
         raise SppsError(f"solution at lambda={lam} with {n_terms} terms "
                         f"is not finite on the grid")

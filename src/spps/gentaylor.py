@@ -84,12 +84,17 @@ def gamma_seq(h: GridFunction, family: RecursiveFamily, n: int) -> GenDerivative
 
 @dataclass
 class GenPolynomial:
-    """Finite expansion sum alpha_k * psi_k over a family's basis."""
+    """Finite expansion sum alpha_k * psi_k over a family's basis.
+
+    alpha must be a non-empty 1-D array of finite coefficients, at most
+    N + 1 of them, else OrderError."""
     alpha: np.ndarray
     family: RecursiveFamily
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha)  # its own type, ints as float64
+        if alpha.ndim != 1 or not alpha.size:
+            raise OrderError(f"alpha must be a non-empty 1-D array, got shape {alpha.shape}")
         self.alpha = alpha if alpha.dtype.kind in "fc" else alpha.astype(np.float64)
         if not np.all(np.isfinite(self.alpha)):
             raise OrderError("generalized polynomial coefficients must be finite")

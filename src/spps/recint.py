@@ -14,25 +14,24 @@ family.  The paper's two families are X(n) = psi_n, X~(n) = chi_n for
 odd n, and the other way round for even n.
 
 Order n is kept as psi_n on the whole grid and chi_n at the last node
-alone, where the eigen search reads it.  The psi rows of orders 1..N are
-the rows of one (N + 1, n_nodes) block, allocated once with np.empty:
-the operating system backs a page of it only when the order on that page
-is built, so a family that is read to order k holds k rows, not N.
-psi_0 = 1 is the float64 ones row outside the block (row 0 is never
-written), and the family's psi list holds that row and views of the
-block's rows.  The block lets series._grid_sum read the rows a series
-sums, block[s:top+1:2], as one strided matrix.  The order loop carries
-chi_n whole in a reused row: order n is the product of chi_(n-1) and
-psi_(n-1) with the fixed weights (1/phi, phi), formed in a reused
-(2, n_nodes) buffer, one call of the grid's row integrator on that pair
-into a second reused pair, and the scaling by n written into row n of
-the block.  A whole chi_k row is built only when X or Xt is read, as
-k * integral of psi_(k-1) * phi: the loop's product, integration and
-scaling, so it has the bits the loop gave chi_k, and it is kept.  The
-series readers build none: the rule is linear, so the u*' series of chi
-rows is one integral of the value series of psi rows times phi
-(series._prime_sum).  Orders are built on demand up to the family's cap
-N, and only as deep as they are read.
+alone, where the eigen search reads it, so a family is two arrays
+indexed by order: the psi rows, one (N + 1, n_nodes) block with
+psi_0 = 1 in row 0, and the chi ends, one (N + 1, 1) array.  The block
+is allocated once with np.empty: the operating system backs a page of
+it only when the order on that page is built, so a family that is read
+to order k holds k rows, not N.  It lets series._grid_sum read the rows
+a series sums, psi[s:top+1:2], as one strided matrix.  The order loop
+carries chi_n whole in a reused row: order n is the product of
+chi_(n-1) and psi_(n-1) with the fixed weights (1/phi, phi), formed in
+a reused (2, n_nodes) buffer, one call of the grid's row integrator on
+that pair into a second reused pair, and the scaling by n written into
+row n of the block.  Whole chi rows are built only when X or Xt is
+read, into a second (N + 1, n_nodes) array, row k as k * integral of
+psi_(k-1) * phi: the loop's product, integration and scaling, so with
+the bits the loop gave chi_k.  The series readers build none: the rule
+is linear, so the u*' series of chi rows is one integral of the value
+series of psi rows times phi (series._prime_sum).  Orders are built on
+demand up to the family's cap N, and only as deep as they are read.
 """
 
 from __future__ import annotations
@@ -50,53 +49,36 @@ MIN_SEED_ABS = 1e-12
 
 
 def _order_zero(shape: tuple, dtype, top: int):
-    """psi rows, chi ends, scratch and row block of a recursion at order
-    0, where psi_0 = chi_0 = 1, for rows of the given shape and dtype up
-    to order top: the state _extend_orders continues.  The block is
-    (top + 1,) + shape, from np.empty, so none of its pages is backed
-    until an order on it is built; psi_0 is a float64 ones row outside
-    it."""
-    one = np.ones(shape)
+    """psi rows, chi ends and scratch of a recursion at order 0, where
+    psi_0 = chi_0 = 1, for rows of the given shape and dtype up to order
+    top: the state _extend_orders continues.  psi is (top + 1,) + shape
+    and ends (top + 1,) + shape[:-1] + (1,), both from np.empty with row
+    0 written, so no page past order 0 is backed until its order is
+    built."""
+    psi = np.empty((top + 1,) + shape, dtype)
+    ends = np.empty((top + 1,) + shape[:-1] + (1,), dtype)
     scratch = np.empty((2, 2) + shape, dtype)
-    scratch[1, 1] = 1.0
-    return [one], [one[..., -1:]], scratch, np.empty((top + 1,) + shape, dtype)
+    psi[0] = ends[0] = scratch[1, 1] = 1.0
+    return psi, ends, scratch
 
 
-def _extend_orders(psi: list, ends: list, weights, h, x0_index: int, stop: int,
-                   scratch: np.ndarray, block: np.ndarray) -> None:
-    """Append orders len(psi) .. stop: psi_n, written into block[n], to
-    psi as that row, and to ends chi_n at the last node as a (..., 1)
-    slice.  scratch is (2, 2, ...): the pair of integrands, then the
-    integrated pair, whose row 1 holds chi_(n-1) on entry and chi_n on
-    return.  Order n integrates chi_(n-1) and psi_(n-1) times weights
-    (for a family 1/phi and phi) along the last axis and scales by n; the
-    rows may carry leading axes (side-by-side pieces)."""
+def _extend_orders(psi: np.ndarray, ends: np.ndarray, weights, h, x0_index: int,
+                   start: int, stop: int, scratch: np.ndarray) -> None:
+    """Write orders start .. stop in place: psi_n into psi[n] and chi_n at
+    the last node into ends[n].  scratch is (2, 2, ...): the pair of
+    integrands, then the integrated pair, whose row 1 holds chi_(n-1) on
+    entry and chi_n on return.  Order n integrates chi_(n-1) and
+    psi_(n-1) times weights (for a family 1/phi and phi) along the last
+    axis and scales by n; the rows may carry leading axes (side-by-side
+    pieces)."""
     buf, pair = scratch
-    for n in range(len(psi), stop + 1):
+    for n in range(start, stop + 1):
         np.multiply(pair[1], weights[0], out=buf[0])
-        np.multiply(psi[-1], weights[1], out=buf[1])
+        np.multiply(psi[n - 1], weights[1], out=buf[1])
         _integrate_rows(buf, h, pair, x0_index)
-        psi.append(np.multiply(pair[0], n, out=block[n]))
+        np.multiply(pair[0], n, out=psi[n])
         pair[1] *= n
-        ends.append(pair[1][..., -1:].copy())
-
-
-class _ChiRows(dict):
-    """Whole chi_k rows by order k, each built on first read from psi_(k-1)
-    by the order loop's product with phi, integration and scaling by k,
-    so with the bits the loop gave chi_k; X and Xt read them."""
-
-    def __init__(self, psi: list, phi: np.ndarray, h, x0_index: int):
-        super().__init__({0: psi[0]})
-        self._psi, self._phi, self._h, self._x0_index = psi, phi, h, x0_index
-
-    def __missing__(self, k: int) -> np.ndarray:
-        y = np.multiply(self._psi[k - 1], self._phi)
-        row = np.empty_like(y)
-        _integrate_rows(y, self._h, row, self._x0_index)
-        row *= k
-        self[k] = row
-        return row
+        ends[n] = pair[1][..., -1:]
 
 
 class RecursiveFamily:
@@ -105,25 +87,25 @@ class RecursiveFamily:
     Orders are built when first read.  Order n holds psi_n whole and
     chi_n at the last node: one row of n_nodes, the cost of one integrand
     product and one cumulative integration of the (psi, chi) pair.  The
-    psi rows of orders 1..N are rows 1..N of one (N + 1, n_nodes) block,
-    taken with np.empty when the family is made; the operating system
-    backs its pages as orders are written, so the family's memory grows
-    with the orders read, not with N, and the block is freed as one
-    array with the family.  Pages are backed whole, and numpy asks for
-    transparent huge pages on an array of 4 MiB or more, so the orders
-    built may hold up to one such page (2 MiB on x86-64) more than their
-    rows.  A
-    seed with no imaginary part is held in float64, whatever its dtype,
-    so f, phi and every row are real, 8 bytes a value against a complex
-    seed's 16.  The eigen search and the series evaluators read
-    only the orders their truncation needs, and psi(k) and phi_k(k) only
-    orders up to k; X and Xt complete the family to N.  Reading X or Xt
-    also builds every whole chi_k row, with one more product and
-    integration of one row each, and keeps them: a family read whole
-    holds two rows per order.  No series reader builds a chi row.  The
-    family also holds the series module's latest whole-grid sums: S and
-    T of u' = f' S + T/f for u1 and for u2, at most four arrays of
-    n_nodes in the type of the rows and lambda they were summed from.
+    psi rows are rows 0..N of one (N + 1, n_nodes) block, psi_0 = 1 in
+    row 0, taken with np.empty when the family is made; the operating
+    system backs its pages as orders are written, so the family's memory
+    grows with the orders read, not with N, and the block is freed as
+    one array with the family.  Pages are backed whole, and numpy asks
+    for transparent huge pages on an array of 4 MiB or more, so the
+    orders built may hold up to one such page (2 MiB on x86-64) more than
+    their rows.  A seed with no imaginary part is held in float64,
+    whatever its dtype, so f, phi and every row are real, 8 bytes a value
+    against a complex seed's 16.  The eigen search and the series
+    evaluators read only the orders their truncation needs, and psi(k)
+    and phi_k(k) only orders up to k; X and Xt complete the family to N.
+    Reading X or Xt also fills a second (N + 1, n_nodes) array with every
+    whole chi_k row, with one more product and integration of one row
+    each, and keeps it: a family read whole holds two rows per order.  No
+    series reader builds a chi row.  The family also holds the series
+    module's latest whole-grid sums: S and T of u' = f' S + T/f for u1
+    and for u2, at most four arrays of n_nodes in the type of the rows
+    and lambda they were summed from.
 
     Attributes
     ----------
@@ -162,42 +144,54 @@ class RecursiveFamily:
         self.N = N
         self.grid = f.grid
         self._w = (1.0 / self.phi.values, self.phi.values)
-        # psi_n of orders 1..N in row n of one block, a page backed only
-        # when an order on it is built; self._psi holds psi_0 and its views
-        self._psi, self._chi_ends, self._scratch, self._block = _order_zero(
+        # psi_n in row n of one block, a page backed only when an order on
+        # it is built, and chi_n at b in row n of the ends
+        self._psi, self._chi_ends, self._scratch = _order_zero(
             (self.grid.n_nodes,), np.result_type(np.float64, *self._w), N)
-        self._chi = _ChiRows(self._psi, self.phi.values, self.grid.h, self.grid.x0_index)
-        # sup-norm of psi_n per built order, read by choose_truncation
+        # sup-norm of psi_n per built order, read by choose_truncation; its
+        # length is the number of orders built
         self._sup_norms = [1.0]
         # the series module's latest whole-grid S (key (0, s)) and T (key
         # (1, s)) of u1 (s = 0) and u2 (s = 1): ((lambda's bits, M), array),
         # each rewritten in place (series._sum, series._prime_sum)
         self._sums = {}
 
-    def _grow(self, k: int) -> list[np.ndarray]:
+    def _grow(self, k: int) -> np.ndarray:
         """Build every order up to min(k, N) with its psi sup-norm; returns
-        the list of psi rows.  The weights and scratch go once order N is
+        the psi block.  The weights and scratch go once order N is
         built."""
-        psi = self._psi
-        start = len(psi)
-        if start > min(k, self.N):
-            return psi
-        _extend_orders(psi, self._chi_ends, self._w, self.grid.h, self.grid.x0_index,
-                       min(k, self.N), self._scratch, self._block)
-        self._sup_norms.extend(np.max(np.abs(p)).item() for p in psi[start:])
-        if len(psi) == self.N + 1:
-            self._w = self._scratch = None
-        return psi
+        start, stop = len(self._sup_norms), min(k, self.N)
+        if start <= stop:
+            _extend_orders(self._psi, self._chi_ends, self._w, self.grid.h,
+                           self.grid.x0_index, start, stop, self._scratch)
+            self._sup_norms += [np.max(np.abs(p)).item() for p in self._psi[start:stop + 1]]
+            if stop == self.N:
+                self._w = self._scratch = None
+        return self._psi
+
+    @cached_property
+    def _chi(self) -> np.ndarray:
+        """Every whole chi row, (N + 1, n_nodes): row k is k * integral of
+        psi_(k-1) * phi, the order loop's product, integration and
+        scaling, so with the bits the loop gave chi_k."""
+        psi = self._grow(self.N)
+        chi, y = np.empty_like(psi), np.empty_like(psi[0])
+        chi[0] = 1.0
+        for k in range(1, self.N + 1):
+            np.multiply(psi[k - 1], self.phi.values, out=y)
+            _integrate_rows(y, self.grid.h, chi[k], self.grid.x0_index)
+            chi[k] *= k
+        return chi
 
     @cached_property
     def X(self) -> list[GridFunction]:
-        return [GridFunction(self.grid, p if n % 2 else self._chi[n])
-                for n, p in enumerate(self._grow(self.N))]
+        return [GridFunction(self.grid, (self._psi if n % 2 else self._chi)[n])
+                for n in range(self.N + 1)]
 
     @cached_property
     def Xt(self) -> list[GridFunction]:
-        return [GridFunction(self.grid, self._chi[n] if n % 2 else p)
-                for n, p in enumerate(self._grow(self.N))]
+        return [GridFunction(self.grid, (self._chi if n % 2 else self._psi)[n])
+                for n in range(self.N + 1)]
 
     @cached_property
     def f_prime(self) -> GridFunction:
@@ -225,7 +219,7 @@ def build_family(f: GridFunction, N: int = 60) -> RecursiveFamily:
     Raises what RecursiveFamily raises, at once.  Building is deferred:
     order n costs one product and one cumulative integral of a
     (2, n_nodes) pair when it is first read, and writes one row of
-    n_nodes in the family's row block; a whole chi row costs one more
+    n_nodes in the family's psi block; a whole chi row costs one more
     product and integral of a row, when X or Xt is first read.
     """
     return RecursiveFamily(f, N)

@@ -25,20 +25,20 @@ characteristic function built on them carry its error.
 A series is summed one of two ways, by what it sums over.  Many nodes
 at one lambda -- S on the whole grid -- are one matrix product,
 _grid_sum: the coefficients lam^k / (2k+s)! times the family's strided
-psi rows block[s:top+1:2], read in place, in one BLAS call that passes
-over the rows once, where Horner form makes three whole-grid passes a
-term.  One node at many lambda -- the eigen search's _right_end at an
-array of lambda, and the seed pieces' ends in sturm.build_seed -- run
-in Horner form, _horner, on arrays of lambda's or the nodes' size,
-where a product gains nothing.  The seed pieces' whole rows stay in
-Horner form too: summed as a product, the seed of q = -1 on 5001 nodes
-had a second-difference residual of 1.5e-8 against Horner's 7.6e-9.
-Both sum in the rows' and lambda's type: float64 for the rows of a real
-seed at a lambda with no imaginary part, complex otherwise, and neither
-upcasts the rows.  The product's bits depend on how the BLAS library
-splits it: with OpenBLAS, measured, a sum at 1 and at 2 threads differs
-at a few nodes by rounding, so a result repeats bit for bit at a fixed
-BLAS thread count.
+psi rows psi[s:top+1:2], psi_0 = 1 among them, read in place, in one
+BLAS call that passes over the rows once, where Horner form makes three
+whole-grid passes a term.  One node at many lambda -- the eigen search's
+_right_end at an array of lambda, and the seed pieces' ends in
+sturm.build_seed -- run in Horner form, _horner, on arrays of lambda's
+or the nodes' size, where a product gains nothing.  The seed pieces'
+whole rows stay in Horner form too: summed as a product, the seed of
+q = -1 on 5001 nodes had a second-difference residual of 1.5e-8 against
+Horner's 7.6e-9.  Both sum in the rows' and lambda's type: float64 for
+the rows of a real seed at a lambda with no imaginary part, complex
+otherwise, and neither upcasts the rows.  The product's bits depend on
+how the BLAS library splits it: with OpenBLAS, measured, a sum at 1 and
+at 2 threads differs at a few nodes by rounding, so a result repeats
+bit for bit at a fixed BLAS thread count.
 
 The series are read one way: a family keeps the latest whole-grid S and
 T of u1 and u2 (RecursiveFamily._sums, at most four arrays), each
@@ -52,19 +52,22 @@ which numpy never runs in place with its operands swapped, so those
 bits hold whatever the array's size.  At one lambda every reader
 together makes two whole-grid sums (four if choose_truncation summed at
 another M) and two integrals; a first eval_u1 at a new lambda makes S
-on the whole grid, as u1_grid does.  _right_end is the sums at the last
-node alone (_at_nodes with at = -1), with lambda a scalar or an array,
-summed anew from the psi rows and the chi ends the family keeps at b:
-u(b), u'(b) and Phi are the grid solutions' last node to rounding, and
-the eigen search builds no whole chi row.  choose_truncation sums u1's
-and u2's series once, on the whole grid, at the first truncation its
-bound lets through.
+on the whole grid, as u1_grid does.  _right_end is the four sums at the
+last node alone, with lambda a scalar or an array, summed anew from the
+psi rows and the chi ends the family keeps at b: u(b), u'(b) and Phi
+are the grid solutions' last node to rounding, and the eigen search
+builds no whole chi row.  choose_truncation sums u1's and u2's series
+once, on the whole grid, at the first truncation its bound lets
+through.
 
 Every reader builds the family only to the orders it reads:
 choose_truncation to 2M + 3, the evaluators and _right_end (through
-_check_truncation, which also refuses a non-finite lambda) to 2M - 1.
-sturm.build_seed runs _horner and _at_nodes on the psi rows and chi
-ends of many seed pieces at once.
+_check_truncation) to 2M - 1.  Each refuses with OrderError a
+non-finite lambda and one whose powers overflow: the evaluators and
+_right_end |lam|^(M-1), the highest their sums read, and
+choose_truncation each |lam|^k its rule reads (_lam_power).
+sturm.build_seed runs _horner on the psi rows and chi ends of many seed
+pieces at once.
 """
 
 from __future__ import annotations
@@ -91,7 +94,20 @@ def _check_lam(lam) -> None:
         raise OrderError(f"lam must be finite, got {lam}")
 
 
+def _lam_power(alam: float, k: int, lam) -> float:
+    """alam ** k for alam = |lam| (its largest over an array lam), or
+    OrderError naming lam where that overflows: float ** int raises
+    OverflowError there."""
+    try:
+        return alam ** k
+    except OverflowError:
+        raise OrderError(f"lam={lam} is too large: |lam|^{k} overflows") from None
+
+
 def _check_truncation(family: RecursiveFamily, lam, n_terms: int) -> int:
+    """n_terms, checked against the family's cap, with the family built to
+    the orders it reads; refuses a non-finite lam and one whose power
+    lam^(n_terms - 1), the series' highest, overflows."""
     _check_lam(lam)
     n_terms = _as_order(n_terms, "n_terms")
     if n_terms < 1:
@@ -100,6 +116,7 @@ def _check_truncation(family: RecursiveFamily, lam, n_terms: int) -> int:
         raise OrderError(
             f"n_terms={n_terms} needs basis order {2 * n_terms - 1}, "
             f"family has N={family.N}")
+    _lam_power(float(np.max(np.abs(lam), initial=0.0)), n_terms - 1, lam)
     family._grow(2 * n_terms - 1)
     return n_terms
 
@@ -112,9 +129,9 @@ def _real_if_real(lam):
 
 def _horner(rows, s: int, lam: complex, M: int, at):
     """sum_{k<M} lam^k Y[2k+s] / (2k+s)! for Y = rows, family rows by order
-    (psi, chi or chi's ends), at the nodes `at`, highest term first, in
-    one new accumulator of the operands' type, result_type(rows, lam).
-    A lam with no imaginary part counts as real, so real rows make a real
+    (psi or chi's ends), at the nodes `at`, highest term first, in one
+    new accumulator of the operands' type, result_type(rows, lam).  A
+    lam with no imaginary part counts as real, so real rows make a real
     sum; a complex accumulator of the same operands has that sum as its
     real part, bit for bit, as the real part of (x + 0j)(lam + 0j) is
     x lam - 0 * 0.  This is the sum of one node at many lambda (lam an
@@ -135,37 +152,32 @@ def _horner(rows, s: int, lam: complex, M: int, at):
 
 def _grid_sum(family: RecursiveFamily, s: int, lam, M: int, out=None):
     """sum_{k<M} c_k psi_(2k+s) on the whole grid, c_k = lam^k / (2k+s)!,
-    as one matrix product of the coefficients with the K rows
-    family._block[s:top+1:2], top = 2M - 2 + s, strided rows of the
+    as one matrix product of the coefficients with the M rows
+    family._psi[s:top+1:2], top = 2M - 2 + s, strided rows of the
     family's block read in place: one pass over the rows it sums, where
-    Horner form makes three whole-grid passes a term.  psi_0 = 1 lies
-    outside the block, so u1's product starts at row 2 and its c_0 = 1 is
-    added as a scalar.  The sum has the type result_type(psi_top, lam),
-    lam real if it has no imaginary part, and is written into out if that
-    has it, else into a new array.  The product stays in the rows' type:
-    real rows at a complex lam are one real product with the (K, 2) pair
-    (Re c, Im c) into the sum's float view, and complex rows at a real
-    lam one real product of c with the rows' float view.  The BLAS
-    routine orders each node's K terms its own way, so the result is the
-    Horner sum's to rounding, not bit for bit."""
+    Horner form makes three whole-grid passes a term.  The sum has the
+    type of the family's rows and lam, lam real if it has no imaginary
+    part, and is written into out if that has it, else into a new array.  The
+    product stays in the rows' type: real rows at a complex lam are one
+    real product with the (M, 2) pair (Re c, Im c) into the sum's float
+    view, and complex rows at a real lam one real product of c with the
+    rows' float view.  The BLAS routine orders each node's M terms its
+    own way, so the result is the Horner sum's to rounding, not bit for
+    bit."""
     top = 2 * M - 2 + s
     lam = _real_if_real(np.complex128(lam))  # an int lam powers in floats
-    dtype = np.result_type(family._psi[top], lam)
+    rows = family._psi[s:top + 1:2]
+    dtype = np.result_type(rows, lam)
     S = out if out is not None and out.dtype == dtype else np.empty(family.grid.n_nodes, dtype)
     # power, not a product of factors: each c_k rounds twice
-    c = np.power(lam, np.arange(1 - s, M)) * _inv_factorials(top)[2 - s::2]
-    rows = family._block[2 - s:top + 1:2]
-    if not c.size:  # u1 at M = 1: psi_0 alone
-        S[...] = 0.0
-    elif rows.dtype == c.dtype:
+    c = np.power(lam, np.arange(M)) * _inv_factorials(top)[s::2]
+    if rows.dtype == c.dtype:
         np.matmul(c, rows, out=S)
     elif c.dtype.kind == "c":  # real rows at a complex lam
         np.matmul(rows.T, np.stack((c.real, c.imag), axis=1),
                   out=S.view(np.float64).reshape(-1, 2))
     else:  # complex rows at a real lam
         np.matmul(c, rows.view(np.float64), out=S.view(np.float64))
-    if not s:
-        S.real += 1.0
     return S
 
 
@@ -271,26 +283,21 @@ def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFu
     return _on_grid(_u_prime, 1, family, lam, n_terms)
 
 
-def _at_nodes(psi, chi, f, fp, lam, M: int, at):
-    """u1, u1', u2, u2' at the nodes `at` of the psi rows and chi's ends
-    ((..., 1) slices, at the last node), given the seed's f and f' there:
-    each of the four series summed once, with T1 = sum_{k>=1} lam^k
-    chi_(2k-1) / (2k-1)! (empty for M = 1) and T2 = sum_k lam^k chi_2k /
-    (2k)!."""
-    lam = _real_if_real(lam)
-    S1 = _horner(psi, 0, lam, M, at)
-    T1 = np.multiply(lam, _horner(chi, 1, lam, M - 1, at)) if M > 1 else 0.0
-    S2, T2 = _horner(psi, 1, lam, M, at), _horner(chi, 0, lam, M, at)
-    return (np.multiply(f, S1), _prime(fp, S1, T1, f),
-            np.multiply(f, S2), _prime(fp, S2, T2, f))
-
-
 def _right_end(family: RecursiveFamily, lam, n_terms: int):
     """u1, u1', u2, u2' at b, lam a scalar or an array: the last node of
-    u1_grid .. u2_prime_grid, from the chi ends the family keeps."""
+    u1_grid .. u2_prime_grid, each of the four series summed once from the
+    psi rows and the chi ends the family keeps, with T1 = sum_{k>=1}
+    lam^k chi_(2k-1) / (2k-1)! (empty for M = 1) and T2 = sum_k lam^k
+    chi_2k / (2k)!."""
     M = _check_truncation(family, lam, n_terms)
-    return _at_nodes(family._psi, family._chi_ends, family.f.values[-1],
-                     family.f_prime.values[-1], lam, M, -1)
+    lam = _real_if_real(lam)
+    psi, chi = family._psi, family._chi_ends
+    f, fp = family.f.values[-1], family.f_prime.values[-1]
+    S1, S2 = _horner(psi, 0, lam, M, -1), _horner(psi, 1, lam, M, -1)
+    T1 = np.multiply(lam, _horner(chi, 1, lam, M - 1, -1)) if M > 1 else 0.0
+    T2 = _horner(chi, 0, lam, M, -1)
+    return (np.multiply(f, S1), _prime(fp, S1, T1, f),
+            np.multiply(f, S2), _prime(fp, S2, T2, f))
 
 
 def eval_u1(family, lam, x, n_terms):
@@ -364,17 +371,12 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
     _check_lam(lam)
     M_max = (family.N + 1) // 2
     inv = _inv_factorials(family.N)
-    alam = abs(lam)
+    alam = float(abs(lam))
     norms = family._sup_norms  # psi_k's, extended in place as orders are built
     family._grow(1)
 
     def term(k, s):  # sup-norm of the k-th term of u1's (s = 0) or u2's series
-        try:
-            power = alam ** k
-        except OverflowError:  # float ** int raises where it overflows
-            raise OrderError(f"lam={lam} is too large: |lam|^{k} overflows in the "
-                             f"truncation rule") from None
-        return power * norms[2 * k + s] * inv[2 * k + s]
+        return _lam_power(alam, k, lam) * norms[2 * k + s] * inv[2 * k + s]
 
     B1 = B2 = 0.0
     s1 = s2 = None

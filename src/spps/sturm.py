@@ -30,7 +30,7 @@ import numpy as np
 from .errors import AccuracyWarning, EigenError, GridConfigError, SeedError
 from .grid import GridFunction, _check_finite
 from .recint import MIN_SEED_ABS, RecursiveFamily, _extend_orders, _order_zero
-from .series import SERIES_TOL, _at_nodes, _horner, _right_end, choose_truncation
+from .series import SERIES_TOL, _horner, _right_end, choose_truncation
 
 _SEED_TERMS = 11  # series terms per seed piece, see build_seed
 # Relative |Im(c1 conj(c2))| of a pair that is e^(i theta) times a real
@@ -104,26 +104,26 @@ def _seed_pieces(r, nodes, starts, w: int):
     """u1, u2 of the recursion with seed 1 and weight r at lambda = 1 (it
     solves u'' = r u), with _SEED_TERMS terms, on the pieces of w cells
     that begin at the node indices `starts`: c, s of shape (P, w + 1) and
-    u1'(b), u2'(b) of shape (P,), summed as the series evaluators sum a
-    family's rows.
+    u1'(b), u2'(b) of shape (P,), summed in Horner form (series._horner).
 
-    The psi rows are (P, w + 1) and the chi ends (P, 1), built by
-    recint's order loop with each piece's own spacing and the weights
-    (1, r): with seed 1, 1/phi = 1 exactly and r takes the place of phi;
-    the seed's derivative is 0.  Only the ends of the chi rows are read.
-    Rows and sums are real, in float64.
+    The psi rows are (P, w + 1) and the chi ends (P, 1) for each order,
+    built by recint's order loop with each piece's own spacing and the
+    weights (1, r): with seed 1, 1/phi = 1 exactly and r takes the place
+    of phi.  As f = 1 and f' = 0, u1'(b) and u2'(b) are the chi ends'
+    sums T1 = sum_{k>=1} chi_(2k-1) / (2k-1)! and T2 = sum_k chi_2k /
+    (2k)!.  Rows and sums are real, in float64.
     """
     starts = np.asarray(starts)
     idx = starts[:, None] + np.arange(w + 1)
     r = r[idx]
     h = ((nodes[starts + w] - nodes[starts]) / w)[:, None]
     top = 2 * _SEED_TERMS - 1
-    psi, ends, scratch, block = _order_zero(r.shape, r.dtype, top)
-    _extend_orders(psi, ends, (1.0, r), h, 0, top, scratch, block)
+    psi, ends, scratch = _order_zero(r.shape, r.dtype, top)
+    _extend_orders(psi, ends, (1.0, r), h, 0, 1, top, scratch)
     c = _horner(psi, 0, 1.0, _SEED_TERMS, slice(None))
     s = _horner(psi, 1, 1.0, _SEED_TERMS, slice(None))
-    _, cp, _, sp = _at_nodes(psi, ends, np.float64(1.0), np.float64(0.0), 1.0, _SEED_TERMS,
-                             (..., -1))
+    cp = _horner(ends, 1, 1.0, _SEED_TERMS - 1, (..., 0))
+    sp = _horner(ends, 0, 1.0, _SEED_TERMS, (..., 0))
     return c, s, cp, sp
 
 

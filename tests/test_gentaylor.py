@@ -92,6 +92,10 @@ def test_coefficients_must_be_finite(interior_family):
         GenPolynomial(np.array([1.0, np.nan]), interior_family)
     with pytest.raises(OrderError):
         GenPolynomial(np.zeros(interior_family.N + 2), interior_family)
+    # a scalar, a 2-D array or no coefficient at all is no expansion
+    for bad in (2.5, np.array(2.5), np.ones((2, 3)), np.ones((3, 1)), [], np.array([])):
+        with pytest.raises(OrderError, match="non-empty 1-D"):
+            GenPolynomial(bad, interior_family)
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -115,7 +115,8 @@ def test_psi_order_must_be_an_integer(interior_family, bad):
         interior_family.psi(bad)
     with pytest.raises(OrderError, match="k must be an integer"):
         interior_family.phi_k(bad)
-    assert interior_family.psi(np.int32(3)).values is interior_family.psi(3).values
+    assert np.shares_memory(interior_family.psi(np.int32(3)).values,
+                            interior_family.psi(3).values)
 
 
 def test_family_caches_f_prime(exp_family):
@@ -154,7 +155,8 @@ def test_family_rows_bitwise_equal_row_by_row_recursion(case, row_by_row):
     X, Xt = row_by_row(f, N)
     assert len(fam.X) == len(fam.Xt) == N + 1
     for mine, ref in zip(fam.X + fam.Xt, X + Xt):
-        assert mine.values.dtype == ref.values.dtype
+        # order 0 is 1 in the family's type, the reference's a float64 row
+        assert mine.values.dtype == X[1].values.dtype
         assert np.array_equal(mine.values, ref.values)
     assert fam._sup_norms == [fam.psi(k).sup_norm for k in range(N + 1)]
 
@@ -173,13 +175,15 @@ def test_order_loop_with_weight_bitwise_equal_row_by_row_recursion(case, row_by_
     weights = np.stack((1.0 / phi, phi * r.values))
     if case == "side-by-side":  # two pieces at once: the rows gain an axis
         weights = np.stack([weights, weights], axis=1)
-    psi, ends, scratch, block = _order_zero(weights.shape[1:], X[1].values.dtype, N)
-    _extend_orders(psi, ends, weights, g.h, g.x0_index, N, scratch, block)
-    assert len(psi) == len(ends) == N + 1
+    psi, ends, scratch = _order_zero(weights.shape[1:], X[1].values.dtype, N)
+    _extend_orders(psi, ends, weights, g.h, g.x0_index, 1, N, scratch)
+    # one array of each by order: psi whole, chi at the last node
+    assert psi.shape == (N + 1,) + weights.shape[1:]
+    assert ends.shape == (N + 1,) + weights.shape[1:-1] + (1,)
+    assert psi.dtype == ends.dtype == X[1].values.dtype
     for n, (p, end) in enumerate(zip(psi, ends)):
         # psi_n, chi_n: X(n), X~(n) for odd n, the other way round for even n
         ref_psi, ref_chi = (X[n], Xt[n]) if n % 2 else (Xt[n], X[n])
-        assert p.dtype == end.dtype == ref_psi.values.dtype
         assert np.array_equal(p, np.broadcast_to(ref_psi.values, p.shape))
         assert np.array_equal(end, np.broadcast_to(ref_chi.values[-1:], end.shape))
     # the loop carries chi_N whole
@@ -212,16 +216,17 @@ def test_chi_rows_built_on_read_bitwise_equal_row_by_row_recursion(case, row_by_
                 else:
                     spps.find_eigenvalues(SlProblem(q, (1.0, 0.0), (1.0, 0.0)), fam,
                                           (-20.0, -1.0))
-            assert len(fam._psi) > 1 and list(fam._chi) == [0]
+            assert len(fam._sup_norms) > 1 and "_chi" not in vars(fam)
         # u1' and u2' integrate their value series and read no chi row
         spps.u1_prime_grid(fam, -3.0, 6)
         spps.eval_u2_prime(fam, -3.0, 0.7, 6)
-        assert list(fam._chi) == [0]
+        assert "_chi" not in vars(fam)
         # X builds every chi row: the even orders of X, the odd ones of Xt
         chi = [(fam.Xt[n] if n % 2 else fam.X[n]).values for n in range(N + 1)]
-        assert sorted(fam._chi) == list(range(N + 1))
+        assert fam._chi.shape == (N + 1, g.n_nodes)
         for n, ref in enumerate(want):
-            assert chi[n].dtype == ref.dtype
+            # order 0 is 1 in the family's type, the reference's a float64 row
+            assert chi[n].dtype == want[1].dtype
             assert np.array_equal(chi[n], ref)
             assert np.array_equal(fam._chi_ends[n], ref[-1:])
 
@@ -235,35 +240,62 @@ def test_direct_construction_checks_as_build_family():
         RecursiveFamily(sample(np.exp, Grid(0.0, 1.0, 11)), 0)
 
 
+def _is_row(values, block, n):
+    """values is row n of block itself, not a copy."""
+    return values.base is block and values.ctypes.data == block[n].ctypes.data
+
+
 def test_family_grows_on_demand_with_its_caches():
+    # the built orders are the sup-norms' count; the psi rows and chi ends
+    # are one array each, of all N + 1 orders, from the start
     g = Grid(0.0, 1.0, 201)
     fam = build_family(sample(lambda x: np.exp(x) + 0.5j, g), 30)
-    assert len(fam._psi) == 1
     norms = fam._sup_norms
+    assert norms == [1.0]
+    psi, ends = fam._psi, fam._chi_ends
+    assert psi.shape == (31, 201) and ends.shape == (31, 1)
     fam._grow(7)
-    assert len(fam._psi) == len(fam._chi_ends) == 8
-    assert fam._psi[3].shape == (201,) and fam._chi_ends[3].shape == (1,)
     assert len(norms) == 8
     fam._grow(100)  # capped at N; the weights and the scratch go
-    assert len(fam._psi) == 31 and fam._w is None and fam._scratch is None
-    assert fam._sup_norms is norms
+    assert len(norms) == 31 and fam._w is None and fam._scratch is None
+    assert fam._sup_norms is norms and fam._psi is psi and fam._chi_ends is ends
     assert norms == [fam.psi(k).sup_norm for k in range(31)]
-    # the public rows are the psi rows and the chi rows, built as X is read
-    assert list(fam._chi) == [0]
-    assert all(x.values is (p if n % 2 else fam._chi[n])
-               and xt.values is (fam._chi[n] if n % 2 else p)
-               for n, (p, x, xt) in enumerate(zip(fam._psi, fam.X, fam.Xt)))
-    assert sorted(fam._chi) == list(range(31))
+    # the public rows are rows of the psi block and of the chi rows' array,
+    # built as X is read
+    assert "_chi" not in vars(fam)
+    assert all(_is_row(x.values, psi if n % 2 else fam._chi, n)
+               and _is_row(xt.values, fam._chi if n % 2 else psi, n)
+               for n, (x, xt) in enumerate(zip(fam.X, fam.Xt)))
+    assert fam._chi.shape == (31, 201)
+
+
+def test_a_family_is_one_psi_block_and_one_chi_array():
+    # every psi(k) is row k of one block, psi_0 = 1 included and in the
+    # family's type; no chi row array exists until X or Xt is read
+    g = Grid(0.0, 1.0, 201)
+    for seed, dtype in ((np.exp, np.float64), (lambda x: np.exp(x) + 0.5j, complex)):
+        fam = build_family(sample(seed, g), 12)
+        rows = [fam.psi(k).values for k in range(13)]
+        assert all(_is_row(p, fam._psi, k) for k, p in enumerate(rows))
+        assert fam._psi.dtype == fam._chi_ends.dtype == rows[0].dtype == dtype
+        assert np.array_equal(rows[0], np.ones(201))
+        assert fam._chi_ends[0, 0] == 1.0
+        assert "_chi" not in vars(fam)
+        fam.Xt  # builds every order and every chi row
+        chi = fam._chi
+        assert chi.shape == (13, 201) and chi.dtype == dtype
+        assert fam.X is fam.X and fam._chi is chi
+        assert all(_is_row(fam.X[k].values, chi, k) for k in range(0, 13, 2))
 
 
 def test_psi_builds_only_the_order_it_reads():
     g = Grid(0.0, 1.0, 201)
     fam = build_family(sample(np.exp, g), 40)
     psi3 = fam.psi(3)
-    assert len(fam._psi) == 4
-    assert psi3.values is fam._psi[3]
+    assert len(fam._sup_norms) == 4
+    assert _is_row(psi3.values, fam._psi, 3)
     fam.phi_k(5)
-    assert len(fam._psi) == 6
+    assert len(fam._sup_norms) == 6
     # the same rows the completed family holds
     assert np.array_equal(psi3.values, fam.X[3].values)
     assert np.array_equal(fam.psi(4).values, fam.Xt[4].values)

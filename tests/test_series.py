@@ -530,23 +530,19 @@ def test_readers_keep_psi_rows_and_four_sums_only():
     M = choose_truncation(fam, lam).n_terms
     for r in _READERS:
         _read(r, fam, lam, M)
-    built = len(fam._psi)
+    built = len(fam._sup_norms)
     assert 1 < built < 81
-    assert list(fam._chi) == [0] and fam._chi[0] is fam._psi[0]
-    assert len(fam._chi_ends) == built
-    assert all(e.shape == (1,) and e.base is None for e in fam._chi_ends[1:])
+    assert "_chi" not in vars(fam)
     assert sorted(fam._sums) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    # psi_0 is a real row of its own; psi_1.. are rows 1.. of the family's
-    # one complex block, of which only the built orders' rows are written
-    block = fam._block
-    assert block.shape == (81, g.n_nodes) and block.dtype == complex
-    assert fam._psi[0].dtype == np.float64 and fam._psi[0].base is None
-    assert all(p.base is block and p.ctypes.data == block[n].ctypes.data
-               for n, p in enumerate(fam._psi[1:], 1))
-    # one row of n_nodes per order built (psi_0 real, the rest complex)
-    # and four sums
-    held = sum(p.nbytes for p in fam._psi) + sum(S.nbytes for _, S in fam._sums.values())
-    assert held == (8 + 16 * (built - 1) + 4 * 16) * g.n_nodes
+    # the family's arrays of rows are its one complex psi block, of which
+    # only the built orders' rows are written, its one array of chi ends
+    # and, until order N is built, the order loop's (2, 2, n_nodes) scratch
+    assert {k for k, v in vars(fam).items() if isinstance(v, np.ndarray)} == {
+        "_psi", "_chi_ends", "_scratch"}
+    assert fam._psi.shape == (81, g.n_nodes) and fam._psi.dtype == complex
+    assert fam._chi_ends.shape == (81, 1)
+    # and four complex sums of n_nodes
+    assert sum(S.nbytes for _, S in fam._sums.values()) == 4 * 16 * g.n_nodes
 
 
 def test_a_second_lambda_reuses_the_kept_buffers(exp_family):
@@ -587,8 +583,8 @@ def test_grid_sum_matches_a_long_double_reference(seed, lam, M):
     fam._grow(2 * M)
     for s in (0, 1):
         got = spps.series._grid_sum(fam, s, lam, M)
-        # the type of the rows summed (u1 at M = 1 sums the real psi_0) and lam
-        complex_rows = np.iscomplexobj(seed(0.5)) and (s or M > 1)
+        # the type of the rows summed, psi_0 = 1 included, and lam
+        complex_rows = np.iscomplexobj(seed(0.5))
         assert got.dtype == (complex if complex_rows or np.imag(lam) else np.float64)
         want = _long_double_sum(fam._psi, s, lam, M)
         inv = _inv_factorials(2 * M - 1)
@@ -611,6 +607,31 @@ def test_every_reader_refuses_a_non_finite_lambda(exp_family, lam):
     assert not fam._sums
 
 
+@pytest.mark.parametrize("lam", [1e300, -1e300, 1e300j, np.float64(1e200)])
+def test_every_reader_refuses_a_lambda_whose_highest_power_overflows(exp_family, lam):
+    # |lam|^(n_terms - 1) past the float range at an explicit n_terms: an
+    # OrderError naming lam, as choose_truncation raises (a numpy float
+    # too), not inf or nan with numpy warnings (any warning fails the
+    # test), and no sum kept
+    fam = spps.build_family(exp_family.f, exp_family.N)
+    problem = spps.SlProblem(sample(lambda x: np.full_like(x, -1.0), fam.grid),
+                             (1.0, 0.0), (1.0, 0.0))
+    calls = [lambda: choose_truncation(fam, lam)]
+    calls += [lambda r=r: _read(r, fam, lam, 5) for r in _READERS]
+    calls += [lambda: spps.series._right_end(fam, np.array([-30.0, lam]), 5),
+              lambda: spps.characteristic(problem, fam, lam, 5),
+              lambda: spps.characteristic(problem, fam, np.array([lam, 2.0]), 5)]
+    for call in calls:
+        with pytest.raises(OrderError, match="too large") as info:
+            call()
+        assert "lam=" in str(info.value)
+    assert not fam._sums
+    # the highest power read is lam^(n_terms - 1): at 2 terms, lam itself
+    for r in _READERS:
+        assert np.all(np.isfinite(_read(r, fam, 1e300, 2)))
+    assert np.all(np.isfinite(spps.series._right_end(fam, np.array([-30.0, 1e300]), 2)))
+
+
 @pytest.mark.parametrize("x", [np.nan, np.array([0.3, np.nan])])
 def test_off_node_evaluators_reject_nan(exp_family, x):
     # as GridFunction.at does: nan lies outside [a, b]
@@ -627,9 +648,9 @@ def test_evaluators_build_only_the_orders_they_read(evaluate):
     g = spps.Grid(0.0, 1.0, 201)
     fam = spps.build_family(sample(lambda x: np.exp(x) + 0.5j, g), 40)
     first = evaluate(fam, 6)
-    assert len(fam._psi) == 12
+    assert len(fam._sup_norms) == 12
     fam.X  # completes the family to N = 40
-    assert len(fam._psi) == 41
+    assert len(fam._sup_norms) == 41
     again = evaluate(fam, 6)
     first, again = getattr(first, "values", first), getattr(again, "values", again)
     assert np.array_equal(first, again)

@@ -21,7 +21,7 @@ from spps import (
     sample,
     u2_grid,
 )
-from spps.series import _at_nodes, _horner
+from spps.series import _horner
 from spps.sturm import _SEED_TERMS
 
 PI2 = np.pi**2
@@ -472,8 +472,9 @@ def test_search_same_on_a_fresh_and_a_grown_family(q_zero):
 
 def _seed_piece_by_piece(q, row_by_row):
     """build_seed's sum one piece at a time: on each piece the recursion
-    with seed 1 and weight -q row by row, its rows summed as u1_grid,
-    u2_grid and _right_end sum a family's (seed 1: f = 1, f' = 0)."""
+    with seed 1 and weight -q row by row, its psi rows summed as u1_grid
+    and u2_grid sum a family's, and with f = 1 and f' = 0 the derivatives
+    at b the sums T1 and T2 of the chi rows' ends."""
     g, n = q.grid, q.grid.n_nodes
     qmax = float(np.max(np.abs(q.values)))
     w = max(4, int(1.0 / (np.sqrt(qmax) * g.h))) if qmax > 0 else n - 1
@@ -489,8 +490,8 @@ def _seed_piece_by_piece(q, row_by_row):
         chi = [(xt if n % 2 else x).values for n, (x, xt) in enumerate(zip(X, Xt))]
         c = _horner(psi, 0, 1.0, _SEED_TERMS, slice(None))
         s = _horner(psi, 1, 1.0, _SEED_TERMS, slice(None))
-        _, cp, _, sp = _at_nodes(psi, chi, np.float64(1.0), np.float64(0.0), 1.0,
-                                 _SEED_TERMS, -1)
+        cp = _horner(chi, 1, 1.0, _SEED_TERMS - 1, -1)
+        sp = _horner(chi, 0, 1.0, _SEED_TERMS, -1)
         f[i:j + 1], fp = f[i] * c + fp * s, f[i] * cp + fp * sp
     return f, w, bounds[-1] - bounds[-2]
 
@@ -524,7 +525,7 @@ def test_search_grows_family_only_as_deep_as_it_reads():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             M = max(choose_truncation(build_family(f, 80), lam).n_terms for lam in window)
-        built = len(fam._psi) - 1
+        built = len(fam._sup_norms) - 1
         # choose_truncation reads to order 2M + 3; at the cap, M = (N + 1) // 2
         # and only characteristic's 2M - 1 = 79 of the N = 80 orders are read
         if capped:
@@ -532,7 +533,7 @@ def test_search_grows_family_only_as_deep_as_it_reads():
         else:
             assert built <= 2 * M + 3 < 80
         assert capped == any("truncation cap" in str(w.message) for w in caught)
-        assert len(fam.X) == len(fam.Xt) == 81 and len(fam._psi) == 81
+        assert len(fam.X) == len(fam.Xt) == 81 and len(fam._sup_norms) == 81
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             second = find_eigenvalues(SlProblem(q, (1.0, 0.0), (1.0, 0.0)), fam, window)
@@ -550,20 +551,19 @@ def test_search_keeps_psi_rows_and_chi_ends_only():
     q = sample(lambda x: 50 * np.cos(3 * np.pi * x), g)
     fam = build_family(build_seed(q), 80)
     find_eigenvalues(SlProblem(q, (1.0, 0.0), (0.0, 1.0)), fam, (-120.0, -1.0))
-    built = len(fam._psi)
+    built = len(fam._sup_norms)
     assert 1 < built < 81
-    assert list(fam._chi) == [0] and fam._chi[0] is fam._psi[0]
-    assert len(fam._chi_ends) == built
-    assert all(e.shape == (1,) and e.base is None for e in fam._chi_ends[1:])
+    assert "_chi" not in vars(fam)
     assert sorted(fam._sums) == [(0, 0), (0, 1)]
-    # psi_1.. are the first rows of the family's one complex block
-    block = fam._block
-    assert block.shape == (81, g.n_nodes) and block.dtype == complex
-    assert all(p.base is block and p.ctypes.data == block[n].ctypes.data
-               for n, p in enumerate(fam._psi[1:], 1))
-    # one row of n_nodes per order built: psi_0 real, the rest complex
-    held = sum(p.nbytes for p in fam._psi) + sum(S.nbytes for _, S in fam._sums.values())
-    assert held == (8 + 16 * (built - 1) + 2 * 16) * g.n_nodes
+    # the family's arrays of rows are its one complex psi block, of which
+    # only the built orders' rows are written, its one array of chi ends
+    # and, until order N is built, the order loop's (2, 2, n_nodes) scratch
+    assert {k for k, v in vars(fam).items() if isinstance(v, np.ndarray)} == {
+        "_psi", "_chi_ends", "_scratch"}
+    assert fam._psi.shape == (81, g.n_nodes) and fam._psi.dtype == complex
+    assert fam._chi_ends.shape == (81, 1)
+    # and two complex sums of n_nodes
+    assert sum(S.nbytes for _, S in fam._sums.values()) == 2 * 16 * g.n_nodes
 
 
 # -- roots of the Chebyshev interpolant ----------------------------------------
