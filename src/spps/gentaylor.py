@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridConfigError, OrderError, RankCollapseError, _as_order
-from .grid import GridFunction, derivative
+from .grid import GridFunction, _interpolate, derivative
 from .jets import _factorials
 from .recint import RecursiveFamily
 
@@ -145,7 +145,9 @@ def remainder_check(h: GridFunction, family: RecursiveFamily, n: int,
     At each sample x the truncation error |h(x) - P_n(x)| is compared
     with max over [x0, x] of |gamma_{n+1}(h)| times |psi_{n+1}(x)|/(n+1)!.
     Slack is bound minus error; any materially negative slack is a
-    violation and fails the report.
+    violation and fails the report.  h, P_n and psi_{n+1} are read at the
+    samples through one interpolation stencil, each with the bits its own
+    GridFunction.at gives.
     """
     _check_same_grid(h, family)
     pts = np.sort(np.atleast_1d(np.asarray(sample_points, dtype=float)))
@@ -161,14 +163,21 @@ def remainder_check(h: GridFunction, family: RecursiveFamily, n: int,
     fact = _factorials(n + 1)
     p = GenPolynomial(np.array([c[i0] for c in chain[:-1]]) / fact[:-1], family)
     gam_top = np.abs(chain[-1])
-    psi_top = family.psi(n + 1)
 
-    err = np.abs(h.at(pts) - eval_gen_polynomial(p, pts))
+    # h, P_n and psi_(n+1) at the points, through one stencil when the
+    # three share a type: a real row summed as complex would lose the bits
+    # its own .at gives, so mixed types read each row alone
+    rows = (h.values, p.on_grid().values, family.psi(n + 1).values)
+    if len({r.dtype for r in rows}) == 1:
+        h_at, p_at, psi_at = _interpolate(g, pts, lambda idx: np.array([r[idx] for r in rows]))
+    else:
+        h_at, p_at, psi_at = (_interpolate(g, pts, r.__getitem__) for r in rows)
+    err = np.abs(h_at - p_at)
     # conservative grid max of |gamma_{n+1}| over [x0, x]: nodes i0 .. hi - 1,
     # read off the running maximum from x0 (every x >= x0, so hi > i0)
     hi = np.minimum(np.searchsorted(g.nodes, pts, side="right") + 1, g.n_nodes)
     gmax = np.maximum.accumulate(gam_top[i0:])[hi - 1 - i0]
-    bound = gmax * np.abs(psi_top.at(pts)) / fact[-1]
+    bound = gmax * np.abs(psi_at) / fact[-1]
     slacks = bound - err
     # err and bound both pass through repeated grid differentiation, so a
     # negative slack only counts when it exceeds that noise floor; when h is
@@ -208,13 +217,11 @@ def least_squares_project(h: GridFunction, family: RecursiveFamily, N: int,
     N = _as_order(N, "N")
     if N < 0 or N > family.N:
         raise OrderError(f"N={N} outside family order 0..{family.N}")
-    starts = {"even": 0, "odd": 1}
-    if which in starts:
-        orders = tuple(range(starts[which], N + 1, 2))
-    elif which == "full":
-        orders = tuple(range(0, N + 1))
-    else:
+    slices = {"even": (0, 2), "odd": (1, 2), "full": (0, 1)}
+    if which not in slices:
         raise ValueError(f"which must be even|odd|full, got {which!r}")
+    start, step = slices[which]
+    orders = tuple(range(start, N + 1, step))
     if not orders:
         raise OrderError(f"no basis orders <= {N} for which={which!r}")
 
@@ -222,7 +229,9 @@ def least_squares_project(h: GridFunction, family: RecursiveFamily, N: int,
     w = np.full(g.n_nodes, g.h)
     w[0] = w[-1] = g.h / 2.0
     sw = np.sqrt(w)
-    B = np.column_stack([family.phi_k(k).values for k in orders])
+    # columns f * psi_k: one product over the psi rows, a strided view
+    B = np.multiply(family.f.values[:, None], family._grow(N)[start:N + 1:step].T,
+                    order="C")
     A = sw[:, None] * B
     rhs = sw * h.values
     sol, _, rank, svals = np.linalg.lstsq(A, rhs, rcond=None)

@@ -17,6 +17,7 @@ dependency.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -216,12 +217,26 @@ class GridFunction:
 def _interpolate(grid: Grid, x, values_at):
     """GridFunction.at of the values that values_at(idx) gives at the
     nodes idx: the stencils' values weighted, or the node's own value for
-    a point on a node."""
+    a point on a node.  values_at may return rows with leading axes,
+    (..., m, w) for the (m, w) idx, so several functions on the grid read
+    their points through one stencil; the result is then (...) + the
+    shape of x, each row with the bits it gets alone."""
     idx, w, hit = _stencil(grid, x)
     v = values_at(idx)
-    out = np.sum(w * v, axis=1)
-    out[hit] = v[hit, 0]
-    return out.reshape(np.shape(x))[()]
+    out = np.sum(w * v, axis=-1)
+    out[..., hit] = v[..., hit, 0]
+    return out.reshape(v.shape[:-2] + np.shape(x))[()]
+
+
+@lru_cache(maxsize=None)
+def _stencil_constants(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The node offsets 0..width-1 of a stencil and its Lagrange weights'
+    denominators prod_{k != j} (j - k); shared, read only."""
+    offsets = np.arange(width)
+    denom = np.array([(-1) ** (width - 1 - j) * math.factorial(j) * math.factorial(width - 1 - j)
+                      for j in range(width)], dtype=float)
+    offsets.flags.writeable = denom.flags.writeable = False
+    return offsets, denom
 
 
 def _stencil(grid: Grid, x):
@@ -235,24 +250,31 @@ def _stencil(grid: Grid, x):
     """
     xa = np.asarray(x, dtype=float).ravel()
     slack = _EDGE_SLACK * (grid.b - grid.a)
-    # a nan compares false both ways, so it counts as outside too
-    outside = ~((xa >= grid.a - slack) & (xa <= grid.b + slack))
-    if np.any(outside):
+    lowest = np.minimum.reduce(xa, initial=np.inf)
+    highest = np.maximum.reduce(xa, initial=-np.inf)
+    # a nan is its array's min and max and compares false, so it is outside too
+    if not (lowest >= grid.a - slack and highest <= grid.b + slack):
+        outside = ~((xa >= grid.a - slack) & (xa <= grid.b + slack))
         raise DomainError(f"x={xa[outside][0]} outside [{grid.a}, {grid.b}]")
-    xa = np.clip(xa, grid.a, grid.b)
+    if lowest < grid.a or highest > grid.b:  # only then does the clip move a point
+        xa = np.clip(xa, grid.a, grid.b)
     s = (xa - grid.a) / grid.h
     n, width = grid.n_nodes, min(_STENCIL, grid.n_nodes)
+    offsets, denom = _stencil_constants(width)
     # first node: the cell centred in the stencil, shifted inward at the ends
-    lo = np.clip(s.astype(int) - (width // 2 - 1), 0, n - width)
-    idx = lo[:, None] + np.arange(width)
+    lo = s.astype(int)
+    lo -= width // 2 - 1
+    np.maximum(lo, 0, out=lo)
+    np.minimum(lo, n - width, out=lo)
+    idx = lo[:, None] + offsets
     # w_j = prod_{k != j} (s - idx_k) / (j - k), from prefix and suffix products
     d = s[:, None] - idx
-    left, right = np.ones_like(d), np.ones_like(d)
-    left[:, 1:] = np.cumprod(d[:, :-1], axis=1)
-    right[:, :-1] = np.cumprod(d[:, :0:-1], axis=1)[:, ::-1]
-    denom = [(-1) ** (width - 1 - j) * math.factorial(j) * math.factorial(width - 1 - j)
-             for j in range(width)]
-    node = np.clip(np.rint(s).astype(int), 0, n - 1)
+    left, right = np.empty_like(d), np.empty_like(d)
+    left[:, 0] = right[:, -1] = 1.0
+    np.multiply.accumulate(d[:, :-1], axis=1, out=left[:, 1:])
+    np.multiply.accumulate(d[:, :0:-1], axis=1, out=right[:, -2::-1])
+    # 0 <= s <= (b - a) / h, which rounds to n - 1, so node is a node
+    node = np.rint(s).astype(int)
     hit = np.abs(xa - grid.nodes[node]) <= _NODE_SNAP * grid.h
     idx[hit] = node[hit, None]
     return idx, left * right / denom, hit

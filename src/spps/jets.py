@@ -3,8 +3,8 @@
 A Jet carries the normalized coefficients c_j = h^(j)(x0) / j! of a
 function at an anchor point.  Sums and products truncate to the shorter
 operand, and reciprocals use the standard power-series recurrence.  The
-transformation-matrix builders run entirely on this algebra, so their
-entries are exact up to floating point whenever the input jet is.
+transformation-matrix builders read a jet of phi and its reciprocal, so
+their entries are exact up to floating point whenever the input jet is.
 """
 
 from __future__ import annotations
@@ -116,11 +116,12 @@ class Jet:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet":
-        """Jet of 1/h; the constant coefficient must be nonzero."""
+        """Jet of 1/h; the constant coefficient must be nonzero, and not NaN."""
         a = self.coeffs
-        if abs(a[0]) <= _RECIP_EPS:
+        if not abs(a[0]) > _RECIP_EPS:  # NaN fails too
             raise JetDivisionError(
-                f"constant coefficient {a[0]} too small to invert")
+                f"constant coefficient {a[0]} cannot be inverted: its modulus "
+                f"is not above {_RECIP_EPS:g}")
         b = np.zeros_like(a)
         b[0] = 1.0 / a[0]
         for j in range(1, len(a)):

@@ -183,15 +183,20 @@ class RecursiveFamily:
             chi[k] *= k
         return chi
 
+    def _row(self, rows: np.ndarray, k: int) -> GridFunction:
+        """Row k of rows as a function on the grid, through a view that
+        refuses writes: a write would change every later sum over it."""
+        row = rows[k]
+        row.flags.writeable = False
+        return GridFunction(self.grid, row)
+
     @cached_property
     def X(self) -> list[GridFunction]:
-        return [GridFunction(self.grid, (self._psi if n % 2 else self._chi)[n])
-                for n in range(self.N + 1)]
+        return [self._row(self._psi if n % 2 else self._chi, n) for n in range(self.N + 1)]
 
     @cached_property
     def Xt(self) -> list[GridFunction]:
-        return [GridFunction(self.grid, (self._chi if n % 2 else self._psi)[n])
-                for n in range(self.N + 1)]
+        return [self._row(self._chi if n % 2 else self._psi, n) for n in range(self.N + 1)]
 
     @cached_property
     def f_prime(self) -> GridFunction:
@@ -203,7 +208,7 @@ class RecursiveFamily:
         k = _as_order(k, "k")
         if k < 0 or k > self.N:
             raise OrderError(f"order {k} outside built range 0..{self.N}")
-        return GridFunction(self.grid, self._grow(k)[k])
+        return self._row(self._grow(k), k)
 
     def phi_k(self, k: int) -> GridFunction:
         """Solution basis element f * psi_k."""

@@ -6,8 +6,11 @@ The lower-triangular matrix A_n maps the generalized derivative vector
 psi_m walks down its own family, so gamma_j(psi_m)(x0) = m! delta_jm and
 column m of A_n is the ordinary derivative vector of psi_m at x0 over m!.
 The production builder therefore runs recint's recursion for psi_m and
-chi_m on jets of phi at x0, from the constant jet 1, and reads column m
-off the jet of psi_m; it is exact up to rounding.
+chi_m on the Taylor coefficients at x0, from the constant 1, as matrices:
+multiplying by a jet w is its lower-triangular Toeplitz matrix T(w) and
+integrating from x0 is the shift J, so one step is K_psi = J T(1/phi) or
+K_chi = J T(phi), and two steps are Q = K_psi K_chi.  Column m is then
+one product of Q with column m - 2; it is exact up to rounding.
 
 A slow closed-form evaluation through nested alternating binomial sums
 is kept as an independent cross-validation oracle.
@@ -22,12 +25,13 @@ lambda-power vectors (1, 0, lambda, 0, lambda^2, ...) and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, isfinite
 
 import numpy as np
 
 from .errors import OrderError, _as_order
-from .jets import Jet
+from .jets import Jet, _factorials
 
 
 @dataclass
@@ -47,6 +51,8 @@ def _check_budget(phi_jet: Jet, n: int) -> int:
     n = _as_order(n, "n")
     if n < 0:
         raise OrderError(f"matrix order must be >= 0, got {n}")
+    if not np.isfinite(phi_jet.coeffs).all():
+        raise OrderError("phi jet coefficients must be finite")
     if phi_jet.order < n - 1:
         raise OrderError(
             f"phi jet of order {phi_jet.order} cannot build A_{n}; "
@@ -54,32 +60,54 @@ def _check_budget(phi_jet: Jet, n: int) -> int:
     return n
 
 
-def _integral(jet: Jet) -> Jet:
-    """Jet of the integral from x0: each coefficient moves up one order."""
-    c = jet.coeffs / np.arange(1.0, jet.order + 2)
-    return Jet(jet.x0, np.concatenate(([0.0], c)))
+@lru_cache(maxsize=None)
+def _operator_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where J·T(w) of order n reads w: the (n + 1, n + 1) lags i - 1 - j
+    below the diagonal, n (the zero appended to w) elsewhere, and the
+    divisors i of the rows, 1 for row 0; shared, read only."""
+    i = np.arange(n + 1)
+    lag = i[:, None] - 1 - i
+    lag[lag < 0] = n
+    div = np.maximum(i, 1).astype(float)[:, None]
+    lag.flags.writeable = div.flags.writeable = False
+    return lag, div
+
+
+def _integration_operator(w: np.ndarray) -> np.ndarray:
+    """J·T(w) for the n jet coefficients w: times the jet w, then the
+    integral from x0, on the coefficients 0..n of a jet."""
+    lag, div = _operator_index(len(w))
+    return np.append(w, 0.0)[lag] / div
 
 
 def build_A_recursive(phi_jet: Jet, n: int) -> TransformMatrix:
-    """Build A_n column by column from the jets of psi_1..psi_n.
+    """Build A_n column by column from the jets of psi_0..psi_n.
 
-    psi_m = m * integral of chi_(m-1) / phi and chi_m = m * integral of
-    psi_(m-1) * phi run on jets of order n; column m is psi_m's derivative
-    vector over m!.  Only the phi jet's first n coefficients are read, so
-    a phi jet of order n-1 suffices.
+    psi_m/m! = K_psi chi_(m-1)/(m-1)! and chi_m/m! = K_chi psi_(m-1)/(m-1)!
+    on jet coefficient vectors of order n, with K_psi = J·T(1/phi) and
+    K_chi = J·T(phi): T(w) is the lower-triangular Toeplitz matrix of a
+    jet w (multiplication by w) and J the integration shift (coefficient
+    j moves to j + 1 over j + 1).  With Q = K_psi K_chi, psi_(2j)/(2j)!
+    is Q^j e_0 and psi_(2j+1)/(2j+1)! is Q^j K_psi e_0, so each column
+    pair is Q times the pair before it: one (n+1)^2 product per column.
+    Column m is diag(k!) times psi_m/m!, psi_m's derivative vector over
+    m!.  Only the phi jet's first n coefficients are read, so a phi jet
+    of order n-1 suffices and a longer one gives the same matrix.
     """
     n = _check_budget(phi_jet, n)
-    A = np.zeros((n + 1, n + 1), dtype=complex)
-    A[0, 0] = 1.0
     if n == 0:
-        return TransformMatrix(0, A)
+        return TransformMatrix(0, np.ones((1, 1), dtype=complex))
     phi = phi_jet.truncate(n - 1)
-    inv = phi.reciprocal()
-    psi = chi = Jet.constant(1.0, phi.x0, n)
-    for m in range(1, n + 1):
-        psi, chi = m * _integral(chi * inv), m * _integral(psi * phi)
-        A[:, m] = psi.derivatives() / factorial(m)
-    return TransformMatrix(n, A)
+    k_psi = _integration_operator(phi.reciprocal().coeffs)
+    q = k_psi @ _integration_operator(phi.coeffs)
+    # psi_m/m! in row m, the transpose of column m; one spare row takes
+    # the last pair whole
+    psi = np.zeros((n + 2, n + 1), dtype=complex)
+    psi[0, 0] = 1.0
+    psi[1] = k_psi[:, 0]
+    for m in range(2, n + 1, 2):
+        np.matmul(psi[m - 2:m], q.T, out=psi[m:m + 2])
+    return TransformMatrix(n, np.multiply(psi[:n + 1].T, _factorials(n)[:, None], order="C"))
 
 
 def build_A_closed_form(phi_jet: Jet, n: int) -> TransformMatrix:
@@ -139,15 +167,19 @@ def ordinary_from_generalized(A: TransformMatrix, gamma) -> np.ndarray:
 
 @dataclass
 class LambdaPoly:
-    """Polynomial in the spectral parameter, ascending coefficients."""
+    """Polynomial in the spectral parameter, ascending coefficients.
+
+    The coefficients are copied, finite (else OrderError) and trimmed of
+    trailing zeros; the zero polynomial keeps one zero coefficient."""
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        if not np.all(np.isfinite(c)):
+        c = np.array(self.coeffs, dtype=complex, ndmin=1)
+        # a few coefficients: Python's test of each part beats a numpy reduction
+        if not all(map(isfinite, c.view(float).ravel().tolist())):
             raise OrderError("polynomial coefficients must be finite")
-        nz = np.nonzero(c)[0]
-        self.coeffs = c[:nz[-1] + 1] if nz.size else c[:1] * 0
+        nz = c.nonzero()[0]
+        self.coeffs = c[:nz[-1] + 1] if nz.size else np.zeros(1, dtype=complex)
 
     @property
     def degree(self) -> int:
@@ -162,18 +194,14 @@ def solution_taylor_vectors(A: TransformMatrix) -> tuple[list[LambdaPoly], list[
 
     Entry k of the first list is the lambda-polynomial value of
     (u1/f)^{[k]}(x0); likewise for u2/f.  They come from multiplying the
-    matrix into the interleaved lambda-power vectors, so entry k has
-    lambda-degree at most floor(k/2), resp. floor((k-1)/2).
+    matrix into the interleaved lambda-power vectors, so the coefficients
+    of entry k are row k's even columns A[k, 0:k+1:2], of lambda-degree
+    at most floor(k/2), resp. its odd columns A[k, 1:k+1:2], of degree at
+    most floor((k-1)/2).
     """
-    n = A.n
-    u1_vec = []
-    u2_vec = []
-    for k in range(n + 1):
-        c1 = [A.entries[k, 2 * d] for d in range(k // 2 + 1)]
-        c2 = [A.entries[k, 2 * d + 1] for d in range((k + 1) // 2)]
-        u1_vec.append(LambdaPoly(np.asarray(c1)))
-        u2_vec.append(LambdaPoly(np.asarray(c2) if c2 else np.zeros(1)))
-    return u1_vec, u2_vec
+    rows = A.entries
+    return ([LambdaPoly(rows[k, 0:k + 1:2]) for k in range(A.n + 1)],
+            [LambdaPoly(rows[k, 1:k + 1:2]) for k in range(A.n + 1)])
 
 
 def taylor_eval(vec: list[LambdaPoly], lam: complex) -> np.ndarray:

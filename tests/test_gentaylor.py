@@ -150,6 +150,28 @@ def test_remainder_differentiates_once_per_level(interior_family, monkeypatch):
         assert len(calls) == n + 1
 
 
+@pytest.mark.parametrize("complex_h, complex_family", [(False, False), (True, True),
+                                                       (True, False), (False, True)])
+@pytest.mark.parametrize("n", [0, 3])
+def test_remainder_slacks_equal_three_point_evaluations(complex_h, complex_family, n):
+    # h, P_n and psi_(n+1) read through one stencil give the slacks of
+    # evaluating each with its own .at, bit for bit
+    g = spps.Grid(0.0, 1.0, 101, x0=0.5)
+    c = 0.5 + 0.2j if complex_family else 0.5
+    fam = spps.build_family(sample(lambda x: np.exp(c * x), g), 8)
+    h = sample(lambda x: np.sin(2.3 * x + 0.4) * (1 + 0.5j if complex_h else 1.0), g)
+    pts = np.array([0.5, 0.537, 0.6, 0.81234, 0.95, 1.0])
+    rep = remainder_check(h, fam, n, pts)
+    p = gen_taylor_coeffs(h, fam, n)
+    chain = spps.gentaylor._gamma_chain(h, fam, n + 1)
+    err = np.abs(h.at(pts) - eval_gen_polynomial(p, pts))
+    i0 = fam.grid.x0_index
+    hi = np.minimum(np.searchsorted(fam.grid.nodes, pts, side="right") + 1, fam.grid.n_nodes)
+    gmax = np.maximum.accumulate(np.abs(chain[-1])[i0:])[hi - 1 - i0]
+    bound = gmax * np.abs(fam.psi(n + 1).at(pts)) / math.factorial(n + 1)
+    assert rep.slacks.tobytes() == (bound - err).tobytes()
+
+
 def test_remainder_rejects_negative_order(interior_family):
     h = sample(np.exp, interior_family.grid)
     with pytest.raises(OrderError):
@@ -213,6 +235,25 @@ def test_projection_reports_conditioning(exp_family):
     assert r.condition_estimate >= 1.0
     assert np.isfinite(r.condition_estimate)
     assert r.max_error >= 0.0
+
+
+@pytest.mark.parametrize("which", ["even", "odd", "full"])
+def test_projection_equals_a_column_stack_of_phi_k(exp_family, which):
+    # the design matrix f * psi_k is one product over the psi rows; the
+    # coefficients and errors are those of stacking phi_k column by column
+    h = sample(lambda x: np.sin(3 * x) + 1j * np.cos(x), exp_family.grid)
+    r = least_squares_project(h, exp_family, 9, which)
+    g = exp_family.grid
+    w = np.full(g.n_nodes, g.h)
+    w[0] = w[-1] = g.h / 2.0
+    sw = np.sqrt(w)
+    B = np.column_stack([exp_family.phi_k(k).values for k in r.orders])
+    sol = np.linalg.lstsq(sw[:, None] * B, sw * h.values, rcond=None)[0]
+    assert r.orders == tuple(range({"even": 0, "odd": 1, "full": 0}[which], 10,
+                                   1 if which == "full" else 2))
+    assert r.coefficients.tobytes() == sol.tobytes()
+    resid = B @ sol - h.values
+    assert r.max_error == float(np.max(np.abs(resid)))
 
 
 def test_rank_collapse_detected():

@@ -441,6 +441,64 @@ def test_interpolation_edge_slack():
             gf.at(np.array([0.0, x]))
 
 
+def _stencil_formula(grid, x):
+    """The stencil as first written, with its np.clip calls and the
+    denominators rebuilt per call: _stencil must keep its bits."""
+    xa = np.asarray(x, dtype=float).ravel()
+    xa = np.clip(xa, grid.a, grid.b)
+    s = (xa - grid.a) / grid.h
+    n, width = grid.n_nodes, min(6, grid.n_nodes)
+    lo = np.clip(s.astype(int) - (width // 2 - 1), 0, n - width)
+    idx = lo[:, None] + np.arange(width)
+    d = s[:, None] - idx
+    left, right = np.ones_like(d), np.ones_like(d)
+    left[:, 1:] = np.cumprod(d[:, :-1], axis=1)
+    right[:, :-1] = np.cumprod(d[:, :0:-1], axis=1)[:, ::-1]
+    denom = [(-1) ** (width - 1 - j) * math.factorial(j) * math.factorial(width - 1 - j)
+             for j in range(width)]
+    node = np.clip(np.rint(s).astype(int), 0, n - 1)
+    hit = np.abs(xa - grid.nodes[node]) <= 1e-9 * grid.h
+    idx[hit] = node[hit, None]
+    return idx, left * right / denom, hit
+
+
+@pytest.mark.parametrize("a, b, n", [(0.0, 1.0, 1001), (-3.0, 0.0, 41), (-1.0, 2.0, 7),
+                                     (0.5, 2.0, 5), (1.0, 2.0, 3), (-1.0, 1.0, 2)])
+def test_stencil_keeps_the_bits_of_its_formula(a, b, n):
+    from spps.grid import _EDGE_SLACK, _stencil
+    g = Grid(a, b, n)
+    slack = _EDGE_SLACK * (b - a)
+    rng = np.random.default_rng(n)
+    cases = [rng.uniform(a, b, 64),                      # random points
+             g.nodes.copy(),                             # every node hit
+             g.nodes[1:] - 1e-10 * g.h,                  # within the snap of a node
+             np.array([a, b, b, a]),                     # both ends
+             np.array([a - 0.5 * slack, b + 0.5 * slack]),   # inside the edge slack
+             np.array([]),
+             np.float64(0.3 * a + 0.7 * b)]
+    for x in cases:
+        for got, want in zip(_stencil(g, x), _stencil_formula(g, x)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_interpolation_of_rows_with_leading_axes_keeps_each_rows_bits():
+    from spps.grid import _interpolate
+    g = Grid(0.0, 2.0, 301)
+    rng = np.random.default_rng(4)
+    rows = np.stack([np.cos(3 * g.nodes), np.exp(g.nodes), g.nodes ** 5])
+    x = np.concatenate((rng.uniform(0.0, 2.0, 9), g.nodes[[0, 150, 300]]))
+    for shape in (x.shape, (3, 4)):
+        pts = x.reshape(shape)
+        got = _interpolate(g, pts, lambda idx: rows[:, idx])
+        assert got.shape == (3,) + shape
+        for r, row in enumerate(rows):
+            assert got[r].tobytes() == GridFunction(g, row).at(pts).tobytes()
+    together = _interpolate(g, 0.77, lambda idx: rows[1:, idx])
+    assert together.shape == (2,)
+    assert together.tobytes() == np.array([GridFunction(g, r).at(0.77) for r in rows[1:]]).tobytes()
+
+
 def test_library_loads_no_scipy():
     # off-node evaluation, the series evaluators and the remainder check
     # all run on numpy alone

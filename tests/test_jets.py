@@ -80,8 +80,10 @@ def test_reciprocal_defining_identity():
 
 
 def test_reciprocal_of_near_zero():
-    with pytest.raises(JetDivisionError):
-        Jet(0.0, [1e-16, 1.0]).reciprocal()
+    # a nan constant term is refused too, not inverted into a nan jet
+    for lead in (1e-16, np.nan, complex(np.nan, 1.0)):
+        with pytest.raises(JetDivisionError):
+            Jet(0.0, [lead, 1.0]).reciprocal()
 
 
 def test_ring_axioms():

@@ -288,6 +288,26 @@ def test_a_family_is_one_psi_block_and_one_chi_array():
         assert all(_is_row(fam.X[k].values, chi, k) for k in range(0, 13, 2))
 
 
+def test_rows_handed_out_refuse_writes():
+    # psi(k), X and Xt are views of the family's arrays: a write through
+    # one would change every later series sum, so each refuses it
+    g = Grid(0.0, 1.0, 201)
+    fam = build_family(sample(np.exp, g), 12)
+    for row in (fam.psi(2).values, fam.X[3].values, fam.X[4].values,
+                fam.Xt[3].values, fam.Xt[4].values):
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[5] = 1.0
+        with pytest.raises(ValueError):
+            row *= 2.0
+    fam.phi_k(3).values[5] = 1.0  # a product: the caller's own array
+    fresh = build_family(sample(np.exp, g), 12)
+    for lam in (-3.0, 2.5 + 1j):
+        got = spps.u1_grid(fam, lam, 6).values
+        assert got.tobytes() == spps.u1_grid(fresh, lam, 6).values.tobytes()
+    assert fam._psi.flags.writeable and fam._chi.flags.writeable
+
+
 def test_psi_builds_only_the_order_it_reads():
     g = Grid(0.0, 1.0, 201)
     fam = build_family(sample(np.exp, g), 40)

@@ -140,6 +140,12 @@ def test_order_budget_enforced():
         build_A_recursive(phi_jet, 5)
     with pytest.raises(OrderError):
         build_A_closed_form(phi_jet, 5)
+    # a non-finite phi jet is refused up front, before a reciprocal or a
+    # product can spread the nan
+    for coeffs in ([np.nan, 1.0], [1.0, np.inf, 0.5], [2.0, 1.0, complex(0, np.nan)]):
+        for build in BUILDERS:
+            with pytest.raises(OrderError, match="finite"):
+                build(Jet(0.0, coeffs), 2)
 
 
 @pytest.mark.parametrize("build", BUILDERS)
@@ -222,6 +228,41 @@ def test_solution_vector_golden():
     assert abs(u2_vec[1].coeffs[0] - 1.0) < 1e-12
 
 
+def _taylor_vectors_entry_by_entry(A):
+    """The lambda-polynomials of A's rows listed entry by entry."""
+    E = A.entries
+    u1 = [LambdaPoly(np.array([E[k, 2 * d] for d in range(k // 2 + 1)]))
+          for k in range(A.n + 1)]
+    u2 = [LambdaPoly(np.array([E[k, 2 * d + 1] for d in range((k + 1) // 2)] or [0.0]))
+          for k in range(A.n + 1)]
+    return u1, u2
+
+
+@pytest.mark.parametrize("phi_jet, n", [
+    (_random_phi_jet(np.random.default_rng(3), 9), 10),
+    (get_seed("exp", c=1.0).phi_jet(0.0, 5), 6),          # zero entries to trim
+    (Jet.constant(1.0, 0.0, 7), 8),                       # A = I
+    (Jet.constant(2.0, 0.0, 0), 1),
+    (Jet.constant(2.0, 0.0, 0), 0),                       # k = 0 alone
+])
+def test_solution_vectors_are_the_rows_entries(phi_jet, n):
+    A = build_A_recursive(phi_jet, n)
+    for got, want in zip(solution_taylor_vectors(A), _taylor_vectors_entry_by_entry(A)):
+        assert len(got) == len(want) == n + 1
+        for p, q in zip(got, want):
+            assert p.coeffs.dtype == q.coeffs.dtype and p.coeffs.shape == q.coeffs.shape
+            assert p.coeffs.tobytes() == q.coeffs.tobytes()
+            assert p.degree == q.degree
+
+
+def test_solution_vectors_own_their_coefficients():
+    A = build_A_recursive(_random_phi_jet(np.random.default_rng(8), 6), 7)
+    u1_vec, u2_vec = solution_taylor_vectors(A)
+    before = [p.coeffs.copy() for p in u1_vec + u2_vec]
+    A.entries[:] = 7.0
+    assert all(np.array_equal(p.coeffs, c) for p, c in zip(u1_vec + u2_vec, before))
+
+
 def test_lambda_degree_pattern():
     rng = np.random.default_rng(99)
     phi_jet = _random_phi_jet(rng, 8)
@@ -270,6 +311,22 @@ def test_lambda_poly_zero():
     p = LambdaPoly(np.array([0.0, 0.0]))
     assert p.degree == -1
     assert p(3.7) == 0.0
+    # every zero polynomial keeps one zero coefficient, an empty one too
+    for coeffs in (np.array([0.0, 0.0]), np.array([]), 0.0):
+        assert np.array_equal(LambdaPoly(coeffs).coeffs, [0j])
+
+
+def test_lambda_poly_owns_its_coefficients():
+    c = np.array([1.0, 2.0, 3.0], dtype=complex)
+    p = LambdaPoly(c)
+    c[0] = 9.0
+    assert p.coeffs[0] == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_lambda_poly_refuses_non_finite(bad):
+    with pytest.raises(OrderError, match="finite"):
+        LambdaPoly(np.array([1.0, bad, 0.0]))
 
 
 def test_lambda_poly_evaluates():
