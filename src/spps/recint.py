@@ -110,9 +110,12 @@ class RecursiveFamily:
     Attributes
     ----------
     f : GridFunction
-        The seed, in float64 if it has no imaginary part.
+        The seed, in float64 if it has no imaginary part: a view that
+        refuses writes, of the caller's array if that has the family's
+        type.  phi, f_prime and the rows psi(k), X and Xt refuse writes
+        too.
     phi : GridFunction
-        f squared.
+        f squared, the order loop's weight.
     N : int
         Highest order the family builds: a cap, not what is built.
     X, Xt : list[GridFunction]
@@ -139,10 +142,10 @@ class RecursiveFamily:
             raise GridConfigError("cumulative integral needs at least 4 nodes")
         if f.is_real:  # real rows, sums and kept arrays: 8 bytes a value
             f = GridFunction(f.grid, np.ascontiguousarray(f.values.real))
-        self.f = f
-        self.phi = f * f
-        self.N = N
         self.grid = f.grid
+        self.f = self._view(f.values)
+        self.phi = self._view((f * f).values)
+        self.N = N
         self._w = (1.0 / self.phi.values, self.phi.values)
         # psi_n in row n of one block, a page backed only when an order on
         # it is built, and chi_n at b in row n of the ends
@@ -183,32 +186,34 @@ class RecursiveFamily:
             chi[k] *= k
         return chi
 
-    def _row(self, rows: np.ndarray, k: int) -> GridFunction:
-        """Row k of rows as a function on the grid, through a view that
-        refuses writes: a write would change every later sum over it."""
-        row = rows[k]
-        row.flags.writeable = False
-        return GridFunction(self.grid, row)
+    def _view(self, values: np.ndarray) -> GridFunction:
+        """values as a function on the grid, through a view that refuses
+        writes: the family reads its seed, weight and rows again, so a
+        write would change every later order or sum.  The array itself
+        keeps its flag, so a caller's seed stays writable."""
+        view = values.view()
+        view.flags.writeable = False
+        return GridFunction(self.grid, view)
 
     @cached_property
     def X(self) -> list[GridFunction]:
-        return [self._row(self._psi if n % 2 else self._chi, n) for n in range(self.N + 1)]
+        return [self._view((self._psi if n % 2 else self._chi)[n]) for n in range(self.N + 1)]
 
     @cached_property
     def Xt(self) -> list[GridFunction]:
-        return [self._row(self._chi if n % 2 else self._psi, n) for n in range(self.N + 1)]
+        return [self._view((self._chi if n % 2 else self._psi)[n]) for n in range(self.N + 1)]
 
     @cached_property
     def f_prime(self) -> GridFunction:
         """Derivative of the seed (grid stencil, computed once)."""
-        return derivative(self.f)
+        return self._view(derivative(self.f).values)
 
     def psi(self, k: int) -> GridFunction:
         """Basis element psi_k; builds orders only up to k."""
         k = _as_order(k, "k")
         if k < 0 or k > self.N:
             raise OrderError(f"order {k} outside built range 0..{self.N}")
-        return self._row(self._grow(k), k)
+        return self._view(self._grow(k)[k])
 
     def phi_k(self, k: int) -> GridFunction:
         """Solution basis element f * psi_k."""

@@ -28,17 +28,14 @@ _grid_sum: the coefficients lam^k / (2k+s)! times the family's strided
 psi rows psi[s:top+1:2], psi_0 = 1 among them, read in place, in one
 BLAS call that passes over the rows once, where Horner form makes three
 whole-grid passes a term.  One node at many lambda -- the eigen search's
-_right_end at an array of lambda, and the seed pieces' ends in
-sturm.build_seed -- run in Horner form, _horner, on arrays of lambda's
-or the nodes' size, where a product gains nothing.  The seed pieces'
-whole rows stay in Horner form too: summed as a product, the seed of
-q = -1 on 5001 nodes had a second-difference residual of 1.5e-8 against
-Horner's 7.6e-9.  Both sum in the rows' and lambda's type: float64 for
-the rows of a real seed at a lambda with no imaginary part, complex
-otherwise, and neither upcasts the rows.  The product's bits depend on
-how the BLAS library splits it: with OpenBLAS, measured, a sum at 1 and
-at 2 threads differs at a few nodes by rounding, so a result repeats
-bit for bit at a fixed BLAS thread count.
+_right_end at an array of lambda -- is a polynomial in lambda, and
+numpy's polyval evaluates it in Horner form on arrays of lambda's size,
+where a product gains nothing.  Both sum in the rows' and lambda's
+type: float64 for the rows of a real seed at a lambda with no imaginary
+part, complex otherwise, and neither upcasts the rows.  The product's
+bits depend on how the BLAS library splits it: with OpenBLAS, measured,
+a sum at 1 and at 2 threads differs at a few nodes by rounding, so a
+result repeats bit for bit at a fixed BLAS thread count.
 
 The series are read one way: a family keeps the latest whole-grid S and
 T of u1 and u2 (RecursiveFamily._sums, at most four arrays), each
@@ -53,12 +50,13 @@ bits hold whatever the array's size.  At one lambda every reader
 together makes two whole-grid sums (four if choose_truncation summed at
 another M) and two integrals; a first eval_u1 at a new lambda makes S
 on the whole grid, as u1_grid does.  _right_end is the four sums at the
-last node alone, with lambda a scalar or an array, summed anew from the
-psi rows and the chi ends the family keeps at b: u(b), u'(b) and Phi
-are the grid solutions' last node to rounding, and the eigen search
-builds no whole chi row.  choose_truncation sums u1's and u2's series
-once, on the whole grid, at the first truncation its bound lets
-through.
+last node alone, with lambda a scalar or an array, one polyval of the
+psi rows' and the chi ends' values at b: u(b), u'(b) and Phi are the
+grid solutions' last node to rounding, and the eigen search builds no
+whole chi row and keeps no sum.  numpy.polynomial is imported at the
+first _right_end, so importing spps.cli, or building a seed, loads none
+of it.  choose_truncation sums u1's and u2's series once, on the whole
+grid, at the first truncation its bound lets through.
 
 Every reader builds the family only to the orders it reads:
 choose_truncation to 2M + 3, the evaluators and _right_end (through
@@ -66,8 +64,6 @@ _check_truncation) to 2M - 1.  Each refuses with OrderError a
 non-finite lambda and one whose powers overflow: the evaluators and
 _right_end |lam|^(M-1), the highest their sums read, and
 choose_truncation each |lam|^k its rule reads (_lam_power).
-sturm.build_seed runs _horner on the psi rows and chi ends of many seed
-pieces at once.
 """
 
 from __future__ import annotations
@@ -78,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyWarning, OrderError, _as_order
+from .errors import AccuracyWarning, GridConfigError, OrderError, _as_order
 from .grid import GridFunction, _integrate_rows, _interpolate, derivative
 from .jets import _factorials
 from .recint import RecursiveFamily
@@ -125,29 +121,6 @@ def _real_if_real(lam):
     """lam, or its real part if it has no imaginary part (lam a scalar or
     an array), so that sums of real rows at a real lam stay real."""
     return np.real(lam) if np.iscomplexobj(lam) and not np.any(np.imag(lam)) else lam
-
-
-def _horner(rows, s: int, lam: complex, M: int, at):
-    """sum_{k<M} lam^k Y[2k+s] / (2k+s)! for Y = rows, family rows by order
-    (psi or chi's ends), at the nodes `at`, highest term first, in one
-    new accumulator of the operands' type, result_type(rows, lam).  A
-    lam with no imaginary part counts as real, so real rows make a real
-    sum; a complex accumulator of the same operands has that sum as its
-    real part, bit for bit, as the real part of (x + 0j)(lam + 0j) is
-    x lam - 0 * 0.  This is the sum of one node at many lambda (lam an
-    array, the eigen search's) or of a few nodes (_right_end, the seed
-    pieces' ends), where its M passes over arrays of that size cost
-    little, and of the seed pieces' whole rows, where a product's
-    rounding shows in the seed's second differences; a family's whole
-    grid at one lambda is _grid_sum's product."""
-    top = 2 * M - 2 + s
-    inv = _inv_factorials(top)
-    lam = _real_if_real(lam)
-    acc = (rows[top][at] * inv[top]).astype(np.result_type(rows[top], lam), copy=False)
-    for k in range(M - 2, -1, -1):
-        acc *= lam
-        acc += rows[2 * k + s][at] * inv[2 * k + s]
-    return acc
 
 
 def _grid_sum(family: RecursiveFamily, s: int, lam, M: int, out=None):
@@ -284,18 +257,22 @@ def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFu
 
 
 def _right_end(family: RecursiveFamily, lam, n_terms: int):
-    """u1, u1', u2, u2' at b, lam a scalar or an array: the last node of
-    u1_grid .. u2_prime_grid, each of the four series summed once from the
-    psi rows and the chi ends the family keeps, with T1 = sum_{k>=1}
-    lam^k chi_(2k-1) / (2k-1)! (empty for M = 1) and T2 = sum_k lam^k
-    chi_2k / (2k)!."""
+    """u1, u1', u2, u2' at b in lam's shape, lam a scalar or an array: the
+    last node of u1_grid .. u2_prime_grid.  The series S1, S2, T1 and T2
+    are four polynomials in lam, evaluated together in Horner form by
+    polyval from one (M, 4) block of the psi rows and chi ends the family
+    keeps: row k holds psi_2k, psi_(2k+1), chi_(2k-1) and chi_2k at b
+    over their factorials, chi_(-1) = 0, so T1 = sum_{k>=1} lam^k
+    chi_(2k-1) / (2k-1)! and T2 = sum_k lam^k chi_2k / (2k)!."""
     M = _check_truncation(family, lam, n_terms)
     lam = _real_if_real(lam)
-    psi, chi = family._psi, family._chi_ends
+    inv = _inv_factorials(2 * M - 1)
+    psi = family._psi[:2 * M, -1] * inv
+    chi = np.append(0.0, family._chi_ends[:2 * M - 1, 0] * inv[:-1])
+    coef = np.hstack((psi.reshape(M, 2), chi.reshape(M, 2)))
+    # numpy.polynomial loads here: importing spps.cli, or a seed, skips it
+    S1, S2, T1, T2 = np.polynomial.polynomial.polyval(lam, coef)
     f, fp = family.f.values[-1], family.f_prime.values[-1]
-    S1, S2 = _horner(psi, 0, lam, M, -1), _horner(psi, 1, lam, M, -1)
-    T1 = np.multiply(lam, _horner(chi, 1, lam, M - 1, -1)) if M > 1 else 0.0
-    T2 = _horner(chi, 0, lam, M, -1)
     return (np.multiply(f, S1), _prime(fp, S1, T1, f),
             np.multiply(f, S2), _prime(fp, S2, T2, f))
 
@@ -326,8 +303,10 @@ def residual(lam: complex, u_values: GridFunction, q: GridFunction) -> float:
     Returns max over interior nodes of |u'' + q u - lambda u| divided by
     (1 + |lambda| * max|u|).  The second grid derivative uses one-sided
     stencils near the ends, so the two outermost nodes on each side are
-    excluded.
+    excluded.  Raises GridConfigError if q lives on another grid.
     """
+    if q.grid != u_values.grid:
+        raise GridConfigError("potential and solution live on different grids")
     upp = derivative(derivative(u_values))
     r = upp.values + (q.values - lam) * u_values.values
     denom = 1.0 + abs(lam) * u_values.sup_norm

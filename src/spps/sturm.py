@@ -30,7 +30,7 @@ import numpy as np
 from .errors import AccuracyWarning, EigenError, GridConfigError, SeedError
 from .grid import GridFunction, _check_finite
 from .recint import MIN_SEED_ABS, RecursiveFamily, _extend_orders, _order_zero
-from .series import SERIES_TOL, _horner, _right_end, choose_truncation
+from .series import SERIES_TOL, _inv_factorials, _right_end, choose_truncation
 
 _SEED_TERMS = 11  # series terms per seed piece, see build_seed
 # Relative |Im(c1 conj(c2))| of a pair that is e^(i theta) times a real
@@ -104,14 +104,17 @@ def _seed_pieces(r, nodes, starts, w: int):
     """u1, u2 of the recursion with seed 1 and weight r at lambda = 1 (it
     solves u'' = r u), with _SEED_TERMS terms, on the pieces of w cells
     that begin at the node indices `starts`: c, s of shape (P, w + 1) and
-    u1'(b), u2'(b) of shape (P,), summed in Horner form (series._horner).
+    u1'(b), u2'(b) of shape (P,).
 
     The psi rows are (P, w + 1) and the chi ends (P, 1) for each order,
     built by recint's order loop with each piece's own spacing and the
     weights (1, r): with seed 1, 1/phi = 1 exactly and r takes the place
     of phi.  As f = 1 and f' = 0, u1'(b) and u2'(b) are the chi ends'
     sums T1 = sum_{k>=1} chi_(2k-1) / (2k-1)! and T2 = sum_k chi_2k /
-    (2k)!.  Rows and sums are real, in float64.
+    (2k)!.  Each sum adds its terms highest order first, Horner form at
+    lambda = 1: summed as a product, as series._grid_sum sums, the seed
+    of q = -1 on 5001 nodes had a second-difference residual of 1.5e-8
+    against 7.6e-9.  Rows and sums are real, in float64.
     """
     starts = np.asarray(starts)
     idx = starts[:, None] + np.arange(w + 1)
@@ -120,11 +123,15 @@ def _seed_pieces(r, nodes, starts, w: int):
     top = 2 * _SEED_TERMS - 1
     psi, ends, scratch = _order_zero(r.shape, r.dtype, top)
     _extend_orders(psi, ends, (1.0, r), h, 0, 1, top, scratch)
-    c = _horner(psi, 0, 1.0, _SEED_TERMS, slice(None))
-    s = _horner(psi, 1, 1.0, _SEED_TERMS, slice(None))
-    cp = _horner(ends, 1, 1.0, _SEED_TERMS - 1, (..., 0))
-    sp = _horner(ends, 0, 1.0, _SEED_TERMS, (..., 0))
-    return c, s, cp, sp
+    inv, ends = _inv_factorials(top), ends[..., 0]
+
+    def at_one(rows, k):  # sum of rows[j] / j! for j = k, k - 2, .. 0 or 1
+        acc = rows[k] * inv[k]
+        for j in range(k - 2, -1, -2):
+            acc += rows[j] * inv[j]
+        return acc
+
+    return at_one(psi, top - 1), at_one(psi, top), at_one(ends, top - 2), at_one(ends, top - 1)
 
 
 def _left_betas(problem: SlProblem, family: RecursiveFamily):
@@ -155,9 +162,7 @@ def characteristic(problem: SlProblem, family: RecursiveFamily, lam,
     c3, c4 = problem.bc_right
     ub = beta1 * u1b + beta2 * u2b
     upb = beta1 * u1pb + beta2 * u2pb
-    phi = c3 * ub + c4 * upb
-    # at M = 1 no power of lam enters, and phi is one value
-    return np.full(np.shape(lam), phi) if np.ndim(phi) < np.ndim(lam) else phi
+    return c3 * ub + c4 * upb
 
 
 @dataclass

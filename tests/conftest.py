@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spps
+from spps.series import _inv_factorials, _real_if_real
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +66,26 @@ def _rows_one_at_a_time(f, N, r=None):
 def row_by_row():
     """Reference for family rows: X, Xt = row_by_row(f, N, r=None)."""
     return _rows_one_at_a_time
+
+
+def _horner_reference(rows, s, lam, M, at):
+    """The series module's former Horner kernel, kept as a reference:
+    sum_{k<M} lam^k Y[2k+s] / (2k+s)! for Y = rows, family rows by order
+    (psi or chi's ends), at the nodes `at`, highest term first, in one
+    new accumulator of type result_type(rows, lam), a lam with no
+    imaginary part counted as real."""
+    top = 2 * M - 2 + s
+    inv = _inv_factorials(top)
+    lam = _real_if_real(lam)
+    acc = (rows[top][at] * inv[top]).astype(np.result_type(rows[top], lam), copy=False)
+    for k in range(M - 2, -1, -1):
+        acc *= lam
+        acc += rows[2 * k + s][at] * inv[2 * k + s]
+    return acc
+
+
+@pytest.fixture
+def horner():
+    """Reference for the series sums at b and the seed pieces' sums:
+    horner(rows, s, lam, M, at)."""
+    return _horner_reference

@@ -188,15 +188,11 @@ def test_solve_sums_each_series_once(tmp_path, monkeypatch, n_terms):
     # the truncation choice and the four grid solutions share the family's
     # kept sums: 2 whole-grid sums (u1's and u2's psi series) and 2
     # integrals (their derivatives'), and 2 more sums where the choice
-    # summed u1's and u2's series at another M; no sum at chosen nodes
+    # summed u1's and u2's series at another M
     calls, integrals = [], []
-    horner, grid_sum = spps.series._horner, spps.series._grid_sum
-    integrate = spps.series._integrate_rows
-    monkeypatch.setattr(spps.series, "_horner", lambda rows, s, lam, M, at:
-                        calls.append(isinstance(at, slice))
-                        or horner(rows, s, lam, M, at))
+    grid_sum, integrate = spps.series._grid_sum, spps.series._integrate_rows
     monkeypatch.setattr(spps.series, "_grid_sum", lambda family, s, lam, M, out=None:
-                        calls.append(True) or grid_sum(family, s, lam, M, out))
+                        calls.append(M) or grid_sum(family, s, lam, M, out))
     monkeypatch.setattr(spps.series, "_integrate_rows", lambda y, *args:
                         integrals.append(y.shape) or integrate(y, *args))
     cfg = _valid_configs()["solve"]
@@ -204,7 +200,7 @@ def test_solve_sums_each_series_once(tmp_path, monkeypatch, n_terms):
         del cfg["solve"]["n_terms"]
         cfg["family_order"] = 40  # the choice meets tol below the cap, and sums
     assert _run(tmp_path, cfg)[0] == 0
-    assert all(calls) and (len(calls) == 2 if n_terms else 2 <= len(calls) <= 4)
+    assert calls == [n_terms] * 2 if n_terms else 2 <= len(calls) <= 4
     assert len(integrals) == 2
 
 
@@ -795,18 +791,28 @@ def test_output_dir_from_config(tmp_path):
     assert os.path.exists(os.path.join(tmp_path, "results", "matrix.csv"))
 
 
-def test_cli_import_loads_no_scipy():
-    # nor numpy.polynomial: only the eigen search reaches it, at its call
+def test_cli_import_loads_no_scipy(tmp_path):
+    # nor numpy.polynomial: only the eigen search reaches it, at its call;
+    # a solve run on a seed built from q loads none either
+    cfg = _valid_configs()["solve"]
+    cfg["seed"], cfg["q"] = {"kind": "from_q"}, {"kind": "constant", "value": -3.0}
+    path = _write_config(tmp_path, cfg)
     src = os.path.dirname(os.path.dirname(spps.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, spps.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
+    code = f"""
+import sys, spps.cli
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial'))
+print(loaded())
+assert spps.cli.main(["--config", {path!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+print(loaded())
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
 
 def test_module_entry_point(tmp_path):

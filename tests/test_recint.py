@@ -308,6 +308,25 @@ def test_rows_handed_out_refuse_writes():
     assert fam._psi.flags.writeable and fam._chi.flags.writeable
 
 
+@pytest.mark.parametrize("seed", [np.exp, lambda x: np.exp(x) + 0.5j], ids=["real", "complex"])
+def test_seed_weight_and_derivative_handed_out_refuse_writes(seed):
+    # f, phi and f_prime are views that refuse writes too: phi is the order
+    # loop's weight, so a write through it changed every later order.  The
+    # caller's seed array, which f views, stays writable
+    g = Grid(0.0, 1.0, 201)
+    f = sample(seed, g)
+    fam = build_family(f, 12)
+    fam.psi(2)
+    for values in (fam.f.values, fam.phi.values, fam.f_prime.values):
+        with pytest.raises(ValueError):
+            values[:] = 2.0
+    assert np.shares_memory(fam.f.values, f.values) and f.values.flags.writeable
+    fresh = build_family(sample(seed, g), 12)
+    assert fam.psi(5).values.tobytes() == fresh.psi(5).values.tobytes()
+    got = spps.u1_grid(fam, -3, 6).values
+    assert got.tobytes() == spps.u1_grid(fresh, -3, 6).values.tobytes()
+
+
 def test_psi_builds_only_the_order_it_reads():
     g = Grid(0.0, 1.0, 201)
     fam = build_family(sample(np.exp, g), 40)
@@ -351,5 +370,5 @@ def test_a_seed_with_no_imaginary_part_makes_a_real_family(row_by_row):
     # any nonzero imaginary part keeps the family complex
     f.values[7] += 1e-300j
     fam = build_family(f, N)
-    assert fam.f.values is f.values
+    assert fam.f.values.base is f.values  # a read-only view of the caller's array
     assert fam.psi(1).values.dtype == fam._chi_ends[1].dtype == complex

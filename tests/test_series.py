@@ -7,6 +7,7 @@ import spps
 from spps import (
     AccuracyWarning,
     DomainError,
+    GridConfigError,
     OrderError,
     choose_truncation,
     eval_u1,
@@ -20,7 +21,7 @@ from spps import (
     u2_grid,
     u2_prime_grid,
 )
-from spps.series import TruncationChoice, _horner, _inv_factorials
+from spps.series import TruncationChoice, _inv_factorials, _prime, _real_if_real
 
 
 def _kappa_solution(c, lam, x):
@@ -132,6 +133,16 @@ def test_residual_bounded_over_lambda(exp_family):
         n = choose_truncation(exp_family, lam).n_terms
         assert residual(lam, u1_grid(exp_family, lam, n), q) < 1e-5
         assert residual(lam, u2_grid(exp_family, lam, n), q) < 1e-5
+
+
+@pytest.mark.parametrize("q_grid", [spps.Grid(0.0, 2.0, 201), spps.Grid(0.0, 1.0, 101)],
+                         ids=["other_interval", "other_nodes"])
+def test_residual_refuses_a_potential_on_another_grid(q_grid):
+    # neither a defect over q's nodes read as u's nor numpy's broadcast error
+    u = sample(np.exp, spps.Grid(0.0, 1.0, 201))
+    q = sample(lambda x: np.full_like(x, -1.0), q_grid)
+    with pytest.raises(GridConfigError, match="different grids"):
+        residual(-1.0, u, q)
 
 
 # -- truncation choice ---------------------------------------------------------
@@ -391,29 +402,22 @@ def _read(reader, fam, lam, M, x=np.linspace(0.05, 0.95, 9)):
 
 
 def _count_sums(monkeypatch, fam, integrals=None):
-    """(row, s, M, whole grid?) of every sum of fam's rows from now on, row
-    0 for psi and 1 for chi: a _grid_sum call sums the psi rows on the
-    whole grid, a _horner call the rows it is given at its nodes; and the
-    shape of every row the series module integrates, appended to
-    integrals if given."""
+    """(s, M) of every whole-grid sum of fam's psi rows from now on, the
+    one sum the series module makes (_grid_sum); and the shape of every
+    row the series module integrates, appended to integrals if given."""
     calls = []
-    horner, grid_sum = spps.series._horner, spps.series._grid_sum
+    grid_sum = spps.series._grid_sum
     integrate = spps.series._integrate_rows
-
-    def counting(rows, s, lam, M, at):
-        calls.append((0 if rows is fam._psi else 1, s, M, isinstance(at, slice)))
-        return horner(rows, s, lam, M, at)
 
     def counting_grid(family, s, lam, M, out=None):
         if family is fam:
-            calls.append((0, s, M, True))
+            calls.append((s, M))
         return grid_sum(family, s, lam, M, out)
 
     def counting_integrals(y, *args):
         integrals.append(y.shape)
         return integrate(y, *args)
 
-    monkeypatch.setattr(spps.series, "_horner", counting)
     monkeypatch.setattr(spps.series, "_grid_sum", counting_grid)
     if integrals is not None:
         monkeypatch.setattr(spps.series, "_integrate_rows", counting_integrals)
@@ -435,11 +439,10 @@ def test_one_lambda_sums_each_series_once_for_every_reader(exp_family, monkeypat
     integrals = []
     calls = _count_sums(monkeypatch, fam, integrals)
     M = choose_truncation(fam, lam).n_terms + extra
-    at_M = calls[0][2] == M
+    at_M = calls[0][1] == M
     assert at_M == (sums_at_choice and not extra)
     got = [_read(r, fam, lam, M) for r in _READERS[:4]]
-    assert len(calls) == sum(c[3] for c in calls) == (2 if at_M else 4)
-    assert all(c[0] == 0 for c in calls)  # no chi row is summed
+    assert len(calls) == (2 if at_M else 4)
     assert integrals == [(fam.grid.n_nodes,)] * 2
     calls.clear()
     integrals.clear()
@@ -466,17 +469,19 @@ def test_a_new_lambda_sums_again_and_an_array_lambda_bypasses(exp_family, monkey
     def whole_sums(read):
         calls.clear()
         read()
-        return sum(c[3] for c in calls)
+        return len(calls)
 
     assert whole_sums(lambda: u1_grid(fam, -30.0, 8)) == 1
     assert whole_sums(lambda: u1_grid(fam, -30.0, 8)) == 0
     # an int or a complex lam of the same value has the same bits
     assert whole_sums(lambda: u1_grid(fam, -30, 8)) == 0
     assert whole_sums(lambda: u1_grid(fam, complex(-30), 8)) == 0
-    # an array lam sums its own series (4 at the last node) and keeps none
-    calls.clear()
-    spps.series._right_end(fam, np.array([-30.0, 2.0]), 8)
-    assert len(calls) == 4 and not any(c[3] for c in calls)
+    # an array lam sums its own series at the last node, on no whole grid,
+    # and keeps nothing
+    kept = dict(fam._sums)
+    assert whole_sums(lambda: spps.series._right_end(fam, np.array([-30.0, 2.0]), 8)) == 0
+    assert fam._sums.keys() == kept.keys()
+    assert all(fam._sums[key] is kept[key] for key in kept)
     assert whole_sums(lambda: u1_grid(fam, -30.0, 8)) == 0
     # a new lam sums again, and then the one before it too
     assert whole_sums(lambda: u1_grid(fam, 2.0, 8)) == 1
@@ -656,40 +661,60 @@ def test_evaluators_build_only_the_orders_they_read(evaluate):
     assert np.array_equal(first, again)
 
 
-# -- real rows at a real lambda ---------------------------------------------------
+# -- the sums at b ---------------------------------------------------------------
 
-def _complex_horner(rows, s, lam, M, at):
-    """The reference for _horner: one complex accumulator whatever the
-    type of the rows and lam."""
-    top = 2 * M - 2 + s
-    inv = _inv_factorials(top)
-    acc = (rows[top][at] * inv[top]).astype(complex)
-    for k in range(M - 2, -1, -1):
-        acc *= lam
-        acc += rows[2 * k + s][at] * inv[2 * k + s]
-    return acc
+def _right_end_reference(fam, lam, M, horner):
+    """_right_end as the former kernel summed it: each series alone in
+    Horner form, T1 as lam times the sum of chi_1, chi_3, .. (0.0 at
+    M = 1), and the four combined as _right_end combines them."""
+    lam = _real_if_real(lam)
+    psi, chi = fam._psi, fam._chi_ends
+    f, fp = fam.f.values[-1], fam.f_prime.values[-1]
+    S1, S2 = horner(psi, 0, lam, M, -1), horner(psi, 1, lam, M, -1)
+    T1 = np.multiply(lam, horner(chi, 1, lam, M - 1, -1)) if M > 1 else 0.0
+    T2 = horner(chi, 0, lam, M, -1)
+    return (np.multiply(f, S1), _prime(fp, S1, T1, f),
+            np.multiply(f, S2), _prime(fp, S2, T2, f))
 
 
-def test_real_rows_at_a_real_lambda_sum_in_float64():
-    # x * lam - 0 * 0 is x * lam: a complex accumulator of real rows at a
-    # real lam has the real sum as its real part, bit for bit
+def _assert_right_end_is_horner(fam, horner):
+    """polyval is Horner form with the former kernel's operations, term +
+    acc * lam, so at a lam with no imaginary part -- a float, a
+    complex-typed real and 1-D, 2-D and empty arrays -- _right_end has
+    the reference's bits.  It has lam's shape at every truncation from
+    M = 1, where the kernel made one value, up to the family's cap.  At a
+    complex lam the two agree to rounding: numpy's array loop for a
+    complex product fuses a multiply and an add, so its imaginary part
+    depends on the operands' order (the reference's T1 is lam times the
+    sum, polyval's the sum times lam), and numpy's scalar arithmetic,
+    which the reference ran at a scalar lam, fuses none."""
+    lams = [-37.0, complex(-37.0), np.array([-37.0, 2.0 + 0j]),
+            np.linspace(-60.0, 40.0, 6).reshape(2, 3), np.zeros(0),
+            complex(-37.0, 5.0), np.linspace(-60.0, 40.0, 6).reshape(2, 3) + 3j]
+    for M in range(1, (fam.N + 1) // 2 + 1):
+        for lam in lams:
+            got = spps.series._right_end(fam, lam, M)
+            want = _right_end_reference(fam, lam, M, horner)
+            sizes = np.array([_term_sums(fam, l, M) for l in np.ravel(lam)]).T
+            for g, w, size in zip(got, want, sizes.reshape((4,) + np.shape(lam))):
+                w = np.broadcast_to(w, np.shape(lam))
+                assert np.shape(g) == np.shape(lam) and g.dtype == w.dtype
+                if not np.any(np.imag(lam)):
+                    assert np.asarray(g).tobytes() == w.tobytes()
+                else:
+                    assert np.all(np.abs(g - w) <= 4 * M * np.finfo(float).eps * size)
+
+
+def test_real_rows_at_a_real_lambda_sum_in_float64(horner):
     fam = spps.build_family(sample(np.exp, spps.Grid(0.0, 1.0, 2001)), 60)
-    fam._grow(60)
-    M = 25
-    for rows, at in ((fam._psi, slice(None)), (fam._psi, np.array([0, 17, 2000])),
-                     (fam._psi, -1), (fam._chi_ends, -1)):
-        # an array lam at one node, as the eigen search sums
-        lams = [complex(-37.0), -37.0]
-        if isinstance(at, int):
-            lams.append(np.array([-37.0, 2.0 + 0j]))
-        for s in (0, 1):
-            for lam in lams:
-                got, want = _horner(rows, s, lam, M, at), _complex_horner(rows, s, lam, M, at)
-                assert got.dtype == np.float64 and not np.any(want.imag)
-                assert np.array_equal(got, want.real)
-            lam = complex(-37.0, 5.0)  # a complex lam sums as it did
-            got, want = _horner(rows, s, lam, M, at), _complex_horner(rows, s, lam, M, at)
-            assert got.dtype == complex and np.array_equal(got, want)
+    _assert_right_end_is_horner(fam, horner)
+    for lam in (-37.0, complex(-37.0), np.array([-37.0, 2.0 + 0j])):
+        assert all(u.dtype == np.float64 for u in spps.series._right_end(fam, lam, 25))
+
+
+def test_complex_rows_sum_at_b_in_horner_form(horner):
+    fam = spps.build_family(sample(lambda x: np.exp(x) + 0.5j, spps.Grid(0.0, 1.0, 2001)), 60)
+    _assert_right_end_is_horner(fam, horner)
 
 
 def test_kept_sums_follow_lambda_from_real_to_complex_and_back():

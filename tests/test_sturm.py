@@ -21,7 +21,6 @@ from spps import (
     sample,
     u2_grid,
 )
-from spps.series import _horner
 from spps.sturm import _SEED_TERMS
 
 PI2 = np.pi**2
@@ -470,7 +469,7 @@ def test_search_same_on_a_fresh_and_a_grown_family(q_zero):
 
 # -- batched seed pieces and on-demand family growth ---------------------------
 
-def _seed_piece_by_piece(q, row_by_row):
+def _seed_piece_by_piece(q, row_by_row, horner):
     """build_seed's sum one piece at a time: on each piece the recursion
     with seed 1 and weight -q row by row, its psi rows summed as u1_grid
     and u2_grid sum a family's, and with f = 1 and f' = 0 the derivatives
@@ -488,10 +487,10 @@ def _seed_piece_by_piece(q, row_by_row):
         # psi_n, chi_n: X(n), X~(n) for odd n, the other way round for even n
         psi = [(x if n % 2 else xt).values for n, (x, xt) in enumerate(zip(X, Xt))]
         chi = [(xt if n % 2 else x).values for n, (x, xt) in enumerate(zip(X, Xt))]
-        c = _horner(psi, 0, 1.0, _SEED_TERMS, slice(None))
-        s = _horner(psi, 1, 1.0, _SEED_TERMS, slice(None))
-        cp = _horner(chi, 1, 1.0, _SEED_TERMS - 1, -1)
-        sp = _horner(chi, 0, 1.0, _SEED_TERMS, -1)
+        c = horner(psi, 0, 1.0, _SEED_TERMS, slice(None))
+        s = horner(psi, 1, 1.0, _SEED_TERMS, slice(None))
+        cp = horner(chi, 1, 1.0, _SEED_TERMS - 1, -1)
+        sp = horner(chi, 0, 1.0, _SEED_TERMS, -1)
         f[i:j + 1], fp = f[i] * c + fp * s, f[i] * cp + fp * sp
     return f, w, bounds[-1] - bounds[-2]
 
@@ -503,11 +502,12 @@ def _seed_piece_by_piece(q, row_by_row):
     ("-400", 245, 4), ("-400", 501, None),
     ("2500", 295, 4), ("2500", 299, "w+3"), ("2500", 501, None), ("2500", 5001, None),
 ])
-def test_batched_seed_bitwise_equal_piece_by_piece(potential, n, last, row_by_row):
+def test_batched_seed_bitwise_equal_piece_by_piece(potential, n, last, row_by_row,
+                                                   horner):
     g = Grid(0.0, 1.0, n)
     q = sample(lambda x: 50 * np.cos(3 * np.pi * x) if potential == "50cos"
                else np.full_like(x, float(potential)), g)
-    want, w, width = _seed_piece_by_piece(q, row_by_row)
+    want, w, width = _seed_piece_by_piece(q, row_by_row, horner)
     if last is not None:
         assert width == (w + 3 if last == "w+3" else last)
     assert np.array_equal(build_seed(q).values, want)
