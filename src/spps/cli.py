@@ -302,17 +302,14 @@ class _Run:
 
     # -- config pieces ----------------------------------------------------
 
-    def grid(self, force_x0_left: bool = False) -> Grid:
+    def grid(self) -> Grid:
         block = self.cfg.get("grid")
         if block is None:
             raise ConfigError(f"command {self.cfg['command']!r} needs a grid block")
         try:
-            grid = Grid(block["a"], block["b"], **_given(block, "n_nodes", "x0"))
+            return Grid(block["a"], block["b"], **_given(block, "n_nodes", "x0"))
         except GridConfigError as e:
             raise ConfigError(f"bad grid: {e}") from None
-        if force_x0_left and grid.x0_index != 0:
-            raise ConfigError("eigenproblems require x0 = a")
-        return grid
 
     def csv_function(self, block: dict, grid: Grid, what: str) -> GridFunction:
         """Read block["path"] anchored at grid.x0; it must lie on grid, finite."""
@@ -432,7 +429,7 @@ def _cmd_solve(run: _Run) -> None:
 
 def _cmd_eigs(run: _Run) -> None:
     block = _block(run.cfg)
-    grid = run.grid(force_x0_left=True)
+    grid = run.grid()
     q = run.q_function(grid)
     family = run.family(grid, q)
     try:

@@ -59,9 +59,8 @@ class RankCollapseError(SppsError, ValueError):
 
 
 class EigenError(SppsError, RuntimeError):
-    """Eigenvalue search cannot proceed: the left boundary data pin no
-    solution, or the characteristic function vanished at every
-    Chebyshev point of the window."""
+    """Eigenvalue search cannot proceed: the characteristic function
+    vanished at every Chebyshev point of the window."""
 
 
 class AccuracyWarning(UserWarning):

@@ -13,14 +13,19 @@ potential q = f''/f and the odd half is the second independent solution
 family.  The paper's two families are X(n) = psi_n, X~(n) = chi_n for
 odd n, and the other way round for even n.
 
-Order n is kept as psi_n on the whole grid and chi_n at the last node
-alone, where the eigen search reads it, so a family is two arrays
-indexed by order: the psi rows, one (N + 1, n_nodes) block with
-psi_0 = 1 in row 0, and the chi ends, one (N + 1, 1) array.  The block
-is allocated once with np.empty: the operating system backs a page of
-it only when the order on that page is built, so a family that is read
-to order k holds k rows, not N.  It lets series._grid_sum read the rows
-a series sums, psi[s:top+1:2], as one strided matrix.  The order loop
+Order n is kept as psi_n on the whole grid and chi_n at the first and
+the last node alone, where the eigen search reads it, so a family is
+two arrays indexed by order: the psi rows, one (N + 1, n_nodes) block
+with psi_0 = 1 in row 0, and the chi ends, one (N + 1, 2) array.  The
+block is allocated once with nothing written: the operating system
+backs a page of it only when the order on that page is built, so a
+family that is read to order k holds k rows, not N, and one that is
+never read holds none, as row 0 is written at the first read.  A block
+of 4 MiB or more is an anonymous mapping of its own (_rows), so that a
+freed family gives its pages back to the operating system, where a
+block from malloc's heap stays in the process.  The block lets
+series._grid_sum read the rows a series sums, psi[s:top+1:2], as one
+strided matrix.  The order loop
 carries chi_n whole in a reused row: order n is the product of
 chi_(n-1) and psi_(n-1) with the fixed weights (1/phi, phi), formed in
 a reused (2, n_nodes) buffer, one call of the grid's row integrator on
@@ -36,11 +41,14 @@ demand up to the family's cap N, and only as deep as they are read.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import mmap
 from functools import cached_property
 
 import numpy as np
 
-from .grid import GridFunction, _integrate_rows, derivative
+from .grid import Grid, GridFunction, _integrate_rows, derivative
 from .errors import GridConfigError, OrderError, SeedError, _as_order
 
 # Seeds whose modulus falls below this are rejected: every second
@@ -48,53 +56,82 @@ from .errors import GridConfigError, OrderError, SeedError, _as_order
 MIN_SEED_ABS = 1e-12
 
 
-def _order_zero(shape: tuple, dtype, top: int):
-    """psi rows, chi ends and scratch of a recursion at order 0, where
-    psi_0 = chi_0 = 1, for rows of the given shape and dtype up to order
-    top: the state _extend_orders continues.  psi is (top + 1,) + shape
-    and ends (top + 1,) + shape[:-1] + (1,), both from np.empty with row
-    0 written, so no page past order 0 is backed until its order is
-    built."""
-    psi = np.empty((top + 1,) + shape, dtype)
-    ends = np.empty((top + 1,) + shape[:-1] + (1,), dtype)
-    scratch = np.empty((2, 2) + shape, dtype)
+# A psi block of this many bytes or more is an anonymous mapping of its
+# own, the size from which numpy asks for transparent huge pages
+_MAPPED_BYTES = 4 << 20
+
+
+def _rows(shape: tuple, dtype) -> np.ndarray:
+    """An array of rows, nothing written, so no page of it is backed until
+    a row on it is written.  One of _MAPPED_BYTES or more is an anonymous
+    mapping of its own (with MADV_HUGEPAGE where the platform has it), so
+    that freeing it unmaps its pages at once, where a block malloc served
+    from its heap would stay in the process."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes < _MAPPED_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.empty(shape, dtype)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        with contextlib.suppress(OSError):  # a kernel without huge pages
+            buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype).reshape(shape)
+
+
+def _blocks(shape: tuple, dtype, top: int):
+    """psi rows and chi ends of a recursion up to order top, for rows of
+    the given shape and dtype, nothing written: psi (top + 1,) + shape
+    from _rows, and ends (top + 1,) + shape[:-1] + (2,)."""
+    psi = _rows((top + 1,) + shape, dtype)
+    return psi, np.empty(psi.shape[:-1] + (2,), dtype)
+
+
+def _order_zero(psi: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Write order 0 of a recursion, psi_0 = chi_0 = 1, into row 0 of psi
+    and ends, and return the (2, 2) + row shape scratch _extend_orders
+    continues from."""
+    scratch = np.empty((2, 2) + psi.shape[1:], psi.dtype)
     psi[0] = ends[0] = scratch[1, 1] = 1.0
-    return psi, ends, scratch
+    return scratch
 
 
 def _extend_orders(psi: np.ndarray, ends: np.ndarray, weights, h, x0_index: int,
                    start: int, stop: int, scratch: np.ndarray) -> None:
     """Write orders start .. stop in place: psi_n into psi[n] and chi_n at
-    the last node into ends[n].  scratch is (2, 2, ...): the pair of
-    integrands, then the integrated pair, whose row 1 holds chi_(n-1) on
-    entry and chi_n on return.  Order n integrates chi_(n-1) and
-    psi_(n-1) times weights (for a family 1/phi and phi) along the last
-    axis and scales by n; the rows may carry leading axes (side-by-side
-    pieces)."""
+    the first and the last node into ends[n].  scratch is
+    (2, 2, ...): the pair of integrands, then the integrated pair, whose
+    row 1 holds chi_(n-1) on entry and chi_n on return.  Order n
+    integrates chi_(n-1) and psi_(n-1) times weights (for a family 1/phi
+    and phi) along the last axis and scales by n; the rows may carry
+    leading axes (side-by-side pieces)."""
     buf, pair = scratch
+    last = psi.shape[-1] - 1
     for n in range(start, stop + 1):
         np.multiply(pair[1], weights[0], out=buf[0])
         np.multiply(psi[n - 1], weights[1], out=buf[1])
         _integrate_rows(buf, h, pair, x0_index)
         np.multiply(pair[0], n, out=psi[n])
         pair[1] *= n
-        ends[n] = pair[1][..., -1:]
+        ends[n] = pair[1][..., ::last]  # the first and the last node
 
 
 class RecursiveFamily:
     """Both recursive integral families of a seed, up to order N.
 
     Orders are built when first read.  Order n holds psi_n whole and
-    chi_n at the last node: one row of n_nodes, the cost of one integrand
-    product and one cumulative integration of the (psi, chi) pair.  The
-    psi rows are rows 0..N of one (N + 1, n_nodes) block, psi_0 = 1 in
-    row 0, taken with np.empty when the family is made; the operating
-    system backs its pages as orders are written, so the family's memory
-    grows with the orders read, not with N, and the block is freed as
-    one array with the family.  Pages are backed whole, and numpy asks
-    for transparent huge pages on an array of 4 MiB or more, so the
-    orders built may hold up to one such page (2 MiB on x86-64) more than
-    their rows.  A seed with no imaginary part is held in float64,
+    chi_n at the first and the last node: one row of n_nodes, the cost of
+    one integrand product and one cumulative integration of the
+    (psi, chi) pair.  The psi rows are rows 0..N of one (N + 1, n_nodes)
+    block, psi_0 = 1 in row 0, taken with nothing written when the family
+    is made; row 0 and the order loop's scratch are written at the first
+    read, and the operating system backs the block's pages as orders are
+    written, so the family's memory grows with the orders read, not with
+    N, and a family that is never read holds no row.  A block of 4 MiB or
+    more is an anonymous mapping, unmapped with the family, and asks for
+    transparent huge pages, as numpy does for its arrays from that size;
+    a smaller one is numpy's.  Pages are backed whole, so the orders
+    built may hold up to one huge page (2 MiB on x86-64) more than their
+    rows.  A seed with no imaginary part is held in float64,
     whatever its dtype, so f, phi and every row are real, 8 bytes a value
     against a complex seed's 16.  The eigen search and the series
     evaluators read only the orders their truncation needs, and psi(k)
@@ -111,9 +148,9 @@ class RecursiveFamily:
     ----------
     f : GridFunction
         The seed, in float64 if it has no imaginary part: a view that
-        refuses writes, of the caller's array if that has the family's
-        type.  phi, f_prime and the rows psi(k), X and Xt refuse writes
-        too.
+        refuses writes, of the family's own copy of the caller's array,
+        so a later write to that array moves no sum.  phi, f_prime and
+        the rows psi(k), X and Xt refuse writes too.
     phi : GridFunction
         f squared, the order loop's weight.
     N : int
@@ -140,17 +177,25 @@ class RecursiveFamily:
                 f"is below {MIN_SEED_ABS:g}")
         if f.grid.n_nodes < 4:
             raise GridConfigError("cumulative integral needs at least 4 nodes")
-        if f.is_real:  # real rows, sums and kept arrays: 8 bytes a value
-            f = GridFunction(f.grid, np.ascontiguousarray(f.values.real))
-        self.grid = f.grid
-        self.f = self._view(f.values)
-        self.phi = self._view((f * f).values)
+        # a copy, so that a later write to the caller's array moves no sum
+        values = np.array(f.values.real if f.is_real else f.values)
+        phi = values * values
+        self._start(f.grid, values, phi, 1.0 / phi, N)
+
+    def _start(self, grid, f, phi, phi_inv, N: int) -> None:
+        """Set up a family of no built order on grid from the arrays of
+        its seed, weight and reciprocal weight."""
+        self.grid = grid
+        self.f = self._view(f)
+        self.phi = self._view(phi)
         self.N = N
-        self._w = (1.0 / self.phi.values, self.phi.values)
-        # psi_n in row n of one block, a page backed only when an order on
-        # it is built, and chi_n at b in row n of the ends
-        self._psi, self._chi_ends, self._scratch = _order_zero(
-            (self.grid.n_nodes,), np.result_type(np.float64, *self._w), N)
+        self._w = (phi_inv, phi)
+        # psi_n in row n of one block and chi_n at a and b in row n of the
+        # ends; row 0 and the order loop's scratch are written at the first
+        # _grow, so a family that is never read backs no row
+        self._psi, self._chi_ends = _blocks(
+            (grid.n_nodes,), np.result_type(np.float64, *self._w), N)
+        self._scratch = None
         # sup-norm of psi_n per built order, read by choose_truncation; its
         # length is the number of orders built
         self._sup_norms = [1.0]
@@ -159,11 +204,24 @@ class RecursiveFamily:
         # each rewritten in place (series._sum, series._prime_sum)
         self._sums = {}
 
+    def _anchored(self, x0_index: int) -> "RecursiveFamily":
+        """A family of this seed and cap anchored at node x0_index, with no
+        order built, sharing this family's seed, weight and reciprocal
+        weight arrays."""
+        g = self.grid
+        phi = self.phi.values
+        family = RecursiveFamily.__new__(RecursiveFamily)
+        family._start(Grid(g.a, g.b, g.n_nodes, x0=g.nodes[x0_index]), self.f.values,
+                      phi, 1.0 / phi if self._w is None else self._w[0], self.N)
+        return family
+
     def _grow(self, k: int) -> np.ndarray:
-        """Build every order up to min(k, N) with its psi sup-norm; returns
-        the psi block.  The weights and scratch go once order N is
-        built."""
+        """Build every order up to min(k, N) with its psi sup-norm, order 0
+        at the first call; returns the psi block.  The weights and scratch
+        go once order N is built."""
         start, stop = len(self._sup_norms), min(k, self.N)
+        if self._scratch is None and start <= self.N:
+            self._scratch = _order_zero(self._psi, self._chi_ends)
         if start <= stop:
             _extend_orders(self._psi, self._chi_ends, self._w, self.grid.h,
                            self.grid.x0_index, start, stop, self._scratch)
@@ -178,7 +236,7 @@ class RecursiveFamily:
         psi_(k-1) * phi, the order loop's product, integration and
         scaling, so with the bits the loop gave chi_k."""
         psi = self._grow(self.N)
-        chi, y = np.empty_like(psi), np.empty_like(psi[0])
+        chi, y = _rows(psi.shape, psi.dtype), np.empty_like(psi[0])
         chi[0] = 1.0
         for k in range(1, self.N + 1):
             np.multiply(psi[k - 1], self.phi.values, out=y)
@@ -190,7 +248,7 @@ class RecursiveFamily:
         """values as a function on the grid, through a view that refuses
         writes: the family reads its seed, weight and rows again, so a
         write would change every later order or sum.  The array itself
-        keeps its flag, so a caller's seed stays writable."""
+        keeps its flag."""
         view = values.view()
         view.flags.writeable = False
         return GridFunction(self.grid, view)

@@ -17,8 +17,8 @@ of psi_(n-1) phi and the quadrature rule is linear, T1 = lambda *
 integral of phi S1^(M-1) and T2 = 1 + lambda * integral of phi S2^(M-1),
 S^(M-1) the value series to M - 1 terms: the derivative form of
 Kravchenko and Porter's SPPS.  On the grid T is that one integral
-(_prime_sum), so no series reader builds a whole chi row; at b it is
-the sum of the chi ends the family keeps.  The seed derivative f' is
+(_prime_sum), so no series reader builds a whole chi row; at a and b
+it is the sum of the chi ends the family keeps.  The seed derivative f' is
 still the 5-point stencil RecursiveFamily.f_prime, so u1', u2' and the
 characteristic function built on them carry its error.
 
@@ -27,7 +27,7 @@ at one lambda -- S on the whole grid -- are one matrix product,
 _grid_sum: the coefficients lam^k / (2k+s)! times the family's strided
 psi rows psi[s:top+1:2], psi_0 = 1 among them, read in place, in one
 BLAS call that passes over the rows once, where Horner form makes three
-whole-grid passes a term.  One node at many lambda -- the eigen search's
+whole-grid passes a term.  A node at many lambda -- the eigen search's
 _right_end at an array of lambda -- is a polynomial in lambda, and
 numpy's polyval evaluates it in Horner form on arrays of lambda's size,
 where a product gains nothing.  Both sum in the rows' and lambda's
@@ -50,10 +50,11 @@ bits hold whatever the array's size.  At one lambda every reader
 together makes two whole-grid sums (four if choose_truncation summed at
 another M) and two integrals; a first eval_u1 at a new lambda makes S
 on the whole grid, as u1_grid does.  _right_end is the four sums at the
-last node alone, with lambda a scalar or an array, one polyval of the
-psi rows' and the chi ends' values at b: u(b), u'(b) and Phi are the
-grid solutions' last node to rounding, and the eigen search builds no
-whole chi row and keeps no sum.  numpy.polynomial is imported at the
+last node and the four at the first alone, with lambda a scalar or an
+array, one polyval of the psi rows' and the chi ends' values at b and
+at a: u and u' there, and so Phi, are the grid solutions' end nodes to
+rounding, and the eigen search builds no whole chi row and keeps no
+sum.  numpy.polynomial is imported at the
 first _right_end, so importing spps.cli, or building a seed, loads none
 of it.  choose_truncation sums u1's and u2's series once, on the whole
 grid, at the first truncation its bound lets through.
@@ -257,24 +258,32 @@ def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFu
 
 
 def _right_end(family: RecursiveFamily, lam, n_terms: int):
-    """u1, u1', u2, u2' at b in lam's shape, lam a scalar or an array: the
-    last node of u1_grid .. u2_prime_grid.  The series S1, S2, T1 and T2
-    are four polynomials in lam, evaluated together in Horner form by
-    polyval from one (M, 4) block of the psi rows and chi ends the family
-    keeps: row k holds psi_2k, psi_(2k+1), chi_(2k-1) and chi_2k at b
-    over their factorials, chi_(-1) = 0, so T1 = sum_{k>=1} lam^k
-    chi_(2k-1) / (2k-1)! and T2 = sum_k lam^k chi_2k / (2k)!."""
+    """u1, u1', u2, u2' at b, then the same at a, in lam's shape, lam a
+    scalar or an array: the last and the first node of u1_grid ..
+    u2_prime_grid.  At each end the series S1, S2, T1 and T2 are four
+    polynomials in lam, all eight evaluated together in Horner form by
+    polyval from one (M, 8) block of the psi rows' and chi ends' values
+    at b and at a the family keeps: row k holds psi_2k, psi_(2k+1),
+    chi_(2k-1) and chi_2k at the end over their factorials, chi_(-1) = 0,
+    so T1 = sum_{k>=1} lam^k chi_(2k-1) / (2k-1)! and T2 = sum_k lam^k
+    chi_2k / (2k)!."""
     M = _check_truncation(family, lam, n_terms)
     lam = _real_if_real(lam)
-    inv = _inv_factorials(2 * M - 1)
-    psi = family._psi[:2 * M, -1] * inv
-    chi = np.append(0.0, family._chi_ends[:2 * M - 1, 0] * inv[:-1])
-    coef = np.hstack((psi.reshape(M, 2), chi.reshape(M, 2)))
+    last = family.grid.n_nodes - 1
+    inv = _inv_factorials(2 * M - 1)[:, None]
+    # order j's values at a and at b, and chi_(j-1)'s
+    psi = family._psi[:2 * M, ::last] * inv
+    chi = np.vstack((np.zeros((1, 2)), family._chi_ends[:2 * M - 1] * inv[:-1]))
+    # row k: psi_2k, psi_(2k+1), chi_(2k-1) and chi_2k at a, then at b
+    coef = np.concatenate((psi.reshape(M, 2, 2), chi.reshape(M, 2, 2)), axis=1)
     # numpy.polynomial loads here: importing spps.cli, or a seed, skips it
-    S1, S2, T1, T2 = np.polynomial.polynomial.polyval(lam, coef)
-    f, fp = family.f.values[-1], family.f_prime.values[-1]
-    return (np.multiply(f, S1), _prime(fp, S1, T1, f),
-            np.multiply(f, S2), _prime(fp, S2, T2, f))
+    sums = np.polynomial.polynomial.polyval(lam, coef.transpose(0, 2, 1).reshape(M, 8))
+    ends = []
+    for (S1, S2, T1, T2), f, fp in zip(sums.reshape((2, 4) + np.shape(lam))[::-1],
+                                       family.f.values[::-last], family.f_prime.values[::-last]):
+        ends += [np.multiply(f, S1), _prime(fp, S1, T1, f),
+                 np.multiply(f, S2), _prime(fp, S2, T2, f)]
+    return tuple(ends)
 
 
 def eval_u1(family, lam, x, n_terms):

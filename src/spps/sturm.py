@@ -4,20 +4,24 @@ The problem is u'' + qu = lambda*u on [a, b] with boundary conditions
 c1 u(a) + c2 u'(a) = 0 and c3 u(b) + c4 u'(b) = 0.  A nonvanishing
 complex seed is built from two real solutions of f'' + qf = 0 as
 f = v1 + i v2; their Wronskian is constant and nonzero, so v1 and v2
-never vanish together.  The solution u = beta1 u1 + beta2 u2 is pinned
-to the left condition through the known initial values of u1, u2 at
-x0 = a, and eigenvalues are the zeros of the characteristic function
+never vanish together.  The series solutions u1, u2 from any anchor x0
+have Wronskian 1, and eigenvalues are the zeros of the characteristic
+function, the boundary determinant
 
-    Phi(lambda) = c3 u(b) + c4 u'(b),
+    Phi(lambda) = B_a(u1) B_b(u2) - B_a(u2) B_b(u1),
 
-which at fixed truncation M is a polynomial of degree M - 1 in lambda.
-find_eigenvalues fixes one M per window, samples Phi at the window's M
-Chebyshev points, which determine it, and takes the eigenvalues as the
-real roots of that interpolant (the colleague matrix of its Chebyshev
-coefficients).  The betas are
-normalized so that u(a) = -c2 and u'(a) = c1; for real q, lambda and
-real boundary coefficients this makes u and Phi real regardless of the
-complex seed.
+B_a(u) = c1 u(a) + c2 u'(a) and B_b(u) = c3 u(b) + c4 u'(b), which at
+fixed truncation M is a polynomial of degree 2M - 2 in lambda.  At
+x0 = a, where u1, u2 start from f(a), f'(a) and 0, 1/f(a), it is
+c3 u(b) + c4 u'(b) of the u pinned to u(a) = -c2, u'(a) = c1.
+find_eigenvalues sums from the grid's middle node, so that each series
+reaches half the interval and M falls by about a third; it fixes one M
+per window, samples Phi at the window's 2M - 1 Chebyshev points, which
+determine it, and takes the eigenvalues as the real roots of that
+interpolant (the colleague matrix of its Chebyshev coefficients).  The
+determinant does not depend on the basis of solutions it is taken of,
+up to that basis' Wronskian, so for real q, lambda and real boundary
+coefficients Phi is real regardless of the complex seed.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import AccuracyWarning, EigenError, GridConfigError, SeedError
 from .grid import GridFunction, _check_finite
-from .recint import MIN_SEED_ABS, RecursiveFamily, _extend_orders, _order_zero
+from .recint import MIN_SEED_ABS, RecursiveFamily, _blocks, _extend_orders, _order_zero
 from .series import SERIES_TOL, _inv_factorials, _right_end, choose_truncation
 
 _SEED_TERMS = 11  # series terms per seed piece, see build_seed
@@ -106,7 +110,8 @@ def _seed_pieces(r, nodes, starts, w: int):
     that begin at the node indices `starts`: c, s of shape (P, w + 1) and
     u1'(b), u2'(b) of shape (P,).
 
-    The psi rows are (P, w + 1) and the chi ends (P, 1) for each order,
+    The psi rows are (P, w + 1) and the chi ends (P, 2), at each piece's
+    first and last node, for each order,
     built by recint's order loop with each piece's own spacing and the
     weights (1, r): with seed 1, 1/phi = 1 exactly and r takes the place
     of phi.  As f = 1 and f' = 0, u1'(b) and u2'(b) are the chi ends'
@@ -121,9 +126,9 @@ def _seed_pieces(r, nodes, starts, w: int):
     r = r[idx]
     h = ((nodes[starts + w] - nodes[starts]) / w)[:, None]
     top = 2 * _SEED_TERMS - 1
-    psi, ends, scratch = _order_zero(r.shape, r.dtype, top)
-    _extend_orders(psi, ends, (1.0, r), h, 0, 1, top, scratch)
-    inv, ends = _inv_factorials(top), ends[..., 0]
+    psi, ends = _blocks(r.shape, r.dtype, top)
+    _extend_orders(psi, ends, (1.0, r), h, 0, 1, top, _order_zero(psi, ends))
+    inv, ends = _inv_factorials(top), ends[..., 1]  # chi at each piece's end
 
     def at_one(rows, k):  # sum of rows[j] / j! for j = k, k - 2, .. 0 or 1
         acc = rows[k] * inv[k]
@@ -134,42 +139,31 @@ def _seed_pieces(r, nodes, starts, w: int):
     return at_one(psi, top - 1), at_one(psi, top), at_one(ends, top - 2), at_one(ends, top - 1)
 
 
-def _left_betas(problem: SlProblem, family: RecursiveFamily):
-    """Coefficients of u = beta1 u1 + beta2 u2 with u(a) = -c2, u'(a) = c1."""
-    c1, c2 = problem.bc_left
-    fa = family.f.values[0]
-    fpa = family.f_prime.values[0]
-    beta1 = -c2 / fa
-    beta2 = c1 * fa + c2 * fpa
-    if beta1 == 0 and beta2 == 0:
-        raise EigenError("both solution coefficients vanished despite "
-                         "non-degenerate boundary data")
-    return beta1, beta2
-
-
 def characteristic(problem: SlProblem, family: RecursiveFamily, lam,
                    n_terms: int):
-    """Phi(lam) = c3 u(b) + c4 u'(b) of the left-pinned u, in lam's shape;
-    it is problem's only if the family's seed solves f'' + qf = 0 for
-    problem.q, which nothing checks."""
-    if family.grid.x0_index != 0:
-        raise GridConfigError("eigenproblem families must be anchored at a "
-                              "(x0 = left endpoint)")
-    if problem.q.grid != family.grid:
+    """Phi(lam) = B_a(u1) B_b(u2) - B_a(u2) B_b(u1), in lam's shape, with
+    B_a(u) = c1 u(a) + c2 u'(a) and B_b(u) = c3 u(b) + c4 u'(b), for the
+    family's series solutions u1, u2 at any anchor x0; it is problem's
+    only if the family's seed solves f'' + qf = 0 for problem.q, which
+    nothing checks.  Raises GridConfigError if problem.q lives on another
+    mesh; the anchors may differ."""
+    g, h = problem.q.grid, family.grid
+    if (g.a, g.b, g.n_nodes) != (h.a, h.b, h.n_nodes):
         raise GridConfigError("potential and family live on different grids")
-    u1b, u1pb, u2b, u2pb = _right_end(family, lam, n_terms)
-    beta1, beta2 = _left_betas(problem, family)
+    u1b, u1pb, u2b, u2pb, u1a, u1pa, u2a, u2pa = _right_end(family, lam, n_terms)
+    c1, c2 = problem.bc_left
     c3, c4 = problem.bc_right
-    ub = beta1 * u1b + beta2 * u2b
-    upb = beta1 * u1pb + beta2 * u2pb
-    return c3 * ub + c4 * upb
+    return ((c1 * u1a + c2 * u1pa) * (c3 * u2b + c4 * u2pb)
+            - (c1 * u2a + c2 * u2pa) * (c3 * u1b + c4 * u1pb))
 
 
 @dataclass
 class EigenResult:
     """Eigenvalues sorted by real part with their residuals, the window's
-    one truncation n_terms, and the samples of Phi the fit read: scan_phi
-    at the Chebyshev points scan_lams."""
+    one truncation n_terms (M), and the samples of Phi the fit read:
+    scan_phi at the 2M - 1 Chebyshev points scan_lams, Phi of the search's
+    middle-anchored family and of the boundary pairs scaled to a largest
+    modulus of 1."""
     eigenvalues: np.ndarray
     residuals: np.ndarray
     n_terms: int
@@ -185,11 +179,18 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
                      series_tol: float = SERIES_TOL) -> EigenResult:
     """Real-line eigenvalues as the real roots of one polynomial per window.
 
-    The truncation M is the larger of choose_truncation(series_tol) at
-    the two window ends, with one warning if either hits the cap, so Phi
-    is one polynomial of degree M - 1 in lambda over the whole window,
-    and its values at the window's M Chebyshev points determine it.  Two
-    array calls of characteristic do the search:
+    The series are summed from the grid's middle node, index
+    (n_nodes - 1) // 2, on the search's own family: one of the passed
+    family's seed and cap N, sharing its seed and weight arrays, built
+    only as deep as the search reads and dropped on return, so the
+    passed family is never grown (one already anchored at that node is
+    used, and grown, as is).  Each boundary pair is scaled to a largest
+    modulus of 1, which moves no root.  The truncation M is the larger
+    of choose_truncation(series_tol) at the two window ends, with one
+    warning if either hits the cap, so Phi is one polynomial of degree
+    2M - 2 in lambda over the whole window, and its values at the
+    window's 2M - 1 Chebyshev points determine it.  Two array calls of
+    characteristic do the search:
 
     - the samples, returned as scan_lams, scan_phi: the largest gives
       the phase rot and the scale max|Phi|, and chebfit gives the
@@ -226,27 +227,39 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     for name, value in (("tol", tol), ("series_tol", series_tol)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
+    # each pair scaled to a largest modulus of 1, part by part (complex
+    # division by a subnormal overflows): Phi keeps its roots, and a pair
+    # as small as (0, 5e-324) its digits
+    problem = SlProblem(problem.q, *(
+        (c.view(np.float64) / np.max(np.abs(c))).view(complex)
+        for c in (np.array(problem.bc_left), np.array(problem.bc_right))))
 
+    # the search's own family, anchored at the middle node, so that each
+    # series reaches half the interval, dropped on return
+    mid_node = (family.grid.n_nodes - 1) // 2
+    if family.grid.x0_index != mid_node:
+        family = family._anchored(mid_node)
     with warnings.catch_warnings():  # one cap warning for the whole window
         warnings.filterwarnings("ignore", "truncation cap", AccuracyWarning)
         ends = [choose_truncation(family, lam, series_tol) for lam in (lo, hi)]
     M = max(c.n_terms for c in ends)
+    n_points = 2 * M - 1  # Phi's degree 2M - 2, plus one
     if any(c.capped for c in ends):
         warnings.warn(f"truncation cap {M} reached at a window end, used at the "
-                      f"window's {M} Chebyshev points without meeting "
+                      f"window's {n_points} Chebyshev points without meeting "
                       f"series_tol={series_tol:g}", AccuracyWarning, stacklevel=2)
     cheb = np.polynomial.chebyshev  # reached here: importing spps.cli skips it
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t = cheb.chebpts1(M)
+    t = cheb.chebpts1(n_points)
     lams = mid + half * t
     phis = characteristic(problem, family, lams, M)
 
     scale = float(np.max(np.abs(phis)))
     if scale == 0.0:
         raise EigenError(f"characteristic function vanished identically: "
-                         f"zero at the window's {M} Chebyshev points")
+                         f"zero at the window's {n_points} Chebyshev points")
     rot = np.exp(-1j * np.angle(phis[int(np.argmax(np.abs(phis)))]))
-    c = cheb.chebfit(t, (rot * phis).real, M - 1)
+    c = cheb.chebfit(t, (rot * phis).real, n_points - 1)
     t = cheb.chebroots(c)
     t = t.real[t.imag == 0]
     t = t[(np.abs(t) - 1.0) * np.abs(cheb.chebval(t, cheb.chebder(c))) <= tol * scale]

@@ -89,3 +89,25 @@ def horner():
     """Reference for the series sums at b and the seed pieces' sums:
     horner(rows, s, lam, M, at)."""
     return _horner_reference
+
+
+def _left_pinned_reference(problem, family, lam, M):
+    """The eigen search's former characteristic function, kept as a
+    reference: Phi = c3 u(b) + c4 u'(b) of u = beta1 u1 + beta2 u2 pinned
+    to the left condition through u1, u2's initial values at x0 = a,
+    beta1 = -c2 / f(a) and beta2 = c1 f(a) + c2 f'(a), so that u(a) = -c2
+    and u'(a) = c1.  It holds only for a family anchored at a."""
+    assert family.grid.x0_index == 0
+    c1, c2 = problem.bc_left
+    c3, c4 = problem.bc_right
+    fa, fpa = family.f.values[0], family.f_prime.values[0]
+    beta1, beta2 = -c2 / fa, c1 * fa + c2 * fpa
+    u1b, u1pb, u2b, u2pb = spps.series._right_end(family, lam, M)[:4]
+    return c3 * (beta1 * u1b + beta2 * u2b) + c4 * (beta1 * u1pb + beta2 * u2pb)
+
+
+@pytest.fixture
+def left_pinned():
+    """Reference for the characteristic function of a family anchored at
+    a: left_pinned(problem, family, lam, M)."""
+    return _left_pinned_reference

@@ -319,9 +319,10 @@ def test_eigs_dirichlet(tmp_path):
     expect = -np.array([9.0, 4.0, 1.0]) * math.pi**2
     assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-6
     assert len(data["residuals"]) == 3
-    # the window's one M, at whose M Chebyshev points the scan sampled Phi
+    # the window's one M, at whose 2M - 1 Chebyshev points the scan sampled
+    # Phi, of degree 2M - 2
     with open(os.path.join(out, "scan.csv")) as fh:
-        assert data["n_terms"] == len(fh.readlines()) - 1 == 25
+        assert 2 * data["n_terms"] - 1 == len(fh.readlines()) - 1 == 33
 
 
 def test_eigs_from_q_seed_matches_default_seed(tmp_path, monkeypatch):
@@ -413,17 +414,26 @@ def test_eigs_vanishing_characteristic_is_numerical_failure(tmp_path, monkeypatc
     assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
-def test_eigs_rejects_interior_anchor(tmp_path):
-    cfg = {
-        "schema_version": 1,
-        "command": "eigs",
-        "grid": {"a": 0.0, "b": 1.0, "n_nodes": 101, "x0": 0.5},
-        "q": {"kind": "constant", "value": 0.0},
-        "eigs": {"bc_left": [1.0, 0.0], "bc_right": [1.0, 0.0],
-                 "range": [-12.0, -1.0]},
-    }
-    code, _ = _run(tmp_path, cfg)
-    assert code == 2
+def test_eigs_takes_any_anchor(tmp_path):
+    # the search anchors its own family at the middle node, whatever the
+    # grid's x0: an interior or right anchor gives x0 = a's eigenvalues
+    found = []
+    for x0 in (0.0, 0.3, 0.5, 1.0):
+        cfg = {
+            "schema_version": 1,
+            "command": "eigs",
+            "grid": {"a": 0.0, "b": 1.0, "n_nodes": 1001, "x0": x0},
+            "q": {"kind": "constant", "value": 3.0},
+            "eigs": {"bc_left": [1.0, 0.0], "bc_right": [0.0, 1.0],
+                     "range": [-120.0, -1.0]},
+        }
+        code, out = _run(tmp_path, cfg, out=f"out-{x0}")
+        assert code == 0
+        with open(os.path.join(out, "eigenvalues.json")) as fh:
+            found.append(np.array(json.load(fh)["eigenvalues"]))
+    assert found[0].shape == (3, 2)
+    for other in found[1:]:
+        assert np.max(np.abs(other - found[0]) / np.abs(found[0][:, :1])) <= 1e-10
 
 
 def _eigs_config(**eigs):

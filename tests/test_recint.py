@@ -1,3 +1,4 @@
+import mmap
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import spps
 from spps import (AccuracyWarning, Grid, GridConfigError, OrderError, RecursiveFamily,
                   SeedError, SlProblem, build_family, derivative, sample)
-from spps.recint import _extend_orders, _order_zero
+from spps.recint import _blocks, _extend_orders, _order_zero
 
 
 def test_monomial_degeneration(unit_family):
@@ -175,27 +176,28 @@ def test_order_loop_with_weight_bitwise_equal_row_by_row_recursion(case, row_by_
     weights = np.stack((1.0 / phi, phi * r.values))
     if case == "side-by-side":  # two pieces at once: the rows gain an axis
         weights = np.stack([weights, weights], axis=1)
-    psi, ends, scratch = _order_zero(weights.shape[1:], X[1].values.dtype, N)
+    psi, ends = _blocks(weights.shape[1:], X[1].values.dtype, N)
+    scratch = _order_zero(psi, ends)
     _extend_orders(psi, ends, weights, g.h, g.x0_index, 1, N, scratch)
-    # one array of each by order: psi whole, chi at the last node
+    # one array of each by order: psi whole, chi at the first and last node
     assert psi.shape == (N + 1,) + weights.shape[1:]
-    assert ends.shape == (N + 1,) + weights.shape[1:-1] + (1,)
+    assert ends.shape == (N + 1,) + weights.shape[1:-1] + (2,)
     assert psi.dtype == ends.dtype == X[1].values.dtype
     for n, (p, end) in enumerate(zip(psi, ends)):
         # psi_n, chi_n: X(n), X~(n) for odd n, the other way round for even n
         ref_psi, ref_chi = (X[n], Xt[n]) if n % 2 else (Xt[n], X[n])
         assert np.array_equal(p, np.broadcast_to(ref_psi.values, p.shape))
-        assert np.array_equal(end, np.broadcast_to(ref_chi.values[-1:], end.shape))
+        assert np.array_equal(end, np.broadcast_to(ref_chi.values[[0, -1]], end.shape))
     # the loop carries chi_N whole
     assert np.array_equal(scratch[1, 1], np.broadcast_to(ref_chi.values, p.shape))
 
 
 @pytest.mark.parametrize("case", ["real", "complex", "interior"])
 def test_chi_rows_built_on_read_bitwise_equal_row_by_row_recursion(case, row_by_row):
-    # a family keeps chi_n at b alone until X or Xt is read; the rows then
-    # built from psi_(n-1) have the recursion's bits, on a fresh family and
-    # on one the eigen search grew (for the interior anchor, which the
-    # search refuses, the reads it makes: the truncation and the ends at b)
+    # a family keeps chi_n at a and b alone until X or Xt is read; the rows
+    # then built from psi_(n-1) have the recursion's bits, on a fresh family
+    # and on one grown by the reads the eigen search makes: the truncation
+    # and the sums at both ends
     g = Grid(0.0, 2.0, 401, x0=0.5 if case == "interior" else None)
     seed = {"real": np.exp, "interior": lambda x: np.exp(0.5 * x)}.get(
         case, lambda x: np.exp(x) + 1j * np.cos(3 * x))
@@ -204,18 +206,13 @@ def test_chi_rows_built_on_read_bitwise_equal_row_by_row_recursion(case, row_by_
     X, Xt = row_by_row(f, N)
     # chi_n: X~(n) for odd n, X(n) for even n
     want = [(Xt[n] if n % 2 else X[n]).values for n in range(N + 1)]
-    q = sample(lambda x: 1 + np.sin(3 * x), g)
     for grown in (False, True):
         fam = build_family(f, N)
         if grown:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", AccuracyWarning)
-                if case == "interior":
-                    M = spps.choose_truncation(fam, -20.0).n_terms
-                    spps.series._right_end(fam, np.array([-20.0, -1.0]), M)
-                else:
-                    spps.find_eigenvalues(SlProblem(q, (1.0, 0.0), (1.0, 0.0)), fam,
-                                          (-20.0, -1.0))
+                M = max(spps.choose_truncation(fam, lam).n_terms for lam in (-20.0, -1.0))
+            spps.series._right_end(fam, np.array([-20.0, -1.0]), M)
             assert len(fam._sup_norms) > 1 and "_chi" not in vars(fam)
         # u1' and u2' integrate their value series and read no chi row
         spps.u1_prime_grid(fam, -3.0, 6)
@@ -228,7 +225,7 @@ def test_chi_rows_built_on_read_bitwise_equal_row_by_row_recursion(case, row_by_
             # order 0 is 1 in the family's type, the reference's a float64 row
             assert chi[n].dtype == want[1].dtype
             assert np.array_equal(chi[n], ref)
-            assert np.array_equal(fam._chi_ends[n], ref[-1:])
+            assert np.array_equal(fam._chi_ends[n], ref[[0, -1]])
 
 
 def test_direct_construction_checks_as_build_family():
@@ -253,7 +250,7 @@ def test_family_grows_on_demand_with_its_caches():
     norms = fam._sup_norms
     assert norms == [1.0]
     psi, ends = fam._psi, fam._chi_ends
-    assert psi.shape == (31, 201) and ends.shape == (31, 1)
+    assert psi.shape == (31, 201) and ends.shape == (31, 2)
     fam._grow(7)
     assert len(norms) == 8
     fam._grow(100)  # capped at N; the weights and the scratch go
@@ -311,8 +308,9 @@ def test_rows_handed_out_refuse_writes():
 @pytest.mark.parametrize("seed", [np.exp, lambda x: np.exp(x) + 0.5j], ids=["real", "complex"])
 def test_seed_weight_and_derivative_handed_out_refuse_writes(seed):
     # f, phi and f_prime are views that refuse writes too: phi is the order
-    # loop's weight, so a write through it changed every later order.  The
-    # caller's seed array, which f views, stays writable
+    # loop's weight, so a write through it changed every later order.  f
+    # views the family's own copy of the seed: the caller's array stays
+    # writable, and a write to it moves no later sum
     g = Grid(0.0, 1.0, 201)
     f = sample(seed, g)
     fam = build_family(f, 12)
@@ -320,11 +318,53 @@ def test_seed_weight_and_derivative_handed_out_refuse_writes(seed):
     for values in (fam.f.values, fam.phi.values, fam.f_prime.values):
         with pytest.raises(ValueError):
             values[:] = 2.0
-    assert np.shares_memory(fam.f.values, f.values) and f.values.flags.writeable
+    assert not np.shares_memory(fam.f.values, f.values) and f.values.flags.writeable
+    before = spps.u1_grid(fam, -3, 6).values.copy()
+    f.values[:] = 2.0
     fresh = build_family(sample(seed, g), 12)
     assert fam.psi(5).values.tobytes() == fresh.psi(5).values.tobytes()
     got = spps.u1_grid(fam, -3, 6).values
-    assert got.tobytes() == spps.u1_grid(fresh, -3, 6).values.tobytes()
+    assert got.tobytes() == spps.u1_grid(fresh, -3, 6).values.tobytes() == before.tobytes()
+
+
+def _pages_backed(array):
+    """How many pages of array's memory are backed, from the present bit
+    of /proc/self/pagemap, read without touching the array; None where
+    the platform has no such file."""
+    page = mmap.PAGESIZE
+    start = array.ctypes.data // page
+    stop = -(-(array.ctypes.data + array.nbytes) // page)
+    try:
+        with open("/proc/self/pagemap", "rb") as fh:
+            fh.seek(8 * start)
+            entries = np.frombuffer(fh.read(8 * (stop - start)), dtype="<u8")
+    except OSError:
+        return None
+    return int(np.count_nonzero(entries >> 63))
+
+
+def test_a_large_psi_block_is_a_mapping_backed_only_as_read():
+    # a psi block of 4 MiB or more is an anonymous mapping of its own,
+    # unmapped with the family; a smaller one is numpy's.  Row 0 is written
+    # at the first read, so a family that is never read, like one passed to
+    # the eigen search, backs no page of its block
+    g = Grid(0.0, 1.0, 20001)
+    q = sample(lambda x: np.full_like(x, -1.0), g)
+    fam = build_family(sample(np.exp, g), 80)
+    assert fam._psi.nbytes == 81 * 20001 * 8 >= 4 << 20
+    base = fam._psi
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base.obj, mmap.mmap)  # numpy holds the buffer's memoryview
+    assert build_family(sample(np.exp, Grid(0.0, 1.0, 201)), 80)._psi.base is None
+    spps.find_eigenvalues(SlProblem(q, (1.0, 0.0), (1.0, 0.0)), fam, (-120.0, -1.0))
+    assert len(fam._sup_norms) == 1 and fam._scratch is None
+    backed = _pages_backed(fam._psi)
+    if backed is None:
+        pytest.skip("no /proc/self/pagemap")
+    assert backed == 0
+    fam.psi(3)  # four rows of 160 kB, a huge page or two at most
+    assert 0 < _pages_backed(fam._psi) * mmap.PAGESIZE <= 4 << 20
 
 
 def test_psi_builds_only_the_order_it_reads():
@@ -360,7 +400,7 @@ def test_a_seed_with_no_imaginary_part_makes_a_real_family(row_by_row):
         # psi_n, chi_n: X(n), X~(n) for odd n, the other way round for even n
         ref_psi, ref_chi = (X[n], Xt[n]) if n % 2 else (Xt[n], X[n])
         for mine, ref, size in ((fam.psi(n).values, ref_psi.values, ref_psi.sup_norm),
-                                (fam._chi_ends[n], ref_chi.values[-1:], ref_chi.sup_norm),
+                                (fam._chi_ends[n], ref_chi.values[[0, -1]], ref_chi.sup_norm),
                                 ((fam.Xt if n % 2 else fam.X)[n].values, ref_chi.values,
                                  ref_chi.sup_norm)):
             assert mine.dtype == np.float64
@@ -370,5 +410,5 @@ def test_a_seed_with_no_imaginary_part_makes_a_real_family(row_by_row):
     # any nonzero imaginary part keeps the family complex
     f.values[7] += 1e-300j
     fam = build_family(f, N)
-    assert fam.f.values.base is f.values  # a read-only view of the caller's array
+    assert not np.shares_memory(fam.f.values, f.values)  # the family's own copy
     assert fam.psi(1).values.dtype == fam._chi_ends[1].dtype == complex

@@ -335,11 +335,28 @@ def test_right_end_matches_grid_solutions(request, name, lam):
         assert np.all(np.abs(end - grid_end) <= 32 * np.finfo(float).eps * sums)
 
 
+@pytest.mark.parametrize("lam", [-30.0, 5.0 + 20.0j, np.linspace(-60.0, 40.0, 7)])
+def test_right_end_gives_a_too_from_a_middle_anchor(lam):
+    # the last four sums are u1, u1', u2, u2' at a: on a family anchored at
+    # the middle node, each is the grid solution's first node to rounding,
+    # as the first four are its last node
+    g = spps.Grid(0.0, 1.0, 2001, x0=0.5)
+    fam = spps.build_family(sample(lambda x: np.exp(x) + 0.5j, g), 60)
+    M = max(choose_truncation(fam, l).n_terms for l in np.atleast_1d(lam))
+    ends = spps.series._right_end(fam, lam, M)
+    assert len(ends) == 8
+    for node, at_node in ((-1, ends[:4]), (0, ends[4:])):
+        for u, end in zip((u1_grid, u1_prime_grid, u2_grid, u2_prime_grid), at_node):
+            want = np.array([u(fam, l, M).values[node] for l in np.atleast_1d(lam)])
+            assert np.shape(end) == np.shape(lam)
+            assert np.max(np.abs(np.ravel(end) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def _term_sums(fam, lam, M):
     """sum_k |term_k(b)| of u1, u1', u2 and u2', f S and f' S + T/f with T
     the sum of the chi terms, from the psi rows and chi ends at b."""
     psi = [p[-1] for p in fam._psi[:2 * M]]
-    chi = [c[0] for c in fam._chi_ends[:2 * M]]
+    chi = [c[-1] for c in fam._chi_ends[:2 * M]]
     inv = _inv_factorials(2 * M - 1)
     f, fp, a = fam.f.values[-1], fam.f_prime.values[-1], abs(lam)
     u1 = sum(a ** k * abs(f * psi[2 * k]) * inv[2 * k] for k in range(M))
@@ -545,7 +562,7 @@ def test_readers_keep_psi_rows_and_four_sums_only():
     assert {k for k, v in vars(fam).items() if isinstance(v, np.ndarray)} == {
         "_psi", "_chi_ends", "_scratch"}
     assert fam._psi.shape == (81, g.n_nodes) and fam._psi.dtype == complex
-    assert fam._chi_ends.shape == (81, 1)
+    assert fam._chi_ends.shape == (81, 2)
     # and four complex sums of n_nodes
     assert sum(S.nbytes for _, S in fam._sums.values()) == 4 * 16 * g.n_nodes
 

@@ -145,14 +145,19 @@ def test_non_finite_boundary_conditions(q_zero, value):
         SlProblem(q_zero, (1.0, 0.0), (0.0, value))
 
 
-def test_left_pair_whose_betas_underflow(q_zero):
-    # (0, 5e-324) is not (0, 0), but with f = 4 and f'(a) = 0 both betas
-    # vanish: beta1 = -5e-324 / 4 underflows and beta2 = 5e-324 * 0
+def test_left_pair_of_subnormal_size_keeps_its_roots(q_zero):
+    # (0, 5e-324) is not (0, 0) but a Neumann condition: the search scales
+    # each pair to a largest modulus of 1, so Phi keeps its digits.
+    # Unscaled, c2 u'(a) underflowed to a few bits at every sample and both
+    # roots were lost
     f = sample(lambda x: np.full_like(x, 4.0), q_zero.grid)
     fam = build_family(f, 80)  # the truncation stays below the cap
-    assert fam.f_prime.values[0] == 0
-    with pytest.raises(spps.EigenError, match="both solution coefficients vanished"):
-        find_eigenvalues(SlProblem(q_zero, (0.0, 5e-324), (1.0, 0.0)), fam, (-50.0, -1.0))
+    tiny = find_eigenvalues(SlProblem(q_zero, (0.0, 5e-324), (1.0, 0.0)), fam, (-50.0, -1.0))
+    unit = find_eigenvalues(SlProblem(q_zero, (0.0, 1.0), (1.0, 0.0)), fam, (-50.0, -1.0))
+    assert tiny.scan_phi.tobytes() == unit.scan_phi.tobytes()
+    assert tiny.eigenvalues.tobytes() == unit.eigenvalues.tobytes()
+    expect = -(np.array([1.5, 0.5]) * np.pi) ** 2
+    assert len(tiny) == 2 and np.max(np.abs(tiny.eigenvalues - expect) / -expect) < 1e-10
 
 
 # -- characteristic function -----------------------------------------------------
@@ -227,12 +232,45 @@ def test_characteristic_keeps_lambda_shape(q_zero, q_zero_family):
         assert np.ndim(characteristic(prob, q_zero_family, -3.0, M)) == 0
 
 
-def test_characteristic_requires_left_anchor(q_zero):
-    g = Grid(0.0, 1.0, 101, x0=0.5)
-    fam = build_family(sample(lambda x: np.ones_like(x), g), 10)
-    q = sample(lambda x: np.zeros_like(x), g)
-    with pytest.raises(GridConfigError):
-        characteristic(_dirichlet(q), fam, 1.0, 3)
+_PAIRS = {"DD": ((1.0, 0.0), (1.0, 0.0)), "NN": ((0.0, 1.0), (0.0, 1.0)),
+          "DN": ((1.0, 0.0), (0.0, 1.0)), "ND": ((0.0, 1.0), (1.0, 0.0)),
+          "robin": ((0.3, 1.0), (2.0, 0.5)), "complex": ((1j, 2j), (2.0, -1.0))}
+
+
+@pytest.mark.parametrize("bcs", list(_PAIRS.values()), ids=list(_PAIRS))
+def test_determinant_at_a_is_the_left_pinned_phi(q_zero, q_zero_family, exp_family,
+                                                 left_pinned, bcs):
+    # at x0 = a, u1 and u2 start from f(a), f'(a) and 0, 1/f(a), so
+    # B_a(u1) = beta2 and B_a(u2) = -beta1 of the former left-pinned u:
+    # the determinant is that u's c3 u(b) + c4 u'(b), to rounding
+    q_exp = sample(lambda x: np.full_like(x, -1.0), exp_family.grid)
+    lams = np.concatenate((np.linspace(-120.0, 20.0, 8), [5.0 + 20.0j]))
+    for q, fam in ((q_zero, q_zero_family), (q_exp, exp_family)):
+        prob = SlProblem(q, *bcs)
+        for M in (1, 2, 12, 25):
+            got = characteristic(prob, fam, lams, M)
+            want = left_pinned(prob, fam, lams, M)
+            assert got.shape == lams.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_characteristic_takes_any_anchor(q_zero, q_zero_family):
+    # Phi is the boundary determinant of u1 and u2, whose Wronskian is 1
+    # from any anchor: a family of the same seed anchored inside or at b
+    # gives the same function of lam, to the quadrature's error (here
+    # 5e-11 of max |Phi| at most); q may live on the mesh at another anchor
+    lams = np.linspace(-120.0, 5.0, 9)
+    for x0 in (0.25, 0.5, 1.0):
+        other = build_family(GridFunction(Grid(0.0, 1.0, 1001, x0=x0),
+                                          q_zero_family.f.values), 80)
+        assert other.grid.x0_index == round(1000 * x0)
+        M = max(choose_truncation(fam, lam).n_terms
+                for fam in (q_zero_family, other) for lam in (-120.0, 5.0))
+        for bcs in _PAIRS.values():
+            prob = SlProblem(q_zero, *bcs)
+            want = characteristic(prob, q_zero_family, lams, M)
+            got = characteristic(prob, other, lams, M)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_characteristic_requires_matching_grids(q_zero_family):
@@ -307,23 +345,29 @@ def test_eigenfunction_residuals(q_zero, q_zero_family):
 def test_search_reads_only_the_samples_it_returns(bcs):
     # build_seed's seed gives a complex Phi (its f' is a stencil's), and the
     # pair (1j, 2j) one rotated by i; the phase and scale, like the fit,
-    # come from the window's M Chebyshev samples that the result holds
+    # come from the window's 2M - 1 Chebyshev samples that the result
+    # holds, of Phi on the search's own family, anchored at the middle node,
+    # with each pair scaled to a largest modulus of 1
     cheb = np.polynomial.chebyshev
     g = Grid(0.0, 1.0, 501)
     q = sample(lambda x: 50 * np.cos(3 * np.pi * x), g)
     fam = build_family(build_seed(q), 80)
     prob = SlProblem(q, *bcs)
+    scaled = SlProblem(q, *(np.array(p) / max(map(abs, p)) for p in bcs))
     n_roots = 0
     for lo, hi in ((-300.0, 5.0), (-120.0, -1.0), (-50.0, 0.0)):
         res = find_eigenvalues(prob, fam, (lo, hi))
-        M = max(choose_truncation(fam, lam).n_terms for lam in (lo, hi))
+        assert len(fam._sup_norms) == 1  # the family passed is not read
+        search = fam._anchored(250)
+        M = max(choose_truncation(search, lam).n_terms for lam in (lo, hi))
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        t = cheb.chebpts1(M)
+        t = cheb.chebpts1(2 * M - 1)
+        assert res.n_terms == M
         assert res.scan_lams.tobytes() == (mid + half * t).tobytes()
-        phi = characteristic(prob, fam, res.scan_lams, M)
+        phi = characteristic(scaled, search, res.scan_lams, M)
         assert res.scan_phi.tobytes() == phi.tobytes()
         rot = np.exp(-1j * np.angle(phi[np.argmax(np.abs(phi))]))
-        r = cheb.chebroots(cheb.chebfit(t, (rot * phi).real, M - 1))
+        r = cheb.chebroots(cheb.chebfit(t, (rot * phi).real, 2 * M - 2))
         real = mid + half * r.real[r.imag == 0]
         # the kept roots are real roots of that fit, and take every one inside
         assert np.all(np.isin(res.eigenvalues, real))
@@ -368,7 +412,7 @@ def test_one_cap_warning_per_search(q_zero, q_zero_family):
         find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-2000.0, -1.0))
     capped = [w for w in caught if str(w.message).startswith("truncation cap")]
     assert len(capped) == 1
-    assert "used at the window's 40 Chebyshev points" in str(capped[0].message)
+    assert "used at the window's 79 Chebyshev points" in str(capped[0].message)
 
 
 @pytest.mark.parametrize("potential", [
@@ -377,7 +421,8 @@ def test_one_cap_warning_per_search(q_zero, q_zero_family):
     lambda x: 3.0 + 8.0 * np.cos(2 * np.pi * x),
 ], ids=["zero", "50cos3pix", "3+8cos2pix"])
 def test_window_truncation_bounds_scan(monkeypatch, potential):
-    # one truncation per window: the larger end choice covers every scan point
+    # one truncation per window: the larger end choice on the search's own
+    # family, anchored at the middle node, covers every scan point
     g = Grid(0.0, 1.0, 5001)
     q = sample(potential, g)
     fam = build_family(build_seed(q), 80)
@@ -385,16 +430,18 @@ def test_window_truncation_bounds_scan(monkeypatch, potential):
     choose = spps.sturm.choose_truncation
     seen = []
     monkeypatch.setattr(spps.sturm, "choose_truncation",
-                        lambda *a: seen.append(choose(*a)) or seen[-1])
+                        lambda *a: seen.append((a[0], choose(*a))) or seen[-1][1])
     # the last window is so narrow that M = 1 makes Phi a constant
     for window in [(-60.0, -20.0), (-12.0, 10.0), (1.0, 20.0), (-1e-14, 1e-14)]:
         seen.clear()
         res = find_eigenvalues(prob, fam, window)
         assert len(seen) == 2
-        M = max(c.n_terms for c in seen)
+        search = seen[0][0]
+        assert seen[1][0] is search and search.grid.x0_index == 2500
+        M = max(c.n_terms for _, c in seen)
         assert res.n_terms == M
-        assert res.scan_phi.shape == res.scan_lams.shape
-        assert M >= max(choose(fam, lam).n_terms for lam in res.scan_lams)
+        assert res.scan_phi.shape == res.scan_lams.shape == (2 * M - 1,)
+        assert M >= max(choose(search, lam).n_terms for lam in res.scan_lams)
 
 
 def test_search_refuses_a_window_whose_powers_overflow(q_zero, q_zero_family):
@@ -409,7 +456,7 @@ def test_empty_window(q_zero, q_zero_family):
     assert len(res) == 0
     assert res.eigenvalues.shape == (0,)
     # the window's M is reported with no root to carry it
-    assert res.n_terms == len(res.scan_lams) >= 1
+    assert 2 * res.n_terms - 1 == len(res.scan_lams) >= 1
 
 
 def test_search_input_validation(q_zero, q_zero_family):
@@ -447,24 +494,34 @@ def test_tolerances_are_keyword_only(q_zero, q_zero_family):
 
 
 def test_scan_artifacts_exposed(q_zero, q_zero_family):
-    # the samples the fit read: one per Chebyshev point, inside the window
+    # the samples the fit read: one per Chebyshev point, 2M - 1 for Phi of
+    # degree 2M - 2, inside the window
     res = find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-50.0, -1.0))
     M = res.n_terms
-    assert res.scan_lams.shape == res.scan_phi.shape == (M,)
+    assert res.scan_lams.shape == res.scan_phi.shape == (2 * M - 1,)
     assert np.all(np.diff(res.scan_lams) > 0)
     assert -50.0 < res.scan_lams[0] and res.scan_lams[-1] < -1.0
 
 
 def test_search_same_on_a_fresh_and_a_grown_family(q_zero):
-    # the first search builds the orders it reads, the second reuses them
-    fam = build_family(build_seed(q_zero), 80)
-    first = find_eigenvalues(_dirichlet(q_zero), fam, (-120.0, -1.0))
-    second = find_eigenvalues(_dirichlet(q_zero), fam, (-120.0, -1.0))
+    # a family anchored at the middle node is searched as is: the first
+    # search builds the orders it reads, the second reuses them.  A family
+    # anchored elsewhere is searched through a fresh one anchored there,
+    # with the same bits
+    f = build_seed(q_zero)
+    mid = build_family(GridFunction(Grid(0.0, 1.0, 1001, x0=0.5), f.values), 80)
+    first = find_eigenvalues(_dirichlet(q_zero), mid, (-120.0, -1.0))
+    built = len(mid._sup_norms)
+    assert 1 < built < 81
+    second = find_eigenvalues(_dirichlet(q_zero), mid, (-120.0, -1.0))
+    assert len(mid._sup_norms) == built
+    at_a = find_eigenvalues(_dirichlet(q_zero), build_family(f, 80), (-120.0, -1.0))
     assert len(first) == 3
-    assert first.n_terms == second.n_terms
-    for field in ("eigenvalues", "residuals", "scan_lams", "scan_phi"):
-        a, b = getattr(first, field), getattr(second, field)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for res in (second, at_a):
+        assert first.n_terms == res.n_terms
+        for field in ("eigenvalues", "residuals", "scan_lams", "scan_phi"):
+            a, b = getattr(first, field), getattr(res, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # -- batched seed pieces and on-demand family growth ---------------------------
@@ -514,10 +571,18 @@ def test_batched_seed_bitwise_equal_piece_by_piece(potential, n, last, row_by_ro
 
 
 def test_search_grows_family_only_as_deep_as_it_reads():
+    # the search reads a family anchored at the middle node as is, and
+    # builds it only to the orders it reads; a family anchored elsewhere it
+    # leaves unbuilt, not an order nor a row written
     g = Grid(0.0, 1.0, 2001)
     q = sample(lambda x: 50 * np.cos(3 * np.pi * x), g)
-    f = build_seed(q)
+    f = GridFunction(Grid(0.0, 1.0, 2001, x0=0.5), build_seed(q).values)
     for window, capped in (((-120.0, -1.0), False), ((-2000.0, -1.0), True)):
+        at_a = build_family(GridFunction(g, f.values), 80)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            find_eigenvalues(SlProblem(q, (1.0, 0.0), (1.0, 0.0)), at_a, window)
+        assert len(at_a._sup_norms) == 1 and at_a._scratch is None
         fam = build_family(f, 80)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -544,12 +609,13 @@ def test_search_grows_family_only_as_deep_as_it_reads():
 
 
 def test_search_keeps_psi_rows_and_chi_ends_only():
-    # the search reads chi only at b: the family it grew holds no whole chi
-    # row, only its psi rows, chi_n's last node per order and the two sums
-    # choose_truncation kept
+    # the search reads chi only at a and b: the family it grew, one anchored
+    # at the middle node, holds no whole chi row, only its psi rows, chi_n's
+    # first and last node per order and the two sums choose_truncation kept
     g = Grid(0.0, 1.0, 2001)
     q = sample(lambda x: 50 * np.cos(3 * np.pi * x), g)
-    fam = build_family(build_seed(q), 80)
+    f = build_seed(q)
+    fam = build_family(GridFunction(Grid(0.0, 1.0, 2001, x0=0.5), f.values), 80)
     find_eigenvalues(SlProblem(q, (1.0, 0.0), (0.0, 1.0)), fam, (-120.0, -1.0))
     built = len(fam._sup_norms)
     assert 1 < built < 81
@@ -561,9 +627,16 @@ def test_search_keeps_psi_rows_and_chi_ends_only():
     assert {k for k, v in vars(fam).items() if isinstance(v, np.ndarray)} == {
         "_psi", "_chi_ends", "_scratch"}
     assert fam._psi.shape == (81, g.n_nodes) and fam._psi.dtype == complex
-    assert fam._chi_ends.shape == (81, 1)
+    assert fam._chi_ends.shape == (81, 2)
     # and two complex sums of n_nodes
     assert sum(S.nbytes for _, S in fam._sums.values()) == 2 * 16 * g.n_nodes
+    # a family anchored at a is searched through its own middle-anchored
+    # one and keeps nothing: its block and ends, no order 0 and no scratch
+    at_a = build_family(f, 80)
+    find_eigenvalues(SlProblem(q, (1.0, 0.0), (0.0, 1.0)), at_a, (-120.0, -1.0))
+    assert len(at_a._sup_norms) == 1 and not at_a._sums
+    assert {k for k, v in vars(at_a).items() if isinstance(v, np.ndarray)} == {
+        "_psi", "_chi_ends"}
 
 
 # -- roots of the Chebyshev interpolant ----------------------------------------
@@ -601,6 +674,32 @@ def test_roots_at_window_ends_and_above_tol_kept(c, bc, window, count):
     # a root need not lie inside the closed window, only close to its value
     assert len(res) == len(expect) == count
     assert _rel_err(res.eigenvalues, expect) <= 1e-8
+
+
+def test_dirichlet_roots_to_ten_digits_from_the_middle_anchor():
+    # each series reaches half the interval, so the window's M falls from
+    # 38 at x0 = a to 24, and the roots of q = 0 on 5001 nodes, the one at
+    # -400 4e-10 off from x0 = a, come within 1e-10 of -pi^2 k^2
+    q = sample(lambda x: np.zeros_like(x), Grid(0.0, 1.0, 5001))
+    res = find_eigenvalues(_dirichlet(q), build_family(build_seed(q), 80), (-400.0, -1.0))
+    expect = np.sort(_constant_spectrum(0.0, 1.0, "DD", 6))
+    assert len(res) == 6
+    assert _rel_err(res.eigenvalues, expect) <= 1e-10
+
+
+def test_wide_dirichlet_window_finds_every_root_below_the_cap():
+    # (-2000, -1) holds 14 Dirichlet eigenvalues of q = 0: from the middle
+    # node a family of N = 100 reaches them below its cap (M = 41), where
+    # from x0 = a it was capped at M = 50 and found 13
+    q = sample(lambda x: np.zeros_like(x), Grid(0.0, 1.0, 5001))
+    fam = build_family(build_seed(q), 100)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = find_eigenvalues(_dirichlet(q), fam, (-2000.0, -1.0))
+    assert not any("truncation cap" in str(w.message) for w in caught)
+    assert res.n_terms < (fam.N + 1) // 2
+    expect = np.sort(_constant_spectrum(0.0, 1.0, "DD", 14))
+    assert len(res) == 14 and _rel_err(res.eigenvalues, expect) <= 1e-7
 
 
 def test_tol_warns_and_keeps_roots(q_zero, q_zero_family):
