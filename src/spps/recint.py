@@ -13,30 +13,35 @@ potential q = f''/f and the odd half is the second independent solution
 family.  The paper's two families are X(n) = psi_n, X~(n) = chi_n for
 odd n, and the other way round for even n.
 
-Order n is kept as psi_n on the whole grid and chi_n at the first and
-the last node alone, where the eigen search reads it, so a family is
-two arrays indexed by order: the psi rows, one (N + 1, n_nodes) block
-with psi_0 = 1 in row 0, and the chi ends, one (N + 1, 2) array.  The
-block is allocated once with nothing written: the operating system
-backs a page of it only when the order on that page is built, so a
-family that is read to order k holds k rows, not N, and one that is
-never read holds none, as row 0 is written at the first read.  A block
-of 4 MiB or more is an anonymous mapping of its own (_rows), so that a
-freed family gives its pages back to the operating system, where a
-block from malloc's heap stays in the process.  The block lets
-series._grid_sum read the rows a series sums, psi[s:top+1:2], as one
-strided matrix.  The order loop
-carries chi_n whole in a reused row: order n is the product of
-chi_(n-1) and psi_(n-1) with the fixed weights (1/phi, phi), formed in
-a reused (2, n_nodes) buffer, one call of the grid's row integrator on
-that pair into a second reused pair, and the scaling by n written into
-row n of the block.  Whole chi rows are built only when X or Xt is
-read, into a second (N + 1, n_nodes) array, row k as k * integral of
-psi_(k-1) * phi: the loop's product, integration and scaling, so with
-the bits the loop gave chi_k.  The series readers build none: the rule
-is linear, so the u*' series of chi rows is one integral of the value
-series of psi rows times phi (series._prime_sum).  Orders are built on
-demand up to the family's cap N, and only as deep as they are read.
+Order n is kept as psi_n on the whole grid, and psi_n and chi_n at the
+first and the last node, where the eigen search reads them, so a family
+is three arrays indexed by order: the psi rows, one (N + 1, n_nodes)
+block with psi_0 = 1 in row 0, and the psi ends and the chi ends, two
+(N + 1, 2) arrays.  The block is allocated once with nothing written:
+the operating system backs a page of it only when the order on that
+page is built, so a family that is read to order k holds k rows, not N,
+and one that is never read holds none, as row 0 is written at the first
+read.  A block of 4 MiB or more is an anonymous mapping of its own
+(_rows), so that a freed family gives its pages back to the operating
+system, where a block from malloc's heap stays in the process.  The
+block lets series._grid_sum read the rows a series sums,
+psi[s:top+1:2], as one strided matrix.  The order loop carries chi_n
+whole in a reused row: order n is the product of chi_(n-1) and
+psi_(n-1) with the fixed weights (1/phi, phi), formed in a reused
+(2, n_nodes) buffer, one call of the grid's row integrator on that pair
+into a second reused pair, and the scaling by n written into row n of
+the block.  The loop reads only row n - 1 of the block, so a block of
+fewer rows is a ring of the last ones, psi_n in row n mod its length:
+the eigen search, which reads psi at a and b alone, streams its orders
+through a ring of four rows (RecursiveFamily._streamed), and its memory
+does not grow with the orders it builds.  Whole chi rows are built only
+when X or Xt is read, into a second (N + 1, n_nodes) array, row k as
+k * integral of psi_(k-1) * phi: the loop's product, integration and
+scaling, so with the bits the loop gave chi_k.  The series readers
+build none: the rule is linear, so the u*' series of chi rows is one
+integral of the value series of psi rows times phi (series._prime_sum).
+Orders are built on demand up to the family's cap N, and only as deep
+as they are read.
 """
 
 from __future__ import annotations
@@ -55,6 +60,10 @@ from .errors import GridConfigError, OrderError, SeedError, _as_order
 # recursion step divides by phi = f^2.
 MIN_SEED_ABS = 1e-12
 
+
+# psi rows a streamed family keeps: the truncation rule adds psi_(2M-2)
+# and psi_(2M-1) to its sums with orders to 2M + 1 built
+_RING = 4
 
 # A psi block of this many bytes or more is an anonymous mapping of its
 # own, the size from which numpy asks for transparent huge pages
@@ -78,50 +87,58 @@ def _rows(shape: tuple, dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype).reshape(shape)
 
 
-def _blocks(shape: tuple, dtype, top: int):
-    """psi rows and chi ends of a recursion up to order top, for rows of
-    the given shape and dtype, nothing written: psi (top + 1,) + shape
-    from _rows, and ends (top + 1,) + shape[:-1] + (2,)."""
-    psi = _rows((top + 1,) + shape, dtype)
-    return psi, np.empty(psi.shape[:-1] + (2,), dtype)
+def _blocks(shape: tuple, dtype, top: int, rows: int | None = None):
+    """psi rows and ends of a recursion up to order top, for rows of the
+    given shape and dtype, nothing written: psi (rows,) + shape from
+    _rows, top + 1 rows by default, and ends (2, top + 1) + shape[:-1] +
+    (2,), psi_n and then chi_n at the first and the last node."""
+    psi = _rows((top + 1 if rows is None else rows,) + shape, dtype)
+    return psi, np.empty((2, top + 1) + shape[:-1] + (2,), dtype)
 
 
-def _order_zero(psi: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _order_zero(psi: np.ndarray, ends) -> np.ndarray:
     """Write order 0 of a recursion, psi_0 = chi_0 = 1, into row 0 of psi
-    and ends, and return the (2, 2) + row shape scratch _extend_orders
-    continues from."""
+    and of both ends, and return the (2, 2) + row shape scratch
+    _extend_orders continues from."""
     scratch = np.empty((2, 2) + psi.shape[1:], psi.dtype)
-    psi[0] = ends[0] = scratch[1, 1] = 1.0
+    psi[0] = ends[0][0] = ends[1][0] = scratch[1, 1] = 1.0
     return scratch
 
 
-def _extend_orders(psi: np.ndarray, ends: np.ndarray, weights, h, x0_index: int,
-                   start: int, stop: int, scratch: np.ndarray) -> None:
-    """Write orders start .. stop in place: psi_n into psi[n] and chi_n at
-    the first and the last node into ends[n].  scratch is
-    (2, 2, ...): the pair of integrands, then the integrated pair, whose
-    row 1 holds chi_(n-1) on entry and chi_n on return.  Order n
+def _extend_orders(psi: np.ndarray, ends, weights, h, x0_index: int,
+                   start: int, stop: int, scratch: np.ndarray, norms=None) -> None:
+    """Write orders start .. stop in place: psi_n into psi[n % len(psi)],
+    so that psi of fewer rows than orders is a ring of the last ones, and
+    psi_n and chi_n at the first and the last node into ends[0][n] and
+    ends[1][n]; if norms is a list, sup|psi_n| is appended to it.  scratch
+    is (2, 2, ...): the pair of integrands, then the integrated pair,
+    whose row 1 holds chi_(n-1) on entry and chi_n on return.  Order n
     integrates chi_(n-1) and psi_(n-1) times weights (for a family 1/phi
     and phi) along the last axis and scales by n; the rows may carry
     leading axes (side-by-side pieces)."""
     buf, pair = scratch
     last = psi.shape[-1] - 1
+    rows = len(psi)
     for n in range(start, stop + 1):
         np.multiply(pair[1], weights[0], out=buf[0])
-        np.multiply(psi[n - 1], weights[1], out=buf[1])
+        np.multiply(psi[(n - 1) % rows], weights[1], out=buf[1])
         _integrate_rows(buf, h, pair, x0_index)
-        np.multiply(pair[0], n, out=psi[n])
+        row = psi[n % rows]
+        np.multiply(pair[0], n, out=row)
         pair[1] *= n
-        ends[n] = pair[1][..., ::last]  # the first and the last node
+        ends[0][n] = row[..., ::last]  # the first and the last node
+        ends[1][n] = pair[1][..., ::last]
+        if norms is not None:
+            norms.append(np.max(np.abs(row)).item())
 
 
 class RecursiveFamily:
     """Both recursive integral families of a seed, up to order N.
 
-    Orders are built when first read.  Order n holds psi_n whole and
-    chi_n at the first and the last node: one row of n_nodes, the cost of
-    one integrand product and one cumulative integration of the
-    (psi, chi) pair.  The psi rows are rows 0..N of one (N + 1, n_nodes)
+    Orders are built when first read.  Order n holds psi_n whole, and
+    psi_n and chi_n at the first and the last node: one row of n_nodes,
+    the cost of one integrand product and one cumulative integration of
+    the (psi, chi) pair.  The psi rows are rows 0..N of one (N + 1, n_nodes)
     block, psi_0 = 1 in row 0, taken with nothing written when the family
     is made; row 0 and the order loop's scratch are written at the first
     read, and the operating system backs the block's pages as orders are
@@ -133,9 +150,12 @@ class RecursiveFamily:
     built may hold up to one huge page (2 MiB on x86-64) more than their
     rows.  A seed with no imaginary part is held in float64,
     whatever its dtype, so f, phi and every row are real, 8 bytes a value
-    against a complex seed's 16.  The eigen search and the series
-    evaluators read only the orders their truncation needs, and psi(k)
-    and phi_k(k) only orders up to k; X and Xt complete the family to N.
+    against a complex seed's 16.  The series evaluators read only the
+    orders their truncation needs, and psi(k) and phi_k(k) only orders
+    up to k; X and Xt complete the family to N.  The eigen search reads
+    none of a family's orders: it streams its own from the family's seed
+    and weights (_streamed), a family of this class whose block is a
+    ring of four rows, which it never hands out.
     Reading X or Xt also fills a second (N + 1, n_nodes) array with every
     whole chi_k row, with one more product and integration of one row
     each, and keeps it: a family read whole holds two rows per order.  No
@@ -182,19 +202,20 @@ class RecursiveFamily:
         phi = values * values
         self._start(f.grid, values, phi, 1.0 / phi, N)
 
-    def _start(self, grid, f, phi, phi_inv, N: int) -> None:
+    def _start(self, grid, f, phi, phi_inv, N: int, rows: int | None = None) -> None:
         """Set up a family of no built order on grid from the arrays of
-        its seed, weight and reciprocal weight."""
+        its seed, weight and reciprocal weight, keeping rows psi rows
+        (all N + 1 by default)."""
         self.grid = grid
         self.f = self._view(f)
         self.phi = self._view(phi)
         self.N = N
         self._w = (phi_inv, phi)
-        # psi_n in row n of one block and chi_n at a and b in row n of the
-        # ends; row 0 and the order loop's scratch are written at the first
-        # _grow, so a family that is never read backs no row
-        self._psi, self._chi_ends = _blocks(
-            (grid.n_nodes,), np.result_type(np.float64, *self._w), N)
+        # psi_n in row n of one block, and psi_n and chi_n at a and b in row
+        # n of the ends; row 0 and the order loop's scratch are written at
+        # the first _grow, so a family that is never read backs no row
+        self._psi, (self._psi_ends, self._chi_ends) = _blocks(
+            (grid.n_nodes,), np.result_type(np.float64, *self._w), N, rows)
         self._scratch = None
         # sup-norm of psi_n per built order, read by choose_truncation; its
         # length is the number of orders built
@@ -204,16 +225,23 @@ class RecursiveFamily:
         # each rewritten in place (series._sum, series._prime_sum)
         self._sums = {}
 
-    def _anchored(self, x0_index: int) -> "RecursiveFamily":
+    def _streamed(self, x0_index: int) -> "RecursiveFamily":
         """A family of this seed and cap anchored at node x0_index, with no
-        order built, sharing this family's seed, weight and reciprocal
-        weight arrays."""
+        order built, that keeps only the last _RING psi rows whole, psi_n
+        in row n % _RING, and every order's ends and sup-norm: the eigen
+        search's, which reads the series at a and b alone.  It shares this
+        family's seed, weight and reciprocal weight arrays, the last formed
+        again if this family has dropped it."""
         g = self.grid
         phi = self.phi.values
         family = RecursiveFamily.__new__(RecursiveFamily)
         family._start(Grid(g.a, g.b, g.n_nodes, x0=g.nodes[x0_index]), self.f.values,
-                      phi, 1.0 / phi if self._w is None else self._w[0], self.N)
+                      phi, 1.0 / phi if self._w is None else self._w[0], self.N, _RING)
         return family
+
+    def _keeps_rows(self) -> bool:
+        """Whether every psi row built is kept, not a ring of the last."""
+        return len(self._psi) > self.N
 
     def _grow(self, k: int) -> np.ndarray:
         """Build every order up to min(k, N) with its psi sup-norm, order 0
@@ -221,11 +249,11 @@ class RecursiveFamily:
         go once order N is built."""
         start, stop = len(self._sup_norms), min(k, self.N)
         if self._scratch is None and start <= self.N:
-            self._scratch = _order_zero(self._psi, self._chi_ends)
+            self._scratch = _order_zero(self._psi, (self._psi_ends, self._chi_ends))
         if start <= stop:
-            _extend_orders(self._psi, self._chi_ends, self._w, self.grid.h,
-                           self.grid.x0_index, start, stop, self._scratch)
-            self._sup_norms += [np.max(np.abs(p)).item() for p in self._psi[start:stop + 1]]
+            _extend_orders(self._psi, (self._psi_ends, self._chi_ends), self._w,
+                           self.grid.h, self.grid.x0_index, start, stop, self._scratch,
+                           self._sup_norms)
             if stop == self.N:
                 self._w = self._scratch = None
         return self._psi
@@ -265,6 +293,19 @@ class RecursiveFamily:
     def f_prime(self) -> GridFunction:
         """Derivative of the seed (grid stencil, computed once)."""
         return self._view(derivative(self.f).values)
+
+    @cached_property
+    def _f_prime_ends(self) -> np.ndarray:
+        """f' at the first and the last node alone, with f_prime's bits
+        there: derivative's one-sided 5-point end stencils, divided by h
+        as an array, as derivative divides."""
+        y = self.f.values
+        if len(y) < 5:
+            raise GridConfigError("derivative needs at least 5 nodes")
+        d = np.empty(2, dtype=y.dtype if y.dtype.kind == "c" else np.float64)
+        d[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / 12.0
+        d[1] = (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / 12.0
+        return d / self.grid.h
 
     def psi(self, k: int) -> GridFunction:
         """Basis element psi_k; builds orders only up to k."""

@@ -20,7 +20,9 @@ Kravchenko and Porter's SPPS.  On the grid T is that one integral
 (_prime_sum), so no series reader builds a whole chi row; at a and b
 it is the sum of the chi ends the family keeps.  The seed derivative f' is
 still the 5-point stencil RecursiveFamily.f_prime, so u1', u2' and the
-characteristic function built on them carry its error.
+characteristic function built on them carry its error; at a and b it is
+read from the stencil's end formulas alone (_f_prime_ends), with the
+same bits.
 
 A series is summed one of two ways, by what it sums over.  Many nodes
 at one lambda -- S on the whole grid -- are one matrix product,
@@ -51,13 +53,16 @@ together makes two whole-grid sums (four if choose_truncation summed at
 another M) and two integrals; a first eval_u1 at a new lambda makes S
 on the whole grid, as u1_grid does.  _right_end is the four sums at the
 last node and the four at the first alone, with lambda a scalar or an
-array, one polyval of the psi rows' and the chi ends' values at b and
-at a: u and u' there, and so Phi, are the grid solutions' end nodes to
-rounding, and the eigen search builds no whole chi row and keeps no
-sum.  numpy.polynomial is imported at the
-first _right_end, so importing spps.cli, or building a seed, loads none
-of it.  choose_truncation sums u1's and u2's series once, on the whole
-grid, at the first truncation its bound lets through.
+array, one polyval of the psi ends and the chi ends the family keeps, at
+b and at a: u and u' there, and so Phi, are the grid solutions' end
+nodes to rounding, and the eigen search reads no whole row there and
+keeps no sum.  numpy.polynomial is imported at the first _right_end, so
+importing spps.cli, or building a seed, loads none of it.
+choose_truncation sums u1's and u2's series once, on the whole grid, at
+the first truncation its bound lets through; on the eigen search's
+streamed family, which keeps a ring of its last psi rows and no sum, it
+adds each term to a running sum per series and lambda as the orders are
+built, so that partial sum's sup-norm is the same, to rounding.
 
 Every reader builds the family only to the orders it reads:
 choose_truncation to 2M + 3, the evaluators and _right_end (through
@@ -262,17 +267,18 @@ def _right_end(family: RecursiveFamily, lam, n_terms: int):
     scalar or an array: the last and the first node of u1_grid ..
     u2_prime_grid.  At each end the series S1, S2, T1 and T2 are four
     polynomials in lam, all eight evaluated together in Horner form by
-    polyval from one (M, 8) block of the psi rows' and chi ends' values
-    at b and at a the family keeps: row k holds psi_2k, psi_(2k+1),
-    chi_(2k-1) and chi_2k at the end over their factorials, chi_(-1) = 0,
-    so T1 = sum_{k>=1} lam^k chi_(2k-1) / (2k-1)! and T2 = sum_k lam^k
-    chi_2k / (2k)!."""
+    polyval from one (M, 8) block of the psi ends and chi ends at b and
+    at a the family keeps, its whole rows unread: row k holds psi_2k,
+    psi_(2k+1), chi_(2k-1) and chi_2k at the end over their factorials,
+    chi_(-1) = 0, so T1 = sum_{k>=1} lam^k chi_(2k-1) / (2k-1)! and T2 =
+    sum_k lam^k chi_2k / (2k)!.  f' there is _f_prime_ends, f_prime's end
+    values."""
     M = _check_truncation(family, lam, n_terms)
     lam = _real_if_real(lam)
     last = family.grid.n_nodes - 1
     inv = _inv_factorials(2 * M - 1)[:, None]
     # order j's values at a and at b, and chi_(j-1)'s
-    psi = family._psi[:2 * M, ::last] * inv
+    psi = family._psi_ends[:2 * M] * inv
     chi = np.vstack((np.zeros((1, 2)), family._chi_ends[:2 * M - 1] * inv[:-1]))
     # row k: psi_2k, psi_(2k+1), chi_(2k-1) and chi_2k at a, then at b
     coef = np.concatenate((psi.reshape(M, 2, 2), chi.reshape(M, 2, 2)), axis=1)
@@ -280,7 +286,7 @@ def _right_end(family: RecursiveFamily, lam, n_terms: int):
     sums = np.polynomial.polynomial.polyval(lam, coef.transpose(0, 2, 1).reshape(M, 8))
     ends = []
     for (S1, S2, T1, T2), f, fp in zip(sums.reshape((2, 4) + np.shape(lam))[::-1],
-                                       family.f.values[::-last], family.f_prime.values[::-last]):
+                                       family.f.values[::-last], family._f_prime_ends[::-1]):
         ends += [np.multiply(f, S1), _prime(fp, S1, T1, f),
                  np.multiply(f, S2), _prime(fp, S2, T2, f)]
     return tuple(ends)
@@ -334,7 +340,7 @@ _BOUND_SLACK = 1.0 + 1e-9
 SERIES_TOL = 1e-12
 
 
-def choose_truncation(family: RecursiveFamily, lam: complex,
+def choose_truncation(family: RecursiveFamily, lam,
                       tol: float = SERIES_TOL) -> TruncationChoice:
     """Smallest truncation whose first two omitted terms are negligible.
 
@@ -343,48 +349,86 @@ def choose_truncation(family: RecursiveFamily, lam: complex,
     tol * s, s the sup-norm of a partial sum (below).  Capped at the
     family order; hitting the cap sets the flag and issues an
     AccuracyWarning.  The family is built only to order 2M + 3, the last
-    one the rule reads.
+    one the rule reads.  lam may also be an array: the rule then runs at
+    each of its values in one pass over the orders, and the choice is the
+    largest of theirs, capped if any is, with one warning.
 
     The sum B of the kept terms' sup-norms bounds sup|S|, so a dropped
     term above tol * B fails the rule whatever S is.  s is taken once, at
     the first M that passes this bound, by summing both series, sums the
     family keeps for the evaluators at this lam (_sum); later M reuse it,
     as later partial sums differ from it by no more than the terms past
-    that M, which the bound holds under about 2 tol B.
+    that M, which the bound holds under about 2 tol B.  A family that
+    keeps a ring of its last psi rows alone (the eigen search's) holds no
+    such sums: there both series at each lam are summed as the orders
+    are built, term M - 1 added, in order, when M is tried, so s is the
+    same partial sum's sup-norm, to rounding.
     Raises OrderError for tol <= 0, for a non-finite lam and for a lam so
     large that a power |lam|^k the rule reads overflows.
     """
     if not tol > 0:
         raise OrderError(f"tol must be positive, got {tol}")
     _check_lam(lam)
+    lams = np.ravel(lam)
+    alams = [float(abs(x)) for x in lams]
     M_max = (family.N + 1) // 2
     inv = _inv_factorials(family.N)
-    alam = float(abs(lam))
     norms = family._sup_norms  # psi_k's, extended in place as orders are built
     family._grow(1)
+    running = None  # S1 and S2 at each lam, summed as orders are built
+    if not family._keeps_rows():
+        dtype = np.result_type(family._psi, _real_if_real(lams))
+        running = np.zeros((len(lams), 2, family.grid.n_nodes), dtype)
 
-    def term(k, s):  # sup-norm of the k-th term of u1's (s = 0) or u2's series
-        return _lam_power(alam, k, lam) * norms[2 * k + s] * inv[2 * k + s]
+    def term(k, s, i):  # sup-norm of the k-th term of u1's (s = 0) or u2's series at lams[i]
+        return _lam_power(alams[i], k, lams[i]) * norms[2 * k + s] * inv[2 * k + s]
 
-    B1 = B2 = 0.0
-    s1 = s2 = None
+    B = [[0.0, 0.0] for _ in lams]
+    sups = [None] * len(lams)  # s of u1's and u2's series at each lam
+    chosen = [None] * len(lams)
     for M in range(1, M_max + 1):
-        B1 += term(M - 1, 0)
-        B2 += term(M - 1, 1)
+        live = [i for i, c in enumerate(chosen) if c is None]
+        if not live:
+            break
+        for i in live:
+            B[i][0] += term(M - 1, 0, i)
+            B[i][1] += term(M - 1, 1, i)
         # the two dropped terms must exist inside the family's cap
         if 2 * (M + 1) + 1 > family.N:
             break
+        if running is not None:
+            _add_terms(family, lams, running, [i for i in live if sups[i] is None], M - 1, inv)
         family._grow(2 * M + 3)
-        dropped1, dropped2 = ((term(M, s), term(M + 1, s)) for s in (0, 1))
-        if (any(t > tol * B1 * _BOUND_SLACK for t in dropped1)
-                or any(t > tol * B2 * _BOUND_SLACK for t in dropped2)):
-            continue
-        if s1 is None:
-            s1, s2 = (float(np.max(np.abs(_sum(family, s, lam, M, slice(None)))))
-                      for s in (0, 1))
-        if all(t <= tol * s1 for t in dropped1) and all(t <= tol * s2 for t in dropped2):
-            return TruncationChoice(M, False)
-    warnings.warn(
-        f"truncation cap {M_max} reached without meeting tol={tol:g}",
-        AccuracyWarning, stacklevel=2)
-    return TruncationChoice(M_max, True)
+        for i in live:
+            dropped = [(term(M, s, i), term(M + 1, s, i)) for s in (0, 1)]
+            if any(t > tol * B[i][s] * _BOUND_SLACK for s in (0, 1) for t in dropped[s]):
+                continue
+            if sups[i] is None:
+                sups[i] = [float(np.max(np.abs(
+                    _sum(family, s, lams[i], M, slice(None)) if running is None
+                    else running[i, s]))) for s in (0, 1)]
+            if all(t <= tol * sups[i][s] for s in (0, 1) for t in dropped[s]):
+                chosen[i] = M
+    capped = None in chosen
+    if capped:
+        warnings.warn(
+            f"truncation cap {M_max} reached without meeting tol={tol:g}",
+            AccuracyWarning, stacklevel=2)
+    return TruncationChoice(max(M_max if c is None else c for c in chosen), capped)
+
+
+def _add_terms(family: RecursiveFamily, lams, running, which, k: int, inv) -> None:
+    """Add term k, lam^k psi_(2k+s) / (2k+s)!, to the partial sums
+    running[i, s] of u1 (s = 0) and u2 (s = 1) at lams[i] for each i in
+    which, with _grid_sum's coefficients, after building the family to
+    order 2k + 1; the product is formed in the order loop's scratch, free
+    between orders, when it has the sums' type."""
+    psi = family._grow(2 * k + 1)
+    tmp = family._scratch[0, 0]
+    if tmp.dtype != running.dtype:
+        tmp = None
+    for i in which:
+        lam = _real_if_real(np.complex128(lams[i]))
+        for s in (0, 1):
+            c = np.power(lam, k) * inv[2 * k + s]
+            running[i, s] += np.multiply(c, psi[(2 * k + s) % len(psi)], out=tmp)

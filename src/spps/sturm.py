@@ -15,10 +15,14 @@ fixed truncation M is a polynomial of degree 2M - 2 in lambda.  At
 x0 = a, where u1, u2 start from f(a), f'(a) and 0, 1/f(a), it is
 c3 u(b) + c4 u'(b) of the u pinned to u(a) = -c2, u'(a) = c1.
 find_eigenvalues sums from the grid's middle node, so that each series
-reaches half the interval and M falls by about a third; it fixes one M
-per window, samples Phi at the window's 2M - 1 Chebyshev points, which
-determine it, and takes the eigenvalues as the real roots of that
-interpolant (the colleague matrix of its Chebyshev coefficients).  The
+reaches half the interval and M falls by about a third.  Phi needs the
+recursive integrals at a and b alone, so the search streams its orders:
+it keeps each order's psi and chi at the two ends and the last few whole
+psi rows, never a block of them, and its memory is O(n_nodes) whatever
+M.  It fixes one M per window, samples Phi at the window's 2M - 1
+Chebyshev points, which determine it, and takes the eigenvalues as the
+real roots of that interpolant (the colleague matrix of its Chebyshev
+coefficients).  The
 determinant does not depend on the basis of solutions it is taken of,
 up to that basis' Wronskian, so for real q, lambda and real boundary
 coefficients Phi is real regardless of the complex seed.
@@ -128,7 +132,7 @@ def _seed_pieces(r, nodes, starts, w: int):
     top = 2 * _SEED_TERMS - 1
     psi, ends = _blocks(r.shape, r.dtype, top)
     _extend_orders(psi, ends, (1.0, r), h, 0, 1, top, _order_zero(psi, ends))
-    inv, ends = _inv_factorials(top), ends[..., 1]  # chi at each piece's end
+    inv, ends = _inv_factorials(top), ends[1, ..., 1]  # chi at each piece's end
 
     def at_one(rows, k):  # sum of rows[j] / j! for j = k, k - 2, .. 0 or 1
         acc = rows[k] * inv[k]
@@ -147,9 +151,7 @@ def characteristic(problem: SlProblem, family: RecursiveFamily, lam,
     only if the family's seed solves f'' + qf = 0 for problem.q, which
     nothing checks.  Raises GridConfigError if problem.q lives on another
     mesh; the anchors may differ."""
-    g, h = problem.q.grid, family.grid
-    if (g.a, g.b, g.n_nodes) != (h.a, h.b, h.n_nodes):
-        raise GridConfigError("potential and family live on different grids")
+    _check_mesh(problem, family)
     u1b, u1pb, u2b, u2pb, u1a, u1pa, u2a, u2pa = _right_end(family, lam, n_terms)
     c1, c2 = problem.bc_left
     c3, c4 = problem.bc_right
@@ -157,13 +159,22 @@ def characteristic(problem: SlProblem, family: RecursiveFamily, lam,
             - (c1 * u2a + c2 * u2pa) * (c3 * u1b + c4 * u1pb))
 
 
+def _check_mesh(problem: SlProblem, family: RecursiveFamily) -> None:
+    """GridConfigError if problem.q and the family live on different
+    meshes; their anchors may differ."""
+    g, h = problem.q.grid, family.grid
+    if (g.a, g.b, g.n_nodes) != (h.a, h.b, h.n_nodes):
+        raise GridConfigError("potential and family live on different grids")
+
+
 @dataclass
 class EigenResult:
     """Eigenvalues sorted by real part with their residuals, the window's
     one truncation n_terms (M), and the samples of Phi the fit read:
-    scan_phi at the 2M - 1 Chebyshev points scan_lams, Phi of the search's
-    middle-anchored family and of the boundary pairs scaled to a largest
-    modulus of 1."""
+    scan_phi at the 2M - 1 Chebyshev points scan_lams, Phi of the series
+    summed from the middle node and of the boundary pairs scaled to a
+    largest modulus of 1, with the bits characteristic gives them on a
+    family anchored there."""
     eigenvalues: np.ndarray
     residuals: np.ndarray
     n_terms: int
@@ -180,17 +191,20 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     """Real-line eigenvalues as the real roots of one polynomial per window.
 
     The series are summed from the grid's middle node, index
-    (n_nodes - 1) // 2, on the search's own family: one of the passed
-    family's seed and cap N, sharing its seed and weight arrays, built
-    only as deep as the search reads and dropped on return, so the
-    passed family is never grown (one already anchored at that node is
-    used, and grown, as is).  Each boundary pair is scaled to a largest
-    modulus of 1, which moves no root.  The truncation M is the larger
-    of choose_truncation(series_tol) at the two window ends, with one
-    warning if either hits the cap, so Phi is one polynomial of degree
-    2M - 2 in lambda over the whole window, and its values at the
-    window's 2M - 1 Chebyshev points determine it.  Two array calls of
-    characteristic do the search:
+    (n_nodes - 1) // 2, on the search's own streamed family: the passed
+    family's seed, weight and cap N, run through the order loop once,
+    keeping each order's psi and chi at a and b, its sup-norm and only
+    the last four whole psi rows (RecursiveFamily._streamed).  The passed
+    family is never grown, whatever its anchor, and the search holds a
+    dozen whole-grid rows, not the 2M + 3 it builds.  A potential on
+    another mesh is refused with GridConfigError before any order is
+    built.  Each boundary pair is scaled to a largest modulus of 1, which
+    moves no root.  The truncation M is the larger of
+    choose_truncation(series_tol) at the two window ends, run at both in
+    one pass over the orders, with one warning if either hits the cap, so
+    Phi is one polynomial of degree 2M - 2 in lambda over the whole
+    window, and its values at the window's 2M - 1 Chebyshev points
+    determine it.  Two array calls of characteristic do the search:
 
     - the samples, returned as scan_lams, scan_phi: the largest gives
       the phase rot and the scale max|Phi|, and chebfit gives the
@@ -227,6 +241,7 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     for name, value in (("tol", tol), ("series_tol", series_tol)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
+    _check_mesh(problem, family)
     # each pair scaled to a largest modulus of 1, part by part (complex
     # division by a subnormal overflows): Phi keeps its roots, and a pair
     # as small as (0, 5e-324) its digits
@@ -234,17 +249,14 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
         (c.view(np.float64) / np.max(np.abs(c))).view(complex)
         for c in (np.array(problem.bc_left), np.array(problem.bc_right))))
 
-    # the search's own family, anchored at the middle node, so that each
-    # series reaches half the interval, dropped on return
-    mid_node = (family.grid.n_nodes - 1) // 2
-    if family.grid.x0_index != mid_node:
-        family = family._anchored(mid_node)
+    # the search's own streamed family, anchored at the middle node, so
+    # that each series reaches half the interval
+    family = family._streamed((family.grid.n_nodes - 1) // 2)
     with warnings.catch_warnings():  # one cap warning for the whole window
         warnings.filterwarnings("ignore", "truncation cap", AccuracyWarning)
-        ends = [choose_truncation(family, lam, series_tol) for lam in (lo, hi)]
-    M = max(c.n_terms for c in ends)
+        M, capped = choose_truncation(family, (lo, hi), series_tol)
     n_points = 2 * M - 1  # Phi's degree 2M - 2, plus one
-    if any(c.capped for c in ends):
+    if capped:
         warnings.warn(f"truncation cap {M} reached at a window end, used at the "
                       f"window's {n_points} Chebyshev points without meeting "
                       f"series_tol={series_tol:g}", AccuracyWarning, stacklevel=2)

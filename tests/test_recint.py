@@ -179,17 +179,46 @@ def test_order_loop_with_weight_bitwise_equal_row_by_row_recursion(case, row_by_
     psi, ends = _blocks(weights.shape[1:], X[1].values.dtype, N)
     scratch = _order_zero(psi, ends)
     _extend_orders(psi, ends, weights, g.h, g.x0_index, 1, N, scratch)
-    # one array of each by order: psi whole, chi at the first and last node
+    # psi whole by order, and one array of ends: psi, then chi, at the
+    # first and last node by order
     assert psi.shape == (N + 1,) + weights.shape[1:]
-    assert ends.shape == (N + 1,) + weights.shape[1:-1] + (2,)
+    assert ends.shape == (2, N + 1) + weights.shape[1:-1] + (2,)
     assert psi.dtype == ends.dtype == X[1].values.dtype
-    for n, (p, end) in enumerate(zip(psi, ends)):
+    for n, (p, psi_end, chi_end) in enumerate(zip(psi, *ends)):
         # psi_n, chi_n: X(n), X~(n) for odd n, the other way round for even n
         ref_psi, ref_chi = (X[n], Xt[n]) if n % 2 else (Xt[n], X[n])
         assert np.array_equal(p, np.broadcast_to(ref_psi.values, p.shape))
-        assert np.array_equal(end, np.broadcast_to(ref_chi.values[[0, -1]], end.shape))
+        assert np.array_equal(psi_end, np.broadcast_to(ref_psi.values[[0, -1]], psi_end.shape))
+        assert np.array_equal(chi_end, np.broadcast_to(ref_chi.values[[0, -1]],
+                                                       chi_end.shape))
     # the loop carries chi_N whole
     assert np.array_equal(scratch[1, 1], np.broadcast_to(ref_chi.values, p.shape))
+
+
+@pytest.mark.parametrize("rows", [4, 5])
+def test_order_loop_on_a_ring_of_rows_keeps_the_blocks_ends(rows):
+    # psi of fewer rows than orders is a ring: order n goes to row n % rows,
+    # and the ends, the sup-norms and the last rows have the bits a whole
+    # block gives them, however many orders one call builds
+    g = Grid(0.0, 2.0, 401, x0=0.5)
+    f = sample(lambda x: np.exp(x) + 1j * np.cos(3 * x), g)
+    N = 25
+    phi = (f * f).values
+    weights = (1.0 / phi, phi)
+    psi, ends = _blocks((g.n_nodes,), complex, N)
+    norms = [1.0]
+    _extend_orders(psi, ends, weights, g.h, g.x0_index, 1, N, _order_zero(psi, ends), norms)
+    ring, ring_ends = _blocks((g.n_nodes,), complex, N, rows)
+    assert ring.shape == (rows, g.n_nodes) and ring_ends.shape == ends.shape
+    ring_norms = [1.0]
+    scratch = _order_zero(ring, ring_ends)
+    for start, stop in ((1, 1), (2, 9), (10, 11), (12, N)):
+        _extend_orders(ring, ring_ends, weights, g.h, g.x0_index, start, stop, scratch,
+                       ring_norms)
+    assert np.array_equal(ring_ends, ends)
+    assert ring_norms == norms == [np.max(np.abs(p)).item() for p in psi]
+    for n in range(N + 1 - rows, N + 1):
+        assert np.array_equal(ring[n % rows], psi[n])
 
 
 @pytest.mark.parametrize("case", ["real", "complex", "interior"])
@@ -226,6 +255,7 @@ def test_chi_rows_built_on_read_bitwise_equal_row_by_row_recursion(case, row_by_
             assert chi[n].dtype == want[1].dtype
             assert np.array_equal(chi[n], ref)
             assert np.array_equal(fam._chi_ends[n], ref[[0, -1]])
+            assert np.array_equal(fam._psi_ends[n], fam.psi(n).values[[0, -1]])
 
 
 def test_direct_construction_checks_as_build_family():
@@ -243,19 +273,21 @@ def _is_row(values, block, n):
 
 
 def test_family_grows_on_demand_with_its_caches():
-    # the built orders are the sup-norms' count; the psi rows and chi ends
-    # are one array each, of all N + 1 orders, from the start
+    # the built orders are the sup-norms' count; the psi rows, the psi ends
+    # and the chi ends are one array each, of all N + 1 orders, from the start
     g = Grid(0.0, 1.0, 201)
     fam = build_family(sample(lambda x: np.exp(x) + 0.5j, g), 30)
     norms = fam._sup_norms
     assert norms == [1.0]
-    psi, ends = fam._psi, fam._chi_ends
-    assert psi.shape == (31, 201) and ends.shape == (31, 2)
+    psi, psi_ends, ends = fam._psi, fam._psi_ends, fam._chi_ends
+    assert psi.shape == (31, 201) and psi_ends.shape == ends.shape == (31, 2)
     fam._grow(7)
     assert len(norms) == 8
     fam._grow(100)  # capped at N; the weights and the scratch go
     assert len(norms) == 31 and fam._w is None and fam._scratch is None
-    assert fam._sup_norms is norms and fam._psi is psi and fam._chi_ends is ends
+    assert fam._sup_norms is norms and fam._psi is psi
+    assert fam._psi_ends is psi_ends and fam._chi_ends is ends
+    assert np.array_equal(psi_ends, psi[:, ::200])
     assert norms == [fam.psi(k).sup_norm for k in range(31)]
     # the public rows are rows of the psi block and of the chi rows' array,
     # built as X is read
@@ -274,9 +306,11 @@ def test_a_family_is_one_psi_block_and_one_chi_array():
         fam = build_family(sample(seed, g), 12)
         rows = [fam.psi(k).values for k in range(13)]
         assert all(_is_row(p, fam._psi, k) for k, p in enumerate(rows))
-        assert fam._psi.dtype == fam._chi_ends.dtype == rows[0].dtype == dtype
+        assert fam._psi.dtype == fam._psi_ends.dtype == fam._chi_ends.dtype == dtype
+        assert rows[0].dtype == dtype
         assert np.array_equal(rows[0], np.ones(201))
-        assert fam._chi_ends[0, 0] == 1.0
+        assert fam._psi_ends[0, 0] == fam._chi_ends[0, 0] == 1.0
+        assert np.array_equal(fam._psi_ends, fam._psi[:, ::200])
         assert "_chi" not in vars(fam)
         fam.Xt  # builds every order and every chi row
         chi = fam._chi
@@ -400,6 +434,7 @@ def test_a_seed_with_no_imaginary_part_makes_a_real_family(row_by_row):
         # psi_n, chi_n: X(n), X~(n) for odd n, the other way round for even n
         ref_psi, ref_chi = (X[n], Xt[n]) if n % 2 else (Xt[n], X[n])
         for mine, ref, size in ((fam.psi(n).values, ref_psi.values, ref_psi.sup_norm),
+                                (fam._psi_ends[n], ref_psi.values[[0, -1]], ref_psi.sup_norm),
                                 (fam._chi_ends[n], ref_chi.values[[0, -1]], ref_chi.sup_norm),
                                 ((fam.Xt if n % 2 else fam.X)[n].values, ref_chi.values,
                                  ref_chi.sup_norm)):
@@ -411,4 +446,4 @@ def test_a_seed_with_no_imaginary_part_makes_a_real_family(row_by_row):
     f.values[7] += 1e-300j
     fam = build_family(f, N)
     assert not np.shares_memory(fam.f.values, f.values)  # the family's own copy
-    assert fam.psi(1).values.dtype == fam._chi_ends[1].dtype == complex
+    assert fam.psi(1).values.dtype == fam._psi_ends[1].dtype == fam._chi_ends[1].dtype == complex

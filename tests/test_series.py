@@ -207,7 +207,10 @@ def _truncation_by_the_rule(fam, lam, tol):
 @pytest.mark.parametrize("seed", range(4))
 def test_truncation_matches_the_rule_as_written(seed):
     # choose_truncation skips the sup-norms of partial sums where a bound
-    # shows the rule fails; the choice must be the rule's, capped or not
+    # shows the rule fails; the choice must be the rule's, capped or not,
+    # also on the eigen search's streamed family, which sums its partial
+    # sums as it builds orders, and at an array of lambda, where it is the
+    # largest choice, capped if any is
     rng = np.random.default_rng(seed)
     n = (201, 1001)[seed % 2]
     L = rng.uniform(0.5, 2.0)
@@ -226,13 +229,24 @@ def test_truncation_matches_the_rule_as_written(seed):
             lams = [-mags[0], -mags[1], mags[2], mags[3],
                     mags[4] * np.exp(1j * rng.uniform(0, np.pi)),
                     mags[5] * np.exp(-1j * rng.uniform(0, np.pi))]
-            for lam in lams:
-                for tol in (1e-8, 1e-12, 1e-14):
+            for tol in (1e-8, 1e-12, 1e-14):
+                choices = []
+                for lam in lams:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", AccuracyWarning)
                         got = choose_truncation(fam, lam, tol)
+                        streamed = choose_truncation(fam._streamed(g.x0_index), lam, tol)
                     assert got == _truncation_by_the_rule(fam, lam, tol), (lam, tol, N)
+                    assert streamed == got, (lam, tol, N)
                     kinds[got.capped] += 1
+                    choices.append(got)
+                largest = TruncationChoice(max(c.n_terms for c in choices),
+                                           any(c.capped for c in choices))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", AccuracyWarning)
+                    assert choose_truncation(fam, lams, tol) == largest
+                    assert choose_truncation(fam._streamed(g.x0_index), lams, tol) == largest
+                assert len(caught) == 2 * largest.capped  # one warning a call
     assert kinds[False] and kinds[True]
 
 
@@ -544,7 +558,8 @@ def test_a_sum_cut_short_leaves_no_stale_sum(exp_family, monkeypatch):
 def test_readers_keep_psi_rows_and_four_sums_only():
     # the series readers build no whole chi row: after choose_truncation,
     # the four u*_grid and the four eval_u* at one lam the family holds its
-    # psi rows, chi_n's last node per order, and S and T of u1 and u2
+    # psi rows, psi_n's and chi_n's first and last node per order, and S
+    # and T of u1 and u2
     g = spps.Grid(0.0, 1.0, 2001)
     q = sample(lambda x: 50 * np.cos(3 * np.pi * x), g)
     fam = spps.build_family(spps.build_seed(q), 80)
@@ -557,12 +572,13 @@ def test_readers_keep_psi_rows_and_four_sums_only():
     assert "_chi" not in vars(fam)
     assert sorted(fam._sums) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # the family's arrays of rows are its one complex psi block, of which
-    # only the built orders' rows are written, its one array of chi ends
-    # and, until order N is built, the order loop's (2, 2, n_nodes) scratch
+    # only the built orders' rows are written, its arrays of psi and of chi
+    # ends and, until order N is built, the order loop's (2, 2, n_nodes)
+    # scratch
     assert {k for k, v in vars(fam).items() if isinstance(v, np.ndarray)} == {
-        "_psi", "_chi_ends", "_scratch"}
+        "_psi", "_psi_ends", "_chi_ends", "_scratch"}
     assert fam._psi.shape == (81, g.n_nodes) and fam._psi.dtype == complex
-    assert fam._chi_ends.shape == (81, 2)
+    assert fam._psi_ends.shape == fam._chi_ends.shape == (81, 2)
     # and four complex sums of n_nodes
     assert sum(S.nbytes for _, S in fam._sums.values()) == 4 * 16 * g.n_nodes
 
