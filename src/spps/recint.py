@@ -41,7 +41,10 @@ scaling, so with the bits the loop gave chi_k.  The series readers
 build none: the rule is linear, so the u*' series of chi rows is one
 integral of the value series of psi rows times phi (series._prime_sum).
 Orders are built on demand up to the family's cap N, and only as deep
-as they are read.
+as they are read, with one exception: a family that keeps its rows
+builds order N with the last order a series reader reads, N - 1 at an
+even N, and then drops the loop's weights and scratch, which no later
+order needs.
 """
 
 from __future__ import annotations
@@ -148,7 +151,9 @@ class RecursiveFamily:
     transparent huge pages, as numpy does for its arrays from that size;
     a smaller one is numpy's.  Pages are backed whole, so the orders
     built may hold up to one huge page (2 MiB on x86-64) more than their
-    rows.  A seed with no imaginary part is held in float64,
+    rows.  The order loop's (2, 2, n_nodes) scratch and the weights go
+    once order N is built, with the last order a series reader reads
+    (_grow).  A seed with no imaginary part is held in float64,
     whatever its dtype, so f, phi and every row are real, 8 bytes a value
     against a complex seed's 16.  The series evaluators read only the
     orders their truncation needs, and psi(k) and phi_k(k) only orders
@@ -246,8 +251,13 @@ class RecursiveFamily:
     def _grow(self, k: int) -> np.ndarray:
         """Build every order up to min(k, N) with its psi sup-norm, order 0
         at the first call; returns the psi block.  The weights and scratch
-        go once order N is built."""
+        go once order N is built, which a family that keeps its rows
+        builds with order 2 * ((N + 1) // 2) - 1, the last one a series
+        reader reads (N - 1 at an even N): one row and one integration
+        more, once, for a family read to its cap."""
         start, stop = len(self._sup_norms), min(k, self.N)
+        if stop >= 2 * ((self.N + 1) // 2) - 1 and self._keeps_rows():
+            stop = self.N
         if self._scratch is None and start <= self.N:
             self._scratch = _order_zero(self._psi, (self._psi_ends, self._chi_ends))
         if start <= stop:

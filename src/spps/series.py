@@ -34,10 +34,16 @@ _right_end at an array of lambda -- is a polynomial in lambda, and
 numpy's polyval evaluates it in Horner form on arrays of lambda's size,
 where a product gains nothing.  Both sum in the rows' and lambda's
 type: float64 for the rows of a real seed at a lambda with no imaginary
-part, complex otherwise, and neither upcasts the rows.  The product's
-bits depend on how the BLAS library splits it: with OpenBLAS, measured,
-a sum at 1 and at 2 threads differs at a few nodes by rounding, so a
-result repeats bit for bit at a fixed BLAS thread count.
+part, complex otherwise, and neither upcasts the rows.  Real rows at a
+complex lambda are one real product of the (2, M) block (Re c; Im c)
+with the rows into a (2, n_nodes) pair, the two parts then written into
+the complex sum: a wide product, as the other two cases' matrix-vector
+calls are, where the tall (n_nodes, M) by (M, 2) one made OpenBLAS back
+a packing buffer per thread, about 3 MB each at 2 threads and 20001
+nodes, that stayed in the process and that no result read.  The
+product's bits depend on how the BLAS library splits it: with OpenBLAS,
+measured, a sum at 1 and at 2 threads differs at a few nodes by
+rounding, so a result repeats bit for bit at a fixed BLAS thread count.
 
 The series are read one way: a family keeps the latest whole-grid S and
 T of u1 and u2 (RecursiveFamily._sums, at most four arrays), each
@@ -138,11 +144,13 @@ def _grid_sum(family: RecursiveFamily, s: int, lam, M: int, out=None):
     type of the family's rows and lam, lam real if it has no imaginary
     part, and is written into out if that has it, else into a new array.  The
     product stays in the rows' type: real rows at a complex lam are one
-    real product with the (M, 2) pair (Re c, Im c) into the sum's float
-    view, and complex rows at a real lam one real product of c with the
-    rows' float view.  The BLAS routine orders each node's M terms its
-    own way, so the result is the Horner sum's to rounding, not bit for
-    bit."""
+    real product of the (2, M) block (Re c; Im c) with the rows, a
+    (2, n_nodes) pair whose two parts are then written into the sum (the
+    wide layout, which backs no BLAS packing buffers, see the module
+    docstring), and complex rows at a real lam one real product of c
+    with the rows' float view.  The BLAS routine orders each node's M
+    terms its own way, so the result is the Horner sum's to rounding,
+    not bit for bit."""
     top = 2 * M - 2 + s
     lam = _real_if_real(np.complex128(lam))  # an int lam powers in floats
     rows = family._psi[s:top + 1:2]
@@ -153,8 +161,8 @@ def _grid_sum(family: RecursiveFamily, s: int, lam, M: int, out=None):
     if rows.dtype == c.dtype:
         np.matmul(c, rows, out=S)
     elif c.dtype.kind == "c":  # real rows at a complex lam
-        np.matmul(rows.T, np.stack((c.real, c.imag), axis=1),
-                  out=S.view(np.float64).reshape(-1, 2))
+        pair = np.stack((c.real, c.imag)) @ rows
+        S.real, S.imag = pair
     else:  # complex rows at a real lam
         np.matmul(c, rows.view(np.float64), out=S.view(np.float64))
     return S
@@ -363,12 +371,15 @@ def choose_truncation(family: RecursiveFamily, lam,
     such sums: there both series at each lam are summed as the orders
     are built, term M - 1 added, in order, when M is tried, so s is the
     same partial sum's sup-norm, to rounding.
-    Raises OrderError for tol <= 0, for a non-finite lam and for a lam so
-    large that a power |lam|^k the rule reads overflows.
+    Raises OrderError for tol <= 0, for a non-finite lam, for an empty
+    array of lam and for a lam so large that a power |lam|^k the rule
+    reads overflows.
     """
     if not tol > 0:
         raise OrderError(f"tol must be positive, got {tol}")
     _check_lam(lam)
+    if np.size(lam) == 0:
+        raise OrderError("lam must hold at least one value, got an empty array")
     lams = np.ravel(lam)
     alams = [float(abs(x)) for x in lams]
     M_max = (family.N + 1) // 2

@@ -6,7 +6,8 @@ import pytest
 
 import spps
 from spps import (AccuracyWarning, Grid, GridConfigError, OrderError, RecursiveFamily,
-                  SeedError, SlProblem, build_family, derivative, sample)
+                  SeedError, SlProblem, build_family, choose_truncation, derivative,
+                  sample)
 from spps.recint import _blocks, _extend_orders, _order_zero
 
 
@@ -282,9 +283,14 @@ def test_family_grows_on_demand_with_its_caches():
     psi, psi_ends, ends = fam._psi, fam._psi_ends, fam._chi_ends
     assert psi.shape == (31, 201) and psi_ends.shape == ends.shape == (31, 2)
     fam._grow(7)
-    assert len(norms) == 8
-    fam._grow(100)  # capped at N; the weights and the scratch go
+    assert len(norms) == 8 and fam._w is not None and fam._scratch is not None
+    # order 29 = N - 1 is the last one a series reader reads at this even
+    # N, so growth to it builds order N too, and the weights and the
+    # scratch go; the cap holds after that
+    fam._grow(29)
     assert len(norms) == 31 and fam._w is None and fam._scratch is None
+    fam._grow(100)
+    assert len(norms) == 31
     assert fam._sup_norms is norms and fam._psi is psi
     assert fam._psi_ends is psi_ends and fam._chi_ends is ends
     assert np.array_equal(psi_ends, psi[:, ::200])
@@ -375,6 +381,36 @@ def _pages_backed(array):
     except OSError:
         return None
     return int(np.count_nonzero(entries >> 63))
+
+
+@pytest.mark.parametrize("N", [30, 31])
+def test_a_family_read_to_its_cap_drops_the_loop_scratch(N):
+    # choose_truncation grows to 2M + 3 <= N and the readers to 2 M_max - 1,
+    # so at an even N no series reader reads order N: the family builds it
+    # with order N - 1 and then drops the order loop's weights and scratch,
+    # as it does at an odd N, where the readers reach order N themselves.
+    # psi_N has the bits of a family built straight to N
+    g = Grid(0.0, 1.0, 201)
+    f = sample(lambda x: np.exp(x) + 0.5j, g)
+    M_max = (N + 1) // 2
+    fam = build_family(f, N)
+    with pytest.warns(AccuracyWarning, match="truncation cap"):
+        assert choose_truncation(fam, 1e3, tol=1e-30) == (M_max, True)
+    for reader in (spps.u1_grid, spps.u2_grid, spps.u1_prime_grid, spps.u2_prime_grid):
+        reader(fam, 1e3, M_max)
+    for reader in (spps.eval_u1, spps.eval_u2, spps.eval_u1_prime, spps.eval_u2_prime):
+        reader(fam, 1e3, 0.3, M_max)
+    assert len(fam._sup_norms) == N + 1 and fam._w is None and fam._scratch is None
+    fresh = build_family(f, N)
+    assert np.array_equal(fam.psi(N).values, fresh._grow(N)[N])
+    assert np.array_equal(fam._psi, fresh._psi)
+    assert fam._sup_norms == fresh._sup_norms
+    # read below its cap, a family keeps both to build later orders
+    low = build_family(f, N)
+    M = choose_truncation(low, -10.0).n_terms
+    spps.u1_prime_grid(low, -10.0, M)
+    assert len(low._sup_norms) == 2 * M + 4 < N
+    assert low._w is not None and low._scratch is not None
 
 
 def test_a_large_psi_block_is_a_mapping_backed_only_as_read():

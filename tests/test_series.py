@@ -170,9 +170,11 @@ def test_truncation_unattainable_tolerance(exp_family):
 @pytest.mark.parametrize("lam, tol", [(np.nan, 1e-12), (np.inf, 1e-12), (-np.inf, 1e-12),
                                       (complex(1.0, np.inf), 1e-12),
                                       (complex(np.nan, 1.0), 1e-12),
-                                      (-10.0, 0.0), (-10.0, -1.0), (-10.0, np.nan)])
+                                      (-10.0, 0.0), (-10.0, -1.0), (-10.0, np.nan),
+                                      (np.array([]), 1e-12)])
 def test_truncation_rejects_non_finite_lambda_and_bad_tol(exp_family, lam, tol):
-    # refused up front: a non-finite lambda would run to the cap and warn
+    # refused up front: a non-finite lambda would run to the cap and warn,
+    # and an empty array of lambda would end in max()'s ValueError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OrderError):
@@ -594,6 +596,20 @@ def test_a_second_lambda_reuses_the_kept_buffers(exp_family):
         assert fam._sums[0, 0][1] is S and fam._sums[1, 0][1] is T
         assert np.array_equal(got, u1_prime_grid(spps.build_family(fam.f, fam.N), lam, 8).values)
     assert spps.series._grid_sum(fam, 0, 3.0, 8, out=S) is S
+    # real rows at a complex lam: the (Re c; Im c) product is written into
+    # a complex out, and into a new complex array past a real one, which
+    # is left unwritten
+    lam = complex(-30.0, 4.0)
+    assert fam._psi.dtype == np.float64
+    for s in (0, 1):
+        want = spps.series._grid_sum(fam, s, lam, 8)
+        Z = np.full_like(want, np.nan)
+        assert want.dtype == complex and spps.series._grid_sum(fam, s, lam, 8, out=Z) is Z
+        assert np.array_equal(Z, want)
+        R = np.full(fam.grid.n_nodes, np.nan)
+        got = spps.series._grid_sum(fam, s, lam, 8, out=R)
+        assert got is not R and got.dtype == complex and np.array_equal(got, want)
+        assert np.all(np.isnan(R))
 
 
 def _long_double_sum(rows, s, lam, M):
