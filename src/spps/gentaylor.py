@@ -14,7 +14,12 @@ the completeness theory predicts.
 
 Each gamma level is one numerical differentiation, so point values
 degrade roughly two decimal digits per level; sequences past the safe
-depth are still returned but flagged.
+depth are still returned but flagged.  A chain reads only the nodes its
+results depend on (grid._derivative_window), each with the bits the
+whole-grid chain gives it: gamma_seq and gen_taylor_coeffs read at most
+the 4n + 1 nodes around x0, and remainder_check the nodes from about
+x0 to its last sample, with 2(n + 1) more at each end.  P_n is summed at
+the sample points' interpolation stencils alone.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridConfigError, OrderError, RankCollapseError, _as_order
-from .grid import GridFunction, _interpolate, derivative
+from .grid import GridFunction, _derivative_rows, _derivative_window, _interpolate
 from .jets import _factorials
 from .recint import RecursiveFamily
 
@@ -36,18 +41,23 @@ def _check_same_grid(h: GridFunction, family: RecursiveFamily) -> None:
         raise GridConfigError("h does not live on the family's grid")
 
 
-def _gamma_chain(h: GridFunction, family: RecursiveFamily, n: int) -> list[np.ndarray]:
-    """Whole-grid gamma_0..gamma_n values (internal; contract is at x0)."""
-    phi = family.phi.values
-    chain = [h.values]
-    cur = h
+def _gamma_chain(h: GridFunction, family: RecursiveFamily, n: int,
+                 lo: int, hi: int) -> list[np.ndarray]:
+    """gamma_0(h)..gamma_n(h) on nodes lo..hi, each with the bits the
+    whole-grid chain gives those nodes: the chain runs on the window of
+    nodes _derivative_window gives, not on the whole grid."""
+    g = family.grid
+    window = _derivative_window(g.n_nodes, lo, hi, n)
+    phi = family.phi.values[window]
+    weights = (1.0 / phi, phi)  # odd levels multiply by phi, even levels divide
+    cur = h.values[window]
+    ends = window.start == 0, window.stop == g.n_nodes
+    chain = [cur]
     for k in range(1, n + 1):
-        d = derivative(cur)
-        # odd levels multiply by phi, even levels divide
-        w = phi if k % 2 else 1.0 / phi
-        cur = GridFunction(family.grid, w * d.values)
-        chain.append(cur.values)
-    return chain
+        cur = weights[k % 2] * _derivative_rows(cur, g.h, *ends)
+        chain.append(cur)
+    part = slice(lo - window.start, hi + 1 - window.start)
+    return [c[part] for c in chain]
 
 
 @dataclass
@@ -71,14 +81,19 @@ def gamma_seq(h: GridFunction, family: RecursiveFamily, n: int) -> GenDerivative
     much worse than an interior one: the one-sided boundary stencils
     leave an error kink that each further differentiation amplifies by
     1/h, so deep chains should anchor in the interior.
+
+    The chain reads h and phi on the nodes x0's whole-grid derivatives
+    depend on, so each value has the bits a whole-grid chain gives it
+    and the cost does not grow with n_nodes: the 4n + 1 nodes around
+    x0, or, for an x0 within 2n nodes of a grid end, the nodes from that
+    end to 2n past x0 or past the end's third node, whichever is further.
     """
     _check_same_grid(h, family)
     n = _as_order(n, "n")
     if n < 0:
         raise OrderError(f"n must be >= 0, got {n}")
     i0 = family.grid.x0_index
-    chain = _gamma_chain(h, family, n)
-    values = np.array([c[i0] for c in chain])
+    values = np.array([c[0] for c in _gamma_chain(h, family, n, i0, i0)])
     return GenDerivativeSequence(values, family.grid.x0, n, n > SAFE_DEPTH)
 
 
@@ -106,15 +121,25 @@ class GenPolynomial:
     def order(self) -> int:
         return len(self.alpha) - 1
 
+    @property
+    def _dtype(self) -> np.dtype:
+        """The sum's type: that of alpha and the family's rows."""
+        return np.result_type(self.alpha, self.family.f.values)
+
     def on_grid(self) -> GridFunction:
         """sum alpha_k psi_k on the grid, in the type of alpha and the
         family's rows."""
-        acc = np.zeros(self.family.grid.n_nodes,
-                       dtype=np.result_type(self.alpha, self.family.f.values))
+        return GridFunction(self.family.grid, self._at_nodes(slice(None)))
+
+    def _at_nodes(self, idx) -> np.ndarray:
+        """sum alpha_k psi_k at the nodes idx (an index array, or a slice
+        of the nodes), each with the bits on_grid gives it: the same
+        products in the same order and type, node by node."""
+        acc = np.zeros(self.family.grid.nodes[idx].shape, dtype=self._dtype)
         for k, a in enumerate(self.alpha):
             if a != 0:
-                acc += a * self.family.psi(k).values
-        return GridFunction(self.family.grid, acc)
+                acc += a * self.family._grow(k)[k, idx]
+        return acc
 
 
 def gen_taylor_coeffs(h: GridFunction, family: RecursiveFamily,
@@ -125,8 +150,9 @@ def gen_taylor_coeffs(h: GridFunction, family: RecursiveFamily,
 
 
 def eval_gen_polynomial(p: GenPolynomial, x):
-    """Evaluate sum alpha_k psi_k at x (scalar or array)."""
-    return p.on_grid().at(x)
+    """Evaluate sum alpha_k psi_k at x (scalar or array): on_grid's
+    GridFunction.at, summed at the points' stencil nodes alone."""
+    return _interpolate(p.family.grid, x, p._at_nodes)
 
 
 @dataclass
@@ -147,7 +173,14 @@ def remainder_check(h: GridFunction, family: RecursiveFamily, n: int,
     Slack is bound minus error; any materially negative slack is a
     violation and fails the report.  h, P_n and psi_{n+1} are read at the
     samples through one interpolation stencil, each with the bits its own
-    GridFunction.at gives.
+    GridFunction.at gives, P_n summed at the stencils' nodes alone.
+
+    The chain of n + 1 levels reads h and phi from 2(n + 1) nodes left
+    of x0 to 2(n + 1) right of the last node whose gamma_{n+1} the
+    largest sample reads, clipped to the grid; where that meets a grid
+    end, the window also reaches 2(n + 1) past the end's third node,
+    which its one-sided stencils read.  Every value it gives has the
+    whole-grid chain's bits.
     """
     _check_same_grid(h, family)
     pts = np.sort(np.atleast_1d(np.asarray(sample_points, dtype=float)))
@@ -159,24 +192,25 @@ def remainder_check(h: GridFunction, family: RecursiveFamily, n: int,
         raise OrderError(f"remainder at order {n} needs n >= 0 and psi_{n + 1}; "
                          f"family has N={family.N}")
     i0 = g.x0_index
-    chain = _gamma_chain(h, family, n + 1)
-    fact = _factorials(n + 1)
-    p = GenPolynomial(np.array([c[i0] for c in chain[:-1]]) / fact[:-1], family)
-    gam_top = np.abs(chain[-1])
-
-    # h, P_n and psi_(n+1) at the points, through one stencil when the
-    # three share a type: a real row summed as complex would lose the bits
-    # its own .at gives, so mixed types read each row alone
-    rows = (h.values, p.on_grid().values, family.psi(n + 1).values)
-    if len({r.dtype for r in rows}) == 1:
-        h_at, p_at, psi_at = _interpolate(g, pts, lambda idx: np.array([r[idx] for r in rows]))
-    else:
-        h_at, p_at, psi_at = (_interpolate(g, pts, r.__getitem__) for r in rows)
-    err = np.abs(h_at - p_at)
-    # conservative grid max of |gamma_{n+1}| over [x0, x]: nodes i0 .. hi - 1,
-    # read off the running maximum from x0 (every x >= x0, so hi > i0)
+    # conservative grid max of |gamma_{n+1}| over [x0, x]: nodes i0 .. hi - 1
+    # (every x >= x0, so hi > i0), the chain's only nodes past x0
     hi = np.minimum(np.searchsorted(g.nodes, pts, side="right") + 1, g.n_nodes)
-    gmax = np.maximum.accumulate(gam_top[i0:])[hi - 1 - i0]
+    chain = _gamma_chain(h, family, n + 1, i0, hi[-1] - 1 if pts.size else i0)
+    fact = _factorials(n + 1)
+    p = GenPolynomial(np.array([c[0] for c in chain[:-1]]) / fact[:-1], family)
+    gmax = np.maximum.accumulate(np.abs(chain[-1]))[hi - 1 - i0]
+
+    # h, P_n and psi_(n+1) at the points, P_n summed at their stencils'
+    # nodes alone; through one stencil when the three share a type: a real
+    # row summed as complex would lose the bits its own .at gives, so mixed
+    # types read each row alone
+    psi = family.psi(n + 1).values
+    rows = (h.values.__getitem__, p._at_nodes, psi.__getitem__)
+    if h.values.dtype == p._dtype == psi.dtype:
+        h_at, p_at, psi_at = _interpolate(g, pts, lambda idx: np.array([r(idx) for r in rows]))
+    else:
+        h_at, p_at, psi_at = (_interpolate(g, pts, r) for r in rows)
+    err = np.abs(h_at - p_at)
     bound = gmax * np.abs(psi_at) / fact[-1]
     slacks = bound - err
     # err and bound both pass through repeated grid differentiation, so a
@@ -229,12 +263,17 @@ def least_squares_project(h: GridFunction, family: RecursiveFamily, N: int,
     w = np.full(g.n_nodes, g.h)
     w[0] = w[-1] = g.h / 2.0
     sw = np.sqrt(w)
-    # columns f * psi_k: one product over the psi rows, a strided view
-    B = np.multiply(family.f.values[:, None], family._grow(N)[start:N + 1:step].T,
-                    order="C")
-    A = sw[:, None] * B
-    rhs = sw * h.values
-    sol, _, rank, svals = np.linalg.lstsq(A, rhs, rcond=None)
+    # the basis f * psi_k as contiguous (k, n_nodes) rows, one product over
+    # the psi rows.  Weighted in place, their transpose is the
+    # Fortran-ordered design matrix lstsq copies its input into anyway, so
+    # LAPACK reads the same values.  The residual's product sums over the
+    # C-ordered (n_nodes, k) columns, as BLAS sums their transpose in
+    # another order.  Each product keeps the column form's operand order:
+    # numpy's complex products need not commute bit for bit
+    rows = np.multiply(family.f.values, family._grow(N)[start:N + 1:step])
+    B = np.ascontiguousarray(rows.T)
+    np.multiply(sw, rows, out=rows)
+    sol, _, rank, svals = np.linalg.lstsq(rows.T, sw * h.values, rcond=None)
     if rank < len(orders):
         raise RankCollapseError(
             f"design matrix rank {rank} < {len(orders)} columns")

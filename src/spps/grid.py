@@ -380,20 +380,55 @@ def derivative(g: GridFunction) -> GridFunction:
     """Node-wise derivative via 5-point stencils (4th order).
 
     Interior nodes use the centered stencil; the two nodes at each end
-    use one-sided stencils of the same order.
+    use one-sided stencils of the same order.  The work is
+    _derivative_rows on the whole row.
     """
-    grid = g.grid
-    y = g.values
-    n = grid.n_nodes
-    if n < 5:
+    return GridFunction(g.grid, _derivative_rows(g.values, g.grid.h))
+
+
+def _derivative_rows(y: np.ndarray, h, first: bool = True, last: bool = True) -> np.ndarray:
+    """derivative's stencils on the 1-D row y of m >= 5 values (else
+    GridConfigError), as if its nodes were a whole grid of spacing h: a
+    new array, complex for complex y and float64 otherwise.
+
+    A row cut from a grid (a window) whose first (last) node is no grid
+    end passes first (last) False: its two values there, which a
+    one-sided stencil would give, are 0 instead, since the whole grid's
+    centered stencils need nodes the window lacks.  Every other value
+    takes the same operations whatever m, so it has the bits derivative
+    gives its node when its stencil's nodes have theirs.
+    """
+    if len(y) < 5:
         raise GridConfigError("derivative needs at least 5 nodes")
     d = np.empty_like(y, dtype=y.dtype if y.dtype.kind == "c" else np.float64)
     d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / 12.0
-    d[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / 12.0
-    d[1] = (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / 12.0
-    d[-2] = (3 * y[-1] + 10 * y[-2] - 18 * y[-3] + 6 * y[-4] - y[-5]) / 12.0
-    d[-1] = (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / 12.0
-    return GridFunction(grid, d / grid.h)
+    if first:
+        d[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / 12.0
+        d[1] = (-3 * y[0] - 10 * y[1] + 18 * y[2] - 6 * y[3] + y[4]) / 12.0
+    else:
+        d[:2] = 0.0
+    if last:
+        d[-2] = (3 * y[-1] + 10 * y[-2] - 18 * y[-3] + 6 * y[-4] - y[-5]) / 12.0
+        d[-1] = (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / 12.0
+    else:
+        d[-2:] = 0.0
+    return d / h
+
+
+def _derivative_window(n_nodes: int, lo: int, hi: int, levels: int) -> slice:
+    """The nodes a chain of `levels` _derivative_rows calls reads to give
+    nodes lo..hi of a grid of n_nodes their whole-grid bits.
+
+    A centered stencil reads 2 nodes each side, so each level reaches 2
+    nodes further: lo - 2 levels .. hi + 2 levels, clipped to the grid.
+    The one-sided stencils at a grid end read its first (last) 5 nodes,
+    so where the window starts (ends) at a grid end it must also reach
+    2 levels past node 2 (before node n_nodes - 3).  For levels >= 1 the
+    window spans at most hi - lo + 4 levels + 1 nodes, and at least 5
+    if the grid has 5.
+    """
+    return slice(max(min(lo, n_nodes - 3) - 2 * levels, 0),
+                 min(max(hi, 2) + 2 * levels + 1, n_nodes))
 
 
 def write_csv(g: GridFunction, path) -> None:

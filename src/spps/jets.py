@@ -74,7 +74,9 @@ class Jet:
 
         Each level multiplies the rounding noise by O(1/h), so this is a
         last resort for seeds with no closed form; an AccuracyWarning is
-        issued past order 4.  Prefer exact jets whenever available.
+        issued past order 4.  Prefer exact jets whenever available.  The
+        chain runs on the at most 4 order + 1 nodes around the anchor
+        whose whole-grid derivatives it depends on, with their bits.
         """
         i0 = g.grid.x0_index
         if order > _GRID_SAFE_ORDER:
@@ -82,12 +84,14 @@ class Jet:
                 f"jet of order {order} from grid data: repeated numerical "
                 f"differentiation beyond order {_GRID_SAFE_ORDER} loses "
                 f"accuracy", AccuracyWarning, stacklevel=2)
-        from .grid import derivative
+        from .grid import _derivative_rows, _derivative_window
+        window = _derivative_window(g.grid.n_nodes, i0, i0, order)
+        cur = g.values[window]
+        ends = window.start == 0, window.stop == g.grid.n_nodes
         derivs = [g.values[i0]]
-        cur = g
         for _ in range(order):
-            cur = derivative(cur)
-            derivs.append(cur.values[i0])
+            cur = _derivative_rows(cur, g.grid.h, *ends)
+            derivs.append(cur[i0 - window.start])
         return cls.from_derivatives(derivs, g.grid.x0)
 
     # -- algebra -----------------------------------------------------------

@@ -181,6 +181,15 @@ class LambdaPoly:
         nz = c.nonzero()[0]
         self.coeffs = c[:nz[-1] + 1] if nz.size else np.zeros(1, dtype=complex)
 
+    @classmethod
+    def _of(cls, coeffs: np.ndarray) -> "LambdaPoly":
+        """The polynomial of coeffs as they are, with no copy or check: a
+        complex array, finite, trimmed and its own, as __post_init__
+        leaves one."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
     @property
     def degree(self) -> int:
         return -1 if not np.any(self.coeffs) else len(self.coeffs) - 1
@@ -197,11 +206,31 @@ def solution_taylor_vectors(A: TransformMatrix) -> tuple[list[LambdaPoly], list[
     matrix into the interleaved lambda-power vectors, so the coefficients
     of entry k are row k's even columns A[k, 0:k+1:2], of lambda-degree
     at most floor(k/2), resp. its odd columns A[k, 1:k+1:2], of degree at
-    most floor((k-1)/2).
+    most floor((k-1)/2).  Each is a LambdaPoly of its own trimmed copy of
+    those entries; the entries read, A's lower triangle, are checked to
+    be finite once (else OrderError), and its upper triangle is not read.
     """
     rows = A.entries
-    return ([LambdaPoly(rows[k, 0:k + 1:2]) for k in range(A.n + 1)],
-            [LambdaPoly(rows[k, 1:k + 1:2]) for k in range(A.n + 1)])
+    if not (np.isfinite(rows).all() or np.isfinite(rows[np.tril_indices(A.n + 1)]).all()):
+        raise OrderError("polynomial coefficients must be finite")
+    # each row's polynomial ends at its last nonzero entry read, as
+    # LambdaPoly trims it: its length is the largest of those entries' j + 1
+    lengths = (rows != 0) * _lambda_lengths(A.n)
+    return tuple([LambdaPoly._of(rows[k, s:s + 2 * m - 1:2].copy() if m
+                                 else np.zeros(1, dtype=complex))
+                  for k, m in enumerate(lengths[:, s::2].max(axis=1, initial=0).tolist())]
+                 for s in (0, 1))
+
+
+@lru_cache(maxsize=None)
+def _lambda_lengths(n: int) -> np.ndarray:
+    """j + 1 for entry (k, 2 j + s) of A_n, the coefficient of lambda^j in
+    row k's polynomial of parity s, in the lower triangle, where rows read
+    it, and 0 above it; shared, read only."""
+    c = np.arange(n + 1)
+    lengths = np.where(c <= c[:, None], c // 2 + 1, 0)
+    lengths.flags.writeable = False
+    return lengths
 
 
 def taylor_eval(vec: list[LambdaPoly], lam: complex) -> np.ndarray:

@@ -91,6 +91,30 @@ def horner():
     return _horner_reference
 
 
+def _whole_grid_chain(h, family, n):
+    """The generalized Taylor calculus's former chain, kept as a reference:
+    gamma_0(h)..gamma_n(h) on the whole grid, each level one derivative of
+    the last times phi (odd levels) or 1/phi (even levels); family None
+    gives Jet.from_grid's plain chain of derivatives."""
+    chain = [h.values]
+    cur = h
+    for k in range(1, n + 1):
+        d = spps.derivative(cur)
+        if family is not None:
+            phi = family.phi.values
+            d = spps.GridFunction(h.grid, (phi if k % 2 else 1.0 / phi) * d.values)
+        cur = d
+        chain.append(cur.values)
+    return chain
+
+
+@pytest.fixture
+def gamma_chain():
+    """Reference for the windowed derivative chains:
+    gamma_chain(h, family, n), family None for plain derivatives."""
+    return _whole_grid_chain
+
+
 def _left_pinned_reference(problem, family, lam, M):
     """The eigen search's former characteristic function, kept as a
     reference: Phi = c3 u(b) + c4 u'(b) of u = beta1 u1 + beta2 u2 pinned

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,9 +141,9 @@ def test_remainder_for_series_ratio(interior_family):
 
 def test_remainder_differentiates_once_per_level(interior_family, monkeypatch):
     calls = []
-    real = spps.gentaylor.derivative
-    monkeypatch.setattr(spps.gentaylor, "derivative",
-                        lambda g: calls.append(1) or real(g))
+    real = spps.gentaylor._derivative_rows
+    monkeypatch.setattr(spps.gentaylor, "_derivative_rows",
+                        lambda *args: calls.append(1) or real(*args))
     h = sample(np.exp, interior_family.grid)
     for n in (0, 3, 5):
         calls.clear()
@@ -153,23 +154,94 @@ def test_remainder_differentiates_once_per_level(interior_family, monkeypatch):
 @pytest.mark.parametrize("complex_h, complex_family", [(False, False), (True, True),
                                                        (True, False), (False, True)])
 @pytest.mark.parametrize("n", [0, 3])
-def test_remainder_slacks_equal_three_point_evaluations(complex_h, complex_family, n):
-    # h, P_n and psi_(n+1) read through one stencil give the slacks of
-    # evaluating each with its own .at, bit for bit
+def test_remainder_slacks_equal_three_point_evaluations(complex_h, complex_family, n,
+                                                       gamma_chain):
+    # h, P_n and psi_(n+1) read through one stencil, P_n summed at the
+    # stencils' nodes alone, give the slacks of evaluating each with its own
+    # .at on the whole grid, bit for bit
     g = spps.Grid(0.0, 1.0, 101, x0=0.5)
     c = 0.5 + 0.2j if complex_family else 0.5
     fam = spps.build_family(sample(lambda x: np.exp(c * x), g), 8)
     h = sample(lambda x: np.sin(2.3 * x + 0.4) * (1 + 0.5j if complex_h else 1.0), g)
     pts = np.array([0.5, 0.537, 0.6, 0.81234, 0.95, 1.0])
     rep = remainder_check(h, fam, n, pts)
-    p = gen_taylor_coeffs(h, fam, n)
-    chain = spps.gentaylor._gamma_chain(h, fam, n + 1)
-    err = np.abs(h.at(pts) - eval_gen_polynomial(p, pts))
+    assert rep.slacks.tobytes() == _whole_grid_slacks(h, fam, n, pts, gamma_chain).tobytes()
+
+
+def _whole_grid_slacks(h, fam, n, pts, gamma_chain):
+    """remainder_check's slacks at the sorted pts from the whole-grid chain
+    and P_n, h and psi_(n+1) each evaluated with its own .at."""
+    chain = gamma_chain(h, fam, n + 1)
     i0 = fam.grid.x0_index
+    alpha = np.array([c[i0] for c in chain[:-1]]) / [math.factorial(k) for k in range(n + 1)]
+    err = np.abs(h.at(pts) - GenPolynomial(alpha, fam).on_grid().at(pts))
     hi = np.minimum(np.searchsorted(fam.grid.nodes, pts, side="right") + 1, fam.grid.n_nodes)
     gmax = np.maximum.accumulate(np.abs(chain[-1])[i0:])[hi - 1 - i0]
     bound = gmax * np.abs(fam.psi(n + 1).at(pts)) / math.factorial(n + 1)
-    assert rep.slacks.tobytes() == (bound - err).tobytes()
+    return bound - err
+
+
+# -- windows: the chains read the nodes their results depend on ------------------
+
+def _rough_case(n_nodes, anchor, complex_h, complex_seed):
+    """h and a family of order 9 on a grid of n_nodes anchored at node
+    anchor, from random node values: no smoothness hides a wrong stencil."""
+    rng = np.random.default_rng([n_nodes, anchor, complex_h, complex_seed])
+    g = spps.Grid(0.0, 1.0, n_nodes, x0=anchor / (n_nodes - 1))
+    assert g.x0_index == anchor
+    h = rng.standard_normal(n_nodes) + (1j * rng.standard_normal(n_nodes) if complex_h else 0)
+    f = rng.uniform(0.5, 2.0, n_nodes) * (np.exp(1j * rng.uniform(-1, 1, n_nodes))
+                                          if complex_seed else 1.0)
+    return spps.GridFunction(g, h), spps.build_family(spps.GridFunction(g, f), 9)
+
+
+@pytest.mark.parametrize("complex_h, complex_seed", [(False, False), (True, True),
+                                                     (True, False), (False, True)])
+@pytest.mark.parametrize("n_nodes", [5, 6, 9, 17, 41])
+def test_windowed_chains_equal_the_whole_grid(n_nodes, complex_h, complex_seed, gamma_chain):
+    # anchors at both ends, next to them and in the middle, and orders to 8:
+    # on the smaller grids the windows span the whole grid
+    for anchor in sorted({0, 1, 2, n_nodes - 3, n_nodes - 1, n_nodes // 2}):
+        h, fam = _rough_case(n_nodes, anchor, complex_h, complex_seed)
+        g = fam.grid
+        pts = np.sort(np.concatenate(([g.x0, g.b], np.random.default_rng(anchor).uniform(g.x0, g.b, 4))))
+        for n in range(9):
+            want = np.array([c[anchor] for c in gamma_chain(h, fam, n)])
+            seq = gamma_seq(h, fam, n)
+            assert seq.values.dtype == want.dtype and seq.values.tobytes() == want.tobytes()
+            alpha = gen_taylor_coeffs(h, fam, n).alpha
+            assert alpha.tobytes() == (want / [math.factorial(k) for k in range(n + 1)]).tobytes()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", spps.AccuracyWarning)
+                jet = spps.Jet.from_grid(h, n)
+            plain = [c[anchor] for c in gamma_chain(h, None, n)]
+            assert jet.coeffs.tobytes() == spps.Jet.from_derivatives(plain, g.x0).coeffs.tobytes()
+            slacks = remainder_check(h, fam, n, pts).slacks
+            assert slacks.tobytes() == _whole_grid_slacks(h, fam, n, pts, gamma_chain).tobytes()
+
+
+@pytest.mark.parametrize("anchor", [0, 3])
+def test_windows_need_a_grid_of_five_nodes(anchor):
+    # as on the whole grid: a chain that differentiates needs 5 nodes
+    g = spps.Grid(0.0, 1.0, 4, x0=anchor / 3)
+    h = sample(np.exp, g)
+    fam = spps.build_family(h, 4)
+    assert gamma_seq(h, fam, 0).values[0] == h.values[anchor]
+    assert spps.Jet.from_grid(h, 0).coeffs[0] == h.values[anchor]
+    for call in (lambda: gamma_seq(h, fam, 1), lambda: gen_taylor_coeffs(h, fam, 2),
+                 lambda: remainder_check(h, fam, 0, [g.b]), lambda: spps.Jet.from_grid(h, 1)):
+        with pytest.raises(spps.GridConfigError, match="at least 5 nodes"):
+            call()
+
+
+def test_polynomial_points_equal_the_whole_grid_sum(interior_family):
+    # eval_gen_polynomial sums P at the points' stencil nodes alone, with
+    # the bits on_grid's whole-grid sum gives there, zero terms skipped
+    for alpha in ([0.5, 0.0, -2.0, 0.0], [1 + 2j, 0.25, 0.0, 3j, -1.0], [0.0]):
+        p = GenPolynomial(np.array(alpha), interior_family)
+        x = np.array([0.0, 0.013, 0.5, 0.77, 0.99, 1.0])
+        assert eval_gen_polynomial(p, x).tobytes() == p.on_grid().at(x).tobytes()
+        assert eval_gen_polynomial(p, 0.3) == p.on_grid().at(0.3)
 
 
 def test_remainder_rejects_negative_order(interior_family):
@@ -254,6 +326,29 @@ def test_projection_equals_a_column_stack_of_phi_k(exp_family, which):
     assert r.coefficients.tobytes() == sol.tobytes()
     resid = B @ sol - h.values
     assert r.max_error == float(np.max(np.abs(resid)))
+
+
+@pytest.mark.parametrize("complex_h, complex_seed", [(False, False), (True, True),
+                                                     (True, False), (False, True)])
+def test_projection_equals_the_column_ordered_design(complex_h, complex_seed):
+    # the design matrix formed as (k, n_nodes) rows gives every output of
+    # the (n_nodes, k) column matrix lstsq was once given, bit for bit
+    g = spps.Grid(0.0, 1.0, 301, x0=0.25)
+    c = 0.5 + 0.3j if complex_seed else 0.5
+    fam = spps.build_family(sample(lambda x: np.exp(c * x), g), 12)
+    h = sample(lambda x: np.sin(3 * x) + (1j * np.cos(x) if complex_h else 0), g)
+    for N, which, (start, step) in ((11, "full", (0, 1)), (10, "even", (0, 2)), (9, "odd", (1, 2))):
+        r = least_squares_project(h, fam, N, which)
+        w = np.full(g.n_nodes, g.h)
+        w[0] = w[-1] = g.h / 2.0
+        sw = np.sqrt(w)
+        B = np.multiply(fam.f.values[:, None], fam._grow(N)[start:N + 1:step].T, order="C")
+        sol, _, _, svals = np.linalg.lstsq(sw[:, None] * B, sw * h.values, rcond=None)
+        resid = B @ sol - h.values
+        assert r.coefficients.tobytes() == sol.tobytes()
+        assert r.condition_estimate == float(svals[0] / svals[-1])
+        assert r.l2_error == float(np.sqrt(np.sum(w * np.abs(resid) ** 2)))
+        assert r.max_error == float(np.max(np.abs(resid)))
 
 
 def test_rank_collapse_detected():

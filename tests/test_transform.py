@@ -263,6 +263,52 @@ def test_solution_vectors_own_their_coefficients():
     assert all(np.array_equal(p.coeffs, c) for p, c in zip(u1_vec + u2_vec, before))
 
 
+def test_solution_vectors_of_order_zero():
+    u1_vec, u2_vec = solution_taylor_vectors(TransformMatrix(0, [[2.5 - 1j]]))
+    assert [p.coeffs.tolist() for p in u1_vec] == [[2.5 - 1j]]
+    assert [p.coeffs.tolist() for p in u2_vec] == [[0j]]
+
+
+def test_solution_vectors_of_rows_with_zero_halves():
+    # rows whose even or odd entries read are all zero (a -0.0 one too) give
+    # the zero polynomial's one zero coefficient; the upper triangle is not
+    # read, so its entries trim nothing
+    E = np.zeros((5, 5), dtype=complex)
+    E[1, 0] = -0.0
+    E[2, 1] = 3.0
+    E[3, 2] = 1j
+    E[4, 0], E[4, 4] = 2.0, 0.5
+    E[0, 1:] = 9.0
+    u1_vec, u2_vec = solution_taylor_vectors(TransformMatrix(4, E))
+    assert [p.coeffs.tolist() for p in u1_vec] == [[0j], [0j], [0j], [0j, 1j], [2, 0, 0.5]]
+    assert [p.coeffs.tolist() for p in u2_vec] == [[0j], [0j], [3], [0j], [0j]]
+    assert all(p.coeffs.dtype == complex and p.coeffs.flags.c_contiguous
+               for p in u1_vec + u2_vec)
+    assert [p.degree for p in u1_vec] == [-1, -1, -1, 1, 2]
+
+
+@pytest.mark.parametrize("where", [(3, 0), (3, 3), (5, 2)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_solution_vectors_refuse_a_non_finite_entry(where, bad):
+    A = build_A_recursive(_random_phi_jet(np.random.default_rng(4), 5), 6)
+    A.entries[where] = bad
+    with pytest.raises(OrderError, match="finite"):
+        solution_taylor_vectors(A)
+    # above the diagonal an entry is never read
+    A.entries[where] = 1.0
+    A.entries[0, 6] = bad
+    assert len(solution_taylor_vectors(A)[0]) == 7
+
+
+def test_solution_vectors_share_no_memory_with_the_matrix():
+    A = build_A_recursive(_random_phi_jet(np.random.default_rng(5), 8), 9)
+    u1_vec, u2_vec = solution_taylor_vectors(A)
+    polys = u1_vec + u2_vec
+    assert not any(np.shares_memory(p.coeffs, A.entries) for p in polys)
+    assert not any(np.shares_memory(p.coeffs, q.coeffs)
+                   for i, p in enumerate(polys) for q in polys[i + 1:])
+
+
 def test_lambda_degree_pattern():
     rng = np.random.default_rng(99)
     phi_jet = _random_phi_jet(rng, 8)
