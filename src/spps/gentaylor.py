@@ -171,9 +171,11 @@ def remainder_check(h: GridFunction, family: RecursiveFamily, n: int,
     At each sample x the truncation error |h(x) - P_n(x)| is compared
     with max over [x0, x] of |gamma_{n+1}(h)| times |psi_{n+1}(x)|/(n+1)!.
     Slack is bound minus error; any materially negative slack is a
-    violation and fails the report.  h, P_n and psi_{n+1} are read at the
-    samples through one interpolation stencil, each with the bits its own
-    GridFunction.at gives, P_n summed at the stencils' nodes alone.
+    violation and fails the report.  sample_points may have any shape:
+    they are taken flattened, sorted, as the report's points.  h, P_n and
+    psi_{n+1} are read at the samples through one interpolation stencil,
+    each in its own type, with the bits its own GridFunction.at gives,
+    P_n summed at the stencils' nodes alone.
 
     The chain of n + 1 levels reads h and phi from 2(n + 1) nodes left
     of x0 to 2(n + 1) right of the last node whose gamma_{n+1} the
@@ -183,7 +185,7 @@ def remainder_check(h: GridFunction, family: RecursiveFamily, n: int,
     whole-grid chain's bits.
     """
     _check_same_grid(h, family)
-    pts = np.sort(np.atleast_1d(np.asarray(sample_points, dtype=float)))
+    pts = np.sort(np.ravel(np.asarray(sample_points, dtype=float)))
     g = family.grid
     if pts.size and (pts[0] < g.x0 or pts[-1] > g.b):
         raise DomainError(
@@ -201,15 +203,9 @@ def remainder_check(h: GridFunction, family: RecursiveFamily, n: int,
     gmax = np.maximum.accumulate(np.abs(chain[-1]))[hi - 1 - i0]
 
     # h, P_n and psi_(n+1) at the points, P_n summed at their stencils'
-    # nodes alone; through one stencil when the three share a type: a real
-    # row summed as complex would lose the bits its own .at gives, so mixed
-    # types read each row alone
-    psi = family.psi(n + 1).values
-    rows = (h.values.__getitem__, p._at_nodes, psi.__getitem__)
-    if h.values.dtype == p._dtype == psi.dtype:
-        h_at, p_at, psi_at = _interpolate(g, pts, lambda idx: np.array([r(idx) for r in rows]))
-    else:
-        h_at, p_at, psi_at = (_interpolate(g, pts, r) for r in rows)
+    # nodes alone
+    h_at, p_at, psi_at = _interpolate(g, pts, h.values.__getitem__, p._at_nodes,
+                                      family.psi(n + 1).values.__getitem__)
     err = np.abs(h_at - p_at)
     bound = gmax * np.abs(psi_at) / fact[-1]
     slacks = bound - err

@@ -17,6 +17,7 @@ dependency.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -128,54 +129,28 @@ class GridFunction:
 
     # -- pointwise algebra ------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, GridFunction):
-            if other.grid != self.grid:
-                raise GridConfigError("operands live on different grids")
-            return other.values
-        if np.isscalar(other):
-            return other
-        return NotImplemented
+    def _binary(op, reflected: bool = False):
+        """The method self op other (other op self if reflected) on the
+        values, with other a scalar or a function on the same grid
+        (else GridConfigError); NotImplemented for any other operand."""
+        def method(self, other):
+            if isinstance(other, GridFunction):
+                if other.grid != self.grid:
+                    raise GridConfigError("operands live on different grids")
+                other = other.values
+            elif not np.isscalar(other):
+                return NotImplemented
+            return GridFunction(self.grid, op(other, self.values) if reflected
+                                else op(self.values, other))
+        return method
 
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return GridFunction(self.grid, self.values + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return GridFunction(self.grid, self.values - v)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return GridFunction(self.grid, v - self.values)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return GridFunction(self.grid, self.values * v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return GridFunction(self.grid, self.values / v)
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return GridFunction(self.grid, v / self.values)
+    __add__ = __radd__ = _binary(operator.add)
+    __sub__ = _binary(operator.sub)
+    __rsub__ = _binary(operator.sub, reflected=True)
+    __mul__ = __rmul__ = _binary(operator.mul)
+    __truediv__ = _binary(operator.truediv)
+    __rtruediv__ = _binary(operator.truediv, reflected=True)
+    del _binary
 
     def __pow__(self, k: int):
         return GridFunction(self.grid, self.values ** k)
@@ -214,18 +189,20 @@ class GridFunction:
         return f"GridFunction({self.grid!r}, sup_norm={self.sup_norm:.3g})"
 
 
-def _interpolate(grid: Grid, x, values_at):
-    """GridFunction.at of the values that values_at(idx) gives at the
-    nodes idx: the stencils' values weighted, or the node's own value for
-    a point on a node.  values_at may return rows with leading axes,
-    (..., m, w) for the (m, w) idx, so several functions on the grid read
-    their points through one stencil; the result is then (...) + the
-    shape of x, each row with the bits it gets alone."""
+def _interpolate(grid: Grid, x, *values_at):
+    """GridFunction.at, through one stencil of the points x, of each
+    function whose values_at(idx) gives its values at the nodes idx: the
+    stencils' values weighted, or the node's own value for a point on a
+    node, in that function's own type.  One result per getter, a tuple
+    for more than one, each with the bits its own GridFunction.at gives."""
     idx, w, hit = _stencil(grid, x)
-    v = values_at(idx)
-    out = np.sum(w * v, axis=-1)
-    out[..., hit] = v[..., hit, 0]
-    return out.reshape(v.shape[:-2] + np.shape(x))[()]
+    results = []
+    for values in values_at:
+        v = values(idx)
+        out = np.sum(w * v, axis=-1)
+        out[hit] = v[hit, 0]
+        results.append(out.reshape(np.shape(x))[()])
+    return results[0] if len(results) == 1 else tuple(results)
 
 
 @lru_cache(maxsize=None)

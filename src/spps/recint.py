@@ -56,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, GridFunction, _integrate_rows, derivative
+from .grid import Grid, GridFunction, _derivative_rows, _integrate_rows, derivative
 from .errors import GridConfigError, OrderError, SeedError, _as_order
 
 # Seeds whose modulus falls below this are rejected: every second
@@ -227,7 +227,7 @@ class RecursiveFamily:
         self._sup_norms = [1.0]
         # the series module's latest whole-grid S (key (0, s)) and T (key
         # (1, s)) of u1 (s = 0) and u2 (s = 1): ((lambda's bits, M), array),
-        # each rewritten in place (series._sum, series._prime_sum)
+        # each replaced by a new array at a new lambda or M (series._kept)
         self._sums = {}
 
     def _streamed(self, x0_index: int) -> "RecursiveFamily":
@@ -307,15 +307,9 @@ class RecursiveFamily:
     @cached_property
     def _f_prime_ends(self) -> np.ndarray:
         """f' at the first and the last node alone, with f_prime's bits
-        there: derivative's one-sided 5-point end stencils, divided by h
-        as an array, as derivative divides."""
-        y = self.f.values
-        if len(y) < 5:
-            raise GridConfigError("derivative needs at least 5 nodes")
-        d = np.empty(2, dtype=y.dtype if y.dtype.kind == "c" else np.float64)
-        d[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / 12.0
-        d[1] = (25 * y[-1] - 48 * y[-2] + 36 * y[-3] - 16 * y[-4] + 3 * y[-5]) / 12.0
-        return d / self.grid.h
+        there: derivative's stencils on the first and the last five nodes."""
+        y, h = self.f.values, self.grid.h
+        return np.array([_derivative_rows(y[:5], h)[0], _derivative_rows(y[-5:], h)[-1]])
 
     def psi(self, k: int) -> GridFunction:
         """Basis element psi_k; builds orders only up to k."""

@@ -21,8 +21,8 @@ Kravchenko and Porter's SPPS.  On the grid T is that one integral
 it is the sum of the chi ends the family keeps.  The seed derivative f' is
 still the 5-point stencil RecursiveFamily.f_prime, so u1', u2' and the
 characteristic function built on them carry its error; at a and b it is
-read from the stencil's end formulas alone (_f_prime_ends), with the
-same bits.
+the stencil on the first and the last five nodes alone (_f_prime_ends),
+with the same bits.
 
 A series is summed one of two ways, by what it sums over.  Many nodes
 at one lambda -- S on the whole grid -- are one matrix product,
@@ -48,7 +48,7 @@ rounding, so a result repeats bit for bit at a fixed BLAS thread count.
 The series are read one way: a family keeps the latest whole-grid S and
 T of u1 and u2 (RecursiveFamily._sums, at most four arrays), each
 tagged with the bits of its lambda and M by _kept, which makes a
-missing one in the buffer of its last.  u*_grid and choose_truncation
+missing one as a new array once the last is dropped.  u*_grid and choose_truncation
 read S and T whole, and eval_u* gathers them at the nodes of the
 interpolation stencils of the points asked for (grid._stencil, 6 nodes
 a point), which then get the stencil's weights; so eval_u*(x) has the
@@ -135,27 +135,25 @@ def _real_if_real(lam):
     return np.real(lam) if np.iscomplexobj(lam) and not np.any(np.imag(lam)) else lam
 
 
-def _grid_sum(family: RecursiveFamily, s: int, lam, M: int, out=None):
+def _grid_sum(family: RecursiveFamily, s: int, lam, M: int):
     """sum_{k<M} c_k psi_(2k+s) on the whole grid, c_k = lam^k / (2k+s)!,
     as one matrix product of the coefficients with the M rows
     family._psi[s:top+1:2], top = 2M - 2 + s, strided rows of the
     family's block read in place: one pass over the rows it sums, where
-    Horner form makes three whole-grid passes a term.  The sum has the
-    type of the family's rows and lam, lam real if it has no imaginary
-    part, and is written into out if that has it, else into a new array.  The
-    product stays in the rows' type: real rows at a complex lam are one
-    real product of the (2, M) block (Re c; Im c) with the rows, a
-    (2, n_nodes) pair whose two parts are then written into the sum (the
-    wide layout, which backs no BLAS packing buffers, see the module
-    docstring), and complex rows at a real lam one real product of c
-    with the rows' float view.  The BLAS routine orders each node's M
-    terms its own way, so the result is the Horner sum's to rounding,
-    not bit for bit."""
+    Horner form makes three whole-grid passes a term.  The sum is a new
+    array in the type of the family's rows and lam, lam real if it has no
+    imaginary part.  The product stays in the rows' type: real rows at a
+    complex lam are one real product of the (2, M) block (Re c; Im c)
+    with the rows, a (2, n_nodes) pair whose two parts are then written
+    into the sum (the wide layout, which backs no BLAS packing buffers,
+    see the module docstring), and complex rows at a real lam one real
+    product of c with the rows' float view.  The BLAS routine orders each
+    node's M terms its own way, so the result is the Horner sum's to
+    rounding, not bit for bit."""
     top = 2 * M - 2 + s
     lam = _real_if_real(np.complex128(lam))  # an int lam powers in floats
     rows = family._psi[s:top + 1:2]
-    dtype = np.result_type(rows, lam)
-    S = out if out is not None and out.dtype == dtype else np.empty(family.grid.n_nodes, dtype)
+    S = np.empty(family.grid.n_nodes, np.result_type(rows, lam))
     # power, not a product of factors: each c_k rounds twice
     c = np.power(lam, np.arange(M)) * _inv_factorials(top)[s::2]
     if rows.dtype == c.dtype:
@@ -170,24 +168,23 @@ def _grid_sum(family: RecursiveFamily, s: int, lam, M: int, out=None):
 
 def _kept(family: RecursiveFamily, key, lam, M: int, make):
     """The family's whole-grid sum family._sums[key], tagged with the bits
-    of lam and M: the kept one if it has this tag, else make(buffer), the
-    slot's last array handed on for reuse, kept in its place."""
+    of lam and M: the kept one if it has this tag, else make()'s new
+    array, kept in its place.  The old sum is dropped first, so nothing
+    stale is left if make is cut short, and the two are never held
+    together."""
     kept, tag = family._sums, (np.complex128(lam).tobytes(), M)
-    last = kept.get(key)
-    if last is not None and last[0] == tag:
-        return last[1]
-    kept[key] = None  # nothing stale is left if the sum is cut short
-    made = make(None if last is None else last[1])
-    kept[key] = tag, made
-    return made
+    if key in kept and kept[key][0] == tag:
+        return kept[key][1]
+    kept.pop(key, None)
+    kept[key] = tag, make()
+    return kept[key][1]
 
 
 def _sum(family: RecursiveFamily, s: int, lam, M: int, at):
     """The psi series S of u1 (s = 0) or u2 (s = 1) at the nodes `at`,
-    gathered from its whole-grid sum kept as family._sums[0, s];
-    _grid_sum reuses the buffer only if it has the sum's type."""
-    return _kept(family, (0, s), lam, M,
-                 lambda out: _grid_sum(family, s, lam, M, out))[at]
+    gathered from its whole-grid sum (_grid_sum) kept as
+    family._sums[0, s]."""
+    return _kept(family, (0, s), lam, M, lambda: _grid_sum(family, s, lam, M))[at]
 
 
 def _prime_sum(family: RecursiveFamily, s: int, lam, M: int, at):
@@ -195,9 +192,9 @@ def _prime_sum(family: RecursiveFamily, s: int, lam, M: int, at):
     lam * integral of phi S^(M-1), plus 1 for u2, gathered from its
     whole-grid sum kept as family._sums[1, s].  S^(M-1), the series to
     M - 1 terms, is the whole-grid S that _sum keeps less its top term
-    lam^(M-1) psi_top / top!, so no second sum is made.  T has
-    S's type, and reuses the buffer only if that has it too."""
-    def make(out):
+    lam^(M-1) psi_top / top!, so no second sum is made.  T is a new array
+    in S's type."""
+    def make():
         S = _sum(family, s, lam, M, slice(None))
         lam_r = _real_if_real(lam)
         top = 2 * M - 2 + s
@@ -209,7 +206,7 @@ def _prime_sum(family: RecursiveFamily, s: int, lam, M: int, at):
         y = np.multiply(power * _inv_factorials(top)[top], family._psi[top])
         np.subtract(S, y, out=y)
         np.multiply(family.phi.values, y, out=y)
-        T = out if out is not None and out.dtype == y.dtype else np.empty_like(y)
+        T = np.empty_like(y)
         _integrate_rows(y, family.grid.h, T, family.grid.x0_index)
         np.multiply(lam_r, T, out=T)
         if s:
@@ -432,14 +429,10 @@ def _add_terms(family: RecursiveFamily, lams, running, which, k: int, inv) -> No
     """Add term k, lam^k psi_(2k+s) / (2k+s)!, to the partial sums
     running[i, s] of u1 (s = 0) and u2 (s = 1) at lams[i] for each i in
     which, with _grid_sum's coefficients, after building the family to
-    order 2k + 1; the product is formed in the order loop's scratch, free
-    between orders, when it has the sums' type."""
+    order 2k + 1."""
     psi = family._grow(2 * k + 1)
-    tmp = family._scratch[0, 0]
-    if tmp.dtype != running.dtype:
-        tmp = None
     for i in which:
         lam = _real_if_real(np.complex128(lams[i]))
         for s in (0, 1):
             c = np.power(lam, k) * inv[2 * k + s]
-            running[i, s] += np.multiply(c, psi[(2 * k + s) % len(psi)], out=tmp)
+            running[i, s] += np.multiply(c, psi[(2 * k + s) % len(psi)])

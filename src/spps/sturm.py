@@ -46,16 +46,28 @@ _SEED_TERMS = 11  # series terms per seed piece, see build_seed
 _PHASE_SLACK = 1e-14
 
 
+def _pair(value, name: str) -> tuple:
+    """value as a tuple of exactly two items, else ValueError naming it."""
+    try:
+        items = tuple(value)
+    except TypeError:  # a scalar
+        items = ()
+    if len(items) != 2:
+        raise ValueError(f"{name} must be two values, got {value!r}")
+    return items
+
+
 @dataclass
 class SlProblem:
-    """Potential plus boundary-condition pairs, each finite and not (0, 0)."""
+    """Potential plus boundary-condition pairs, each exactly two finite
+    values and not (0, 0), else ValueError."""
     q: GridFunction
     bc_left: tuple
     bc_right: tuple
 
     def __post_init__(self):
-        self.bc_left = (complex(self.bc_left[0]), complex(self.bc_left[1]))
-        self.bc_right = (complex(self.bc_right[0]), complex(self.bc_right[1]))
+        self.bc_left = tuple(map(complex, _pair(self.bc_left, "bc_left")))
+        self.bc_right = tuple(map(complex, _pair(self.bc_right, "bc_right")))
         for label, pair in (("left", self.bc_left), ("right", self.bc_right)):
             if not np.all(np.isfinite(pair)):
                 raise ValueError(f"non-finite {label} boundary condition {pair}")
@@ -214,12 +226,13 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
       imaginary part exactly 0;
     - the residuals |Phi(root)| / scale of the real roots kept.
 
-    tol and series_tol are keyword-only and must be > 0, else
-    ValueError.  tol is the relative |Phi| at which Phi counts as zero.
-    A real root outside the window is kept while |Phi| at the window's
-    end, to first order, stays within it: the computed root of an
-    eigenvalue on the end falls either side.  A root whose residual
-    exceeds tol is kept, with a warning.
+    lam_range must be exactly two values, and tol and series_tol,
+    keyword-only, must be > 0, else ValueError.  tol is the relative
+    |Phi| at which Phi counts as zero.  A real root outside the window
+    is kept while |Phi| at the window's end, to first order, stays
+    within it: the computed root of an eigenvalue on the end falls
+    either side.  A root whose residual exceeds tol is kept, with a
+    warning.
 
     Each boundary pair must be a complex multiple of a real pair, such
     as (1j, 2j), else ValueError: only then is Phi of real q one phase
@@ -229,7 +242,7 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     f'' + qf = 0 for problem.q (build_seed(problem.q) does); nothing
     checks that, and another seed gives another potential's eigenvalues.
     """
-    lo, hi = float(lam_range[0]), float(lam_range[1])
+    lo, hi = map(float, _pair(lam_range, "lam_range"))
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"need a finite range with min < max, got {lam_range}")
     if not problem.q.is_real:

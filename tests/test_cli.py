@@ -191,8 +191,8 @@ def test_solve_sums_each_series_once(tmp_path, monkeypatch, n_terms):
     # summed u1's and u2's series at another M
     calls, integrals = [], []
     grid_sum, integrate = spps.series._grid_sum, spps.series._integrate_rows
-    monkeypatch.setattr(spps.series, "_grid_sum", lambda family, s, lam, M, out=None:
-                        calls.append(M) or grid_sum(family, s, lam, M, out))
+    monkeypatch.setattr(spps.series, "_grid_sum", lambda family, s, lam, M:
+                        calls.append(M) or grid_sum(family, s, lam, M))
     monkeypatch.setattr(spps.series, "_integrate_rows", lambda y, *args:
                         integrals.append(y.shape) or integrate(y, *args))
     cfg = _valid_configs()["solve"]

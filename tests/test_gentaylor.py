@@ -139,6 +139,17 @@ def test_remainder_for_series_ratio(interior_family):
     assert rep.passed
 
 
+def test_remainder_takes_points_of_any_shape_flattened(interior_family):
+    # a 2-D array of points is one sorted list of points, not numpy's
+    # "truth value of an array is ambiguous"
+    h = sample(np.exp, interior_family.grid)
+    rep = remainder_check(h, interior_family, 3, [[0.9, 0.7], [0.8, 0.6]])
+    flat = remainder_check(h, interior_family, 3, [0.6, 0.7, 0.8, 0.9])
+    assert rep.points.shape == (4,) and rep.points.tobytes() == flat.points.tobytes()
+    assert rep.slacks.tobytes() == flat.slacks.tobytes() and rep.passed
+    assert remainder_check(h, interior_family, 3, 0.8).points.shape == (1,)
+
+
 def test_remainder_differentiates_once_per_level(interior_family, monkeypatch):
     calls = []
     real = spps.gentaylor._derivative_rows

@@ -1,5 +1,6 @@
 import csv
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -149,11 +150,38 @@ def test_gridfunction_arithmetic():
     assert np.allclose((2.0 * a).values, 2.0 * a.values)
 
 
+def test_gridfunction_operands_keep_their_order():
+    # each method computes in its own operand order, bit for bit: a
+    # reflected + or * puts the values first, as the forward one does
+    g = Grid(0.0, 1.0, 21)
+    a = sample(lambda x: np.exp(x) + 0.3j * x, g)
+    b = sample(lambda x: np.cos(x) - 0.7j, g)
+    c = 2.0 - 0.5j
+    for got, want in [(a + b, a.values + b.values), (a - b, a.values - b.values),
+                      (a * b, a.values * b.values), (a / b, a.values / b.values),
+                      (c + a, a.values + c), (c - a, c - a.values),
+                      (c * a, a.values * c), (c / a, c / a.values),
+                      (2 - a, 2 - a.values), (2 / a, 2 / a.values)]:
+        assert got.grid == g and got.values.tobytes() == want.tobytes()
+    # an operand neither a scalar nor a function on the grid is refused
+    with pytest.raises(TypeError):
+        a + [1.0]
+    with pytest.raises(TypeError):
+        [1.0] / a
+
+
 def test_gridfunction_grid_mismatch():
     a = sample(np.exp, Grid(0.0, 1.0, 21))
     b = sample(np.exp, Grid(0.0, 1.0, 31))
-    with pytest.raises(GridConfigError):
-        a + b
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(GridConfigError, match="different grids"):
+            op(a, b)
+        with pytest.raises(GridConfigError, match="different grids"):
+            op(b, a)
+    # the reflected methods, which a GridFunction on the left never reaches
+    for name in ("__radd__", "__rsub__", "__rmul__", "__rtruediv__"):
+        with pytest.raises(GridConfigError, match="different grids"):
+            getattr(a, name)(b)
 
 
 @pytest.mark.parametrize("values", [np.zeros(20), np.zeros((21, 1)), np.zeros(()),
@@ -482,21 +510,24 @@ def test_stencil_keeps_the_bits_of_its_formula(a, b, n):
             assert got.tobytes() == want.tobytes()
 
 
-def test_interpolation_of_rows_with_leading_axes_keeps_each_rows_bits():
+def test_interpolation_of_several_getters_keeps_each_rows_bits():
+    # several functions, real and complex, read through one stencil: each
+    # result in its own type, with the bits its own .at gives
     from spps.grid import _interpolate
     g = Grid(0.0, 2.0, 301)
     rng = np.random.default_rng(4)
-    rows = np.stack([np.cos(3 * g.nodes), np.exp(g.nodes), g.nodes ** 5])
+    rows = [np.cos(3 * g.nodes), np.exp(g.nodes) + 1j * g.nodes ** 2, g.nodes ** 5]
     x = np.concatenate((rng.uniform(0.0, 2.0, 9), g.nodes[[0, 150, 300]]))
-    for shape in (x.shape, (3, 4)):
-        pts = x.reshape(shape)
-        got = _interpolate(g, pts, lambda idx: rows[:, idx])
-        assert got.shape == (3,) + shape
-        for r, row in enumerate(rows):
-            assert got[r].tobytes() == GridFunction(g, row).at(pts).tobytes()
-    together = _interpolate(g, 0.77, lambda idx: rows[1:, idx])
-    assert together.shape == (2,)
-    assert together.tobytes() == np.array([GridFunction(g, r).at(0.77) for r in rows[1:]]).tobytes()
+    for pts in (x, x.reshape(3, 4), 0.77, g.nodes[150]):
+        got = _interpolate(g, pts, *(r.__getitem__ for r in rows))
+        assert isinstance(got, tuple) and len(got) == 3
+        for value, row in zip(got, rows):
+            want = GridFunction(g, row).at(pts)
+            assert value.dtype == row.dtype and np.shape(value) == np.shape(pts)
+            assert value.tobytes() == want.tobytes()
+    # one getter gives its result alone
+    assert _interpolate(g, 0.77, rows[1].__getitem__).tobytes() == \
+        GridFunction(g, rows[1]).at(0.77).tobytes()
 
 
 def test_library_loads_no_scipy():

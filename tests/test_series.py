@@ -261,9 +261,9 @@ def test_truncation_sums_each_series_once(exp_family, monkeypatch):
     calls = []
     grid_sum = spps.series._grid_sum
 
-    def counting(family, s, lam, M, out=None):
+    def counting(family, s, lam, M):
         calls.append((0 if family is exp_family else 1, s, M))
-        return grid_sum(family, s, lam, M, out)
+        return grid_sum(family, s, lam, M)
 
     monkeypatch.setattr(spps.series, "_grid_sum", counting)
     for lam in (0.0, -30.0, 5.0 + 20.0j, 300.0):
@@ -442,10 +442,10 @@ def _count_sums(monkeypatch, fam, integrals=None):
     grid_sum = spps.series._grid_sum
     integrate = spps.series._integrate_rows
 
-    def counting_grid(family, s, lam, M, out=None):
+    def counting_grid(family, s, lam, M):
         if family is fam:
             calls.append((s, M))
-        return grid_sum(family, s, lam, M, out)
+        return grid_sum(family, s, lam, M)
 
     def counting_integrals(y, *args):
         integrals.append(y.shape)
@@ -525,7 +525,7 @@ def test_a_new_lambda_sums_again_and_an_array_lambda_bypasses(exp_family, monkey
     assert whole_sums(lambda: u1_grid(fam, 7.0, 9)) == 1
     assert whole_sums(lambda: u1_grid(fam, 7.0, 8)) == 1
     assert len(fam._sums) == 1
-    # made in the buffer of the sums before it, with a fresh family's bits
+    # made anew, with a fresh family's bits
     fresh = spps.build_family(fam.f, fam.N)
     assert np.array_equal(u1_grid(fam, 7.0, 8).values, u1_grid(fresh, 7.0, 8).values)
 
@@ -534,14 +534,16 @@ def test_a_sum_cut_short_leaves_no_stale_sum(exp_family, monkeypatch):
     fam = spps.build_family(exp_family.f, exp_family.N)
     want = u1_grid(fam, 2.0, 8).values
 
-    def cut_short(family, s, lam, M, out=None):
-        out[:] = np.nan  # the buffer of lam = 2.0's sum, half rewritten
+    def cut_short(family, s, lam, M):
+        # lam = 2.0's sum is dropped before the new one is made
+        assert (0, 0) not in family._sums
         raise KeyboardInterrupt
 
     with monkeypatch.context() as m:
         m.setattr(spps.series, "_grid_sum", cut_short)
         with pytest.raises(KeyboardInterrupt):
             u1_grid(fam, -30.0, 8)
+    assert (0, 0) not in fam._sums
     assert np.array_equal(u1_grid(fam, 2.0, 8).values, want)
     # so for the derivative series' integral
     want = u1_prime_grid(fam, 2.0, 8).values
@@ -554,6 +556,7 @@ def test_a_sum_cut_short_leaves_no_stale_sum(exp_family, monkeypatch):
         m.setattr(spps.series, "_integrate_rows", integral_cut_short)
         with pytest.raises(KeyboardInterrupt):
             u1_prime_grid(fam, -30.0, 8)
+    assert (1, 0) not in fam._sums
     assert np.array_equal(u1_prime_grid(fam, 2.0, 8).values, want)
 
 
@@ -583,33 +586,6 @@ def test_readers_keep_psi_rows_and_four_sums_only():
     assert fam._psi_ends.shape == fam._chi_ends.shape == (81, 2)
     # and four complex sums of n_nodes
     assert sum(S.nbytes for _, S in fam._sums.values()) == 4 * 16 * g.n_nodes
-
-
-def test_a_second_lambda_reuses_the_kept_buffers(exp_family):
-    # S and T at a new lam of the same type are made in the arrays of the
-    # last ones, with a fresh family's bits
-    fam = spps.build_family(exp_family.f, exp_family.N)
-    u1_prime_grid(fam, -30.0, 8)
-    S, T = fam._sums[0, 0][1], fam._sums[1, 0][1]
-    for lam in (2.0, 17.5):
-        got = u1_prime_grid(fam, lam, 8).values
-        assert fam._sums[0, 0][1] is S and fam._sums[1, 0][1] is T
-        assert np.array_equal(got, u1_prime_grid(spps.build_family(fam.f, fam.N), lam, 8).values)
-    assert spps.series._grid_sum(fam, 0, 3.0, 8, out=S) is S
-    # real rows at a complex lam: the (Re c; Im c) product is written into
-    # a complex out, and into a new complex array past a real one, which
-    # is left unwritten
-    lam = complex(-30.0, 4.0)
-    assert fam._psi.dtype == np.float64
-    for s in (0, 1):
-        want = spps.series._grid_sum(fam, s, lam, 8)
-        Z = np.full_like(want, np.nan)
-        assert want.dtype == complex and spps.series._grid_sum(fam, s, lam, 8, out=Z) is Z
-        assert np.array_equal(Z, want)
-        R = np.full(fam.grid.n_nodes, np.nan)
-        got = spps.series._grid_sum(fam, s, lam, 8, out=R)
-        assert got is not R and got.dtype == complex and np.array_equal(got, want)
-        assert np.all(np.isnan(R))
 
 
 def _long_double_sum(rows, s, lam, M):
@@ -767,9 +743,9 @@ def test_complex_rows_sum_at_b_in_horner_form(horner):
 
 
 def test_kept_sums_follow_lambda_from_real_to_complex_and_back():
-    # each kept S and T is remade in its last buffer only if that has the
-    # new sum's type: a complex lam after a real one, and a real lam after a
-    # complex one, get the bits and the type of a fresh family's sums
+    # each kept S and T is made anew at a new lam: a complex lam after a
+    # real one, and a real lam after a complex one, get the bits and the
+    # type of a fresh family's sums
     g = spps.Grid(0.0, 1.0, 2001)
     fam = spps.build_family(sample(np.exp, g), 60)
     readers = (u1_grid, u2_grid, u1_prime_grid, u2_prime_grid, eval_u1_prime, eval_u2_prime)

@@ -137,6 +137,25 @@ def test_degenerate_boundary_conditions(q_zero):
     SlProblem(q_zero, (1.0, 0.0), (1j, -1.0))
 
 
+@pytest.mark.parametrize("pair", [(1.0, 0.0, 5.0), (1.0,), (), 1.0, np.array(1.0)],
+                         ids=["three", "one", "none", "scalar", "0-d"])
+def test_a_boundary_pair_must_be_two_values(q_zero, pair):
+    # not a pair cut to its first two values, nor an IndexError
+    with pytest.raises(ValueError, match="^bc_left must be two values"):
+        SlProblem(q_zero, pair, (1.0, 0.0))
+    with pytest.raises(ValueError, match="^bc_right must be two values"):
+        SlProblem(q_zero, (1.0, 0.0), pair)
+
+
+@pytest.mark.parametrize("window", [(-50.0, -1.0, 7.0), (-50.0,), (), -50.0],
+                         ids=["three", "one", "none", "scalar"])
+def test_a_search_range_must_be_two_values(q_zero, q_zero_family, window):
+    # not a search of (-50, -1) with the 7 dropped, nor an IndexError or a
+    # TypeError
+    with pytest.raises(ValueError, match="^lam_range must be two values"):
+        find_eigenvalues(_dirichlet(q_zero), q_zero_family, window)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_non_finite_boundary_conditions(q_zero, value):
     # refused up front, not left to the eigen search's Chebyshev fit
