@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the check that an
-order argument is an integer."""
+"""Exception types shared across the package, the check that an order
+argument is an integer, and the flag that makes a shared array refuse
+writes."""
 
 import operator
 
@@ -42,6 +43,14 @@ def _as_order(value, name: str) -> int:
         except TypeError:
             pass
     raise OrderError(f"{name} must be an integer, got {value!r}")
+
+
+def _read_only(values):
+    """values, a numpy array, flagged so that a write to it raises
+    ValueError: for arrays that are shared, such as cached constants, where
+    one write in place would change every later result that reads them."""
+    values.flags.writeable = False
+    return values
 
 
 class AnchorError(SppsError, ValueError):

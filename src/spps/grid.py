@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, GridConfigError, OrderError, SamplingError, _as_order
+from .errors import DomainError, GridConfigError, OrderError, SamplingError, _as_order, _read_only
 
 # Snap tolerance for "x is a node", as a fraction of the spacing.
 _NODE_SNAP = 1e-9
@@ -74,8 +74,7 @@ class Grid:
         self.b = b
         self.n_nodes = n_nodes
         self.h = (b - a) / (n_nodes - 1)
-        self.nodes = np.linspace(a, b, n_nodes)
-        self.nodes.flags.writeable = False
+        self.nodes = _read_only(np.linspace(a, b, n_nodes))
         if x0 is None:
             x0 = a
         self.x0_index = self.index_of(x0)
@@ -111,7 +110,8 @@ class GridFunction:
 
     Supports pointwise arithmetic with scalars and with other functions
     on the same grid, and evaluation between nodes by local Lagrange
-    interpolation (see at).  Values may be real or complex.
+    interpolation (see at).  Values may be real or complex.  An operand
+    of any other kind, a numpy array included, raises TypeError.
     """
 
     def __init__(self, grid: Grid, values):
@@ -128,6 +128,10 @@ class GridFunction:
         self.values = values
 
     # -- pointwise algebra ------------------------------------------------
+
+    # numpy defers every operator and ufunc to the class, so an array
+    # operand meets NotImplemented on both sides, not an object array
+    __array_ufunc__ = None
 
     def _binary(op, reflected: bool = False):
         """The method self op other (other op self if reflected) on the
@@ -212,8 +216,7 @@ def _stencil_constants(width: int) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.arange(width)
     denom = np.array([(-1) ** (width - 1 - j) * math.factorial(j) * math.factorial(width - 1 - j)
                       for j in range(width)], dtype=float)
-    offsets.flags.writeable = denom.flags.writeable = False
-    return offsets, denom
+    return _read_only(offsets), _read_only(denom)
 
 
 def _stencil(grid: Grid, x):

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyWarning, AnchorError, JetDivisionError, OrderError
+from .errors import AccuracyWarning, AnchorError, JetDivisionError, OrderError, _read_only
 
 # Below this the constant term counts as zero for division purposes.
 _RECIP_EPS = 1e-14
@@ -25,7 +25,7 @@ _GRID_SAFE_ORDER = 4
 @lru_cache(maxsize=None)
 def _factorials(n: int) -> np.ndarray:
     """0!, 1!, ..., n! as floats, each the last times its index; shared, read only."""
-    return np.cumprod(np.concatenate(([1.0], np.arange(1.0, n + 1))))
+    return _read_only(np.cumprod(np.concatenate(([1.0], np.arange(1.0, n + 1)))))
 
 
 class Jet:

@@ -44,7 +44,10 @@ Orders are built on demand up to the family's cap N, and only as deep
 as they are read, with one exception: a family that keeps its rows
 builds order N with the last order a series reader reads, N - 1 at an
 even N, and then drops the loop's weights and scratch, which no later
-order needs.
+order needs.  The same loop runs on P side-by-side pieces of a grid at
+once, rows of shape (P, w + 1), each piece anchored at its first node
+with its own spacing (_pieces): build_seed's pieces, with seed 1 and
+weight -q, whose psi rows and chi ends series._lam_sums sums.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid, GridFunction, _derivative_rows, _integrate_rows, derivative
-from .errors import GridConfigError, OrderError, SeedError, _as_order
+from .errors import GridConfigError, OrderError, SeedError, _as_order, _read_only
 
 # Seeds whose modulus falls below this are rejected: every second
 # recursion step divides by phi = f^2.
@@ -133,6 +136,20 @@ def _extend_orders(psi: np.ndarray, ends, weights, h, x0_index: int,
         ends[1][n] = pair[1][..., ::last]
         if norms is not None:
             norms.append(np.max(np.abs(row)).item())
+
+
+def _pieces(weight: np.ndarray, nodes: np.ndarray, starts: np.ndarray, w: int, top: int):
+    """Orders 0 .. top of the recursion with seed 1 and the given weight
+    on the P pieces of w cells that begin at the node indices `starts`, an
+    integer array, run through the order loop in one batch, each piece
+    anchored at its first node and with its own spacing: the psi rows,
+    (top + 1, P, w + 1), and chi at each piece's last node, (top + 1, P).
+    With seed 1, 1/phi = 1 exactly and the weight takes the place of phi."""
+    weight = weight[starts[:, None] + np.arange(w + 1)]
+    h = ((nodes[starts + w] - nodes[starts]) / w)[:, None]
+    psi, ends = _blocks(weight.shape, weight.dtype, top)
+    _extend_orders(psi, ends, (1.0, weight), h, 0, 1, top, _order_zero(psi, ends))
+    return psi, ends[1, ..., 1]
 
 
 class RecursiveFamily:
@@ -287,9 +304,7 @@ class RecursiveFamily:
         writes: the family reads its seed, weight and rows again, so a
         write would change every later order or sum.  The array itself
         keeps its flag."""
-        view = values.view()
-        view.flags.writeable = False
-        return GridFunction(self.grid, view)
+        return GridFunction(self.grid, _read_only(values.view()))
 
     @cached_property
     def X(self) -> list[GridFunction]:

@@ -29,15 +29,19 @@ at one lambda -- S on the whole grid -- are one matrix product,
 _grid_sum: the coefficients lam^k / (2k+s)! times the family's strided
 psi rows psi[s:top+1:2], psi_0 = 1 among them, read in place, in one
 BLAS call that passes over the rows once, where Horner form makes three
-whole-grid passes a term.  A node at many lambda -- the eigen search's
-_right_end at an array of lambda -- is a polynomial in lambda, and
-numpy's polyval evaluates it in Horner form on arrays of lambda's size,
-where a product gains nothing.  Both sum in the rows' and lambda's
-type: float64 for the rows of a real seed at a lambda with no imaginary
-part, complex otherwise, and neither upcasts the rows.  Real rows at a
-complex lambda are one real product of the (2, M) block (Re c; Im c)
-with the rows into a (2, n_nodes) pair, the two parts then written into
-the complex sum: a wide product, as the other two cases' matrix-vector
+whole-grid passes a term.  Values kept per order at chosen nodes -- the
+ends at a and b at an array of lambda (the eigen search), or the whole
+rows of side-by-side pieces at lambda = 1 (build_seed) -- are summed by
+one kernel, _lam_sums: each of S1, S2, T1 and T2 is a polynomial in
+lambda, summed in Horner form with the steps of numpy's polyval, on
+arrays of the values' and lambda's shape, where a product gains nothing;
+the psi and chi values of one shape are one block, summed in one pass.
+Both sum in the rows' and lambda's type: float64 for the rows of a real
+seed at a lambda with no imaginary part, complex otherwise, and neither
+upcasts the rows.  Real rows at a complex lambda are one real product of
+the (2, M) block (Re c; Im c) with the rows into a (2, n_nodes) pair,
+the two parts then written into the complex sum: a wide product, as the
+other two cases' matrix-vector
 calls are, where the tall (n_nodes, M) by (M, 2) one made OpenBLAS back
 a packing buffer per thread, about 3 MB each at 2 threads and 20001
 nodes, that stayed in the process and that no result read.  The
@@ -59,13 +63,11 @@ together makes two whole-grid sums (four if choose_truncation summed at
 another M) and two integrals; a first eval_u1 at a new lambda makes S
 on the whole grid, as u1_grid does.  _right_end is the four sums at the
 last node and the four at the first alone, with lambda a scalar or an
-array, one polyval of the psi ends and the chi ends the family keeps, at
+array, _lam_sums of the psi ends and the chi ends the family keeps, at
 b and at a: u and u' there, and so Phi, are the grid solutions' end
 nodes to rounding, and the eigen search reads no whole row there and
-keeps no sum.  numpy.polynomial is imported at the first _right_end, so
-importing spps.cli, or building a seed, loads none of it.
-choose_truncation sums u1's and u2's series once, on the whole grid, at
-the first truncation its bound lets through; on the eigen search's
+keeps no sum.  choose_truncation sums u1's and u2's series once, on the
+whole grid, at the first truncation its bound lets through; on the eigen search's
 streamed family, which keeps a ring of its last psi rows and no sum, it
 adds each term to a running sum per series and lambda as the orders are
 built, so that partial sum's sup-norm is the same, to rounding.
@@ -86,7 +88,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyWarning, GridConfigError, OrderError, _as_order
+from .errors import AccuracyWarning, GridConfigError, OrderError, _as_order, _read_only
 from .grid import GridFunction, _integrate_rows, _interpolate, derivative
 from .jets import _factorials
 from .recint import RecursiveFamily
@@ -94,7 +96,8 @@ from .recint import RecursiveFamily
 
 @lru_cache(maxsize=None)
 def _inv_factorials(n: int) -> np.ndarray:
-    return 1.0 / _factorials(n)
+    """1/0!, 1/1!, ..., 1/n!; shared, read only."""
+    return _read_only(1.0 / _factorials(n))
 
 
 def _check_lam(lam) -> None:
@@ -267,34 +270,54 @@ def u2_prime_grid(family: RecursiveFamily, lam: complex, n_terms: int) -> GridFu
     return _on_grid(_u_prime, 1, family, lam, n_terms)
 
 
+def _lam_sums(psi, chi, lam, M: int):
+    """S1, S2, T1 and T2 of u' = f' S + T/f at lam, a scalar or an array,
+    from psi and chi values indexed by order, psi_j for j < 2M and chi_j
+    for j < 2M - 1, each order's values of any shape (the ends, or pieces
+    by nodes).  Row k of the coefficients holds psi_2k, psi_(2k+1),
+    chi_(2k-1) and chi_2k over their factorials, chi_(-1) = 0, so that T1 =
+    sum_{k>=1} lam^k chi_(2k-1) / (2k-1)! and T2 = sum_k lam^k chi_2k /
+    (2k)!.  Each sum runs highest k first, Horner form with the steps of
+    numpy's polyval and so its bits, acc = c_(M-1) + lam * 0, then acc =
+    c_k + acc * lam, and has the values' shape, then lam's.  psi and chi of
+    one shape are one block, summed in one pass."""
+    inv = _inv_factorials(2 * M - 1)
+    chi = np.concatenate((np.zeros_like(chi[:1]), chi[:2 * M - 1]))
+    # (values, factorials) of psi and of chi, chi one order down, by pairs
+    # of orders; both take an axis of length 1 per axis of the values past
+    # the first and of lam
+    parts = [(v.reshape((M, 2) + v.shape[1:] + (1,) * np.ndim(lam)),
+              f.reshape((M, 2) + (1,) * (v.ndim - 1 + np.ndim(lam))))
+             for v, f in ((psi[:2 * M], inv), (chi, np.append(0.0, inv[:-1])))]
+    # the coefficient rows, highest k first, each scaled when the sum reaches
+    # it: a scaled copy of all the seed pieces' rows at once made build_seed
+    # 15 % slower at 5001 nodes (2-core VM)
+    blocks = [(c * g for c, g in zip(v[::-1], f[::-1])) for v, f in parts]
+    if psi.shape[1:] == chi.shape[1:]:  # one small block, scaled at once, summed in one pass
+        blocks = [np.concatenate([v * f for v, f in parts], axis=1)[::-1]]
+    sums = []
+    for rows in map(iter, blocks):
+        acc = next(rows) + lam * 0
+        for c in rows:
+            np.add(c, np.multiply(acc, lam, out=acc), out=acc)
+        sums.extend(acc)
+    return tuple(sums)
+
+
 def _right_end(family: RecursiveFamily, lam, n_terms: int):
     """u1, u1', u2, u2' at b, then the same at a, in lam's shape, lam a
     scalar or an array: the last and the first node of u1_grid ..
-    u2_prime_grid.  At each end the series S1, S2, T1 and T2 are four
-    polynomials in lam, all eight evaluated together in Horner form by
-    polyval from one (M, 8) block of the psi ends and chi ends at b and
-    at a the family keeps, its whole rows unread: row k holds psi_2k,
-    psi_(2k+1), chi_(2k-1) and chi_2k at the end over their factorials,
-    chi_(-1) = 0, so T1 = sum_{k>=1} lam^k chi_(2k-1) / (2k-1)! and T2 =
-    sum_k lam^k chi_2k / (2k)!.  f' there is _f_prime_ends, f_prime's end
+    u2_prime_grid.  The series S1, S2, T1 and T2 there are _lam_sums of
+    the psi ends and chi ends the family keeps, its whole rows unread, in
+    one pass over the orders.  f' there is _f_prime_ends, f_prime's end
     values."""
     M = _check_truncation(family, lam, n_terms)
-    lam = _real_if_real(lam)
-    last = family.grid.n_nodes - 1
-    inv = _inv_factorials(2 * M - 1)[:, None]
-    # order j's values at a and at b, and chi_(j-1)'s
-    psi = family._psi_ends[:2 * M] * inv
-    chi = np.vstack((np.zeros((1, 2)), family._chi_ends[:2 * M - 1] * inv[:-1]))
-    # row k: psi_2k, psi_(2k+1), chi_(2k-1) and chi_2k at a, then at b
-    coef = np.concatenate((psi.reshape(M, 2, 2), chi.reshape(M, 2, 2)), axis=1)
-    # numpy.polynomial loads here: importing spps.cli, or a seed, skips it
-    sums = np.polynomial.polynomial.polyval(lam, coef.transpose(0, 2, 1).reshape(M, 8))
-    ends = []
-    for (S1, S2, T1, T2), f, fp in zip(sums.reshape((2, 4) + np.shape(lam))[::-1],
-                                       family.f.values[::-last], family._f_prime_ends[::-1]):
-        ends += [np.multiply(f, S1), _prime(fp, S1, T1, f),
-                 np.multiply(f, S2), _prime(fp, S2, T2, f)]
-    return tuple(ends)
+    S1, S2, T1, T2 = _lam_sums(family._psi_ends, family._chi_ends,
+                               _real_if_real(np.asarray(lam)), M)
+    f, fp = family.f.values[[0, -1]], family._f_prime_ends
+    return tuple(u for i in (1, 0)  # at b, then at a
+                 for u in (np.multiply(f[i], S1[i]), _prime(fp[i], S1[i], T1[i], f[i]),
+                           np.multiply(f[i], S2[i]), _prime(fp[i], S2[i], T2[i], f[i])))
 
 
 def eval_u1(family, lam, x, n_terms):

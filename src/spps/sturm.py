@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import AccuracyWarning, EigenError, GridConfigError, SeedError
 from .grid import GridFunction, _check_finite
-from .recint import MIN_SEED_ABS, RecursiveFamily, _blocks, _extend_orders, _order_zero
-from .series import SERIES_TOL, _inv_factorials, _right_end, choose_truncation
+from .recint import MIN_SEED_ABS, RecursiveFamily, _pieces
+from .series import SERIES_TOL, _lam_sums, _right_end, choose_truncation
 
 _SEED_TERMS = 11  # series terms per seed piece, see build_seed
 # Relative |Im(c1 conj(c2))| of a pair that is e^(i theta) times a real
@@ -85,9 +85,10 @@ def build_seed(q: GridFunction) -> GridFunction:
     on pieces of >= 4 cells with max|q| L^2 <= 1, each started from the
     value and derivative the last one ends with; there _SEED_TERMS terms
     reach rounding.  The pieces of equal width are built side by side in
-    one batch (_seed_pieces), the last, wider piece in a second; each
-    costs 2 _SEED_TERMS - 1 integrations of the batch, whatever the number
-    of pieces.  Complex q, a non-finite q, a seed that overflows (q L^2
+    one batch of recint's order loop (_seed_pieces), the last, wider piece
+    in a second; each costs 2 _SEED_TERMS - 1 integrations of the batch,
+    whatever the number of pieces, and is summed by series._lam_sums, the
+    kernel of the eigen search's end sums.  Complex q, a non-finite q, a seed that overflows (q L^2
     far below zero) or a vanishing seed raise SeedError.
     """
     if not q.is_real:
@@ -99,7 +100,7 @@ def build_seed(q: GridFunction) -> GridFunction:
     qmax = float(np.max(np.abs(q.values)))
     w = max(4, int(1.0 / (np.sqrt(qmax) * g.h))) if qmax > 0 else n - 1
     # piece ends every w cells; a tail shorter than 4 cells joins the last piece
-    bounds = list(range(0, n - 4, w)) + [n - 1]
+    bounds = np.append(np.arange(0, n - 4, w), n - 1)
     r = -q.values.real
     batches = [_seed_pieces(r, g.nodes, bounds[:-2], w)] if len(bounds) > 2 else []
     batches.append(_seed_pieces(r, g.nodes, bounds[-2:-1], bounds[-1] - bounds[-2]))
@@ -126,33 +127,15 @@ def _seed_pieces(r, nodes, starts, w: int):
     that begin at the node indices `starts`: c, s of shape (P, w + 1) and
     u1'(b), u2'(b) of shape (P,).
 
-    The psi rows are (P, w + 1) and the chi ends (P, 2), at each piece's
-    first and last node, for each order,
-    built by recint's order loop with each piece's own spacing and the
-    weights (1, r): with seed 1, 1/phi = 1 exactly and r takes the place
-    of phi.  As f = 1 and f' = 0, u1'(b) and u2'(b) are the chi ends'
-    sums T1 = sum_{k>=1} chi_(2k-1) / (2k-1)! and T2 = sum_k chi_2k /
-    (2k)!.  Each sum adds its terms highest order first, Horner form at
-    lambda = 1: summed as a product, as series._grid_sum sums, the seed
-    of q = -1 on 5001 nodes had a second-difference residual of 1.5e-8
-    against 7.6e-9.  Rows and sums are real, in float64.
+    recint._pieces runs the order loop on the P pieces in one batch, and
+    series._lam_sums sums its psi rows and chi ends at lambda = 1: as
+    f = 1 and f' = 0, u1'(b) and u2'(b) are the chi ends' sums T1 and T2.
+    Each sum adds its terms highest order first, Horner form: summed as
+    a product, as series._grid_sum sums, the seed of q = -1 on 5001 nodes
+    had a second-difference residual of 1.5e-8 against 7.6e-9.  Rows and
+    sums are real, in float64.
     """
-    starts = np.asarray(starts)
-    idx = starts[:, None] + np.arange(w + 1)
-    r = r[idx]
-    h = ((nodes[starts + w] - nodes[starts]) / w)[:, None]
-    top = 2 * _SEED_TERMS - 1
-    psi, ends = _blocks(r.shape, r.dtype, top)
-    _extend_orders(psi, ends, (1.0, r), h, 0, 1, top, _order_zero(psi, ends))
-    inv, ends = _inv_factorials(top), ends[1, ..., 1]  # chi at each piece's end
-
-    def at_one(rows, k):  # sum of rows[j] / j! for j = k, k - 2, .. 0 or 1
-        acc = rows[k] * inv[k]
-        for j in range(k - 2, -1, -2):
-            acc += rows[j] * inv[j]
-        return acc
-
-    return at_one(psi, top - 1), at_one(psi, top), at_one(ends, top - 2), at_one(ends, top - 1)
+    return _lam_sums(*_pieces(r, nodes, starts, w, 2 * _SEED_TERMS - 1), 1.0, _SEED_TERMS)
 
 
 def characteristic(problem: SlProblem, family: RecursiveFamily, lam,

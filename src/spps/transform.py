@@ -30,7 +30,7 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .errors import OrderError, _as_order
+from .errors import OrderError, _as_order, _read_only
 from .jets import Jet, _factorials
 
 
@@ -69,8 +69,7 @@ def _operator_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     lag = i[:, None] - 1 - i
     lag[lag < 0] = n
     div = np.maximum(i, 1).astype(float)[:, None]
-    lag.flags.writeable = div.flags.writeable = False
-    return lag, div
+    return _read_only(lag), _read_only(div)
 
 
 def _integration_operator(w: np.ndarray) -> np.ndarray:
@@ -229,8 +228,7 @@ def _lambda_lengths(n: int) -> np.ndarray:
     it, and 0 above it; shared, read only."""
     c = np.arange(n + 1)
     lengths = np.where(c <= c[:, None], c // 2 + 1, 0)
-    lengths.flags.writeable = False
-    return lengths
+    return _read_only(lengths)
 
 
 def taylor_eval(vec: list[LambdaPoly], lam: complex) -> np.ndarray:

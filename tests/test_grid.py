@@ -170,6 +170,21 @@ def test_gridfunction_operands_keep_their_order():
         [1.0] / a
 
 
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+@pytest.mark.parametrize("array_first", [False, True], ids=["function_first", "array_first"])
+def test_gridfunction_refuses_an_array_operand(op, array_first):
+    # a TypeError either way round, not an object array of GridFunctions
+    # from numpy broadcasting the function as a scalar
+    g = Grid(0.0, 1.0, 21)
+    a, arr = sample(np.exp, g), np.ones(21)
+    with pytest.raises(TypeError):
+        op(arr, a) if array_first else op(a, arr)
+    # a Python or numpy scalar, on either side, still gives a function
+    for scalar in (2.0, np.float64(2.0), np.complex128(2.0 - 1j)):
+        for got in (op(a, scalar), op(scalar, a)):
+            assert isinstance(got, GridFunction) and got.grid == g
+
+
 def test_gridfunction_grid_mismatch():
     a = sample(np.exp, Grid(0.0, 1.0, 21))
     b = sample(np.exp, Grid(0.0, 1.0, 31))

@@ -21,7 +21,9 @@ from spps import (
     u2_grid,
     u2_prime_grid,
 )
-from spps.series import TruncationChoice, _inv_factorials, _prime, _real_if_real
+from spps.jets import _factorials
+from spps.recint import _pieces
+from spps.series import TruncationChoice, _inv_factorials, _lam_sums, _prime, _real_if_real
 
 
 def _kappa_solution(c, lam, x):
@@ -687,6 +689,47 @@ def test_evaluators_build_only_the_orders_they_read(evaluate):
 
 
 # -- the sums at b ---------------------------------------------------------------
+
+@pytest.mark.parametrize("cached", [_factorials, _inv_factorials])
+def test_cached_factorials_refuse_writes(cached):
+    # every sum reads the one cached array: a write in place would move
+    # every later sum, so it raises and leaves the array as it was
+    table = cached(12)
+    before = table.copy()
+    with pytest.raises(ValueError):
+        table[3] = 0.0
+    with pytest.raises(ValueError):
+        table *= 2.0
+    assert cached(12) is table and np.array_equal(table, before)
+
+
+@pytest.mark.parametrize("lam", [np.linspace(-60.0, 40.0, 5),
+                                 np.linspace(-60.0, 40.0, 6).reshape(2, 3) + 3j],
+                         ids=["real_lam", "complex_lam"])
+def test_lam_sums_over_pieces_equal_one_piece_at_a_time(lam):
+    # a leading piece axis at an array of lam: the sums of P pieces at once
+    # are the P one-piece sums, bit for bit, each in the piece's shape and
+    # then lam's.  Real rows: the seed's pieces, whole psi rows and chi at
+    # each piece's last node (two shapes, two passes).  Complex rows: the
+    # ends of three families stacked as pieces (one shape, one pass)
+    g = spps.Grid(0.0, 1.0, 201)
+    pieces = _pieces(-50.0 * np.cos(3 * np.pi * g.nodes), g.nodes, np.arange(0, 160, 40), 40, 21)
+    fams = [spps.build_family(sample(lambda x, c=c: np.exp(c * x) + 0.5j * np.cos(3 * x), g), 21)
+            for c in (0.5, -1.0, 2.0)]
+    for fam in fams:
+        fam._grow(21)
+    ends = [np.stack([getattr(fam, name) for fam in fams], axis=1)
+            for name in ("_psi_ends", "_chi_ends")]
+    for psi, chi in (pieces, ends):
+        for M in (1, 2, 11):
+            together = _lam_sums(psi, chi, lam, M)
+            assert [s.shape for s in together] == (
+                2 * [psi.shape[1:] + lam.shape] + 2 * [chi.shape[1:] + lam.shape])
+            for p in range(psi.shape[1]):
+                alone = _lam_sums(psi[:, p], chi[:, p], lam, M)
+                for s, a in zip(together, alone):
+                    assert s[p].dtype == a.dtype and s[p].tobytes() == a.tobytes()
+
 
 def _right_end_reference(fam, lam, M, horner):
     """_right_end as the former kernel summed it: each series alone in
