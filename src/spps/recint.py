@@ -181,10 +181,7 @@ class RecursiveFamily:
     Reading X or Xt also fills a second (N + 1, n_nodes) array with every
     whole chi_k row, with one more product and integration of one row
     each, and keeps it: a family read whole holds two rows per order.  No
-    series reader builds a chi row.  The family also holds the series
-    module's latest whole-grid sums: S and T of u' = f' S + T/f for u1
-    and for u2, at most four arrays of n_nodes in the type of the rows
-    and lambda they were summed from.
+    series reader builds a chi row.
 
     Attributes
     ----------
@@ -242,9 +239,10 @@ class RecursiveFamily:
         # sup-norm of psi_n per built order, read by choose_truncation; its
         # length is the number of orders built
         self._sup_norms = [1.0]
-        # the series module's latest whole-grid S (key (0, s)) and T (key
-        # (1, s)) of u1 (s = 0) and u2 (s = 1): ((lambda's bits, M), array),
-        # each replaced by a new array at a new lambda or M (series._kept)
+        # the series module's whole-grid S (key (0, s)) and T (key (1, s)) of
+        # u1 (s = 0) and u2 (s = 1): ((lambda's bits, M), array), each
+        # replaced by a new array at a new lambda or M, and all cleared once
+        # another family is read (series._kept)
         self._sums = {}
 
     def _streamed(self, x0_index: int) -> "RecursiveFamily":

@@ -49,14 +49,18 @@ product's bits depend on how the BLAS library splits it: with OpenBLAS,
 measured, a sum at 1 and at 2 threads differs at a few nodes by
 rounding, so a result repeats bit for bit at a fixed BLAS thread count.
 
-The series are read one way: a family keeps the latest whole-grid S and
-T of u1 and u2 (RecursiveFamily._sums, at most four arrays), each
-tagged with the bits of its lambda and M by _kept, which makes a
-missing one as a new array once the last is dropped.  u*_grid and choose_truncation
-read S and T whole, and eval_u* gathers them at the nodes of the
-interpolation stencils of the points asked for (grid._stencil, 6 nodes
-a point), which then get the stencil's weights; so eval_u*(x) has the
-bits of u*_grid(...).at(x).  Each product is np.multiply(factor, sum),
+The series are read one way: the process keeps the whole-grid S and T
+of u1 and u2 of one family, the latest read (RecursiveFamily._sums, at
+most four arrays in all), each tagged with the bits of its lambda and M
+by _kept.  _kept makes a missing one as a new array once the last is
+dropped, and first clears the sums of the family read before, which it
+holds by a weak reference only, so that it keeps no family alive.  A
+caller who reads two families in turn at one lambda therefore makes
+each family's sums again at each read, one product and one integral a
+series.  u*_grid and choose_truncation read S and T whole, and eval_u*
+gathers them at the nodes of the interpolation stencils of the points
+asked for (grid._stencil, 6 nodes a point), which then get the
+stencil's weights; so eval_u*(x) has the bits of u*_grid(...).at(x).  Each product is np.multiply(factor, sum),
 which numpy never runs in place with its operands swapped, so those
 bits hold whatever the array's size.  At one lambda every reader
 together makes two whole-grid sums (four if choose_truncation summed at
@@ -77,12 +81,16 @@ choose_truncation to 2M + 3, the evaluators and _right_end (through
 _check_truncation) to 2M - 1.  Each refuses with OrderError a
 non-finite lambda and one whose powers overflow: the evaluators and
 _right_end |lam|^(M-1), the highest their sums read, and
-choose_truncation each |lam|^k its rule reads (_lam_power).
+choose_truncation each |lam|^k its rule reads (_lam_power).  The eight
+evaluators take one lambda, a one-value array as its value, and refuse
+an array of any other size (_one_lam).
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
+import weakref
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -169,18 +177,39 @@ def _grid_sum(family: RecursiveFamily, s: int, lam, M: int):
     return S
 
 
+# The one family whose whole-grid sums are held (_kept), by a weak
+# reference, so that it keeps no family alive; None before the first sum.
+# The lock makes switching it and storing a sum atomic across threads.
+_holder = None
+_holder_lock = threading.Lock()
+
+
 def _kept(family: RecursiveFamily, key, lam, M: int, make):
     """The family's whole-grid sum family._sums[key], tagged with the bits
     of lam and M: the kept one if it has this tag, else make()'s new
-    array, kept in its place.  The old sum is dropped first, so nothing
-    stale is left if make is cut short, and the two are never held
-    together."""
-    kept, tag = family._sums, (np.complex128(lam).tobytes(), M)
-    if key in kept and kept[key][0] == tag:
-        return kept[key][1]
-    kept.pop(key, None)
-    kept[key] = tag, make()
-    return kept[key][1]
+    array, kept in its place.  The process holds the sums of one family,
+    the latest read: a sum made for another family first clears the
+    sums of the one before it, and a sum made while another thread read
+    another family is returned but not kept.  The old sum is dropped
+    first, so nothing stale is left if make is cut short, and the two
+    are never held together."""
+    global _holder
+    tag = (np.complex128(lam).tobytes(), M)
+    entry = family._sums.get(key)
+    if entry is not None and entry[0] == tag:
+        return entry[1]
+    with _holder_lock:
+        held = _holder() if _holder is not None else None
+        if held is not family:
+            if held is not None:
+                held._sums.clear()
+            _holder = weakref.ref(family)
+        family._sums.pop(key, None)
+    S = make()
+    with _holder_lock:
+        if _holder() is family:
+            family._sums[key] = tag, S
+    return S
 
 
 def _sum(family: RecursiveFamily, s: int, lam, M: int, at):
@@ -238,7 +267,16 @@ def _u_prime(fam, s, lam, M, at):
     return _prime(fam.f_prime.values[at], _sum(fam, s, lam, M, at), T, fam.f.values[at])
 
 
+def _one_lam(lam):
+    """lam, one value: a scalar as it is, a one-value array as its value;
+    OrderError naming lam for any other array."""
+    if np.size(lam) != 1:
+        raise OrderError(f"lam must be one value, got an array of shape {np.shape(lam)}")
+    return lam if np.ndim(lam) == 0 else np.ravel(lam)[0]
+
+
 def _on_grid(u, s, family, lam, n_terms) -> GridFunction:
+    lam = _one_lam(lam)
     M = _check_truncation(family, lam, n_terms)
     return GridFunction(family.grid, u(family, s, lam, M, slice(None)))
 
@@ -246,6 +284,7 @@ def _on_grid(u, s, family, lam, n_terms) -> GridFunction:
 def _off_node(u, s, family, lam, x, n_terms):
     """GridFunction.at of the grid solution u, gathered at the stencil
     nodes alone: the same weights on the same node values."""
+    lam = _one_lam(lam)
     M = _check_truncation(family, lam, n_terms)
     return _interpolate(family.grid, x, lambda idx: u(family, s, lam, M, idx))
 

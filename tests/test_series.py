@@ -1,4 +1,8 @@
+import gc
+import sys
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -399,7 +403,8 @@ def seed_family_20001():
 @pytest.mark.parametrize("lam", [17.5, -30.0, -4.0 + 25.0j])
 def test_off_node_evaluators_are_interpolated_grid_solutions(request, name, lam):
     # eval_u* reads the kept whole-grid sums at the stencil nodes, and on a
-    # fresh family makes and keeps them first, with the same bits
+    # fresh family makes and keeps them first, with the same bits; the two
+    # families read in turn make their sums anew each time
     fam = request.getfixturevalue(name)
     fresh = spps.build_family(fam.f, fam.N)
     g = fam.grid
@@ -417,11 +422,13 @@ def test_off_node_evaluators_are_interpolated_grid_solutions(request, name, lam)
             assert np.shape(got) == np.shape(alone) == np.shape(x)
             assert np.array_equal(got, want)
             assert np.array_equal(alone, want)
-        if ev in (eval_u1, eval_u2):
-            # eval_u1, eval_u2 made and kept S on the whole grid, and no T
-            assert sorted(fresh._sums) == [(0, 0), (0, 1)][:1 + (ev is eval_u2)]
-    # u' needs T on the whole grid: eval_u*_prime made and kept S and T
-    assert sorted(fresh._sums) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        # the family read last alone holds sums, those its reader made on the
+        # whole grid: S for eval_u1 and eval_u2, and S and T for
+        # eval_u*_prime, as u' needs T on the whole grid
+        s = ev in (eval_u2, eval_u2_prime)
+        assert not fam._sums
+        assert sorted(fresh._sums) == [(0, s), (1, s)][:1 + (ev in (eval_u1_prime,
+                                                                   eval_u2_prime))]
 
 
 # -- sums kept for the latest lambda -------------------------------------------
@@ -484,9 +491,6 @@ def test_one_lambda_sums_each_series_once_for_every_reader(exp_family, monkeypat
     got += [_read(r, fam, lam, M) for r in _READERS[4:]]
     assert calls == [] and integrals == []
     assert len(fam._sums) == 4  # S and T of u1 and u2, of n_nodes each
-    # the bits of each reader on a fresh family, which keeps nothing yet
-    for r, values in zip(_READERS, got):
-        assert np.array_equal(values, _read(r, spps.build_family(fam.f, fam.N), lam, M))
     # no result shares memory with a kept sum, so changing one changes nothing
     kept = [S for _, S in fam._sums.values()]
     assert not any(np.shares_memory(v, S) for v in got for S in kept)
@@ -494,7 +498,11 @@ def test_one_lambda_sums_each_series_once_for_every_reader(exp_family, monkeypat
     for v in got:
         v[:] = np.nan
     again = [_read(r, fam, lam, M) for r in _READERS]
+    assert calls == [] and integrals == []
     assert all(np.array_equal(a, w) for a, w in zip(again, want))
+    # the bits of each reader on a fresh family, which keeps nothing yet
+    for r, values in zip(_READERS, want):
+        assert np.array_equal(values, _read(r, spps.build_family(fam.f, fam.N), lam, M))
 
 
 def test_a_new_lambda_sums_again_and_an_array_lambda_bypasses(exp_family, monkeypatch):
@@ -560,6 +568,135 @@ def test_a_sum_cut_short_leaves_no_stale_sum(exp_family, monkeypatch):
             u1_prime_grid(fam, -30.0, 8)
     assert (1, 0) not in fam._sums
     assert np.array_equal(u1_prime_grid(fam, 2.0, 8).values, want)
+
+
+# -- the sums of one family per process ----------------------------------------
+
+def _read_all(fam, lam, M):
+    return [_read(r, fam, lam, M) for r in _READERS]
+
+
+def test_reading_another_family_clears_the_sums_of_the_one_before():
+    # families A, B, then A at one lam: each read makes its family's sums
+    # anew, with a fresh family's bits, and a family read after another
+    # clears that one's sums
+    f = sample(np.exp, spps.Grid(0.0, 1.0, 2001))
+    lam = 5.0 + 20.0j
+    a, b = spps.build_family(f, 60), spps.build_family(2.0 * f, 60)
+    M = choose_truncation(a, lam).n_terms
+    want_a = _read_all(spps.build_family(f, 60), lam, M)
+    want_b = _read_all(spps.build_family(2.0 * f, 60), lam, M)
+    for fam, want, other in ((a, want_a, b), (b, want_b, a), (a, want_a, b)):
+        got = _read_all(fam, lam, M)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert sorted(fam._sums) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert not other._sums
+
+
+def test_the_process_holds_the_four_sums_of_the_family_read_last():
+    g = spps.Grid(0.0, 1.0, 2001)
+    fams = [spps.build_family(sample(seed, g), 60)
+            for seed in (np.exp, np.cosh, lambda x: np.exp(x) + 0.5j, lambda x: 2.0 + x)]
+    for lam in (-30.0, 4.0 - 9.0j):
+        for i, fam in enumerate(fams):
+            _read_all(fam, lam, 12)
+            assert [len(other._sums) for other in fams] == [4 * (j == i) for j in range(4)]
+    # four whole-grid arrays of n_nodes, in the type of the last family's
+    # rows and lam
+    assert sum(S.nbytes for _, S in fams[-1]._sums.values()) == 4 * 16 * g.n_nodes
+
+
+def test_a_freed_family_frees_its_sums_and_the_next_makes_its_own(monkeypatch):
+    # the process keeps the latest family by a weak reference: deleting it
+    # frees the family and its sums, and a family made afterwards, whatever
+    # its id, holds none until it is read, then makes its own
+    f = sample(np.exp, spps.Grid(0.0, 1.0, 2001))
+    want = _read_all(spps.build_family(f, 60), -30.0, 12)
+    calls = []
+    grid_sum = spps.series._grid_sum
+    monkeypatch.setattr(spps.series, "_grid_sum", lambda family, s, lam, M:
+                        calls.append((s, M)) or grid_sum(family, s, lam, M))
+    for _ in range(3):
+        fam = spps.build_family(f, 60)
+        assert not fam._sums
+        calls.clear()
+        got = _read_all(fam, -30.0, 12)
+        assert sorted(calls) == [(0, 12), (1, 12)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        dead_family = weakref.ref(fam)
+        dead_sums = [weakref.ref(S) for _, S in fam._sums.values()]
+        del fam
+        gc.collect()
+        assert dead_family() is None and all(ref() is None for ref in dead_sums)
+
+
+def test_threads_reading_their_own_families_keep_one_family_s_sums():
+    # more threads than cores, each reading its own family on the whole grid
+    # at two lams in turn, with a short switch interval: every result is
+    # the one read alone, no read fails, and after each read, with the
+    # holder's lock taken, no family but the one the process holds has a sum
+    g = spps.Grid(0.0, 1.0, 20001)
+    fams = [spps.build_family(sample(lambda x, c=c: np.exp(c * x), g), 40)
+            for c in (0.5, 1.0, 1.5, 2.0)]
+    lams = (-30.0, 4.0 - 9.0j)
+    readers = _READERS[:4]
+    want = [[[_read(r, spps.build_family(fam.f, fam.N), lam, 10) for r in readers]
+             for lam in lams] for fam in fams]
+    errors, got, rounds = [], [[] for _ in fams], 50
+    start = threading.Barrier(len(fams), timeout=60)
+
+    def reader(i):
+        try:
+            start.wait()
+            for k in range(rounds):
+                got[i].append([_read(r, fams[i], lams[(i + k) % 2], 10) for r in readers])
+                with spps.series._holder_lock:
+                    holder = spps.series._holder()
+                    assert not any(fam._sums for fam in fams if fam is not holder)
+                    assert len(holder._sums) <= 4
+        except Exception as e:  # reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(len(fams))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    for i, reads in enumerate(got):
+        assert len(reads) == rounds
+        for k, values in enumerate(reads):
+            assert all(np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+                       for a, b in zip(values, want[i][(i + k) % 2]))
+
+
+@pytest.mark.parametrize("lam", [np.array([3.0, 4.0]), np.zeros((2, 2)), np.array([]),
+                                 [2.0, -1.0 + 1j]])
+def test_every_reader_refuses_a_lambda_of_several_values(exp_family, lam):
+    # one lam a call: an OrderError naming lam, not numpy's broadcast error,
+    # and no sum kept
+    fam = spps.build_family(exp_family.f, exp_family.N)
+    for reader in _READERS:
+        with pytest.raises(OrderError, match="lam must be one value"):
+            _read(reader, fam, lam, 5)
+    assert not fam._sums
+
+
+@pytest.mark.parametrize("lam", [np.array([3.0]), np.array(-30.0), np.array([[-4.0 + 25.0j]]),
+                                 [7.0]])
+def test_every_reader_takes_a_lambda_of_one_value_in_an_array(exp_family, lam):
+    # with the bits of that value as a scalar
+    value = np.ravel(lam)[0]
+    fam = spps.build_family(exp_family.f, exp_family.N)
+    for reader in _READERS:
+        got = _read(reader, fam, lam, 8)
+        assert np.array_equal(got, _read(reader, spps.build_family(fam.f, fam.N), value, 8))
 
 
 def test_readers_keep_psi_rows_and_four_sums_only():
@@ -792,15 +929,19 @@ def test_kept_sums_follow_lambda_from_real_to_complex_and_back():
     g = spps.Grid(0.0, 1.0, 2001)
     fam = spps.build_family(sample(np.exp, g), 60)
     readers = (u1_grid, u2_grid, u1_prime_grid, u2_prime_grid, eval_u1_prime, eval_u2_prime)
-    for lam in (-30.0, complex(-30.0, 4.0), complex(-30.0), 12.0, 12.0 + 1e-3j):
-        fresh = spps.build_family(fam.f, fam.N)
-        choice = choose_truncation(fam, lam)
-        assert choice == choose_truncation(fresh, lam)
+    lams = (-30.0, complex(-30.0, 4.0), complex(-30.0), 12.0, 12.0 + 1e-3j)
+    # the fresh families are read first: reading one clears fam's sums
+    fresh = []
+    for lam in lams:
+        other = spps.build_family(fam.f, fam.N)
+        choice = choose_truncation(other, lam)
+        fresh.append((choice, [_read(r, other, lam, choice.n_terms) for r in readers]))
+    for lam, (choice, want) in zip(lams, fresh):
+        assert choice == choose_truncation(fam, lam)
         dtype = complex if np.imag(lam) else np.float64
-        for r in readers:
+        for r, values in zip(readers, want):
             got = _read(r, fam, lam, choice.n_terms)
-            want = _read(r, fresh, lam, choice.n_terms)
-            assert got.dtype == want.dtype == dtype
-            assert np.array_equal(got, want)
+            assert got.dtype == values.dtype == dtype
+            assert np.array_equal(got, values)
         assert sorted(fam._sums) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert all(S.dtype == dtype for _, S in fam._sums.values())

@@ -655,6 +655,10 @@ def test_search_keeps_psi_rows_and_chi_ends_only(monkeypatch):
     g = Grid(0.0, 1.0, 2001)
     q = sample(lambda x: 50 * np.cos(3 * np.pi * x), g)
     made = _streamed_families(monkeypatch)
+    # the one family whose whole-grid sums the process holds, which a
+    # search that made a sum would clear
+    held = build_family(build_seed(q), 80)
+    u2_grid(held, -40.0, 8)
     for fam in (build_family(build_seed(q), 80),
                 build_family(GridFunction(Grid(0.0, 1.0, 2001, x0=0.5),
                                           build_seed(q).values), 80)):
@@ -662,7 +666,10 @@ def test_search_keeps_psi_rows_and_chi_ends_only(monkeypatch):
         search = made[-1]
         assert search is not fam and search.grid.x0_index == 1000
         assert 1 < len(search._sup_norms) < 81
+        # it made no sum, so it cleared none: the family read before it
+        # still holds its own
         assert "_chi" not in vars(search) and not search._sums
+        assert sorted(held._sums) == [(0, 1)]
         assert {k for k, v in vars(search).items() if isinstance(v, np.ndarray)} == {
             "_psi", "_psi_ends", "_chi_ends", "_scratch", "_f_prime_ends"}
         assert search._psi.shape == (4, g.n_nodes) and search._psi.dtype == complex
