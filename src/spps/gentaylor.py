@@ -10,7 +10,13 @@ alpha_k = gamma_k(h)(x0)/k! expand smooth h in the anchored basis psi_k
 (generalized polynomials), with a Lagrange-type remainder bound tested
 by remainder_check.  least_squares_project approximates arbitrary grid
 data in the solution bases {f*psi_k} and reports the error decay that
-the completeness theory predicts.
+the completeness theory predicts.  It reads an orthonormal basis of the
+weighted columns of its slice (even, odd or full), which a family grows
+once, column by column by Gram-Schmidt run twice and only as far as an
+N asked, and keeps beside its rows (_Basis); a projection then costs two
+matrix-vector products and one triangular solve, and its result does not
+depend on which N were asked before.  Both it and remainder_check refuse
+an h that is not finite at a node they read.
 
 Each gamma level is one numerical differentiation, so point values
 degrade roughly two decimal digits per level; sequences past the safe
@@ -28,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridConfigError, OrderError, RankCollapseError, _as_order
-from .grid import GridFunction, _derivative_rows, _derivative_window, _interpolate
+from .errors import (DomainError, GridConfigError, OrderError, RankCollapseError, SamplingError,
+                     _as_order)
+from .grid import GridFunction, _check_finite, _derivative_rows, _derivative_window, _interpolate
 from .jets import _factorials
-from .recint import RecursiveFamily
+from .recint import RecursiveFamily, _rows
 
 SAFE_DEPTH = 6
 
@@ -42,12 +49,15 @@ def _check_same_grid(h: GridFunction, family: RecursiveFamily) -> None:
 
 
 def _gamma_chain(h: GridFunction, family: RecursiveFamily, n: int,
-                 lo: int, hi: int) -> list[np.ndarray]:
+                 lo: int, hi: int, finite: bool = False) -> list[np.ndarray]:
     """gamma_0(h)..gamma_n(h) on nodes lo..hi, each with the bits the
     whole-grid chain gives those nodes: the chain runs on the window of
-    nodes _derivative_window gives, not on the whole grid."""
+    nodes _derivative_window gives, not on the whole grid.  With finite,
+    a non-finite h on that window raises SamplingError."""
     g = family.grid
     window = _derivative_window(g.n_nodes, lo, hi, n)
+    if finite:
+        _check_finite(h, SamplingError, "h value", window)
     phi = family.phi.values[window]
     weights = (1.0 / phi, phi)  # odd levels multiply by phi, even levels divide
     cur = h.values[window]
@@ -197,7 +207,7 @@ def remainder_check(h: GridFunction, family: RecursiveFamily, n: int,
     # conservative grid max of |gamma_{n+1}| over [x0, x]: nodes i0 .. hi - 1
     # (every x >= x0, so hi > i0), the chain's only nodes past x0
     hi = np.minimum(np.searchsorted(g.nodes, pts, side="right") + 1, g.n_nodes)
-    chain = _gamma_chain(h, family, n + 1, i0, hi[-1] - 1 if pts.size else i0)
+    chain = _gamma_chain(h, family, n + 1, i0, hi[-1] - 1 if pts.size else i0, finite=True)
     fact = _factorials(n + 1)
     p = GenPolynomial(np.array([c[0] for c in chain[:-1]]) / fact[:-1], family)
     gmax = np.maximum.accumulate(np.abs(chain[-1]))[hi - 1 - i0]
@@ -233,15 +243,104 @@ class ProjectionResult:
     condition_estimate: float
 
 
+class _Basis:
+    """One slice of a family's weighted solution basis, sw * f * psi_k for
+    k in orders, grown into an orthonormal basis one column at a time.
+
+    Column j is orthogonalized against rows 0..j-1 by classical
+    Gram-Schmidt run twice, which keeps the rows orthonormal to rounding
+    however ill-conditioned the columns: the conjugate of the unit vector
+    goes into row j of q, and the coefficients of both passes and its norm
+    into column j of the upper triangular r, so the first k columns are
+    q[:k]^H r[:k, :k].  Row j depends on columns 0..j alone, so a leading
+    block has the same bits whatever was built after it.  rank[j] and
+    sigma[j] are the rank (by lstsq's rule) and the extreme singular
+    values of r[:j + 1, :j + 1], those of the first j + 1 columns.  q is
+    taken with nothing written (recint._rows), so it backs only the rows
+    built, as a family's psi block does."""
+
+    def __init__(self, family: RecursiveFamily, start: int, step: int):
+        g = family.grid
+        w = np.full(g.n_nodes, g.h)
+        w[0] = w[-1] = g.h / 2.0
+        self.sw = np.sqrt(w)
+        self.orders = range(start, family.N + 1, step)
+        cols, dtype = len(self.orders), family._psi.dtype
+        # mapped whatever its size: rows past the largest N asked back no page
+        self.q = _rows((cols, g.n_nodes), dtype, mapped_from=0)
+        self.r = np.zeros((cols, cols), dtype)
+        self.r_rows = []  # r[:size, :size] as nested lists, for solve
+        self.sigma = np.zeros((cols, 2))
+        self.rank = np.zeros(cols, dtype=int)
+        self.size = 0
+
+    def extend(self, family: RecursiveFamily, k: int) -> None:
+        """Orthonormalize columns size..k-1, growing the family's orders
+        as far as they read."""
+        psi = family._grow(self.orders[k - 1])
+        swf, n_nodes = self.sw * family.f.values, len(self.sw)
+        for j in range(self.size, k):
+            v = swf * psi[self.orders[j]]
+            q = self.q[:j]
+            c = q @ v
+            v -= np.conj(np.conj(c) @ q)
+            d = q @ v
+            v -= np.conj(np.conj(d) @ q)
+            norm = np.linalg.norm(v)
+            self.r[:j, j] = c + d
+            self.r[j, j] = norm
+            # a zero column leaves a zero row and a zero diagonal, which
+            # collapses the rank of every block that holds it
+            self.q[j] = np.conj(v) / norm if norm else 0.0
+            s = np.linalg.svd(self.r[:j + 1, :j + 1], compute_uv=False)
+            self.sigma[j] = s[0], s[-1]
+            # lstsq's rule: rcond = eps * max(n_nodes, columns)
+            tol = np.finfo(float).eps * max(n_nodes, j + 1) * s[0]
+            self.rank[j] = np.count_nonzero(s > tol)
+        self.r_rows = self.r[:k, :k].tolist()
+        self.size = k
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """x with r[:k, :k] x = y, k = len(y), by back substitution."""
+        x = y.tolist()
+        for i in range(len(x) - 1, -1, -1):
+            row = self.r_rows[i]
+            s = x[i]
+            for j in range(i + 1, len(x)):
+                s -= row[j] * x[j]
+            x[i] = s / row[i]
+        return np.array(x)
+
+
+def _basis(family: RecursiveFamily, start: int, step: int, k: int) -> _Basis:
+    """The family's basis of the orders start, start + step, ..., with at
+    least its first k columns built: made at the first read of the slice
+    and grown, under the family's lock, only as far as k."""
+    with family._lock:
+        basis = family._bases.get((start, step))
+        if basis is None:
+            basis = family._bases[start, step] = _Basis(family, start, step)
+        if basis.size < k:
+            basis.extend(family, k)
+    return basis
+
+
 def least_squares_project(h: GridFunction, family: RecursiveFamily, N: int,
                           which: str = "full") -> ProjectionResult:
     """Best grid-L2 approximation of h in a slice of the solution basis.
 
     which selects the even half {f*psi_0, f*psi_2, ...}, the odd half
     {f*psi_1, f*psi_3, ...}, or their union, all with orders <= N.  The
-    weighted system is solved by SVD (never normal equations: these
-    bases are Vandermonde-like).  Raises RankCollapseError if the design
-    matrix loses rank.
+    weighted system is solved from an orthonormal basis of the slice's
+    weighted columns, which the family grows once, one column at a time
+    and only as far as an N asked, and keeps (never normal equations:
+    these bases are Vandermonde-like).  With b = sqrt(w) * h and the k
+    columns q_k^H r_k: y = q_k b, the coefficients solve r_k x = y, and
+    the errors are read from the weighted residual b - q_k^H y.  The rank
+    and condition estimate are those of r_k's singular values, with
+    lstsq's rank rule; no call factors a matrix.  Raises
+    RankCollapseError if the design matrix loses rank, and SamplingError
+    if h is not finite at a node.
     """
     _check_same_grid(h, family)
     N = _as_order(N, "N")
@@ -254,30 +353,24 @@ def least_squares_project(h: GridFunction, family: RecursiveFamily, N: int,
     orders = tuple(range(start, N + 1, step))
     if not orders:
         raise OrderError(f"no basis orders <= {N} for which={which!r}")
+    _check_finite(h, SamplingError, "h value")
 
-    g = family.grid
-    w = np.full(g.n_nodes, g.h)
-    w[0] = w[-1] = g.h / 2.0
-    sw = np.sqrt(w)
-    # the basis f * psi_k as contiguous (k, n_nodes) rows, one product over
-    # the psi rows.  Weighted in place, their transpose is the
-    # Fortran-ordered design matrix lstsq copies its input into anyway, so
-    # LAPACK reads the same values.  The residual's product sums over the
-    # C-ordered (n_nodes, k) columns, as BLAS sums their transpose in
-    # another order.  Each product keeps the column form's operand order:
-    # numpy's complex products need not commute bit for bit
-    rows = np.multiply(family.f.values, family._grow(N)[start:N + 1:step])
-    B = np.ascontiguousarray(rows.T)
-    np.multiply(sw, rows, out=rows)
-    sol, _, rank, svals = np.linalg.lstsq(rows.T, sw * h.values, rcond=None)
-    if rank < len(orders):
+    k = len(orders)
+    basis = _basis(family, start, step, k)
+    if basis.rank[k - 1] < k:
         raise RankCollapseError(
-            f"design matrix rank {rank} < {len(orders)} columns")
-    resid = B @ sol - h.values
+            f"design matrix rank {basis.rank[k - 1]} < {k} columns")
+    q = basis.q[:k]
+    b = basis.sw * h.values
+    y = q @ b
+    # the conjugate of the weighted residual b - q^H y, whose modulus is all
+    # the errors read; a real residual is its own conjugate
+    resid = b.conj() - y.conj() @ q
+    smax, smin = basis.sigma[k - 1]
     return ProjectionResult(
-        coefficients=sol,
+        coefficients=basis.solve(y),
         orders=orders,
-        l2_error=float(np.sqrt(np.sum(w * np.abs(resid) ** 2))),
-        max_error=float(np.max(np.abs(resid))),
-        condition_estimate=float(svals[0] / svals[-1]) if svals.size else np.inf,
+        l2_error=float(np.linalg.norm(resid)),
+        max_error=float(np.max(np.abs(resid) / basis.sw)),
+        condition_estimate=float(smax / smin),
     )

@@ -281,11 +281,13 @@ def sample(fn, grid: Grid) -> GridFunction:
     return _check_finite(GridFunction(grid, values), SamplingError, "sample")
 
 
-def _check_finite(g: GridFunction, error, what: str) -> GridFunction:
-    """g, if every value is finite; else error naming the first node that is not."""
-    bad = np.flatnonzero(~np.isfinite(g.values))
-    if bad.size:
-        i = bad[0]
+def _check_finite(g: GridFunction, error, what: str,
+                  nodes: slice = slice(0, None)) -> GridFunction:
+    """g, if every value at nodes (a slice of step 1) is finite; else error
+    naming the first node there that is not."""
+    finite = np.isfinite(g.values[nodes])
+    if not finite.all():
+        i = nodes.start + int(np.argmin(finite))
         raise error(f"{what} {g.values[i]} at node {i} (x={g.grid.nodes[i]}) "
                     f"is not finite")
     return g

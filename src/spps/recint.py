@@ -55,6 +55,7 @@ from __future__ import annotations
 import contextlib
 import math
 import mmap
+import threading
 from functools import cached_property
 
 import numpy as np
@@ -76,18 +77,23 @@ _RING = 4
 _MAPPED_BYTES = 4 << 20
 
 
-def _rows(shape: tuple, dtype) -> np.ndarray:
+def _rows(shape: tuple, dtype, mapped_from: int = _MAPPED_BYTES) -> np.ndarray:
     """An array of rows, nothing written, so no page of it is backed until
-    a row on it is written.  One of _MAPPED_BYTES or more is an anonymous
-    mapping of its own (with MADV_HUGEPAGE where the platform has it), so
-    that freeing it unmaps its pages at once, where a block malloc served
-    from its heap would stay in the process."""
+    a row on it is written.  One of mapped_from bytes or more is an
+    anonymous mapping of its own, so that freeing it unmaps its pages at
+    once, where a block malloc served from its heap would stay in the
+    process, and a page of it that no row reaches is never backed, where
+    malloc may hand out heap pages that are backed already.  A mapping of
+    _MAPPED_BYTES or more asks for transparent huge pages (MADV_HUGEPAGE,
+    where the platform has it), as numpy does from that size; a smaller
+    one does not, so that no huge page backs rows that were never
+    written."""
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
-    if nbytes < _MAPPED_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
+    if nbytes < mapped_from or not hasattr(mmap, "MAP_PRIVATE"):
         return np.empty(shape, dtype)
     buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
+    if nbytes >= _MAPPED_BYTES and hasattr(mmap, "MADV_HUGEPAGE"):
         with contextlib.suppress(OSError):  # a kernel without huge pages
             buf.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(buf, dtype).reshape(shape)
@@ -182,6 +188,14 @@ class RecursiveFamily:
     whole chi_k row, with one more product and integration of one row
     each, and keeps it: a family read whole holds two rows per order.  No
     series reader builds a chi row.
+    A family also keeps what its readers make from its rows and read
+    again: the series module's whole-grid sums at one lambda (_sums, of
+    the family read last alone) and, for each slice least_squares_project
+    has read (even, odd or full), an orthonormal basis of its weighted
+    solution columns, one more row of n_nodes per column asked and a
+    small triangular factor (_bases, from gentaylor).  Orders and bases
+    are built under the family's re-entrant lock, so threads reading one
+    family build each once and read the same bits.
 
     Attributes
     ----------
@@ -244,6 +258,12 @@ class RecursiveFamily:
         # replaced by a new array at a new lambda or M, and all cleared once
         # another family is read (series._kept)
         self._sums = {}
+        # the gentaylor module's orthonormal solution bases, one per slice of
+        # the orders (key (start, step)), grown under _lock (gentaylor._basis)
+        self._bases = {}
+        # held while orders or bases are built, so that threads reading one
+        # family build each once; re-entrant, as a basis grows the orders
+        self._lock = threading.RLock()
 
     def _streamed(self, x0_index: int) -> "RecursiveFamily":
         """A family of this seed and cap anchored at node x0_index, with no
@@ -269,18 +289,20 @@ class RecursiveFamily:
         go once order N is built, which a family that keeps its rows
         builds with order 2 * ((N + 1) // 2) - 1, the last one a series
         reader reads (N - 1 at an even N): one row and one integration
-        more, once, for a family read to its cap."""
-        start, stop = len(self._sup_norms), min(k, self.N)
-        if stop >= 2 * ((self.N + 1) // 2) - 1 and self._keeps_rows():
-            stop = self.N
-        if self._scratch is None and start <= self.N:
-            self._scratch = _order_zero(self._psi, (self._psi_ends, self._chi_ends))
-        if start <= stop:
-            _extend_orders(self._psi, (self._psi_ends, self._chi_ends), self._w,
-                           self.grid.h, self.grid.x0_index, start, stop, self._scratch,
-                           self._sup_norms)
-            if stop == self.N:
-                self._w = self._scratch = None
+        more, once, for a family read to its cap.  Orders are built under
+        the family's lock, so threads reading one family build each once."""
+        with self._lock:
+            start, stop = len(self._sup_norms), min(k, self.N)
+            if stop >= 2 * ((self.N + 1) // 2) - 1 and self._keeps_rows():
+                stop = self.N
+            if self._scratch is None and start <= self.N:
+                self._scratch = _order_zero(self._psi, (self._psi_ends, self._chi_ends))
+            if start <= stop:
+                _extend_orders(self._psi, (self._psi_ends, self._chi_ends), self._w,
+                               self.grid.h, self.grid.x0_index, start, stop,
+                               self._scratch, self._sup_norms)
+                if stop == self.N:
+                    self._w = self._scratch = None
         return self._psi
 
     @cached_property

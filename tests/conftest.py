@@ -1,5 +1,8 @@
 """Shared fixtures: families are expensive enough to build once per session."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -135,3 +138,40 @@ def left_pinned():
     """Reference for the characteristic function of a family anchored at
     a: left_pinned(problem, family, lam, M)."""
     return _left_pinned_reference
+
+
+def _at_once(call, n_threads=4):
+    """call() in n_threads threads released together by a barrier, under a
+    short switch interval, so that their steps interleave finely; returns
+    each thread's result once all have joined, and raises what any raised."""
+    start = threading.Barrier(n_threads, timeout=60)
+    results, errors = [None] * n_threads, []
+
+    def run(i):
+        try:
+            start.wait()
+            results[i] = call()
+        except Exception as e:  # reported by the calling thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+    return results
+
+
+@pytest.fixture
+def at_once():
+    """Runs one call in several threads at once: at_once(call, n_threads=4)
+    gives the list of their results."""
+    return _at_once

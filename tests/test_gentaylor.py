@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from spps import (
     GenPolynomial,
     OrderError,
     RankCollapseError,
+    SamplingError,
     eval_gen_polynomial,
     gamma_seq,
     gen_taylor_coeffs,
@@ -320,46 +323,49 @@ def test_projection_reports_conditioning(exp_family):
     assert r.max_error >= 0.0
 
 
-@pytest.mark.parametrize("which", ["even", "odd", "full"])
-def test_projection_equals_a_column_stack_of_phi_k(exp_family, which):
-    # the design matrix f * psi_k is one product over the psi rows; the
-    # coefficients and errors are those of stacking phi_k column by column
-    h = sample(lambda x: np.sin(3 * x) + 1j * np.cos(x), exp_family.grid)
-    r = least_squares_project(h, exp_family, 9, which)
-    g = exp_family.grid
+def _assert_near_lstsq(r, B, h):
+    """r solves the weighted problem of the (n_nodes, k) design B: its
+    normal-equation residual is at rounding level, and its l2_error,
+    max_error and condition_estimate are lstsq's to rounding."""
+    g = h.grid
     w = np.full(g.n_nodes, g.h)
     w[0] = w[-1] = g.h / 2.0
     sw = np.sqrt(w)
+    A, b = sw[:, None] * B, sw * h.values
+    sol, _, _, svals = np.linalg.lstsq(A, b, rcond=None)
+    bnorm = np.linalg.norm(b)
+    normal = A.conj().T @ (A @ r.coefficients - b)
+    assert np.linalg.norm(normal) <= 1e-13 * svals[0] * bnorm
+    assert abs(r.l2_error - np.linalg.norm(A @ sol - b)) <= 1e-14 * bnorm
+    assert abs(r.max_error - np.max(np.abs(B @ sol - h.values))) <= 1e-12
+    assert abs(r.condition_estimate / (svals[0] / svals[-1]) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("which", ["even", "odd", "full"])
+def test_projection_equals_a_column_stack_of_phi_k(exp_family, which):
+    # the design matrix is the column stack of phi_k: the projection solves
+    # its weighted system to rounding, as lstsq does
+    h = sample(lambda x: np.sin(3 * x) + 1j * np.cos(x), exp_family.grid)
+    r = least_squares_project(h, exp_family, 9, which)
     B = np.column_stack([exp_family.phi_k(k).values for k in r.orders])
-    sol = np.linalg.lstsq(sw[:, None] * B, sw * h.values, rcond=None)[0]
     assert r.orders == tuple(range({"even": 0, "odd": 1, "full": 0}[which], 10,
                                    1 if which == "full" else 2))
-    assert r.coefficients.tobytes() == sol.tobytes()
-    resid = B @ sol - h.values
-    assert r.max_error == float(np.max(np.abs(resid)))
+    _assert_near_lstsq(r, B, h)
 
 
 @pytest.mark.parametrize("complex_h, complex_seed", [(False, False), (True, True),
                                                      (True, False), (False, True)])
 def test_projection_equals_the_column_ordered_design(complex_h, complex_seed):
-    # the design matrix formed as (k, n_nodes) rows gives every output of
-    # the (n_nodes, k) column matrix lstsq was once given, bit for bit
+    # the design matrix f * psi_k, formed as the (n_nodes, k) column matrix,
+    # for every slice, real and complex seeds and targets
     g = spps.Grid(0.0, 1.0, 301, x0=0.25)
     c = 0.5 + 0.3j if complex_seed else 0.5
     fam = spps.build_family(sample(lambda x: np.exp(c * x), g), 12)
     h = sample(lambda x: np.sin(3 * x) + (1j * np.cos(x) if complex_h else 0), g)
     for N, which, (start, step) in ((11, "full", (0, 1)), (10, "even", (0, 2)), (9, "odd", (1, 2))):
         r = least_squares_project(h, fam, N, which)
-        w = np.full(g.n_nodes, g.h)
-        w[0] = w[-1] = g.h / 2.0
-        sw = np.sqrt(w)
         B = np.multiply(fam.f.values[:, None], fam._grow(N)[start:N + 1:step].T, order="C")
-        sol, _, _, svals = np.linalg.lstsq(sw[:, None] * B, sw * h.values, rcond=None)
-        resid = B @ sol - h.values
-        assert r.coefficients.tobytes() == sol.tobytes()
-        assert r.condition_estimate == float(svals[0] / svals[-1])
-        assert r.l2_error == float(np.sqrt(np.sum(w * np.abs(resid) ** 2)))
-        assert r.max_error == float(np.max(np.abs(resid)))
+        _assert_near_lstsq(r, B, h)
 
 
 def test_rank_collapse_detected():
@@ -369,6 +375,117 @@ def test_rank_collapse_detected():
     h = sample(lambda x: x, g)
     with pytest.raises(RankCollapseError):
         least_squares_project(h, fam, 25, "full")
+
+
+@pytest.mark.parametrize("complex_h, complex_seed", [(False, False), (True, True),
+                                                     (True, False), (False, True)])
+def test_one_column_projections_report_their_residual(complex_h, complex_seed):
+    # the slices of one column, N = 0 full, N = 1 even and N = 1, 2 odd,
+    # report the errors of their own residual
+    g = spps.Grid(0.0, 1.0, 501, x0=0.0)
+    c = 0.7 + 0.2j if complex_seed else 0.7
+    fam = spps.build_family(sample(lambda x: np.exp(c * x), g), 8)
+    h = sample(lambda x: np.sin(3 * x) + (1j * np.cos(x) if complex_h else 0), g)
+    for N, which in ((0, "full"), (1, "even"), (1, "odd"), (2, "odd")):
+        r = least_squares_project(h, fam, N, which)
+        assert len(r.orders) == 1
+        _assert_near_lstsq(r, np.column_stack([fam.phi_k(k).values for k in r.orders]), h)
+
+
+def _projections(fam, h, Ns):
+    return {(N, which): least_squares_project(h, fam, N, which)
+            for N in Ns for which in ("even", "odd", "full")}
+
+
+def test_projections_do_not_depend_on_the_orders_asked_before():
+    # every slice's basis grows as far as asked: N = 2..16 asked in
+    # ascending order on one family and in descending order on a fresh one
+    # give the same bits
+    g = spps.Grid(0.0, 1.0, 2001, x0=0.3)
+    f = sample(lambda x: np.exp(0.7 * x), g)
+    h = sample(lambda x: np.sin(2.3 * x + 0.4), g)
+    up = _projections(spps.build_family(f, 30), h, range(2, 17))
+    down = _projections(spps.build_family(f, 30), h, range(16, 1, -1))
+    for key, r in up.items():
+        s = down[key]
+        assert r.coefficients.tobytes() == s.coefficients.tobytes(), key
+        assert (r.l2_error, r.max_error, r.condition_estimate) == \
+            (s.l2_error, s.max_error, s.condition_estimate), key
+
+
+def test_a_basis_holds_the_columns_of_the_largest_order_asked():
+    g = spps.Grid(0.0, 1.0, 201, x0=0.5)
+    fam = spps.build_family(sample(np.exp, g), 20)
+    h = sample(np.cos, g)
+    for N, which in ((6, "even"), (3, "full"), (2, "even")):
+        least_squares_project(h, fam, N, which)
+    assert sorted(fam._bases) == [(0, 1), (0, 2)]
+    assert fam._bases[0, 2].size == 4 and fam._bases[0, 1].size == 4
+    assert len(fam._sup_norms) == 7  # psi_0..psi_6: the orders the bases read
+
+
+def test_rank_collapse_after_a_smaller_order_succeeded():
+    # the basis of the first columns stays, and the larger N still collapses
+    g = spps.Grid(0.0, 1.0, 21, x0=0.0)
+    fam = spps.build_family(sample(lambda x: np.ones_like(x), g), 30)
+    h = sample(lambda x: x, g)
+    assert least_squares_project(h, fam, 3, "full").l2_error < 1e-12
+    with pytest.raises(RankCollapseError, match="rank"):
+        least_squares_project(h, fam, 25, "full")
+    with pytest.raises(RankCollapseError):
+        least_squares_project(h, fam, 24, "full")
+    assert least_squares_project(h, fam, 3, "full").l2_error < 1e-12
+
+
+def test_a_freed_family_frees_its_bases():
+    g = spps.Grid(0.0, 1.0, 201, x0=0.5)
+    fam = spps.build_family(sample(np.exp, g), 10)
+    least_squares_project(sample(np.cos, g), fam, 6, "full")
+    refs = [weakref.ref(fam), weakref.ref(fam._bases[0, 1])]
+    del fam
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_threads_projecting_on_one_family_agree(at_once):
+    # four threads growing one fresh family's bases at once get the results
+    # of a family projected on alone
+    g = spps.Grid(0.0, 1.0, 2001, x0=0.5)
+    f = sample(lambda x: np.exp(0.7 * x), g)
+    h = sample(lambda x: np.sin(2.3 * x + 0.4), g)
+    want = _projections(spps.build_family(f, 30), h, (4, 16))
+    fam = spps.build_family(f, 30)
+    for got in at_once(lambda: _projections(fam, h, (4, 16))):
+        for key, r in want.items():
+            assert got[key].coefficients.tobytes() == r.coefficients.tobytes(), key
+            assert got[key].l2_error == r.l2_error and got[key].max_error == r.max_error
+    assert [b.size for b in fam._bases.values()] == [9, 8, 17]
+
+
+@pytest.mark.parametrize("node", [0, 50, 100])
+def test_projection_refuses_a_non_finite_target(interior_family, node):
+    h = sample(np.exp, interior_family.grid)
+    h.values[node] = np.inf if node == 100 else np.nan
+    h.values[node + 1:] = np.nan
+    with pytest.raises(SamplingError, match=f"h value (nan|inf) at node {node} "):
+        least_squares_project(h, interior_family, 4, "full")
+
+
+def test_remainder_refuses_a_non_finite_target_where_its_chain_reads():
+    # the chain reads nodes 92..189 of this grid: a NaN there is refused
+    # with its node, and one outside it is never read
+    g = spps.Grid(0.0, 1.0, 201, x0=0.5)
+    fam = spps.build_family(sample(lambda x: np.exp(0.7 * x), g), 8)
+    clean = remainder_check(sample(np.sin, g), fam, 3, [0.7, 0.9])
+    for node, refused in ((120, True), (189, True), (91, False), (190, False)):
+        h = sample(np.sin, g)
+        h.values[node] = np.nan
+        if refused:
+            with pytest.raises(SamplingError, match=f"h value nan at node {node} "):
+                remainder_check(h, fam, 3, [0.7, 0.9])
+        else:
+            assert remainder_check(h, fam, 3, [0.7, 0.9]).slacks.tobytes() == \
+                clean.slacks.tobytes()
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True])

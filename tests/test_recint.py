@@ -483,3 +483,17 @@ def test_a_seed_with_no_imaginary_part_makes_a_real_family(row_by_row):
     fam = build_family(f, N)
     assert not np.shares_memory(fam.f.values, f.values)  # the family's own copy
     assert fam.psi(1).values.dtype == fam._psi_ends[1].dtype == fam._chi_ends[1].dtype == complex
+
+
+def test_threads_growing_one_family_build_each_order_once(at_once):
+    # four threads growing one fresh family at once leave one sup-norm per
+    # order, and the rows of a family grown alone
+    g = Grid(0.0, 1.0, 20001)
+    f = sample(np.exp, g)
+    fam, alone = build_family(f, 40), build_family(f, 40)
+    alone._grow(40)
+    at_once(lambda: fam._grow(40))
+    assert len(fam._sup_norms) == 41 and fam._sup_norms == alone._sup_norms
+    assert fam._psi.tobytes() == alone._psi.tobytes()
+    assert fam._psi_ends.tobytes() == alone._psi_ends.tobytes()
+    assert fam._chi_ends.tobytes() == alone._chi_ends.tobytes()
