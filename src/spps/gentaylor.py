@@ -13,10 +13,12 @@ data in the solution bases {f*psi_k} and reports the error decay that
 the completeness theory predicts.  It reads an orthonormal basis of the
 weighted columns of its slice (even, odd or full), which a family grows
 once, column by column by Gram-Schmidt run twice and only as far as an
-N asked, and keeps beside its rows (_Basis); a projection then costs two
-matrix-vector products and one triangular solve, and its result does not
-depend on which N were asked before.  Both it and remainder_check refuse
-an h that is not finite at a node they read.
+N asked, and keeps beside its rows (_Basis).  A projection on columns
+already built then costs a few matrix-vector products and one small
+triangular solve, where the first on a fresh family pays for the columns
+it builds, and its result does not depend on which N were asked before.
+Both it and remainder_check refuse an h that is not finite at a node
+they read.
 
 Each gamma level is one numerical differentiation, so point values
 degrade roughly two decimal digits per level; sequences past the safe
@@ -30,6 +32,7 @@ the sample points' interpolation stencils alone.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +41,7 @@ from .errors import (DomainError, GridConfigError, OrderError, RankCollapseError
                      _as_order)
 from .grid import GridFunction, _check_finite, _derivative_rows, _derivative_window, _interpolate
 from .jets import _factorials
-from .recint import RecursiveFamily, _rows
+from .recint import RecursiveFamily
 
 SAFE_DEPTH = 6
 
@@ -49,15 +52,12 @@ def _check_same_grid(h: GridFunction, family: RecursiveFamily) -> None:
 
 
 def _gamma_chain(h: GridFunction, family: RecursiveFamily, n: int,
-                 lo: int, hi: int, finite: bool = False) -> list[np.ndarray]:
+                 lo: int, hi: int) -> list[np.ndarray]:
     """gamma_0(h)..gamma_n(h) on nodes lo..hi, each with the bits the
     whole-grid chain gives those nodes: the chain runs on the window of
-    nodes _derivative_window gives, not on the whole grid.  With finite,
-    a non-finite h on that window raises SamplingError."""
+    nodes _derivative_window gives, not on the whole grid."""
     g = family.grid
     window = _derivative_window(g.n_nodes, lo, hi, n)
-    if finite:
-        _check_finite(h, SamplingError, "h value", window)
     phi = family.phi.values[window]
     weights = (1.0 / phi, phi)  # odd levels multiply by phi, even levels divide
     cur = h.values[window]
@@ -207,7 +207,9 @@ def remainder_check(h: GridFunction, family: RecursiveFamily, n: int,
     # conservative grid max of |gamma_{n+1}| over [x0, x]: nodes i0 .. hi - 1
     # (every x >= x0, so hi > i0), the chain's only nodes past x0
     hi = np.minimum(np.searchsorted(g.nodes, pts, side="right") + 1, g.n_nodes)
-    chain = _gamma_chain(h, family, n + 1, i0, hi[-1] - 1 if pts.size else i0, finite=True)
+    hi_last = hi[-1] - 1 if pts.size else i0
+    _check_finite(h, SamplingError, "h value", _derivative_window(g.n_nodes, i0, hi_last, n + 1))
+    chain = _gamma_chain(h, family, n + 1, i0, hi_last)
     fact = _factorials(n + 1)
     p = GenPolynomial(np.array([c[0] for c in chain[:-1]]) / fact[:-1], family)
     gmax = np.maximum.accumulate(np.abs(chain[-1]))[hi - 1 - i0]
@@ -253,11 +255,13 @@ class _Basis:
     goes into row j of q, and the coefficients of both passes and its norm
     into column j of the upper triangular r, so the first k columns are
     q[:k]^H r[:k, :k].  Row j depends on columns 0..j alone, so a leading
-    block has the same bits whatever was built after it.  rank[j] and
-    sigma[j] are the rank (by lstsq's rule) and the extreme singular
-    values of r[:j + 1, :j + 1], those of the first j + 1 columns.  q is
-    taken with nothing written (recint._rows), so it backs only the rows
-    built, as a family's psi block does."""
+    block has the same bits whatever was built after it.  blocks[k] holds
+    the rank (by lstsq's rule) and the extreme singular values of
+    r[:k, :k], those of the first k columns, for each k asked.  q is an
+    anonymous mapping of its own, outside malloc's heap: a row that no
+    column reached backs no page, and the block goes at once with the
+    basis.  Taken from the heap, by np.empty or grown to the columns asked,
+    it held 0.7 MB more at the peak of the taylor-calculus workload."""
 
     def __init__(self, family: RecursiveFamily, start: int, step: int):
         g = family.grid
@@ -266,19 +270,19 @@ class _Basis:
         self.sw = np.sqrt(w)
         self.orders = range(start, family.N + 1, step)
         cols, dtype = len(self.orders), family._psi.dtype
-        # mapped whatever its size: rows past the largest N asked back no page
-        self.q = _rows((cols, g.n_nodes), dtype, mapped_from=0)
+        flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+        buf = mmap.mmap(-1, cols * g.n_nodes * dtype.itemsize, **flags)
+        self.q = np.frombuffer(buf, dtype).reshape(cols, g.n_nodes)
         self.r = np.zeros((cols, cols), dtype)
         self.r_rows = []  # r[:size, :size] as nested lists, for solve
-        self.sigma = np.zeros((cols, 2))
-        self.rank = np.zeros(cols, dtype=int)
+        self.blocks = {}
         self.size = 0
 
     def extend(self, family: RecursiveFamily, k: int) -> None:
         """Orthonormalize columns size..k-1, growing the family's orders
         as far as they read."""
         psi = family._grow(self.orders[k - 1])
-        swf, n_nodes = self.sw * family.f.values, len(self.sw)
+        swf = self.sw * family.f.values
         for j in range(self.size, k):
             v = swf * psi[self.orders[j]]
             q = self.q[:j]
@@ -292,13 +296,18 @@ class _Basis:
             # a zero column leaves a zero row and a zero diagonal, which
             # collapses the rank of every block that holds it
             self.q[j] = np.conj(v) / norm if norm else 0.0
-            s = np.linalg.svd(self.r[:j + 1, :j + 1], compute_uv=False)
-            self.sigma[j] = s[0], s[-1]
-            # lstsq's rule: rcond = eps * max(n_nodes, columns)
-            tol = np.finfo(float).eps * max(n_nodes, j + 1) * s[0]
-            self.rank[j] = np.count_nonzero(s > tol)
         self.r_rows = self.r[:k, :k].tolist()
         self.size = k
+
+    def block(self, k: int) -> tuple:
+        """(rank, sigma_max, sigma_min) of the first k columns, from the
+        singular values of r[:k, :k], with lstsq's rank rule (rcond = eps
+        * max(n_nodes, k)); kept in blocks."""
+        if k not in self.blocks:
+            s = np.linalg.svd(self.r[:k, :k], compute_uv=False)
+            tol = np.finfo(float).eps * max(len(self.sw), k) * s[0]
+            self.blocks[k] = int(np.count_nonzero(s > tol)), s[0], s[-1]
+        return self.blocks[k]
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """x with r[:k, :k] x = y, k = len(y), by back substitution."""
@@ -312,9 +321,10 @@ class _Basis:
         return np.array(x)
 
 
-def _basis(family: RecursiveFamily, start: int, step: int, k: int) -> _Basis:
+def _basis(family: RecursiveFamily, start: int, step: int, k: int) -> tuple:
     """The family's basis of the orders start, start + step, ..., with at
-    least its first k columns built: made at the first read of the slice
+    least its first k columns built, and the rank and extreme singular
+    values of those k: the basis is made at the first read of the slice
     and grown, under the family's lock, only as far as k."""
     with family._lock:
         basis = family._bases.get((start, step))
@@ -322,7 +332,7 @@ def _basis(family: RecursiveFamily, start: int, step: int, k: int) -> _Basis:
             basis = family._bases[start, step] = _Basis(family, start, step)
         if basis.size < k:
             basis.extend(family, k)
-    return basis
+        return basis, basis.block(k)
 
 
 def least_squares_project(h: GridFunction, family: RecursiveFamily, N: int,
@@ -335,12 +345,14 @@ def least_squares_project(h: GridFunction, family: RecursiveFamily, N: int,
     weighted columns, which the family grows once, one column at a time
     and only as far as an N asked, and keeps (never normal equations:
     these bases are Vandermonde-like).  With b = sqrt(w) * h and the k
-    columns q_k^H r_k: y = q_k b, the coefficients solve r_k x = y, and
-    the errors are read from the weighted residual b - q_k^H y.  The rank
-    and condition estimate are those of r_k's singular values, with
-    lstsq's rank rule; no call factors a matrix.  Raises
-    RankCollapseError if the design matrix loses rank, and SamplingError
-    if h is not finite at a node.
+    columns q_k^H r_k, the coefficients solve r_k x = q_k b; l2_error and
+    max_error are those of their residual on the columns f * psi_k.  The
+    rank and condition estimate are those of r_k's singular values, with
+    lstsq's rank rule.  A call that reads columns already built factors
+    no matrix of n_nodes rows, so projecting again on a family is cheap;
+    the first call on a fresh family pays for the columns it builds.
+    Raises RankCollapseError if the design matrix loses rank, and
+    SamplingError if h is not finite at a node.
     """
     _check_same_grid(h, family)
     N = _as_order(N, "N")
@@ -356,21 +368,17 @@ def least_squares_project(h: GridFunction, family: RecursiveFamily, N: int,
     _check_finite(h, SamplingError, "h value")
 
     k = len(orders)
-    basis = _basis(family, start, step, k)
-    if basis.rank[k - 1] < k:
-        raise RankCollapseError(
-            f"design matrix rank {basis.rank[k - 1]} < {k} columns")
-    q = basis.q[:k]
-    b = basis.sw * h.values
-    y = q @ b
-    # the conjugate of the weighted residual b - q^H y, whose modulus is all
-    # the errors read; a real residual is its own conjugate
-    resid = b.conj() - y.conj() @ q
-    smax, smin = basis.sigma[k - 1]
+    basis, (rank, smax, smin) = _basis(family, start, step, k)
+    if rank < k:
+        raise RankCollapseError(f"design matrix rank {rank} < {k} columns")
+    x = basis.solve(basis.q[:k] @ (basis.sw * h.values))
+    # the errors are those of the coefficients returned, their residual on
+    # the unweighted basis rows f * psi_k
+    resid = x @ np.multiply(family.f.values, family._grow(N)[start:N + 1:step]) - h.values
     return ProjectionResult(
-        coefficients=basis.solve(y),
+        coefficients=x,
         orders=orders,
-        l2_error=float(np.linalg.norm(resid)),
-        max_error=float(np.max(np.abs(resid) / basis.sw)),
+        l2_error=float(np.linalg.norm(basis.sw * resid)),
+        max_error=float(np.max(np.abs(resid))),
         condition_estimate=float(smax / smin),
     )

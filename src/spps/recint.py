@@ -77,23 +77,18 @@ _RING = 4
 _MAPPED_BYTES = 4 << 20
 
 
-def _rows(shape: tuple, dtype, mapped_from: int = _MAPPED_BYTES) -> np.ndarray:
+def _rows(shape: tuple, dtype) -> np.ndarray:
     """An array of rows, nothing written, so no page of it is backed until
-    a row on it is written.  One of mapped_from bytes or more is an
-    anonymous mapping of its own, so that freeing it unmaps its pages at
-    once, where a block malloc served from its heap would stay in the
-    process, and a page of it that no row reaches is never backed, where
-    malloc may hand out heap pages that are backed already.  A mapping of
-    _MAPPED_BYTES or more asks for transparent huge pages (MADV_HUGEPAGE,
-    where the platform has it), as numpy does from that size; a smaller
-    one does not, so that no huge page backs rows that were never
-    written."""
+    a row on it is written.  One of _MAPPED_BYTES or more is an anonymous
+    mapping of its own (with MADV_HUGEPAGE where the platform has it), so
+    that freeing it unmaps its pages at once, where a block malloc served
+    from its heap would stay in the process."""
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
-    if nbytes < mapped_from or not hasattr(mmap, "MAP_PRIVATE"):
+    if nbytes < _MAPPED_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
         return np.empty(shape, dtype)
     buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-    if nbytes >= _MAPPED_BYTES and hasattr(mmap, "MADV_HUGEPAGE"):
+    if hasattr(mmap, "MADV_HUGEPAGE"):
         with contextlib.suppress(OSError):  # a kernel without huge pages
             buf.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(buf, dtype).reshape(shape)
@@ -192,8 +187,9 @@ class RecursiveFamily:
     again: the series module's whole-grid sums at one lambda (_sums, of
     the family read last alone) and, for each slice least_squares_project
     has read (even, odd or full), an orthonormal basis of its weighted
-    solution columns, one more row of n_nodes per column asked and a
-    small triangular factor (_bases, from gentaylor).  Orders and bases
+    solution columns, a block of one row of n_nodes per order of the
+    slice, written only as far as the columns asked, and a small
+    triangular factor (_bases, from gentaylor).  Orders and bases
     are built under the family's re-entrant lock, so threads reading one
     family build each once and read the same bits.
 

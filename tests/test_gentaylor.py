@@ -392,6 +392,33 @@ def test_one_column_projections_report_their_residual(complex_h, complex_seed):
         _assert_near_lstsq(r, np.column_stack([fam.phi_k(k).values for k in r.orders]), h)
 
 
+@pytest.mark.parametrize("N, which", [(17, "full"), (19, "odd")])
+def test_ill_conditioned_projections_report_their_coefficients_residual(N, which):
+    # at a condition of 1e10 and more, l2_error and max_error are those of
+    # the coefficients returned, to the rounding of evaluating B x - h, and
+    # the coefficients solve the weighted problem as well as lstsq's
+    g = spps.Grid(0.0, 1.0, 301, x0=0.5)
+    fam = spps.build_family(sample(spps.get_seed("exp", c=0.7).func, g), 30)
+    h = sample(lambda x: np.sin(3 * x + 0.2), g)
+    r = least_squares_project(h, fam, N, which)
+    assert r.condition_estimate >= 1e10
+    w = np.full(g.n_nodes, g.h)
+    w[0] = w[-1] = g.h / 2.0
+    sw = np.sqrt(w)
+    B = np.column_stack([fam.phi_k(k).values for k in r.orders])
+    resid = B @ r.coefficients - h.values
+    size = np.abs(B) @ np.abs(r.coefficients)  # what rounds in B x
+    eps = np.finfo(float).eps
+    assert abs(r.l2_error - np.linalg.norm(sw * resid)) <= 1e3 * eps * np.linalg.norm(sw * size)
+    assert abs(r.max_error - np.max(np.abs(resid))) <= 1e3 * eps * np.max(size)
+    A, b = sw[:, None] * B, sw * h.values
+    sol = np.linalg.lstsq(A, b, rcond=None)[0]
+    scale = np.linalg.norm(A, 2) * np.linalg.norm(b)
+    optimality = np.linalg.norm(A.T @ (A @ r.coefficients - b)) / scale
+    assert optimality <= max(10 * np.linalg.norm(A.T @ (A @ sol - b)) / scale, 1e-13)
+    assert abs(r.l2_error - np.linalg.norm(A @ sol - b)) <= 1e-12 * np.linalg.norm(b)
+
+
 def _projections(fam, h, Ns):
     return {(N, which): least_squares_project(h, fam, N, which)
             for N in Ns for which in ("even", "odd", "full")}
