@@ -17,17 +17,17 @@ N asked, and keeps beside its rows (_Basis).  A projection on columns
 already built then costs a few matrix-vector products and one small
 triangular solve, where the first on a fresh family pays for the columns
 it builds, and its result does not depend on which N were asked before.
-Both it and remainder_check refuse an h that is not finite at a node
-they read.
+Every function here that takes an h refuses one that is not finite at a
+node it reads.
 
 Each gamma level is one numerical differentiation, so point values
 degrade roughly two decimal digits per level; sequences past the safe
-depth are still returned but flagged.  A chain reads only the nodes its
-results depend on (grid._derivative_window), each with the bits the
-whole-grid chain gives it: gamma_seq and gen_taylor_coeffs read at most
-the 4n + 1 nodes around x0, and remainder_check the nodes from about
-x0 to its last sample, with 2(n + 1) more at each end.  P_n is summed at
-the sample points' interpolation stencils alone.
+depth are still returned but flagged.  The chain is
+grid._derivative_chain, which reads only the nodes its results depend
+on, each with the bits the whole-grid chain gives it: gamma_seq and
+gen_taylor_coeffs read at most the 4n + 1 nodes around x0, and
+remainder_check the nodes from about x0 to its last sample.  P_n is
+summed at the sample points' interpolation stencils alone.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (DomainError, GridConfigError, OrderError, RankCollapseError, SamplingError,
                      _as_order)
-from .grid import GridFunction, _check_finite, _derivative_rows, _derivative_window, _interpolate
+from .grid import GridFunction, _check_finite, _derivative_chain, _interpolate
 from .jets import _factorials
 from .recint import RecursiveFamily
 
@@ -49,25 +49,6 @@ SAFE_DEPTH = 6
 def _check_same_grid(h: GridFunction, family: RecursiveFamily) -> None:
     if h.grid != family.grid:
         raise GridConfigError("h does not live on the family's grid")
-
-
-def _gamma_chain(h: GridFunction, family: RecursiveFamily, n: int,
-                 lo: int, hi: int) -> list[np.ndarray]:
-    """gamma_0(h)..gamma_n(h) on nodes lo..hi, each with the bits the
-    whole-grid chain gives those nodes: the chain runs on the window of
-    nodes _derivative_window gives, not on the whole grid."""
-    g = family.grid
-    window = _derivative_window(g.n_nodes, lo, hi, n)
-    phi = family.phi.values[window]
-    weights = (1.0 / phi, phi)  # odd levels multiply by phi, even levels divide
-    cur = h.values[window]
-    ends = window.start == 0, window.stop == g.n_nodes
-    chain = [cur]
-    for k in range(1, n + 1):
-        cur = weights[k % 2] * _derivative_rows(cur, g.h, *ends)
-        chain.append(cur)
-    part = slice(lo - window.start, hi + 1 - window.start)
-    return [c[part] for c in chain]
 
 
 @dataclass
@@ -92,18 +73,17 @@ def gamma_seq(h: GridFunction, family: RecursiveFamily, n: int) -> GenDerivative
     leave an error kink that each further differentiation amplifies by
     1/h, so deep chains should anchor in the interior.
 
-    The chain reads h and phi on the nodes x0's whole-grid derivatives
-    depend on, so each value has the bits a whole-grid chain gives it
-    and the cost does not grow with n_nodes: the 4n + 1 nodes around
-    x0, or, for an x0 within 2n nodes of a grid end, the nodes from that
-    end to 2n past x0 or past the end's third node, whichever is further.
+    The chain reads h and phi only on the window grid._derivative_chain
+    gives x0, at most the 4n + 1 nodes around it, so each value has the
+    bits a whole-grid chain gives it and the cost does not grow with
+    n_nodes.  An h that is not finite there raises SamplingError.
     """
     _check_same_grid(h, family)
     n = _as_order(n, "n")
     if n < 0:
         raise OrderError(f"n must be >= 0, got {n}")
     i0 = family.grid.x0_index
-    values = np.array([c[0] for c in _gamma_chain(h, family, n, i0, i0)])
+    values = np.array([c[0] for c in _derivative_chain(h, i0, i0, n, family.phi)])
     return GenDerivativeSequence(values, family.grid.x0, n, n > SAFE_DEPTH)
 
 
@@ -187,12 +167,10 @@ def remainder_check(h: GridFunction, family: RecursiveFamily, n: int,
     each in its own type, with the bits its own GridFunction.at gives,
     P_n summed at the stencils' nodes alone.
 
-    The chain of n + 1 levels reads h and phi from 2(n + 1) nodes left
-    of x0 to 2(n + 1) right of the last node whose gamma_{n+1} the
-    largest sample reads, clipped to the grid; where that meets a grid
-    end, the window also reaches 2(n + 1) past the end's third node,
-    which its one-sided stencils read.  Every value it gives has the
-    whole-grid chain's bits.
+    One chain of n + 1 levels (grid._derivative_chain) gives both P_n's
+    coefficients and gamma_{n+1}, on the nodes from x0 to the last whose
+    gamma_{n+1} the largest sample reads, with the whole-grid chain's
+    bits.  An h that is not finite on its window raises SamplingError.
     """
     _check_same_grid(h, family)
     pts = np.sort(np.ravel(np.asarray(sample_points, dtype=float)))
@@ -208,8 +186,7 @@ def remainder_check(h: GridFunction, family: RecursiveFamily, n: int,
     # (every x >= x0, so hi > i0), the chain's only nodes past x0
     hi = np.minimum(np.searchsorted(g.nodes, pts, side="right") + 1, g.n_nodes)
     hi_last = hi[-1] - 1 if pts.size else i0
-    _check_finite(h, SamplingError, "h value", _derivative_window(g.n_nodes, i0, hi_last, n + 1))
-    chain = _gamma_chain(h, family, n + 1, i0, hi_last)
+    chain = _derivative_chain(h, i0, hi_last, n + 1, family.phi)
     fact = _factorials(n + 1)
     p = GenPolynomial(np.array([c[0] for c in chain[:-1]]) / fact[:-1], family)
     gmax = np.maximum.accumulate(np.abs(chain[-1]))[hi - 1 - i0]

@@ -397,20 +397,36 @@ def _derivative_rows(y: np.ndarray, h, first: bool = True, last: bool = True) ->
     return d / h
 
 
-def _derivative_window(n_nodes: int, lo: int, hi: int, levels: int) -> slice:
-    """The nodes a chain of `levels` _derivative_rows calls reads to give
-    nodes lo..hi of a grid of n_nodes their whole-grid bits.
+def _derivative_chain(h: GridFunction, lo: int, hi: int, levels: int,
+                      phi: GridFunction | None = None) -> list[np.ndarray]:
+    """h and its derivatives to order `levels` on nodes lo..hi, each with
+    the bits the whole-grid chain of derivative calls gives those nodes.
+    With phi (on h's grid), odd levels are multiplied by phi and even
+    levels by 1/phi, the generalized derivatives gamma_k; without it
+    nothing is, since a product by 1.0 flips the sign of some complex
+    zeros.
 
-    A centered stencil reads 2 nodes each side, so each level reaches 2
+    The chain runs on the window of nodes its results depend on.  A
+    centered stencil reads 2 nodes each side, so each level reaches 2
     nodes further: lo - 2 levels .. hi + 2 levels, clipped to the grid.
     The one-sided stencils at a grid end read its first (last) 5 nodes,
-    so where the window starts (ends) at a grid end it must also reach
-    2 levels past node 2 (before node n_nodes - 3).  For levels >= 1 the
-    window spans at most hi - lo + 4 levels + 1 nodes, and at least 5
-    if the grid has 5.
+    so for levels >= 1, where the window starts (ends) at a grid end it
+    must also reach 2 levels past node 2 (before node n_nodes - 3).  The
+    window then spans at most hi - lo + 4 levels + 1 nodes, and at least
+    5 if the grid has 5.  An h that is not finite at a node of the window
+    raises SamplingError naming the first such node.
     """
-    return slice(max(min(lo, n_nodes - 3) - 2 * levels, 0),
-                 min(max(hi, 2) + 2 * levels + 1, n_nodes))
+    n = h.grid.n_nodes
+    first, last = (min(lo, n - 3), max(hi, 2)) if levels else (lo, hi)
+    window = slice(max(first - 2 * levels, 0), min(last + 2 * levels + 1, n))
+    ends = window.start == 0, window.stop == n
+    weights = None if phi is None else (1.0 / phi.values[window], phi.values[window])
+    chain = [_check_finite(h, SamplingError, "h value", window).values[window]]
+    for k in range(1, levels + 1):
+        d = _derivative_rows(chain[-1], h.grid.h, *ends)
+        chain.append(d if weights is None else weights[k % 2] * d)
+    part = slice(lo - window.start, hi + 1 - window.start)
+    return [c[part] for c in chain]
 
 
 def write_csv(g: GridFunction, path) -> None:

@@ -14,7 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyWarning, AnchorError, JetDivisionError, OrderError, _read_only
+from .errors import (AccuracyWarning, AnchorError, JetDivisionError, OrderError, _as_order,
+                     _read_only)
+from .grid import _derivative_chain
 
 # Below this the constant term counts as zero for division purposes.
 _RECIP_EPS = 1e-14
@@ -26,6 +28,15 @@ _GRID_SAFE_ORDER = 4
 def _factorials(n: int) -> np.ndarray:
     """0!, 1!, ..., n! as floats, each the last times its index; shared, read only."""
     return _read_only(np.cumprod(np.concatenate(([1.0], np.arange(1.0, n + 1)))))
+
+
+def _jet_order(order) -> int:
+    """order, the order argument of a jet builder, as an int >= 0; a
+    float, a bool or a negative order raises OrderError."""
+    order = _as_order(order, "order")
+    if order < 0:
+        raise OrderError(f"order must be >= 0, got {order}")
+    return order
 
 
 class Jet:
@@ -75,24 +86,19 @@ class Jet:
         Each level multiplies the rounding noise by O(1/h), so this is a
         last resort for seeds with no closed form; an AccuracyWarning is
         issued past order 4.  Prefer exact jets whenever available.  The
-        chain runs on the at most 4 order + 1 nodes around the anchor
-        whose whole-grid derivatives it depends on, with their bits.
+        chain (grid._derivative_chain) runs on the at most 4 order + 1
+        nodes around the anchor whose whole-grid derivatives it depends
+        on, with their bits, and refuses g with SamplingError where it is
+        not finite there.  order must be an integer >= 0, else OrderError.
         """
-        i0 = g.grid.x0_index
+        order = _jet_order(order)
         if order > _GRID_SAFE_ORDER:
             warnings.warn(
                 f"jet of order {order} from grid data: repeated numerical "
                 f"differentiation beyond order {_GRID_SAFE_ORDER} loses "
                 f"accuracy", AccuracyWarning, stacklevel=2)
-        from .grid import _derivative_rows, _derivative_window
-        window = _derivative_window(g.grid.n_nodes, i0, i0, order)
-        cur = g.values[window]
-        ends = window.start == 0, window.stop == g.grid.n_nodes
-        derivs = [g.values[i0]]
-        for _ in range(order):
-            cur = _derivative_rows(cur, g.grid.h, *ends)
-            derivs.append(cur[i0 - window.start])
-        return cls.from_derivatives(derivs, g.grid.x0)
+        i0 = g.grid.x0_index
+        return cls.from_derivatives([c[0] for c in _derivative_chain(g, i0, i0, order)], g.grid.x0)
 
     # -- algebra -----------------------------------------------------------
 
@@ -143,6 +149,7 @@ class Jet:
         return Jet(self.x0, b)
 
     def truncate(self, order: int) -> "Jet":
+        order = _as_order(order, "order")
         if order < 0 or order > self.order:
             raise OrderError(f"cannot truncate order {self.order} to {order}")
         return Jet(self.x0, self.coeffs[:order + 1])

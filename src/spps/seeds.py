@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import Jet, _factorials
+from .jets import Jet, _factorials, _jet_order
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,12 @@ class BuiltinSeed:
     jet_builder: Callable = field(repr=False)
 
     def jet(self, x0: float, order: int) -> Jet:
-        """Exact jet of f at x0."""
-        return self.jet_builder(x0, order)
+        """Exact jet of f at x0; order is an integer >= 0, else OrderError."""
+        return self.jet_builder(x0, _jet_order(order))
 
     def phi_jet(self, x0: float, order: int) -> Jet:
-        """Exact jet of phi = f^2 at x0."""
-        fj = self.jet_builder(x0, order)
+        """Exact jet of phi = f^2 at x0; order as for jet."""
+        fj = self.jet(x0, order)
         return fj * fj
 
 

@@ -154,15 +154,23 @@ def test_remainder_takes_points_of_any_shape_flattened(interior_family):
 
 
 def test_remainder_differentiates_once_per_level(interior_family, monkeypatch):
+    # remainder_check at order n differentiates n + 1 times, as its one
+    # chain gives both P_n and gamma_(n+1); gamma_seq at n and
+    # Jet.from_grid at order n differentiate n times each
     calls = []
-    real = spps.gentaylor._derivative_rows
-    monkeypatch.setattr(spps.gentaylor, "_derivative_rows",
+    real = spps.grid._derivative_rows
+    monkeypatch.setattr(spps.grid, "_derivative_rows",
                         lambda *args: calls.append(1) or real(*args))
     h = sample(np.exp, interior_family.grid)
     for n in (0, 3, 5):
-        calls.clear()
-        remainder_check(h, interior_family, n, [0.6, 0.9])
-        assert len(calls) == n + 1
+        for call, levels in ((lambda: remainder_check(h, interior_family, n, [0.6, 0.9]), n + 1),
+                             (lambda: gamma_seq(h, interior_family, n), n),
+                             (lambda: spps.Jet.from_grid(h, n), n)):
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", spps.AccuracyWarning)
+                call()
+            assert len(calls) == levels
 
 
 @pytest.mark.parametrize("complex_h, complex_family", [(False, False), (True, True),
@@ -240,8 +248,10 @@ def test_windows_need_a_grid_of_five_nodes(anchor):
     g = spps.Grid(0.0, 1.0, 4, x0=anchor / 3)
     h = sample(np.exp, g)
     fam = spps.build_family(h, 4)
-    assert gamma_seq(h, fam, 0).values[0] == h.values[anchor]
-    assert spps.Jet.from_grid(h, 0).coeffs[0] == h.values[anchor]
+    # order 0 reads the anchor alone: a NaN at any other node is never read
+    lone = spps.GridFunction(g, np.where(np.arange(4) == anchor, h.values, np.nan))
+    assert gamma_seq(lone, fam, 0).values[0] == h.values[anchor]
+    assert spps.Jet.from_grid(lone, 0).coeffs[0] == h.values[anchor]
     for call in (lambda: gamma_seq(h, fam, 1), lambda: gen_taylor_coeffs(h, fam, 2),
                  lambda: remainder_check(h, fam, 0, [g.b]), lambda: spps.Jet.from_grid(h, 1)):
         with pytest.raises(spps.GridConfigError, match="at least 5 nodes"):
@@ -498,21 +508,36 @@ def test_projection_refuses_a_non_finite_target(interior_family, node):
         least_squares_project(h, interior_family, 4, "full")
 
 
-def test_remainder_refuses_a_non_finite_target_where_its_chain_reads():
-    # the chain reads nodes 92..189 of this grid: a NaN there is refused
-    # with its node, and one outside it is never read
+def _refused_where_read(result, refused, unread):
+    """result(h, fam) for h = sin on 201 nodes with x0 = 0.5 (node 100) and
+    an exp family: a NaN at a node of refused raises SamplingError naming
+    that node, and one at a node of unread leaves the clean result's bits."""
     g = spps.Grid(0.0, 1.0, 201, x0=0.5)
     fam = spps.build_family(sample(lambda x: np.exp(0.7 * x), g), 8)
-    clean = remainder_check(sample(np.sin, g), fam, 3, [0.7, 0.9])
-    for node, refused in ((120, True), (189, True), (91, False), (190, False)):
+    clean = result(sample(np.sin, g), fam)
+    for node in refused + unread:
         h = sample(np.sin, g)
         h.values[node] = np.nan
-        if refused:
+        if node in refused:
             with pytest.raises(SamplingError, match=f"h value nan at node {node} "):
-                remainder_check(h, fam, 3, [0.7, 0.9])
+                result(h, fam)
         else:
-            assert remainder_check(h, fam, 3, [0.7, 0.9]).slacks.tobytes() == \
-                clean.slacks.tobytes()
+            assert result(h, fam).tobytes() == clean.tobytes()
+
+
+def test_remainder_refuses_a_non_finite_target_where_its_chain_reads():
+    # the chain reads nodes 92..189 of this grid
+    _refused_where_read(lambda h, fam: remainder_check(h, fam, 3, [0.7, 0.9]).slacks,
+                        (120, 189), (91, 190))
+
+
+@pytest.mark.parametrize("result", [lambda h, fam: gamma_seq(h, fam, 3).values,
+                                    lambda h, fam: gen_taylor_coeffs(h, fam, 3).alpha,
+                                    lambda h, fam: spps.Jet.from_grid(h, 3).coeffs])
+def test_gammas_refuse_a_non_finite_target_where_their_chain_reads(result):
+    # at n = 3 the chain reads nodes 94..106: both ends are refused, and
+    # the nodes just outside are never read
+    _refused_where_read(result, (94, 106), (93, 107))
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True])
@@ -520,6 +545,16 @@ def test_gamma_order_must_be_an_integer(interior_family, bad):
     h = sample(np.exp, interior_family.grid)
     with pytest.raises(OrderError, match="n must be an integer"):
         gamma_seq(h, interior_family, bad)
+
+
+@pytest.mark.parametrize("bad, message", [(2.5, "order must be an integer"),
+                                          (2.0, "order must be an integer"),
+                                          (True, "order must be an integer"),
+                                          (-1, "order must be >= 0")])
+def test_grid_jet_order_must_be_a_non_negative_integer(interior_family, bad, message):
+    h = sample(np.exp, interior_family.grid)
+    with pytest.raises(OrderError, match=message):
+        spps.Jet.from_grid(h, bad)
 
 
 @pytest.mark.parametrize("bad", [4.5, 4.0, True])

@@ -116,6 +116,12 @@ def test_jet_refuses_an_order_it_cannot_carry(make):
         make()
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, True])
+def test_truncation_order_must_be_an_integer(bad):
+    with pytest.raises(spps.OrderError, match="order must be an integer"):
+        Jet(0.0, [1.0, 2.0, 3.0]).truncate(bad)
+
+
 def test_identity_jet():
     j = Jet.identity(0.25, 3)
     assert np.allclose(j.coeffs, [0.25, 1.0, 0.0, 0.0], atol=1e-15)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spps import OrderError
 from spps.seeds import available_seeds, get_seed
 
 
@@ -23,6 +24,18 @@ def test_bad_parameters_rejected():
         get_seed("x_exp_a_over_x", a=0.0)
     with pytest.raises(ValueError):
         get_seed("exp", rate=1.0)
+
+
+@pytest.mark.parametrize("name", ["constant", "exp", "x_exp_a_over_x"])
+@pytest.mark.parametrize("bad, message", [(2.5, "order must be an integer"),
+                                          (2.0, "order must be an integer"),
+                                          (True, "order must be an integer"),
+                                          (-1, "order must be >= 0")])
+def test_seed_jet_order_must_be_a_non_negative_integer(name, bad, message):
+    seed = get_seed(name)
+    for jet in (seed.jet, seed.phi_jet):
+        with pytest.raises(OrderError, match=message):
+            jet(0.5, bad)
 
 
 def test_exp_jet_coefficients():
