@@ -264,15 +264,15 @@ class _Basis:
             v = swf * psi[self.orders[j]]
             q = self.q[:j]
             c = q @ v
-            v -= np.conj(np.conj(c) @ q)
+            v -= (c.conj() @ q).conj()
             d = q @ v
-            v -= np.conj(np.conj(d) @ q)
+            v -= (d.conj() @ q).conj()
             norm = np.linalg.norm(v)
             self.r[:j, j] = c + d
             self.r[j, j] = norm
             # a zero column leaves a zero row and a zero diagonal, which
             # collapses the rank of every block that holds it
-            self.q[j] = np.conj(v) / norm if norm else 0.0
+            self.q[j] = v.conj() / norm if norm else 0.0
         self.r_rows = self.r[:k, :k].tolist()
         self.size = k
 

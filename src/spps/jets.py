@@ -59,14 +59,14 @@ class Jet:
 
     @classmethod
     def constant(cls, value, x0: float, order: int) -> "Jet":
-        c = np.zeros(order + 1, dtype=np.complex128)
+        c = np.zeros(_jet_order(order) + 1, dtype=np.complex128)
         c[0] = value
         return cls(x0, c)
 
     @classmethod
     def identity(cls, x0: float, order: int) -> "Jet":
         """Jet of the coordinate function x."""
-        if order < 1:
+        if _jet_order(order) < 1:
             raise OrderError("identity jet needs order >= 1")
         c = np.zeros(order + 1, dtype=np.complex128)
         c[0] = x0

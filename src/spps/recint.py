@@ -183,15 +183,14 @@ class RecursiveFamily:
     whole chi_k row, with one more product and integration of one row
     each, and keeps it: a family read whole holds two rows per order.  No
     series reader builds a chi row.
-    A family also keeps what its readers make from its rows and read
-    again: the series module's whole-grid sums at one lambda (_sums, of
-    the family read last alone) and, for each slice least_squares_project
-    has read (even, odd or full), an orthonormal basis of its weighted
-    solution columns, a block of one row of n_nodes per order of the
-    slice, written only as far as the columns asked, and a small
-    triangular factor (_bases, from gentaylor).  Orders and bases
-    are built under the family's re-entrant lock, so threads reading one
-    family build each once and read the same bits.
+    A family also keeps what a reader makes from its rows and reads
+    again: for each slice least_squares_project has read (even, odd or
+    full), an orthonormal basis of its weighted solution columns, a
+    block of one row of n_nodes per order of the slice, written only as
+    far as the columns asked, and a small triangular factor (_bases, from
+    gentaylor).  Orders and bases are built under the family's re-entrant
+    lock, so threads reading one family build each once and read the same
+    bits.
 
     Attributes
     ----------
@@ -249,11 +248,6 @@ class RecursiveFamily:
         # sup-norm of psi_n per built order, read by choose_truncation; its
         # length is the number of orders built
         self._sup_norms = [1.0]
-        # the series module's whole-grid S (key (0, s)) and T (key (1, s)) of
-        # u1 (s = 0) and u2 (s = 1): ((lambda's bits, M), array), each
-        # replaced by a new array at a new lambda or M, and all cleared once
-        # another family is read (series._kept)
-        self._sums = {}
         # the gentaylor module's orthonormal solution bases, one per slice of
         # the orders (key (start, step)), grown under _lock (gentaylor._basis)
         self._bases = {}

@@ -50,14 +50,17 @@ measured, a sum at 1 and at 2 threads differs at a few nodes by
 rounding, so a result repeats bit for bit at a fixed BLAS thread count.
 
 The series are read one way: the process keeps the whole-grid S and T
-of u1 and u2 of one family, the latest read (RecursiveFamily._sums, at
-most four arrays in all), each tagged with the bits of its lambda and M
-by _kept.  _kept makes a missing one as a new array once the last is
-dropped, and first clears the sums of the family read before, which it
-holds by a weak reference only, so that it keeps no family alive.  A
-caller who reads two families in turn at one lambda therefore makes
-each family's sums again at each read, one product and one integral a
-series.  u*_grid and choose_truncation read S and T whole, and eval_u*
+of u1 and u2 of one family at one lambda and M, the latest read, in one
+slot of this module (_last, at most four arrays in all), tagged with
+that family, by a weak reference only, and with the bits of lambda and
+M.  _kept makes a missing sum as a new array once; a read of another
+family, lambda or M first drops the whole slot, and the slot is cleared
+once its family is freed, so that it keeps no family alive.  Threads
+rebind the slot whole, with no lock: a reader whose slot another thread
+replaced keeps the sums it made for its own call only.  A caller who
+reads two families in turn at one lambda therefore makes each family's
+sums again at each read, one product and one integral a series.
+u*_grid and choose_truncation read S and T whole, and eval_u*
 gathers them at the nodes of the interpolation stencils of the points
 asked for (grid._stencil, 6 nodes a point), which then get the
 stencil's weights; so eval_u*(x) has the bits of u*_grid(...).at(x).  Each product is np.multiply(factor, sum),
@@ -72,7 +75,7 @@ b and at a: u and u' there, and so Phi, are the grid solutions' end
 nodes to rounding, and the eigen search reads no whole row there and
 keeps no sum.  choose_truncation sums u1's and u2's series once, on the
 whole grid, at the first truncation its bound lets through; on the eigen search's
-streamed family, which keeps a ring of its last psi rows and no sum, it
+streamed family, which keeps a ring of its last psi rows and makes no sum, it
 adds each term to a running sum per series and lambda as the orders are
 built, so that partial sum's sup-norm is the same, to rounding.
 
@@ -88,7 +91,6 @@ an array of any other size (_one_lam).
 
 from __future__ import annotations
 
-import threading
 import warnings
 import weakref
 from functools import lru_cache
@@ -177,52 +179,53 @@ def _grid_sum(family: RecursiveFamily, s: int, lam, M: int):
     return S
 
 
-# The one family whose whole-grid sums are held (_kept), by a weak
-# reference, so that it keeps no family alive; None before the first sum.
-# The lock makes switching it and storing a sum atomic across threads.
-_holder = None
-_holder_lock = threading.Lock()
+# The whole-grid sums the process keeps, those of the family read last:
+# None, or ((a weak reference to the family, lam's bits, M), {(0 for S or
+# 1 for T, s): array}).  Rebinding it is atomic, so threads need no lock;
+# the reference clears it once the family is freed (_forget).
+_last = None
+
+
+def _forget(ref) -> None:
+    """Clear the slot once the family it holds is freed."""
+    global _last
+    last = _last
+    if last is not None and last[0][0] is ref:
+        _last = None
 
 
 def _kept(family: RecursiveFamily, key, lam, M: int, make):
-    """The family's whole-grid sum family._sums[key], tagged with the bits
-    of lam and M: the kept one if it has this tag, else make()'s new
-    array, kept in its place.  The process holds the sums of one family,
-    the latest read: a sum made for another family first clears the
-    sums of the one before it, and a sum made while another thread read
-    another family is returned but not kept.  The old sum is dropped
-    first, so nothing stale is left if make is cut short, and the two
-    are never held together."""
-    global _holder
+    """The family's whole-grid sum `key` at lam and M: the one the slot
+    _last holds if it holds this family at the bits of lam and M, else
+    make()'s new array, kept there.  The process holds the sums of one
+    family at one lam and M, the latest read: a read of another family,
+    lam or M first drops every sum the slot holds, so nothing stale is
+    left if make is cut short and the old and the new are never held
+    together, and then puts a fresh slot in its place.  A sum made while
+    another thread replaced the slot is returned but not kept."""
+    global _last
     tag = (np.complex128(lam).tobytes(), M)
-    entry = family._sums.get(key)
-    if entry is not None and entry[0] == tag:
-        return entry[1]
-    with _holder_lock:
-        held = _holder() if _holder is not None else None
-        if held is not family:
-            if held is not None:
-                held._sums.clear()
-            _holder = weakref.ref(family)
-        family._sums.pop(key, None)
-    S = make()
-    with _holder_lock:
-        if _holder() is family:
-            family._sums[key] = tag, S
+    last = _last
+    if last is None or last[0][0]() is not family or last[0][1:] != tag:
+        last = _last = ((weakref.ref(family, _forget),) + tag, {})
+    sums = last[1]
+    S = sums.get(key)
+    if S is None:
+        S = sums[key] = make()
     return S
 
 
 def _sum(family: RecursiveFamily, s: int, lam, M: int, at):
     """The psi series S of u1 (s = 0) or u2 (s = 1) at the nodes `at`,
-    gathered from its whole-grid sum (_grid_sum) kept as
-    family._sums[0, s]."""
+    gathered from its whole-grid sum (_grid_sum), kept under the key
+    (0, s)."""
     return _kept(family, (0, s), lam, M, lambda: _grid_sum(family, s, lam, M))[at]
 
 
 def _prime_sum(family: RecursiveFamily, s: int, lam, M: int, at):
     """T of u' = f' S + T/f for u1 (s = 0) or u2 (s = 1) at the nodes `at`:
     lam * integral of phi S^(M-1), plus 1 for u2, gathered from its
-    whole-grid sum kept as family._sums[1, s].  S^(M-1), the series to
+    whole-grid sum, kept under the key (1, s).  S^(M-1), the series to
     M - 1 terms, is the whole-grid S that _sum keeps less its top term
     lam^(M-1) psi_top / top!, so no second sum is made.  T is a new array
     in S's type."""
@@ -423,10 +426,10 @@ def choose_truncation(family: RecursiveFamily, lam,
     The sum B of the kept terms' sup-norms bounds sup|S|, so a dropped
     term above tol * B fails the rule whatever S is.  s is taken once, at
     the first M that passes this bound, by summing both series, sums the
-    family keeps for the evaluators at this lam (_sum); later M reuse it,
+    process keeps for the evaluators at this lam (_sum); later M reuse it,
     as later partial sums differ from it by no more than the terms past
     that M, which the bound holds under about 2 tol B.  A family that
-    keeps a ring of its last psi rows alone (the eigen search's) holds no
+    keeps a ring of its last psi rows alone (the eigen search's) makes no
     such sums: there both series at each lam are summed as the orders
     are built, term M - 1 added, in order, when M is tried, so s is the
     same partial sum's sup-norm, to rounding.

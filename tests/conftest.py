@@ -140,6 +140,20 @@ def left_pinned():
     return _left_pinned_reference
 
 
+def _held_sums(fam):
+    """The series module's slot read as fam's sums: its dict {(0 for S or
+    1 for T, s): array} if the slot holds fam, else {}."""
+    last = spps.series._last
+    return last[1] if last is not None and last[0][0]() is fam else {}
+
+
+@pytest.fixture
+def held_sums():
+    """The whole-grid series sums the process holds for a family:
+    held_sums(fam), empty for a family it does not hold."""
+    return _held_sums
+
+
 def _at_once(call, n_threads=4):
     """call() in n_threads threads released together by a barrier, under a
     short switch interval, so that their steps interleave finely; returns

@@ -116,6 +116,20 @@ def test_jet_refuses_an_order_it_cannot_carry(make):
         make()
 
 
+@pytest.mark.parametrize("build", [lambda order: Jet.constant(1.0, 0.0, order),
+                                   lambda order: Jet.identity(0.0, order)],
+                         ids=["constant", "identity"])
+@pytest.mark.parametrize("bad, message", [(2.5, "order must be an integer"),
+                                          (2.0, "order must be an integer"),
+                                          (True, "order must be an integer"),
+                                          (-1, "order must be >= 0")])
+def test_constant_and_identity_order_must_be_a_non_negative_integer(build, bad, message):
+    # an OrderError naming order, not numpy's IndexError or TypeError, and no
+    # order-1 jet built from True
+    with pytest.raises(spps.OrderError, match=message):
+        build(bad)
+
+
 @pytest.mark.parametrize("bad", [1.5, 1.0, True])
 def test_truncation_order_must_be_an_integer(bad):
     with pytest.raises(spps.OrderError, match="order must be an integer"):

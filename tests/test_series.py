@@ -401,7 +401,7 @@ def seed_family_20001():
 
 @pytest.mark.parametrize("name", ["exp_family", "q_zero_family", "seed_family_20001"])
 @pytest.mark.parametrize("lam", [17.5, -30.0, -4.0 + 25.0j])
-def test_off_node_evaluators_are_interpolated_grid_solutions(request, name, lam):
+def test_off_node_evaluators_are_interpolated_grid_solutions(request, name, lam, held_sums):
     # eval_u* reads the kept whole-grid sums at the stencil nodes, and on a
     # fresh family makes and keeps them first, with the same bits; the two
     # families read in turn make their sums anew each time
@@ -426,8 +426,8 @@ def test_off_node_evaluators_are_interpolated_grid_solutions(request, name, lam)
         # whole grid: S for eval_u1 and eval_u2, and S and T for
         # eval_u*_prime, as u' needs T on the whole grid
         s = ev in (eval_u2, eval_u2_prime)
-        assert not fam._sums
-        assert sorted(fresh._sums) == [(0, s), (1, s)][:1 + (ev in (eval_u1_prime,
+        assert not held_sums(fam)
+        assert sorted(held_sums(fresh)) == [(0, s), (1, s)][:1 + (ev in (eval_u1_prime,
                                                                    eval_u2_prime))]
 
 
@@ -472,7 +472,7 @@ def _count_sums(monkeypatch, fam, integrals=None):
                                                  (300.0, True)])
 @pytest.mark.parametrize("extra", [0, 2], ids=["chosen_M", "larger_M"])
 def test_one_lambda_sums_each_series_once_for_every_reader(exp_family, monkeypatch,
-                                                           lam, sums_at_choice, extra):
+                                                           lam, sums_at_choice, extra, held_sums):
     # choose_truncation, the four u*_grid and the four eval_u* at one lam:
     # 2 whole-grid sums of the psi rows when choose_truncation summed
     # at the M used, 4 when not (u1's and u2's series again at that M), and
@@ -490,9 +490,9 @@ def test_one_lambda_sums_each_series_once_for_every_reader(exp_family, monkeypat
     integrals.clear()
     got += [_read(r, fam, lam, M) for r in _READERS[4:]]
     assert calls == [] and integrals == []
-    assert len(fam._sums) == 4  # S and T of u1 and u2, of n_nodes each
+    assert len(held_sums(fam)) == 4  # S and T of u1 and u2, of n_nodes each
     # no result shares memory with a kept sum, so changing one changes nothing
-    kept = [S for _, S in fam._sums.values()]
+    kept = list(held_sums(fam).values())
     assert not any(np.shares_memory(v, S) for v in got for S in kept)
     want = [v.copy() for v in got]
     for v in got:
@@ -505,7 +505,7 @@ def test_one_lambda_sums_each_series_once_for_every_reader(exp_family, monkeypat
         assert np.array_equal(values, _read(r, spps.build_family(fam.f, fam.N), lam, M))
 
 
-def test_a_new_lambda_sums_again_and_an_array_lambda_bypasses(exp_family, monkeypatch):
+def test_a_new_lambda_sums_again_and_an_array_lambda_bypasses(exp_family, monkeypatch, held_sums):
     fam = spps.build_family(exp_family.f, exp_family.N)
     calls = _count_sums(monkeypatch, fam)
 
@@ -521,10 +521,10 @@ def test_a_new_lambda_sums_again_and_an_array_lambda_bypasses(exp_family, monkey
     assert whole_sums(lambda: u1_grid(fam, complex(-30), 8)) == 0
     # an array lam sums its own series at the last node, on no whole grid,
     # and keeps nothing
-    kept = dict(fam._sums)
+    kept = dict(held_sums(fam))
     assert whole_sums(lambda: spps.series._right_end(fam, np.array([-30.0, 2.0]), 8)) == 0
-    assert fam._sums.keys() == kept.keys()
-    assert all(fam._sums[key] is kept[key] for key in kept)
+    assert held_sums(fam).keys() == kept.keys()
+    assert all(held_sums(fam)[key] is kept[key] for key in kept)
     assert whole_sums(lambda: u1_grid(fam, -30.0, 8)) == 0
     # a new lam sums again, and then the one before it too
     assert whole_sums(lambda: u1_grid(fam, 2.0, 8)) == 1
@@ -534,26 +534,26 @@ def test_a_new_lambda_sums_again_and_an_array_lambda_bypasses(exp_family, monkey
     assert whole_sums(lambda: u1_grid(fam, 7.0, 8)) == 0
     assert whole_sums(lambda: u1_grid(fam, 7.0, 9)) == 1
     assert whole_sums(lambda: u1_grid(fam, 7.0, 8)) == 1
-    assert len(fam._sums) == 1
+    assert len(held_sums(fam)) == 1
     # made anew, with a fresh family's bits
     fresh = spps.build_family(fam.f, fam.N)
     assert np.array_equal(u1_grid(fam, 7.0, 8).values, u1_grid(fresh, 7.0, 8).values)
 
 
-def test_a_sum_cut_short_leaves_no_stale_sum(exp_family, monkeypatch):
+def test_a_sum_cut_short_leaves_no_stale_sum(exp_family, monkeypatch, held_sums):
     fam = spps.build_family(exp_family.f, exp_family.N)
     want = u1_grid(fam, 2.0, 8).values
 
     def cut_short(family, s, lam, M):
         # lam = 2.0's sum is dropped before the new one is made
-        assert (0, 0) not in family._sums
+        assert (0, 0) not in held_sums(family)
         raise KeyboardInterrupt
 
     with monkeypatch.context() as m:
         m.setattr(spps.series, "_grid_sum", cut_short)
         with pytest.raises(KeyboardInterrupt):
             u1_grid(fam, -30.0, 8)
-    assert (0, 0) not in fam._sums
+    assert (0, 0) not in held_sums(fam)
     assert np.array_equal(u1_grid(fam, 2.0, 8).values, want)
     # so for the derivative series' integral
     want = u1_prime_grid(fam, 2.0, 8).values
@@ -566,7 +566,7 @@ def test_a_sum_cut_short_leaves_no_stale_sum(exp_family, monkeypatch):
         m.setattr(spps.series, "_integrate_rows", integral_cut_short)
         with pytest.raises(KeyboardInterrupt):
             u1_prime_grid(fam, -30.0, 8)
-    assert (1, 0) not in fam._sums
+    assert (1, 0) not in held_sums(fam)
     assert np.array_equal(u1_prime_grid(fam, 2.0, 8).values, want)
 
 
@@ -576,7 +576,7 @@ def _read_all(fam, lam, M):
     return [_read(r, fam, lam, M) for r in _READERS]
 
 
-def test_reading_another_family_clears_the_sums_of_the_one_before():
+def test_reading_another_family_clears_the_sums_of_the_one_before(held_sums):
     # families A, B, then A at one lam: each read makes its family's sums
     # anew, with a fresh family's bits, and a family read after another
     # clears that one's sums
@@ -589,24 +589,24 @@ def test_reading_another_family_clears_the_sums_of_the_one_before():
     for fam, want, other in ((a, want_a, b), (b, want_b, a), (a, want_a, b)):
         got = _read_all(fam, lam, M)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert sorted(fam._sums) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert not other._sums
+        assert sorted(held_sums(fam)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert not held_sums(other)
 
 
-def test_the_process_holds_the_four_sums_of_the_family_read_last():
+def test_the_process_holds_the_four_sums_of_the_family_read_last(held_sums):
     g = spps.Grid(0.0, 1.0, 2001)
     fams = [spps.build_family(sample(seed, g), 60)
             for seed in (np.exp, np.cosh, lambda x: np.exp(x) + 0.5j, lambda x: 2.0 + x)]
     for lam in (-30.0, 4.0 - 9.0j):
         for i, fam in enumerate(fams):
             _read_all(fam, lam, 12)
-            assert [len(other._sums) for other in fams] == [4 * (j == i) for j in range(4)]
+            assert [len(held_sums(other)) for other in fams] == [4 * (j == i) for j in range(4)]
     # four whole-grid arrays of n_nodes, in the type of the last family's
     # rows and lam
-    assert sum(S.nbytes for _, S in fams[-1]._sums.values()) == 4 * 16 * g.n_nodes
+    assert sum(S.nbytes for S in held_sums(fams[-1]).values()) == 4 * 16 * g.n_nodes
 
 
-def test_a_freed_family_frees_its_sums_and_the_next_makes_its_own(monkeypatch):
+def test_a_freed_family_frees_its_sums_and_the_next_makes_its_own(monkeypatch, held_sums):
     # the process keeps the latest family by a weak reference: deleting it
     # frees the family and its sums, and a family made afterwards, whatever
     # its id, holds none until it is read, then makes its own
@@ -618,13 +618,13 @@ def test_a_freed_family_frees_its_sums_and_the_next_makes_its_own(monkeypatch):
                         calls.append((s, M)) or grid_sum(family, s, lam, M))
     for _ in range(3):
         fam = spps.build_family(f, 60)
-        assert not fam._sums
+        assert not held_sums(fam)
         calls.clear()
         got = _read_all(fam, -30.0, 12)
         assert sorted(calls) == [(0, 12), (1, 12)]
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         dead_family = weakref.ref(fam)
-        dead_sums = [weakref.ref(S) for _, S in fam._sums.values()]
+        dead_sums = [weakref.ref(S) for S in held_sums(fam).values()]
         del fam
         gc.collect()
         assert dead_family() is None and all(ref() is None for ref in dead_sums)
@@ -633,8 +633,8 @@ def test_a_freed_family_frees_its_sums_and_the_next_makes_its_own(monkeypatch):
 def test_threads_reading_their_own_families_keep_one_family_s_sums():
     # more threads than cores, each reading its own family on the whole grid
     # at two lams in turn, with a short switch interval: every result is
-    # the one read alone, no read fails, and after each read, with the
-    # holder's lock taken, no family but the one the process holds has a sum
+    # the one read alone, no read fails, and after each read one snapshot
+    # of the process's slot holds at most the four sums of one family
     g = spps.Grid(0.0, 1.0, 20001)
     fams = [spps.build_family(sample(lambda x, c=c: np.exp(c * x), g), 40)
             for c in (0.5, 1.0, 1.5, 2.0)]
@@ -650,10 +650,12 @@ def test_threads_reading_their_own_families_keep_one_family_s_sums():
             start.wait()
             for k in range(rounds):
                 got[i].append([_read(r, fams[i], lams[(i + k) % 2], 10) for r in readers])
-                with spps.series._holder_lock:
-                    holder = spps.series._holder()
-                    assert not any(fam._sums for fam in fams if fam is not holder)
-                    assert len(holder._sums) <= 4
+                # one snapshot of the slot, which another thread may replace
+                (ref, *_), sums = spps.series._last
+                sums = dict(sums)
+                assert any(ref() is fam for fam in fams)
+                assert len(sums) <= 4 and set(sums) <= {(0, 0), (0, 1), (1, 0), (1, 1)}
+                assert all(S.shape == (g.n_nodes,) for S in sums.values())
         except Exception as e:  # reported by the main thread
             errors.append(e)
 
@@ -676,16 +678,49 @@ def test_threads_reading_their_own_families_keep_one_family_s_sums():
                        for a, b in zip(values, want[i][(i + k) % 2]))
 
 
+@pytest.mark.parametrize("reader", _READERS, ids=lambda r: r.__name__)
+def test_a_sum_whose_slot_is_replaced_mid_call_is_returned_not_kept(monkeypatch, held_sums,
+                                                                   reader):
+    # the first whole-grid sum made for family a reads family b before it
+    # returns, as another thread may: a's read gives a fresh family's bits
+    # from the sums it made, and the slot holds b's sums, not a's; a
+    # derivative reader then reads S once more and keeps that S alone
+    g = spps.Grid(0.0, 1.0, 2001)
+    f, f_b = sample(np.exp, g), sample(np.cosh, g)
+    lam, M = 5.0 + 20.0j, 12
+    a, b = spps.build_family(f, 60), spps.build_family(f_b, 60)
+    want_a = _read(reader, spps.build_family(f, 60), lam, M)
+    want_b = _read_all(spps.build_family(f_b, 60), lam, M)
+    grid_sum, read_b = spps.series._grid_sum, []
+
+    def b_read_mid_call(family, s, lam, M):
+        if family is a and not read_b:
+            read_b.append(_read_all(b, lam, M))
+        return grid_sum(family, s, lam, M)
+
+    monkeypatch.setattr(spps.series, "_grid_sum", b_read_mid_call)
+    assert np.array_equal(_read(reader, a, lam, M), want_a)
+    assert all(np.array_equal(g, w) for g, w in zip(read_b[0], want_b))
+    s = reader in (u2_grid, u2_prime_grid, eval_u2, eval_u2_prime)
+    if reader in (u1_prime_grid, u2_prime_grid, eval_u1_prime, eval_u2_prime):
+        assert sorted(held_sums(a)) == [(0, s)] and not held_sums(b)
+    else:
+        assert not held_sums(a)
+        assert sorted(held_sums(b)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        # and they are b's own: read from them, b gives its bits again
+        assert all(np.array_equal(g, w) for g, w in zip(_read_all(b, lam, M), want_b))
+
+
 @pytest.mark.parametrize("lam", [np.array([3.0, 4.0]), np.zeros((2, 2)), np.array([]),
                                  [2.0, -1.0 + 1j]])
-def test_every_reader_refuses_a_lambda_of_several_values(exp_family, lam):
+def test_every_reader_refuses_a_lambda_of_several_values(exp_family, lam, held_sums):
     # one lam a call: an OrderError naming lam, not numpy's broadcast error,
     # and no sum kept
     fam = spps.build_family(exp_family.f, exp_family.N)
     for reader in _READERS:
         with pytest.raises(OrderError, match="lam must be one value"):
             _read(reader, fam, lam, 5)
-    assert not fam._sums
+    assert not held_sums(fam)
 
 
 @pytest.mark.parametrize("lam", [np.array([3.0]), np.array(-30.0), np.array([[-4.0 + 25.0j]]),
@@ -699,7 +734,7 @@ def test_every_reader_takes_a_lambda_of_one_value_in_an_array(exp_family, lam):
         assert np.array_equal(got, _read(reader, spps.build_family(fam.f, fam.N), value, 8))
 
 
-def test_readers_keep_psi_rows_and_four_sums_only():
+def test_readers_keep_psi_rows_and_four_sums_only(held_sums):
     # the series readers build no whole chi row: after choose_truncation,
     # the four u*_grid and the four eval_u* at one lam the family holds its
     # psi rows, psi_n's and chi_n's first and last node per order, and S
@@ -714,7 +749,7 @@ def test_readers_keep_psi_rows_and_four_sums_only():
     built = len(fam._sup_norms)
     assert 1 < built < 81
     assert "_chi" not in vars(fam)
-    assert sorted(fam._sums) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert sorted(held_sums(fam)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # the family's arrays of rows are its one complex psi block, of which
     # only the built orders' rows are written, its arrays of psi and of chi
     # ends and, until order N is built, the order loop's (2, 2, n_nodes)
@@ -724,7 +759,7 @@ def test_readers_keep_psi_rows_and_four_sums_only():
     assert fam._psi.shape == (81, g.n_nodes) and fam._psi.dtype == complex
     assert fam._psi_ends.shape == fam._chi_ends.shape == (81, 2)
     # and four complex sums of n_nodes
-    assert sum(S.nbytes for _, S in fam._sums.values()) == 4 * 16 * g.n_nodes
+    assert sum(S.nbytes for S in held_sums(fam).values()) == 4 * 16 * g.n_nodes
 
 
 def _long_double_sum(rows, s, lam, M):
@@ -764,7 +799,7 @@ def test_grid_sum_matches_a_long_double_reference(seed, lam, M):
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])
-def test_every_reader_refuses_a_non_finite_lambda(exp_family, lam):
+def test_every_reader_refuses_a_non_finite_lambda(exp_family, lam, held_sums):
     # as choose_truncation does, up front: no nan result, no numpy warning
     # (any warning fails the test), and no sum kept
     fam = spps.build_family(exp_family.f, exp_family.N)
@@ -773,11 +808,11 @@ def test_every_reader_refuses_a_non_finite_lambda(exp_family, lam):
             _read(reader, fam, lam, 8)
     with pytest.raises(OrderError, match="lam must be finite"):
         spps.series._right_end(fam, np.array([-30.0, lam]), 8)
-    assert not fam._sums
+    assert not held_sums(fam)
 
 
 @pytest.mark.parametrize("lam", [1e300, -1e300, 1e300j, np.float64(1e200)])
-def test_every_reader_refuses_a_lambda_whose_highest_power_overflows(exp_family, lam):
+def test_every_reader_refuses_a_lambda_whose_highest_power_overflows(exp_family, lam, held_sums):
     # |lam|^(n_terms - 1) past the float range at an explicit n_terms: an
     # OrderError naming lam, as choose_truncation raises (a numpy float
     # too), not inf or nan with numpy warnings (any warning fails the
@@ -794,7 +829,7 @@ def test_every_reader_refuses_a_lambda_whose_highest_power_overflows(exp_family,
         with pytest.raises(OrderError, match="too large") as info:
             call()
         assert "lam=" in str(info.value)
-    assert not fam._sums
+    assert not held_sums(fam)
     # the highest power read is lam^(n_terms - 1): at 2 terms, lam itself
     for r in _READERS:
         assert np.all(np.isfinite(_read(r, fam, 1e300, 2)))
@@ -922,7 +957,7 @@ def test_complex_rows_sum_at_b_in_horner_form(horner):
     _assert_right_end_is_horner(fam, horner)
 
 
-def test_kept_sums_follow_lambda_from_real_to_complex_and_back():
+def test_kept_sums_follow_lambda_from_real_to_complex_and_back(held_sums):
     # each kept S and T is made anew at a new lam: a complex lam after a
     # real one, and a real lam after a complex one, get the bits and the
     # type of a fresh family's sums
@@ -943,5 +978,5 @@ def test_kept_sums_follow_lambda_from_real_to_complex_and_back():
             got = _read(r, fam, lam, choice.n_terms)
             assert got.dtype == values.dtype == dtype
             assert np.array_equal(got, values)
-        assert sorted(fam._sums) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert all(S.dtype == dtype for _, S in fam._sums.values())
+        assert sorted(held_sums(fam)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert all(S.dtype == dtype for S in held_sums(fam).values())

@@ -647,7 +647,7 @@ def test_search_grows_family_only_as_deep_as_it_reads(monkeypatch):
             assert capped == any("truncation cap" in str(w.message) for w in caught)
 
 
-def test_search_keeps_psi_rows_and_chi_ends_only(monkeypatch):
+def test_search_keeps_psi_rows_and_chi_ends_only(monkeypatch, held_sums):
     # the search reads psi and chi only at a and b: its streamed family
     # holds a ring of its last four psi rows, psi_n's and chi_n's first and
     # last node per order and, until order N is built, the order loop's
@@ -668,8 +668,8 @@ def test_search_keeps_psi_rows_and_chi_ends_only(monkeypatch):
         assert 1 < len(search._sup_norms) < 81
         # it made no sum, so it cleared none: the family read before it
         # still holds its own
-        assert "_chi" not in vars(search) and not search._sums
-        assert sorted(held._sums) == [(0, 1)]
+        assert "_chi" not in vars(search) and not held_sums(search)
+        assert sorted(held_sums(held)) == [(0, 1)]
         assert {k for k, v in vars(search).items() if isinstance(v, np.ndarray)} == {
             "_psi", "_psi_ends", "_chi_ends", "_scratch", "_f_prime_ends"}
         assert search._psi.shape == (4, g.n_nodes) and search._psi.dtype == complex
@@ -681,7 +681,7 @@ def test_search_keeps_psi_rows_and_chi_ends_only(monkeypatch):
         assert search._w[0] is fam._w[0]
         # and the family passed keeps nothing: its block and ends, no order 0,
         # no scratch and no sum
-        assert len(fam._sup_norms) == 1 and not fam._sums
+        assert len(fam._sup_norms) == 1 and not held_sums(fam)
         assert {k for k, v in vars(fam).items() if isinstance(v, np.ndarray)} == {
             "_psi", "_psi_ends", "_chi_ends"}
 
