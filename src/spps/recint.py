@@ -14,7 +14,7 @@ family.  The paper's two families are X(n) = psi_n, X~(n) = chi_n for
 odd n, and the other way round for even n.
 
 Order n is kept as psi_n on the whole grid, and psi_n and chi_n at the
-first and the last node, where the eigen search reads them, so a family
+first and the last node, where characteristic reads them, so a family
 is three arrays indexed by order: the psi rows, one (N + 1, n_nodes)
 block with psi_0 = 1 in row 0, and the psi ends and the chi ends, two
 (N + 1, 2) arrays.  The block is allocated once with nothing written:
@@ -31,23 +31,24 @@ psi_(n-1) with the fixed weights (1/phi, phi), formed in a reused
 (2, n_nodes) buffer, one call of the grid's row integrator on that pair
 into a second reused pair, and the scaling by n written into row n of
 the block.  The loop reads only row n - 1 of the block, so a block of
-fewer rows is a ring of the last ones, psi_n in row n mod its length:
-the eigen search, which reads psi at a and b alone, streams its orders
-through a ring of four rows (RecursiveFamily._streamed), and its memory
-does not grow with the orders it builds.  Whole chi rows are built only
-when X or Xt is read, into a second (N + 1, n_nodes) array, row k as
-k * integral of psi_(k-1) * phi: the loop's product, integration and
-scaling, so with the bits the loop gave chi_k.  The series readers
-build none: the rule is linear, so the u*' series of chi rows is one
-integral of the value series of psi rows times phi (series._prime_sum).
+fewer rows is a ring of the last ones, psi_n in row n mod its length.
+Whole chi rows are built only when X or Xt is read, into a second
+(N + 1, n_nodes) array, row k as k * integral of psi_(k-1) * phi: the
+loop's product, integration and scaling, so with the bits the loop gave
+chi_k.  The series readers build none: the rule is linear, so the u*'
+series of chi rows is one integral of the value series of psi rows
+times phi (series._prime_sum).
 Orders are built on demand up to the family's cap N, and only as deep
-as they are read, with one exception: a family that keeps its rows
-builds order N with the last order a series reader reads, N - 1 at an
-even N, and then drops the loop's weights and scratch, which no later
-order needs.  The same loop runs on P side-by-side pieces of a grid at
-once, rows of shape (P, w + 1), each piece anchored at its first node
-with its own spacing (_pieces): build_seed's pieces, with seed 1 and
-weight -q, whose psi rows and chi ends series._lam_sums sums.
+as they are read, with one exception: a family builds order N with the
+last order a series reader reads, N - 1 at an even N, and then drops
+the loop's weights and scratch, which no later order needs.  The same
+loop runs on P side-by-side pieces of a grid at once, rows of shape
+(P, w + 1), each piece anchored at its first node with its own spacing
+(_Pieces): build_seed's pieces, with seed 1 and weight -q, whose whole
+psi rows and chi ends series._lam_sums sums, and the eigen search's,
+with a family's weights (1/phi, phi), which keep psi and chi at one
+node of each piece and their sup-norms, through a ring of two psi
+rows, so that the search's memory does not grow with its orders.
 """
 
 from __future__ import annotations
@@ -60,17 +61,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, GridFunction, _derivative_rows, _integrate_rows, derivative
+from .grid import GridFunction, _derivative_rows, _integrate_rows, derivative
 from .errors import GridConfigError, OrderError, SeedError, _as_order, _read_only
 
 # Seeds whose modulus falls below this are rejected: every second
 # recursion step divides by phi = f^2.
 MIN_SEED_ABS = 1e-12
-
-
-# psi rows a streamed family keeps: the truncation rule adds psi_(2M-2)
-# and psi_(2M-1) to its sums with orders to 2M + 1 built
-_RING = 4
 
 # A psi block of this many bytes or more is an anonymous mapping of its
 # own, the size from which numpy asks for transparent huge pages
@@ -98,7 +94,8 @@ def _blocks(shape: tuple, dtype, top: int, rows: int | None = None):
     """psi rows and ends of a recursion up to order top, for rows of the
     given shape and dtype, nothing written: psi (rows,) + shape from
     _rows, top + 1 rows by default, and ends (2, top + 1) + shape[:-1] +
-    (2,), psi_n and then chi_n at the first and the last node."""
+    (2,), psi_n and then chi_n at two nodes of each row, the first and
+    the last for a family."""
     psi = _rows((top + 1 if rows is None else rows,) + shape, dtype)
     return psi, np.empty((2, top + 1) + shape[:-1] + (2,), dtype)
 
@@ -113,18 +110,21 @@ def _order_zero(psi: np.ndarray, ends) -> np.ndarray:
 
 
 def _extend_orders(psi: np.ndarray, ends, weights, h, x0_index: int,
-                   start: int, stop: int, scratch: np.ndarray, norms=None) -> None:
+                   start: int, stop: int, scratch: np.ndarray, norms=None,
+                   at=None) -> None:
     """Write orders start .. stop in place: psi_n into psi[n % len(psi)],
     so that psi of fewer rows than orders is a ring of the last ones, and
-    psi_n and chi_n at the first and the last node into ends[0][n] and
-    ends[1][n]; if norms is a list, sup|psi_n| is appended to it.  scratch
-    is (2, 2, ...): the pair of integrands, then the integrated pair,
-    whose row 1 holds chi_(n-1) on entry and chi_n on return.  Order n
-    integrates chi_(n-1) and psi_(n-1) times weights (for a family 1/phi
-    and phi) along the last axis and scales by n; the rows may carry
-    leading axes (side-by-side pieces)."""
+    psi_n and chi_n at the nodes `at`, an index into a row, the first and
+    the last node by default, into ends[0][n] and ends[1][n]; if norms is
+    a list, sup|psi_n| along the last axis is appended to it, a float for
+    a row of one axis, else a list.  scratch is (2, 2, ...): the pair of
+    integrands, then the integrated pair, whose row 1 holds chi_(n-1) on
+    entry and chi_n on return.  Order n integrates chi_(n-1) and psi_(n-1)
+    times weights (for a family 1/phi and phi) along the last axis and
+    scales by n; the rows may carry leading axes (side-by-side pieces)."""
     buf, pair = scratch
-    last = psi.shape[-1] - 1
+    if at is None:
+        at = (..., slice(None, None, psi.shape[-1] - 1))  # the first and the last node
     rows = len(psi)
     for n in range(start, stop + 1):
         np.multiply(pair[1], weights[0], out=buf[0])
@@ -133,24 +133,43 @@ def _extend_orders(psi: np.ndarray, ends, weights, h, x0_index: int,
         row = psi[n % rows]
         np.multiply(pair[0], n, out=row)
         pair[1] *= n
-        ends[0][n] = row[..., ::last]  # the first and the last node
-        ends[1][n] = pair[1][..., ::last]
+        ends[0][n] = row[at]
+        ends[1][n] = pair[1][at]
         if norms is not None:
-            norms.append(np.max(np.abs(row)).item())
+            norms.append(np.max(np.abs(row), axis=-1).tolist())
 
 
-def _pieces(weight: np.ndarray, nodes: np.ndarray, starts: np.ndarray, w: int, top: int):
-    """Orders 0 .. top of the recursion with seed 1 and the given weight
+class _Pieces:
+    """The recursion with the weights (w0, w1), for a family (1/phi, phi),
     on the P pieces of w cells that begin at the node indices `starts`, an
     integer array, run through the order loop in one batch, each piece
-    anchored at its first node and with its own spacing: the psi rows,
-    (top + 1, P, w + 1), and chi at each piece's last node, (top + 1, P).
-    With seed 1, 1/phi = 1 exactly and the weight takes the place of phi."""
-    weight = weight[starts[:, None] + np.arange(w + 1)]
-    h = ((nodes[starts + w] - nodes[starts]) / w)[:, None]
-    psi, ends = _blocks(weight.shape, weight.dtype, top)
-    _extend_orders(psi, ends, (1.0, weight), h, 0, 1, top, _order_zero(psi, ends))
-    return psi, ends[1, ..., 1]
+    anchored at its first node and with its own spacing.  A weight may be
+    a scalar (1.0 for seed 1, whose 1/phi is 1 exactly) or an array on
+    the grid's nodes.  Orders are built by grow, up to top.
+
+    psi holds the psi rows, (top + 1, P, w + 1), or a ring of the last
+    `rows` of them; ends[0] and ends[1] hold psi_n and chi_n at each
+    piece's first node and at its node `stops[p]`, its last by default,
+    (top + 1, P, 2); norms, if asked for, sup|psi_n| on each piece, a list
+    of P floats per order built."""
+
+    def __init__(self, weights, nodes: np.ndarray, starts: np.ndarray, w: int, top: int,
+                 stops=None, rows: int | None = None, norms: bool = False):
+        take = starts[:, None] + np.arange(w + 1)
+        self._w = tuple(v if np.ndim(v) == 0 else v[take] for v in weights)
+        self._h = ((nodes[starts + w] - nodes[starts]) / w)[:, None]
+        self.psi, self.ends = _blocks(take.shape, np.result_type(np.float64, *self._w), top, rows)
+        stops = np.full(len(starts), w) if stops is None else np.asarray(stops)
+        self._at = (np.arange(len(starts))[:, None], np.stack((0 * stops, stops), axis=1))
+        self._scratch = _order_zero(self.psi, self.ends)
+        self.norms = [[1.0] * len(starts)] if norms else None
+        self.top = 0
+
+    def grow(self, stop: int) -> None:
+        """Build the orders up to stop not yet built."""
+        _extend_orders(self.psi, self.ends, self._w, self._h, 0, self.top + 1, stop,
+                       self._scratch, self.norms, self._at)
+        self.top = max(self.top, stop)
 
 
 class RecursiveFamily:
@@ -176,9 +195,8 @@ class RecursiveFamily:
     against a complex seed's 16.  The series evaluators read only the
     orders their truncation needs, and psi(k) and phi_k(k) only orders
     up to k; X and Xt complete the family to N.  The eigen search reads
-    none of a family's orders: it streams its own from the family's seed
-    and weights (_streamed), a family of this class whose block is a
-    ring of four rows, which it never hands out.
+    none of a family's orders: it runs the family's seed and weights on
+    pieces of the grid (_Pieces).
     Reading X or Xt also fills a second (N + 1, n_nodes) array with every
     whole chi_k row, with one more product and integration of one row
     each, and keeps it: a family read whole holds two rows per order.  No
@@ -228,22 +246,16 @@ class RecursiveFamily:
         # a copy, so that a later write to the caller's array moves no sum
         values = np.array(f.values.real if f.is_real else f.values)
         phi = values * values
-        self._start(f.grid, values, phi, 1.0 / phi, N)
-
-    def _start(self, grid, f, phi, phi_inv, N: int, rows: int | None = None) -> None:
-        """Set up a family of no built order on grid from the arrays of
-        its seed, weight and reciprocal weight, keeping rows psi rows
-        (all N + 1 by default)."""
-        self.grid = grid
-        self.f = self._view(f)
+        self.grid = f.grid
+        self.f = self._view(values)
         self.phi = self._view(phi)
         self.N = N
-        self._w = (phi_inv, phi)
+        self._w = (1.0 / phi, phi)
         # psi_n in row n of one block, and psi_n and chi_n at a and b in row
         # n of the ends; row 0 and the order loop's scratch are written at
         # the first _grow, so a family that is never read backs no row
         self._psi, (self._psi_ends, self._chi_ends) = _blocks(
-            (grid.n_nodes,), np.result_type(np.float64, *self._w), N, rows)
+            (f.grid.n_nodes,), np.result_type(np.float64, *self._w), N)
         self._scratch = None
         # sup-norm of psi_n per built order, read by choose_truncation; its
         # length is the number of orders built
@@ -255,35 +267,23 @@ class RecursiveFamily:
         # family build each once; re-entrant, as a basis grows the orders
         self._lock = threading.RLock()
 
-    def _streamed(self, x0_index: int) -> "RecursiveFamily":
-        """A family of this seed and cap anchored at node x0_index, with no
-        order built, that keeps only the last _RING psi rows whole, psi_n
-        in row n % _RING, and every order's ends and sup-norm: the eigen
-        search's, which reads the series at a and b alone.  It shares this
-        family's seed, weight and reciprocal weight arrays, the last formed
-        again if this family has dropped it."""
-        g = self.grid
+    def _weights(self) -> tuple:
+        """The order loop's weights (1/phi, phi), the first formed again if
+        the family has dropped them."""
         phi = self.phi.values
-        family = RecursiveFamily.__new__(RecursiveFamily)
-        family._start(Grid(g.a, g.b, g.n_nodes, x0=g.nodes[x0_index]), self.f.values,
-                      phi, 1.0 / phi if self._w is None else self._w[0], self.N, _RING)
-        return family
-
-    def _keeps_rows(self) -> bool:
-        """Whether every psi row built is kept, not a ring of the last."""
-        return len(self._psi) > self.N
+        return self._w or (1.0 / phi, phi)
 
     def _grow(self, k: int) -> np.ndarray:
         """Build every order up to min(k, N) with its psi sup-norm, order 0
         at the first call; returns the psi block.  The weights and scratch
-        go once order N is built, which a family that keeps its rows
-        builds with order 2 * ((N + 1) // 2) - 1, the last one a series
-        reader reads (N - 1 at an even N): one row and one integration
-        more, once, for a family read to its cap.  Orders are built under
+        go once order N is built, which a family builds with order
+        2 * ((N + 1) // 2) - 1, the last one a series reader reads (N - 1
+        at an even N): one row and one integration more, once, for a
+        family read to its cap.  Orders are built under
         the family's lock, so threads reading one family build each once."""
         with self._lock:
             start, stop = len(self._sup_norms), min(k, self.N)
-            if stop >= 2 * ((self.N + 1) // 2) - 1 and self._keeps_rows():
+            if stop >= 2 * ((self.N + 1) // 2) - 1:
                 stop = self.N
             if self._scratch is None and start <= self.N:
                 self._scratch = _order_zero(self._psi, (self._psi_ends, self._chi_ends))
@@ -331,10 +331,8 @@ class RecursiveFamily:
 
     @cached_property
     def _f_prime_ends(self) -> np.ndarray:
-        """f' at the first and the last node alone, with f_prime's bits
-        there: derivative's stencils on the first and the last five nodes."""
-        y, h = self.f.values, self.grid.h
-        return np.array([_derivative_rows(y[:5], h)[0], _derivative_rows(y[-5:], h)[-1]])
+        """f' at the first and the last node alone (_end_slopes)."""
+        return _end_slopes(self.f.values, self.grid.h)
 
     def psi(self, k: int) -> GridFunction:
         """Basis element psi_k; builds orders only up to k."""
@@ -349,6 +347,13 @@ class RecursiveFamily:
 
     def __repr__(self):
         return f"RecursiveFamily(N={self.N}, grid={self.grid!r})"
+
+
+def _end_slopes(y: np.ndarray, h) -> np.ndarray:
+    """The derivative of the node values y at the first and the last node
+    alone, with derivative's bits there: its stencils on the first and the
+    last five nodes."""
+    return np.array([_derivative_rows(y[:5], h)[0], _derivative_rows(y[-5:], h)[-1]])
 
 
 def build_family(f: GridFunction, N: int = 60) -> RecursiveFamily:

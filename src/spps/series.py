@@ -30,9 +30,10 @@ _grid_sum: the coefficients lam^k / (2k+s)! times the family's strided
 psi rows psi[s:top+1:2], psi_0 = 1 among them, read in place, in one
 BLAS call that passes over the rows once, where Horner form makes three
 whole-grid passes a term.  Values kept per order at chosen nodes -- the
-ends at a and b at an array of lambda (the eigen search), or the whole
-rows of side-by-side pieces at lambda = 1 (build_seed) -- are summed by
-one kernel, _lam_sums: each of S1, S2, T1 and T2 is a polynomial in
+ends at a and b at an array of lambda (characteristic), one node of
+each piece of the grid at an array of lambda (the eigen search), or the
+whole rows of side-by-side pieces at lambda = 1 (build_seed) -- are
+summed by one kernel, _lam_sums: each of S1, S2, T1 and T2 is a polynomial in
 lambda, summed in Horner form with the steps of numpy's polyval, on
 arrays of the values' and lambda's shape, where a product gains nothing;
 the psi and chi values of one shape are one block, summed in one pass.
@@ -72,12 +73,9 @@ on the whole grid, as u1_grid does.  _right_end is the four sums at the
 last node and the four at the first alone, with lambda a scalar or an
 array, _lam_sums of the psi ends and the chi ends the family keeps, at
 b and at a: u and u' there, and so Phi, are the grid solutions' end
-nodes to rounding, and the eigen search reads no whole row there and
+nodes to rounding, and characteristic reads no whole row there and
 keeps no sum.  choose_truncation sums u1's and u2's series once, on the
-whole grid, at the first truncation its bound lets through; on the eigen search's
-streamed family, which keeps a ring of its last psi rows and makes no sum, it
-adds each term to a running sum per series and lambda as the orders are
-built, so that partial sum's sup-norm is the same, to rounding.
+whole grid, at the first truncation its bound lets through.
 
 Every reader builds the family only to the orders it reads:
 choose_truncation to 2M + 3, the evaluators and _right_end (through
@@ -222,15 +220,14 @@ def _sum(family: RecursiveFamily, s: int, lam, M: int, at):
     return _kept(family, (0, s), lam, M, lambda: _grid_sum(family, s, lam, M))[at]
 
 
-def _prime_sum(family: RecursiveFamily, s: int, lam, M: int, at):
+def _prime_sum(family: RecursiveFamily, s: int, lam, M: int, at, S):
     """T of u' = f' S + T/f for u1 (s = 0) or u2 (s = 1) at the nodes `at`:
     lam * integral of phi S^(M-1), plus 1 for u2, gathered from its
     whole-grid sum, kept under the key (1, s).  S^(M-1), the series to
-    M - 1 terms, is the whole-grid S that _sum keeps less its top term
-    lam^(M-1) psi_top / top!, so no second sum is made.  T is a new array
-    in S's type."""
+    M - 1 terms, is the whole-grid S, which the caller passes (_sum's),
+    less its top term lam^(M-1) psi_top / top!, so no second sum is made.
+    T is a new array in S's type."""
     def make():
-        S = _sum(family, s, lam, M, slice(None))
         lam_r = _real_if_real(lam)
         top = 2 * M - 2 + s
         # complex ** int, not float ** int: its bits, and nan where the
@@ -266,8 +263,9 @@ def _u(fam, s, lam, M, at):
 
 
 def _u_prime(fam, s, lam, M, at):
-    T = _prime_sum(fam, s, lam, M, at)  # keeps S on the whole grid too
-    return _prime(fam.f_prime.values[at], _sum(fam, s, lam, M, at), T, fam.f.values[at])
+    S = _sum(fam, s, lam, M, slice(None))  # the S that T is made from
+    return _prime(fam.f_prime.values[at], S[at], _prime_sum(fam, s, lam, M, at, S),
+                  fam.f.values[at])
 
 
 def _one_lam(lam):
@@ -428,11 +426,7 @@ def choose_truncation(family: RecursiveFamily, lam,
     the first M that passes this bound, by summing both series, sums the
     process keeps for the evaluators at this lam (_sum); later M reuse it,
     as later partial sums differ from it by no more than the terms past
-    that M, which the bound holds under about 2 tol B.  A family that
-    keeps a ring of its last psi rows alone (the eigen search's) makes no
-    such sums: there both series at each lam are summed as the orders
-    are built, term M - 1 added, in order, when M is tried, so s is the
-    same partial sum's sup-norm, to rounding.
+    that M, which the bound holds under about 2 tol B.
     Raises OrderError for tol <= 0, for a non-finite lam, for an empty
     array of lam and for a lam so large that a power |lam|^k the rule
     reads overflows.
@@ -448,10 +442,6 @@ def choose_truncation(family: RecursiveFamily, lam,
     inv = _inv_factorials(family.N)
     norms = family._sup_norms  # psi_k's, extended in place as orders are built
     family._grow(1)
-    running = None  # S1 and S2 at each lam, summed as orders are built
-    if not family._keeps_rows():
-        dtype = np.result_type(family._psi, _real_if_real(lams))
-        running = np.zeros((len(lams), 2, family.grid.n_nodes), dtype)
 
     def term(k, s, i):  # sup-norm of the k-th term of u1's (s = 0) or u2's series at lams[i]
         return _lam_power(alams[i], k, lams[i]) * norms[2 * k + s] * inv[2 * k + s]
@@ -469,17 +459,14 @@ def choose_truncation(family: RecursiveFamily, lam,
         # the two dropped terms must exist inside the family's cap
         if 2 * (M + 1) + 1 > family.N:
             break
-        if running is not None:
-            _add_terms(family, lams, running, [i for i in live if sups[i] is None], M - 1, inv)
         family._grow(2 * M + 3)
         for i in live:
             dropped = [(term(M, s, i), term(M + 1, s, i)) for s in (0, 1)]
             if any(t > tol * B[i][s] * _BOUND_SLACK for s in (0, 1) for t in dropped[s]):
                 continue
             if sups[i] is None:
-                sups[i] = [float(np.max(np.abs(
-                    _sum(family, s, lams[i], M, slice(None)) if running is None
-                    else running[i, s]))) for s in (0, 1)]
+                sups[i] = [float(np.max(np.abs(_sum(family, s, lams[i], M, slice(None)))))
+                           for s in (0, 1)]
             if all(t <= tol * sups[i][s] for s in (0, 1) for t in dropped[s]):
                 chosen[i] = M
     capped = None in chosen
@@ -489,15 +476,3 @@ def choose_truncation(family: RecursiveFamily, lam,
             AccuracyWarning, stacklevel=2)
     return TruncationChoice(max(M_max if c is None else c for c in chosen), capped)
 
-
-def _add_terms(family: RecursiveFamily, lams, running, which, k: int, inv) -> None:
-    """Add term k, lam^k psi_(2k+s) / (2k+s)!, to the partial sums
-    running[i, s] of u1 (s = 0) and u2 (s = 1) at lams[i] for each i in
-    which, with _grid_sum's coefficients, after building the family to
-    order 2k + 1."""
-    psi = family._grow(2 * k + 1)
-    for i in which:
-        lam = _real_if_real(np.complex128(lams[i]))
-        for s in (0, 1):
-            c = np.power(lam, k) * inv[2 * k + s]
-            running[i, s] += np.multiply(c, psi[(2 * k + s) % len(psi)])

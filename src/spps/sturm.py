@@ -14,22 +14,29 @@ B_a(u) = c1 u(a) + c2 u'(a) and B_b(u) = c3 u(b) + c4 u'(b), which at
 fixed truncation M is a polynomial of degree 2M - 2 in lambda.  At
 x0 = a, where u1, u2 start from f(a), f'(a) and 0, 1/f(a), it is
 c3 u(b) + c4 u'(b) of the u pinned to u(a) = -c2, u'(a) = c1.
-find_eigenvalues sums from the grid's middle node, so that each series
-reaches half the interval and M falls by about a third.  Phi needs the
-recursive integrals at a and b alone, so the search streams its orders:
-it keeps each order's psi and chi at the two ends and the last few whole
-psi rows, never a block of them, and its memory is O(n_nodes) whatever
-M.  It fixes one M per window, samples Phi at the window's 2M - 1
-Chebyshev points, which determine it, and takes the eigenvalues as the
-real roots of that interpolant (the colleague matrix of its Chebyshev
-coefficients).  The
-determinant does not depend on the basis of solutions it is taken of,
-up to that basis' Wronskian, so for real q, lambda and real boundary
-coefficients Phi is real regardless of the complex seed.
+characteristic takes Phi so, from one family.  find_eigenvalues does
+not: one series cancels once sqrt|lambda| times its reach passes ~20,
+so it cuts [a, b] into K >= 4 short pieces, each anchored at its first
+node, and runs the seed's recursion on all of them in one batch
+(recint._Pieces), keeping psi and chi at one node of each piece, their
+sup-norms and only the batch's last two psi rows.  With u = f S and
+u' = f' S + T/f, a piece's (S, T) is the identity at its anchor, so
+(u, u')(b) = F(b) V_K ... V_1 F(a)^-1 (u, u')(a), V_p = [[S1, S2],
+[T1, T2]] at piece p's end and F = [[f, 0], [f', 1/f]]: the pinned u's
+transfer through the pieces, a polynomial of degree K(M - 1) in lambda,
+as MATSLISE and the CP codes propagate (Ledoux, Van Daele and Vanden
+Berghe, ACM TOMS 31 (2005)).  The search fixes one M per window, samples
+Phi at the window's K(M - 1) + 1 Chebyshev points, which determine it,
+and takes the eigenvalues as the real roots of that interpolant (the
+colleague matrix of its Chebyshev coefficients).  The determinant does
+not depend on the basis of solutions it is taken of, up to that basis'
+Wronskian, so for real q, lambda and real boundary coefficients Phi is
+real regardless of the complex seed.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -37,8 +44,8 @@ import numpy as np
 
 from .errors import AccuracyWarning, EigenError, GridConfigError, SeedError
 from .grid import GridFunction, _check_finite
-from .recint import MIN_SEED_ABS, RecursiveFamily, _pieces
-from .series import SERIES_TOL, _lam_sums, _right_end, choose_truncation
+from .recint import MIN_SEED_ABS, RecursiveFamily, _end_slopes, _Pieces
+from .series import _BOUND_SLACK, SERIES_TOL, _inv_factorials, _lam_power, _lam_sums, _right_end
 
 _SEED_TERMS = 11  # series terms per seed piece, see build_seed
 # Relative |Im(c1 conj(c2))| of a pair that is e^(i theta) times a real
@@ -127,7 +134,7 @@ def _seed_pieces(r, nodes, starts, w: int):
     that begin at the node indices `starts`: c, s of shape (P, w + 1) and
     u1'(b), u2'(b) of shape (P,).
 
-    recint._pieces runs the order loop on the P pieces in one batch, and
+    recint._Pieces runs the order loop on the P pieces in one batch, and
     series._lam_sums sums its psi rows and chi ends at lambda = 1: as
     f = 1 and f' = 0, u1'(b) and u2'(b) are the chi ends' sums T1 and T2.
     Each sum adds its terms highest order first, Horner form: summed as
@@ -135,7 +142,10 @@ def _seed_pieces(r, nodes, starts, w: int):
     had a second-difference residual of 1.5e-8 against 7.6e-9.  Rows and
     sums are real, in float64.
     """
-    return _lam_sums(*_pieces(r, nodes, starts, w, 2 * _SEED_TERMS - 1), 1.0, _SEED_TERMS)
+    top = 2 * _SEED_TERMS - 1
+    pieces = _Pieces((1.0, r), nodes, starts, w, top)
+    pieces.grow(top)
+    return _lam_sums(pieces.psi, pieces.ends[1, ..., 1], 1.0, _SEED_TERMS)
 
 
 def characteristic(problem: SlProblem, family: RecursiveFamily, lam,
@@ -166,10 +176,9 @@ def _check_mesh(problem: SlProblem, family: RecursiveFamily) -> None:
 class EigenResult:
     """Eigenvalues sorted by real part with their residuals, the window's
     one truncation n_terms (M), and the samples of Phi the fit read:
-    scan_phi at the 2M - 1 Chebyshev points scan_lams, Phi of the series
-    summed from the middle node and of the boundary pairs scaled to a
-    largest modulus of 1, with the bits characteristic gives them on a
-    family anchored there."""
+    scan_phi at the K(M - 1) + 1 Chebyshev points scan_lams, K the
+    number of pieces, Phi of the pieces' transfer matrices (_transfer) and
+    of the boundary pairs scaled to a largest modulus of 1."""
     eigenvalues: np.ndarray
     residuals: np.ndarray
     n_terms: int
@@ -180,26 +189,97 @@ class EigenResult:
         return len(self.eigenvalues)
 
 
+# The search cuts [a, b] into at least _MIN_PIECES pieces, and into more
+# where one of them would reach further than _REACH, the largest
+# sqrt(max|lam|) * width of a piece (measured: on q = 0, Dirichlet ends,
+# (-2000, -1), 5001 nodes, a reach of 11.2 kept 9.2 digits, 18 kept 6.5
+# and 22.4 kept 4.8)
+_MIN_PIECES = 4
+_REACH = 12.0
+
+
+def _layout(grid, alam: float):
+    """The search's pieces on grid for a window whose largest |lam| is
+    alam: the node indices where they start, their width w in cells, and
+    for each the node, counted from its start, where it is read, which is
+    where the next one starts and, for the last, its last node.  There
+    are _MIN_PIECES of them or as many as keep each one's reach within
+    _REACH, and at most one per 3 cells, the fewest the row integrator
+    takes; w = ceil(cells / K), and where K pieces of w cells overrun the
+    grid the last starts w cells before its end, inside the one before
+    it, which is then read at that node."""
+    cells = grid.n_nodes - 1
+    want = max(_MIN_PIECES, math.ceil(math.sqrt(alam) * (grid.b - grid.a) / _REACH))
+    w = -(-cells // min(want, cells // 3))
+    starts = np.minimum(np.arange(-(-cells // w)) * w, cells - w)
+    return starts, w, np.append(np.diff(starts), w)
+
+
+def _piece_truncation(pieces: _Pieces, lams, tol: float, N: int):
+    """(M, capped) for the pieces at the window ends lams: the smallest M
+    at which, on every piece and at each lam, terms M and M + 1 of u1's
+    and u2's series are at most tol times B, the sum of the M kept terms'
+    sup-norms, which bounds the series' sup-norm; the pieces are grown to
+    order 2M + 3, two orders at a time.  Where no M with 2M + 3 <= N
+    passes, the cap (N + 1) // 2, capped, with the pieces grown to 2M - 1.
+    The term |lam|^k sup|psi_(2k+s)| / (2k+s)! is choose_truncation's; a
+    power that overflows raises OrderError naming its lam (_lam_power)."""
+    inv = _inv_factorials(N)
+
+    def terms(k):  # by lam, by series (u1, u2), by piece
+        return np.array([[_lam_power(abs(lam), k, lam) * inv[2 * k + s]
+                          * np.array(pieces.norms[2 * k + s]) for s in (0, 1)] for lam in lams])
+
+    B = 0.0
+    for M in range(1, (N + 1) // 2 + 1):
+        if 2 * M + 3 > N:
+            break
+        pieces.grow(2 * M + 3)
+        B = B + terms(M - 1)
+        if np.all(np.maximum(terms(M), terms(M + 1)) <= tol * _BOUND_SLACK * B):
+            return M, False
+    M = (N + 1) // 2
+    pieces.grow(2 * M - 1)
+    return M, True
+
+
+def _transfer(problem: SlProblem, f, fp, ends, lam, M: int):
+    """Phi at lam, a scalar or an array, from a chain of pieces: f and fp
+    are f and f' at a and b, and ends[0], ends[1] psi and chi by order at
+    each piece's read node, (orders, K).  With V_p = [[S1, S2], [T1, T2]]
+    there (_lam_sums, M terms) and F = [[f, 0], [f', 1/f]], the u with
+    (u, u')(a) = (-c2, c1) has (u, u')(b) = F(b) V_K ... V_1 F(a)^-1
+    (u, u')(a): at its anchor a piece's (S, T) is the identity, so F at
+    each junction cancels, and Phi = c3 u(b) + c4 u'(b), the boundary
+    determinant of any pair of Wronskian 1."""
+    S1, S2, T1, T2 = _lam_sums(ends[0], ends[1], lam, M)
+    (c1, c2), (c3, c4) = problem.bc_left, problem.bc_right
+    u, v = -c2 / f[0], c2 * fp[0] + c1 * f[0]  # F(a)^-1 (-c2, c1)
+    for p in range(len(S1)):
+        u, v = S1[p] * u + S2[p] * v, T1[p] * u + T2[p] * v
+    return c3 * f[1] * u + c4 * (fp[1] * u + v / f[1])
+
+
 def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
                      lam_range, *, tol: float = 1e-10,
                      series_tol: float = SERIES_TOL) -> EigenResult:
     """Real-line eigenvalues as the real roots of one polynomial per window.
 
-    The series are summed from the grid's middle node, index
-    (n_nodes - 1) // 2, on the search's own streamed family: the passed
-    family's seed, weight and cap N, run through the order loop once,
-    keeping each order's psi and chi at a and b, its sup-norm and only
-    the last four whole psi rows (RecursiveFamily._streamed).  The passed
-    family is never grown, whatever its anchor, and the search holds a
-    dozen whole-grid rows, not the 2M + 3 it builds.  A potential on
-    another mesh is refused with GridConfigError before any order is
-    built.  Each boundary pair is scaled to a largest modulus of 1, which
-    moves no root.  The truncation M is the larger of
-    choose_truncation(series_tol) at the two window ends, run at both in
-    one pass over the orders, with one warning if either hits the cap, so
-    Phi is one polynomial of degree 2M - 2 in lambda over the whole
-    window, and its values at the window's 2M - 1 Chebyshev points
-    determine it.  Two array calls of characteristic do the search:
+    [a, b] is cut into K >= 4 pieces of w cells, more where a piece would
+    reach further than sqrt(max|lam|) * width = 12 (_layout), each
+    anchored at its first node, and the family's seed and weights run on
+    all of them in one batch of the order loop (recint._Pieces), which
+    keeps psi and chi at each piece's read node, the sup-norm of psi on
+    each piece and two whole psi rows of the batch; the passed family is
+    never grown, whatever its anchor.  A potential on another mesh is
+    refused with GridConfigError before any order is built.  Each boundary
+    pair is scaled to a largest modulus of 1, which moves no root.  The
+    truncation M is the smallest that passes the bound test at both window
+    ends on every piece (_piece_truncation), capped at (N + 1) // 2 of the
+    family's N with one warning, so Phi, the chain of the pieces' transfer matrices
+    (_transfer), is one polynomial of degree K(M - 1) in lambda over the
+    whole window, and its values at the window's K(M - 1) + 1 Chebyshev
+    points determine it.  Two array calls of _transfer do the search:
 
     - the samples, returned as scan_lams, scan_phi: the largest gives
       the phase rot and the scale max|Phi|, and chebfit gives the
@@ -209,6 +289,8 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
       imaginary part exactly 0;
     - the residuals |Phi(root)| / scale of the real roots kept.
 
+    Samples that are all zero, or not all finite (the chained solutions
+    overflow, as on pieces left unconverged at the cap), raise EigenError.
     lam_range must be exactly two values, and tol and series_tol,
     keyword-only, must be > 0, else ValueError.  tol is the relative
     |Phi| at which Phi counts as zero.  A real root outside the window
@@ -245,34 +327,40 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
         (c.view(np.float64) / np.max(np.abs(c))).view(complex)
         for c in (np.array(problem.bc_left), np.array(problem.bc_right))))
 
-    # the search's own streamed family, anchored at the middle node, so
-    # that each series reaches half the interval
-    family = family._streamed((family.grid.n_nodes - 1) // 2)
-    with warnings.catch_warnings():  # one cap warning for the whole window
-        warnings.filterwarnings("ignore", "truncation cap", AccuracyWarning)
-        M, capped = choose_truncation(family, (lo, hi), series_tol)
-    n_points = 2 * M - 1  # Phi's degree 2M - 2, plus one
+    g = family.grid
+    starts, w, stops = _layout(g, max(abs(lo), abs(hi)))
+    pieces = _Pieces(family._weights(), g.nodes, starts, w, family.N, stops, rows=2, norms=True)
+    M, capped = _piece_truncation(pieces, (lo, hi), series_tol, family.N)
+    n_points = len(starts) * (M - 1) + 1  # Phi's degree K(M - 1), plus one
     if capped:
         warnings.warn(f"truncation cap {M} reached at a window end, used at the "
                       f"window's {n_points} Chebyshev points without meeting "
                       f"series_tol={series_tol:g}", AccuracyWarning, stacklevel=2)
+    ends = pieces.ends[..., 1]
+    f = family.f.values[[0, -1]]
+    fp = _end_slopes(family.f.values, g.h)
     cheb = np.polynomial.chebyshev  # reached here: importing spps.cli skips it
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     t = cheb.chebpts1(n_points)
     lams = mid + half * t
-    phis = characteristic(problem, family, lams, M)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        phis = _transfer(problem, f, fp, ends, lams, M)
 
     scale = float(np.max(np.abs(phis)))
     if scale == 0.0:
         raise EigenError(f"characteristic function vanished identically: "
                          f"zero at the window's {n_points} Chebyshev points")
+    if not np.isfinite(scale):
+        raise EigenError(f"characteristic function is not finite at the window's "
+                         f"{n_points} Chebyshev points: the solutions chained over "
+                         f"{len(starts)} pieces overflow")
     rot = np.exp(-1j * np.angle(phis[int(np.argmax(np.abs(phis)))]))
     c = cheb.chebfit(t, (rot * phis).real, n_points - 1)
     t = cheb.chebroots(c)
     t = t.real[t.imag == 0]
     t = t[(np.abs(t) - 1.0) * np.abs(cheb.chebval(t, cheb.chebder(c))) <= tol * scale]
     roots = np.sort(mid + half * t)
-    residuals = np.abs(characteristic(problem, family, roots, M)) / scale
+    residuals = np.abs(_transfer(problem, f, fp, ends, roots, M)) / scale
     for root, res in zip(roots, residuals):
         if res > tol:
             warnings.warn(f"eigenvalue {root:.6g} has relative residual {res:.3g} "

@@ -319,10 +319,10 @@ def test_eigs_dirichlet(tmp_path):
     expect = -np.array([9.0, 4.0, 1.0]) * math.pi**2
     assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-6
     assert len(data["residuals"]) == 3
-    # the window's one M, at whose 2M - 1 Chebyshev points the scan sampled
-    # Phi, of degree 2M - 2
+    # the window's one M, at whose K(M - 1) + 1 Chebyshev points the scan
+    # sampled Phi, of degree K(M - 1) on K = 4 pieces
     with open(os.path.join(out, "scan.csv")) as fh:
-        assert 2 * data["n_terms"] - 1 == len(fh.readlines()) - 1 == 33
+        assert 4 * (data["n_terms"] - 1) + 1 == len(fh.readlines()) - 1 == 41
 
 
 def test_eigs_from_q_seed_matches_default_seed(tmp_path, monkeypatch):
@@ -398,8 +398,8 @@ def test_eigs_pair_the_search_refuses_is_config_error(tmp_path, monkeypatch, cap
 
 def test_eigs_vanishing_characteristic_is_numerical_failure(tmp_path, monkeypatch,
                                                           capsys):
-    monkeypatch.setattr(spps.sturm, "characteristic",
-                        lambda problem, family, lam, M: np.zeros_like(lam, complex))
+    monkeypatch.setattr(spps.sturm, "_transfer",
+                        lambda problem, f, fp, ends, lam, M: np.zeros_like(lam, complex))
     cfg = {
         "schema_version": 1,
         "command": "eigs",

@@ -8,7 +8,7 @@ import spps
 from spps import (AccuracyWarning, Grid, GridConfigError, OrderError, RecursiveFamily,
                   SeedError, SlProblem, build_family, choose_truncation, derivative,
                   sample)
-from spps.recint import _blocks, _extend_orders, _order_zero
+from spps.recint import _blocks, _extend_orders, _order_zero, _Pieces
 
 
 def test_monomial_degeneration(unit_family):
@@ -196,7 +196,7 @@ def test_order_loop_with_weight_bitwise_equal_row_by_row_recursion(case, row_by_
     assert np.array_equal(scratch[1, 1], np.broadcast_to(ref_chi.values, p.shape))
 
 
-@pytest.mark.parametrize("rows", [4, 5])
+@pytest.mark.parametrize("rows", [2, 4, 5])
 def test_order_loop_on_a_ring_of_rows_keeps_the_blocks_ends(rows):
     # psi of fewer rows than orders is a ring: order n goes to row n % rows,
     # and the ends, the sup-norms and the last rows have the bits a whole
@@ -220,6 +220,32 @@ def test_order_loop_on_a_ring_of_rows_keeps_the_blocks_ends(rows):
     assert ring_norms == norms == [np.max(np.abs(p)).item() for p in psi]
     for n in range(N + 1 - rows, N + 1):
         assert np.array_equal(ring[n % rows], psi[n])
+
+
+@pytest.mark.parametrize("seed", ["real", "complex"])
+def test_pieces_in_one_batch_are_families_on_each_piece(seed):
+    # the eigen search's pieces: a family's weights (1/phi, phi) on four
+    # pieces of 100 cells, the last starting 3 cells inside the third, run
+    # in one batch through a ring of two psi rows, two orders at a time.
+    # Each piece's psi and chi at its first node and at its read node, and
+    # its sup-norms, have the bits of a family built on that piece alone
+    g = Grid(0.0, 2.0, 398)
+    f = sample(np.exp if seed == "real" else lambda x: np.exp(x) + 1j * np.cos(3 * x), g)
+    fam = spps.build_family(f, 25)
+    starts, w, stops = np.array([0, 100, 200, 297]), 100, np.array([100, 100, 97, 100])
+    pieces = _Pieces(fam._weights(), g.nodes, starts, w, 25, stops, rows=2, norms=True)
+    for stop in range(3, 26, 2):
+        pieces.grow(stop)
+    assert pieces.top == 25 and pieces.psi.shape == (2, 4, w + 1)
+    assert pieces.ends.shape == (2, 26, 4, 2) and pieces.ends.dtype == fam._psi.dtype
+    for p, (i, stop) in enumerate(zip(starts, stops)):
+        piece = Grid(g.nodes[i], g.nodes[i + w], w + 1)
+        alone = spps.build_family(spps.GridFunction(piece, f.values[i:i + w + 1]), 25)
+        psi = alone._grow(25)
+        assert [n[p] for n in pieces.norms] == alone._sup_norms
+        for k, rows in enumerate((psi, alone._chi)):
+            assert np.array_equal(pieces.ends[k, :, p], rows[:, [0, stop]])
+        assert np.array_equal(pieces.psi[25 % 2, p], psi[25])
 
 
 @pytest.mark.parametrize("case", ["real", "complex", "interior"])

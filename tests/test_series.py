@@ -26,7 +26,7 @@ from spps import (
     u2_prime_grid,
 )
 from spps.jets import _factorials
-from spps.recint import _pieces
+from spps.recint import _Pieces
 from spps.series import TruncationChoice, _inv_factorials, _lam_sums, _prime, _real_if_real
 
 
@@ -216,9 +216,7 @@ def _truncation_by_the_rule(fam, lam, tol):
 def test_truncation_matches_the_rule_as_written(seed):
     # choose_truncation skips the sup-norms of partial sums where a bound
     # shows the rule fails; the choice must be the rule's, capped or not,
-    # also on the eigen search's streamed family, which sums its partial
-    # sums as it builds orders, and at an array of lambda, where it is the
-    # largest choice, capped if any is
+    # and at an array of lambda the largest choice, capped if any is
     rng = np.random.default_rng(seed)
     n = (201, 1001)[seed % 2]
     L = rng.uniform(0.5, 2.0)
@@ -243,9 +241,7 @@ def test_truncation_matches_the_rule_as_written(seed):
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", AccuracyWarning)
                         got = choose_truncation(fam, lam, tol)
-                        streamed = choose_truncation(fam._streamed(g.x0_index), lam, tol)
                     assert got == _truncation_by_the_rule(fam, lam, tol), (lam, tol, N)
-                    assert streamed == got, (lam, tol, N)
                     kinds[got.capped] += 1
                     choices.append(got)
                 largest = TruncationChoice(max(c.n_terms for c in choices),
@@ -253,8 +249,7 @@ def test_truncation_matches_the_rule_as_written(seed):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always", AccuracyWarning)
                     assert choose_truncation(fam, lams, tol) == largest
-                    assert choose_truncation(fam._streamed(g.x0_index), lams, tol) == largest
-                assert len(caught) == 2 * largest.capped  # one warning a call
+                assert len(caught) == largest.capped  # one warning a call
     assert kinds[False] and kinds[True]
 
 
@@ -579,13 +574,17 @@ def _read_all(fam, lam, M):
 def test_reading_another_family_clears_the_sums_of_the_one_before(held_sums):
     # families A, B, then A at one lam: each read makes its family's sums
     # anew, with a fresh family's bits, and a family read after another
-    # clears that one's sums
-    f = sample(np.exp, spps.Grid(0.0, 1.0, 2001))
+    # clears that one's sums.  The seeds differ in every row: seeds f and
+    # 2f share their even psi rows, so u1's S, and a read of the one from
+    # the other's sums would pass unseen
+    g = spps.Grid(0.0, 1.0, 2001)
+    f, f_b = sample(np.exp, g), sample(np.cosh, g)
     lam = 5.0 + 20.0j
-    a, b = spps.build_family(f, 60), spps.build_family(2.0 * f, 60)
+    a, b = spps.build_family(f, 60), spps.build_family(f_b, 60)
     M = choose_truncation(a, lam).n_terms
     want_a = _read_all(spps.build_family(f, 60), lam, M)
-    want_b = _read_all(spps.build_family(2.0 * f, 60), lam, M)
+    want_b = _read_all(spps.build_family(f_b, 60), lam, M)
+    assert not any(np.array_equal(x, y) for x, y in zip(want_a, want_b))
     for fam, want, other in ((a, want_a, b), (b, want_b, a), (a, want_a, b)):
         got = _read_all(fam, lam, M)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -684,7 +683,8 @@ def test_a_sum_whose_slot_is_replaced_mid_call_is_returned_not_kept(monkeypatch,
     # the first whole-grid sum made for family a reads family b before it
     # returns, as another thread may: a's read gives a fresh family's bits
     # from the sums it made, and the slot holds b's sums, not a's; a
-    # derivative reader then reads S once more and keeps that S alone
+    # derivative reader then makes T from the S it made, without making S
+    # again, and keeps that T alone
     g = spps.Grid(0.0, 1.0, 2001)
     f, f_b = sample(np.exp, g), sample(np.cosh, g)
     lam, M = 5.0 + 20.0j, 12
@@ -693,9 +693,13 @@ def test_a_sum_whose_slot_is_replaced_mid_call_is_returned_not_kept(monkeypatch,
     want_b = _read_all(spps.build_family(f_b, 60), lam, M)
     grid_sum, read_b = spps.series._grid_sum, []
 
+    made_for_a = []
+
     def b_read_mid_call(family, s, lam, M):
-        if family is a and not read_b:
-            read_b.append(_read_all(b, lam, M))
+        if family is a:
+            made_for_a.append(s)
+            if not read_b:
+                read_b.append(_read_all(b, lam, M))
         return grid_sum(family, s, lam, M)
 
     monkeypatch.setattr(spps.series, "_grid_sum", b_read_mid_call)
@@ -703,12 +707,13 @@ def test_a_sum_whose_slot_is_replaced_mid_call_is_returned_not_kept(monkeypatch,
     assert all(np.array_equal(g, w) for g, w in zip(read_b[0], want_b))
     s = reader in (u2_grid, u2_prime_grid, eval_u2, eval_u2_prime)
     if reader in (u1_prime_grid, u2_prime_grid, eval_u1_prime, eval_u2_prime):
-        assert sorted(held_sums(a)) == [(0, s)] and not held_sums(b)
+        assert sorted(held_sums(a)) == [(1, s)] and not held_sums(b)
     else:
         assert not held_sums(a)
         assert sorted(held_sums(b)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         # and they are b's own: read from them, b gives its bits again
         assert all(np.array_equal(g, w) for g, w in zip(_read_all(b, lam, M), want_b))
+    assert made_for_a == [s]  # S made once
 
 
 @pytest.mark.parametrize("lam", [np.array([3.0, 4.0]), np.zeros((2, 2)), np.array([]),
@@ -885,7 +890,10 @@ def test_lam_sums_over_pieces_equal_one_piece_at_a_time(lam):
     # each piece's last node (two shapes, two passes).  Complex rows: the
     # ends of three families stacked as pieces (one shape, one pass)
     g = spps.Grid(0.0, 1.0, 201)
-    pieces = _pieces(-50.0 * np.cos(3 * np.pi * g.nodes), g.nodes, np.arange(0, 160, 40), 40, 21)
+    seed_pieces = _Pieces((1.0, -50.0 * np.cos(3 * np.pi * g.nodes)), g.nodes,
+                          np.arange(0, 160, 40), 40, 21)
+    seed_pieces.grow(21)
+    pieces = seed_pieces.psi, seed_pieces.ends[1, ..., 1]
     fams = [spps.build_family(sample(lambda x, c=c: np.exp(c * x) + 0.5j * np.cos(3 * x), g), 21)
             for c in (0.5, -1.0, 2.0)]
     for fam in fams:
