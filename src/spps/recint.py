@@ -111,7 +111,7 @@ def _order_zero(psi: np.ndarray, ends) -> np.ndarray:
 
 def _extend_orders(psi: np.ndarray, ends, weights, h, x0_index: int,
                    start: int, stop: int, scratch: np.ndarray, norms=None,
-                   at=None) -> None:
+                   at=None, integrate=_integrate_rows) -> None:
     """Write orders start .. stop in place: psi_n into psi[n % len(psi)],
     so that psi of fewer rows than orders is a ring of the last ones, and
     psi_n and chi_n at the nodes `at`, an index into a row, the first and
@@ -121,7 +121,8 @@ def _extend_orders(psi: np.ndarray, ends, weights, h, x0_index: int,
     integrands, then the integrated pair, whose row 1 holds chi_(n-1) on
     entry and chi_n on return.  Order n integrates chi_(n-1) and psi_(n-1)
     times weights (for a family 1/phi and phi) along the last axis and
-    scales by n; the rows may carry leading axes (side-by-side pieces)."""
+    scales by n; the rows may carry leading axes (side-by-side pieces).
+    integrate is the row rule, _integrate_rows' or one of its contract."""
     buf, pair = scratch
     if at is None:
         at = (..., slice(None, None, psi.shape[-1] - 1))  # the first and the last node
@@ -129,7 +130,7 @@ def _extend_orders(psi: np.ndarray, ends, weights, h, x0_index: int,
     for n in range(start, stop + 1):
         np.multiply(pair[1], weights[0], out=buf[0])
         np.multiply(psi[(n - 1) % rows], weights[1], out=buf[1])
-        _integrate_rows(buf, h, pair, x0_index)
+        integrate(buf, h, pair, x0_index)
         row = psi[n % rows]
         np.multiply(pair[0], n, out=row)
         pair[1] *= n
@@ -151,10 +152,12 @@ class _Pieces:
     `rows` of them; ends[0] and ends[1] hold psi_n and chi_n at each
     piece's first node and at its node `stops[p]`, its last by default,
     (top + 1, P, 2); norms, if asked for, sup|psi_n| on each piece, a list
-    of P floats per order built."""
+    of P floats per order built.  integrate is the row rule, the 4-point
+    _integrate_rows by default."""
 
     def __init__(self, weights, nodes: np.ndarray, starts: np.ndarray, w: int, top: int,
-                 stops=None, rows: int | None = None, norms: bool = False):
+                 stops=None, rows: int | None = None, norms: bool = False,
+                 integrate=_integrate_rows):
         take = starts[:, None] + np.arange(w + 1)
         self._w = tuple(v if np.ndim(v) == 0 else v[take] for v in weights)
         self._h = ((nodes[starts + w] - nodes[starts]) / w)[:, None]
@@ -164,11 +167,12 @@ class _Pieces:
         self._scratch = _order_zero(self.psi, self.ends)
         self.norms = [[1.0] * len(starts)] if norms else None
         self.top = 0
+        self._integrate = integrate
 
     def grow(self, stop: int) -> None:
         """Build the orders up to stop not yet built."""
         _extend_orders(self.psi, self.ends, self._w, self._h, 0, self.top + 1, stop,
-                       self._scratch, self.norms, self._at)
+                       self._scratch, self.norms, self._at, self._integrate)
         self.top = max(self.top, stop)
 
 

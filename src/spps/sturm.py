@@ -16,10 +16,11 @@ x0 = a, where u1, u2 start from f(a), f'(a) and 0, 1/f(a), it is
 c3 u(b) + c4 u'(b) of the u pinned to u(a) = -c2, u'(a) = c1.
 characteristic takes Phi so, from one family.  find_eigenvalues does
 not: one series cancels once sqrt|lambda| times its reach passes ~20,
-so it cuts [a, b] into K >= 4 short pieces, each anchored at its first
+so it cuts [a, b] into K >= 6 short pieces, each anchored at its first
 node, and runs the seed's recursion on all of them in one batch
-(recint._Pieces), keeping psi and chi at one node of each piece, their
-sup-norms and only the batch's last two psi rows.  With u = f S and
+(recint._Pieces) with a 6-point row rule (grid._integrate_rows6),
+keeping psi and chi at one node of each piece, their sup-norms and only
+the batch's last two psi rows.  With u = f S and
 u' = f' S + T/f, a piece's (S, T) is the identity at its anchor, so
 (u, u')(b) = F(b) V_K ... V_1 F(a)^-1 (u, u')(a), V_p = [[S1, S2],
 [T1, T2]] at piece p's end and F = [[f, 0], [f', 1/f]]: the pinned u's
@@ -28,7 +29,8 @@ as MATSLISE and the CP codes propagate (Ledoux, Van Daele and Vanden
 Berghe, ACM TOMS 31 (2005)).  The search fixes one M per window, samples
 Phi at the window's K(M - 1) + 1 Chebyshev points, which determine it,
 and takes the eigenvalues as the real roots of that interpolant (the
-colleague matrix of its Chebyshev coefficients).  The determinant does
+colleague matrix of its Chebyshev coefficients, on arcs of the window
+where the degree is high).  The determinant does
 not depend on the basis of solutions it is taken of, up to that basis'
 Wronskian, so for real q, lambda and real boundary coefficients Phi is
 real regardless of the complex seed.
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyWarning, EigenError, GridConfigError, SeedError
-from .grid import GridFunction, _check_finite
+from .grid import GridFunction, _check_finite, _integrate_rows6
 from .recint import MIN_SEED_ABS, RecursiveFamily, _end_slopes, _Pieces
 from .series import _BOUND_SLACK, SERIES_TOL, _inv_factorials, _lam_power, _lam_sums, _right_end
 
@@ -191,10 +193,18 @@ class EigenResult:
 
 # The search cuts [a, b] into at least _MIN_PIECES pieces, and into more
 # where one of them would reach further than _REACH, the largest
-# sqrt(max|lam|) * width of a piece (measured: on q = 0, Dirichlet ends,
-# (-2000, -1), 5001 nodes, a reach of 11.2 kept 9.2 digits, 18 kept 6.5
-# and 22.4 kept 4.8)
-_MIN_PIECES = 4
+# sqrt(max|lam|) * width of a piece (measured with the 4-point rule: on
+# q = 0, Dirichlet ends, (-2000, -1), 5001 nodes, a reach of 11.2 kept
+# 9.2 digits, 18 kept 6.5 and 22.4 kept 4.8).  The pieces take the
+# 6-point rule (grid._integrate_rows6): under the 4-point rule each
+# junction's end cells moved the roots' last digits with the junctions'
+# place, so that over 20 eigs-pipeline seeds three pieces lost 0.28 to
+# 0.57 digits on four of them against one series.  Under the 6-point
+# rule three such 1001-node ops read 9.39, 9.81-9.83 and 10.21-10.40
+# digits at every K from 1 to 8, so K is set for time: six pieces (M
+# 10-12) took about what three took under the 4-point rule (M 13-15),
+# fewer orders of a costlier rule.
+_MIN_PIECES = 6
 _REACH = 12.0
 
 
@@ -204,13 +214,14 @@ def _layout(grid, alam: float):
     for each the node, counted from its start, where it is read, which is
     where the next one starts and, for the last, its last node.  There
     are _MIN_PIECES of them or as many as keep each one's reach within
-    _REACH, and at most one per 3 cells, the fewest the row integrator
-    takes; w = ceil(cells / K), and where K pieces of w cells overrun the
+    _REACH, and at most one per 5 cells, the fewest the 6-point rule
+    takes (a grid of fewer is one piece, which takes the 4-point rule);
+    w = ceil(cells / K), and where K pieces of w cells overrun the
     grid the last starts w cells before its end, inside the one before
     it, which is then read at that node."""
     cells = grid.n_nodes - 1
     want = max(_MIN_PIECES, math.ceil(math.sqrt(alam) * (grid.b - grid.a) / _REACH))
-    w = -(-cells // min(want, cells // 3))
+    w = -(-cells // max(1, min(want, cells // 5)))
     starts = np.minimum(np.arange(-(-cells // w)) * w, cells - w)
     return starts, w, np.append(np.diff(starts), w)
 
@@ -225,10 +236,15 @@ def _piece_truncation(pieces: _Pieces, lams, tol: float, N: int):
     The term |lam|^k sup|psi_(2k+s)| / (2k+s)! is choose_truncation's; a
     power that overflows raises OrderError naming its lam (_lam_power)."""
     inv = _inv_factorials(N)
+    made = []  # term k by lam, by series (u1, u2), by piece, each made once
 
-    def terms(k):  # by lam, by series (u1, u2), by piece
-        return np.array([[_lam_power(abs(lam), k, lam) * inv[2 * k + s]
-                          * np.array(pieces.norms[2 * k + s]) for s in (0, 1)] for lam in lams])
+    def terms(k):
+        while len(made) <= k:
+            j = len(made)
+            made.append(np.array([[_lam_power(abs(lam), j, lam) * inv[2 * j + s]
+                                   * np.array(pieces.norms[2 * j + s]) for s in (0, 1)]
+                                  for lam in lams]))
+        return made[k]
 
     B = 0.0
     for M in range(1, (N + 1) // 2 + 1):
@@ -260,15 +276,74 @@ def _transfer(problem: SlProblem, f, fp, ends, lam, M: int):
     return c3 * f[1] * u + c4 * (fp[1] * u + v / f[1])
 
 
+# A polynomial of more than _MAX_POINTS samples is rooted on arcs of
+# _ARC_DEGREES of its degree each, sampled at _ARC_POINTS Chebyshev points
+# (_real_roots).  The colleague matrix costs O(points^3): with one BLAS
+# thread 0.5, 2.8, 15, 53, 310 and 820 ms at 49, 85, 169, 301, 501 and 977
+# points.  Whole searches on q = 0, 5001 nodes, one BLAS thread, took 26
+# ms against 32 on arcs at 169 points, 37 against 41 at 211, 86 against
+# 64 at 331 and 449 against 139 at 661, with the same roots to 1e-12 of
+# the window.
+# T_D (D = 200 to 976) on arcs of up to D / 13.6 of its degrees, 1.2
+# times as wide as the arcs here, left tails of 1e-13 at 65 points.
+_MAX_POINTS = 300
+_ARC_POINTS = 65
+_ARC_DEGREES = 12
+
+
+def _real_roots(y, sample, bound: float) -> np.ndarray:
+    """The real roots, in t, of the polynomial p of degree len(y) - 1 with
+    the values y at chebpts1(len(y)) in [-1, 1]: the real eigenvalues of
+    the colleague matrix of its Chebyshev coefficients (chebroots; a
+    simple real root comes back with imaginary part exactly 0), less the
+    trailing ones whose moduli sum to at most bound / 1000, those in
+    [-1, 1] and those outside while |p| at the nearer end, to first
+    order (|t| - 1) |p'(t)|, is at most bound.
+
+    Above _MAX_POINTS values, the same on arcs: the sample points are
+    evenly spaced in the angle arccos t, over which T_k(t) = cos(k theta)
+    oscillates evenly, so the arcs span equal numbers of them, and meet
+    at the one of three where |p| is largest, which no root sits on.
+    Each arc is sampled at its own _ARC_POINTS Chebyshev points by
+    sample(t), which gives p's values, and keeps the roots on its span,
+    up to but not at the next arc's."""
+    cheb = np.polynomial.chebyshev
+    n = len(y)
+    arcs = 1 if n <= _MAX_POINTS else math.ceil((n - 1) / _ARC_DEGREES)
+    cuts = [i - 1 + int(np.argmax(np.abs(y[i - 1:i + 2]))) for i in n * np.arange(1, arcs) // arcs]
+    spans = np.concatenate(([-1.0], cheb.chebpts1(n)[cuts], [1.0]))
+    roots = []
+    for j in range(arcs):
+        mid, half = 0.5 * (spans[j] + spans[j + 1]), 0.5 * (spans[j + 1] - spans[j])
+        v = y if arcs == 1 else sample(mid + half * cheb.chebpts1(_ARC_POINTS))
+        # the interpolant's coefficients by the points' discrete
+        # orthogonality, O(points^2) where chebfit's least squares is
+        # O(points^3), less the tail whose moduli sum to at most a
+        # thousandth of bound, which moves p nowhere by more than that
+        c = cheb.chebvander(cheb.chebpts1(len(v)), len(v) - 1).T @ v * (2.0 / len(v))
+        c[0] *= 0.5
+        tail = np.cumsum(np.abs(c[::-1]))[::-1]
+        c = c[:max(2, np.count_nonzero(tail > 1e-3 * bound))]
+        r = cheb.chebroots(c)
+        r = r.real[r.imag == 0]
+        t = mid + half * r
+        keep = (np.abs(t) - 1.0) * np.abs(cheb.chebval(r, cheb.chebder(c))) <= bound * half
+        keep &= (t >= spans[j]) | (j == 0)
+        keep &= (t < spans[j + 1]) | (j == arcs - 1)
+        roots.append(t[keep])
+    return np.concatenate(roots)
+
+
 def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
                      lam_range, *, tol: float = 1e-10,
                      series_tol: float = SERIES_TOL) -> EigenResult:
     """Real-line eigenvalues as the real roots of one polynomial per window.
 
-    [a, b] is cut into K >= 4 pieces of w cells, more where a piece would
+    [a, b] is cut into K >= 6 pieces of w cells, more where a piece would
     reach further than sqrt(max|lam|) * width = 12 (_layout), each
     anchored at its first node, and the family's seed and weights run on
-    all of them in one batch of the order loop (recint._Pieces), which
+    all of them in one batch of the order loop (recint._Pieces) under the
+    6-point rule (grid._integrate_rows6), which
     keeps psi and chi at each piece's read node, the sup-norm of psi on
     each piece and two whole psi rows of the batch; the passed family is
     never grown, whatever its anchor.  A potential on another mesh is
@@ -282,11 +357,15 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
     points determine it.  Two array calls of _transfer do the search:
 
     - the samples, returned as scan_lams, scan_phi: the largest gives
-      the phase rot and the scale max|Phi|, and chebfit gives the
-      Chebyshev coefficients of Re(rot Phi) in the window's variable
-      t in [-1, 1].  The eigenvalues of their real colleague matrix
-      (chebroots) are its roots; a simple real root comes back with
-      imaginary part exactly 0;
+      the phase rot and the scale max|Phi|, and the samples' discrete
+      orthogonality the Chebyshev coefficients of Re(rot Phi) in the
+      window's variable t in [-1, 1], less a tail that moves it by at
+      most tol * scale / 1000.  The eigenvalues of their real colleague
+      matrix (chebroots) are its roots; a simple real root comes back
+      with imaginary part exactly 0 (_real_roots).  Past _MAX_POINTS samples, where that
+      matrix's O(points^3) would outweigh the search, the same is done
+      on arcs of the window, each sampled at its own _ARC_POINTS points,
+      one more call of _transfer per arc (_real_roots);
     - the residuals |Phi(root)| / scale of the real roots kept.
 
     Samples that are all zero, or not all finite (the chained solutions
@@ -329,7 +408,8 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
 
     g = family.grid
     starts, w, stops = _layout(g, max(abs(lo), abs(hi)))
-    pieces = _Pieces(family._weights(), g.nodes, starts, w, family.N, stops, rows=2, norms=True)
+    pieces = _Pieces(family._weights(), g.nodes, starts, w, family.N, stops, rows=2, norms=True,
+                     integrate=_integrate_rows6)
     M, capped = _piece_truncation(pieces, (lo, hi), series_tol, family.N)
     n_points = len(starts) * (M - 1) + 1  # Phi's degree K(M - 1), plus one
     if capped:
@@ -355,11 +435,12 @@ def find_eigenvalues(problem: SlProblem, family: RecursiveFamily,
                          f"{n_points} Chebyshev points: the solutions chained over "
                          f"{len(starts)} pieces overflow")
     rot = np.exp(-1j * np.angle(phis[int(np.argmax(np.abs(phis)))]))
-    c = cheb.chebfit(t, (rot * phis).real, n_points - 1)
-    t = cheb.chebroots(c)
-    t = t.real[t.imag == 0]
-    t = t[(np.abs(t) - 1.0) * np.abs(cheb.chebval(t, cheb.chebder(c))) <= tol * scale]
-    roots = np.sort(mid + half * t)
+
+    def sample(t):  # Re(rot Phi) at the window's variable t
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (rot * _transfer(problem, f, fp, ends, mid + half * t, M)).real
+
+    roots = np.sort(mid + half * _real_roots((rot * phis).real, sample, tol * scale))
     residuals = np.abs(_transfer(problem, f, fp, ends, roots, M)) / scale
     for root, res in zip(roots, residuals):
         if res > tol:

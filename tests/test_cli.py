@@ -320,9 +320,9 @@ def test_eigs_dirichlet(tmp_path):
     assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-6
     assert len(data["residuals"]) == 3
     # the window's one M, at whose K(M - 1) + 1 Chebyshev points the scan
-    # sampled Phi, of degree K(M - 1) on K = 4 pieces
+    # sampled Phi, of degree K(M - 1) on K = 6 pieces
     with open(os.path.join(out, "scan.csv")) as fh:
-        assert 4 * (data["n_terms"] - 1) + 1 == len(fh.readlines()) - 1 == 41
+        assert 6 * (data["n_terms"] - 1) + 1 == len(fh.readlines()) - 1 == 55
 
 
 def test_eigs_from_q_seed_matches_default_seed(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from spps import (
     sample,
     write_csv,
 )
-from spps.grid import _integrate_rows
+from spps.grid import _integrate_rows, _integrate_rows6
 
 
 # -- Grid construction -------------------------------------------------------
@@ -331,6 +331,60 @@ def test_row_integrator_batch_matches_formula_row_by_row(n, dtype):
     assert not strided.flags.c_contiguous
     assert (cumulative_integral(GridFunction(g, strided)).values.tobytes()
             == _stencil_integral(y[0, 1], g.h, 0).tobytes())
+
+
+def test_six_point_rule_is_exact_to_degree_five_and_sixth_order():
+    # each cell's weights integrate every polynomial of degree <= 5 on its
+    # six nodes exactly, so the running integral of one is exact to
+    # rounding; on e^(3x) cos(5x) the error falls 64-fold per halving of h,
+    # where the 4-point rule's falls 16-fold
+    for n in (6, 7, 12, 101):
+        x = np.linspace(-1.0, 2.0, n)
+        for k in range(6):
+            out = np.empty(n)
+            _integrate_rows6(x ** k, x[1] - x[0], out)
+            exact = (x ** (k + 1) - x[0] ** (k + 1)) / (k + 1)
+            assert np.max(np.abs(out - exact)) <= 1e-13 * 2.0 ** (k + 1)
+    F = lambda t: np.exp(3 * t) * (3 * np.cos(5 * t) + 5 * np.sin(5 * t)) / 34
+    errs = {}
+    for n in (101, 201, 401):
+        x = np.linspace(0.0, 1.0, n)
+        for rule in (_integrate_rows, _integrate_rows6):
+            out = np.empty(n)
+            rule(np.exp(3 * x) * np.cos(5 * x), x[1] - x[0], out)
+            errs[rule, n] = np.max(np.abs(out - (F(x) - F(0.0))))
+    for a, b in ((101, 201), (201, 401)):
+        assert 50 < errs[_integrate_rows6, a] / errs[_integrate_rows6, b] < 70
+        assert 12 < errs[_integrate_rows, a] / errs[_integrate_rows, b] < 20
+    assert errs[_integrate_rows6, 201] < 1e-3 * errs[_integrate_rows, 201]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 335])
+def test_six_point_rule_rows_keep_their_bits_in_a_batch(n):
+    # a (2, 3, n) complex batch with one spacing per piece, as the eigen
+    # search runs it: every row has the bits it has alone, its parts those
+    # of the real rule on each part, and a row of fewer than 6 nodes the
+    # 4-point rule's bits; it integrates from the first node only
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+    h = np.array([0.1, 1 / 3, 2.5])[:, None]
+    out = np.empty_like(y)
+    _integrate_rows6(y, h, out)
+    for i in range(2):
+        for p in range(3):
+            alone = np.empty(n, complex)
+            _integrate_rows6(y[i, p].copy(), h[p, 0], alone)
+            assert out[i, p].tobytes() == alone.tobytes()
+            for part, got in ((y[i, p].real, out[i, p].real), (y[i, p].imag, out[i, p].imag)):
+                real = np.empty(n)
+                _integrate_rows6(part.copy(), h[p, 0], real)
+                assert n < 6 or np.array_equal(real, got)
+            if n < 6:
+                four = np.empty(n, complex)
+                _integrate_rows(y[i, p].copy(), h[p, 0], four)
+                assert four.tobytes() == alone.tobytes()
+    with pytest.raises(ValueError, match="first node only"):
+        _integrate_rows6(y, h, out, 1)
 
 
 @pytest.mark.parametrize("dtype, out", [(np.float32, np.float64),

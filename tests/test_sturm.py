@@ -21,8 +21,11 @@ from spps import (
     sample,
     u2_grid,
 )
+from spps.grid import _integrate_rows6
+from spps.recint import _Pieces
 from spps.series import SERIES_TOL, _inv_factorials
-from spps.sturm import _MIN_PIECES, _REACH, _SEED_TERMS, _layout, _transfer
+from spps.sturm import (_ARC_DEGREES, _MAX_POINTS, _MIN_PIECES, _REACH, _SEED_TERMS, _layout,
+                        _real_roots, _transfer)
 
 PI2 = np.pi**2
 
@@ -369,44 +372,60 @@ def _piece_families(f, window, N):
                                       f.values[i:i + w + 1]), N) for i in starts], stops
 
 
-def _bound_rule(fams, lams, N, tol=SERIES_TOL):
-    """(M, capped) of the bound rule as written, on families: the smallest
-    M with 2M + 3 <= N at which terms M and M + 1 of both series are at
-    most tol B on every family at every lam, B the sum of the M kept
-    terms' sup-norms, else the cap (N + 1) // 2."""
+def _one_piece_each(f, window, N):
+    """The search's pieces for window run one at a time: a _Pieces of one
+    piece each, with the weights of f's family, the 6-point rule and every
+    psi row kept, read at its read node (_layout)."""
+    g = f.grid
+    weights = build_family(f, N)._weights()
+    starts, w, stops = _layout(g, max(map(abs, window)))
+    return [_Pieces(weights, g.nodes, starts[p:p + 1], w, N, stops[p:p + 1], norms=True,
+                    integrate=_integrate_rows6) for p in range(len(starts))]
+
+
+def _bound_rule(pieces, lams, N, tol=SERIES_TOL):
+    """(M, capped) of the bound rule as written, on pieces run one at a
+    time: the smallest M with 2M + 3 <= N at which terms M and M + 1 of
+    both series are at most tol B on every piece at every lam, B the sum
+    of the M kept terms' sup-norms, else the cap (N + 1) // 2."""
     inv = _inv_factorials(N)
 
-    def term(fam, lam, k, s):
-        return abs(lam) ** k * inv[2 * k + s] * fam._sup_norms[2 * k + s]
+    def term(piece, lam, k, s):
+        return abs(lam) ** k * inv[2 * k + s] * piece.norms[2 * k + s][0]
 
     for M in range(1, (N + 1) // 2 + 1):
         if 2 * M + 3 > N:
             break
-        for fam in fams:
-            fam._grow(2 * M + 3)
-        if all(term(fam, lam, j, s) <= tol * (1 + 1e-9) * sum(term(fam, lam, k, s)
-                                                              for k in range(M))
-               for fam in fams for lam in lams for s in (0, 1) for j in (M, M + 1)):
+        for piece in pieces:
+            piece.grow(2 * M + 3)
+        if all(term(p, lam, j, s) <= tol * (1 + 1e-9) * sum(term(p, lam, k, s) for k in range(M))
+               for p in pieces for lam in lams for s in (0, 1) for j in (M, M + 1)):
             return M, False
     return (N + 1) // 2, True
 
 
-def _search_piece_by_piece(prob, f, window, N):
-    """The search's M, Chebyshev variable, sample points and samples of Phi
-    from its pieces built one family at a time: each read at its read
-    node, its psi and chi ends there or, inside the piece, its whole rows
-    there; f' at a and b from derivative."""
-    fams, stops = _piece_families(f, window, N)
-    M, _ = _bound_rule(fams, window, N)
+def _read_ends(fams, stops, top):
+    """psi and chi by order, to top, at each piece family's read node,
+    (top + 1, K) each: its ends there or, inside the piece, its whole rows
+    there."""
     ends = [[], []]
     for fam, stop in zip(fams, stops):
-        fam._grow(2 * M - 1)
+        fam._grow(top)
         last = stop == fam.grid.n_nodes - 1
-        ends[0].append(fam._psi_ends[:, 1] if last else fam._psi[:, stop])
-        ends[1].append(fam._chi_ends[:, 1] if last else fam._chi[:, stop])
-    ends = [np.stack(e, axis=1) for e in ends]
+        ends[0].append(fam._psi_ends[:top + 1, 1] if last else fam._psi[:top + 1, stop])
+        ends[1].append(fam._chi_ends[:top + 1, 1] if last else fam._chi[:top + 1, stop])
+    return [np.stack(e, axis=1) for e in ends]
+
+
+def _search_piece_by_piece(prob, f, window, N):
+    """The search's M, Chebyshev variable, sample points and samples of Phi
+    from its pieces run one at a time, each read at its read node; f' at
+    a and b from derivative."""
+    pieces = _one_piece_each(f, window, N)
+    M, _ = _bound_rule(pieces, window, N)
+    ends = [np.concatenate([p.ends[e, :2 * M, :, 1] for p in pieces], axis=1) for e in (0, 1)]
     lo, hi = window
-    t = np.polynomial.chebyshev.chebpts1(len(fams) * (M - 1) + 1)
+    t = np.polynomial.chebyshev.chebpts1(len(pieces) * (M - 1) + 1)
     lams = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
     phi = _transfer(prob, f.values[[0, -1]], derivative(f).values[[0, -1]], ends, lams, M)
     return M, t, lams, phi
@@ -425,12 +444,12 @@ def test_search_reads_only_the_samples_it_returns(bcs):
     # row-independent: M and the samples have the bits of the search's
     # pieces built one family at a time, the bound rule run on them and
     # their transfer matrices chained, also where the last piece overlaps
-    # the one before it (503 cells: that one is read inside, at the node
-    # where the last starts).  Both hold whatever the anchor and state of
+    # the one before it (503 cells, against 501 that three pieces divide:
+    # that one is read inside, at the node where the last starts).  Both hold whatever the anchor and state of
     # the family passed, which the search never grows: anchored at a,
     # built to N (its weights dropped), at the middle node and at another
     cheb = np.polynomial.chebyshev
-    for n in (501, 504):
+    for n in (502, 504):
         g = Grid(0.0, 1.0, n)
         q = sample(lambda x: 50 * np.cos(3 * np.pi * x), g)
         f = build_seed(q)
@@ -453,7 +472,12 @@ def test_search_reads_only_the_samples_it_returns(bcs):
                 assert res.scan_lams.tobytes() == lams.tobytes()
                 assert res.scan_phi.tobytes() == phi.tobytes()
             rot = np.exp(-1j * np.angle(phi[np.argmax(np.abs(phi))]))
-            r = cheb.chebroots(cheb.chebfit(t, (rot * phi).real, len(t) - 1))
+            # the interpolant at the samples, by their discrete orthogonality,
+            # less the tail whose moduli sum to at most tol * scale / 1000
+            c = cheb.chebvander(t, len(t) - 1).T @ (rot * phi).real * (2.0 / len(t))
+            c[0] *= 0.5
+            tail = np.cumsum(np.abs(c[::-1]))[::-1]
+            r = cheb.chebroots(c[:max(2, np.count_nonzero(tail > 1e-13 * np.max(np.abs(phi))))])
             real = 0.5 * (lo + hi) + 0.5 * (hi - lo) * r.real[r.imag == 0]
             # the kept roots are real roots of that fit, and take every one inside
             assert np.all(np.isin(res.eigenvalues, real))
@@ -465,22 +489,23 @@ def test_search_reads_only_the_samples_it_returns(bcs):
 @pytest.mark.parametrize("n", [4, 5, 13, 20, 101, 504, 1010, 5001])
 @pytest.mark.parametrize("L, alam", [(1.0, 50.0), (1.0, 2000.0), (2.0, 2000.0), (2.0, 1e5)])
 def test_pieces_cover_the_grid_each_read_where_the_next_starts(n, L, alam):
-    # K pieces of w >= 3 cells from node 0 to node n - 1, as few as cover
-    # it, each read where the next one starts; where K does not divide the
+    # K pieces of w >= 5 cells (one piece on fewer) from node 0 to node
+    # n - 1, as few as cover it, each read where the next one starts;
+    # where K does not divide the
     # cells the last starts w cells before the end, inside the one before
-    # it, which is then read there.  K is 4, or more where the reach
+    # it, which is then read there.  K is 6, or more where the reach
     # sqrt(alam) * width of a piece would pass the limit, to within one
     # cell of rounding, as the grid's cells allow
     g = Grid(0.0, L, n)
     starts, w, stops = _layout(g, alam)
     K, cells = len(starts), n - 1
-    assert starts[0] == 0 and starts[-1] + w == cells and w >= 3
+    assert starts[0] == 0 and starts[-1] + w == cells and w >= min(5, cells)
     assert K == -(-cells // w)
     assert np.all(np.diff(starts) > 0) and np.all(stops[:-1] == np.diff(starts))
     assert stops[-1] == w and np.all(stops[:-1] == w) == (K * w == cells)
     assert np.all(stops >= 1)
-    assert K >= min(_MIN_PIECES, cells // 3)
-    if np.sqrt(alam) * L / _REACH <= cells // 3:
+    assert K >= min(_MIN_PIECES, max(1, cells // 5))
+    if np.sqrt(alam) * L / _REACH <= cells // 5:
         assert np.sqrt(alam) * (w - 1) * g.h < _REACH
         assert K <= _MIN_PIECES or np.sqrt(alam) * L / (K - 1) > _REACH
 
@@ -511,11 +536,8 @@ def test_chained_pieces_give_the_whole_interval_s_determinant(q_zero_family):
     lams = np.linspace(-120.0, 5.0, 9)
     M = max(choose_truncation(q_zero_family, lam).n_terms for lam in (-120.0, 5.0))
     fams, stops = _piece_families(f, (-120.0, 5.0), 80)
-    assert len(fams) == 4 and np.all(stops == 250)
-    for fam in fams:
-        fam._grow(39)
-    ends = [np.stack([getattr(fam, e)[:, 1] for fam in fams], axis=1)
-            for e in ("_psi_ends", "_chi_ends")]
+    assert len(fams) == 6 and list(stops) == [167, 167, 167, 167, 165, 167]
+    ends = _read_ends(fams, stops, 39)
     for bcs in _PAIRS.values():
         prob = SlProblem(sample(np.zeros_like, f.grid), *bcs)
         got = _transfer(prob, f.values[[0, -1]], derivative(f).values[[0, -1]], ends, lams, 20)
@@ -555,16 +577,16 @@ def test_complex_multiple_of_a_real_pair_gives_its_roots(cos_problem):
 
 
 def test_one_cap_warning_per_search(q_zero):
-    # (-2000, -1) needs M = 22 on four pieces; a family of N = 30 caps it
+    # (-2000, -1) needs M = 18 on six pieces; a family of N = 30 caps it
     # at 15, with one warning for the window that names the samples taken
-    # there, K(M - 1) + 1 = 57
+    # there, K(M - 1) + 1 = 85
     fam = build_family(build_seed(q_zero), 30)
     with pytest.warns(AccuracyWarning) as caught:
         res = find_eigenvalues(_dirichlet(q_zero), fam, (-2000.0, -1.0))
     capped = [w for w in caught if str(w.message).startswith("truncation cap")]
     assert len(capped) == 1 and res.n_terms == 15
     assert str(capped[0].message).startswith(
-        "truncation cap 15 reached at a window end, used at the window's 57 Chebyshev points")
+        "truncation cap 15 reached at a window end, used at the window's 85 Chebyshev points")
 
 
 @pytest.mark.parametrize("potential", [
@@ -584,11 +606,11 @@ def test_window_truncation_bounds_scan(potential):
     # the last window is so narrow that M = 1 makes Phi a constant
     for window in [(-60.0, -20.0), (-12.0, 10.0), (1.0, 20.0), (-1e-14, 1e-14)]:
         res = find_eigenvalues(prob, fam, window)
-        fams, _ = _piece_families(f, window, 80)
+        pieces = _one_piece_each(f, window, 80)
         M = res.n_terms
-        assert _bound_rule(fams, window, 80) == (M, False)
-        assert res.scan_phi.shape == res.scan_lams.shape == (len(fams) * (M - 1) + 1,)
-        assert M >= max(_bound_rule(fams, [lam], 80)[0] for lam in res.scan_lams)
+        assert _bound_rule(pieces, window, 80) == (M, False)
+        assert res.scan_phi.shape == res.scan_lams.shape == (len(pieces) * (M - 1) + 1,)
+        assert M >= max(_bound_rule(pieces, [lam], 80)[0] for lam in res.scan_lams)
     assert M == 1
 
 
@@ -600,7 +622,7 @@ def test_search_refuses_a_window_whose_powers_overflow(q_zero, q_zero_family):
 
 
 def test_search_refuses_samples_that_overflow():
-    # (-1e5, -1) on 101 nodes: 25 pieces of 4 cells, which the cap M = 40
+    # (-1e5, -1) on 101 nodes: 20 pieces of 5 cells, which the cap M = 40
     # leaves unconverged, so their chained solutions overflow at the
     # samples: an EigenError naming them, not numpy's LinAlgError from a
     # colleague matrix of infinities
@@ -608,7 +630,7 @@ def test_search_refuses_samples_that_overflow():
     fam = build_family(build_seed(q), 80)
     with pytest.warns(AccuracyWarning, match="truncation cap 40"):
         with pytest.raises(spps.EigenError, match="^characteristic function is not finite "
-                                                  "at the window's 976 Chebyshev points"):
+                                                  "at the window's 781 Chebyshev points"):
             find_eigenvalues(_dirichlet(q), fam, (-1e5, -1.0))
 
 
@@ -617,8 +639,8 @@ def test_empty_window(q_zero, q_zero_family):
     assert len(res) == 0
     assert res.eigenvalues.shape == (0,)
     # the window's M is reported with no root to carry it, with the
-    # K(M - 1) + 1 samples of its four pieces
-    assert 4 * (res.n_terms - 1) + 1 == len(res.scan_lams) > 1
+    # K(M - 1) + 1 samples of its six pieces
+    assert 6 * (res.n_terms - 1) + 1 == len(res.scan_lams) > 1
 
 
 def test_search_input_validation(q_zero, q_zero_family):
@@ -657,10 +679,10 @@ def test_tolerances_are_keyword_only(q_zero, q_zero_family):
 
 def test_scan_artifacts_exposed(q_zero, q_zero_family):
     # the samples the fit read: one per Chebyshev point, K(M - 1) + 1 for
-    # Phi of degree K(M - 1) on K = 4 pieces, inside the window
+    # Phi of degree K(M - 1) on K = 6 pieces, inside the window
     res = find_eigenvalues(_dirichlet(q_zero), q_zero_family, (-50.0, -1.0))
     M = res.n_terms
-    assert res.scan_lams.shape == res.scan_phi.shape == (4 * (M - 1) + 1,)
+    assert res.scan_lams.shape == res.scan_phi.shape == (6 * (M - 1) + 1,)
     assert np.all(np.diff(res.scan_lams) > 0)
     assert -50.0 < res.scan_lams[0] and res.scan_lams[-1] < -1.0
 
@@ -772,10 +794,6 @@ def test_search_grows_family_only_as_deep_as_it_reads(monkeypatch):
             assert capped == any("truncation cap" in str(w.message) for w in caught)
 
 
-# the roots near -67.1 and -43.2 come back with residuals of 1.1e-10 and
-# 2.2e-10, above the default tol: the 4-point rule's error on 2001 nodes,
-# not this test's subject; the residual warnings alone are ignored
-@pytest.mark.filterwarnings("ignore:eigenvalue:spps.errors.AccuracyWarning")
 def test_search_keeps_psi_rows_and_chi_ends_only(monkeypatch, held_sums):
     # the search reads psi and chi only at one node of each piece: its
     # pieces hold a ring of the batch's last two psi rows, psi_n and chi_n
@@ -790,8 +808,10 @@ def test_search_keeps_psi_rows_and_chi_ends_only(monkeypatch, held_sums):
     # search that made a sum would clear
     held = build_family(build_seed(q), 80)
     u2_grid(held, -40.0, 8)
-    K, w = 4, 500
-    on_pieces = np.arange(K)[:, None] * w + np.arange(w + 1)
+    starts, w, _ = _layout(g, 120.0)
+    K = len(starts)
+    assert (K, w) == (6, 334)
+    on_pieces = starts[:, None] + np.arange(w + 1)
     for fam in (build_family(build_seed(q), 80),
                 build_family(GridFunction(Grid(0.0, 1.0, 2001, x0=0.5),
                                           build_seed(q).values), 80)):
@@ -828,10 +848,10 @@ def test_search_refuses_a_potential_on_another_grid_before_building():
 
 
 def test_search_memory_is_linear_in_nodes(monkeypatch):
-    # at 20001 nodes and N = 80 (four pieces of 5000 cells, M = 15, so 33
+    # at 20001 nodes and N = 80 (six pieces of 3334 cells, M = 12, so 27
     # orders built) the search holds no block of psi rows: no array it
     # makes holds more than the order loop's scratch, four rows of the
-    # batch (three nodes longer than the grid's), and the one block it
+    # batch (nine nodes longer than the grid's), and the one block it
     # asks recint._rows for is the ring of two psi rows of the batch, not
     # mapped.  Its other arrays are the family's weights on the pieces,
     # two rows; their sizes are read from tracemalloc, which numpy reports
@@ -844,7 +864,7 @@ def test_search_memory_is_linear_in_nodes(monkeypatch):
     q = sample(lambda x: 50 * np.cos(3 * np.pi * x), Grid(0.0, 1.0, n))
     fam = build_family(build_seed(q), 80)
     blocks, largest = [], []
-    rows, integrate = recint._rows, recint._integrate_rows
+    rows, integrate = recint._rows, spps.sturm._integrate_rows6
     monkeypatch.setattr(recint, "_rows",
                         lambda shape, dtype: blocks.append((shape, dtype)) or rows(shape, dtype))
 
@@ -852,7 +872,7 @@ def test_search_memory_is_linear_in_nodes(monkeypatch):
         largest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
         return integrate(*args)
 
-    monkeypatch.setattr(recint, "_integrate_rows", kernel)
+    monkeypatch.setattr(spps.sturm, "_integrate_rows6", kernel)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -861,13 +881,13 @@ def test_search_memory_is_linear_in_nodes(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert res.n_terms == 15 and len(largest) == 2 * 15 + 3
+    assert res.n_terms == 12 and len(largest) == 2 * 12 + 3
     assert 4 * row <= max(largest) <= 4.01 * row
-    assert [shape for shape, _ in blocks] == [(2, 4, 5001)]
+    assert [shape for shape, _ in blocks] == [(2, 6, 3335)]
     assert all(np.prod(shape) * np.dtype(dtype).itemsize < recint._MAPPED_BYTES
                for shape, dtype in blocks)
     # with the row kernel's temporaries, the whole search stays under 12
-    # rows: 10.6 measured, where a single series streamed through a ring of
+    # rows: 10.7 measured, where a single series streamed through a ring of
     # four rows held 16.6 and its block before that 49
     assert peak <= 12 * row
 
@@ -910,20 +930,20 @@ def test_roots_at_window_ends_and_above_tol_kept(c, bc, window, count):
 
 
 def test_dirichlet_roots_to_ten_digits_from_short_pieces():
-    # each series reaches a quarter of the interval, so the window's M
-    # falls from 38 for one series from x0 = a to 15, and the roots of
+    # each series reaches a sixth of the interval, so the window's M
+    # falls from 38 for one series from x0 = a to 12, and the roots of
     # q = 0 on 5001 nodes, the one at -400 4e-10 off from x0 = a, come
     # within 1e-10 of -pi^2 k^2
     q = sample(lambda x: np.zeros_like(x), Grid(0.0, 1.0, 5001))
     res = find_eigenvalues(_dirichlet(q), build_family(build_seed(q), 80), (-400.0, -1.0))
     expect = np.sort(_constant_spectrum(0.0, 1.0, "DD", 6))
-    assert len(res) == 6 and res.n_terms == 15
+    assert len(res) == 6 and res.n_terms == 12
     assert _rel_err(res.eigenvalues, expect) <= 1e-10
 
 
 def test_wide_dirichlet_window_finds_every_root_below_the_cap():
-    # (-2000, -1) holds 14 Dirichlet eigenvalues of q = 0: on four pieces
-    # a family of N = 80 reaches them below its cap (M = 22) with no
+    # (-2000, -1) holds 14 Dirichlet eigenvalues of q = 0: on six pieces
+    # a family of N = 80 reaches them below its cap (M = 18) with no
     # warning, where one series from the middle node was capped at M = 40
     # and one from x0 = a at M = 50 (N = 100) found 13
     q = sample(lambda x: np.zeros_like(x), Grid(0.0, 1.0, 5001))
@@ -932,7 +952,7 @@ def test_wide_dirichlet_window_finds_every_root_below_the_cap():
         warnings.simplefilter("always")
         res = find_eigenvalues(_dirichlet(q), fam, (-2000.0, -1.0))
     assert not caught
-    assert res.n_terms == 22 and len(res.scan_lams) == 4 * 21 + 1
+    assert res.n_terms == 18 and len(res.scan_lams) == 6 * 17 + 1
     expect = np.sort(_constant_spectrum(0.0, 1.0, "DD", 14))
     assert len(res) == 14 and _rel_err(res.eigenvalues, expect) <= 1e-9
 
@@ -956,12 +976,62 @@ def test_long_interval_finds_every_root_of_a_deep_window(c, count):
     assert len(res) == count and _rel_err(res.eigenvalues, expect) <= 1e-8
 
 
+def test_real_roots_on_arcs_are_the_polynomial_s():
+    # past _MAX_POINTS values the roots are taken arc by arc, each arc
+    # from its own samples: T_600's 600 roots, as dense as the samples,
+    # come back once each to 1e-13, whichever arc holds them; of
+    # T_598 (t^2 - (1 + 1e-9)^2), the roots just past the ends only while
+    # |p| at the end, 2e-9 to first order, is within the bound
+    cheb = np.polynomial.chebyshev
+    t = cheb.chebpts1(601)
+    top = np.zeros(601)
+    top[-1] = 1.0
+    roots = _real_roots(cheb.chebval(t, top), lambda x: cheb.chebval(x, top), 1e-12)
+    assert len(roots) == 600
+    want = np.cos((np.arange(600) + 0.5) * np.pi / 600)
+    assert np.max(np.abs(np.sort(roots) - np.sort(want))) <= 1e-13
+    edge = 1.0 + 1e-9
+    outside = cheb.chebmul(np.eye(599)[-1], cheb.poly2cheb([-edge ** 2, 0.0, 1.0]))
+    for bound, count in ((1e-12, 598), (1e-8, 600)):
+        roots = _real_roots(cheb.chebval(t, outside), lambda x: cheb.chebval(x, outside), bound)
+        # the tail dropped moves p by at most bound / 1000, so a root by
+        # about that over |p'| = 2
+        assert len(roots) == count and np.all(np.abs(roots) <= edge + bound / 1000)
+
+
+def test_a_window_past_the_colleague_limit_is_rooted_on_arcs(monkeypatch):
+    # q = 0 on [0, 2], Dirichlet ends, (-8000, -1), 5001 nodes: Phi of
+    # degree 330, past _MAX_POINTS, is rooted on 28 arcs, one more call of
+    # the pieces' chain each; all 56 roots within 1e-7 of -(k pi / 2)^2,
+    # those of one colleague matrix of the 331 samples to 1e-12 of the
+    # window
+    q = sample(np.zeros_like, Grid(0.0, 2.0, 5001))
+    fam = build_family(build_seed(q), 80)
+    calls = []
+    transfer = spps.sturm._transfer
+    monkeypatch.setattr(spps.sturm, "_transfer",
+                        lambda *args: calls.append(1) or transfer(*args))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = find_eigenvalues(_dirichlet(q), fam, (-8000.0, -1.0))
+    assert not caught
+    n = len(res.scan_lams)
+    assert n == 331 > _MAX_POINTS and len(calls) == 2 + np.ceil((n - 1) / _ARC_DEGREES) == 30
+    spec = _constant_spectrum(0.0, 2.0, "DD", 80)
+    expect = np.sort(spec[spec >= -8000.0])
+    assert len(res) == len(expect) == 56 and _rel_err(res.eigenvalues, expect) <= 1e-7
+    monkeypatch.setattr(spps.sturm, "_MAX_POINTS", 10**6)
+    whole = find_eigenvalues(_dirichlet(q), fam, (-8000.0, -1.0))
+    assert np.max(np.abs(res.eigenvalues - whole.eigenvalues)) <= 1e-12 * 7999.0
+
+
 def test_a_grid_whose_cells_are_prime():
-    # 1009 cells: the fourth piece starts three cells inside the third,
+    # 1009 cells: the sixth piece starts five cells inside the fifth,
     # which is read at that node; the roots keep their digits
     q = sample(lambda x: np.zeros_like(x), Grid(0.0, 1.0, 1010))
     starts, w, stops = _layout(q.grid, 400.0)
-    assert w == 253 and list(starts) == [0, 253, 506, 756] and list(stops) == [253, 253, 250, 253]
+    assert w == 169 and list(starts) == [0, 169, 338, 507, 676, 840]
+    assert list(stops) == [169, 169, 169, 169, 164, 169]
     res = find_eigenvalues(_dirichlet(q), build_family(build_seed(q), 80), (-400.0, -1.0))
     expect = np.sort(_constant_spectrum(0.0, 1.0, "DD", 6))
     assert len(res) == 6 and _rel_err(res.eigenvalues, expect) <= 1e-8
